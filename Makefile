@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-hot bench-smoke bench-obs bench-gate bench-train bench-lifecycle bench-sched bench-serve bench-engine bench-replay vet staticcheck fmt ci
+.PHONY: build test race race-hot bench-module bench-smoke bench-obs bench-gate bench-train bench-lifecycle bench-sched bench-serve bench-engine bench-replay vet staticcheck fmt ci
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,13 @@ race:
 # target is skipped locally.
 race-hot:
 	$(GO) test -race ./internal/parallel/... ./internal/experiments/...
+
+# bench-module compiles, vets and tests bench/. It is a Go module of its
+# own (it imports rush/internal/... through a replace directive), so the
+# root module's `go test ./...` never builds it and removing an API it
+# calls would otherwise break the repository benchmark unnoticed.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # bench-smoke proves the parallel speedup path runs end to end: one
 # iteration of the speedup benchmark at every worker count.
@@ -92,10 +99,10 @@ bench-serve:
 # 103k-job workload on the 2,988-node machine, simulated end to end
 # through the sharded contention engine, must finish inside a 10-second
 # wall-clock budget (the measured value is ~0.8s — see BENCH_engine.json,
-# which also records the serial reference executor and the synthetic
-# 4,096-node shape) and inside a 1.4M allocation budget (~2x the
-# measured ~685k, so steady-state churn stays pooled). Only the fast
-# sub-benchmark runs here; the reference numbers live in the JSON.
+# which also records the synthetic 4,096-node shape and the last
+# measured rows of the full-recompute reference executor) and inside a
+# 1.4M allocation budget (~2x the measured ~685k, so steady-state churn
+# stays pooled).
 bench-engine:
 	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkEngineMonth/quartz/fast' -benchtime 1x -benchmem -timeout 600s .); \
 	echo "$$out"; \
@@ -148,10 +155,11 @@ fmt:
 # ci is the full gate: formatting, static analysis (vet plus
 # staticcheck when installed, including the sched/sim/simnet godoc
 # checks), the test suite under the race detector (race subsumes
-# race-hot; both run so the hot paths report first), the zero-alloc
+# race-hot; both run so the hot paths report first), the benchmark
+# module's own vet and tests, the zero-alloc
 # observability, gate-decision, nil-lifecycle, deep-queue scheduler,
 # and cached-serving-decision guards, the training-path allocation
 # guard, the month-long full-Quartz engine budget, the year-long
 # streaming-replay wall-clock and peak-heap budgets, and the
 # parallel-speedup smoke.
-ci: fmt vet staticcheck race-hot race bench-obs bench-gate bench-train bench-lifecycle bench-sched bench-serve bench-engine bench-replay bench-smoke
+ci: fmt vet staticcheck race-hot race bench-module bench-obs bench-gate bench-train bench-lifecycle bench-sched bench-serve bench-engine bench-replay bench-smoke

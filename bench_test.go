@@ -21,7 +21,9 @@ package rush
 
 import (
 	"fmt"
+	"io"
 	"math"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -109,12 +111,36 @@ func benchSetup(b *testing.B) {
 	})
 }
 
+// report is one writer-based renderer with its arguments bound.
+type report func(io.Writer) error
+
 // printOnce emits an artifact the first time its key is seen, so repeated
 // benchmark iterations do not flood the output.
-func printOnce(key, artifact string) {
+func printOnce(key string, artifact ...report) {
 	if _, loaded := printedOnce.LoadOrStore(key, true); !loaded {
-		fmt.Printf("\n===== %s =====\n%s", key, artifact)
+		printReports(key, artifact...)
 	}
+}
+
+// printReports writes a titled artifact to standard output.
+func printReports(title string, artifact ...report) {
+	fmt.Printf("\n===== %s =====\n", title)
+	for _, r := range artifact {
+		if err := r(os.Stdout); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// variation binds ReportVariation to cmp judged against its own
+// baseline trials.
+func variation(cmp *experiments.Comparison) report {
+	return func(w io.Writer) error { return ReportVariation(w, cmp, BaselineStats(cmp.Baseline)) }
+}
+
+// makespan binds ReportMakespan to cmps.
+func makespan(cmps ...*experiments.Comparison) report {
+	return func(w io.Writer) error { return ReportMakespan(w, cmps) }
 }
 
 // BenchmarkFigure1Longitudinal measures the data-collection campaign (a
@@ -122,7 +148,7 @@ func printOnce(key, artifact string) {
 // variability table from the shared 60-day campaign.
 func BenchmarkFigure1Longitudinal(b *testing.B) {
 	benchSetup(b)
-	printOnce("Figure 1: longitudinal variability", ReportFigure1String(benchCampaign.JobScope))
+	printOnce("Figure 1: longitudinal variability", func(w io.Writer) error { return ReportFigure1(w, benchCampaign.JobScope) })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Collect(core.CollectConfig{Days: 7, Seed: int64(i)}); err != nil {
@@ -136,7 +162,7 @@ func BenchmarkFigure1Longitudinal(b *testing.B) {
 // and prints the dataset inventory.
 func BenchmarkTable1DatasetAssembly(b *testing.B) {
 	benchSetup(b)
-	printOnce("Table I: dataset inventory", ReportTableIString())
+	printOnce("Table I: dataset inventory", ReportTableI)
 	spec, _ := workload.SpecByName("ADAA")
 	// One RUSH trial performs one feature assembly per gate evaluation;
 	// time trials and report per-evaluation cost via custom metric.
@@ -165,7 +191,9 @@ func BenchmarkFigure3ModelF1(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		fmt.Printf("\n===== Figure 3: model F1 comparison =====\n%s", ReportFigure3String(append(jobScores, allScores...)))
+		printReports("Figure 3: model F1 comparison", func(w io.Writer) error {
+			return ReportFigure3(w, append(jobScores, allScores...))
+		})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -178,7 +206,7 @@ func BenchmarkFigure3ModelF1(b *testing.B) {
 // BenchmarkTable2Workloads measures workload generation and prints the
 // experiment definitions.
 func BenchmarkTable2Workloads(b *testing.B) {
-	printOnce("Table II: experiments", ReportTableIIString())
+	printOnce("Table II: experiments", ReportTableII)
 	specs := workload.TableII()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -191,10 +219,10 @@ func BenchmarkTable2Workloads(b *testing.B) {
 }
 
 // benchTrialExperiment times one paired trial of the named experiment.
-func benchTrialExperiment(b *testing.B, name string, print func(cmp *experiments.Comparison) string) {
+func benchTrialExperiment(b *testing.B, name string, print func(io.Writer, *experiments.Comparison) error) {
 	benchSetup(b)
 	cmp := benchCmps[name]
-	printOnce(fmt.Sprintf("%s via %s", b.Name(), name), print(cmp))
+	printOnce(fmt.Sprintf("%s via %s", b.Name(), name), func(w io.Writer) error { return print(w, cmp) })
 	spec, _ := workload.SpecByName(name)
 	pred := benchPred
 	if len(spec.TrainApps) > 0 {
@@ -210,8 +238,8 @@ func benchTrialExperiment(b *testing.B, name string, print func(cmp *experiments
 
 // BenchmarkFigure5VariationADAA regenerates the ADAA variation counts.
 func BenchmarkFigure5VariationADAA(b *testing.B) {
-	benchTrialExperiment(b, "ADAA", func(cmp *experiments.Comparison) string {
-		return ReportVariationString(cmp, BaselineStats(cmp.Baseline))
+	benchTrialExperiment(b, "ADAA", func(w io.Writer, cmp *experiments.Comparison) error {
+		return ReportVariation(w, cmp, BaselineStats(cmp.Baseline))
 	})
 }
 
@@ -220,9 +248,7 @@ func BenchmarkFigure5VariationADAA(b *testing.B) {
 func BenchmarkFigure4VariationADPAPDPA(b *testing.B) {
 	benchSetup(b)
 	adpa, pdpa := benchCmps["ADPA"], benchCmps["PDPA"]
-	printOnce("Figure 4: ADPA vs PDPA variation",
-		ReportVariationString(adpa, BaselineStats(adpa.Baseline))+
-			ReportVariationString(pdpa, BaselineStats(pdpa.Baseline)))
+	printOnce("Figure 4: ADPA vs PDPA variation", variation(adpa), variation(pdpa))
 	spec, _ := workload.SpecByName("PDPA")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -235,25 +261,25 @@ func BenchmarkFigure4VariationADPAPDPA(b *testing.B) {
 // BenchmarkFigure6RuntimeDistADAA regenerates the ADAA run-time
 // distributions.
 func BenchmarkFigure6RuntimeDistADAA(b *testing.B) {
-	benchTrialExperiment(b, "ADAA", ReportRunTimeDistString)
+	benchTrialExperiment(b, "ADAA", ReportRunTimeDist)
 }
 
 // BenchmarkFigure7RuntimeDistPDPA regenerates the PDPA run-time
 // distributions.
 func BenchmarkFigure7RuntimeDistPDPA(b *testing.B) {
-	benchTrialExperiment(b, "PDPA", ReportRunTimeDistString)
+	benchTrialExperiment(b, "PDPA", ReportRunTimeDist)
 }
 
 // BenchmarkFigure8WeakScaling regenerates the weak-scaling run-time
 // ranges.
 func BenchmarkFigure8WeakScaling(b *testing.B) {
-	benchTrialExperiment(b, "WS", ReportScalingDistString)
+	benchTrialExperiment(b, "WS", ReportScalingDist)
 }
 
 // BenchmarkFigure9StrongScaling regenerates the strong-scaling percent
 // improvements.
 func BenchmarkFigure9StrongScaling(b *testing.B) {
-	benchTrialExperiment(b, "SS", ReportMaxImprovementString)
+	benchTrialExperiment(b, "SS", ReportMaxImprovement)
 }
 
 // BenchmarkFigure10Makespan regenerates the per-experiment makespans.
@@ -263,7 +289,7 @@ func BenchmarkFigure10Makespan(b *testing.B) {
 	for _, spec := range workload.TableII() {
 		all = append(all, benchCmps[spec.Name])
 	}
-	printOnce("Figure 10: makespans", ReportMakespanString(all))
+	printOnce("Figure 10: makespans", makespan(all...))
 	spec, _ := workload.SpecByName("ADAA")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -275,7 +301,7 @@ func BenchmarkFigure10Makespan(b *testing.B) {
 
 // BenchmarkFigure11WaitTimes regenerates the ADAA per-app wait times.
 func BenchmarkFigure11WaitTimes(b *testing.B) {
-	benchTrialExperiment(b, "ADAA", ReportWaitTimesString)
+	benchTrialExperiment(b, "ADAA", ReportWaitTimes)
 }
 
 // BenchmarkAblationDelayOnLittle measures RUSH when the gate also delays
@@ -290,9 +316,7 @@ func BenchmarkAblationDelayOnLittle(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ref := BaselineStats(cmp.Baseline)
-		fmt.Printf("\n===== Ablation: delay on little variation =====\n%s%s",
-			ReportVariationString(cmp, ref), ReportMakespanString([]*experiments.Comparison{cmp}))
+		printReports("Ablation: delay on little variation", variation(cmp), makespan(cmp))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -313,8 +337,7 @@ func BenchmarkAblationAllNodesScope(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		fmt.Printf("\n===== Ablation: all-nodes decision scope =====\n%s",
-			ReportVariationString(cmp, BaselineStats(cmp.Baseline)))
+		printReports("Ablation: all-nodes decision scope", variation(cmp))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -336,9 +359,7 @@ func BenchmarkAblationSJF(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ref := BaselineStats(cmp.Baseline)
-		fmt.Printf("\n===== Ablation: SJF + RUSH =====\n%s%s",
-			ReportVariationString(cmp, ref), ReportMakespanString([]*experiments.Comparison{cmp}))
+		printReports("Ablation: SJF + RUSH", variation(cmp), makespan(cmp))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

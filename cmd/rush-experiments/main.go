@@ -39,10 +39,7 @@ func main() {
 	metrics := cliflags.Metrics()
 	pprofPath := cliflags.Pprof()
 	workers := cliflags.Workers()
-	schedRef := cliflags.SchedReference()
 	topoFlag := cliflags.Topo()
-	engineRef := cliflags.EngineReference()
-	engineWorkers := cliflags.EngineWorkers()
 	flag.Parse()
 	if *quick {
 		*days = 30
@@ -114,8 +111,7 @@ func main() {
 		}
 		log.Printf("running %s (%d paired trials)...", spec.Name, *trials)
 		cmp, err := experiments.RunExperiment(spec, p, *trials, *seed*1000,
-			experiments.Config{Topo: topo, Workers: *workers, Metrics: *metrics,
-				SchedReference: *schedRef, EngineReference: *engineRef, EngineWorkers: *engineWorkers})
+			experiments.Config{Topo: topo, Workers: *workers, Metrics: *metrics})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -163,8 +159,7 @@ func main() {
 	if *drift {
 		log.Printf("running drift scenarios (%d trials each)...", *trials)
 		rows, err := experiments.RunDriftExperiment(adaa.Spec, pred, nil, *trials, *seed*1000,
-			experiments.Config{Topo: topo, Workers: *workers, Metrics: *metrics,
-				SchedReference: *schedRef, EngineReference: *engineRef, EngineWorkers: *engineWorkers})
+			experiments.Config{Topo: topo, Workers: *workers, Metrics: *metrics})
 		if err != nil {
 			log.Fatal(err)
 		}

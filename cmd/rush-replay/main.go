@@ -46,7 +46,6 @@ func main() {
 	maxJobs := flag.Int("max-jobs", 0, "truncate the trace after this many jobs (0 = whole trace)")
 	maxSimTime := flag.Float64("max-sim-time", 0, "abort after this much simulated time in seconds (0 = unbounded)")
 	memSample := flag.Float64("mem-sample", 0, "sample the Go heap every this many simulated seconds into the metrics registry (0 disables)")
-	inMemory := flag.Bool("in-memory", false, "load the whole trace up front instead of streaming (differential reference)")
 	sjf := flag.Bool("sjf", false, "use shortest-job-first queue ordering instead of FCFS")
 	backfill := flag.String("backfill", "easy", "backfill discipline: easy, none, or conservative")
 	nodeMTBF := flag.Float64("node-mtbf", 0, "per-node mean time between failures in seconds (0 disables node faults)")
@@ -56,10 +55,7 @@ func main() {
 	metrics := cliflags.Metrics()
 	pprofPath := cliflags.Pprof()
 	workers := cliflags.Workers()
-	schedRef := cliflags.SchedReference()
 	topoFlag := cliflags.Topo()
-	engineRef := cliflags.EngineReference()
-	engineWorkers := cliflags.EngineWorkers()
 	flag.Parse()
 
 	if *swfPath == "" {
@@ -82,7 +78,6 @@ func main() {
 		Topo: topo, UseSJF: *sjf,
 		MaxSimTime: *maxSimTime, MemSample: *memSample,
 		Trace: *tracePath != "", Metrics: *metrics || *memSample > 0,
-		SchedReference: *schedRef, EngineReference: *engineRef, EngineWorkers: *engineWorkers,
 		Faults: faults.Config{NodeMTBF: *nodeMTBF, NodeMTTR: *nodeMTTR, ModelOutage: *modelOutage},
 	}
 	if err := cfg.Faults.Validate(); err != nil {
@@ -142,21 +137,7 @@ func main() {
 			return nil, err
 		}
 		defer r.Close()
-		var stream workload.JobStream
-		if *inMemory {
-			trace, err := workload.ParseSWF(r)
-			if err != nil {
-				return nil, err
-			}
-			jobs, err := workload.FromSWF(trace, opts)
-			if err != nil {
-				return nil, err
-			}
-			stream = workload.NewSliceStream(jobs)
-		} else {
-			stream = workload.NewSWFStream(r, opts)
-		}
-		return experiments.ReplayStream(replayName(path), stream, pol, pred, *seed+int64(i), cfg)
+		return experiments.ReplayStream(replayName(path), workload.NewSWFStream(r, opts), pol, pred, *seed+int64(i), cfg)
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -9,7 +9,7 @@
 //	rush-sim -experiment ADAA -predictor predictor.json -trials 5 -seed 100
 //	rush-sim -experiment SS -policy baseline -trials 5
 //	rush-sim -experiment ADAA -trace events.jsonl -metrics
-//	rush-sim -experiment ADAA -policy baseline -topo quartz -engine-workers 8
+//	rush-sim -experiment ADAA -policy baseline -topo quartz
 package main
 
 import (
@@ -64,10 +64,7 @@ func main() {
 	canaryThreshold := flag.Float64("canary-threshold", 0, "canary policy probe-slowdown veto threshold (0 = default 1.6; must be positive)")
 	canaryAllClasses := flag.Bool("canary-all-classes", false, "canary policy also gates compute-intensive jobs")
 	workers := cliflags.Workers()
-	schedRef := cliflags.SchedReference()
 	topoFlag := cliflags.Topo()
-	engineRef := cliflags.EngineReference()
-	engineWorkers := cliflags.EngineWorkers()
 	flag.Parse()
 
 	topo, err := cluster.Parse(*topoFlag)
@@ -92,9 +89,6 @@ func main() {
 		Topo:          topo,
 		DelayOnLittle: *delayLittle, AllNodesScope: *allNodes, UseSJF: *sjf,
 		Workers: *workers, Trace: *tracePath != "", Metrics: *metrics,
-		SchedReference:  *schedRef,
-		EngineReference: *engineRef,
-		EngineWorkers:   *engineWorkers,
 	}
 	cfg.Faults = faults.Config{
 		NodeMTBF:      *nodeMTBF,

@@ -1,0 +1,108 @@
+// Package cmd_test smoke-tests the six commands at their CLI surface:
+// every binary builds, the three simulation drivers exit 0 on a tiny
+// configuration with output that does not depend on -workers, and the
+// retired path-selection flags are rejected.
+package cmd_test
+
+import (
+	"bytes"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+var commands = []string{"rush-collect", "rush-experiments", "rush-replay", "rush-serve", "rush-sim", "rush-train"}
+
+// buildAll compiles every command into a temp directory and returns it.
+func buildAll(t *testing.T) string {
+	t.Helper()
+	bin := t.TempDir()
+	out, err := exec.Command("go", "build", "-o", bin+string(filepath.Separator), "./...").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go build ./... in cmd: %v\n%s", err, out)
+	}
+	for _, name := range commands {
+		if _, err := os.Stat(filepath.Join(bin, name)); err != nil {
+			t.Fatalf("%s was not built: %v", name, err)
+		}
+	}
+	return bin
+}
+
+// run executes a built command and returns its stdout, failing the test
+// on a non-zero exit.
+func run(t *testing.T, bin, name string, args ...string) []byte {
+	t.Helper()
+	cmd := exec.Command(filepath.Join(bin, name), args...)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("%s %s: %v\n%s", name, strings.Join(args, " "), err, stderr.Bytes())
+	}
+	return stdout.Bytes()
+}
+
+func TestCommandsSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the command binaries")
+	}
+	bin := buildAll(t)
+	swf, err := filepath.Abs(filepath.Join("..", "internal", "workload", "testdata", "excerpt.swf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Each driver runs at -workers 1 and 4; stdout, and the -trace file
+	// where the command has one, must be byte-identical.
+	drivers := []struct {
+		name   string
+		args   []string
+		traced bool
+	}{
+		{"rush-sim", []string{"-experiment", "ADAA", "-policy", "baseline", "-trials", "2"}, true},
+		{"rush-replay", []string{"-swf", swf, "-trials", "2"}, true},
+		{"rush-experiments", []string{"-days", "4", "-trials", "1"}, false},
+	}
+	for _, d := range drivers {
+		var stdouts, traces [2][]byte
+		for i, workers := range []string{"1", "4"} {
+			args := append(append([]string{}, d.args...), "-workers", workers)
+			tracePath := filepath.Join(t.TempDir(), "trace.jsonl")
+			if d.traced {
+				args = append(args, "-trace", tracePath)
+			}
+			stdouts[i] = run(t, bin, d.name, args...)
+			if len(stdouts[i]) == 0 {
+				t.Fatalf("%s -workers %s printed nothing", d.name, workers)
+			}
+			if d.traced {
+				if traces[i], err = os.ReadFile(tracePath); err != nil || len(traces[i]) == 0 {
+					t.Fatalf("%s -workers %s: trace file: %d bytes, %v", d.name, workers, len(traces[i]), err)
+				}
+			}
+		}
+		if !bytes.Equal(stdouts[0], stdouts[1]) {
+			t.Errorf("%s: stdout differs between -workers 1 and 4", d.name)
+		}
+		if !bytes.Equal(traces[0], traces[1]) {
+			t.Errorf("%s: -trace output differs between -workers 1 and 4", d.name)
+		}
+	}
+
+	// The flags that used to select between equivalent paths are gone.
+	retired := map[string][]string{
+		"rush-sim":         {"-sched-reference", "-engine-reference", "-engine-workers=2"},
+		"rush-experiments": {"-sched-reference", "-engine-reference", "-engine-workers=2"},
+		"rush-replay":      {"-sched-reference", "-engine-reference", "-engine-workers=2", "-in-memory"},
+	}
+	for name, flags := range retired {
+		for _, f := range flags {
+			out, err := exec.Command(filepath.Join(bin, name), f).CombinedOutput()
+			if err == nil || !bytes.Contains(out, []byte("flag provided but not defined")) {
+				t.Errorf("%s %s: want an unknown-flag failure, got err=%v\n%.200s", name, f, err, out)
+			}
+		}
+	}
+}

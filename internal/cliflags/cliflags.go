@@ -42,32 +42,6 @@ func Topo() *string {
 	return flag.String("topo", "pod512", `machine topology: "pod512", "quartz", or "N,podsize" (e.g. "4096,512")`)
 }
 
-// EngineReference registers -engine-reference: route every contention
-// change through the machine's serial full-recompute executor instead of
-// the dirty-lane sharded fast path. Simulations are bit-identical either
-// way (see machine.Machine.DisableFastPath); the flag exists for
-// differential runs and for measuring the engine's speedup.
-func EngineReference() *bool {
-	return flag.Bool("engine-reference", false, "use the serial full-recompute contention executor instead of the dirty-lane fast path (identical simulations, slower)")
-}
-
-// EngineWorkers registers -engine-workers: how many goroutines one
-// trial's machine may use to fan out slowdown recomputation when a
-// contention change touches many jobs. 0 or 1 keeps the engine serial;
-// any value produces bit-identical simulations.
-func EngineWorkers() *int {
-	return flag.Int("engine-workers", 0, "goroutines for intra-trial contention fan-out (0 or 1 = serial); any value produces identical output")
-}
-
-// SchedReference registers -sched-reference: route every scheduling
-// pass through the reference scanner instead of the availability-
-// timeline fast path. Schedules are job-for-job identical either way
-// (see sched.Scheduler.DisableFastPath); the flag exists for
-// differential runs and for measuring the fast path's speedup.
-func SchedReference() *bool {
-	return flag.Bool("sched-reference", false, "use the reference scheduler scan instead of the availability-timeline fast path (identical schedules, slower passes)")
-}
-
 // Trace registers -trace: the path for a structured JSONL event trace.
 // Traces are keyed by simulated time and written in trial order, so the
 // file is byte-identical at any -workers value.

@@ -8,10 +8,12 @@ import (
 	"rush/internal/cluster"
 )
 
-// TestEngineReferenceMatchesFastPath pins the end-to-end contract behind
-// Config.EngineReference: routing every contention change through the
-// machine's serial full-recompute executor instead of the dirty-lane
-// sharded fast path must change nothing observable — not a job record,
+// TestEngineReferenceMatchesFastPath pins the sharded contention engine
+// against its oracle end to end: routing every contention change
+// through the machine's full-recompute executor
+// (machine.Machine.DisableFastPath, selected by the unexported
+// Config.engineReference) instead of the dirty-lane fast path must
+// change nothing observable — not a job record,
 // not a trace byte — through the full experiment stack (noise, gates,
 // breaker, fault injection) across the whole fault matrix.
 func TestEngineReferenceMatchesFastPath(t *testing.T) {
@@ -19,7 +21,7 @@ func TestEngineReferenceMatchesFastPath(t *testing.T) {
 	spec := shortSpec()
 	matrix := func(ref bool) []FaultRow {
 		t.Helper()
-		rows, err := FaultMatrix(spec, pred, nil, 3, 900, Config{Trace: true, EngineReference: ref})
+		rows, err := FaultMatrix(spec, pred, nil, 3, 900, Config{Trace: true, engineReference: ref})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,11 +39,9 @@ func TestEngineReferenceMatchesFastPath(t *testing.T) {
 }
 
 // TestEngineDifferentialAcrossTopologies pins the sharded engine against
-// the serial reference on every topology class — the paper's single
-// 512-node pod, the full 2,988-node Quartz machine, and the synthetic
-// 4,096-node 8-pod shape — across five seeds, and additionally pins that
-// the intra-trial worker fan-out (EngineWorkers 8 vs serial) yields
-// byte-identical traces.
+// the full-recompute reference on every topology class — the paper's
+// single 512-node pod, the full 2,988-node Quartz machine, and the
+// synthetic 4,096-node 8-pod shape — across five seeds.
 func TestEngineDifferentialAcrossTopologies(t *testing.T) {
 	spec := shortSpec()
 	topos := []cluster.Topology{
@@ -51,31 +51,23 @@ func TestEngineDifferentialAcrossTopologies(t *testing.T) {
 	}
 	for _, topo := range topos {
 		for _, seed := range []int64{101, 202, 303, 404, 505} {
-			run := func(engineRef bool, engineWorkers int) *Trial {
+			run := func(engineRef bool) *Trial {
 				t.Helper()
 				tr, err := RunTrial(spec, Baseline, nil, seed, Config{
-					Topo: topo, Trace: true,
-					EngineReference: engineRef, EngineWorkers: engineWorkers,
+					Topo: topo, Trace: true, engineReference: engineRef,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				return tr
 			}
-			fast := run(false, 1)
-			ref := run(true, 1)
-			fanned := run(false, 8)
+			fast := run(false)
+			ref := run(true)
 			if !bytes.Equal(fast.Trace, ref.Trace) {
 				t.Fatalf("topo %v seed %d: trace diverges between sharded engine and reference", topo, seed)
 			}
 			if !reflect.DeepEqual(fast, ref) {
 				t.Fatalf("topo %v seed %d: trial diverges between sharded engine and reference", topo, seed)
-			}
-			if !bytes.Equal(fast.Trace, fanned.Trace) {
-				t.Fatalf("topo %v seed %d: trace diverges between EngineWorkers 1 and 8", topo, seed)
-			}
-			if !reflect.DeepEqual(fast, fanned) {
-				t.Fatalf("topo %v seed %d: trial diverges between EngineWorkers 1 and 8", topo, seed)
 			}
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sort"
 
 	"rush/internal/apps"
 	"rush/internal/cluster"
@@ -90,37 +91,17 @@ type Config struct {
 	// TestRunExperimentParallelDeterminism).
 	Workers int
 
-	// SchedReference routes every scheduling pass through the reference
-	// scanner instead of the availability-timeline fast path. Schedules
-	// are job-for-job identical either way (see
-	// sched.Scheduler.DisableFastPath); the knob exists for differential
-	// testing and for benchmarking the fast path's speedup.
-	SchedReference bool
-
-	// EngineReference routes every contention change through the
-	// machine's serial full-recompute executor instead of the dirty-lane
-	// fast path (see machine.Machine.DisableFastPath). Simulations are
-	// bit-identical either way; the knob exists for differential testing
-	// and for measuring the sharded engine's speedup.
-	EngineReference bool
-	// EngineWorkers bounds the goroutines the machine may use to fan out
-	// slowdown recomputation inside one trial when a contention change
-	// touches many jobs (see machine.Machine.Workers). 0 or 1 keeps the
-	// engine serial; any value produces bit-identical trials. It is
-	// separate from Workers because trial-level and intra-trial
-	// parallelism multiply.
-	EngineWorkers int
-
-	// PruneInterval and PruneKeep control the machine's telemetry-history
-	// retention: every PruneInterval simulated seconds, load epochs and
-	// cached sample rows older than PruneKeep are dropped. The defaults
-	// (one telemetry window, keeping three) cover every consumer's widest
-	// lookback with slack; long-horizon replays depend on this rolling
-	// window to hold state bounded over a simulated year. Retention wider
-	// than the default never changes a schedule — consumers only read the
-	// last window — which the pruning differential in replay_test pins.
-	PruneInterval float64
-	PruneKeep     float64
+	// schedReference and engineReference route the trial through the
+	// reference scheduler scanner (sched.Scheduler.DisableFastPath) and the
+	// serial full-recompute contention executor
+	// (machine.Machine.DisableFastPath). Only this package's differential
+	// tests set them; the shipped path is always the fast one.
+	schedReference  bool
+	engineReference bool
+	// pruneKeep widens the telemetry-history retention past
+	// defaultPruneKeep; TestReplayPruningDifferential sets it to pin that
+	// retention never changes a schedule.
+	pruneKeep float64
 
 	// MemSample, when positive, samples the Go runtime heap every
 	// MemSample simulated seconds into the metrics registry: the
@@ -131,14 +112,6 @@ type Config struct {
 	// mutates no simulation state, but it does occupy event-queue slots,
 	// so compare traces only across runs with the same MemSample setting.
 	MemSample float64
-
-	// ReplaySlowdown is the slowdown (realized run time over
-	// contention-free base work) at or above which a replayed job counts
-	// as high-variation in ReplaySummary (default 1.5). The paper's
-	// z-score definition needs the full per-app run-time distribution;
-	// a fixed slowdown threshold is the one-pass analogue a streaming
-	// replay can afford.
-	ReplaySlowdown float64
 
 	// Trace records each trial's structured event stream (JSONL) into
 	// Trial.Trace. Events are keyed by simulated time and buffered
@@ -162,16 +135,23 @@ func (c *Config) fill() {
 	if c.MaxSimTime <= 0 {
 		c.MaxSimTime = 6 * 3600
 	}
-	if c.PruneInterval <= 0 {
-		c.PruneInterval = telemetry.WindowSeconds
-	}
-	if c.PruneKeep <= 0 {
-		c.PruneKeep = 3 * telemetry.WindowSeconds
-	}
-	if c.ReplaySlowdown <= 0 {
-		c.ReplaySlowdown = 1.5
+	if c.pruneKeep <= 0 {
+		c.pruneKeep = defaultPruneKeep
 	}
 }
+
+// Telemetry-history retention: every pruneInterval simulated seconds the
+// machine drops load epochs and cached sample rows older than the keep
+// width. Three windows cover every consumer's widest lookback (the gate
+// aggregates one window and tolerates up to MaxStaleness of frozen
+// history) with slack, and this rolling window is what holds a
+// simulated year's state bounded. The cadence is fixed because prune
+// events share the engine's sequence counter: a different interval
+// relabels event ties.
+const (
+	pruneInterval    = telemetry.WindowSeconds
+	defaultPruneKeep = 3 * telemetry.WindowSeconds
+)
 
 // JobRecord is one job's outcome within a trial.
 type JobRecord struct {
@@ -252,13 +232,10 @@ func RunTrial(spec workload.Spec, policy Policy, pred *core.Predictor, seed int6
 	return RunTrialJobs(spec.Name, jobs, policy, pred, seed, cfg)
 }
 
-// trialEnv is one trial's fully wired simulation environment — engine,
-// observation channels, machine, fault injector, gate, and scheduler —
-// shared by the eager driver (RunTrialJobs) and the streaming replay
-// driver (ReplayStream). Construction order is load-bearing: every
-// random stream derives from the engine seed in the order components
-// attach, so the eager and streaming drivers assemble identical
-// environments by running this one function.
+// trialEnv is one trial's fully wired simulation environment: engine,
+// observation channels, machine, fault injector, gate, and scheduler.
+// Construction order is load-bearing: every random stream derives from
+// the engine seed in the order components attach.
 type trialEnv struct {
 	eng        *sim.Engine
 	traceBuf   *bytes.Buffer
@@ -272,7 +249,8 @@ type trialEnv struct {
 	canaryGate *sched.Canary
 	lcm        *lifecycle.Manager
 	s          *sched.Scheduler
-	peakHeap   uint64
+	submitted  int    // jobs drive handed to the scheduler
+	peakHeap   uint64 // largest live heap the MemSample sampler saw
 }
 
 // newTrialEnv assembles the environment. cfg must already be filled.
@@ -301,8 +279,7 @@ func newTrialEnv(name string, policy Policy, pred *core.Predictor, seed int64, c
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	m.DisableFastPath = cfg.EngineReference
-	m.Workers = cfg.EngineWorkers
+	m.DisableFastPath = cfg.engineReference
 	// Trials never hand *RunningJob to callers, so job-state pooling is
 	// always safe here and keeps machine-scale churn allocation-bounded.
 	m.PoolJobs = true
@@ -314,11 +291,7 @@ func newTrialEnv(name string, policy Policy, pred *core.Predictor, seed int64, c
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	// Bound the trial's memory: periodically drop load epochs and cached
-	// sample rows older than every consumer's widest lookback (the gate
-	// aggregates one window and tolerates up to MaxStaleness of frozen
-	// history; the default of triple the window covers both with slack).
-	m.StartPruning(cfg.PruneInterval, cfg.PruneKeep)
+	m.StartPruning(pruneInterval, cfg.pruneKeep)
 
 	env := &trialEnv{
 		eng: eng, traceBuf: traceBuf, tracer: tracer, reg: reg,
@@ -376,7 +349,7 @@ func newTrialEnv(name string, policy Policy, pred *core.Predictor, seed int64, c
 	s, err := sched.NewScheduler(sched.Config{
 		Machine: m, Primary: r1, Backfill: r2, Gate: gate,
 		Mode: cfg.Backfill, Observer: observer, Faults: inj,
-		DisableFastPath: cfg.SchedReference,
+		DisableFastPath: cfg.schedReference,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
@@ -407,77 +380,116 @@ func newTrialEnv(name string, policy Policy, pred *core.Predictor, seed int64, c
 	return env, nil
 }
 
-// RunTrialJobs executes an arbitrary job stream (e.g. one replayed from
-// an SWF trace via workload.FromSWF) under the given policy.
-func RunTrialJobs(name string, jobs []workload.SubmittedJob, policy Policy, pred *core.Predictor, seed int64, cfg Config) (*Trial, error) {
+// drive is the one trial loop: it assembles the environment, feeds
+// stream to the scheduler, runs the engine until every submitted job has
+// completed, and returns a Trial carrying everything that is not
+// per-job: identity, gate, fault and lifecycle counters, the trace and
+// the metrics snapshot. Each completed job is handed to observe (after
+// the lifecycle hook, if any) and then dropped, so what a run retains
+// per job is the caller's choice: RunTrialJobs keeps a JobRecord,
+// ReplayStream folds into running aggregates.
+//
+// The feeder is a single front-band event (sim.Engine.AtFront) re-armed
+// to each next submit time, so the pending-event heap never holds more
+// than one submission however long the stream is, and submissions at
+// time t fire ahead of simulation events queued earlier for the same t,
+// in stream order among themselves. The stream must not go backwards in
+// SubmitAt; one that does ends the run with an error naming the job,
+// because submitting it late would silently under-report its wait.
+func drive(name string, stream workload.JobStream, policy Policy, pred *core.Predictor, seed int64, cfg Config, observe func(*sched.Job)) (*Trial, *trialEnv, error) {
 	cfg.fill()
 	env, err := newTrialEnv(name, policy, pred, seed, cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	eng, s := env.eng, env.s
 
-	immediate := map[int]bool{}
-	for _, sj := range jobs {
-		sj := sj
-		if sj.Job.Nodes <= 0 || sj.Job.Nodes > cfg.Topo.Nodes {
-			return nil, fmt.Errorf("experiments: job %d requests %d nodes on a %d-node machine",
-				sj.Job.ID, sj.Job.Nodes, cfg.Topo.Nodes)
+	s.DiscardCompleted = true
+	lifecycleHook := s.OnComplete
+	s.OnComplete = func(j *sched.Job) {
+		if lifecycleHook != nil {
+			lifecycleHook(j)
 		}
-		immediate[sj.Job.ID] = sj.SubmitAt == 0
-		eng.At(sj.SubmitAt, func() { s.Submit(sj.Job) })
+		observe(j)
 	}
 
-	// Drain the workload. The noise job schedules phase events forever,
-	// so run step-by-step until every job has completed.
-	for len(s.Completed()) < len(jobs) {
+	// pull advances next to the stream's next job and reports whether
+	// there is one; a stream error or a backwards submit time sets feedErr.
+	var (
+		next    workload.SubmittedJob
+		prevAt  float64
+		feedErr error
+	)
+	pull := func() bool {
+		n, ok, err := stream.Next()
+		switch {
+		case err != nil:
+			feedErr = fmt.Errorf("experiments: job stream: %w", err)
+		case !ok:
+		case !(n.SubmitAt >= prevAt): // the negated form also rejects NaN and a start before t=0
+			feedErr = fmt.Errorf("experiments: job %d submits at %v < previous %v: a job stream must be in non-decreasing submit order",
+				n.Job.ID, n.SubmitAt, prevAt)
+		default:
+			next, prevAt = n, n.SubmitAt
+			return true
+		}
+		return false
+	}
+	more := pull()
+	if more {
+		var feeder *sim.Event
+		feeder = eng.AtFront(next.SubmitAt, func() {
+			for now := eng.Now(); more && next.SubmitAt <= now; more = pull() {
+				j := next.Job
+				if j.Nodes <= 0 || j.Nodes > cfg.Topo.Nodes {
+					feedErr = fmt.Errorf("experiments: job %d requests %d nodes on a %d-node machine",
+						j.ID, j.Nodes, cfg.Topo.Nodes)
+					return
+				}
+				if feedErr = s.Submit(j); feedErr != nil {
+					return
+				}
+				env.submitted++
+			}
+			if more {
+				eng.Rearm(feeder, next.SubmitAt)
+			}
+		})
+	}
+
+	// Drain: done when the stream is exhausted and every submitted job
+	// has completed. The noise job schedules phase events forever, so the
+	// queue itself never empties on a healthy run.
+	for feedErr == nil && (more || s.CompletedCount() < env.submitted) {
 		if eng.Now() > cfg.MaxSimTime {
-			return nil, fmt.Errorf("experiments: trial exceeded %v simulated seconds (%d/%d jobs done)",
-				cfg.MaxSimTime, len(s.Completed()), len(jobs))
+			return nil, nil, fmt.Errorf("experiments: trial exceeded %v simulated seconds (%d/%d jobs done)",
+				cfg.MaxSimTime, s.CompletedCount(), env.submitted)
 		}
 		if !eng.Step() {
-			return nil, fmt.Errorf("experiments: event queue drained with %d/%d jobs incomplete",
-				len(s.Completed()), len(jobs))
+			return nil, nil, fmt.Errorf("experiments: event queue drained with %d/%d jobs incomplete",
+				s.CompletedCount(), env.submitted)
 		}
+	}
+	if feedErr != nil {
+		return nil, nil, feedErr
 	}
 	env.noise.Stop()
 	if err := s.Err(); err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
+		return nil, nil, fmt.Errorf("experiments: %w", err)
 	}
 
 	tr := &Trial{Experiment: name, Policy: policy, Seed: seed, TopoNodes: cfg.Topo.Nodes}
-	var lastEnd float64
-	for _, j := range s.Completed() {
-		rec := JobRecord{
-			ID: j.ID, App: j.App.Name, Nodes: j.Nodes,
-			Submit: j.SubmitTime, Start: j.StartTime, End: j.EndTime,
-			Wait: j.WaitTime(), RunTime: j.RunTime(), Skips: j.Skips,
-			Immediate: immediate[j.ID],
-			Retries:   j.Retries, LostWork: j.LostWork, Failed: j.Failed,
-		}
-		if rec.Failed {
-			tr.FailedJobs++
-		} else if math.IsNaN(rec.RunTime) || rec.RunTime <= 0 {
-			return nil, fmt.Errorf("experiments: job %d has invalid run time", j.ID)
-		}
-		tr.LostWork += rec.LostWork
-		tr.Jobs = append(tr.Jobs, rec)
-		if j.EndTime > lastEnd {
-			lastEnd = j.EndTime
-		}
-	}
-	tr.Makespan = lastEnd // first submission is at t = 0
 	tr.NodeFailures = env.inj.NodeFailures
 	tr.NodeRepairs = env.inj.NodeRepairs
 	tr.JobKills = env.inj.JobKills
-	if rushGate := env.rushGate; rushGate != nil {
-		tr.GateEvaluations = rushGate.Evaluations
-		tr.GateVetoes = rushGate.Vetoes
-		tr.ThresholdOverrides = rushGate.ThresholdOverrides
-		tr.GateDegraded = rushGate.Degraded
-		tr.DegradedTime = rushGate.DegradedTime()
-		if rushGate.Breaker != nil {
-			tr.BreakerTrips = rushGate.Breaker.Trips
+	if g := env.rushGate; g != nil {
+		tr.GateEvaluations = g.Evaluations
+		tr.GateVetoes = g.Vetoes
+		tr.ThresholdOverrides = g.ThresholdOverrides
+		tr.GateDegraded = g.Degraded
+		tr.DegradedTime = g.DegradedTime()
+		if g.Breaker != nil {
+			tr.BreakerTrips = g.Breaker.Trips
 		}
 	}
 	if lcm := env.lcm; lcm != nil {
@@ -489,20 +501,58 @@ func RunTrialJobs(name string, jobs []workload.SubmittedJob, policy Policy, pred
 		tr.ShadowPredictions = lcm.ShadowDecisions
 		tr.CanaryActed = lcm.CanaryActed
 	}
-	if canaryGate := env.canaryGate; canaryGate != nil {
-		tr.GateEvaluations = canaryGate.Evaluations
-		tr.GateVetoes = canaryGate.Vetoes
-		tr.ThresholdOverrides = canaryGate.ThresholdOverrides
+	if g := env.canaryGate; g != nil {
+		tr.GateEvaluations = g.Evaluations
+		tr.GateVetoes = g.Vetoes
+		tr.ThresholdOverrides = g.ThresholdOverrides
 	}
 	if env.traceBuf != nil {
 		if err := env.tracer.Flush(); err != nil {
-			return nil, fmt.Errorf("experiments: trace: %w", err)
+			return nil, nil, fmt.Errorf("experiments: trace: %w", err)
 		}
 		tr.Trace = env.traceBuf.Bytes()
 	}
 	if env.reg != nil {
 		tr.Metrics = env.reg.Snapshot()
 	}
+	return tr, env, nil
+}
+
+// RunTrialJobs executes a job slice (e.g. one from workload.Generate or
+// workload.FromSWF) under the given policy and keeps one JobRecord per
+// job. The slice may be in any order: it is fed in SubmitAt order, jobs
+// with equal submit times in slice order, and is not modified.
+func RunTrialJobs(name string, jobs []workload.SubmittedJob, policy Policy, pred *core.Predictor, seed int64, cfg Config) (*Trial, error) {
+	sorted := append([]workload.SubmittedJob(nil), jobs...)
+	sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].SubmitAt < sorted[b].SubmitAt })
+
+	records := make([]JobRecord, 0, len(jobs))
+	tr, _, err := drive(name, workload.NewSliceStream(sorted), policy, pred, seed, cfg, func(j *sched.Job) {
+		records = append(records, JobRecord{
+			ID: j.ID, App: j.App.Name, Nodes: j.Nodes,
+			Submit: j.SubmitTime, Start: j.StartTime, End: j.EndTime,
+			Wait: j.WaitTime(), RunTime: j.RunTime(), Skips: j.Skips,
+			Immediate: j.SubmitTime == 0,
+			Retries:   j.Retries, LostWork: j.LostWork, Failed: j.Failed,
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
+	tr.Jobs = records
+	var lastEnd float64
+	for _, rec := range records {
+		if rec.Failed {
+			tr.FailedJobs++
+		} else if math.IsNaN(rec.RunTime) || rec.RunTime <= 0 {
+			return nil, fmt.Errorf("experiments: job %d has invalid run time", rec.ID)
+		}
+		tr.LostWork += rec.LostWork
+		if rec.End > lastEnd {
+			lastEnd = rec.End
+		}
+	}
+	tr.Makespan = lastEnd // the clock starts at t = 0
 	return tr, nil
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"io"
 	"reflect"
 	"testing"
 
@@ -136,7 +137,7 @@ func TestFaultMatrixSmoke(t *testing.T) {
 	if rows[1].Cmp.RUSH[0].GateDegraded == 0 {
 		t.Fatal("outage scenario should degrade some gate decisions")
 	}
-	if out := ReportFaultsString(rows[1].Cmp); out == "" {
+	if out := renderText(t, func(w io.Writer) error { return ReportFaults(w, rows[1].Cmp) }); out == "" {
 		t.Fatal("fault report is empty")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -152,7 +153,7 @@ func TestMetricsSnapshotMergedIntoReport(t *testing.T) {
 			t.Fatalf("sched_jobs_finished_total = %v, want %d", finished, len(tr.Jobs))
 		}
 	}
-	out := ReportMetricsString(cmp)
+	out := renderText(t, func(w io.Writer) error { return ReportMetrics(w, cmp) })
 	for _, want := range []string{"sched_jobs_finished_total", "gate_evaluations_total", "sched_wait_seconds"} {
 		if !bytes.Contains([]byte(out), []byte(want)) {
 			t.Fatalf("metrics report missing %q:\n%s", want, out)

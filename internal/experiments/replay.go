@@ -7,24 +7,19 @@ import (
 	"rush/internal/core"
 	"rush/internal/obs"
 	"rush/internal/sched"
-	"rush/internal/sim"
 	"rush/internal/workload"
 )
 
-// Streaming replay: the long-horizon driver. RunTrialJobs pre-queues one
-// submit event per job and keeps one JobRecord per completion, which is
-// exactly right for the paper's half-day Table II trials and exactly
-// wrong for a million-job year — the pending-event heap and the record
-// slice would both grow with trace length. ReplayStream instead feeds
-// the scheduler from a workload.JobStream through a single re-armed
-// front-band event, discards completed jobs after folding them into
-// running aggregates, and relies on the machine's history pruning to
-// keep telemetry state windowed. Peak memory is then set by the queue
-// depth the workload actually reaches, not by how long the trace is.
+// Long-horizon replay. RunTrialJobs keeps one JobRecord per completion,
+// which is right for the paper's half-day Table II trials and wrong for
+// a million-job year. ReplayStream runs the same loop (drive) and folds
+// each completed job into running aggregates instead, so with the
+// machine's history pruning keeping telemetry windowed, peak memory is
+// set by the queue depth the workload reaches, not by trace length.
 
 // Welford is a streaming mean/variance accumulator (Welford's online
 // algorithm), plus the max — the one-pass replacement for the per-job
-// record slices the eager driver keeps.
+// records RunTrialJobs keeps.
 type Welford struct {
 	N    int
 	Mean float64
@@ -72,8 +67,8 @@ type ReplaySummary struct {
 	Wait     Welford
 	Run      Welford
 	Slowdown Welford
-	// HighVariation counts non-failed jobs whose slowdown reached the
-	// configured threshold (Config.ReplaySlowdown).
+	// HighVariation counts non-failed jobs whose slowdown reached
+	// replaySlowdown.
 	HighVariation int
 
 	// Fault outcomes, as in Trial.
@@ -99,9 +94,14 @@ type ReplaySummary struct {
 	// is the metrics snapshot (nil unless Config.Metrics).
 	Trace   []byte        `json:",omitempty"`
 	Metrics *obs.Snapshot `json:",omitempty"`
-
-	slowdownMin float64
 }
+
+// replaySlowdown is the slowdown (realized run time over contention-free
+// base work) at or above which a replayed job counts as high-variation.
+// The paper's z-score definition needs the full per-app run-time
+// distribution; a fixed threshold is the one-pass analogue a streaming
+// replay can afford.
+const replaySlowdown = 1.5
 
 // observe folds one completed job into the summary.
 func (r *ReplaySummary) observe(j *sched.Job) {
@@ -118,137 +118,37 @@ func (r *ReplaySummary) observe(j *sched.Job) {
 	r.Run.Add(j.RunTime())
 	sd := j.RunTime() / j.BaseWork
 	r.Slowdown.Add(sd)
-	if sd >= r.slowdownMin {
+	if sd >= replaySlowdown {
 		r.HighVariation++
 	}
 }
 
 // ReplayStream executes a lazily produced job stream under the given
 // policy and returns streaming aggregates. The stream must yield jobs in
-// non-decreasing SubmitAt order (both workload.NewSWFStream and
-// workload.NewSliceStream do).
-//
-// Determinism: the feeder is one front-band event (sim.Engine.AtFront)
-// re-armed to each next submit time, so submissions at time t fire ahead
-// of simulation events queued earlier for the same t — the order an
-// eager driver that pre-queued every submission would have produced.
-// Replaying the same stream contents therefore yields bit-identical
-// traces whether the jobs come from disk, gzip, or a slice (pinned by
-// the differentials in replay_test.go).
+// non-decreasing SubmitAt order, as workload.NewSWFStream does; one that
+// goes backwards fails with an error naming the job (see drive).
+// Replaying the same stream contents yields bit-identical traces whether
+// the jobs come from disk, gzip, or a slice (pinned by the differentials
+// in replay_test.go).
 //
 // Unlike RunTrialJobs, a zero MaxSimTime means unbounded: a year-scale
-// replay is the purpose of this driver, not a runaway.
+// replay is the purpose of this entry point, not a runaway.
 func ReplayStream(name string, stream workload.JobStream, policy Policy, pred *core.Predictor, seed int64, cfg Config) (*ReplaySummary, error) {
 	if cfg.MaxSimTime <= 0 {
 		cfg.MaxSimTime = math.Inf(1)
 	}
-	cfg.fill()
-	env, err := newTrialEnv(name, policy, pred, seed, cfg)
+	sum := &ReplaySummary{Experiment: name, Policy: policy, Seed: seed}
+	tr, env, err := drive(name, stream, policy, pred, seed, cfg, sum.observe)
 	if err != nil {
 		return nil, err
 	}
-	eng, s := env.eng, env.s
-
-	sum := &ReplaySummary{
-		Experiment: name, Policy: policy, Seed: seed,
-		TopoNodes: cfg.Topo.Nodes, slowdownMin: cfg.ReplaySlowdown,
-	}
-	// Completed jobs are folded into the summary as they finish and
-	// dropped; the lifecycle hook (if any) observes each job first, as it
-	// does under the eager driver.
-	s.DiscardCompleted = true
-	prevComplete := s.OnComplete
-	s.OnComplete = func(j *sched.Job) {
-		if prevComplete != nil {
-			prevComplete(j)
-		}
-		sum.observe(j)
-	}
-
-	next, ok, err := stream.Next()
-	if err != nil {
-		return nil, fmt.Errorf("experiments: replay: %w", err)
-	}
-	var feedErr error
-	if ok {
-		var feeder *sim.Event
-		feed := func() {
-			now := eng.Now()
-			for ok && next.SubmitAt <= now {
-				j := next.Job
-				if j.Nodes <= 0 || j.Nodes > cfg.Topo.Nodes {
-					feedErr = fmt.Errorf("experiments: job %d requests %d nodes on a %d-node machine",
-						j.ID, j.Nodes, cfg.Topo.Nodes)
-					return
-				}
-				if serr := s.Submit(j); serr != nil {
-					feedErr = serr
-					return
-				}
-				sum.Submitted++
-				if next, ok, err = stream.Next(); err != nil {
-					feedErr = fmt.Errorf("experiments: replay: %w", err)
-					return
-				}
-			}
-			if ok {
-				eng.Rearm(feeder, next.SubmitAt)
-			}
-		}
-		feeder = eng.AtFront(next.SubmitAt, feed)
-	}
-
-	// Drain: done when the stream is exhausted and every submitted job
-	// has completed. The noise job schedules phase events forever, so the
-	// queue itself never empties on a healthy run.
-	for feedErr == nil && (ok || s.CompletedCount() < sum.Submitted) {
-		if eng.Now() > cfg.MaxSimTime {
-			return nil, fmt.Errorf("experiments: replay exceeded %v simulated seconds (%d/%d jobs done)",
-				cfg.MaxSimTime, s.CompletedCount(), sum.Submitted)
-		}
-		if !eng.Step() {
-			return nil, fmt.Errorf("experiments: event queue drained with %d/%d jobs incomplete",
-				s.CompletedCount(), sum.Submitted)
-		}
-	}
-	if feedErr != nil {
-		return nil, feedErr
-	}
-	env.noise.Stop()
-	if err := s.Err(); err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	if sum.Submitted == 0 {
+	if env.submitted == 0 {
 		return nil, fmt.Errorf("experiments: replay stream yielded no jobs")
 	}
-
-	sum.NodeFailures = env.inj.NodeFailures
-	sum.NodeRepairs = env.inj.NodeRepairs
-	sum.JobKills = env.inj.JobKills
-	if g := env.rushGate; g != nil {
-		sum.GateEvaluations = g.Evaluations
-		sum.GateVetoes = g.Vetoes
-		sum.ThresholdOverrides = g.ThresholdOverrides
-		sum.GateDegraded = g.Degraded
-		sum.DegradedTime = g.DegradedTime()
-		if g.Breaker != nil {
-			sum.BreakerTrips = g.Breaker.Trips
-		}
-	}
-	if g := env.canaryGate; g != nil {
-		sum.GateEvaluations = g.Evaluations
-		sum.GateVetoes = g.Vetoes
-		sum.ThresholdOverrides = g.ThresholdOverrides
-	}
-	sum.PeakHeapBytes = env.peakHeap
-	if env.traceBuf != nil {
-		if err := env.tracer.Flush(); err != nil {
-			return nil, fmt.Errorf("experiments: trace: %w", err)
-		}
-		sum.Trace = env.traceBuf.Bytes()
-	}
-	if env.reg != nil {
-		sum.Metrics = env.reg.Snapshot()
-	}
+	sum.TopoNodes, sum.Submitted, sum.PeakHeapBytes = tr.TopoNodes, env.submitted, env.peakHeap
+	sum.NodeFailures, sum.NodeRepairs, sum.JobKills = tr.NodeFailures, tr.NodeRepairs, tr.JobKills
+	sum.GateEvaluations, sum.GateVetoes, sum.ThresholdOverrides = tr.GateEvaluations, tr.GateVetoes, tr.ThresholdOverrides
+	sum.GateDegraded, sum.BreakerTrips, sum.DegradedTime = tr.GateDegraded, tr.BreakerTrips, tr.DegradedTime
+	sum.Trace, sum.Metrics = tr.Trace, tr.Metrics
 	return sum, nil
 }

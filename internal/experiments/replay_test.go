@@ -38,65 +38,96 @@ func fixtureJobs(t *testing.T, opts workload.SWFOptions) []workload.SubmittedJob
 	return jobs
 }
 
-// TestReplayStreamingMatchesInMemory is the tentpole differential: a
-// replay fed lazily from SWF bytes must be bit-identical — trace bytes
-// and all aggregates — to one fed from the fully materialized job
-// slice, across seeds and intra-trial worker counts.
+// TestReplayStreamingMatchesInMemory is the loader differential through
+// the whole stack: a replay fed lazily from SWF bytes must be
+// bit-identical — trace bytes and all aggregates — to one fed from the
+// slice the in-memory reference loader (workload.ParseSWF + FromSWF)
+// materializes, across seeds.
 func TestReplayStreamingMatchesInMemory(t *testing.T) {
 	raw := replayFixture(t)
 	for _, seed := range []int64{1, 2, 3} {
-		for _, workers := range []int{1, 8} {
-			opts := workload.SWFOptions{Seed: seed}
-			cfg := Config{Trace: true, Metrics: true, EngineWorkers: workers}
+		opts := workload.SWFOptions{Seed: seed}
+		cfg := Config{Trace: true, Metrics: true}
 
-			streamed, err := ReplayStream("swf-stream", workload.NewSWFStream(bytes.NewReader(raw), opts),
-				Baseline, nil, seed, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inMemory, err := ReplayStream("swf-stream", workload.NewSliceStream(fixtureJobs(t, opts)),
-				Baseline, nil, seed, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+		streamed, err := ReplayStream("swf-stream", workload.NewSWFStream(bytes.NewReader(raw), opts),
+			Baseline, nil, seed, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inMemory, err := ReplayStream("swf-stream", workload.NewSliceStream(fixtureJobs(t, opts)),
+			Baseline, nil, seed, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			if !bytes.Equal(streamed.Trace, inMemory.Trace) {
-				t.Fatalf("seed %d workers %d: streaming and in-memory traces differ", seed, workers)
-			}
-			sd, md := *streamed, *inMemory
-			sd.Trace, md.Trace = nil, nil
-			sd.Metrics, md.Metrics = nil, nil
-			if !reflect.DeepEqual(sd, md) {
-				t.Fatalf("seed %d workers %d: summaries differ:\n stream %+v\n memory %+v", seed, workers, sd, md)
-			}
+		if !bytes.Equal(streamed.Trace, inMemory.Trace) {
+			t.Fatalf("seed %d: streaming and in-memory traces differ", seed)
+		}
+		sd, md := *streamed, *inMemory
+		sd.Trace, md.Trace = nil, nil
+		sd.Metrics, md.Metrics = nil, nil
+		if !reflect.DeepEqual(sd, md) {
+			t.Fatalf("seed %d: summaries differ:\n stream %+v\n memory %+v", seed, sd, md)
 		}
 	}
 }
 
+// eagerTrace is the test-local oracle for the front-band feeder: it
+// pre-queues one ordinary submit event per job before the run, as the
+// retired eager driver did, drains, and returns the trace.
+func eagerTrace(t *testing.T, name string, jobs []workload.SubmittedJob, seed int64, cfg Config) []byte {
+	t.Helper()
+	cfg.fill()
+	env, err := newTrialEnv(name, Baseline, nil, seed, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sj := range jobs {
+		sj := sj
+		env.eng.At(sj.SubmitAt, func() { env.s.Submit(sj.Job) })
+	}
+	for len(env.s.Completed()) < len(jobs) {
+		if !env.eng.Step() {
+			t.Fatalf("event queue drained with %d/%d jobs incomplete", len(env.s.Completed()), len(jobs))
+		}
+	}
+	env.noise.Stop()
+	if err := env.tracer.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return env.traceBuf.Bytes()
+}
+
 // TestReplayMatchesEagerDriver pins the front-band feeder design: the
-// streaming driver must reproduce the eager driver's trace byte for
-// byte, even though its submissions are injected mid-run by a re-armed
-// event instead of being pre-queued. Any tie-break divergence between
-// a lazily fed submission and a simulation event at the same instant
-// shows up here.
+// one driver, through both of its entry points, must reproduce the
+// trace of a run whose submissions were all pre-queued as ordinary
+// events (eagerTrace), even though it injects them mid-run from a
+// re-armed event. Any tie-break divergence between a lazily fed
+// submission and a simulation event at the same instant shows up here.
 func TestReplayMatchesEagerDriver(t *testing.T) {
 	for _, seed := range []int64{1, 2, 5} {
-		jobs := fixtureJobs(t, workload.SWFOptions{Seed: seed})
-		// The fixture's longest job runs ~7.2 simulated hours; give the
-		// eager driver headroom past its 6h default.
+		opts := workload.SWFOptions{Seed: seed}
+		// The fixture's longest job runs ~7.2 simulated hours; give
+		// RunTrialJobs headroom past its 6h default.
 		cfg := Config{Trace: true, MaxSimTime: 48 * 3600}
 
-		trial, err := RunTrialJobs("swf-replay", jobs, Baseline, nil, seed, cfg)
+		// Each run gets its own jobs: the scheduler mutates them.
+		eager := eagerTrace(t, "swf-replay", fixtureJobs(t, opts), seed, cfg)
+		trial, err := RunTrialJobs("swf-replay", fixtureJobs(t, opts), Baseline, nil, seed, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum, err := ReplayStream("swf-replay", workload.NewSliceStream(jobs), Baseline, nil, seed, cfg)
+		sum, err := ReplayStream("swf-replay", workload.NewSliceStream(fixtureJobs(t, opts)), Baseline, nil, seed, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(trial.Trace, sum.Trace) {
-			t.Fatalf("seed %d: streaming trace diverges from eager driver's:\n%s", seed,
-				firstTraceDiff(trial.Trace, sum.Trace))
+		if !bytes.Equal(eager, trial.Trace) {
+			t.Fatalf("seed %d: RunTrialJobs trace diverges from the pre-queued run's:\n%s", seed,
+				firstTraceDiff(eager, trial.Trace))
+		}
+		if !bytes.Equal(eager, sum.Trace) {
+			t.Fatalf("seed %d: ReplayStream trace diverges from the pre-queued run's:\n%s", seed,
+				firstTraceDiff(eager, sum.Trace))
 		}
 		if sum.Jobs != len(trial.Jobs) || sum.FailedJobs != trial.FailedJobs {
 			t.Fatalf("seed %d: job counts differ: %d/%d vs %d/%d",
@@ -106,7 +137,7 @@ func TestReplayMatchesEagerDriver(t *testing.T) {
 			t.Fatalf("seed %d: makespan %v vs %v", seed, sum.Makespan, trial.Makespan)
 		}
 		// The streaming aggregates must agree with recomputing them from
-		// the eager driver's records.
+		// RunTrialJobs' records.
 		var wait Welford
 		for _, r := range trial.Jobs {
 			if !r.Failed {
@@ -130,7 +161,7 @@ func TestReplayPruningDifferential(t *testing.T) {
 	run := func(keep float64) []byte {
 		sum, err := ReplayStream("swf-prune",
 			workload.NewSWFStream(bytes.NewReader(raw), workload.SWFOptions{Seed: 4}),
-			Baseline, nil, 4, Config{Trace: true, PruneKeep: keep})
+			Baseline, nil, 4, Config{Trace: true, pruneKeep: keep})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,6 +171,44 @@ func TestReplayPruningDifferential(t *testing.T) {
 	wide := run(100 * 24 * 3600) // effectively unpruned
 	if !bytes.Equal(tight, wide) {
 		t.Fatalf("retention width changed the schedule:\n%s", firstTraceDiff(tight, wide))
+	}
+}
+
+// TestBackwardsStreamIsRejected pins the feeder's ordering contract:
+// workload.Generate does not emit jobs in submit order, so feeding its
+// output to ReplayStream unsorted must fail naming the first job that
+// goes backwards (submitting it late would under-report its wait),
+// while RunTrialJobs, which sorts its slice, must accept it.
+func TestBackwardsStreamIsRejected(t *testing.T) {
+	spec := shortSpec()
+	jobs, err := workload.Generate(spec, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backwards := -1
+	for i := 1; i < len(jobs) && backwards < 0; i++ {
+		if jobs[i].SubmitAt < jobs[i-1].SubmitAt {
+			backwards = jobs[i].Job.ID
+		}
+	}
+	if backwards < 0 {
+		t.Fatal("fixture is sorted: workload.Generate now emits jobs in submit order")
+	}
+	_, err = ReplayStream(spec.Name, workload.NewSliceStream(jobs), Baseline, nil, 7, Config{})
+	want := "job " + itoa(backwards) + " submits at"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("ReplayStream on an unsorted stream: got error %v, want one containing %q", err, want)
+	}
+
+	jobs, _ = workload.Generate(spec, 7)
+	tr, err := RunTrialJobs(spec.Name, jobs, Baseline, nil, 7, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range tr.Jobs {
+		if r.Submit != jobs[r.ID].SubmitAt {
+			t.Fatalf("job %d submitted at %v, want its SubmitAt %v", r.ID, r.Submit, jobs[r.ID].SubmitAt)
+		}
 	}
 }
 

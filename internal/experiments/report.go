@@ -20,8 +20,7 @@ import (
 //
 // Every renderer writes to an io.Writer and returns the first write
 // error, so reports can stream to files or pipes without buffering the
-// whole text; the *String variants are thin convenience wrappers for
-// callers that want the old value semantics.
+// whole text.
 
 // errWriter funnels a report's many small writes through one sticky
 // error check: after the first failure it swallows further output and
@@ -48,16 +47,6 @@ func render(w io.Writer, f func(io.Writer)) error {
 	ew := &errWriter{w: w}
 	f(ew)
 	return ew.err
-}
-
-// toString runs a writer-based renderer into a string; a strings.Builder
-// cannot fail, so the error is structurally impossible.
-func toString(f func(io.Writer) error) string {
-	var b strings.Builder
-	if err := f(&b); err != nil {
-		panic(err) // unreachable: strings.Builder writes cannot fail
-	}
-	return b.String()
 }
 
 // ReportFigure1 renders the longitudinal variability study: per
@@ -112,11 +101,6 @@ func ReportFigure1(w io.Writer, ds *dataset.Dataset) error {
 	})
 }
 
-// ReportFigure1String renders ReportFigure1 to a string.
-func ReportFigure1String(ds *dataset.Dataset) string {
-	return toString(func(w io.Writer) error { return ReportFigure1(w, ds) })
-}
-
 func maxFloat(xs []float64) float64 {
 	m := 0.0
 	for _, x := range xs {
@@ -144,11 +128,6 @@ func ReportTableI(w io.Writer) error {
 	})
 }
 
-// ReportTableIString renders ReportTableI to a string.
-func ReportTableIString() string {
-	return toString(ReportTableI)
-}
-
 // ReportFigure3 renders the model-selection comparison.
 func ReportFigure3(w io.Writer, scores []core.ModelScore) error {
 	return render(w, func(w io.Writer) {
@@ -157,11 +136,6 @@ func ReportFigure3(w io.Writer, scores []core.ModelScore) error {
 			fmt.Fprintf(w, "  %-15s %-10s F1=%.3f accuracy=%.3f\n", s.Model, s.Scope, s.F1, s.Accuracy)
 		}
 	})
-}
-
-// ReportFigure3String renders ReportFigure3 to a string.
-func ReportFigure3String(scores []core.ModelScore) string {
-	return toString(func(w io.Writer) error { return ReportFigure3(w, scores) })
 }
 
 // ReportTableII renders the experiment definitions.
@@ -173,11 +147,6 @@ func ReportTableII(w io.Writer) error {
 				s.Name, s.NumJobs, strings.Join(s.RunApps, ","), s.Description)
 		}
 	})
-}
-
-// ReportTableIIString renders ReportTableII to a string.
-func ReportTableIIString() string {
-	return toString(ReportTableII)
 }
 
 // ReportVariation renders per-app variation counts for one comparison
@@ -196,11 +165,6 @@ func ReportVariation(w io.Writer, cmp *Comparison, ref map[string]dataset.AppSta
 	})
 }
 
-// ReportVariationString renders ReportVariation to a string.
-func ReportVariationString(cmp *Comparison, ref map[string]dataset.AppStat) string {
-	return toString(func(w io.Writer) error { return ReportVariation(w, cmp, ref) })
-}
-
 // ReportRunTimeDist renders per-app run-time distributions under both
 // policies (Figures 6 and 7).
 func ReportRunTimeDist(w io.Writer, cmp *Comparison) error {
@@ -214,11 +178,6 @@ func ReportRunTimeDist(w io.Writer, cmp *Comparison) error {
 				app, fb.Min, fb.Median, fb.P75, fb.Max, fr.Min, fr.Median, fr.P75, fr.Max)
 		}
 	})
-}
-
-// ReportRunTimeDistString renders ReportRunTimeDist to a string.
-func ReportRunTimeDistString(cmp *Comparison) string {
-	return toString(func(w io.Writer) error { return ReportRunTimeDist(w, cmp) })
 }
 
 // ReportScalingDist renders run-time distributions per (app, node count)
@@ -243,11 +202,6 @@ func ReportScalingDist(w io.Writer, cmp *Comparison) error {
 	})
 }
 
-// ReportScalingDistString renders ReportScalingDist to a string.
-func ReportScalingDistString(cmp *Comparison) string {
-	return toString(func(w io.Writer) error { return ReportScalingDist(w, cmp) })
-}
-
 // ReportMaxImprovement renders the percent improvement in maximum run
 // time per app and node count (Figure 9).
 func ReportMaxImprovement(w io.Writer, cmp *Comparison) error {
@@ -265,11 +219,6 @@ func ReportMaxImprovement(w io.Writer, cmp *Comparison) error {
 			}
 		}
 	})
-}
-
-// ReportMaxImprovementString renders ReportMaxImprovement to a string.
-func ReportMaxImprovementString(cmp *Comparison) string {
-	return toString(func(w io.Writer) error { return ReportMaxImprovement(w, cmp) })
 }
 
 // ReportMakespan renders mean makespans and system utilization for
@@ -302,11 +251,6 @@ func trialNodes(cmp *Comparison) int {
 	return cluster.Pod512().Nodes
 }
 
-// ReportMakespanString renders ReportMakespan to a string.
-func ReportMakespanString(cmps []*Comparison) string {
-	return toString(func(w io.Writer) error { return ReportMakespan(w, cmps) })
-}
-
 // ReportWaitTimes renders per-app mean wait times, excluding jobs queued
 // at t=0 as in Figure 11.
 func ReportWaitTimes(w io.Writer, cmp *Comparison) error {
@@ -318,11 +262,6 @@ func ReportWaitTimes(w io.Writer, cmp *Comparison) error {
 			fmt.Fprintf(w, "  %-8s FCFS+EASY=%.0f  RUSH=%.0f  (delta %+.0f s)\n", app, bw[app], rw[app], rw[app]-bw[app])
 		}
 	})
-}
-
-// ReportWaitTimesString renders ReportWaitTimes to a string.
-func ReportWaitTimesString(cmp *Comparison) string {
-	return toString(func(w io.Writer) error { return ReportWaitTimes(w, cmp) })
 }
 
 // ReportFaults renders per-policy fault-injection outcomes averaged over
@@ -361,11 +300,6 @@ func ReportFaults(w io.Writer, cmp *Comparison) error {
 			io.WriteString(w, "\n")
 		}
 	})
-}
-
-// ReportFaultsString renders ReportFaults to a string.
-func ReportFaultsString(cmp *Comparison) string {
-	return toString(func(w io.Writer) error { return ReportFaults(w, cmp) })
 }
 
 // ReportMetrics renders the per-policy metrics of one comparison,
@@ -413,11 +347,6 @@ func ReportMetrics(w io.Writer, cmp *Comparison) error {
 	})
 }
 
-// ReportMetricsString renders ReportMetrics to a string.
-func ReportMetricsString(cmp *Comparison) string {
-	return toString(func(w io.Writer) error { return ReportMetrics(w, cmp) })
-}
-
 // ReportDrift renders a drift-scenario sweep: per scenario, the mean
 // drift-detection count, the mean detection latency after the scenario's
 // drift onset (telemetry drift start or app-rotation start; "-" when the
@@ -459,9 +388,4 @@ func ReportDrift(w io.Writer, rows []DriftRow) error {
 				row.Scenario.Name, det/n, latency, retr/n, prom/n, roll/n)
 		}
 	})
-}
-
-// ReportDriftString renders ReportDrift to a string.
-func ReportDriftString(rows []DriftRow) string {
-	return toString(func(w io.Writer) error { return ReportDrift(w, rows) })
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"io"
 	"strings"
 	"testing"
 
@@ -8,8 +9,18 @@ import (
 	"rush/internal/workload"
 )
 
+// renderText runs a writer-based report into a string.
+func renderText(t *testing.T, f func(io.Writer) error) string {
+	t.Helper()
+	var b strings.Builder
+	if err := f(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
 func TestReportTableI(t *testing.T) {
-	out := ReportTableIString()
+	out := renderText(t, ReportTableI)
 	for _, want := range []string{"sysclassib", "opa_info", "lustre_client", "282"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Table I report missing %q:\n%s", want, out)
@@ -18,7 +29,7 @@ func TestReportTableI(t *testing.T) {
 }
 
 func TestReportTableII(t *testing.T) {
-	out := ReportTableIIString()
+	out := renderText(t, ReportTableII)
 	for _, want := range []string{"ADAA", "ADPA", "PDPA", "WS", "SS", "190", "150"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Table II report missing %q:\n%s", want, out)
@@ -30,7 +41,7 @@ func TestReportFigure3(t *testing.T) {
 	scores := []core.ModelScore{
 		{Model: core.ModelAdaBoost, Scope: "job-nodes", F1: 0.93, Accuracy: 0.98},
 	}
-	out := ReportFigure3String(scores)
+	out := renderText(t, func(w io.Writer) error { return ReportFigure3(w, scores) })
 	if !strings.Contains(out, "AdaBoost") || !strings.Contains(out, "0.930") {
 		t.Fatalf("Figure 3 report wrong:\n%s", out)
 	}
@@ -45,19 +56,19 @@ func TestExperimentReports(t *testing.T) {
 	}
 	ref := BaselineStats(cmp.Baseline)
 
-	variation := ReportVariationString(cmp, ref)
+	variation := renderText(t, func(w io.Writer) error { return ReportVariation(w, cmp, ref) })
 	if !strings.Contains(variation, "TOTAL") || !strings.Contains(variation, "Laghos") {
 		t.Fatalf("variation report wrong:\n%s", variation)
 	}
-	dist := ReportRunTimeDistString(cmp)
+	dist := renderText(t, func(w io.Writer) error { return ReportRunTimeDist(w, cmp) })
 	if !strings.Contains(dist, "max=") || !strings.Contains(dist, "RUSH") {
 		t.Fatalf("dist report wrong:\n%s", dist)
 	}
-	mk := ReportMakespanString([]*Comparison{cmp})
+	mk := renderText(t, func(w io.Writer) error { return ReportMakespan(w, []*Comparison{cmp}) })
 	if !strings.Contains(mk, "ADAA") || !strings.Contains(mk, "delta") {
 		t.Fatalf("makespan report wrong:\n%s", mk)
 	}
-	wt := ReportWaitTimesString(cmp)
+	wt := renderText(t, func(w io.Writer) error { return ReportWaitTimes(w, cmp) })
 	if !strings.Contains(wt, "FCFS+EASY=") {
 		t.Fatalf("wait report wrong:\n%s", wt)
 	}
@@ -70,13 +81,13 @@ func TestScalingReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sd := ReportScalingDistString(cmp)
+	sd := renderText(t, func(w io.Writer) error { return ReportScalingDist(w, cmp) })
 	for _, want := range []string{" 8 nodes", "16 nodes", "32 nodes"} {
 		if !strings.Contains(sd, want) {
 			t.Fatalf("scaling dist missing %q:\n%s", want, sd)
 		}
 	}
-	mi := ReportMaxImprovementString(cmp)
+	mi := renderText(t, func(w io.Writer) error { return ReportMaxImprovement(w, cmp) })
 	if !strings.Contains(mi, "%") {
 		t.Fatalf("improvement report wrong:\n%s", mi)
 	}
@@ -87,7 +98,7 @@ func TestReportFigure1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := ReportFigure1String(res.JobScope)
+	out := renderText(t, func(w io.Writer) error { return ReportFigure1(w, res.JobScope) })
 	for _, want := range []string{"Laghos", "LBANN", "peak"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Figure 1 report missing %q:\n%s", want, out)

@@ -7,10 +7,11 @@ import (
 	"rush/internal/sched"
 )
 
-// TestSchedReferenceMatchesFastPath pins the end-to-end contract behind
-// Config.SchedReference: routing every scheduling pass through the
-// reference scanner instead of the availability-timeline fast path must
-// change nothing observable — not a job record, not a trace byte. The
+// TestSchedReferenceMatchesFastPath pins the availability-timeline fast
+// path against its oracle end to end: routing every scheduling pass
+// through the reference scanner (sched.Scheduler.DisableFastPath,
+// selected by the unexported Config.schedReference) must change nothing
+// observable — not a job record, not a trace byte. The
 // sched package's differential tests pin the two passes against each
 // other at the event level; this test pins them through the full
 // experiment stack (workload generation, gates, breaker, fault
@@ -26,7 +27,7 @@ func TestSchedReferenceMatchesFastPath(t *testing.T) {
 	// traces recorded so the comparison is event-for-event.
 	matrix := func(ref bool) []FaultRow {
 		t.Helper()
-		rows, err := FaultMatrix(spec, pred, nil, 3, 900, Config{Trace: true, SchedReference: ref})
+		rows, err := FaultMatrix(spec, pred, nil, 3, 900, Config{Trace: true, schedReference: ref})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +50,7 @@ func TestSchedReferenceMatchesFastPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.SchedReference = true
+		cfg.schedReference = true
 		b, err := RunExperiment(spec, pred, 2, 1500, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -87,7 +87,7 @@ func runScenario(t *testing.T, topo cluster.Topology, seed int64, configure func
 // oracle: the dirty-lane fast path must produce bit-identical histories
 // (same completions, same kill flags, same EndTime bits) to the serial
 // full-recompute reference, across topologies and seeds, with and
-// without the parallel fan-out and job pooling.
+// without job pooling.
 func TestShardedMatchesReferenceExecutor(t *testing.T) {
 	topos := []cluster.Topology{
 		cluster.Synthetic(256, 64), // 4 even pods
@@ -98,9 +98,8 @@ func TestShardedMatchesReferenceExecutor(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			ref := runScenario(t, topo, seed, func(m *Machine) { m.DisableFastPath = true })
 			variants := map[string]func(*Machine){
-				"fast-serial":  func(m *Machine) {},
-				"fast-workers": func(m *Machine) { m.Workers = 8 },
-				"fast-pooled":  func(m *Machine) { m.PoolJobs = true; m.Workers = 8 },
+				"fast":        func(m *Machine) {},
+				"fast-pooled": func(m *Machine) { m.PoolJobs = true },
 			}
 			for name, configure := range variants {
 				got := runScenario(t, topo, seed, configure)
@@ -115,58 +114,6 @@ func TestShardedMatchesReferenceExecutor(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestParallelFanOutIsExercisedAndIdentical pins that the worker fan-out
-// actually runs (enough concurrent jobs for a machine-wide FS change to
-// clear parallelThreshold) and that it changes nothing: Workers 8 and
-// Workers 1 produce bit-identical completions.
-func TestParallelFanOutIsExercisedAndIdentical(t *testing.T) {
-	topo := cluster.Synthetic(1024, 128)
-	run := func(workers int) ([]string, int) {
-		eng := sim.New(11)
-		m, err := New(eng, topo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.Workers = workers
-		var log []string
-		record := func(rj *RunningJob) {
-			log = append(log, fmt.Sprintf("%d %x", rj.ID, rj.EndTime))
-		}
-		p := calmProfile()
-		p.FSSens = 0.5
-		p.Jitter = 0.05
-		for i := 0; i < 100; i++ {
-			alloc, err := m.Alloc.Alloc(8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.StartJob(p, alloc, 500+float64(i), record)
-		}
-		maxAffected := len(m.affected)
-		bg := m.NewBackground()
-		eng.At(50, func() { bg.Set(simnet.Contribution{FS: 0.9}) })
-		eng.At(100, func() {
-			maxAffected = len(m.affected)
-			bg.Set(simnet.Contribution{FS: 0.2})
-		})
-		eng.Run()
-		return log, maxAffected
-	}
-	serial, _ := run(1)
-	fanned, affected := run(8)
-	if affected < parallelThreshold {
-		t.Fatalf("FS swing affected %d jobs, need >= %d to exercise the fan-out", affected, parallelThreshold)
-	}
-	if len(serial) != 100 || len(fanned) != 100 {
-		t.Fatalf("completions: serial %d, fanned %d, want 100", len(serial), len(fanned))
-	}
-	for i := range serial {
-		if serial[i] != fanned[i] {
-			t.Fatalf("completion %d: workers=8 %q != workers=1 %q", i, fanned[i], serial[i])
 		}
 	}
 }

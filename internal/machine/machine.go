@@ -12,13 +12,9 @@
 // pods (which additionally feel core-link contention). A contention
 // change (simnet.Change) names exactly the pods and globals whose
 // contention factor moved, so re-integration touches only the lanes that
-// can possibly be affected — O(changed) instead of O(running jobs) — and
-// at scale the slowdown recomputation fans out across the
-// internal/parallel pool. The apply phase (progress integration and
-// completion rescheduling) is always serial in (pod, lane-position)
-// order, so any Workers value produces bit-identical simulations; see
-// DisableFastPath for the all-jobs serial oracle this is differenced
-// against.
+// can possibly be affected — O(changed) instead of O(running jobs) —
+// always in (pod, lane-position) order; see DisableFastPath for the
+// all-jobs oracle this is differenced against.
 package machine
 
 import (
@@ -28,7 +24,6 @@ import (
 
 	"rush/internal/apps"
 	"rush/internal/cluster"
-	"rush/internal/parallel"
 	"rush/internal/sim"
 	"rush/internal/simnet"
 	"rush/internal/telemetry"
@@ -68,7 +63,6 @@ type RunningJob struct {
 	pods      []int     // distinct pods touched, ascending
 	podCounts []float64 // nodes in each of pods, parallel slice
 	nNodes    float64   // len(Alloc.Nodes)
-	pending   float64   // recomputed slowdown awaiting serial apply
 	lane      int       // pod lane index, or -1 for the cross lane
 	laneIdx   int       // position in lanes[lane] (or cross)
 	crossIdx  []int     // positions in crossByPod[pods[i]], cross jobs only
@@ -87,14 +81,7 @@ type Machine struct {
 	Net     *simnet.State
 	Sampler *telemetry.Sampler
 
-	// Workers bounds the goroutines used for the slowdown-recomputation
-	// fan-out when a contention change touches many jobs; 0 or 1 keeps
-	// every recomputation inline on the simulation goroutine. Any value
-	// produces bit-identical simulations: the fan-out only computes pure
-	// per-job slowdowns into per-job slots, and the apply phase is
-	// always serial in lane order.
-	Workers int
-	// DisableFastPath routes every contention change through the serial
+	// DisableFastPath routes every contention change through the
 	// reference executor, which recomputes every running job's slowdown
 	// machine-wide. It is the oracle the dirty-lane fast path is
 	// differential-tested against; simulations are bit-identical either
@@ -287,8 +274,7 @@ func removeAt(s *[]*RunningJob, i int, fix func(*RunningJob, int)) {
 // several pods additionally feel core-link contention. The pod-network
 // term is the node-weighted mean contention factor over the job's pods,
 // computed in ascending pod order: O(pods touched) rather than O(nodes),
-// and bit-reproducible. Pure state read — safe to evaluate from the
-// parallel fan-out.
+// and bit-reproducible. Pure state read.
 func (m *Machine) currentSlowdown(rj *RunningJob) float64 {
 	var sum float64
 	for i, p := range rj.pods {
@@ -424,12 +410,6 @@ func (m *Machine) kill(rj *RunningJob) {
 	m.recycle(rj)
 }
 
-// parallelThreshold is the affected-job count below which the slowdown
-// recomputation stays inline: fan-out overhead only pays for itself when
-// a change (typically a filesystem threshold crossing at machine scale)
-// touches many jobs at once.
-const parallelThreshold = 64
-
 // onNetChange re-integrates the running jobs a contention change can
 // have affected. A job's slowdown reads only its own pods' contention
 // factors, the core factor (multi-pod jobs), the filesystem factor, and
@@ -482,9 +462,9 @@ func (m *Machine) onNetChange(ch simnet.Change) {
 	m.reintegrate(aff)
 }
 
-// reintegrateAll is the serial reference executor: recompute every
-// running job machine-wide, in (pod, lane-position) order then the cross
-// lane — the same relative order the fast path visits any subset in.
+// reintegrateAll is the reference executor: recompute every running job
+// machine-wide, in (pod, lane-position) order then the cross lane — the
+// same relative order the fast path visits any subset in.
 func (m *Machine) reintegrateAll() {
 	aff := m.affected[:0]
 	for _, lane := range m.lanes {
@@ -492,44 +472,17 @@ func (m *Machine) reintegrateAll() {
 	}
 	aff = append(aff, m.cross...)
 	m.affected = aff
-	for _, rj := range aff {
-		rj.pending = m.currentSlowdown(rj)
-	}
-	m.applyPending(aff)
+	m.reintegrate(aff)
 }
 
-// reintegrate recomputes the affected jobs' slowdowns — fanned out over
-// the parallel pool when the set is large and Workers allows — then
-// applies them serially in collection order.
+// reintegrate recomputes the affected jobs' slowdowns in collection
+// order and, for each job whose slowdown actually moved, integrates its
+// progress so far and re-arms its completion.
 func (m *Machine) reintegrate(aff []*RunningJob) {
-	if len(aff) == 0 {
-		return
-	}
-	if m.Workers > 1 && len(aff) >= parallelThreshold {
-		// Compute phase: pure reads of the contention state, one writer
-		// per job slot. The merge is by slot, never completion order.
-		if err := parallel.Run(nil, m.Workers, len(aff), func(i int) error {
-			aff[i].pending = m.currentSlowdown(aff[i])
-			return nil
-		}); err != nil {
-			panic(err) // only currentSlowdown's own degenerate-state panic
-		}
-	} else {
-		for _, rj := range aff {
-			rj.pending = m.currentSlowdown(rj)
-		}
-	}
-	m.applyPending(aff)
-}
-
-// applyPending is the serial barrier phase: integrate progress and
-// re-arm completions for jobs whose slowdown actually moved, in the
-// deterministic collection order.
-func (m *Machine) applyPending(aff []*RunningJob) {
 	for _, rj := range aff {
-		if rj.pending != rj.slowdown {
+		if sd := m.currentSlowdown(rj); sd != rj.slowdown {
 			m.advance(rj)
-			rj.slowdown = rj.pending
+			rj.slowdown = sd
 			m.scheduleCompletion(rj)
 		}
 	}

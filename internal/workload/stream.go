@@ -301,8 +301,11 @@ func (st *SWFStream) Skipped() int { return st.sc.Skipped() }
 // Emitted returns how many jobs the stream has yielded so far.
 func (st *SWFStream) Emitted() int { return st.conv.n }
 
-// SliceStream wraps an in-memory job slice as a JobStream (submit times
-// must already be non-decreasing, as FromSWF and Generate produce).
+// SliceStream wraps an in-memory job slice as a JobStream, yielding the
+// jobs in slice order. A JobStream's submit times must be
+// non-decreasing: FromSWF output already is, Generate output is not and
+// needs a stable sort by SubmitAt first (experiments.RunTrialJobs does
+// that for its callers).
 type SliceStream struct {
 	jobs []SubmittedJob
 	i    int

@@ -98,8 +98,8 @@ var EstimateFactorRange = [2]float64{1.3, 1.8}
 // Generate builds the experiment's job stream. Jobs cycle through the
 // spec's applications and node counts so every (app, size) pair receives
 // an equal share; submission times follow the 20%-immediate,
-// rest-uniform-over-20-minutes pattern. The same seed always produces the
-// same stream.
+// rest-uniform-over-20-minutes pattern. The slice is in job-ID order, not
+// submit order. The same seed always produces the same stream.
 func Generate(spec Spec, seed int64) ([]SubmittedJob, error) {
 	if spec.NumJobs <= 0 {
 		return nil, fmt.Errorf("workload: experiment %q has no jobs", spec.Name)

@@ -381,8 +381,7 @@ func NewObserver(t *Tracer, m *MetricsRegistry) *Observer { return obs.New(t, m)
 var MergeSnapshots = obs.Merge
 
 // Report renderers: one per paper figure/table. Each writes to an
-// io.Writer and returns the first write error; the Report*String
-// variants render to a string.
+// io.Writer and returns the first write error.
 var (
 	ReportFigure1        = experiments.ReportFigure1
 	ReportTableI         = experiments.ReportTableI
@@ -396,19 +395,6 @@ var (
 	ReportWaitTimes      = experiments.ReportWaitTimes
 	ReportFaults         = experiments.ReportFaults
 	ReportMetrics        = experiments.ReportMetrics
-
-	ReportFigure1String        = experiments.ReportFigure1String
-	ReportTableIString         = experiments.ReportTableIString
-	ReportFigure3String        = experiments.ReportFigure3String
-	ReportTableIIString        = experiments.ReportTableIIString
-	ReportVariationString      = experiments.ReportVariationString
-	ReportRunTimeDistString    = experiments.ReportRunTimeDistString
-	ReportScalingDistString    = experiments.ReportScalingDistString
-	ReportMaxImprovementString = experiments.ReportMaxImprovementString
-	ReportMakespanString       = experiments.ReportMakespanString
-	ReportWaitTimesString      = experiments.ReportWaitTimesString
-	ReportFaultsString         = experiments.ReportFaultsString
-	ReportMetricsString        = experiments.ReportMetricsString
 )
 
 // Serving: the rush-serve gate-prediction daemon and its embeddable

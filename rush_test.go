@@ -1,9 +1,21 @@
 package rush
 
 import (
+	"errors"
+	"io"
 	"strings"
 	"testing"
 )
+
+// render runs a writer-based report into a string.
+func render(t *testing.T, f func(io.Writer) error) string {
+	t.Helper()
+	var b strings.Builder
+	if err := f(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
 
 // TestEndToEndPipeline exercises the public façade exactly the way the
 // package documentation advertises: collect, train, schedule, report.
@@ -42,7 +54,9 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatalf("RUSH increased variation: %v -> %v", base, rushVar)
 	}
 
-	out := ReportVariationString(cmp, ref) + ReportMakespanString([]*Comparison{cmp}) + ReportWaitTimesString(cmp)
+	out := render(t, func(w io.Writer) error {
+		return errors.Join(ReportVariation(w, cmp, ref), ReportMakespan(w, []*Comparison{cmp}), ReportWaitTimes(w, cmp))
+	})
 	for _, want := range []string{"ADAA", "TOTAL", "Figure 10", "RUSH"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)
@@ -69,10 +83,10 @@ func TestFacadeBasics(t *testing.T) {
 	if DefaultNoise().NodeFraction <= 0 {
 		t.Fatal("noise surface wrong")
 	}
-	if !strings.Contains(ReportTableIString(), "282") {
+	if !strings.Contains(render(t, ReportTableI), "282") {
 		t.Fatal("Table I report broken")
 	}
-	if !strings.Contains(ReportTableIIString(), "PDPA") {
+	if !strings.Contains(render(t, ReportTableII), "PDPA") {
 		t.Fatal("Table II report broken")
 	}
 	m, err := NewModel(ModelDecisionForest, 1)
