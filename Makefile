@@ -39,15 +39,25 @@ bench-obs:
 	echo "$$out"; \
 	echo "$$out" | grep -q ' 0 allocs/op' || { echo "bench-obs: Pass allocates with a nil observer"; exit 1; }
 
-# bench-gate guards the gate-decision fast path: a steady-state gate
-# decision on a 512-node machine-wide scope must perform zero heap
-# allocations. The grep inspects only the fast sub-benchmark's line, so
-# the (deliberately allocating) reference sub-benchmark cannot mask a
-# regression. Reference numbers live in BENCH_gate.json.
+# bench-gate guards the gate-decision fast path on both scopes. A
+# steady-state decision on the 512-node machine-wide scope must perform
+# zero heap allocations. The two job-scope decisions a RUSH trial is made
+# of — the first ask on a freshly allocated 16-node set, every row of the
+# window computed, and the re-ask two ticks later — must perform zero
+# allocations and allocate zero bytes: the sampler's row store computes
+# rows in place, so a growing arena or a per-decision buffer shows here.
+# The greps inspect only the fast and job lines, so the (deliberately
+# allocating) reference sub-benchmark cannot mask a regression. Reference
+# numbers live in BENCH_gate.json.
 bench-gate:
-	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkGateDecision/fast' -benchmem .); \
+	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkGateDecision/(fast|job)' -benchmem .); \
 	echo "$$out"; \
-	echo "$$out" | grep 'GateDecision/fast' | grep -q ' 0 allocs/op' || { echo "bench-gate: gate decision allocates on the fast path"; exit 1; }
+	echo "$$out" | grep 'GateDecision/fast' | grep -q ' 0 allocs/op' || { echo "bench-gate: gate decision allocates on the fast path"; exit 1; }; \
+	job=$$(echo "$$out" | grep 'GateDecision/job/'); \
+	[ $$(echo "$$job" | grep -c .) -eq 2 ] || { echo "bench-gate: expected 2 job-scope sub-benchmarks"; exit 1; }; \
+	if echo "$$job" | grep -v ' 0 B/op.* 0 allocs/op' | grep -q .; then \
+		echo "bench-gate: job-scope gate decision allocates"; exit 1; \
+	fi
 
 # bench-train guards the training fast path: the allocs-per-node
 # regression test (a fast-path Fit may allocate its fixed working set

@@ -38,6 +38,7 @@ import (
 	"rush/internal/sched"
 	"rush/internal/sim"
 	"rush/internal/simnet"
+	"rush/internal/telemetry"
 	"rush/internal/workload"
 )
 
@@ -531,10 +532,9 @@ func gateBenchModel(b *testing.B) mlkit.Classifier {
 	return benchGateModel
 }
 
-// newBenchGate builds a 512-node machine under ambient load with a RUSH
-// gate on the machine-wide scope — the heaviest decision the scheduler
-// issues — either on the fast path or forced through the reference path.
-func newBenchGate(b *testing.B, fast bool) (*sched.RUSH, *sched.Job, cluster.Allocation) {
+// newBenchMachine builds a 512-node machine under ambient load, 900
+// simulated seconds in, with a RUSH gate on the compact bench model.
+func newBenchMachine(b *testing.B) (*machine.Machine, *sched.RUSH) {
 	b.Helper()
 	eng := sim.New(4242)
 	m, err := machine.New(eng, cluster.Topology{Nodes: 512, PodSize: 64, CoresPerNode: 36})
@@ -542,14 +542,23 @@ func newBenchGate(b *testing.B, fast bool) (*sched.RUSH, *sched.Job, cluster.All
 		b.Fatal(err)
 	}
 	gate := sched.NewRUSH(m, gateBenchModel(b))
-	gate.AllNodesScope = true
-	gate.DisableFastPath = !fast
 	bg := m.NewBackground()
 	bg.Set(simnet.Contribution{
 		PodNet: map[int]float64{0: 0.8, 1: 0.6, 2: 0.9, 3: 0.4, 4: 0.7, 5: 0.5, 6: 0.3, 7: 0.6},
 		FS:     0.3,
 	})
 	eng.RunUntil(900)
+	return m, gate
+}
+
+// newBenchGate puts newBenchMachine's gate on the machine-wide scope —
+// the heaviest decision the scheduler issues — either on the fast path or
+// forced through the reference path.
+func newBenchGate(b *testing.B, fast bool) (*sched.RUSH, *sched.Job, cluster.Allocation) {
+	b.Helper()
+	_, gate := newBenchMachine(b)
+	gate.AllNodesScope = true
+	gate.DisableFastPath = !fast
 	nodes := make([]cluster.NodeID, 16)
 	for i := range nodes {
 		nodes[i] = cluster.NodeID(i)
@@ -558,11 +567,14 @@ func newBenchGate(b *testing.B, fast bool) (*sched.RUSH, *sched.Job, cluster.All
 	return gate, j, cluster.Allocation{Nodes: nodes}
 }
 
-// BenchmarkGateDecision times one full steady-state gate decision —
-// freshness check, 300-second window aggregation over the 512-node
-// scope, MPI probes, feature assembly, ensemble inference — on the
-// incremental fast path versus the from-scratch reference path. The
-// fast path must report 0 allocs/op (`make bench-gate` enforces it).
+// BenchmarkGateDecision times one full gate decision — freshness check,
+// 300-second window aggregation, MPI probes, feature assembly, ensemble
+// inference. fast and reference are the steady-state decision on the
+// 512-node machine-wide scope, on the incremental path and on the
+// from-scratch one. The job sub-benchmarks are the two decisions a RUSH
+// trial is made of, both on a 16-node job scope (see benchJobScopeGate).
+// The fast path and both job shapes must report 0 allocs/op, the job
+// shapes 0 B/op too (`make bench-gate` enforces it).
 func BenchmarkGateDecision(b *testing.B) {
 	for _, mode := range []struct {
 		name string
@@ -579,6 +591,52 @@ func BenchmarkGateDecision(b *testing.B) {
 				gate.Allow(j, alloc)
 			}
 		})
+	}
+	// first-ask: a job's first decision on a freshly allocated node set,
+	// one the sampler has not aggregated within the window, so all 320
+	// rows are computed. re-ask: the same scope asked again two ticks
+	// later, the scheduler's 30 s veto cooldown, when 32 rows are new.
+	b.Run("job/first-ask", func(b *testing.B) { benchJobScopeGate(b, 1, true) })
+	b.Run("job/re-ask", func(b *testing.B) { benchJobScopeGate(b, 2, false) })
+}
+
+// benchJobScopeGate times job-scoped decisions on newBenchMachine's gate,
+// shaped like the cold and warm gate drivers of bench/drivers.go: the
+// clock advances ticks sample periods between decisions, and the scope
+// either rotates through 28 disjoint 16-node allocations, so each
+// returns after 420 s and finds none of its rows kept, or stays put.
+// History and sampler are pruned as a trial prunes them. One lap over the
+// scopes before the timer starts leaves every row block allocated, which
+// is the state a trial is in after its first minutes.
+func benchJobScopeGate(b *testing.B, ticks int, rotate bool) {
+	m, gate := newBenchMachine(b)
+	m.StartPruning(telemetry.WindowSeconds, 3*telemetry.WindowSeconds)
+	eng := m.Eng
+	j := &sched.Job{ID: 1, App: apps.Defaults()[1]}
+	var scopes []cluster.Allocation
+	for lo := 64; lo+16 <= 512; lo += 16 {
+		nodes := make([]cluster.NodeID, 16)
+		for i := range nodes {
+			nodes[i] = cluster.NodeID(lo + i)
+		}
+		scopes = append(scopes, cluster.Allocation{Nodes: nodes})
+	}
+	ask := func(i int) {
+		eng.RunUntil(eng.Now() + float64(ticks)*telemetry.SamplePeriod)
+		scope := scopes[0]
+		if rotate {
+			scope = scopes[i%len(scopes)]
+		}
+		j.Skips = 0
+		gate.Allow(j, scope)
+	}
+	for i := range scopes {
+		ask(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ask(i)
 	}
 }
 

@@ -165,6 +165,7 @@ func Collect(cfg CollectConfig) (*CollectResult, error) {
 	runRng := eng.Source().Derive("collect-runs")
 	horizon := float64(cfg.Days) * Day
 	var errs []error
+	allNodes := telemetry.AllNodes(m.Topo)
 	for ai, profile := range cfg.Apps {
 		profile := profile
 		rng := runRng.DeriveN("app", ai)
@@ -173,16 +174,16 @@ func Collect(cfg CollectConfig) (*CollectResult, error) {
 			for r := 0; r < runs; r++ {
 				at := float64(d)*Day + rng.Uniform(0.05, 0.95)*Day
 				eng.At(at, func() {
-					if err := collectOneRun(m, profile, cfg.Nodes, res); err != nil {
+					if err := collectOneRun(m, profile, cfg.Nodes, allNodes, res); err != nil {
 						errs = append(errs, err)
 					}
 				})
 			}
 		}
 	}
-	// Prune telemetry history — and the sampler's row cache, which would
-	// otherwise accumulate a row per (node, tick) queried — hourly to
-	// bound memory over long campaigns.
+	// Prune telemetry history hourly to bound memory over long campaigns,
+	// and tell the sampler, whose stored rows from before the cut no
+	// longer match what the pruned history would give.
 	for h := 1; float64(h)*3600 <= horizon; h++ {
 		t := float64(h) * 3600
 		eng.At(t, func() {
@@ -201,9 +202,10 @@ func Collect(cfg CollectConfig) (*CollectResult, error) {
 }
 
 // collectOneRun performs one control-job run: aggregate the five minutes
-// of counters before the run (both scopes), run the MPI probes, launch
-// the job, and record the sample when it completes.
-func collectOneRun(m *machine.Machine, profile apps.Profile, nodes int, res *CollectResult) error {
+// of counters before the run (both scopes; allNodes is the machine-wide
+// one), run the MPI probes, launch the job, and record the sample when it
+// completes.
+func collectOneRun(m *machine.Machine, profile apps.Profile, nodes int, allNodes []cluster.NodeID, res *CollectResult) error {
 	alloc, err := m.Alloc.Alloc(nodes)
 	if err != nil {
 		// The slice is briefly full (many overlapping control runs);
@@ -213,7 +215,7 @@ func collectOneRun(m *machine.Machine, profile apps.Profile, nodes int, res *Col
 	now := m.Eng.Now()
 	hist := m.Net.History()
 	aggJob := m.Sampler.AggregateWindow(hist, alloc.Nodes, now)
-	aggAll := m.Sampler.AggregateWindow(hist, telemetry.AllNodes(m.Topo), now)
+	aggAll := m.Sampler.AggregateWindow(hist, allNodes, now)
 	probes := m.RunProbes(alloc)
 	featJob := dataset.BuildFeatures(aggJob, probes, profile.Class)
 	featAll := dataset.BuildFeatures(aggAll, probes, profile.Class)

@@ -502,9 +502,11 @@ func (m *Machine) RunProbesInto(alloc cluster.Allocation, res *simnet.ProbeResul
 }
 
 // StartPruning schedules a recurring prune of the machine's load history
-// and the sampler's row cache: every interval simulated seconds, load
-// epochs and cached sample rows older than keep seconds before the
-// current instant are dropped, bounding memory over long experiments.
+// and the sampler's row store: every interval simulated seconds, load
+// epochs older than keep seconds before the current instant are dropped,
+// bounding memory over long experiments, and the sampler is told, so that
+// no stored row outlives the history it was computed from (the store is
+// bounded by its rings either way).
 // keep must cover the widest lookback any consumer performs — at least
 // telemetry.WindowSeconds for the sampler's aggregation window, plus
 // slack for staleness checks — since pruned history cannot be queried.

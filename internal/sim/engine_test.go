@@ -323,3 +323,31 @@ func TestHashDeterministicAndUniform(t *testing.T) {
 		t.Fatalf("HashUnit mean = %v", mean)
 	}
 }
+
+// TestHashStateSplitsAnywhere checks the prefix form against the hash
+// written out round by round: wherever the words are split between
+// HashPrefix and Mix, Sum64 and Unit give what Hash64 and HashUnit give.
+func TestHashStateSplitsAnywhere(t *testing.T) {
+	s := NewSource(9)
+	words := []uint64{3, 0x9e37 + 511, 0x7f4a - 20, 1 << 63}
+	h := uint64(s.Seed())
+	for _, w := range words {
+		h = splitmix64(h ^ w)
+	}
+	want := splitmix64(h)
+	if got := s.Hash64(words...); got != want {
+		t.Fatalf("Hash64 = %#x, want %#x", got, want)
+	}
+	for split := 0; split <= len(words); split++ {
+		st := s.HashPrefix(words[:split]...)
+		for _, w := range words[split:] {
+			st = st.Mix(w)
+		}
+		if got := st.Sum64(); got != want {
+			t.Fatalf("split at %d: Sum64 = %#x, want %#x", split, got, want)
+		}
+		if got, unit := st.Unit(), s.HashUnit(words...); got != unit {
+			t.Fatalf("split at %d: Unit = %v, want %v", split, got, unit)
+		}
+	}
+}

@@ -24,16 +24,48 @@ func (s *Source) Seed() int64 { return s.seed }
 // 64-bit value. It is pure: the same inputs always produce the same
 // output, independent of any draws made from the source.
 func (s *Source) Hash64(words ...uint64) uint64 {
+	return s.HashPrefix(words...).Sum64()
+}
+
+// HashState is a Hash64 computation stopped part-way: the seed and a
+// prefix of the words have been absorbed, the rest have not. A caller
+// that hashes many word tuples sharing a prefix (the telemetry sampler
+// hashes counter, node, tick for every sample, and the counter takes
+// only 90 values) computes the prefix state once and finishes it per
+// tuple. For any split of the words,
+//
+//	s.HashPrefix(a, b).Mix(c).Sum64() == s.Hash64(a, b, c)
+//
+// so a prefixed hash draws exactly the bits the one-shot form draws. A
+// HashState is a plain value: pure, comparable, and free to copy.
+type HashState uint64
+
+// HashPrefix absorbs the source's seed and the given words, one
+// splitmix64 round per word, and returns the state for Mix, Sum64 or
+// Unit to continue from. It is pure, like Hash64.
+func (s *Source) HashPrefix(words ...uint64) HashState {
 	h := uint64(s.seed)
 	for _, w := range words {
 		h = splitmix64(h ^ w)
 	}
-	return splitmix64(h)
+	return HashState(h)
 }
+
+// Mix absorbs one more word (one splitmix64 round) and returns the new
+// state; the receiver is unchanged.
+func (h HashState) Mix(w uint64) HashState { return HashState(splitmix64(uint64(h) ^ w)) }
+
+// Sum64 finishes the hash with the final splitmix64 round and returns
+// the value Hash64 returns for the words absorbed so far.
+func (h HashState) Sum64() uint64 { return splitmix64(uint64(h)) }
+
+// Unit finishes the hash and maps it to a uniform float in [0, 1),
+// exactly as HashUnit does for the words absorbed so far.
+func (h HashState) Unit() float64 { return float64(h.Sum64()>>11) / float64(1<<53) }
 
 // HashUnit maps Hash64 to a uniform float in [0, 1).
 func (s *Source) HashUnit(words ...uint64) float64 {
-	return float64(s.Hash64(words...)>>11) / float64(1<<53)
+	return s.HashPrefix(words...).Unit()
 }
 
 // HashNormal maps Hash64 to a draw from N(mu, sigma^2) via the

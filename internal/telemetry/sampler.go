@@ -59,116 +59,180 @@ type DriftModel interface {
 
 // Sampler synthesizes counter samples from the simulator's load history.
 //
-// Aggregation queries are memoized: each computed (node, tick) sample row
-// is cached, so overlapping and sliding windows recompute only the rows
-// they have not seen (see rowFor for the exact reuse conditions). The
-// cache relies on windows never extending beyond the current simulated
-// instant — load history only ever mutates at the present, so every
-// sample inside a past window is final. Callers must therefore pass
-// t1 <= now; sampling the future would be meaningless anyway.
+// Aggregation queries are memoized in a dense row store (see rowStore):
+// each computed (node, tick) sample row is kept in the node's ring of
+// ringTicks rows, so overlapping and sliding windows recompute only the
+// rows they have not seen (see rowFor for the exact reuse conditions).
+// The store relies on windows never extending beyond the current
+// simulated instant — load history only ever mutates at the present, so
+// every sample inside a past window is final. Callers must therefore
+// pass t1 <= now; sampling the future would be meaningless anyway.
 type Sampler struct {
 	topo   cluster.Topology
 	schema []Counter
-	rng    *sim.Source
 	faults FaultModel
 	drift  DriftModel
 	tables []string
 
-	// Row cache (see rowFor): rowIdx maps (node, tick) to an index into
-	// the rows arena. cacheHist guards against a sampler being pointed at
-	// a different history between queries.
-	cacheHist *simnet.History
-	rowIdx    map[rowKey]int32
-	rows      []cachedRow
-	scratch   cachedRow
+	// noiseHash[ci] is the sample-noise hash after the seed and counter
+	// ci: the one of a sample's four hash rounds that depends on neither
+	// node nor tick (see computeRow).
+	noiseHash [NumCounters]sim.HashState
+
+	store   rowStore
+	scratch sampleRow // rows that bypass the store: reference path, nodes without a ring
 
 	// Reusable scratch for the allocation-free aggregation path.
-	capBuf    []cluster.NodeID
-	sliceBuf  []simnet.Slice
-	tickSum   []float64
-	tickCount []int
-	counts    []int
+	capBuf   []cluster.NodeID
+	sliceBuf []simnet.Slice
 }
 
-type rowKey struct {
-	node cluster.NodeID
-	tick int64
-}
+const (
+	// ringTicks is the width of a node's row ring: a power of two no
+	// smaller than WindowTicks, so every tick of a standard window has a
+	// slot of its own and tick & (ringTicks-1) addresses it.
+	ringTicks = 32
+	// blockNodes is how many consecutive node IDs share one allocation.
+	// A decision scope is a handful of runs of adjacent nodes, so
+	// allocating per block costs fewer allocations than a slab per node
+	// and wastes little.
+	blockNodes = 16
+)
 
-// cachedRow is one (node, tick) sample row: every counter's value at that
+// sampleRow is one (node, tick) sample row: every counter's value at that
 // tick, NaN where the table's sample was dropped. effT is the instant
 // whose latent loads the values reflect — the tick's own time normally,
-// an earlier one while the node's counters are frozen.
-type cachedRow struct {
-	node cluster.NodeID
+// an earlier one while the node's counters are frozen. gen is the store
+// generation the row was written under; a row of another generation
+// (zero: never written, or not cacheable) is empty.
+type sampleRow struct {
+	gen  uint64
 	tick int64
 	effT float64
 	vals [NumCounters]float64
 }
 
+// rowBlock holds the rings of blockNodes adjacent nodes, tick-major: the
+// rows of one tick lie side by side, which is the order a window reads
+// them in.
+type rowBlock [ringTicks * blockNodes]sampleRow
+
+// rowStore is the sampler's row cache: per node a ring of ringTicks rows
+// indexed by tick & (ringTicks-1), each tagged with the tick it holds.
+// Memory is bounded by ringTicks rows (about 23 KB) per node that has
+// ever been in a scope, rounded up to whole blocks, however long the run;
+// nothing is allocated before the first query.
+type rowStore struct {
+	hist   *simnet.History // history the stored rows were computed from
+	blocks []*rowBlock     // indexed by node / blockNodes; nil until touched
+	gen    uint64          // rows of any other generation are empty
+	pruned float64         // rows that reflect an instant before this one are empty
+}
+
 // NewSampler returns a sampler over topo whose noise derives from rng
 // (use a dedicated child stream, e.g. root.Derive("telemetry")).
 func NewSampler(topo cluster.Topology, rng *sim.Source) *Sampler {
-	s := &Sampler{topo: topo, schema: Schema(), rng: rng, rowIdx: map[rowKey]int32{}}
+	s := &Sampler{topo: topo, schema: Schema(), store: rowStore{gen: 1, pruned: math.Inf(-1)}}
 	for i := range s.schema {
-		if len(s.tables) == 0 || s.tables[len(s.tables)-1] != s.schema[i].Table {
-			s.tables = append(s.tables, s.schema[i].Table)
+		c := &s.schema[i]
+		if len(s.tables) == 0 || s.tables[len(s.tables)-1] != c.Table {
+			s.tables = append(s.tables, c.Table)
 		}
+		if c.Src < SrcNet || c.Src > SrcNoise {
+			panic(fmt.Sprintf("telemetry: unknown source %d", c.Src))
+		}
+		s.noiseHash[i] = rng.HashPrefix(uint64(i) + 1)
 	}
-	n := len(s.schema)
-	s.tickSum = make([]float64, n)
-	s.tickCount = make([]int, n)
-	s.counts = make([]int, n)
 	return s
 }
 
 // SetFaults installs a fault model (nil restores the healthy stream). The
-// row cache is flushed: cached rows are only valid under the fault model
+// row store is flushed: stored rows are only valid under the fault model
 // that produced them.
 func (s *Sampler) SetFaults(f FaultModel) {
 	s.faults = f
-	s.flushCache()
+	s.store.flush()
 }
 
 // SetDrift installs a drift model (nil restores the calibrated stream).
-// The row cache is flushed, mirroring SetFaults: cached rows are only
+// The row store is flushed, mirroring SetFaults: stored rows are only
 // valid under the drift model that produced them.
 func (s *Sampler) SetDrift(d DriftModel) {
 	s.drift = d
-	s.flushCache()
+	s.store.flush()
 }
 
-func (s *Sampler) flushCache() {
-	clear(s.rowIdx)
-	s.rows = s.rows[:0]
+// flush empties the store in O(1) by moving to a new generation. The
+// prune watermark goes with it: rows written from here on are computed
+// from the history as it is now.
+func (st *rowStore) flush() {
+	st.gen++
+	st.pruned = math.Inf(-1)
 }
 
-// Prune evicts cached sample rows for ticks before t. Call it alongside
+// bind points the store at hist, flushing it if the rows in it came from
+// another history, and allocates the block index on first use.
+func (st *rowStore) bind(hist *simnet.History, topo cluster.Topology) {
+	if st.hist != hist {
+		st.flush()
+		st.hist = hist
+	}
+	if st.blocks == nil {
+		st.blocks = make([]*rowBlock, (topo.Nodes+blockNodes-1)/blockNodes)
+	}
+}
+
+// slot returns the ring slot of (node, tick), allocating the node's block
+// if this is the first time a scope names it. node must be one the
+// topology has. Negative ticks (windows that start before time zero)
+// land in a slot like any other: the mask of a two's-complement tick is
+// non-negative.
+func (st *rowStore) slot(node cluster.NodeID, tick int64) *sampleRow {
+	blk := st.blocks[node/blockNodes]
+	if blk == nil {
+		blk = new(rowBlock)
+		st.blocks[node/blockNodes] = blk
+	}
+	return &blk[int(tick&(ringTicks-1))*blockNodes+int(node%blockNodes)]
+}
+
+// live reports whether r holds the row of tick and a window starting at
+// t0 may reuse it: it was written under this generation, and the instant
+// its values reflect is neither before the window (see rowFor) nor before
+// the prune watermark.
+func (st *rowStore) live(r *sampleRow, tick int64, t0 float64) bool {
+	return r.gen == st.gen && r.tick == tick && r.effT >= t0 && r.effT >= st.pruned
+}
+
+// Prune evicts stored sample rows that reflect instants before t, in
+// O(1), by raising a watermark that lookups honour. Call it alongside
 // History.Prune with the same cutoff; as with the history, t must trail
-// the oldest window any future query will ask for.
+// the oldest window any future query will ask for (a query behind the
+// watermark is answered as the reference answers it, but recomputes its
+// rows every time).
 func (s *Sampler) Prune(t float64) {
-	if len(s.rows) == 0 {
-		return
+	if t > s.store.pruned {
+		s.store.pruned = t
 	}
-	dst := 0
-	for i := range s.rows {
-		r := &s.rows[i]
-		if float64(r.tick)*SamplePeriod < t {
-			delete(s.rowIdx, rowKey{node: r.node, tick: r.tick})
-			continue
-		}
-		if dst != i {
-			s.rows[dst] = s.rows[i]
-			s.rowIdx[rowKey{node: r.node, tick: r.tick}] = int32(dst)
-		}
-		dst++
-	}
-	s.rows = s.rows[:dst]
 }
 
 // CachedRows returns the number of (node, tick) sample rows currently
-// memoized (observability and test hook).
-func (s *Sampler) CachedRows() int { return len(s.rows) }
+// memoized (observability and test hook; it walks the store).
+func (s *Sampler) CachedRows() int {
+	st := &s.store
+	n := 0
+	for _, blk := range st.blocks {
+		if blk == nil {
+			continue
+		}
+		for i := range blk {
+			if r := &blk[i]; r.gen == st.gen && r.effT >= st.pruned {
+				n++
+			}
+		}
+	}
+	return n
+}
 
 // Schema returns the sampler's counter schema.
 func (s *Sampler) Schema() []Counter { return s.schema }
@@ -210,42 +274,25 @@ func (a Aggregates) MissingFraction() float64 {
 	return float64(missing) / float64(len(a.Mean))
 }
 
-// sampleValue computes one counter's value on one node at one tick given
-// the latent loads. Noise is a deterministic hash of (counter, node,
-// tick), so overlapping windows agree on shared samples.
-func (s *Sampler) sampleValue(c *Counter, ci int, node cluster.NodeID, tick int64, netLoad, fsLoad float64) float64 {
-	var signal float64
-	switch c.Src {
-	case SrcNet:
-		signal = netLoad
-	case SrcNetOverload:
-		signal = simnet.Overload(netLoad)
-	case SrcFS:
-		signal = fsLoad
-	case SrcFSOverload:
-		signal = simnet.Overload(fsLoad)
-	case SrcNoise:
-		signal = 0
-	default:
-		panic(fmt.Sprintf("telemetry: unknown source %d", c.Src))
-	}
-	// Uniform multiplicative noise with the configured sigma. Uniform on
-	// [-sqrt(3)sigma, +sqrt(3)sigma] matches the variance of a normal at
-	// a fraction of the cost, and counters aren't Gaussian anyway.
-	u := 2*s.rng.HashUnit(uint64(ci)+1, uint64(node)+0x9e37, uint64(tick)+0x7f4a) - 1
-	v := (c.Base + c.Gain*signal) * (1 + c.Noise*u*math.Sqrt(3))
-	if v < 0 {
-		v = 0
-	}
-	return v
-}
+// mayMiss reports whether a sample row can hold NaN, which only a fault
+// model (dropped tables) or a drift model (Perturb returns what it likes)
+// can put there: finite loads synthesize finite samples.
+func (s *Sampler) mayMiss() bool { return s.faults != nil || s.drift != nil }
 
 // computeRow fills r with the full sample row of (node, tick): every
 // counter's value (NaN for dropped tables) plus the effective instant the
 // values reflect. tickT is the tick's (possibly window-clamped) sample
 // time and tickNet/tickFS the latent loads at it, hoisted by the caller
 // so a tick's loads are resolved once per tick rather than once per node.
-func (s *Sampler) computeRow(slices []simnet.Slice, node cluster.NodeID, tick int64, tickT float64, tickNet []float64, tickFS float64, r *cachedRow) {
+//
+// A counter's value is an affine function of its latent signal times
+// uniform multiplicative noise of the configured sigma (uniform on
+// [-sqrt(3)sigma, +sqrt(3)sigma] matches the variance of a normal at a
+// fraction of the cost, and counters aren't Gaussian anyway). The noise
+// is a deterministic hash of (counter, node, tick), so overlapping
+// windows agree on shared samples; the counter's round of it is taken
+// from s.noiseHash.
+func (s *Sampler) computeRow(slices []simnet.Slice, node cluster.NodeID, tick int64, tickT float64, tickNet []float64, tickFS float64, r *sampleRow) {
 	effTick, effNet, effFS, effT := tick, tickNet, tickFS, tickT
 	if s.faults != nil {
 		// Frozen counters repeat an earlier tick's sample: the value
@@ -254,21 +301,27 @@ func (s *Sampler) computeRow(slices []simnet.Slice, node cluster.NodeID, tick in
 		if et := s.faults.SampleTick(node, tick); et < tick {
 			effTick = et
 			effT = float64(et) * SamplePeriod
-			effNet, effFS = loadsAt(slices, effT)
+			_, effNet, effFS = loadsAt(slices, 0, effT)
 		}
 	}
-	pod := s.topo.PodOf(node)
 	var net float64
-	if pod < len(effNet) {
+	if pod := s.topo.PodOf(node); uint(pod) < uint(len(effNet)) {
 		net = effNet[pod]
 	}
-	r.node, r.tick, r.effT = node, tick, effT
+	r.tick, r.effT = tick, effT
+	// The five latent signals, indexed by Src (SrcNoise carries none).
+	signal := [SrcNoise + 1]float64{
+		SrcNet: net, SrcNetOverload: simnet.Overload(net),
+		SrcFS: effFS, SrcFSOverload: simnet.Overload(effFS),
+	}
+	nodeWord, tickWord := uint64(node)+0x9e37, uint64(effTick)+0x7f4a
 	lastTable, lastDropped := "", false
-	for ci := range s.schema {
+	for ci := range s.noiseHash {
+		c := &s.schema[ci]
 		if s.faults != nil {
 			// Whole tables drop together (one lost LDMS message per
 			// table); memoize across the contiguous block.
-			if tb := s.schema[ci].Table; tb != lastTable {
+			if tb := c.Table; tb != lastTable {
 				lastTable = tb
 				lastDropped = s.faults.Dropped(tb, node, tick)
 			}
@@ -277,7 +330,11 @@ func (s *Sampler) computeRow(slices []simnet.Slice, node cluster.NodeID, tick in
 				continue
 			}
 		}
-		v := s.sampleValue(&s.schema[ci], ci, node, effTick, net, effFS)
+		u := 2*s.noiseHash[ci].Mix(nodeWord).Mix(tickWord).Unit() - 1
+		v := (c.Base + c.Gain*signal[c.Src]) * (1 + c.Noise*u*math.Sqrt(3))
+		if v < 0 {
+			v = 0
+		}
 		if s.drift != nil {
 			// Drift applies at the effective tick: a frozen counter keeps
 			// repeating the value (and drift state) of its freeze instant.
@@ -288,34 +345,37 @@ func (s *Sampler) computeRow(slices []simnet.Slice, node cluster.NodeID, tick in
 }
 
 // rowFor returns the sample row of (node, tick) for a window starting at
-// t0, from the cache when possible. A cached row is reusable only when
-// its effective instant lies inside the querying window (effT >= t0):
-// frozen rows whose source instant precedes the window are computed from
-// loads clamped to the window's first slice, which makes their values
-// window-dependent — those are recomputed per query and never poison the
-// cache. Rows are cacheable under the sampler-wide contract that windows
-// end at or before the current simulated instant, which makes every
-// in-window load epoch final.
-func (s *Sampler) rowFor(hist *simnet.History, slices []simnet.Slice, t0, tickT float64, tickNet []float64, tickFS float64, node cluster.NodeID, tick int64) *cachedRow {
-	if s.cacheHist != hist {
-		s.flushCache()
-		s.cacheHist = hist
-	}
-	key := rowKey{node: node, tick: tick}
-	if idx, ok := s.rowIdx[key]; ok {
-		if r := &s.rows[idx]; r.effT >= t0 {
-			return r
-		}
+// t0, from the store when possible and computed in place in its ring
+// slot otherwise. The caller must have bound the store to the history
+// the slices came from, and must be done with the row before asking for
+// the next: a window longer than the ring reuses slots as it goes. A
+// stored row is reusable only when its effective instant lies inside the
+// querying window (effT >= t0): frozen rows whose source instant precedes
+// the window are computed from loads clamped to the window's first slice,
+// which makes their values window-dependent — those are left in the slot
+// marked empty, so every query recomputes them and none can poison
+// another. Without a fault model effT is the tick's own time and every
+// row is kept. Rows are cacheable under the sampler-wide contract that
+// windows end at or before the current simulated instant, which makes
+// every in-window load epoch final.
+func (s *Sampler) rowFor(slices []simnet.Slice, t0, tickT float64, tickNet []float64, tickFS float64, node cluster.NodeID, tick int64) *sampleRow {
+	if uint(node) >= uint(s.topo.Nodes) {
+		// A node ID the topology does not have has no ring; it is
+		// tolerated (its pod carries no load) and served uncached.
 		s.computeRow(slices, node, tick, tickT, tickNet, tickFS, &s.scratch)
 		return &s.scratch
 	}
-	s.computeRow(slices, node, tick, tickT, tickNet, tickFS, &s.scratch)
-	if s.scratch.effT >= t0 {
-		s.rows = append(s.rows, s.scratch)
-		s.rowIdx[key] = int32(len(s.rows) - 1)
-		return &s.rows[len(s.rows)-1]
+	r := s.store.slot(node, tick)
+	if s.store.live(r, tick, t0) {
+		return r
 	}
-	return &s.scratch
+	s.computeRow(slices, node, tick, tickT, tickNet, tickFS, r)
+	if r.effT >= t0 {
+		r.gen = s.store.gen
+	} else {
+		r.gen = 0 // window-dependent: nobody may reuse it
+	}
+	return r
 }
 
 // AggregateWindow computes min/mean/max of every counter over the window
@@ -336,114 +396,79 @@ func (s *Sampler) AggregateRange(hist *simnet.History, nodes []cluster.NodeID, t
 }
 
 // AggregateWindowInto is AggregateWindow writing into out, reusing its
-// slices. Together with the row cache this makes steady-state window
-// aggregation allocation-free.
+// slices. Together with the row store this makes window aggregation
+// allocation-free once the scope's row blocks exist.
 func (s *Sampler) AggregateWindowInto(hist *simnet.History, nodes []cluster.NodeID, t1 float64, out *Aggregates) {
 	s.AggregateRangeInto(hist, nodes, t1-WindowSeconds, t1, out)
 }
 
 // AggregateRangeInto is AggregateRange writing into out, reusing its
-// slices (the fast path: cached rows, no allocations in steady state).
+// slices (the fast path: stored rows reused, new ones computed in place).
 func (s *Sampler) AggregateRangeInto(hist *simnet.History, nodes []cluster.NodeID, t0, t1 float64, out *Aggregates) {
 	s.aggregateInto(hist, nodes, t0, t1, out, true)
 }
 
-// AggregateRangeRef is AggregateRange bypassing the row cache: every
+// AggregateRangeRef is AggregateRange bypassing the row store: every
 // sample is recomputed from the load history. It exists as the reference
 // implementation for the differential tests and benchmarks; the fast path
 // must be bit-identical to it.
 func (s *Sampler) AggregateRangeRef(hist *simnet.History, nodes []cluster.NodeID, t0, t1 float64) Aggregates {
-	agg := Aggregates{
-		Min:  make([]float64, len(s.schema)),
-		Mean: make([]float64, len(s.schema)),
-		Max:  make([]float64, len(s.schema)),
-	}
+	var agg Aggregates
 	s.aggregateInto(hist, nodes, t0, t1, &agg, false)
 	return agg
 }
 
-// aggregateInto is the shared aggregation loop. The mean is accumulated
-// in a two-level fold — node-major partial sums per tick, folded into the
-// running total at the end of each tick — so that the sliding-window
-// aggregator (WindowAgg), which caches per-tick partials, combines to
-// bit-identical results. Any change to the fold order here must be
-// mirrored in WindowAgg.AggregateInto.
+// aggregateInto is the shared aggregation loop: each tick's rows go
+// through one tickFold, node-major, and the tick folds are merged in tick
+// order, which is what WindowAgg does with the tick folds it keeps.
 func (s *Sampler) aggregateInto(hist *simnet.History, nodes []cluster.NodeID, t0, t1 float64, out *Aggregates, useCache bool) {
-	n := len(s.schema)
-	out.Min = resizeFloats(out.Min, n)
-	out.Mean = resizeFloats(out.Mean, n)
-	out.Max = resizeFloats(out.Max, n)
-	for i := 0; i < n; i++ {
-		out.Min[i] = math.Inf(1)
-		out.Mean[i] = 0
-		out.Max[i] = math.Inf(-1)
-	}
+	var (
+		fold   tickFold
+		counts [NumCounters]int
+	)
+	startAggregates(out, &counts)
 	nodes = s.capNodesInto(nodes)
 	if len(nodes) == 0 {
 		return
 	}
 
 	first, last := tickBounds(t0, t1)
-	fallback := false
 	if last < first {
 		// A window shorter than one period still yields one sample (the
-		// tick containing t0) so feature vectors are never empty.
+		// tick containing t0) so feature vectors are never empty. Its
+		// sample time is clamped to t0, so the row is the window's own.
 		first = int64(math.Floor(t0 / SamplePeriod))
 		last = first
-		fallback = true
+		useCache = false
+	}
+	if useCache {
+		s.store.bind(hist, s.topo)
 	}
 	s.sliceBuf = hist.WindowInto(t0, t1, s.sliceBuf[:0])
-	counts := s.counts
-	for i := 0; i < n; i++ {
-		counts[i] = 0
-	}
+	mayMiss := s.mayMiss()
+	cursor := 0
+	fold.reset()
 	for tick := first; tick <= last; tick++ {
 		tickT := float64(tick) * SamplePeriod
 		if tickT < t0 {
 			tickT = t0 // fallback tick of a sub-period window
 		}
-		tickNet, tickFS := loadsAt(s.sliceBuf, tickT)
-		for i := 0; i < n; i++ {
-			s.tickSum[i] = 0
-			s.tickCount[i] = 0
-		}
+		var tickNet []float64
+		var tickFS float64
+		cursor, tickNet, tickFS = loadsAt(s.sliceBuf, cursor, tickT)
+		fold.nextTick()
 		for _, node := range nodes {
-			var row *cachedRow
-			if useCache && !fallback {
-				row = s.rowFor(hist, s.sliceBuf, t0, tickT, tickNet, tickFS, node, tick)
+			row := &s.scratch
+			if useCache {
+				row = s.rowFor(s.sliceBuf, t0, tickT, tickNet, tickFS, node, tick)
 			} else {
-				s.computeRow(s.sliceBuf, node, tick, tickT, tickNet, tickFS, &s.scratch)
-				row = &s.scratch
+				s.computeRow(s.sliceBuf, node, tick, tickT, tickNet, tickFS, row)
 			}
-			for ci := 0; ci < n; ci++ {
-				v := row.vals[ci]
-				if math.IsNaN(v) {
-					continue
-				}
-				if v < out.Min[ci] {
-					out.Min[ci] = v
-				}
-				if v > out.Max[ci] {
-					out.Max[ci] = v
-				}
-				s.tickSum[ci] += v
-				s.tickCount[ci]++
-			}
+			fold.add(&row.vals, mayMiss)
 		}
-		for ci := 0; ci < n; ci++ {
-			out.Mean[ci] += s.tickSum[ci]
-			counts[ci] += s.tickCount[ci]
-		}
+		fold.mergeInto(out, &counts)
 	}
-	for ci := 0; ci < n; ci++ {
-		if counts[ci] == 0 {
-			// Every sample of this counter was dropped: the feature is
-			// missing, not zero.
-			out.Min[ci], out.Mean[ci], out.Max[ci] = math.NaN(), math.NaN(), math.NaN()
-			continue
-		}
-		out.Mean[ci] /= float64(counts[ci])
-	}
+	finishAggregates(out, &counts)
 }
 
 // FreshnessAge reports how stale the counter stream feeding a decision at
@@ -511,22 +536,26 @@ func alignedTicks(t0, t1 float64) []int64 {
 	return ticks
 }
 
-// loadsAt finds the latent loads at time t within pre-fetched slices.
-// Times outside the covered range clamp to the nearest slice.
-func loadsAt(slices []simnet.Slice, t float64) ([]float64, float64) {
+// loadsAt finds the latent loads at time t within pre-fetched slices,
+// looking from slice index from onwards, and returns the index it
+// stopped at. A caller stepping through ascending times passes that
+// index back in, so a window's ticks walk the slice list once between
+// them; any other caller passes 0. Times outside the covered range clamp
+// to the nearest slice.
+func loadsAt(slices []simnet.Slice, from int, t float64) (int, []float64, float64) {
 	if len(slices) == 0 {
-		return nil, 0
+		return 0, nil, 0
 	}
-	for i := range slices {
+	for i := from; i < len(slices); i++ {
 		if t >= slices[i].T0 && t < slices[i].T1 {
-			return slices[i].PodNet, slices[i].FS
+			return i, slices[i].PodNet, slices[i].FS
 		}
 	}
 	if t < slices[0].T0 {
-		return slices[0].PodNet, slices[0].FS
+		return from, slices[0].PodNet, slices[0].FS
 	}
 	last := slices[len(slices)-1]
-	return last.PodNet, last.FS
+	return from, last.PodNet, last.FS
 }
 
 // capNodes deterministically subsamples large scopes (every k-th node) so

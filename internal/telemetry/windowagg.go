@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"math"
-
 	"rush/internal/cluster"
 	"rush/internal/simnet"
 )
@@ -12,12 +10,11 @@ import (
 const WindowTicks = int(WindowSeconds / SamplePeriod)
 
 // WindowAgg incrementally aggregates the standard five-minute window over
-// a fixed node scope. It keeps per-tick partial aggregates (node-major
-// min/max/sum/count per counter) in a ring keyed by tick index, so
-// advancing the window end by Δ ticks recomputes only the Δ new ticks;
-// the rest combine from cached partials. Combined results are
-// bit-identical to Sampler.AggregateWindow over the same scope: both use
-// the same two-level mean fold (see Sampler.aggregateInto).
+// a fixed node scope. It keeps per-tick partial aggregates (one tickFold
+// each) in a ring keyed by tick index, so advancing the window end by Δ
+// ticks recomputes only the Δ new ticks; the rest combine from cached
+// partials. Combined results are bit-identical to Sampler.AggregateWindow
+// over the same scope: both run the one fold in fold.go.
 //
 // A WindowAgg is bound to one sampler, one history, and one node scope;
 // it inherits the sampler-wide contract that queried windows end at or
@@ -30,7 +27,6 @@ type WindowAgg struct {
 	faults   FaultModel // fault model the cached partials were computed under
 	drift    DriftModel // drift model ditto
 	partials []tickPartial
-	counts   []int
 	sliceBuf []simnet.Slice
 }
 
@@ -43,10 +39,7 @@ type tickPartial struct {
 	tick    int64
 	minEffT float64
 	set     bool
-	min     [NumCounters]float64
-	max     [NumCounters]float64
-	sum     [NumCounters]float64
-	count   [NumCounters]int32
+	tickFold
 }
 
 // NewWindowAgg returns a sliding aggregator over the given scope (capped
@@ -59,7 +52,6 @@ func (s *Sampler) NewWindowAgg(hist *simnet.History, nodes []cluster.NodeID) *Wi
 		nodes:    append([]cluster.NodeID(nil), capNodes(nodes)...),
 		faults:   s.faults,
 		drift:    s.drift,
-		counts:   make([]int, len(s.schema)),
 		partials: make([]tickPartial, WindowTicks),
 	}
 }
@@ -77,15 +69,8 @@ func (w *WindowAgg) Aggregate(t1 float64) Aggregates {
 func (w *WindowAgg) AggregateInto(t1 float64, out *Aggregates) {
 	s := w.s
 	t0 := t1 - WindowSeconds
-	n := len(s.schema)
-	out.Min = resizeFloats(out.Min, n)
-	out.Mean = resizeFloats(out.Mean, n)
-	out.Max = resizeFloats(out.Max, n)
-	for i := 0; i < n; i++ {
-		out.Min[i] = math.Inf(1)
-		out.Mean[i] = 0
-		out.Max[i] = math.Inf(-1)
-	}
+	var counts [NumCounters]int
+	startAggregates(out, &counts)
 	if len(w.nodes) == 0 {
 		return
 	}
@@ -111,75 +96,40 @@ func (w *WindowAgg) AggregateInto(t1 float64, out *Aggregates) {
 		w.partials = append(w.partials, make([]tickPartial, c-len(w.partials))...)
 	}
 	ring := int64(len(w.partials))
+	s.store.bind(w.hist, s.topo)
 	w.sliceBuf = w.hist.WindowInto(t0, t1, w.sliceBuf[:0])
-	counts := w.counts
-	for i := 0; i < n; i++ {
-		counts[i] = 0
-	}
+	cursor := 0
 	for tick := first; tick <= last; tick++ {
 		p := &w.partials[int(((tick%ring)+ring)%ring)]
 		if !p.set || p.tick != tick || p.minEffT < t0 {
-			w.computePartial(tick, t0, p)
+			cursor = w.computePartial(tick, t0, cursor, p)
 		}
-		for ci := 0; ci < n; ci++ {
-			if p.count[ci] == 0 {
-				continue
-			}
-			if p.min[ci] < out.Min[ci] {
-				out.Min[ci] = p.min[ci]
-			}
-			if p.max[ci] > out.Max[ci] {
-				out.Max[ci] = p.max[ci]
-			}
-			out.Mean[ci] += p.sum[ci]
-			counts[ci] += int(p.count[ci])
-		}
+		p.mergeInto(out, &counts)
 	}
-	for ci := 0; ci < n; ci++ {
-		if counts[ci] == 0 {
-			out.Min[ci], out.Mean[ci], out.Max[ci] = math.NaN(), math.NaN(), math.NaN()
-			continue
-		}
-		out.Mean[ci] /= float64(counts[ci])
-	}
+	finishAggregates(out, &counts)
 }
 
 // computePartial fills p with tick's node-major aggregate for a window
-// starting at t0. Rows come from the sampler's shared row cache, so a
+// starting at t0. Rows come from the sampler's shared row store, so a
 // WindowAgg and direct aggregation queries feed each other's caches.
-func (w *WindowAgg) computePartial(tick int64, t0 float64, p *tickPartial) {
+// cursor is the loadsAt index the previous (earlier) tick stopped at; the
+// one this tick stopped at is returned.
+func (w *WindowAgg) computePartial(tick int64, t0 float64, cursor int, p *tickPartial) int {
 	s := w.s
-	n := len(s.schema)
 	p.tick = tick
 	p.set = true
-	for ci := 0; ci < n; ci++ {
-		p.min[ci] = math.Inf(1)
-		p.max[ci] = math.Inf(-1)
-		p.sum[ci] = 0
-		p.count[ci] = 0
-	}
+	p.reset()
 	tickT := float64(tick) * SamplePeriod
-	tickNet, tickFS := loadsAt(w.sliceBuf, tickT)
+	cursor, tickNet, tickFS := loadsAt(w.sliceBuf, cursor, tickT)
+	mayMiss := s.mayMiss()
 	minEffT := tickT
 	for _, node := range w.nodes {
-		row := s.rowFor(w.hist, w.sliceBuf, t0, tickT, tickNet, tickFS, node, tick)
+		row := s.rowFor(w.sliceBuf, t0, tickT, tickNet, tickFS, node, tick)
 		if row.effT < minEffT {
 			minEffT = row.effT
 		}
-		for ci := 0; ci < n; ci++ {
-			v := row.vals[ci]
-			if math.IsNaN(v) {
-				continue
-			}
-			if v < p.min[ci] {
-				p.min[ci] = v
-			}
-			if v > p.max[ci] {
-				p.max[ci] = v
-			}
-			p.sum[ci] += v
-			p.count[ci]++
-		}
+		p.add(&row.vals, mayMiss)
 	}
 	p.minEffT = minEffT
+	return cursor
 }
