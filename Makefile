@@ -112,12 +112,24 @@ bench-serve:
 # which also records the synthetic 4,096-node shape and the last
 # measured rows of the full-recompute reference executor) and inside a
 # 1.4M allocation budget (~2x the measured ~685k, so steady-state churn
-# stays pooled).
+# stays pooled). It also guards the unit of work a saturated machine is
+# made of: one contention change with 760 jobs running on Quartz and the
+# filesystem past its threshold (BenchmarkContentionChange) must stay
+# under 24µs, twice the measured ~12µs (the parent of the change that
+# cached the factors and batched the re-timing measured 25-30µs), and at
+# exactly one allocation, simnet.History's epoch copy: re-integrating
+# the jobs and rebuilding the event heap allocate nothing.
 bench-engine:
 	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkEngineMonth/quartz/fast' -benchtime 1x -benchmem -timeout 600s .); \
 	echo "$$out"; \
 	echo "$$out" | awk '/EngineMonth\/quartz\/fast/ { if ($$3+0 > 10000000000) { printf "bench-engine: month-long Quartz run regressed to %s ns/op (budget 10s)\n", $$3; exit 1 } }' || exit 1; \
 	echo "$$out" | awk '/EngineMonth\/quartz\/fast/ { for (i=1; i<NF; i++) if ($$(i+1) == "allocs/op") { if ($$i+0 > 1400000) { printf "bench-engine: month-long Quartz run regressed to %s allocs/op (budget 1400000)\n", $$i; exit 1 } } }' || exit 1
+	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkContentionChange/quartz/saturated' -benchmem .); \
+	echo "$$out"; \
+	sat=$$(echo "$$out" | grep 'ContentionChange/quartz/saturated'); \
+	[ -n "$$sat" ] || { echo "bench-engine: saturated contention-change benchmark did not run"; exit 1; }; \
+	echo "$$sat" | grep -q ' 1 allocs/op' || { echo "bench-engine: a contention change allocates beyond the history epoch (want 1 allocs/op)"; exit 1; }; \
+	echo "$$sat" | awk '{ if ($$3+0 > 24000) { printf "bench-engine: saturated contention change regressed to %s ns/op (budget 24000)\n", $$3; exit 1 } }'
 
 # bench-replay guards the long-horizon acceptance target: a year-long
 # ~1M-job workload streamed through the bounded-memory replay driver on

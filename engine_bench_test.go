@@ -15,8 +15,11 @@ import (
 	"rush/internal/apps"
 	"rush/internal/cluster"
 	"rush/internal/experiments"
+	"rush/internal/machine"
 	"rush/internal/sched"
 	"rush/internal/sim"
+	"rush/internal/simnet"
+	"rush/internal/telemetry"
 	"rush/internal/workload"
 )
 
@@ -90,4 +93,60 @@ func benchEngineMonth(b *testing.B, topo cluster.Topology) {
 func BenchmarkEngineMonth(b *testing.B) {
 	b.Run("quartz/fast", func(b *testing.B) { benchEngineMonth(b, cluster.Quartz()) })
 	b.Run("synthetic4096/fast", func(b *testing.B) { benchEngineMonth(b, cluster.Synthetic(4096, 512)) })
+}
+
+// BenchmarkContentionChange prices one contention change on a saturated
+// machine, the unit of work replay-saturated is made of: full Quartz
+// with 760 running jobs (the seven proxy apps on 1 to 8 nodes), the
+// filesystem held past its threshold by an ambient load, and a
+// job-sized load applied and withdrawn in turn, as a start and a finish
+// do. Every Apply and every Remove moves the filesystem factor, so each
+// is an all-lanes change: 760 slowdowns recomputed, 760 jobs integrated,
+// 760 completion events re-timed, and the event heap rebuilt when the
+// clock next moves. One op is one change. The one allocation per op is
+// simnet.History's copy of the pod loads for the new epoch; the machine
+// and the engine add none, and `make bench-engine` fails on a second.
+func BenchmarkContentionChange(b *testing.B) {
+	b.Run("quartz/saturated", func(b *testing.B) {
+		topo := cluster.Quartz()
+		eng := sim.New(7)
+		m, err := machine.New(eng, topo)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m.PoolJobs = true
+		profiles := apps.Defaults()
+		sizes := []int{1, 2, 4, 8}
+		for i := 0; i < 760; i++ {
+			alloc, err := m.Alloc.Alloc(sizes[i%len(sizes)])
+			if err != nil {
+				b.Fatal(err)
+			}
+			m.StartJob(profiles[i%len(profiles)], alloc, 1e12, nil)
+		}
+		m.NewBackground().Set(simnet.Contribution{FS: 1.0})
+		m.StartPruning(telemetry.WindowSeconds, 3*telemetry.WindowSeconds)
+		job := simnet.Contribution{PodNet: map[int]float64{3: 0.01}, FS: 0.004}
+		change := func(i int) {
+			if i&1 == 0 {
+				m.Net.Apply(job)
+			} else {
+				m.Net.Remove(job)
+			}
+			eng.RunUntil(eng.Now() + 1)
+		}
+		for i := 0; i < 64; i++ {
+			change(i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			change(i)
+		}
+		b.StopTimer()
+		if m.Running() != 760 {
+			b.Fatalf("%d jobs running, want 760", m.Running())
+		}
+		b.ReportMetric(760, "jobs/change")
+	})
 }

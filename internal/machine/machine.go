@@ -13,13 +13,31 @@
 // change (simnet.Change) names exactly the pods and globals whose
 // contention factor moved, so re-integration touches only the lanes that
 // can possibly be affected — O(changed) instead of O(running jobs) —
-// always in (pod, lane-position) order; see DisableFastPath for the
-// all-jobs oracle this is differenced against.
+// always in (pod, lane-position) order.
+//
+// # What a contention change costs
+//
+// A job's slowdown is (1 + NetSens*(net+core) + FSSens*fs) * jitter. The
+// network part, 1 + NetSens*(net+core), is cached on the job (netTerm):
+// StartJob sets it and a change that names one of the job's pods, or the
+// core links for a job that spans pods, refreshes it — nothing else can
+// move it. The filesystem factor is cached by simnet.State. A change of
+// the filesystem factor, which on a machine whose filesystem is past its
+// threshold is every start and every finish, therefore costs each
+// running job one multiply-add, one multiply and one compare, read from
+// the head of its RunningJob; a job whose slowdown did move integrates
+// its progress and re-times its completion event, and the machine tells
+// the engine beforehand (sim.Engine.BatchRearm) that it is about to
+// re-time every queued completion, so the engine rebuilds its heap once
+// instead of sifting once per job. See DisableFastPath for the oracle
+// all of this is differenced against: it recomputes every job's slowdown
+// from the raw loads and re-times one event at a time.
 package machine
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"rush/internal/apps"
@@ -31,6 +49,17 @@ import (
 
 // RunningJob tracks one executing job's integration state.
 type RunningJob struct {
+	// The eight words a contention change reads and writes per job come
+	// first, so that one cache line serves the re-integration loop.
+	jitter    float64    // per-run lognormal noise multiplier (>= ~1)
+	slowdown  float64    // current wall-seconds per base-work second
+	remaining float64    // seconds of base work left
+	lastT     float64    // time of last integration step
+	netTerm   float64    // 1 + netSens*(pod-network + core factor); see refreshNetTerm
+	netSens   float64    // Profile.NetSens
+	fsSens    float64    // Profile.FSSens
+	done      *sim.Event // completion event, allocated once per object
+
 	// ID is the machine-assigned run identifier.
 	ID int
 	// Profile is the application being run.
@@ -49,16 +78,10 @@ type RunningJob struct {
 	// the remaining work was lost.
 	Killed bool
 
-	jitter    float64 // per-run lognormal noise multiplier (>= ~1)
-	remaining float64 // seconds of base work left
-	slowdown  float64 // current wall-seconds per base-work second
-	lastT     float64 // time of last integration step
-	multiPod  bool    // allocation spans pods: core contention applies
-	done      *sim.Event
-	armed     bool   // done is queued to fire
-	fire      func() // stable completion callback, set once per object
-	contrib   simnet.Contribution
-	onDone    func(*RunningJob)
+	multiPod bool   // allocation spans pods: core contention applies
+	fire     func() // stable completion callback, set once per object
+	contrib  simnet.Contribution
+	onDone   func(*RunningJob)
 
 	pods      []int     // distinct pods touched, ascending
 	podCounts []float64 // nodes in each of pods, parallel slice
@@ -66,7 +89,6 @@ type RunningJob struct {
 	lane      int       // pod lane index, or -1 for the cross lane
 	laneIdx   int       // position in lanes[lane] (or cross)
 	crossIdx  []int     // positions in crossByPod[pods[i]], cross jobs only
-	mark      uint64    // dedup epoch for affected-set collection
 }
 
 // RunTime returns the job's realized wall-clock run time; it is only
@@ -83,9 +105,12 @@ type Machine struct {
 
 	// DisableFastPath routes every contention change through the
 	// reference executor, which recomputes every running job's slowdown
-	// machine-wide. It is the oracle the dirty-lane fast path is
-	// differential-tested against; simulations are bit-identical either
-	// way, the reference is just O(running jobs) per change.
+	// machine-wide from the raw loads (no cached factor, no cached
+	// network term) and re-times one completion at a time. It is the
+	// oracle the production path — dirty lanes, cached terms, batched
+	// re-timing — is differential-tested against; simulations are
+	// bit-identical either way, the reference is just O(running jobs)
+	// divisions and sifts per change.
 	DisableFastPath bool
 	// PoolJobs recycles RunningJob state (including the completion
 	// event and contribution map) across jobs, making steady-state job
@@ -104,10 +129,8 @@ type Machine struct {
 	cross      []*RunningJob   // jobs spanning pods
 	crossByPod [][]*RunningJob // cross jobs indexed by each pod they touch
 	nJobs      int
-	epoch      uint64 // affected-set dedup stamp; see RunningJob.mark
 
 	freeJobs   []*RunningJob // PoolJobs freelist
-	affected   []*RunningJob // scratch for change processing
 	podScratch map[int]int   // scratch for per-pod node counts
 }
 
@@ -163,6 +186,8 @@ func (m *Machine) StartJob(profile apps.Profile, alloc cluster.Allocation, baseW
 	rj.EndTime = math.NaN()
 	rj.Killed = false
 	rj.jitter = m.jitter.HashLogNormal(0, profile.Jitter, uint64(id))
+	rj.netSens = profile.NetSens
+	rj.fsSens = profile.FSSens
 	rj.remaining = baseWork
 	rj.lastT = m.Eng.Now()
 	rj.onDone = onDone
@@ -171,10 +196,16 @@ func (m *Machine) StartJob(profile apps.Profile, alloc cluster.Allocation, baseW
 	// Apply the job's own load first so that its slowdown includes the
 	// contention it creates (self-contention is real on shared fabrics).
 	// The job is not in a lane yet, so the change notification cannot
-	// re-integrate it before it has a slowdown.
+	// re-integrate it before it has a slowdown. A pooled object carries
+	// its previous job's network term: it is set here, never inherited.
 	m.Net.Apply(rj.contrib)
 	m.insert(rj)
-	rj.slowdown = m.currentSlowdown(rj)
+	m.refreshNetTerm(rj)
+	if m.DisableFastPath {
+		rj.slowdown = m.referenceSlowdown(rj)
+	} else {
+		rj.slowdown = slowdownAt(rj, m.Net.FSOverload())
+	}
 	m.scheduleCompletion(rj)
 	return rj
 }
@@ -269,13 +300,15 @@ func removeAt(s *[]*RunningJob, i int, fix func(*RunningJob, int)) {
 	*s = sl[:last]
 }
 
-// currentSlowdown evaluates a job's wall-per-work factor under the
-// present contention state, including its per-run jitter. Jobs spanning
-// several pods additionally feel core-link contention. The pod-network
-// term is the node-weighted mean contention factor over the job's pods,
-// computed in ascending pod order: O(pods touched) rather than O(nodes),
-// and bit-reproducible. Pure state read.
-func (m *Machine) currentSlowdown(rj *RunningJob) float64 {
+// refreshNetTerm recomputes the job's cached network term,
+// 1 + NetSens*(netOv + coreOv), from the present contention factors.
+// netOv is the node-weighted mean factor over the job's pods, summed in
+// ascending pod order: O(pods touched) rather than O(nodes), and
+// bit-reproducible; jobs spanning several pods additionally feel
+// core-link contention. The term depends on the factors of the job's own
+// pods and, for a multi-pod job, of the core links, and on nothing else
+// that changes while the job runs.
+func (m *Machine) refreshNetTerm(rj *RunningJob) {
 	var sum float64
 	for i, p := range rj.pods {
 		sum += rj.podCounts[i] * m.Net.NetOverload(p)
@@ -288,9 +321,49 @@ func (m *Machine) currentSlowdown(rj *RunningJob) float64 {
 	if rj.multiPod {
 		coreOv = m.Net.CoreOverload()
 	}
-	s := rj.Profile.SlowdownCore(netOv, coreOv, m.Net.FSOverload()) * rj.jitter
+	rj.netTerm = 1 + rj.netSens*(netOv+coreOv)
+}
+
+// slowdownAt evaluates a job's wall-per-work factor from its cached
+// network term and the given filesystem factor, including its per-run
+// jitter: the operations of apps.Profile.SlowdownCore times jitter in
+// the same order, so the same bits (referenceSlowdown is the uncached
+// form).
+func slowdownAt(rj *RunningJob, fsOv float64) float64 {
+	s := (rj.netTerm + rj.fsSens*fsOv) * rj.jitter
 	if s < 1e-6 {
-		panic(fmt.Sprintf("machine: degenerate slowdown %v", s))
+		degenerate(s)
+	}
+	return s
+}
+
+// degenerate is kept out of line so that slowdownAt inlines into the
+// re-integration loop.
+//
+//go:noinline
+func degenerate(s float64) {
+	panic(fmt.Sprintf("machine: degenerate slowdown %v", s))
+}
+
+// referenceSlowdown is the reference executor's slowdown: everything
+// from scratch — Overload of each raw load, the profile's own formula —
+// with no state read that the production path caches.
+func (m *Machine) referenceSlowdown(rj *RunningJob) float64 {
+	var sum float64
+	for i, p := range rj.pods {
+		sum += rj.podCounts[i] * simnet.Overload(m.Net.NetLoad(p))
+	}
+	netOv := 0.0
+	if rj.nNodes > 0 {
+		netOv = sum / rj.nNodes
+	}
+	coreOv := 0.0
+	if rj.multiPod {
+		coreOv = simnet.Overload(m.Net.CoreLoad())
+	}
+	s := rj.Profile.SlowdownCore(netOv, coreOv, simnet.Overload(m.Net.FSLoad())) * rj.jitter
+	if s < 1e-6 {
+		degenerate(s)
 	}
 	return s
 }
@@ -311,7 +384,9 @@ func (m *Machine) advance(rj *RunningJob) {
 // scheduleCompletion (re)arms the job's completion event at the
 // projected finish instant. The event object is allocated once per
 // RunningJob and re-timed in place (sim.Engine.Rearm) on every
-// reschedule, so mid-flight contention changes cost no allocations.
+// reschedule, so mid-flight contention changes cost no allocations;
+// whether the engine sifts the event now or rebuilds its heap later is
+// the engine's business (sim.Engine.BatchRearm).
 func (m *Machine) scheduleCompletion(rj *RunningJob) {
 	t := m.Eng.Now() + rj.remaining*rj.slowdown
 	if rj.done == nil {
@@ -319,13 +394,11 @@ func (m *Machine) scheduleCompletion(rj *RunningJob) {
 	} else {
 		m.Eng.Rearm(rj.done, t)
 	}
-	rj.armed = true
 }
 
 func (m *Machine) complete(rj *RunningJob) {
 	m.advance(rj)
 	rj.EndTime = m.Eng.Now()
-	rj.armed = false
 	m.removeJob(rj)
 	m.Alloc.Free(rj.Alloc)
 	m.Net.Remove(rj.contrib)
@@ -395,10 +468,9 @@ func (m *Machine) RestoreNode(node cluster.NodeID) error {
 // withdrawn before onDone fires.
 func (m *Machine) kill(rj *RunningJob) {
 	m.advance(rj)
-	if rj.armed {
-		m.Eng.Cancel(rj.done)
-		rj.armed = false
-	}
+	// A job in a lane always has its completion queued: StartJob queues
+	// it before the job can be found and complete leaves the lane.
+	m.Eng.Cancel(rj.done)
 	rj.EndTime = m.Eng.Now()
 	rj.Killed = true
 	m.removeJob(rj)
@@ -418,6 +490,15 @@ func (m *Machine) kill(rj *RunningJob) {
 // and are skipped. Progress is integrated lazily, at slowdown changes
 // only, in both this and the reference path — identical float operation
 // sequences, hence identical trajectories.
+//
+// The lanes and cross jobs named under Pods and Core get their cached
+// network term refreshed; every other job's term is still exact. A
+// filesystem change then visits every lane in (pod, lane-position) order
+// and the cross lane after them; any other change re-integrates the
+// named jobs as it refreshes them. A cross job is listed under every pod
+// it touches and again in the cross lane, so a change may meet it more
+// than once: the later meetings recompute the slowdown it was just
+// given and leave it alone.
 func (m *Machine) onNetChange(ch simnet.Change) {
 	if m.updates {
 		return // a re-integration never changes load; guard anyway
@@ -431,60 +512,66 @@ func (m *Machine) onNetChange(ch simnet.Change) {
 	if ch.Empty() {
 		return
 	}
-	aff := m.affected[:0]
-	m.epoch++
+	fsOv := m.Net.FSOverload()
+	for _, p := range ch.Pods {
+		m.renew(m.lanes[p], fsOv, !ch.FS)
+		m.renew(m.crossByPod[p], fsOv, !ch.FS)
+	}
+	if ch.Core {
+		m.renew(m.cross, fsOv, !ch.FS)
+	}
 	if ch.FS {
-		// Every job feels filesystem contention: all lanes are affected.
+		// Every job feels filesystem contention, and nearly every one
+		// will be re-timed: let the engine rebuild its heap once.
+		m.Eng.BatchRearm(m.nJobs)
 		for _, lane := range m.lanes {
-			aff = append(aff, lane...)
-		}
-		aff = append(aff, m.cross...)
-	} else {
-		for _, p := range ch.Pods {
-			aff = append(aff, m.lanes[p]...)
-			for _, rj := range m.crossByPod[p] {
-				if rj.mark != m.epoch {
-					rj.mark = m.epoch
-					aff = append(aff, rj)
-				}
+			for _, rj := range lane {
+				m.setSlowdown(rj, slowdownAt(rj, fsOv))
 			}
 		}
-		if ch.Core {
-			for _, rj := range m.cross {
-				if rj.mark != m.epoch {
-					rj.mark = m.epoch
-					aff = append(aff, rj)
-				}
-			}
+		for _, rj := range m.cross {
+			m.setSlowdown(rj, slowdownAt(rj, fsOv))
 		}
 	}
-	m.affected = aff
-	m.reintegrate(aff)
+}
+
+// renew refreshes the cached network term of every job in lane, whose
+// pod or core factor has moved, and re-integrates each unless a sweep of
+// all lanes is about to.
+func (m *Machine) renew(lane []*RunningJob, fsOv float64, reintegrate bool) {
+	for _, rj := range lane {
+		m.refreshNetTerm(rj)
+		if reintegrate {
+			m.setSlowdown(rj, slowdownAt(rj, fsOv))
+		}
+	}
+}
+
+// setSlowdown is the one place a running job changes pace: if sd differs
+// from the job's slowdown it integrates the job's progress so far under
+// the old one and re-times its completion under the new. A job whose
+// slowdown is unchanged is left alone entirely: integrating it anyway
+// would split one subtraction from remaining into two and round
+// differently.
+func (m *Machine) setSlowdown(rj *RunningJob, sd float64) {
+	if sd != rj.slowdown {
+		m.advance(rj)
+		rj.slowdown = sd
+		m.scheduleCompletion(rj)
+	}
 }
 
 // reintegrateAll is the reference executor: recompute every running job
-// machine-wide, in (pod, lane-position) order then the cross lane — the
-// same relative order the fast path visits any subset in.
+// machine-wide from the raw loads, in (pod, lane-position) order then
+// the cross lane, re-timing one completion event at a time.
 func (m *Machine) reintegrateAll() {
-	aff := m.affected[:0]
 	for _, lane := range m.lanes {
-		aff = append(aff, lane...)
-	}
-	aff = append(aff, m.cross...)
-	m.affected = aff
-	m.reintegrate(aff)
-}
-
-// reintegrate recomputes the affected jobs' slowdowns in collection
-// order and, for each job whose slowdown actually moved, integrates its
-// progress so far and re-arms its completion.
-func (m *Machine) reintegrate(aff []*RunningJob) {
-	for _, rj := range aff {
-		if sd := m.currentSlowdown(rj); sd != rj.slowdown {
-			m.advance(rj)
-			rj.slowdown = sd
-			m.scheduleCompletion(rj)
+		for _, rj := range lane {
+			m.setSlowdown(rj, m.referenceSlowdown(rj))
 		}
+	}
+	for _, rj := range m.cross {
+		m.setSlowdown(rj, m.referenceSlowdown(rj))
 	}
 }
 
@@ -532,11 +619,16 @@ type Noise struct {
 	m       *Machine
 	cfg     apps.Noise
 	alloc   cluster.Allocation
+	census  []podNodes // the allocation's node count per pod it touches
 	rng     *sim.Source
 	current simnet.Contribution
 	active  bool
 	phase   *sim.Event
 }
+
+// podNodes is one entry of a node census: how many nodes of an
+// allocation sit in pod.
+type podNodes struct{ pod, nodes int }
 
 // StartNoise allocates cfg.NodeFraction of the machine's nodes and begins
 // cycling load phases. It returns an error when the nodes cannot be
@@ -551,6 +643,18 @@ func (m *Machine) StartNoise(cfg apps.Noise) (*Noise, error) {
 		return nil, fmt.Errorf("machine: noise job: %w", err)
 	}
 	nz := &Noise{m: m, cfg: cfg, alloc: alloc, rng: m.rng.Derive("noise"), active: true}
+	// The allocation never changes, so its per-pod node census is taken
+	// once; every phase spreads its level over the same pods.
+	for _, node := range alloc.Nodes {
+		p := m.Topo.PodOf(node)
+		i := slices.IndexFunc(nz.census, func(c podNodes) bool { return c.pod == p })
+		if i < 0 {
+			i = len(nz.census)
+			nz.census = append(nz.census, podNodes{pod: p})
+		}
+		nz.census[i].nodes++
+	}
+	nz.current.PodNet = make(map[int]float64, len(nz.census))
 	nz.nextPhase()
 	return nz, nil
 }
@@ -562,18 +666,25 @@ func (nz *Noise) nextPhase() {
 	if !nz.active {
 		return
 	}
-	// Withdraw the previous phase's load, draw a new level, apply it.
-	// The contribution map and the phase event are reused across phases,
-	// so a month of noise cycling stays allocation-bounded.
+	// Withdraw the previous phase's load, draw a new level, apply it:
+	// two mutations, not one merged delta — a job whose factor goes
+	// s -> s' -> s is re-timed twice, from an advanced remaining, and
+	// merging would skip it. The contribution map and the phase event
+	// are reused across phases, so a month of noise cycling stays
+	// allocation-bounded.
 	nz.m.Net.Remove(nz.current)
 	level := nz.rng.Uniform(0, nz.cfg.MaxLoad)
-	if nz.current.PodNet == nil {
-		nz.current.PodNet = make(map[int]float64, 4)
-	} else {
-		clear(nz.current.PodNet)
-	}
-	for _, node := range nz.alloc.Nodes {
-		nz.current.PodNet[nz.m.Topo.PodOf(node)] += level / float64(len(nz.alloc.Nodes))
+	// Each node adds level/nodes to its pod's load. A pod's load is that
+	// share added once per node it holds, accumulated here in a local —
+	// the additions a per-node walk over the map performs, in the same
+	// order, so the same float — and stored with one map write per pod.
+	share := level / float64(len(nz.alloc.Nodes))
+	for _, c := range nz.census {
+		var load float64
+		for k := 0; k < c.nodes; k++ {
+			load += share
+		}
+		nz.current.PodNet[c.pod] = load
 	}
 	nz.current.FS = level * nz.cfg.FSFraction
 	nz.m.Net.Apply(nz.current)

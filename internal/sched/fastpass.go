@@ -76,8 +76,8 @@ func (s *Scheduler) beforeR2(a, b *Job) bool {
 }
 
 // fastInsert places j into both maintained orders (queue by beforeR1, q2
-// by beforeR2) and refreshes the skip-table blocks the q2 shift touched.
-// Cost: O(log Q) comparisons plus the memmoves.
+// by beforeR2) and carries the skip table across the q2 shift (see
+// shiftBlocks). Cost: O(log Q) comparisons plus the memmoves.
 func (s *Scheduler) fastInsert(j *Job) {
 	lo, hi := 0, len(s.queue)
 	for lo < hi {
@@ -104,13 +104,13 @@ func (s *Scheduler) fastInsert(j *Job) {
 	s.q2 = append(s.q2, nil)
 	copy(s.q2[lo+1:], s.q2[lo:])
 	s.q2[lo] = j
-	s.refreshBlocks(lo)
+	s.shiftBlocks(lo, true)
 }
 
 // fastRemove deletes j from both maintained orders by binary search —
 // the (policy, seq) orders are strict and total, so j's position is
-// found without a linear scan — and refreshes the trailing skip-table
-// blocks.
+// found without a linear scan — and carries the skip table across the
+// q2 shift (see shiftBlocks).
 func (s *Scheduler) fastRemove(j *Job) {
 	lo, hi := 0, len(s.queue)
 	for lo < hi {
@@ -139,15 +139,12 @@ func (s *Scheduler) fastRemove(j *Job) {
 		panic(fmt.Sprintf("sched: job %d not at its candidate order position (policy key mutated while queued?)", j.ID))
 	}
 	s.q2 = append(s.q2[:lo], s.q2[lo+1:]...)
-	s.refreshBlocks(lo)
+	s.shiftBlocks(lo, false)
 }
 
-// refreshBlocks recomputes the q2 skip-table minima for every block from
-// the one containing position pos to the end (an insert or remove at pos
-// shifts everything behind it across block boundaries). The work is a
-// linear sweep over the shifted suffix — the same order of cost as the
-// memmove that made it necessary.
-func (s *Scheduler) refreshBlocks(pos int) {
+// sizeBlocks gives the skip table one entry per q2 block, growing the
+// backing arrays geometrically and keeping the entries already there.
+func (s *Scheduler) sizeBlocks() int {
 	nb := (len(s.q2) + blockSize - 1) / blockSize
 	if cap(s.blkNodes) < nb {
 		bn := make([]int, nb, 2*nb)
@@ -159,22 +156,79 @@ func (s *Scheduler) refreshBlocks(pos int) {
 	}
 	s.blkNodes = s.blkNodes[:nb]
 	s.blkEst = s.blkEst[:nb]
-	for b := pos / blockSize; b < nb; b++ {
-		end := (b + 1) * blockSize
-		if end > len(s.q2) {
-			end = len(s.q2)
+	return nb
+}
+
+// refreshBlock recomputes block b's (min nodes, min estimate) pair from
+// its members.
+func (s *Scheduler) refreshBlock(b int) {
+	end := (b + 1) * blockSize
+	if end > len(s.q2) {
+		end = len(s.q2)
+	}
+	minN, minE := int(math.MaxInt32), math.Inf(1)
+	for _, c := range s.q2[b*blockSize : end] {
+		if c.Nodes < minN {
+			minN = c.Nodes
 		}
-		minN, minE := int(math.MaxInt32), math.Inf(1)
-		for k := b * blockSize; k < end; k++ {
-			if s.q2[k].Nodes < minN {
-				minN = s.q2[k].Nodes
+		if c.Estimate < minE {
+			minE = c.Estimate
+		}
+	}
+	s.blkNodes[b] = minN
+	s.blkEst[b] = minE
+}
+
+// refreshBlocks recomputes the whole skip table from q2.
+func (s *Scheduler) refreshBlocks() {
+	nb := s.sizeBlocks()
+	for b := 0; b < nb; b++ {
+		s.refreshBlock(b)
+	}
+}
+
+// shiftBlocks brings the skip table up to date after q2 gained
+// (inserted) or lost one element at position pos. The block holding pos
+// is recomputed. Every later block kept all its members but one: the
+// shift carried one element out over one boundary and one in over the
+// other (out of the front and in at the back for a removal, the reverse
+// for an insert). Its minima therefore stand unless the departing
+// element held one of them — then the block is recomputed — and need
+// only be folded with the arriving element. A block the shift created is
+// recomputed too; one it emptied is dropped by the resize. The result is
+// the table a full recomputation gives, for the price of two
+// dereferences per block instead of blockSize.
+func (s *Scheduler) shiftBlocks(pos int, inserted bool) {
+	old := len(s.blkNodes)
+	nb := s.sizeBlocks()
+	b := pos / blockSize
+	if b < nb {
+		s.refreshBlock(b)
+	}
+	for b++; b < nb; b++ {
+		// After an insert the element that left block b over its back
+		// boundary now leads block b+1 and the one that arrived leads
+		// block b; after a removal the one that left over the front
+		// boundary now closes block b-1 and the one that arrived closes
+		// block b. The last block may have nobody leaving (insert) or
+		// nobody arriving (removal).
+		out, in := (b+1)*blockSize, b*blockSize
+		if !inserted {
+			out, in = b*blockSize-1, (b+1)*blockSize-1
+		}
+		if b >= old || (out < len(s.q2) && (s.q2[out].Nodes <= s.blkNodes[b] || s.q2[out].Estimate <= s.blkEst[b])) {
+			s.refreshBlock(b)
+			continue
+		}
+		if in < len(s.q2) {
+			c := s.q2[in]
+			if c.Nodes < s.blkNodes[b] {
+				s.blkNodes[b] = c.Nodes
 			}
-			if s.q2[k].Estimate < minE {
-				minE = s.q2[k].Estimate
+			if c.Estimate < s.blkEst[b] {
+				s.blkEst[b] = c.Estimate
 			}
 		}
-		s.blkNodes[b] = minN
-		s.blkEst[b] = minE
 	}
 }
 
@@ -199,7 +253,7 @@ func (s *Scheduler) rebuildFast() {
 	sort.Sort(&fastSorter{jobs: s.queue, before: s.beforeR1})
 	s.q2 = append(s.q2[:0], s.queue...)
 	sort.Sort(&fastSorter{jobs: s.q2, before: s.beforeR2})
-	s.refreshBlocks(0)
+	s.refreshBlocks()
 	s.fastValid = true
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"rush/internal/cluster"
@@ -499,5 +500,67 @@ func TestConservativePassZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("conservative Pass allocated %.1f times per run with a nil observer; want 0", allocs)
+	}
+}
+
+// TestSkipTableShiftMatchesRecompute pins the incremental skip-table
+// maintenance: after every insert and every removal, at positions drawn
+// over the whole queue, the table equals the one recomputed from q2 from
+// scratch — through growth past several block boundaries, a drain to
+// empty and growth again. Node counts and estimates are drawn once from
+// many values, so that a block's minimum is held by one member and an
+// arriving element often sets a new one, and once from few, so that
+// minima are tied and the departing element often holds one.
+func TestSkipTableShiftMatchesRecompute(t *testing.T) {
+	type shape struct {
+		backfill Policy
+		values   int
+	}
+	for _, sh := range []shape{{FCFS{}, 400}, {SJF{}, 400}, {FCFS{}, 4}, {SJF{}, 4}} {
+		backfill := sh.backfill
+		s, err := NewScheduler(Config{Machine: testMachine(512), Backfill: backfill})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := sim.NewSource(31).Derive("skiptable")
+		var queued []*Job
+		check := func(step int, op string) {
+			t.Helper()
+			gotN := append([]int(nil), s.blkNodes...)
+			gotE := append([]float64(nil), s.blkEst...)
+			s.refreshBlocks()
+			if !slices.Equal(gotN, s.blkNodes) || !slices.Equal(gotE, s.blkEst) {
+				t.Fatalf("%T/%d values, step %d after %s (queue %d): table\n nodes %v\n est   %v\nrecomputed\n nodes %v\n est   %v",
+					backfill, sh.values, step, op, len(s.q2), gotN, gotE, s.blkNodes, s.blkEst)
+			}
+		}
+		id := 0
+		// Grow to ~6 blocks, churn, drain, grow again.
+		phase := func(steps int, pInsert float64) {
+			for i := 0; i < steps; i++ {
+				if len(queued) == 0 || rng.Float64() < pInsert {
+					id++
+					est := float64(100 * (1 + rng.Intn(sh.values)))
+					j := &Job{ID: id, App: steadyApp(), Nodes: 1 + rng.Intn(sh.values), BaseWork: est / 1.2, Estimate: est,
+						SubmitTime: float64(rng.Intn(50))}
+					s.enqueue(j)
+					queued = append(queued, j)
+					check(i, "insert")
+				} else {
+					k := rng.Intn(len(queued))
+					s.removeQueued(queued[k])
+					queued[k] = queued[len(queued)-1]
+					queued = queued[:len(queued)-1]
+					check(i, "remove")
+				}
+			}
+		}
+		phase(600, 0.7)
+		phase(2000, 0.5)
+		phase(1500, 0.1)
+		phase(400, 0.8)
+		if len(s.q2) != len(queued) {
+			t.Fatalf("q2 holds %d jobs, expected %d", len(s.q2), len(queued))
+		}
 	}
 }

@@ -9,11 +9,17 @@
 // bit-for-bit.
 //
 // The queue is an inline index-aware 4-ary min-heap (see heap.go): no
-// interface boxing, and Rearm re-times a queued event with one in-place
-// O(log n) sift, so the per-event bookkeeping that bounds long-horizon
-// replays is a handful of pointer moves. Fire-and-forget callbacks can
-// additionally be pooled with ScheduleOnce, which recycles the event
-// allocation after the callback runs.
+// interface boxing, and Rearm re-times a queued event in place. A lone
+// re-timing costs one O(log n) sift. A caller about to re-time a large
+// share of the queue at one instant — a machine whose filesystem factor
+// moved re-times every running job's completion — says so with
+// BatchRearm, and the engine then only writes the new keys and restores
+// heap order once, with a bottom-up O(n) pass, before the next event is
+// popped. The pop order is a function of the queued (Time, band, seq)
+// keys alone, so which of the two happened cannot be observed.
+// Fire-and-forget callbacks can additionally be pooled with
+// ScheduleOnce, which recycles the event allocation after the callback
+// runs.
 package sim
 
 import (
@@ -51,6 +57,11 @@ type Engine struct {
 	fired  uint64
 	free   []*Event // ScheduleOnce freelist
 
+	// unordered is set by BatchRearm and cleared by settle: while it is
+	// set the queue holds the right events with the right keys and index
+	// fields but is not in heap order, and every mutation is O(1).
+	unordered bool
+
 	cScheduled *obs.Counter
 	cFired     *obs.Counter
 }
@@ -67,8 +78,8 @@ func (e *Engine) Now() float64 { return e.now }
 // Fired returns the number of events processed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of events still queued (including cancelled
-// events that have not yet been discarded).
+// Pending returns the number of events still queued. Cancel takes an
+// event out of the queue at once, so cancelled events are never counted.
 func (e *Engine) Pending() int { return len(e.events) }
 
 // Source returns the engine's root random source.
@@ -106,7 +117,7 @@ func (e *Engine) ScheduleOnce(delay float64, fn func()) {
 	ev.seq = e.seq
 	e.seq++
 	ev.pooled = true
-	e.events.push(ev)
+	e.enqueue(ev)
 	e.cScheduled.Inc()
 }
 
@@ -147,9 +158,19 @@ func (e *Engine) at(t float64, fn func(), front bool) *Event {
 	}
 	ev := &Event{Time: t, Fn: fn, seq: e.seq, front: front}
 	e.seq++
-	e.events.push(ev)
+	e.enqueue(ev)
 	e.cScheduled.Inc()
 	return ev
+}
+
+// enqueue adds ev to the queue, in heap order unless a batch has left
+// the queue unordered anyway.
+func (e *Engine) enqueue(ev *Event) {
+	if e.unordered {
+		e.events.add(ev)
+	} else {
+		e.events.push(ev)
+	}
 }
 
 // Rearm re-times ev to fire at absolute virtual time t, which must not
@@ -157,7 +178,8 @@ func (e *Engine) at(t float64, fn func(), front bool) *Event {
 // At(t, ev.Fn) — the event receives a fresh sequence number, so its
 // tie-break position among same-time events is exactly as if it had
 // been newly scheduled — but reuses ev's allocation; a queued event is
-// re-sifted in place (O(log n), no pop/push pair). Rearm works on
+// re-keyed in place (one O(log n) sift, no pop/push pair; inside a
+// batch announced with BatchRearm, no sift at all). Rearm works on
 // queued, cancelled, and already-fired events alike, which lets a
 // long-lived process (a job's completion event, a periodic sampler, a
 // streaming submission feeder) drive the whole simulation from a single
@@ -170,12 +192,52 @@ func (e *Engine) Rearm(ev *Event, t float64) {
 	ev.seq = e.seq
 	e.seq++
 	ev.cancelled = false
-	if ev.index >= 0 {
+	if ev.index < 0 {
+		e.enqueue(ev)
+	} else if !e.unordered {
 		e.events.fix(ev.index)
-	} else {
-		e.events.push(ev)
 	}
 	e.cScheduled.Inc()
+}
+
+// batchShare is the batch size, as a share of the queue, from which one
+// bottom-up rebuild of the heap is taken to be cheaper than one sift per
+// re-timed event: a quarter. The rebuild costs about five comparisons
+// for each of the queue's n/4 inner slots whatever the batch; a sift
+// costs from two comparisons (the event stays put) to five per level.
+const batchShare = 4
+
+// BatchRearm announces that the caller is about to re-time up to n
+// events with Rearm at the current instant. It is a statement about
+// cost only and is equivalent to not making it: the Rearm calls that
+// follow hand out the same sequence numbers, count the same
+// sim_events_scheduled_total and leave the same (Time, band, seq) keys
+// queued as they would have unannounced, and the order in which events
+// fire is a function of those keys alone (see heap.go).
+//
+// When n is at least a quarter of the queue the engine stops keeping
+// heap order: Rearm, At, ScheduleOnce and Cancel only write keys and
+// move slots, each in O(1), until the next Step or RunUntil restores
+// the order of the whole queue with one bottom-up pass before it pops.
+// Several announcements before that Step — a job finishing and the
+// scheduling pass it triggers starting three more are four contention
+// changes — share the one rebuild. Below a quarter the call does
+// nothing and each Rearm sifts as usual, so a caller may announce an
+// upper bound it has already paid O(n) to walk: the rebuild is at most
+// four times that.
+func (e *Engine) BatchRearm(n int) {
+	if n*batchShare >= len(e.events) {
+		e.unordered = true
+	}
+}
+
+// settle restores heap order if a batch suspended it. Every read of the
+// queue's minimum goes through it.
+func (e *Engine) settle() {
+	if e.unordered {
+		e.unordered = false
+		e.events.heapify()
+	}
 }
 
 // Cancel prevents ev from firing. Cancelling an already-fired or
@@ -185,7 +247,12 @@ func (e *Engine) Cancel(ev *Event) {
 		return
 	}
 	ev.cancelled = true
-	if ev.index >= 0 {
+	if ev.index < 0 {
+		return
+	}
+	if e.unordered {
+		e.events.take(ev.index)
+	} else {
 		e.events.remove(ev.index)
 	}
 }
@@ -193,26 +260,26 @@ func (e *Engine) Cancel(ev *Event) {
 // Step fires the next pending event and returns true, or returns false if
 // no events remain.
 func (e *Engine) Step() bool {
-	for len(e.events) > 0 {
-		ev := e.events.popMin()
-		if ev.cancelled {
-			continue
-		}
-		e.now = ev.Time
-		e.fired++
-		e.cFired.Inc()
-		fn := ev.Fn
-		if ev.pooled {
-			// Recycle before the callback runs so fn can immediately
-			// reuse the slot for its own ScheduleOnce; the event carries
-			// no state the callback could observe.
-			*ev = Event{}
-			e.free = append(e.free, ev)
-		}
-		fn()
-		return true
+	if len(e.events) == 0 {
+		return false
 	}
-	return false
+	e.settle()
+	// A queued event is never a cancelled one: Cancel dequeues at once
+	// and Rearm clears the flag before it queues.
+	ev := e.events.popMin()
+	e.now = ev.Time
+	e.fired++
+	e.cFired.Inc()
+	fn := ev.Fn
+	if ev.pooled {
+		// Recycle before the callback runs so fn can immediately
+		// reuse the slot for its own ScheduleOnce; the event carries
+		// no state the callback could observe.
+		*ev = Event{}
+		e.free = append(e.free, ev)
+	}
+	fn()
+	return true
 }
 
 // Run fires events until none remain.
@@ -225,8 +292,8 @@ func (e *Engine) Run() {
 // Events scheduled at exactly t do fire.
 func (e *Engine) RunUntil(t float64) {
 	for len(e.events) > 0 {
-		next := e.peek()
-		if next == nil || next.Time > t {
+		e.settle()
+		if e.events[0].Time > t {
 			break
 		}
 		e.Step()
@@ -234,15 +301,4 @@ func (e *Engine) RunUntil(t float64) {
 	if t > e.now {
 		e.now = t
 	}
-}
-
-func (e *Engine) peek() *Event {
-	for len(e.events) > 0 {
-		if e.events[0].cancelled {
-			e.events.popMin()
-			continue
-		}
-		return e.events[0]
-	}
-	return nil
 }

@@ -53,10 +53,19 @@ func (h *refHeap) Pop() any {
 
 // TestHeapMatchesContainerHeapReference drives the inline 4-ary heap and
 // the container/heap reference with an identical randomized stream of
-// push / re-key (Rearm's fix) / remove (Cancel) / pop operations — well
-// over 10k events — and requires the pop sequences to be identical at
-// every step. Because (time, front, seq) is a total order, any
-// divergence is a sift bug, not a legitimate tie.
+// push / re-key (Rearm's fix) / remove (Cancel) / pop / batch re-key
+// operations — well over 10k events — and requires the pop sequences to
+// be identical at every step. Because (time, front, seq) is a total
+// order, any divergence is a sift bug, not a legitimate tie.
+//
+// A batch re-keys a random subset — one event, some, or the whole queue
+// — the way a run of Rearm calls inside Engine.BatchRearm does: keys
+// written in place with no sift, popped and removed events brought back
+// by add, then one heapify; the reference gets the same keys one
+// heap.Fix or heap.Push at a time. A third of the batches draw their
+// times from a handful of whole numbers, so that equal times occur
+// inside a batch, across batches and across bands, and the order falls
+// to band and seq.
 func TestHeapMatchesContainerHeapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var fast eventHeap
@@ -66,7 +75,7 @@ func TestHeapMatchesContainerHeapReference(t *testing.T) {
 		ev *Event
 		nd *refNode
 	}
-	var live []pair
+	var live, dead []pair
 	var seq uint64
 	nextID := 0
 
@@ -81,9 +90,72 @@ func TestHeapMatchesContainerHeapReference(t *testing.T) {
 		heap.Push(&ref, nd)
 		live = append(live, pair{ev, nd})
 	}
+	checkIndex := func(step int) {
+		t.Helper()
+		for j, ev := range fast {
+			if ev.index != j {
+				t.Fatalf("step %d: slot %d holds event with index %d", step, j, ev.index)
+			}
+		}
+		for _, p := range dead {
+			if p.ev.index != -1 {
+				t.Fatalf("step %d: dequeued event has index %d", step, p.ev.index)
+			}
+		}
+	}
+	batch := func(step int) {
+		// Subset size: 1, the whole queue, or anything between; plus up
+		// to a few dequeued events revived.
+		k := 1 + rng.Intn(len(live))
+		switch rng.Intn(4) {
+		case 0:
+			k = 1
+		case 1:
+			k = len(live)
+		}
+		rng.Shuffle(len(live), func(a, b int) { live[a], live[b] = live[b], live[a] })
+		revive := 0
+		if len(dead) > 0 {
+			revive = rng.Intn(4)
+			if revive > len(dead) {
+				revive = len(dead)
+			}
+		}
+		coarse := rng.Intn(3) == 0
+		rekey := func(p pair) {
+			tm := rng.Float64() * 1000
+			if coarse {
+				tm = float64(rng.Intn(6))
+			}
+			p.ev.Time, p.ev.seq = tm, seq
+			p.nd.time, p.nd.seq = tm, seq
+			seq++
+		}
+		// Interleave revivals with in-place re-keys, as a batch whose
+		// caller re-arms fired and cancelled events among queued ones.
+		for i, r := 0, 0; i < k || r < revive; {
+			if r < revive && (i >= k || rng.Intn(2) == 0) {
+				p := dead[len(dead)-1]
+				dead = dead[:len(dead)-1]
+				rekey(p)
+				fast.add(p.ev)
+				heap.Push(&ref, p.nd)
+				live = append(live, p)
+				r++
+				continue
+			}
+			rekey(live[i])
+			heap.Fix(&ref, live[i].nd.pos)
+			i++
+		}
+		fast.heapify()
+		checkIndex(step)
+	}
 
 	for i := 0; i < 40000; i++ {
-		switch op := rng.Intn(10); {
+		switch op := rng.Intn(11); {
+		case op == 10 && len(live) > 0:
+			batch(i)
 		case op < 4 || len(live) == 0:
 			push()
 		case op < 6: // re-key in place, as Rearm does
@@ -102,6 +174,7 @@ func TestHeapMatchesContainerHeapReference(t *testing.T) {
 			p := live[k]
 			fast.remove(p.ev.index)
 			heap.Remove(&ref, p.nd.pos)
+			dead = append(dead, p)
 			live[k] = live[len(live)-1]
 			live = live[:len(live)-1]
 		default: // pop both, compare identity
@@ -113,6 +186,7 @@ func TestHeapMatchesContainerHeapReference(t *testing.T) {
 			}
 			for k := range live {
 				if live[k].ev == gotEv {
+					dead = append(dead, live[k])
 					live[k] = live[len(live)-1]
 					live = live[:len(live)-1]
 					break
@@ -127,7 +201,7 @@ func TestHeapMatchesContainerHeapReference(t *testing.T) {
 	for len(fast) > 0 {
 		gotEv := fast.popMin()
 		gotNd := heap.Pop(&ref).(*refNode)
-		if gotEv.Time != gotNd.time || gotEv.seq != gotNd.seq {
+		if gotEv.Time != gotNd.time || gotEv.seq != gotNd.seq || gotEv.front != gotNd.front {
 			t.Fatalf("drain: pop mismatch: fast (t=%v seq=%d) vs ref (t=%v seq=%d)",
 				gotEv.Time, gotEv.seq, gotNd.time, gotNd.seq)
 		}

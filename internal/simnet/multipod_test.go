@@ -227,3 +227,123 @@ func TestReentrantMutationPanics(t *testing.T) {
 	}()
 	s.Apply(Contribution{FS: 0.2})
 }
+
+// TestCachedFactorsTrackLoads is the property test for the contention
+// factors the state keeps beside its loads: after every one of a long
+// random sequence of Apply and Remove calls — removals in an order
+// other than the applications', so that float residues around zero
+// appear and the clamp fires — every factor the state serves equals
+// Overload of the load it serves, AllocNetOverload equals the
+// node-weighted mean of those, and the Change handed to subscribers
+// names exactly the resources whose factor differs from before the
+// call: no resource missed, none named whose factor stood still.
+func TestCachedFactorsTrackLoads(t *testing.T) {
+	s, now := multiPodState(t)
+	topo := s.Topology()
+	pods := topo.Pods()
+	rng := sim.NewSource(23)
+
+	var got Change
+	var gotPods []int
+	notified := 0
+	s.SubscribeChanges(func(ch Change) {
+		notified++
+		gotPods = append(gotPods[:0], ch.Pods...)
+		got = ch
+	})
+	alloc := cluster.Allocation{Nodes: []cluster.NodeID{3, 4, 600, 601, 602, 4000}}
+
+	// Loads are drawn from multiples of a tenth: their sums sit on and
+	// around the 0.65 threshold and leave residues when withdrawn in
+	// another order.
+	tenth := func(max int) float64 { return float64(rng.Intn(max+1)) / 10 }
+	var applied []Contribution
+	clamped, moved, still := 0, 0, 0
+	for step := 0; step < 6000; step++ {
+		*now = float64(step)
+		before := make([]float64, pods)
+		for p := range before {
+			before[p] = Overload(s.NetLoad(p))
+		}
+		beforeCore, beforeFS := Overload(s.CoreLoad()), Overload(s.FSLoad())
+
+		// The population swings between nothing and a dozen sources, so
+		// loads keep returning to zero, where the residues are.
+		pRemove := 0.3
+		if len(applied) > 6+int(step/200)%8 {
+			pRemove = 0.7
+		}
+		if len(applied) > 0 && rng.Bool(pRemove) {
+			i := rng.Intn(len(applied))
+			c := applied[i]
+			for p, x := range c.PodNet {
+				if s.NetLoad(p)-x < 0 {
+					clamped++
+				}
+			}
+			if s.CoreLoad()-c.Core < 0 || s.FSLoad()-c.FS < 0 {
+				clamped++
+			}
+			s.Remove(c)
+			applied[i] = applied[len(applied)-1]
+			applied = applied[:len(applied)-1]
+		} else {
+			c := Contribution{PodNet: map[int]float64{}}
+			for k := rng.Intn(4); k > 0; k-- {
+				c.PodNet[rng.Intn(pods)] += tenth(4)
+			}
+			if rng.Bool(0.4) {
+				c.Core = tenth(3)
+			}
+			if rng.Bool(0.4) {
+				c.FS = tenth(3)
+			}
+			s.Apply(c)
+			applied = append(applied, c)
+		}
+
+		if notified != step+1 {
+			t.Fatalf("step %d: %d notifications", step, notified)
+		}
+		var wantPods []int
+		for p := 0; p < pods; p++ {
+			full := Overload(s.NetLoad(p))
+			if s.NetOverload(p) != full {
+				t.Fatalf("step %d pod %d: cached factor %v, Overload(%v) = %v", step, p, s.NetOverload(p), s.NetLoad(p), full)
+			}
+			if full != before[p] {
+				wantPods = append(wantPods, p)
+			}
+		}
+		if full := Overload(s.CoreLoad()); s.CoreOverload() != full {
+			t.Fatalf("step %d core: cached factor %v, Overload(%v) = %v", step, s.CoreOverload(), s.CoreLoad(), full)
+		}
+		if full := Overload(s.FSLoad()); s.FSOverload() != full {
+			t.Fatalf("step %d fs: cached factor %v, Overload(%v) = %v", step, s.FSOverload(), s.FSLoad(), full)
+		}
+		if !reflect.DeepEqual(gotPods, wantPods) && (len(gotPods) > 0 || len(wantPods) > 0) {
+			t.Fatalf("step %d: change names pods %v, factors moved in %v", step, gotPods, wantPods)
+		}
+		if want := s.CoreOverload() != beforeCore; got.Core != want {
+			t.Fatalf("step %d: change.Core = %v, core factor moved = %v", step, got.Core, want)
+		}
+		if want := s.FSOverload() != beforeFS; got.FS != want {
+			t.Fatalf("step %d: change.FS = %v, fs factor moved = %v", step, got.FS, want)
+		}
+		if got.Empty() {
+			still++
+		} else {
+			moved++
+		}
+		var sum float64
+		for _, n := range alloc.Nodes {
+			sum += Overload(s.NetLoad(topo.PodOf(n)))
+		}
+		if mean := sum / float64(len(alloc.Nodes)); s.AllocNetOverload(alloc) != mean {
+			t.Fatalf("step %d: AllocNetOverload = %v, mean of Overload = %v", step, s.AllocNetOverload(alloc), mean)
+		}
+	}
+	if clamped < 20 || moved < 500 || still < 500 {
+		t.Fatalf("weak sequence: %d clamped removals, %d mutations moved a factor, %d moved none", clamped, moved, still)
+	}
+}

@@ -26,6 +26,17 @@
 // inputs moved. Mutations apply pod loads in ascending pod order
 // regardless of how the Contribution map iterates, keeping every
 // notification — and everything downstream of it — deterministic.
+//
+// # Cached contention factors
+//
+// The state keeps the contention factor of every pod, of the core links
+// and of the filesystem beside the raw loads. A mutation evaluates
+// Overload once for each load it moved — the evaluation that decides
+// dirtiness — and stores the result; NetOverload, CoreOverload,
+// FSOverload, AllocNetOverload and the probes read the stored factor, so
+// a consumer that asks for the same factor once per running job pays a
+// load, not a division. Nothing else writes the factors, so each always
+// equals Overload of its load (TestCachedFactorsTrackLoads).
 package simnet
 
 import (
@@ -74,6 +85,11 @@ type State struct {
 	podNet []float64
 	core   float64
 	fs     float64
+	// Contention factors of the loads above, written by mutate only:
+	// podOv[p] == Overload(podNet[p]) and likewise for core and fs.
+	podOv  []float64
+	coreOv float64
+	fsOv   float64
 	now    func() float64
 	hist   *History
 	subs   []func()
@@ -99,6 +115,7 @@ func NewState(topo cluster.Topology, now func() float64) (*State, error) {
 	s := &State{
 		topo:   topo,
 		podNet: make([]float64, topo.Pods()),
+		podOv:  make([]float64, topo.Pods()),
 		podVer: make([]uint64, topo.Pods()),
 		now:    now,
 		hist:   &History{pods: topo.Pods()},
@@ -181,7 +198,8 @@ func (s *State) mutate(c Contribution, sign float64) {
 		}
 		s.podNet[pod] = nv
 		s.podVer[pod]++
-		if Overload(nv) != Overload(old) {
+		if ov := Overload(nv); ov != s.podOv[pod] {
+			s.podOv[pod] = ov
 			dirty = append(dirty, pod)
 		}
 	}
@@ -197,7 +215,10 @@ func (s *State) mutate(c Contribution, sign float64) {
 	if nv != oldCore {
 		s.core = nv
 		s.coreVer++
-		coreDirty = Overload(nv) != Overload(oldCore)
+		if ov := Overload(nv); ov != s.coreOv {
+			s.coreOv = ov
+			coreDirty = true
+		}
 	}
 	oldFS := s.fs
 	nv = oldFS + sign*c.FS
@@ -210,7 +231,10 @@ func (s *State) mutate(c Contribution, sign float64) {
 	if nv != oldFS {
 		s.fs = nv
 		s.fsVer++
-		fsDirty = Overload(nv) != Overload(oldFS)
+		if ov := Overload(nv); ov != s.fsOv {
+			s.fsOv = ov
+			fsDirty = true
+		}
 	}
 	s.version++
 	// History records every raw-load epoch even when no contention
@@ -254,14 +278,15 @@ func Overload(load float64) float64 {
 	return x * x
 }
 
-// NetOverload returns the contention factor of pod's network.
-func (s *State) NetOverload(pod int) float64 { return Overload(s.podNet[pod]) }
+// NetOverload returns the contention factor of pod's network: Overload
+// of its load, read from the factor the last mutation stored.
+func (s *State) NetOverload(pod int) float64 { return s.podOv[pod] }
 
 // CoreOverload returns the contention factor of the inter-pod links.
-func (s *State) CoreOverload() float64 { return Overload(s.core) }
+func (s *State) CoreOverload() float64 { return s.coreOv }
 
 // FSOverload returns the contention factor of the filesystem.
-func (s *State) FSOverload() float64 { return Overload(s.fs) }
+func (s *State) FSOverload() float64 { return s.fsOv }
 
 // AllocNetOverload returns the mean network contention factor across the
 // pods an allocation touches, weighted by the number of the allocation's
