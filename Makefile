@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-hot bench-module bench-smoke bench-obs bench-gate bench-train bench-lifecycle bench-sched bench-serve bench-engine bench-replay vet staticcheck fmt ci
+.PHONY: build test race race-hot fuzz-smoke loc bench-module bench-smoke bench-obs bench-gate bench-train bench-lifecycle bench-sched bench-serve bench-engine bench-replay vet staticcheck fmt ci
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,21 @@ race:
 # target is skipped locally.
 race-hot:
 	$(GO) test -race ./internal/parallel/... ./internal/experiments/...
+
+# fuzz-smoke runs the predictor-JSON fuzz target for ten seconds: no
+# bytes LoadModel accepts may make a prediction panic or hang.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadModel$$' -fuzztime 10s ./internal/mlkit/
+
+# loc prints non-test Go lines outside bench/ per package and fails when
+# the total passes LOC_CEILING, the count at the change that last cut
+# code, so a change that grows the tree has to say so by raising it.
+LOC_CEILING = 18912
+loc:
+	@find . -path ./bench -prune -o -name '*.go' -not -name '*_test.go' -print | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total (ceiling $(LOC_CEILING))\n", t; \
+				if (t > $(LOC_CEILING)) { print "loc: non-test Go grew past the ceiling; cut, or raise LOC_CEILING and say why"; exit 1 } }'
 
 # bench-module compiles, vets and tests bench/. It is a Go module of its
 # own (it imports rush/internal/... through a replace directive), so the
@@ -47,27 +62,29 @@ bench-obs:
 # allocations and allocate zero bytes: the sampler's row store computes
 # rows in place, so a growing arena or a per-decision buffer shows here.
 # The greps inspect only the fast and job lines, so the (deliberately
-# allocating) reference sub-benchmark cannot mask a regression. Reference
+# allocating) reference sub-benchmark cannot mask a regression. The
+# ensemble inference inside those decisions is also checked alone
+# (BenchmarkPredictProba: PredictProbaInto must not allocate). Reference
 # numbers live in BENCH_gate.json.
 bench-gate:
-	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkGateDecision/(fast|job)' -benchmem .); \
+	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkGateDecision/(fast|job)|BenchmarkPredictProba' -benchmem .); \
 	echo "$$out"; \
 	echo "$$out" | grep 'GateDecision/fast' | grep -q ' 0 allocs/op' || { echo "bench-gate: gate decision allocates on the fast path"; exit 1; }; \
+	echo "$$out" | grep 'BenchmarkPredictProba' | grep -q ' 0 allocs/op' || { echo "bench-gate: PredictProbaInto allocates"; exit 1; }; \
 	job=$$(echo "$$out" | grep 'GateDecision/job/'); \
 	[ $$(echo "$$job" | grep -c .) -eq 2 ] || { echo "bench-gate: expected 2 job-scope sub-benchmarks"; exit 1; }; \
 	if echo "$$job" | grep -v ' 0 B/op.* 0 allocs/op' | grep -q .; then \
 		echo "bench-gate: job-scope gate decision allocates"; exit 1; \
 	fi
 
-# bench-train guards the training fast path: the allocs-per-node
-# regression test (a fast-path Fit may allocate its fixed working set
-# plus the stored nodes, nothing per node beyond that) and one
-# iteration of the headline full-candidate Forest fit benchmark, fast
-# path only, to prove the path runs end to end. Reference numbers live
-# in BENCH_train.json.
+# bench-train guards the training path: the allocs-per-node regression
+# test (a Fit may allocate its fixed working set plus the stored nodes,
+# nothing per node beyond that) and one iteration of the headline
+# full-candidate Forest fit benchmark, to prove the path runs end to
+# end. Reference numbers live in BENCH_train.json.
 bench-train:
 	$(GO) test -run TestFitAllocBudget ./internal/mlkit/
-	$(GO) test -run '^$$' -bench '^BenchmarkFit$$/^Forest$$/^fast$$' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench '^BenchmarkFit$$/^Forest$$' -benchtime 1x -benchmem .
 
 # bench-lifecycle guards the model-lifecycle cost contract: a scheduling
 # pass on a RUSH-gated scheduler whose DecisionHook is nil (lifecycle
@@ -177,11 +194,12 @@ fmt:
 # ci is the full gate: formatting, static analysis (vet plus
 # staticcheck when installed, including the sched/sim/simnet godoc
 # checks), the test suite under the race detector (race subsumes
-# race-hot; both run so the hot paths report first), the benchmark
-# module's own vet and tests, the zero-alloc
+# race-hot; both run so the hot paths report first), ten seconds of the
+# model-loader fuzz target, the non-test line-count ceiling, the
+# benchmark module's own vet and tests, the zero-alloc
 # observability, gate-decision, nil-lifecycle, deep-queue scheduler,
 # and cached-serving-decision guards, the training-path allocation
 # guard, the month-long full-Quartz engine budget, the year-long
 # streaming-replay wall-clock and peak-heap budgets, and the
 # parallel-speedup smoke.
-ci: fmt vet staticcheck race-hot race bench-module bench-obs bench-gate bench-train bench-lifecycle bench-sched bench-serve bench-engine bench-replay bench-smoke
+ci: fmt vet staticcheck loc race-hot race fuzz-smoke bench-module bench-obs bench-gate bench-train bench-lifecycle bench-sched bench-serve bench-engine bench-replay bench-smoke

@@ -45,13 +45,6 @@ import (
 // thin aliases so the benchmark bodies read cleanly.
 var mlkitLeaveOneGroupOut = mlkit.LeaveOneGroupOut
 
-func crossValidateGBM(x [][]float64, y []int, folds [][]int) (mlkit.CVResult, error) {
-	return mlkit.CrossValidate(func() mlkit.Classifier {
-		m, _ := core.NewModel(core.ModelGradientBoosting, 1)
-		return m
-	}, x, y, folds, 1)
-}
-
 // Shared artifacts, built once per `go test -bench` process. Model
 // training (benchModelsOnce) is split from the experiment comparisons
 // (benchOnce) so benchmarks that only need a predictor — e.g.
@@ -399,30 +392,6 @@ func BenchmarkAblationCanary(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationGradientBoosting evaluates the gradient-boosting
-// extension on the Figure 3 protocol and times its training.
-func BenchmarkAblationGradientBoosting(b *testing.B) {
-	benchSetup(b)
-	if _, loaded := printedOnce.LoadOrStore("ablation-gbm", true); !loaded {
-		x := benchCampaign.JobScope.X()
-		y := benchCampaign.JobScope.BinaryLabels()
-		_, folds := leaveOneAppOut(benchCampaign)
-		cv, err := crossValidateGBM(x, y, folds)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fmt.Printf("\n===== Ablation: gradient boosting (5th model) =====\n")
-		fmt.Printf("  GradientBoosting job-nodes F1=%.3f accuracy=%.3f (leave-one-app-out)\n",
-			cv.MeanF1(), cv.MeanAccuracy())
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.TrainPredictor(benchCampaign.JobScope, core.ModelGradientBoosting, nil, int64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAblationProbThreshold sweeps the probability-rule gate.
 func BenchmarkAblationProbThreshold(b *testing.B) {
 	benchSetup(b)
@@ -679,62 +648,52 @@ func fitBenchData(b *testing.B) ([][]float64, []int) {
 }
 
 // BenchmarkFit times one full Fit of each ensemble on the presorted
-// column-partitioning fast path versus the per-node-sort reference path
-// (DisableFastPath). Tree counts are scaled down from the deployed
-// configs (60 trees, 150 rounds) to keep `make bench-train` fast; the
-// per-tree cost ratio is what transfers. Reference numbers live in
-// BENCH_train.json.
+// column-partitioning builder. Tree counts are scaled down from the
+// deployed configs (60 trees, 150 rounds) to keep `make bench-train`
+// fast; the per-tree cost is what transfers. The per-node-sort oracle
+// builder is reachable only from internal/mlkit's own tests, so it has
+// no arm here; BENCH_train.json keeps its last measured rows.
 //
 // Forest is the headline: full-candidate exact splits (MaxFeatures =
-// all 282), where the reference pays its O(features × n log n) per-node
-// sort — the cost the fast path exists to eliminate. ForestSqrt and
-// ExtraTrees are the deployed shapes (sqrt-candidate); ExtraTrees'
-// random-threshold reference never sorts per node at all, so its ratio
-// measures only allocation and locality wins, not sort elimination.
+// all 282), where a per-node sort would cost O(features × n log n) at
+// every node. ForestSqrt and ExtraTrees are the deployed shapes
+// (sqrt-candidate).
 func BenchmarkFit(b *testing.B) {
 	x, y := fitBenchData(b)
 	models := []struct {
 		name string
-		mk   func(disable bool) mlkit.Classifier
+		mk   func() mlkit.Classifier
 	}{
-		{"Tree", func(d bool) mlkit.Classifier {
-			return mlkit.NewTree(mlkit.TreeConfig{MaxDepth: 12, DisableFastPath: d})
+		{"Tree", func() mlkit.Classifier {
+			return mlkit.NewTree(mlkit.TreeConfig{MaxDepth: 12})
 		}},
-		{"Forest", func(d bool) mlkit.Classifier {
-			return mlkit.NewRandomForest(mlkit.ForestConfig{Trees: 4, MaxDepth: 12, MaxFeatures: dataset.NumFeatures, Seed: 7, Workers: 1, DisableFastPath: d})
+		{"Forest", func() mlkit.Classifier {
+			return mlkit.NewRandomForest(mlkit.ForestConfig{Trees: 4, MaxDepth: 12, MaxFeatures: dataset.NumFeatures, Seed: 7, Workers: 1})
 		}},
-		{"ForestSqrt", func(d bool) mlkit.Classifier {
-			return mlkit.NewRandomForest(mlkit.ForestConfig{Trees: 20, MaxDepth: 12, Seed: 7, Workers: 1, DisableFastPath: d})
+		{"ForestSqrt", func() mlkit.Classifier {
+			return mlkit.NewRandomForest(mlkit.ForestConfig{Trees: 20, MaxDepth: 12, Seed: 7, Workers: 1})
 		}},
-		{"ExtraTrees", func(d bool) mlkit.Classifier {
-			return mlkit.NewExtraTrees(mlkit.ForestConfig{Trees: 20, MaxDepth: 14, Seed: 7, Workers: 1, DisableFastPath: d})
+		{"ExtraTrees", func() mlkit.Classifier {
+			return mlkit.NewExtraTrees(mlkit.ForestConfig{Trees: 20, MaxDepth: 14, Seed: 7, Workers: 1})
 		}},
-		{"AdaBoost", func(d bool) mlkit.Classifier {
-			return mlkit.NewAdaBoost(mlkit.AdaBoostConfig{Rounds: 10, Depth: 2, Seed: 7, Workers: 1, DisableFastPath: d})
-		}},
-		{"GBM", func(d bool) mlkit.Classifier {
-			return mlkit.NewGBM(mlkit.GBMConfig{Rounds: 10, MaxDepth: 3, MaxFeatures: 64, Seed: 7, DisableFastPath: d})
+		{"AdaBoost", func() mlkit.Classifier {
+			return mlkit.NewAdaBoost(mlkit.AdaBoostConfig{Rounds: 10, Depth: 2, Seed: 7, Workers: 1})
 		}},
 	}
 	for _, m := range models {
-		for _, mode := range []struct {
-			name string
-			fast bool
-		}{{"fast", true}, {"reference", false}} {
-			b.Run(m.name+"/"+mode.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if err := m.mk(!mode.fast).Fit(x, y); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(m.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := m.mk().Fit(x, y); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
-// BenchmarkPredictProba times ensemble inference alone: the flattened
-// allocation-free layout versus the pointer-tree reference walk.
+// BenchmarkPredictProba times ensemble inference alone and is the
+// 0-alloc guard on PredictProbaInto, the call the gate makes.
 func BenchmarkPredictProba(b *testing.B) {
 	model := gateBenchModel(b)
 	fp, ok := model.(mlkit.FastProbaPredictor)
@@ -746,19 +705,10 @@ func BenchmarkPredictProba(b *testing.B) {
 	for i := range sample {
 		sample[i] = rng.Normal(0.5, 1.0)
 	}
-	b.Run("flat", func(b *testing.B) {
-		out := make([]float64, len(fp.Classes()))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			fp.PredictProbaInto(sample, out)
-		}
-	})
-	b.Run("reference", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			fp.PredictProba(sample)
-		}
-	})
+	out := make([]float64, len(fp.Classes()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fp.PredictProbaInto(sample, out)
+	}
 }

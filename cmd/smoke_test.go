@@ -1,7 +1,7 @@
 // Package cmd_test smoke-tests the six commands at their CLI surface:
 // every binary builds, the three simulation drivers exit 0 on a tiny
 // configuration with output that does not depend on -workers, and the
-// retired path-selection flags are rejected.
+// retired path-selection flags and the retired fifth model are rejected.
 package cmd_test
 
 import (
@@ -103,6 +103,30 @@ func TestCommandsSmoke(t *testing.T) {
 			if err == nil || !bytes.Contains(out, []byte("flag provided but not defined")) {
 				t.Errorf("%s %s: want an unknown-flag failure, got err=%v\n%.200s", name, f, err, out)
 			}
+		}
+	}
+
+	// Gradient boosting is gone: its name trains nothing and a predictor
+	// file of its kind loads as any unknown kind does.
+	dir := t.TempDir()
+	csv := filepath.Join(dir, "jobscope.csv")
+	run(t, bin, "rush-collect", "-days", "2", "-out", csv)
+	gone := filepath.Join(dir, "gone.json")
+	if err := os.WriteFile(gone, []byte(`{"model_name":"GradientBoosting","model":{"kind":"gbm","gbm":{"classes":[0,1,2]}}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rejected := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"rush-train", []string{"-data", csv, "-model", "GradientBoosting", "-out", filepath.Join(dir, "p.json")}, "unknown model"},
+		{"rush-sim", []string{"-experiment", "ADAA", "-policy", "rush", "-trials", "1", "-predictor", gone}, `unknown model kind "gbm"`},
+	}
+	for _, r := range rejected {
+		out, err := exec.Command(filepath.Join(bin, r.name), r.args...).CombinedOutput()
+		if err == nil || !bytes.Contains(out, []byte(r.want)) {
+			t.Errorf("%s %s: want a failure saying %q, got err=%v\n%.300s", r.name, strings.Join(r.args, " "), r.want, err, out)
 		}
 	}
 }

@@ -289,26 +289,6 @@ func TestPredictorSerializationRoundTrip(t *testing.T) {
 	}
 }
 
-func TestExtendedModelsIncludeGBM(t *testing.T) {
-	ext := ExtendedModels()
-	if len(ext) != 5 || ext[4] != ModelGradientBoosting {
-		t.Fatalf("extended models = %v", ext)
-	}
-	m, err := NewModel(ModelGradientBoosting, 1)
-	if err != nil || m.Name() != "GradientBoosting" {
-		t.Fatalf("gbm constructor broken: %v", err)
-	}
-	// GBM trains and predicts on the campaign data.
-	res := campaign(t)
-	p, err := TrainPredictor(res.JobScope, ModelGradientBoosting, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pred := p.Model.Predict(res.JobScope.Samples[0].Features); pred < 0 || pred > 2 {
-		t.Fatalf("gbm prediction %d out of range", pred)
-	}
-}
-
 func TestTrainPredictorCapturesReference(t *testing.T) {
 	res := campaign(t)
 	p, err := TrainPredictor(res.JobScope, ModelAdaBoost, nil, 1)

@@ -13,25 +13,17 @@ import (
 // ModelName identifies one of the paper's four candidate classifiers.
 type ModelName string
 
-// The candidate models of Figure 3, plus the gradient-boosting
-// extension.
+// The candidate models of Figure 3.
 const (
-	ModelExtraTrees       ModelName = "ExtraTrees"
-	ModelDecisionForest   ModelName = "DecisionForest"
-	ModelKNN              ModelName = "KNN"
-	ModelAdaBoost         ModelName = "AdaBoost"
-	ModelGradientBoosting ModelName = "GradientBoosting"
+	ModelExtraTrees     ModelName = "ExtraTrees"
+	ModelDecisionForest ModelName = "DecisionForest"
+	ModelKNN            ModelName = "KNN"
+	ModelAdaBoost       ModelName = "AdaBoost"
 )
 
 // AllModels lists the candidates in Figure 3 order.
 func AllModels() []ModelName {
 	return []ModelName{ModelExtraTrees, ModelDecisionForest, ModelKNN, ModelAdaBoost}
-}
-
-// ExtendedModels adds the models beyond the paper's four (currently
-// gradient boosting) for extended comparisons.
-func ExtendedModels() []ModelName {
-	return append(AllModels(), ModelGradientBoosting)
 }
 
 // NewModel constructs an untrained classifier by name with the
@@ -46,10 +38,6 @@ func NewModel(name ModelName, seed int64) (mlkit.Classifier, error) {
 		return mlkit.NewKNN(mlkit.KNNConfig{K: 7}), nil
 	case ModelAdaBoost:
 		return mlkit.NewAdaBoost(mlkit.AdaBoostConfig{Rounds: 150}), nil
-	case ModelGradientBoosting:
-		// 64 of 282 candidate features per split keeps training time in
-		// line with the forests at negligible accuracy cost.
-		return mlkit.NewGBM(mlkit.GBMConfig{Rounds: 80, MaxDepth: 3, MaxFeatures: 64, Seed: seed}), nil
 	default:
 		return nil, fmt.Errorf("core: unknown model %q", name)
 	}

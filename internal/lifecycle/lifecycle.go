@@ -635,7 +635,7 @@ func (m *Manager) rollback(now float64, reason string) {
 }
 
 // shadowPredict runs the challenger on one decision's features, via the
-// flattened fast path when the model supports it.
+// allocation-free PredictProbaInto when the model supports it.
 func (m *Manager) shadowPredict(feats []float64) int {
 	if fp, ok := m.challenger.(mlkit.FastProbaPredictor); ok {
 		classes := fp.Classes()

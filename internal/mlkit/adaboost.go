@@ -32,12 +32,6 @@ type AdaBoostConfig struct {
 	// identical model. A runtime knob, not model state — excluded from
 	// serialization.
 	Workers int `json:"-"`
-	// DisableFastPath propagates to depth >= 2 tree weak learners (see
-	// TreeConfig.DisableFastPath). Stumps are unaffected: their one-off
-	// presort has always been the only implementation and now shares the
-	// fast path's column structure. A runtime knob, not model state —
-	// excluded from serialization.
-	DisableFastPath bool `json:"-"`
 }
 
 func (c *AdaBoostConfig) fill() {
@@ -66,6 +60,9 @@ type AdaBoost struct {
 	trees   []*Tree // weak learners when Depth >= 2
 	alphas  []float64
 	imp     []float64
+	// reference is TreeConfig.reference for depth >= 2 weak learners; set
+	// only by this package's tests. Stumps have one implementation.
+	reference bool
 }
 
 // stump is a depth-1 decision rule: class left/right of one threshold.
@@ -103,24 +100,20 @@ func NewAdaBoost(cfg AdaBoostConfig) *AdaBoost {
 func (a *AdaBoost) Name() string { return "AdaBoost" }
 
 // Rounds returns the number of boosting rounds actually performed.
-func (a *AdaBoost) Rounds() int {
-	if a.cfg.Depth >= 2 {
-		return len(a.trees)
-	}
-	return len(a.stumps)
-}
+func (a *AdaBoost) Rounds() int { return len(a.alphas) }
+
+// NumFeatures reports how many leading entries of a sample inference may
+// read.
+func (a *AdaBoost) NumFeatures() int { return len(a.imp) }
 
 // NumNodes reports the total decision nodes across the weak learners
 // (each stump counts as one).
 func (a *AdaBoost) NumNodes() int {
-	if a.cfg.Depth >= 2 && len(a.trees) > 0 {
-		total := 0
-		for _, t := range a.trees {
-			total += t.NumNodes()
-		}
-		return total
+	total := len(a.stumps)
+	for _, t := range a.trees {
+		total += t.NumNodes()
 	}
-	return len(a.stumps)
+	return total
 }
 
 // Fit implements Classifier.
@@ -147,12 +140,12 @@ func (a *AdaBoost) Fit(x [][]float64, y []int) error {
 	n := len(x)
 	var colv []float64
 	var cols *sortedCols
-	if a.cfg.Depth == 1 || !a.cfg.DisableFastPath {
+	if a.cfg.Depth == 1 || !a.reference {
 		colv = columnMajor(x, nf)
 		cols = presortColumns(colv, nf, n, a.cfg.Workers)
 	}
 	var treeCtx *trainCtx
-	if a.cfg.Depth >= 2 && !a.cfg.DisableFastPath {
+	if a.cfg.Depth >= 2 && !a.reference {
 		treeCtx = &trainCtx{colv: colv, cols: cols}
 	}
 	w := make([]float64, n)
@@ -181,10 +174,10 @@ func (a *AdaBoost) Fit(x [][]float64, y []int) error {
 			predict = st.predict
 		} else {
 			tree = NewTree(TreeConfig{
-				MaxDepth:        a.cfg.Depth + 1, // CART counts the root as a level
-				MaxFeatures:     a.cfg.MaxFeatures,
-				Seed:            seedRng.Int63(),
-				DisableFastPath: a.cfg.DisableFastPath,
+				MaxDepth:    a.cfg.Depth + 1, // CART counts the root as a level
+				MaxFeatures: a.cfg.MaxFeatures,
+				Seed:        seedRng.Int63(),
+				reference:   a.reference,
 			})
 			if err := tree.fitWeightedCtx(x, yi, w, treeCtx); err != nil {
 				return err
@@ -346,48 +339,45 @@ func bestStump(colv []float64, n int, yi []int, w []float64, k int, cols *sorted
 
 // Predict implements Classifier via the SAMME weighted vote.
 func (a *AdaBoost) Predict(sample []float64) int {
-	if len(a.alphas) == 0 {
-		panic("mlkit: predict before fit")
-	}
-	votes := make([]float64, len(a.classes))
-	if a.cfg.Depth >= 2 && len(a.trees) > 0 {
-		for i, t := range a.trees {
-			votes[t.Predict(sample)] += a.alphas[i]
-		}
-	} else {
-		for i, st := range a.stumps {
-			votes[st.predict(sample)] += a.alphas[i]
-		}
-	}
-	return a.classes[argmax(votes)]
+	return a.PredictProbaInto(sample, make([]float64, len(a.classes)))
 }
 
 // PredictProba returns the normalized SAMME vote shares per class, in
 // Classes order — a pseudo-probability suitable for threshold-based
 // decision rules.
 func (a *AdaBoost) PredictProba(sample []float64) []float64 {
+	votes := make([]float64, len(a.classes))
+	a.PredictProbaInto(sample, votes)
+	return votes
+}
+
+// PredictProbaInto implements FastProbaPredictor: the booster's one vote
+// loop. The predicted class is the argmax of the raw alpha votes, taken
+// before they are normalized into shares. A fitted or loaded model has
+// either stumps or trees, never both, one per alpha.
+func (a *AdaBoost) PredictProbaInto(sample, out []float64) int {
 	if len(a.alphas) == 0 {
 		panic("mlkit: predict before fit")
 	}
-	votes := make([]float64, len(a.classes))
+	for i := range out {
+		out[i] = 0
+	}
 	var total float64
-	if a.cfg.Depth >= 2 && len(a.trees) > 0 {
-		for i, t := range a.trees {
-			votes[t.Predict(sample)] += a.alphas[i]
-			total += a.alphas[i]
+	for i, alpha := range a.alphas {
+		if len(a.trees) > 0 {
+			out[a.trees[i].Predict(sample)] += alpha
+		} else {
+			out[a.stumps[i].predict(sample)] += alpha
 		}
-	} else {
-		for i, st := range a.stumps {
-			votes[st.predict(sample)] += a.alphas[i]
-			total += a.alphas[i]
-		}
+		total += alpha
 	}
+	class := a.classes[argmax(out)]
 	if total > 0 {
-		for i := range votes {
-			votes[i] /= total
+		for i := range out {
+			out[i] /= total
 		}
 	}
-	return votes
+	return class
 }
 
 // Classes returns the sorted training labels.

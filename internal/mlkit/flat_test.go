@@ -38,7 +38,6 @@ func fastModels(t *testing.T, x [][]float64, y []int) []FastProbaPredictor {
 		NewExtraTrees(ForestConfig{Trees: 12, MaxDepth: 5, Seed: 5, Workers: 1}),
 		NewAdaBoost(AdaBoostConfig{Rounds: 20, Seed: 6, Workers: 1}),
 		NewAdaBoost(AdaBoostConfig{Rounds: 10, Depth: 2, Seed: 7, Workers: 1}),
-		NewGBM(GBMConfig{Rounds: 15, Seed: 8}),
 	}
 	for _, m := range models {
 		if err := m.Fit(x, y); err != nil {
@@ -72,11 +71,12 @@ func checkFastMatches(t *testing.T, m FastProbaPredictor, samples [][]float64) {
 	}
 }
 
-// TestFlatPredictMatchesPointerWalk is the flattened-inference
-// differential test: for every tree-based model, over several seeds and
-// class counts, the allocation-free flat prediction must be bit-identical
-// to the pointer-walk reference — including on samples with NaN
-// (missing) features.
+// TestFlatPredictMatchesPointerWalk pins the three inference entry
+// points to each other: for every tree-based model, over several seeds
+// and class counts, PredictProbaInto must be bit-identical to
+// (PredictProba, Predict) — including on samples with NaN (missing)
+// features. TestInferenceGolden pins all of them to the loops that
+// preceded the shared one.
 func TestFlatPredictMatchesPointerWalk(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		for _, k := range []int{2, 3} {
@@ -89,8 +89,8 @@ func TestFlatPredictMatchesPointerWalk(t *testing.T) {
 	}
 }
 
-// TestFlatPredictZeroAllocs pins the allocation contract of the fast
-// inference path for every model.
+// TestFlatPredictZeroAllocs pins the allocation contract of
+// PredictProbaInto for every model.
 func TestFlatPredictZeroAllocs(t *testing.T) {
 	x, y := synthData(17, 160, 12, 3, 0.05)
 	probe, _ := synthData(18, 8, 12, 3, 0.1)
@@ -107,10 +107,10 @@ func TestFlatPredictZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestFlatSurvivesSerializationRoundtrip checks that (a) the flat layout
-// never leaks into model bytes — a fit model serializes to the same bytes
-// after heavy fast-path use — and (b) a loaded model regains the fast
-// path and stays bit-identical to its reference walk.
+// TestFlatSurvivesSerializationRoundtrip checks that (a) inference
+// leaves model bytes alone — a fit model serializes to the same bytes
+// after heavy use — and (b) a loaded model is a FastProbaPredictor whose
+// entry points agree with each other and with the original's.
 func TestFlatSurvivesSerializationRoundtrip(t *testing.T) {
 	x, y := synthData(29, 160, 12, 3, 0.05)
 	probe, _ := synthData(30, 40, 12, 3, 0.1)
@@ -128,7 +128,7 @@ func TestFlatSurvivesSerializationRoundtrip(t *testing.T) {
 			t.Fatalf("%s: re-save: %v", m.Name(), err)
 		}
 		if !bytes.Equal(before, after) {
-			t.Fatalf("%s: fast-path use changed serialized bytes", m.Name())
+			t.Fatalf("%s: inference changed serialized bytes", m.Name())
 		}
 
 		loadedC, err := LoadModel(before)
@@ -137,7 +137,7 @@ func TestFlatSurvivesSerializationRoundtrip(t *testing.T) {
 		}
 		loaded, ok := loadedC.(FastProbaPredictor)
 		if !ok {
-			t.Fatalf("%s: loaded model lost the fast path", m.Name())
+			t.Fatalf("%s: loaded model is not a FastProbaPredictor", m.Name())
 		}
 		checkFastMatches(t, loaded, probe)
 		// Loaded and original agree with each other, too.

@@ -26,10 +26,6 @@ type ForestConfig struct {
 	// model. A runtime knob, not model state — excluded from
 	// serialization.
 	Workers int `json:"-"`
-	// DisableFastPath propagates to every tree (see
-	// TreeConfig.DisableFastPath) and skips the shared column presort.
-	// A runtime knob, not model state — excluded from serialization.
-	DisableFastPath bool `json:"-"`
 }
 
 func (c *ForestConfig) fill() {
@@ -56,9 +52,13 @@ type Forest struct {
 	classes   []int
 	imp       []float64
 	// treePos[t][i] is where tree t's class i lands in the forest's class
-	// list — the fast path's precomputed replacement for the per-call map
-	// in PredictProba. Derived by compile, never serialized.
+	// list (a bootstrap resample can miss a rare class, so tree class
+	// lists are mapped into the forest's). Derived by compile after Fit
+	// and LoadModel, never serialized.
 	treePos [][]int32
+	// reference is TreeConfig.reference for every tree of the fit, and
+	// skips the shared column presort; set only by this package's tests.
+	reference bool
 }
 
 // NewRandomForest returns a Random Forest classifier.
@@ -119,7 +119,7 @@ func (f *Forest) Fit(x [][]float64, y []int) error {
 	// sorting per tree; Extra Trees never consult sorted order, so they
 	// share just the column-major values.
 	var master *trainCtx
-	if !f.cfg.DisableFastPath {
+	if !f.reference {
 		master = &trainCtx{colv: columnMajor(x, nf)}
 		if f.bootstrap && !f.randomThr {
 			master.cols = presortColumns(master.colv, nf, len(x), f.cfg.Workers)
@@ -133,7 +133,7 @@ func (f *Forest) Fit(x [][]float64, y []int) error {
 			MaxFeatures:     f.cfg.MaxFeatures,
 			RandomThreshold: f.randomThr,
 			Seed:            jobs[t].seed,
-			DisableFastPath: f.cfg.DisableFastPath,
+			reference:       f.reference,
 		})
 		var tc *trainCtx
 		if master != nil {
@@ -176,39 +176,67 @@ func (f *Forest) Fit(x [][]float64, y []int) error {
 	return nil
 }
 
+// compile fills treePos.
+func (f *Forest) compile() {
+	pos := map[int]int32{}
+	for i, c := range f.classes {
+		pos[c] = int32(i)
+	}
+	f.treePos = make([][]int32, len(f.trees))
+	for ti, t := range f.trees {
+		tp := make([]int32, len(t.classes))
+		for i, c := range t.classes {
+			tp[i] = pos[c]
+		}
+		f.treePos[ti] = tp
+	}
+}
+
 // Predict implements Classifier by soft-voting tree probabilities.
 func (f *Forest) Predict(sample []float64) int {
-	probs := f.PredictProba(sample)
-	return f.classes[argmax(probs)]
+	return f.PredictProbaInto(sample, make([]float64, len(f.classes)))
 }
 
 // PredictProba returns the ensemble-average class distribution for
 // sample, in Classes order.
 func (f *Forest) PredictProba(sample []float64) []float64 {
+	probs := make([]float64, len(f.classes))
+	f.PredictProbaInto(sample, probs)
+	return probs
+}
+
+// PredictProbaInto implements FastProbaPredictor: the forest's one vote
+// loop, tree-major and in tree-class order within a tree.
+func (f *Forest) PredictProbaInto(sample, out []float64) int {
 	if len(f.trees) == 0 {
 		panic("mlkit: predict before fit")
 	}
-	// A bootstrap resample can miss a rare class, so each tree's class
-	// list is mapped into the forest's.
-	pos := map[int]int{}
-	for i, c := range f.classes {
-		pos[c] = i
+	for i := range out {
+		out[i] = 0
 	}
-	probs := make([]float64, len(f.classes))
-	for _, t := range f.trees {
-		tp := t.PredictProba(sample)
-		for i, c := range t.Classes() {
-			probs[pos[c]] += tp[i]
+	for ti, t := range f.trees {
+		probs := t.PredictProba(sample)
+		for i, p := range f.treePos[ti] {
+			out[p] += probs[i]
 		}
 	}
-	for i := range probs {
-		probs[i] /= float64(len(f.trees))
+	for i := range out {
+		out[i] /= float64(len(f.trees))
 	}
-	return probs
+	return f.classes[argmax(out)]
 }
 
 // Classes returns the sorted training labels.
 func (f *Forest) Classes() []int { return f.classes }
+
+// NumFeatures reports how many leading entries of a sample inference may
+// read (every tree of a forest has the same width); 0 before Fit.
+func (f *Forest) NumFeatures() int {
+	if len(f.trees) == 0 {
+		return 0
+	}
+	return f.trees[0].nFeatures
+}
 
 // NumNodes reports the total stored nodes across all trees.
 func (f *Forest) NumNodes() int {

@@ -48,6 +48,15 @@ func NewKNN(cfg KNNConfig) *KNN {
 // Name implements Classifier.
 func (k *KNN) Name() string { return "KNN" }
 
+// NumFeatures reports how many leading entries of a sample inference
+// reads; 0 before Fit.
+func (k *KNN) NumFeatures() int {
+	if len(k.x) == 0 {
+		return 0
+	}
+	return len(k.x[0])
+}
+
 // Fit implements Classifier by memorizing the standardized training set.
 func (k *KNN) Fit(x [][]float64, y []int) error {
 	if _, err := validateXY(x, y); err != nil {
@@ -108,7 +117,7 @@ func (k *KNN) nearest(sample []float64) ([]hit, int) {
 	if len(k.x) == 0 {
 		panic("mlkit: predict before fit")
 	}
-	q := k.scaler.Transform(sample)
+	q := k.scaler.Transform(sample[:k.NumFeatures()]) // a longer sample is legal, as for the tree models
 	hits := make([]hit, len(k.x))
 	workers := parallel.Workers(k.cfg.Workers)
 	if len(k.x) < parallelDistanceMin || workers == 1 {

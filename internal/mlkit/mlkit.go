@@ -41,6 +41,19 @@ type ProbaPredictor interface {
 	Classes() []int
 }
 
+// FastProbaPredictor is implemented by models whose probability inference
+// runs without heap allocation — every tree-family model. The RUSH gate
+// uses it when available. The ensembles define Predict and PredictProba
+// through it, so each has one vote loop and the three cannot disagree.
+type FastProbaPredictor interface {
+	ProbaPredictor
+	// PredictProbaInto writes the class distribution for sample into out
+	// (which must have length len(Classes())) and returns the predicted
+	// class label, identical to Predict(sample). It performs no heap
+	// allocations and, on a trained model, is safe for concurrent use.
+	PredictProbaInto(sample, out []float64) int
+}
+
 // ImportanceReporter is implemented by models that can rank features;
 // recursive feature elimination prefers it when available.
 type ImportanceReporter interface {

@@ -18,7 +18,7 @@ import (
 //
 // The canonical column order — ascending by value, NaN last, ties broken
 // by row index — is deliberately shared with the reference per-node sort
-// in tree.go/regtree.go. Identical order means identical floating-point
+// in tree.go. Identical order means identical floating-point
 // accumulation sequences for every split statistic, which is what makes
 // the fast and reference paths grow bit-identical trees even under
 // non-uniform sample weights, where summation order reaches the bits.
@@ -277,84 +277,4 @@ func bootstrapCtx(master *trainCtx, nf, n int, picks []int) *trainCtx {
 		}
 	}
 	return &trainCtx{colv: colv, cols: &sortedCols{n: n, idx: idx, val: sval}, owned: true, bufs: bufs}
-}
-
-// copyCtx derives an owned context from a shared master by copying its
-// sorted columns into pooled storage (the column values stay shared and
-// read-only). A memcpy of the index matrix is an order of magnitude
-// cheaper than re-sorting it, which is what lets boosting rounds that
-// train on the full matrix reuse one presort.
-func copyCtx(master *trainCtx, nf, n int) *trainCtx {
-	bufs := bootPool.Get().(*bootBufs)
-	idx := bufs.grabIdx(nf * n)
-	copy(idx, master.cols.idx)
-	sval := bufs.grabSval(nf * n)
-	copy(sval, master.cols.val)
-	return &trainCtx{colv: master.colv, cols: &sortedCols{n: n, idx: idx, val: sval}, owned: true, bufs: bufs}
-}
-
-// subsampleCtx derives the training context of the row selection
-// x[perm[0]], x[perm[1]], … from the master structures in
-// O(features × rows) — no per-tree sort. Unlike bootstrapCtx this must
-// reproduce the canonical order EXACTLY, equal-value ties included:
-// gradient-boosting trees regress on float targets, where the
-// accumulation order inside a tie run reaches the prefix-sum bits. The
-// derivation walks each master column in order (giving ascending
-// values), keeps the selected rows, and re-sorts each run of equal
-// values — runs are tiny on continuous data — so ties come out
-// ascending by subsample position, exactly as presortColumns would
-// order them. The NaN tail is one such run (NaN != NaN keeps the scan
-// looking inside it).
-func subsampleCtx(master *trainCtx, nf, n int, perm []int) *trainCtx {
-	m := len(perm)
-	bufs := bootPool.Get().(*bootBufs)
-	colv := bufs.grabColv(nf * m)
-	idx := bufs.grabIdx(nf * m)
-	sval := bufs.grabSval(nf * m)
-	pos := bufs.grabSlot(n) // master row -> subsample position, or -1
-	for i := range pos {
-		pos[i] = -1
-	}
-	for i, r := range perm {
-		pos[r] = int32(i)
-	}
-	for f := 0; f < nf; f++ {
-		src := master.colv[f*n : (f+1)*n]
-		dstV := colv[f*m : (f+1)*m]
-		for i, r := range perm {
-			dstV[i] = src[r]
-		}
-		mcol := master.cols.col(f)
-		dstI := idx[f*m : (f+1)*m]
-		dstS := sval[f*m : (f+1)*m]
-		p := 0
-		for i := 0; i < n; {
-			// One run of equal master values [i, j); NaNs are contiguous
-			// at the tail and form the final run.
-			j := i + 1
-			v := src[mcol[i]]
-			if math.IsNaN(v) {
-				j = n
-			} else {
-				for j < n && src[mcol[j]] == v {
-					j++
-				}
-			}
-			runStart := p
-			for t := i; t < j; t++ {
-				if q := pos[mcol[t]]; q >= 0 {
-					dstI[p] = q
-					dstS[p] = v
-					p++
-				}
-			}
-			// Re-sorting the run reorders equal values only — dstS is
-			// already correct.
-			if p-runStart > 1 {
-				slices.Sort(dstI[runStart:p])
-			}
-			i = j
-		}
-	}
-	return &trainCtx{colv: colv, cols: &sortedCols{n: m, idx: idx, val: sval}, owned: true, bufs: bufs}
 }

@@ -6,17 +6,16 @@ import (
 	"rush/internal/sim"
 )
 
-// This file is the training fast path: iterative tree builders that grow
-// exactly the trees treeBuilder/regBuilder (tree.go, regtree.go) grow —
-// same nodes, same bytes — without their per-node per-candidate
-// sort.Slice calls. Feature columns are sorted once per Fit (presort.go)
+// This file is the production training path: an iterative tree builder
+// that grows exactly the trees treeBuilder (tree.go) grows — same nodes,
+// same bytes — without its per-node per-candidate sort.Slice calls. Feature columns are sorted once per Fit (presort.go)
 // and every split stably partitions the sorted index segments in place,
 // so a node's candidate scan just walks its already-sorted segment. All
 // working storage (row lists, class histograms, partition scratch, the
 // feature-subsample permutation, the node stack) is allocated once per
 // Fit and reused across nodes.
 //
-// Bit-identity with the reference builders is structural, not
+// Bit-identity with the reference builder is structural, not
 // approximate, and rests on three invariants:
 //
 //  1. Same scan order. The reference per-node sort and the presort share
@@ -37,14 +36,15 @@ import (
 // A fourth, conditional shortcut: under uniform unit weights (every
 // plain Fit; ensembles bag with w=1) all accumulated statistics are
 // exact small integers, and float64(int) conversion is exact, so the
-// builders may count in integers and convert at each evaluation — the
+// builder may count in integers and convert at each evaluation — the
 // resulting floats are bit-identical to the reference's running float
 // sums while the inner loops drop the weight loads and float adds.
 // Weighted fits (AdaBoost with Depth >= 2) keep the float accumulation.
 //
-// DisableFastPath on TreeConfig (and the ensemble configs, which
-// propagate it) routes back to the reference builders; differential
-// tests in trainfast_test.go diff the serialized bytes of both paths.
+// treeBuilder stays as the oracle: the unexported TreeConfig.reference
+// (which the ensembles propagate) routes a fit through it, and only the
+// differential tests in trainfast_test.go set that, to diff the
+// serialized bytes of both builders.
 
 // fastFrame is one pending subtree: the node's half-open segment in the
 // partitioned row/column arrays, its depth, and the parent slot to patch
@@ -531,201 +531,6 @@ func stablePartitionIV(segI []int32, segV []float64, marks []uint8, tmpL, tmpR [
 	copy(segI[nl:], tmpR[:nr])
 	copy(segV, tmpLF[:nl])
 	copy(segV[nl:], tmpRF[:nr])
-}
-
-// fastRegBuilder is the regression twin: same presorted-column
-// partitioning, variance-reduction splits. Regression trees always use
-// exact splits (RandomThreshold is ignored, as in the reference), so the
-// sorted columns are always maintained. Targets are arbitrary floats, so
-// there is no integer shortcut: accumulation follows the reference
-// expression for expression.
-type fastRegBuilder struct {
-	t   *RegTree
-	y   []float64
-	nf  int
-	n   int
-	rng *sim.Source
-
-	colv []float64
-	work []int32
-	wval []float64
-	rows []int32
-	bufs *bootBufs // pooled backing for work/wval when copied from a shared ctx
-
-	marks        []uint8
-	tmpL, tmpR   []int32
-	tmpLF, tmpRF []float64
-
-	nCand    int
-	allFeats []int
-	perm     []int
-	stack    []fastFrame
-}
-
-func newFastRegBuilder(t *RegTree, x [][]float64, targets []float64, tc *trainCtx) *fastRegBuilder {
-	n := len(targets)
-	nf := t.nFeatures
-	fb := &fastRegBuilder{
-		t: t, y: targets, nf: nf, n: n,
-		rng: sim.NewSource(t.cfg.Seed),
-	}
-	switch {
-	case tc == nil:
-		fb.colv = columnMajor(x, nf)
-		sc := presortColumns(fb.colv, nf, n, 1)
-		fb.work, fb.wval = sc.idx, sc.val
-	case tc.owned:
-		fb.colv = tc.colv
-		// This tree's private copy; consume in place.
-		fb.work, fb.wval = tc.cols.idx, tc.cols.val
-	default:
-		fb.colv = tc.colv
-		fb.bufs = bootPool.Get().(*bootBufs)
-		fb.work = fb.bufs.grabIdx(nf * n)
-		copy(fb.work, tc.cols.idx)
-		fb.wval = fb.bufs.grabSval(nf * n)
-		copy(fb.wval, tc.cols.val)
-	}
-	fb.rows = make([]int32, n)
-	for i := range fb.rows {
-		fb.rows[i] = int32(i)
-	}
-	fb.marks = make([]uint8, n)
-	fb.tmpL = make([]int32, n)
-	fb.tmpR = make([]int32, n)
-	fb.tmpLF = make([]float64, n)
-	fb.tmpRF = make([]float64, n)
-	fb.nCand = resolveCandidates(t.cfg.MaxFeatures, nf)
-	if fb.nCand == nf {
-		fb.allFeats = make([]int, nf)
-		for i := range fb.allFeats {
-			fb.allFeats[i] = i
-		}
-	} else {
-		fb.perm = make([]int, nf)
-	}
-	return fb
-}
-
-func (fb *fastRegBuilder) run() {
-	fb.stack = append(fb.stack[:0], fastFrame{end: fb.n, depth: 1, parent: -1})
-	for len(fb.stack) > 0 {
-		fr := fb.stack[len(fb.stack)-1]
-		fb.stack = fb.stack[:len(fb.stack)-1]
-		idx := fb.node(fr)
-		if fr.parent >= 0 {
-			if fr.left {
-				fb.t.nodes[fr.parent].Left = idx
-			} else {
-				fb.t.nodes[fr.parent].Right = idx
-			}
-		}
-	}
-	if fb.bufs != nil {
-		bootPool.Put(fb.bufs)
-		fb.bufs = nil
-		fb.work = nil
-		fb.wval = nil
-	}
-}
-
-// node mirrors regBuilder.build statement for statement.
-func (fb *fastRegBuilder) node(fr fastFrame) int {
-	rows := fb.rows[fr.start:fr.end]
-	var sum, sumSq float64
-	for _, s := range rows {
-		sum += fb.y[s]
-		sumSq += fb.y[s] * fb.y[s]
-	}
-	n := float64(len(rows))
-	mean := sum / n
-	sse := sumSq - sum*sum/n
-
-	leaf := func() int {
-		fb.t.nodes = append(fb.t.nodes, regNode{Leaf: true, Value: mean})
-		return len(fb.t.nodes) - 1
-	}
-	cfg := &fb.t.cfg
-	if len(rows) < 2*cfg.MinLeaf || sse <= 1e-12 {
-		return leaf()
-	}
-	if cfg.MaxDepth > 0 && fr.depth >= cfg.MaxDepth {
-		return leaf()
-	}
-
-	feat, thr, gain := fb.bestSplit(fr, sum)
-	if feat < 0 || gain <= 1e-12 {
-		return leaf()
-	}
-	vals := fb.colv[feat*fb.n : (feat+1)*fb.n]
-	nl := 0
-	for _, s := range rows {
-		if vals[s] <= thr {
-			fb.marks[s] = 1
-			nl++
-		} else {
-			fb.marks[s] = 0
-		}
-	}
-	if nl < cfg.MinLeaf || len(rows)-nl < cfg.MinLeaf {
-		return leaf()
-	}
-	for f := 0; f < fb.nf; f++ {
-		stablePartitionIV(fb.work[f*fb.n+fr.start:f*fb.n+fr.end], fb.wval[f*fb.n+fr.start:f*fb.n+fr.end],
-			fb.marks, fb.tmpL, fb.tmpR, fb.tmpLF, fb.tmpRF)
-	}
-	stablePartition(fb.rows[fr.start:fr.end], fb.marks, fb.tmpL, fb.tmpR)
-
-	idx := len(fb.t.nodes)
-	fb.t.nodes = append(fb.t.nodes, regNode{Feature: feat, Threshold: thr, DefaultLeft: nl >= len(rows)-nl})
-	mid := fr.start + nl
-	fb.stack = append(fb.stack,
-		fastFrame{start: mid, end: fr.end, depth: fr.depth + 1, parent: idx},
-		fastFrame{start: fr.start, end: mid, depth: fr.depth + 1, parent: idx, left: true},
-	)
-	return idx
-}
-
-// bestSplit maximizes SSE reduction over the candidate features,
-// scanning each candidate's presorted segment. The best-so-far carries
-// across candidates with a strict greater-than, exactly like the
-// reference, so equal-gain ties resolve to the same feature.
-func (fb *fastRegBuilder) bestSplit(fr fastFrame, total float64) (int, float64, float64) {
-	var candidates []int
-	if fb.nCand == fb.nf {
-		candidates = fb.allFeats
-	} else {
-		fb.rng.PermInto(fb.perm)
-		candidates = fb.perm[:fb.nCand]
-	}
-	bestFeat, bestThr, bestGain := -1, 0.0, 0.0
-	minLeaf := fb.t.cfg.MinLeaf
-	m := float64(fr.end - fr.start)
-	for _, f := range candidates {
-		col := fb.work[f*fb.n+fr.start : f*fb.n+fr.end]
-		wv := fb.wval[f*fb.n+fr.start : f*fb.n+fr.end]
-		var leftSum float64
-		for i := 0; i < len(col)-1; i++ {
-			s := col[i]
-			leftSum += fb.y[s]
-			cur, next := wv[i], wv[i+1]
-			if cur == next {
-				continue
-			}
-			nl := float64(i + 1)
-			nr := float64(len(col) - i - 1)
-			if int(nl) < minLeaf || int(nr) < minLeaf {
-				continue
-			}
-			rightSum := total - leftSum
-			// SSE after split = parent terms minus the between-group part.
-			gain := leftSum*leftSum/nl + rightSum*rightSum/nr - total*total/m
-			if gain > bestGain {
-				bestFeat, bestThr, bestGain = f, cur+(next-cur)/2, gain
-			}
-		}
-	}
-	return bestFeat, bestThr, bestGain
 }
 
 // giniPartialInt is giniPartial over integer class counts: each count is

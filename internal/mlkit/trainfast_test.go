@@ -41,25 +41,43 @@ func quantizedDataset(n, nf int, seed int64) ([][]float64, []int) {
 	return x, y
 }
 
+// viaReference selects the per-node-sort oracle builder (treeBuilder)
+// for m's next Fit when on is set — the one place the unexported
+// reference hooks are written.
+func viaReference(c Classifier, on bool) Classifier {
+	switch m := c.(type) {
+	case *Tree:
+		m.cfg.reference = on
+	case *Forest:
+		m.reference = on
+	case *AdaBoost:
+		m.reference = on
+	}
+	return c
+}
+
 // fastPathModels builds every tree-family model in both fast and
 // reference configurations.
-func fastPathModels(seed int64, workers int, disable bool) []struct {
+func fastPathModels(seed int64, workers int, reference bool) []struct {
 	name string
 	c    Classifier
 } {
-	return []struct {
+	models := []struct {
 		name string
 		c    Classifier
 	}{
-		{"Tree", NewTree(TreeConfig{MaxDepth: 8, Seed: seed, DisableFastPath: disable})},
-		{"TreeSqrt", NewTree(TreeConfig{MaxDepth: 8, MaxFeatures: SqrtFeatures, Seed: seed, DisableFastPath: disable})},
-		{"ExtraTree", NewTree(TreeConfig{MaxDepth: 8, MaxFeatures: SqrtFeatures, RandomThreshold: true, Seed: seed, DisableFastPath: disable})},
-		{"RandomForest", NewRandomForest(ForestConfig{Trees: 12, MaxDepth: 7, Seed: seed, Workers: workers, DisableFastPath: disable})},
-		{"ExtraTrees", NewExtraTrees(ForestConfig{Trees: 12, MaxDepth: 7, Seed: seed, Workers: workers, DisableFastPath: disable})},
-		{"AdaBoostStumps", NewAdaBoost(AdaBoostConfig{Rounds: 15, Seed: seed, Workers: workers, DisableFastPath: disable})},
-		{"AdaBoostTrees", NewAdaBoost(AdaBoostConfig{Rounds: 8, Depth: 2, MaxFeatures: 6, Seed: seed, Workers: workers, DisableFastPath: disable})},
-		{"GBM", NewGBM(GBMConfig{Rounds: 10, MaxDepth: 3, MaxFeatures: 6, Seed: seed, DisableFastPath: disable})},
+		{"Tree", NewTree(TreeConfig{MaxDepth: 8, Seed: seed})},
+		{"TreeSqrt", NewTree(TreeConfig{MaxDepth: 8, MaxFeatures: SqrtFeatures, Seed: seed})},
+		{"ExtraTree", NewTree(TreeConfig{MaxDepth: 8, MaxFeatures: SqrtFeatures, RandomThreshold: true, Seed: seed})},
+		{"RandomForest", NewRandomForest(ForestConfig{Trees: 12, MaxDepth: 7, Seed: seed, Workers: workers})},
+		{"ExtraTrees", NewExtraTrees(ForestConfig{Trees: 12, MaxDepth: 7, Seed: seed, Workers: workers})},
+		{"AdaBoostStumps", NewAdaBoost(AdaBoostConfig{Rounds: 15, Seed: seed, Workers: workers})},
+		{"AdaBoostTrees", NewAdaBoost(AdaBoostConfig{Rounds: 8, Depth: 2, MaxFeatures: 6, Seed: seed, Workers: workers})},
 	}
+	for _, m := range models {
+		viaReference(m.c, reference)
+	}
+	return models
 }
 
 // TestFastPathBitIdentical is the tentpole differential: on NaN-bearing
@@ -108,7 +126,8 @@ func TestFastPathWeightedBitIdentical(t *testing.T) {
 			w[i] = wrng.Uniform(0.1, 2.0)
 		}
 		for _, maxFeat := range []int{0, SqrtFeatures} {
-			ref := NewTree(TreeConfig{MaxDepth: 8, MaxFeatures: maxFeat, Seed: seed, DisableFastPath: true})
+			ref := NewTree(TreeConfig{MaxDepth: 8, MaxFeatures: maxFeat, Seed: seed})
+			ref.cfg.reference = true
 			fast := NewTree(TreeConfig{MaxDepth: 8, MaxFeatures: maxFeat, Seed: seed})
 			if err := ref.FitWeighted(x, y, w); err != nil {
 				t.Fatal(err)
@@ -131,40 +150,14 @@ func TestFastPathWeightedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRegTreeFastPathBitIdentical diffs the regression builder directly
-// on continuous targets (GBM covers it indirectly; this isolates it).
-func TestRegTreeFastPathBitIdentical(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		x, _ := quantizedDataset(250, 10, seed)
-		rng := sim.NewSource(seed).Derive("regtargets")
-		targets := make([]float64, len(x))
-		for i := range targets {
-			targets[i] = rng.Normal(0, 1)
-		}
-		for _, maxFeat := range []int{0, 4} {
-			ref := NewRegTree(TreeConfig{MaxDepth: 6, MinLeaf: 3, MaxFeatures: maxFeat, Seed: seed, DisableFastPath: true})
-			fast := NewRegTree(TreeConfig{MaxDepth: 6, MinLeaf: 3, MaxFeatures: maxFeat, Seed: seed})
-			if err := ref.Fit(x, targets); err != nil {
-				t.Fatal(err)
-			}
-			if err := fast.Fit(x, targets); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(ref.nodes, fast.nodes) {
-				t.Errorf("seed %d maxFeatures %d: regression fast fit differs from reference", seed, maxFeat)
-			}
-		}
-	}
-}
-
 // TestRFEUnchangedByFastPath pins that feature elimination — selection,
 // score, and full trajectory — is identical whichever builder trains the
 // ranker.
 func TestRFEUnchangedByFastPath(t *testing.T) {
 	x, y := synthBinary(160, 5, 15, 0.4, 7)
-	run := func(disable bool) RFEResult {
+	run := func(reference bool) RFEResult {
 		res, err := RFE(func() Classifier {
-			return NewExtraTrees(ForestConfig{Trees: 10, MaxDepth: 6, Seed: 3, DisableFastPath: disable})
+			return viaReference(NewExtraTrees(ForestConfig{Trees: 10, MaxDepth: 6, Seed: 3}), reference)
 		}, x, y, RFEConfig{Seed: 11, MinFeatures: 5})
 		if err != nil {
 			t.Fatal(err)

@@ -23,12 +23,12 @@ type TreeConfig struct {
 	RandomThreshold bool
 	// Seed drives feature subsampling and random thresholds.
 	Seed int64
-	// DisableFastPath routes training through the straightforward
-	// per-node sorting builder instead of the presorted-column builder
-	// (trainfast.go). Both grow bit-identical trees; the reference path
-	// is kept as the oracle for differential tests. A runtime knob, not
-	// model state — excluded from serialization.
-	DisableFastPath bool `json:"-"`
+	// reference routes training through the per-node-sort treeBuilder
+	// below instead of the presorted-column builder (trainfast.go). Both
+	// grow bit-identical trees; only this package's differential tests
+	// set it (the ensembles copy their own reference field into every
+	// tree they fit). Unexported, so it is never serialized.
+	reference bool
 }
 
 // SqrtFeatures selects sqrt(#features) candidates per split.
@@ -43,7 +43,6 @@ type Tree struct {
 	nodes     []treeNode
 	imp       []float64
 	name      string
-	flat      *flatTree // derived fast-path layout; rebuilt by compile, never serialized
 }
 
 type treeNode struct {
@@ -117,7 +116,7 @@ func (t *Tree) fitWeightedCtx(x [][]float64, y []int, w []float64, tc *trainCtx)
 	for i, label := range y {
 		yi[i] = classIdx[label]
 	}
-	if t.cfg.DisableFastPath {
+	if t.cfg.reference {
 		samples := make([]int, len(y))
 		for i := range samples {
 			samples[i] = i
@@ -141,18 +140,26 @@ func (t *Tree) fitWeightedCtx(x [][]float64, y []int, w []float64, tc *trainCtx)
 			t.imp[i] /= total
 		}
 	}
-	t.compile()
 	return nil
 }
 
 // Predict implements Classifier.
 func (t *Tree) Predict(sample []float64) int {
+	return t.classes[argmax(t.PredictProba(sample))]
+}
+
+// PredictProbaInto implements FastProbaPredictor.
+func (t *Tree) PredictProbaInto(sample, out []float64) int {
 	probs := t.PredictProba(sample)
+	copy(out, probs)
 	return t.classes[argmax(probs)]
 }
 
 // PredictProba returns the leaf class distribution for sample, in the
-// order of Classes.
+// order of Classes. It is the leaf's own slice, returned without
+// allocating; callers must not modify it. Every child index exceeds its
+// parent's (the builders reserve the parent slot first and LoadModel
+// checks it), so the walk ends within len(nodes) steps.
 func (t *Tree) PredictProba(sample []float64) []float64 {
 	if len(t.nodes) == 0 {
 		panic("mlkit: predict before fit")
@@ -187,6 +194,10 @@ func (t *Tree) Importances() []float64 { return t.imp }
 
 // NumNodes reports the number of stored nodes (splits plus leaves).
 func (t *Tree) NumNodes() int { return len(t.nodes) }
+
+// NumFeatures reports how many leading entries of a sample inference may
+// read; a longer sample is legal, a shorter one is not.
+func (t *Tree) NumFeatures() int { return t.nFeatures }
 
 // Depth returns the trained tree's depth (a leaf-only tree has depth 1).
 func (t *Tree) Depth() int {

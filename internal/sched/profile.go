@@ -18,18 +18,9 @@ type profile struct {
 	free  []int
 }
 
-// newProfile builds a profile starting at now with the given current
-// free count and a set of future releases (time, nodes). It copies and
-// sorts the releases; the backfill hot path sorts its reusable snapshot
-// buffer once and calls newProfileFromSorted directly.
-func newProfile(now float64, freeNow int, releases []release) *profile {
-	sorted := append([]release(nil), releases...)
-	sortReleases(sorted)
-	return newProfileFromSorted(now, freeNow, sorted)
-}
-
-// newProfileFromSorted builds a profile from releases already in
-// snapshot order (sortReleases). Ascending insertion keeps every addAt
+// newProfileFromSorted builds a profile starting at now with the given
+// current free count from future releases (time, nodes) already in
+// snapshot order (releaseSorter). Ascending insertion keeps every addAt
 // appending at the tail — no mid-slice splits — so construction is
 // linear in the release count.
 func newProfileFromSorted(now float64, freeNow int, sorted []release) *profile {
@@ -79,12 +70,6 @@ func (r *releaseSorter) Less(i, j int) bool {
 	return r.rels[i].n < r.rels[j].n
 }
 func (r *releaseSorter) Swap(i, j int) { r.rels[i], r.rels[j] = r.rels[j], r.rels[i] }
-
-// sortReleases sorts rels in place into snapshot order.
-func sortReleases(rels []release) {
-	s := releaseSorter{rels: rels}
-	sort.Sort(&s)
-}
 
 // addAt adds delta free nodes from time t onward.
 func (p *profile) addAt(t float64, delta int) {

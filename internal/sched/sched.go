@@ -603,8 +603,7 @@ func sortJobs(q []*Job, p Policy) {
 func (s *Scheduler) conservativeBackfill() bool {
 	now := s.m.Eng.Now()
 	// Snapshot the running set's releases into a reusable buffer and
-	// sort once, deterministically (releaseSorter), instead of letting
-	// newProfile copy and re-sort per call.
+	// sort once, deterministically (releaseSorter).
 	rels := s.bfRels[:0]
 	for _, j := range s.running {
 		end := j.StartTime + j.Estimate

@@ -68,6 +68,13 @@
 //	outage  set/clear the injected predictor-outage flag
 //	stats   counter snapshot
 //
+// Two requests are refused with StatusError because serving them would
+// crash the daemon, and both leave it serving: a swap whose blob
+// mlkit.LoadModel rejects (the old model stays; the error names the
+// field), and a decide or eval whose feature vector has fewer entries
+// than the model reads (a longer one is legal — a model may read a
+// prefix of the ingest features).
+//
 // Decision responses reuse the gate's trace vocabulary: Decision is one
 // of "start", "veto", "fail-open", "override" (obs.Decision*), Reason
 // is the typed fail-open/override cause (obs.Reason*), Class is the

@@ -399,6 +399,15 @@ func (s *Server) decide(req *Request, resp *Response, phase int) {
 		}
 		feats = snap.Features(simnet.ProbeResult{}, apps.Class(req.Class), make([]float64, 0, dataset.NumFeatures))
 	}
+	// The models index the vector unchecked. A wider one is legal (a model
+	// may read a prefix of the ingest features); a narrower one would
+	// panic the batcher goroutine, so it is the client's error.
+	if w, ok := snap.Model.(interface{ NumFeatures() int }); ok && len(feats) < w.NumFeatures() {
+		resp.Status = StatusError
+		resp.Error = fmt.Sprintf("feature vector has %d entries, the model reads %d", len(feats), w.NumFeatures())
+		s.cProtoErrs.Inc()
+		return
+	}
 	if s.maxMissing > 0 {
 		miss := nanFraction(feats)
 		resp.Missing = miss
@@ -571,7 +580,7 @@ func (s *Server) Handle(req *Request, resp *Response) {
 		}
 		s.decide(req, resp, phase)
 		<-s.sem
-		if resp.Decision != DecisionEvaluate {
+		if resp.Status == StatusOK && resp.Decision != DecisionEvaluate {
 			s.cDecisions.Inc()
 		}
 	default:

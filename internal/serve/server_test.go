@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -221,4 +222,77 @@ func TestConcurrentSwapIngestDecide(t *testing.T) {
 	if got := stats["serve_decisions_total"]; got != deciders*perDecider {
 		t.Fatalf("decisions = %d, want %d", got, deciders*perDecider)
 	}
+}
+
+// stillServing asserts the daemon survived a bad request: it answers a
+// ping and a well-formed decision.
+func stillServing(t *testing.T, srv *serve.Server) {
+	t.Helper()
+	var resp serve.Response
+	srv.Handle(&serve.Request{V: 1, Op: serve.OpPing}, &resp)
+	if resp.Status != serve.StatusOK {
+		t.Fatalf("ping after the bad request: %+v", resp)
+	}
+	srv.Handle(&serve.Request{V: 1, Op: serve.OpDecide, Now: 20, Feats: feats6()}, &resp)
+	if resp.Status != serve.StatusOK || (resp.Decision != obs.DecisionStart && resp.Decision != obs.DecisionVeto) {
+		t.Fatalf("decide after the bad request: %+v", resp)
+	}
+}
+
+// TestSwapRejectsMalformedModel pins that a model blob on which
+// inference would index out of range (a stump reading feature 5000 and
+// voting for class 9) or never terminate (a tree node that is its own
+// child) is refused at the swap, naming the field, and that the old
+// model keeps serving. Accepting either kills the process at the next
+// uncached decision, in the batcher goroutine.
+func TestSwapRejectsMalformedModel(t *testing.T) {
+	srv, err := serve.NewServer(serve.Config{Model: conformanceModel(t, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	blobs := []struct{ field, blob string }{
+		{"stumps[0].Feature", `{"kind":"adaboost","adaboost":{"config":{"Depth":1},"classes":[0,1,2],"stumps":[{"Feature":5000,"LeftClass":0,"RightClass":9}],"alphas":[1]}}`},
+		{"nodes[0].Left", `{"kind":"tree","tree":{"classes":[0,1],"n_features":6,"nodes":[{"Feature":0,"Left":0,"Right":1},{"Probs":[1,0]}]}}`},
+	}
+	for _, b := range blobs {
+		var resp serve.Response
+		srv.Handle(&serve.Request{V: 1, Op: serve.OpSwap, Model: []byte(b.blob)}, &resp)
+		if resp.Status != serve.StatusError || !strings.Contains(resp.Error, b.field) {
+			t.Fatalf("swap of a model with a bad %s: %+v", b.field, resp)
+		}
+	}
+	if st := srv.Stats(); st["serve_model_swaps_total"] != 0 || st["serve_protocol_errors_total"] != uint64(len(blobs)) {
+		t.Fatalf("rejected swaps miscounted: %v", st)
+	}
+	stillServing(t, srv)
+}
+
+// TestShortFeatureVectorIsAnError pins that a decide or eval whose feats
+// has fewer entries than the model reads is the client's error, counted
+// as a protocol error and not as a decision, while a wider vector stays
+// legal. Unchecked, the model indexes past the slice and the panic
+// kills the process.
+func TestShortFeatureVectorIsAnError(t *testing.T) {
+	srv, err := serve.NewServer(serve.Config{Model: conformanceModel(t, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var resp serve.Response
+	for _, op := range []string{serve.OpDecide, serve.OpEval} {
+		srv.Handle(&serve.Request{V: 1, Op: op, Now: 10, Feats: serve.FeatureVector{1}}, &resp)
+		if resp.Status != serve.StatusError || !strings.Contains(resp.Error, "1 entries") {
+			t.Fatalf("%s with a 1-entry vector against a 6-feature model: %+v", op, resp)
+		}
+	}
+	if st := srv.Stats(); st["serve_protocol_errors_total"] != 2 || st["serve_decisions_total"] != 0 {
+		t.Fatalf("short vectors miscounted: %v", st)
+	}
+	wide := append(feats6(), 0.5, 0.5)
+	srv.Handle(&serve.Request{V: 1, Op: serve.OpDecide, Now: 11, Feats: wide}, &resp)
+	if resp.Status != serve.StatusOK {
+		t.Fatalf("a wider vector must stay legal: %+v", resp)
+	}
+	stillServing(t, srv)
 }

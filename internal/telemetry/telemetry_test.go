@@ -227,6 +227,21 @@ func TestCapNodes(t *testing.T) {
 	}
 }
 
+// alignedTicks returns the global tick indices whose sample times fall in
+// [t0, t1). A window shorter than one period still yields one tick (the
+// one containing t0) so feature vectors are never empty.
+func alignedTicks(t0, t1 float64) []int64 {
+	first, last := tickBounds(t0, t1)
+	if last < first {
+		return []int64{int64(math.Floor(t0 / SamplePeriod))}
+	}
+	ticks := make([]int64, 0, last-first+1)
+	for k := first; k <= last; k++ {
+		ticks = append(ticks, k)
+	}
+	return ticks
+}
+
 func TestAlignedTicksProperty(t *testing.T) {
 	f := func(aRaw, bRaw uint16) bool {
 		t0 := float64(aRaw) / 3

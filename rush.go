@@ -11,7 +11,9 @@
 //
 //   - Collect runs the data-collection campaign (Section III).
 //   - CompareModels and TrainPredictor reproduce model selection and the
-//     deployed three-class predictor (Section IV-A, Figure 3).
+//     deployed three-class predictor (Section IV-A, Figure 3). The
+//     Model* constants name the paper's four candidates — ExtraTrees,
+//     DecisionForest, KNN, AdaBoost — and nothing else.
 //   - RunExperiment and RunTrial execute the Table II scheduling
 //     experiments under FCFS+EASY and RUSH (Sections IV-B, VI, VII).
 //     Trials fan out across a bounded worker pool — set
@@ -20,8 +22,7 @@
 //     ARCHITECTURE.md for the determinism contract).
 //   - The Report* functions render every figure and table of the paper's
 //     evaluation from those results. Each writes to an io.Writer and
-//     returns the first write error; the Report*String variants return
-//     the text directly.
+//     returns the first write error.
 //
 // A minimal end-to-end run:
 //
@@ -147,21 +148,16 @@ type (
 	Predictor = core.Predictor
 )
 
-// The four candidate models of Figure 3, plus the gradient-boosting
-// extension.
+// The four candidate models of Figure 3.
 const (
-	ModelExtraTrees       = core.ModelExtraTrees
-	ModelDecisionForest   = core.ModelDecisionForest
-	ModelKNN              = core.ModelKNN
-	ModelAdaBoost         = core.ModelAdaBoost
-	ModelGradientBoosting = core.ModelGradientBoosting
+	ModelExtraTrees     = core.ModelExtraTrees
+	ModelDecisionForest = core.ModelDecisionForest
+	ModelKNN            = core.ModelKNN
+	ModelAdaBoost       = core.ModelAdaBoost
 )
 
 // AllModels lists the candidate models in Figure 3 order.
 func AllModels() []ModelName { return core.AllModels() }
-
-// ExtendedModels adds the models beyond the paper's four.
-func ExtendedModels() []ModelName { return core.ExtendedModels() }
 
 // TemporalFold is one train-on-past / test-on-future evaluation.
 type TemporalFold = core.TemporalFold
