@@ -26,7 +26,7 @@ fuzz-smoke:
 # loc prints non-test Go lines outside bench/ per package and fails when
 # the total passes LOC_CEILING, the count at the change that last cut
 # code, so a change that grows the tree has to say so by raising it.
-LOC_CEILING = 18912
+LOC_CEILING = 18834
 loc:
 	@find . -path ./bench -prune -o -name '*.go' -not -name '*_test.go' -print | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
@@ -61,13 +61,11 @@ bench-obs:
 # window computed, and the re-ask two ticks later — must perform zero
 # allocations and allocate zero bytes: the sampler's row store computes
 # rows in place, so a growing arena or a per-decision buffer shows here.
-# The greps inspect only the fast and job lines, so the (deliberately
-# allocating) reference sub-benchmark cannot mask a regression. The
-# ensemble inference inside those decisions is also checked alone
+# The ensemble inference inside those decisions is also checked alone
 # (BenchmarkPredictProba: PredictProbaInto must not allocate). Reference
 # numbers live in BENCH_gate.json.
 bench-gate:
-	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkGateDecision/(fast|job)|BenchmarkPredictProba' -benchmem .); \
+	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkGateDecision|BenchmarkPredictProba' -benchmem .); \
 	echo "$$out"; \
 	echo "$$out" | grep 'GateDecision/fast' | grep -q ' 0 allocs/op' || { echo "bench-gate: gate decision allocates on the fast path"; exit 1; }; \
 	echo "$$out" | grep 'BenchmarkPredictProba' | grep -q ' 0 allocs/op' || { echo "bench-gate: PredictProbaInto allocates"; exit 1; }; \

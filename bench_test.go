@@ -520,14 +520,12 @@ func newBenchMachine(b *testing.B) (*machine.Machine, *sched.RUSH) {
 	return m, gate
 }
 
-// newBenchGate puts newBenchMachine's gate on the machine-wide scope —
-// the heaviest decision the scheduler issues — either on the fast path or
-// forced through the reference path.
-func newBenchGate(b *testing.B, fast bool) (*sched.RUSH, *sched.Job, cluster.Allocation) {
+// newBenchGate puts newBenchMachine's gate on the machine-wide scope,
+// the heaviest decision the scheduler issues.
+func newBenchGate(b *testing.B) (*sched.RUSH, *sched.Job, cluster.Allocation) {
 	b.Helper()
 	_, gate := newBenchMachine(b)
 	gate.AllNodesScope = true
-	gate.DisableFastPath = !fast
 	nodes := make([]cluster.NodeID, 16)
 	for i := range nodes {
 		nodes[i] = cluster.NodeID(i)
@@ -538,29 +536,23 @@ func newBenchGate(b *testing.B, fast bool) (*sched.RUSH, *sched.Job, cluster.All
 
 // BenchmarkGateDecision times one full gate decision — freshness check,
 // 300-second window aggregation, MPI probes, feature assembly, ensemble
-// inference. fast and reference are the steady-state decision on the
-// 512-node machine-wide scope, on the incremental path and on the
-// from-scratch one. The job sub-benchmarks are the two decisions a RUSH
+// inference. fast is the steady-state decision on the 512-node
+// machine-wide scope. The job sub-benchmarks are the two decisions a RUSH
 // trial is made of, both on a 16-node job scope (see benchJobScopeGate).
-// The fast path and both job shapes must report 0 allocs/op, the job
-// shapes 0 B/op too (`make bench-gate` enforces it).
+// All three must report 0 allocs/op, the job shapes 0 B/op too (`make
+// bench-gate` enforces it).
 func BenchmarkGateDecision(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		fast bool
-	}{{"fast", true}, {"reference", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			gate, j, alloc := newBenchGate(b, mode.fast)
+	b.Run("fast", func(b *testing.B) {
+		gate, j, alloc := newBenchGate(b)
+		j.Skips = 0
+		gate.Allow(j, alloc) // warm caches and reusable buffers
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
 			j.Skips = 0
-			gate.Allow(j, alloc) // warm caches and reusable buffers
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				j.Skips = 0
-				gate.Allow(j, alloc)
-			}
-		})
-	}
+			gate.Allow(j, alloc)
+		}
+	})
 	// first-ask: a job's first decision on a freshly allocated node set,
 	// one the sampler has not aggregated within the window, so all 320
 	// rows are computed. re-ask: the same scope asked again two ticks

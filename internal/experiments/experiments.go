@@ -237,20 +237,20 @@ func RunTrial(spec workload.Spec, policy Policy, pred *core.Predictor, seed int6
 // Construction order is load-bearing: every random stream derives from
 // the engine seed in the order components attach.
 type trialEnv struct {
-	eng        *sim.Engine
-	traceBuf   *bytes.Buffer
-	tracer     *obs.Tracer
-	reg        *obs.Registry
-	observer   *obs.Observer
-	m          *machine.Machine
-	noise      *machine.Noise
-	inj        *faults.Injector
-	rushGate   *sched.RUSH
-	canaryGate *sched.Canary
-	lcm        *lifecycle.Manager
-	s          *sched.Scheduler
-	submitted  int    // jobs drive handed to the scheduler
-	peakHeap   uint64 // largest live heap the MemSample sampler saw
+	eng       *sim.Engine
+	traceBuf  *bytes.Buffer
+	tracer    *obs.Tracer
+	reg       *obs.Registry
+	observer  *obs.Observer
+	m         *machine.Machine
+	noise     *machine.Noise
+	inj       *faults.Injector
+	rushGate  *sched.RUSH
+	ledger    *sched.Ledger // the gate's books, whichever gate delays jobs
+	lcm       *lifecycle.Manager
+	s         *sched.Scheduler
+	submitted int    // jobs drive handed to the scheduler
+	peakHeap  uint64 // largest live heap the MemSample sampler saw
 }
 
 // newTrialEnv assembles the environment. cfg must already be filled.
@@ -328,7 +328,7 @@ func newTrialEnv(name string, policy Policy, pred *core.Predictor, seed int64, c
 		if lcm != nil {
 			rushGate.Hook = lcm
 		}
-		env.rushGate, env.lcm = rushGate, lcm
+		env.rushGate, env.ledger, env.lcm = rushGate, &rushGate.Ledger, lcm
 		gate = rushGate
 	case Canary:
 		canaryGate := sched.NewCanary(m)
@@ -339,7 +339,7 @@ func newTrialEnv(name string, policy Policy, pred *core.Predictor, seed int64, c
 			canaryGate.SlowdownThreshold = cfg.CanaryThreshold
 		}
 		canaryGate.AllClasses = cfg.CanaryAllClasses
-		env.canaryGate = canaryGate
+		env.ledger = &canaryGate.Ledger
 		gate = canaryGate
 	}
 	var r1, r2 sched.Policy = sched.FCFS{}, sched.FCFS{}
@@ -349,11 +349,11 @@ func newTrialEnv(name string, policy Policy, pred *core.Predictor, seed int64, c
 	s, err := sched.NewScheduler(sched.Config{
 		Machine: m, Primary: r1, Backfill: r2, Gate: gate,
 		Mode: cfg.Backfill, Observer: observer, Faults: inj,
-		DisableFastPath: cfg.schedReference,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
+	s.DisableFastPath = cfg.schedReference
 	if env.lcm != nil {
 		s.OnComplete = env.lcm.JobCompleted
 	}
@@ -482,11 +482,13 @@ func drive(name string, stream workload.JobStream, policy Policy, pred *core.Pre
 	tr.NodeFailures = env.inj.NodeFailures
 	tr.NodeRepairs = env.inj.NodeRepairs
 	tr.JobKills = env.inj.JobKills
+	if l := env.ledger; l != nil {
+		tr.GateEvaluations = l.Evaluations
+		tr.GateVetoes = l.Vetoes
+		tr.ThresholdOverrides = l.ThresholdOverrides
+		tr.GateDegraded = l.Degraded
+	}
 	if g := env.rushGate; g != nil {
-		tr.GateEvaluations = g.Evaluations
-		tr.GateVetoes = g.Vetoes
-		tr.ThresholdOverrides = g.ThresholdOverrides
-		tr.GateDegraded = g.Degraded
 		tr.DegradedTime = g.DegradedTime()
 		if g.Breaker != nil {
 			tr.BreakerTrips = g.Breaker.Trips
@@ -500,11 +502,6 @@ func drive(name string, stream workload.JobStream, policy Policy, pred *core.Pre
 		tr.Rollbacks = lcm.Rollbacks
 		tr.ShadowPredictions = lcm.ShadowDecisions
 		tr.CanaryActed = lcm.CanaryActed
-	}
-	if g := env.canaryGate; g != nil {
-		tr.GateEvaluations = g.Evaluations
-		tr.GateVetoes = g.Vetoes
-		tr.ThresholdOverrides = g.ThresholdOverrides
 	}
 	if env.traceBuf != nil {
 		if err := env.tracer.Flush(); err != nil {

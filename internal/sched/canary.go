@@ -16,6 +16,10 @@ import (
 // reacts to the same live signal but cannot weigh it per application or
 // combine it with counter history.
 type Canary struct {
+	// Ledger books the canary's decisions like any other gate's; having
+	// no model, its gate events carry class -1 and it never fails open.
+	Ledger
+
 	m *machine.Machine
 
 	// SlowdownThreshold delays a job when the probes run this many times
@@ -25,18 +29,6 @@ type Canary struct {
 	// network- and I/O-intensive jobs (the canary literature's targets)
 	// are delayed.
 	AllClasses bool
-
-	// Evaluations and Vetoes count gate activity.
-	Evaluations int
-	Vetoes      int
-	// ThresholdOverrides counts jobs forced through after exhausting
-	// their skip threshold.
-	ThresholdOverrides int
-
-	obs        *obs.Observer
-	cEvals     *obs.Counter
-	cVetoes    *obs.Counter
-	cOverrides *obs.Counter
 }
 
 // NewCanary returns a canary gate over machine m.
@@ -47,38 +39,16 @@ func NewCanary(m *machine.Machine) *Canary {
 // Name implements Gate.
 func (g *Canary) Name() string { return "Canary" }
 
-// Observe implements ObservableGate. The canary has no model, so its
-// gate events carry class -1; the probe slowdown signal is what drove
-// the decision.
-func (g *Canary) Observe(o *obs.Observer) {
-	g.obs = o
-	reg := o.Metrics()
-	g.cEvals = reg.Counter("gate_evaluations_total")
-	g.cVetoes = reg.Counter("gate_vetoes_total")
-	g.cOverrides = reg.Counter("gate_overrides_total")
-}
-
-func (g *Canary) emit(j *Job, decision string) {
-	if !g.obs.Tracing() {
-		return
-	}
-	g.obs.Emit(obs.Event{Time: g.m.Eng.Now(), Kind: obs.KindGate, Job: j.ID, App: j.App.Name,
-		Decision: decision, Class: -1, Skips: j.Skips, Age: -1, Missing: -1})
-}
-
-// Allow implements Gate.
+// Allow implements Gate: the skip-threshold override of Algorithm 2, then
+// the probe slowdown signal in the model's place.
 func (g *Canary) Allow(j *Job, alloc cluster.Allocation) bool {
+	now := g.m.Eng.Now()
 	if j.Skips >= j.SkipLimit() {
-		g.ThresholdOverrides++
-		g.cOverrides.Inc()
-		g.emit(j, obs.DecisionOverride)
-		return true
+		return g.Record(now, j, NewVerdict(obs.DecisionOverride, ""), nil, nil)
 	}
 	if !g.AllClasses && j.App.Class == apps.ComputeIntensive {
 		return true
 	}
-	g.Evaluations++
-	g.cEvals.Inc()
 	probes := g.m.RunProbes(alloc)
 	// Mean per-node probe time versus the idle expectation.
 	var sum float64
@@ -86,12 +56,6 @@ func (g *Canary) Allow(j *Job, alloc cluster.Allocation) bool {
 		sum += probes.SendWait[i] + probes.RecvWait[i] + probes.AllReduceWait[i]
 	}
 	mean := sum / float64(len(probes.SendWait))
-	if mean > g.SlowdownThreshold*simnet.ProbeIdleDuration() {
-		g.Vetoes++
-		g.cVetoes.Inc()
-		g.emit(j, obs.DecisionVeto)
-		return false
-	}
-	g.emit(j, obs.DecisionStart)
-	return true
+	veto := mean > g.SlowdownThreshold*simnet.ProbeIdleDuration()
+	return g.Record(now, j, NewVerdict("", "").Decided(veto, -1), nil, nil)
 }

@@ -33,10 +33,6 @@ type Config struct {
 	// providing it here lets the scheduler wire the Observer into it.
 	// The scheduler takes no other interest in the injector.
 	Faults *faults.Injector
-	// DisableFastPath routes every Pass through the reference scanner
-	// instead of the availability-timeline fast path. Schedules are
-	// job-for-job identical either way; see Scheduler.DisableFastPath.
-	DisableFastPath bool
 }
 
 // NewScheduler builds a scheduler from cfg, applying defaults for every
@@ -59,7 +55,6 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 	s := &Scheduler{
 		m: cfg.Machine, r1: cfg.Primary, r2: cfg.Backfill, gt: cfg.Gate,
 		Backfill:          cfg.Mode,
-		DisableFastPath:   cfg.DisableFastPath,
 		RetryInterval:     30,
 		VetoCooldown:      30,
 		RequeueBackoff:    60,

@@ -34,7 +34,7 @@ func twinGates(t *testing.T, seed int64, allScope bool, probThreshold float64) (
 	model := trainedToyModel(t, gateMachine())
 	fast = NewRUSH(mF, model)
 	ref = NewRUSH(mR, model)
-	ref.DisableFastPath = true
+	ref.reference = true
 	fast.AllNodesScope = allScope
 	ref.AllNodesScope = allScope
 	fast.ProbThreshold = probThreshold

@@ -202,17 +202,17 @@ func runTwinHalf(t *testing.T, spec twinSpec, reference bool) schedRun {
 	var buf bytes.Buffer
 	reg := obs.NewRegistry()
 	s, err := NewScheduler(Config{
-		Machine:         m,
-		Primary:         spec.r1,
-		Backfill:        spec.r2,
-		Gate:            spec.gate(),
-		Mode:            spec.mode,
-		Observer:        obs.New(obs.NewTracer(&buf), reg),
-		DisableFastPath: reference,
+		Machine:  m,
+		Primary:  spec.r1,
+		Backfill: spec.r2,
+		Gate:     spec.gate(),
+		Mode:     spec.mode,
+		Observer: obs.New(obs.NewTracer(&buf), reg),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.DisableFastPath = reference
 	s.RetryInterval = 15
 	s.VetoCooldown = 15
 	s.RequeueBackoff = 20

@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"math"
-
 	"rush/internal/apps"
 	"rush/internal/cluster"
 	"rush/internal/dataset"
@@ -35,13 +33,100 @@ type DecisionHook interface {
 	Override(j *Job)
 }
 
+// Features assembles the live Table I feature vector of a tentative
+// allocation from one machine: the five-minute counter aggregation over
+// the decision scope plus freshly run MPI probes. It owns the reusable
+// buffers that keep a steady-state gate decision free of heap allocations.
+// The RUSH gate embeds one; the served gate holds one too, since counters
+// and probes live with the simulated machine on either deployment.
+type Features struct {
+	m *machine.Machine
+
+	// AllNodesScope aggregates counters over the whole machine instead
+	// of the job's tentative nodes (the paper's data-exclusivity
+	// comparison; job-node scope is the deployed default).
+	AllNodesScope bool
+
+	// reference routes LiveFeatures, and the embedding RUSH gate's model
+	// call, through the allocating reference implementations: full window
+	// recompute (Sampler.AggregateRangeRef) and pointer-tree PredictProba.
+	// Decisions are bit-identical either way; only the differential test
+	// in fastpath_test.go sets it.
+	reference bool
+
+	allNodes []cluster.NodeID
+	winAgg   *telemetry.WindowAgg
+	aggBuf   telemetry.Aggregates
+	probeBuf simnet.ProbeResult
+	featsBuf []float64
+}
+
+// NewFeatures returns the feature assembly of machine m on the job-node
+// scope.
+func NewFeatures(m *machine.Machine) Features { return Features{m: m} }
+
+// LiveFeatures assembles the 282-feature vector the model expects from
+// the current machine state.
+//
+// The returned slice is a per-value buffer reused by the next call;
+// callers that retain features across decisions must copy them. The probe
+// noise draw order is identical on the fast and reference paths, so the
+// reference path never perturbs the rng stream.
+func (f *Features) LiveFeatures(alloc cluster.Allocation, class apps.Class) []float64 {
+	now := f.m.Eng.Now()
+	if f.reference {
+		agg := f.m.Sampler.AggregateRangeRef(f.m.Net.History(), f.scopeNodes(alloc), now-telemetry.WindowSeconds, now)
+		probes := f.m.RunProbes(alloc)
+		return dataset.BuildFeatures(agg, probes, class)
+	}
+	if f.AllNodesScope {
+		// The machine-wide scope is fixed, so a sliding-window aggregator
+		// amortizes each tick's node sweep across decisions.
+		if f.winAgg == nil {
+			f.winAgg = f.m.Sampler.NewWindowAgg(f.m.Net.History(), f.scopeNodes(alloc))
+		}
+		f.winAgg.AggregateInto(now, &f.aggBuf)
+	} else {
+		f.m.Sampler.AggregateWindowInto(f.m.Net.History(), alloc.Nodes, now, &f.aggBuf)
+	}
+	f.m.RunProbesInto(alloc, &f.probeBuf)
+	if f.featsBuf == nil {
+		f.featsBuf = make([]float64, 0, dataset.NumFeatures)
+	}
+	f.featsBuf = dataset.BuildFeaturesInto(f.aggBuf, f.probeBuf, class, f.featsBuf[:0])
+	return f.featsBuf
+}
+
+// FreshnessAge measures how old the newest telemetry of the decision
+// scope is: a sweep over the scope's nodes, which is why the gate takes it
+// only once the pipeline's earlier layers came back clear.
+func (f *Features) FreshnessAge(alloc cluster.Allocation) float64 {
+	return f.m.Sampler.FreshnessAge(f.scopeNodes(alloc), f.m.Eng.Now())
+}
+
+// scopeNodes returns the node set the telemetry readings cover.
+func (f *Features) scopeNodes(alloc cluster.Allocation) []cluster.NodeID {
+	if f.AllNodesScope {
+		if f.allNodes == nil {
+			f.allNodes = telemetry.AllNodes(f.m.Topo)
+		}
+		return f.allNodes
+	}
+	return alloc.Nodes
+}
+
 // RUSH is the paper's model-based gate (Algorithm 2): before a job
 // launches, build the live Table I feature vector from the current system
 // counters on the job's tentative nodes plus fresh MPI probe timings, run
 // the trained classifier, and veto the start when a variation label is
-// predicted — unless the job has exhausted its skip threshold.
+// predicted, unless the job has exhausted its skip threshold. It is three
+// embedded parts and a model: Features builds the vector, Pipeline is the
+// decision with its fail-open layers, Ledger keeps the books.
 type RUSH struct {
-	m     *machine.Machine
+	Features
+	Pipeline
+	Ledger
+
 	model mlkit.Classifier
 
 	// VariationLabels is the set of predicted labels that delay a job.
@@ -49,10 +134,6 @@ type RUSH struct {
 	// dataset.LabelLittle makes the gate more conservative (see the
 	// ablation benchmarks).
 	VariationLabels map[int]bool
-	// AllNodesScope aggregates counters over the whole machine instead
-	// of the job's tentative nodes (the paper's data-exclusivity
-	// comparison; job-node scope is the deployed default).
-	AllNodesScope bool
 	// ProbThreshold, when positive, switches the gate from the paper's
 	// hard label rule to a probability rule: the job is delayed when the
 	// model's total probability mass on the VariationLabels exceeds the
@@ -64,227 +145,73 @@ type RUSH struct {
 	ProbThreshold float64
 
 	// ModelDown, when set, reports whether the predictor service is
-	// currently unreachable (fault injection hooks in here). A down model
-	// is a breaker failure and the decision fails open.
+	// currently unreachable (fault injection hooks in here). It must be
+	// pure: the gate reads it on every decision. A down model is a
+	// breaker failure and the decision fails open.
 	ModelDown func() bool
-	// MaxStaleness is the oldest acceptable telemetry age in seconds; a
-	// staler counter store fails the decision open rather than predicting
-	// from frozen data (default 90, 1.5 sample periods). Zero disables
-	// the check.
-	MaxStaleness float64
-	// MaxMissing is the largest tolerable fraction of missing (NaN)
-	// counter features; above it the decision fails open (default 0.5).
-	// Zero disables the check.
-	MaxMissing float64
-	// Breaker trips after repeated model-path failures so a dead
-	// predictor stops being consulted at all; nil disables it. See
-	// Breaker for the fail-open semantics.
-	Breaker *Breaker
 	// Hook, when set, observes every decision and may adjust evaluated
 	// ones (the model-lifecycle registry's shadow/canary path). Nil is
 	// the zero-overhead default.
 	Hook DecisionHook
 
-	// DisableFastPath routes LiveFeatures and decide through the
-	// allocating reference implementations: full window recompute
-	// (Sampler.AggregateRangeRef) and pointer-tree PredictProba. The
-	// decisions are bit-identical either way — pinned by the differential
-	// tests — so the toggle exists only for those tests and the
-	// before/after benchmark.
-	DisableFastPath bool
-
-	// Evaluations counts model invocations; Vetoes counts delays issued.
-	Evaluations int
-	Vetoes      int
-	// ThresholdOverrides counts jobs forced through after exhausting
-	// their skip threshold.
-	ThresholdOverrides int
-	// Degraded counts decisions that failed open (model down, telemetry
-	// stale or too sparse, or breaker open) — jobs that launched exactly
-	// as the FCFS+EASY baseline would have.
-	Degraded int
-
-	obs *obs.Observer
-	met gateMetrics
-
-	// Per-gate fast-path buffers, reused across decisions so a
-	// steady-state gate decision performs zero heap allocations. The
-	// feature vector LiveFeatures returns aliases featsBuf; see its doc
-	// for the reuse contract.
-	allNodes []cluster.NodeID
-	winAgg   *telemetry.WindowAgg
-	aggBuf   telemetry.Aggregates
-	probeBuf simnet.ProbeResult
-	featsBuf []float64
 	probsBuf []float64
 }
 
-// gateMetrics are the RUSH gate's pre-resolved metric handles; all nil
-// (no-op) without an observer.
-type gateMetrics struct {
-	evaluations *obs.Counter
-	vetoes      *obs.Counter
-	overrides   *obs.Counter
-	degraded    *obs.Counter
-	// Per-reason fail-open counters, so faulted runs can attribute
-	// degradation to its cause without parsing the trace.
-	failBreaker *obs.Counter
-	failModel   *obs.Counter
-	failStale   *obs.Counter
-	failMissing *obs.Counter
-}
-
-// Observe implements ObservableGate: decisions emit gate trace events
-// carrying their full provenance (predicted class, skip count, telemetry
-// age, fail-open reason) and maintain evaluation/veto/fail-open counters.
+// Observe implements ObservableGate: the ledger's gate events and
+// counters, plus the breaker's transition events.
 func (g *RUSH) Observe(o *obs.Observer) {
-	g.obs = o
-	reg := o.Metrics()
-	g.met = gateMetrics{
-		evaluations: reg.Counter("gate_evaluations_total"),
-		vetoes:      reg.Counter("gate_vetoes_total"),
-		overrides:   reg.Counter("gate_overrides_total"),
-		degraded:    reg.Counter("gate_degraded_total"),
-		failBreaker: reg.Counter("gate_fail_open_breaker_open_total"),
-		failModel:   reg.Counter("gate_fail_open_model_down_total"),
-		failStale:   reg.Counter("gate_fail_open_stale_telemetry_total"),
-		failMissing: reg.Counter("gate_fail_open_missing_features_total"),
-	}
+	g.Ledger.Observe(o)
 	if g.Breaker != nil {
 		g.Breaker.Observe(o)
 	}
 }
 
-// failReason maps a fail-open reason to its counter.
-func (g *RUSH) failReason(reason string) *obs.Counter {
-	switch reason {
-	case obs.ReasonBreakerOpen:
-		return g.met.failBreaker
-	case obs.ReasonModelDown:
-		return g.met.failModel
-	case obs.ReasonStaleTelemetry:
-		return g.met.failStale
-	case obs.ReasonMissingFeatures:
-		return g.met.failMissing
-	default:
-		return nil
-	}
-}
-
-// emit records one gate decision event. Unmeasured age/missing values
-// are passed as -1, which the tracer omits from the encoded line.
-func (g *RUSH) emit(now float64, j *Job, decision string, class int, reason string, age, missing float64) {
-	if !g.obs.Tracing() {
-		return
-	}
-	g.obs.Emit(obs.Event{Time: now, Kind: obs.KindGate, Job: j.ID, App: j.App.Name,
-		Decision: decision, Class: class, Skips: j.Skips, Reason: reason, Age: age, Missing: missing})
-}
-
 // NewRUSH returns the RUSH gate over machine m with the given trained
-// model.
+// model, delaying on dataset.LabelVariation only, with the deployed
+// fail-open thresholds (telemetry at most 90 s old, 1.5 sample periods;
+// at most half the features missing) and a default Breaker.
 func NewRUSH(m *machine.Machine, model mlkit.Classifier) *RUSH {
 	return &RUSH{
-		m:     m,
-		model: model,
+		Features: NewFeatures(m),
+		Pipeline: Pipeline{MaxStaleness: 90, MaxMissing: 0.5, Breaker: NewBreaker()},
+		model:    model,
 		VariationLabels: map[int]bool{
 			dataset.LabelVariation: true,
 		},
-		MaxStaleness: 90,
-		MaxMissing:   0.5,
-		Breaker:      NewBreaker(),
 	}
 }
 
 // Name implements Gate.
 func (g *RUSH) Name() string { return "RUSH" }
 
-// Allow implements Gate per Algorithm 2: the skip-threshold check
-// short-circuits the model; otherwise variation predictions push the job
-// back. Every failure of the model path — predictor outage, stale or
-// mostly missing telemetry, open circuit breaker — fails OPEN: the job
-// launches exactly as under the FCFS+EASY baseline. A scheduler must
-// degrade to its baseline when its advisor dies, never stall the queue.
-// The outage and staleness checks run before LiveFeatures so a down
-// model consumes no probe randomness and a 100%-outage run is
+// Allow implements Gate per Algorithm 2 by walking the Pipeline: the
+// skip-threshold check short-circuits the model; otherwise variation
+// predictions push the job back. Every failure of the model path fails
+// OPEN: the job launches exactly as under the FCFS+EASY baseline. A
+// scheduler must degrade to its baseline when its advisor dies, never
+// stall the queue. Admit and Fresh come back before LiveFeatures runs, so
+// a down model consumes no probe randomness and a 100%-outage run is
 // bit-identical to the baseline.
 func (g *RUSH) Allow(j *Job, alloc cluster.Allocation) bool {
 	now := g.m.Eng.Now()
-	if j.Skips >= j.SkipLimit() {
-		g.ThresholdOverrides++
-		g.met.overrides.Inc()
-		g.emit(now, j, obs.DecisionOverride, -1, "", -1, -1)
-		if g.Hook != nil {
-			g.Hook.Override(j)
+	v := g.Admit(now, j.Skips, j.SkipThreshold, g.ModelDown != nil && g.ModelDown())
+	if !v.Final() && g.MaxStaleness > 0 {
+		v = g.Fresh(now, g.FreshnessAge(alloc))
+	}
+	var feats []float64
+	if !v.Final() {
+		feats = g.LiveFeatures(alloc, j.App.Class)
+		var err error
+		if v, err = g.Eval(now, v.Age, feats, g.model); err != nil {
+			// LiveFeatures always builds dataset.NumFeatures entries, so
+			// only a model trained on some other layout gets here.
+			panic("sched: " + err.Error())
 		}
-		return true
-	}
-	if g.Breaker != nil && !g.Breaker.Ready(now) {
-		// An open breaker is not charged as another breaker failure — the
-		// model was never consulted — but the decision still degraded.
-		g.Degraded++
-		g.met.degraded.Inc()
-		g.met.failBreaker.Inc()
-		g.emit(now, j, obs.DecisionFailOpen, -1, obs.ReasonBreakerOpen, -1, -1)
-		if g.Hook != nil {
-			g.Hook.FailOpen(j, obs.ReasonBreakerOpen)
-		}
-		return true
-	}
-	if g.ModelDown != nil && g.ModelDown() {
-		return g.failOpen(now, j, obs.ReasonModelDown, -1, -1)
-	}
-	age := -1.0
-	if g.MaxStaleness > 0 {
-		age = g.m.Sampler.FreshnessAge(g.scopeNodes(alloc), now)
-		if age > g.MaxStaleness {
-			return g.failOpen(now, j, obs.ReasonStaleTelemetry, age, -1)
+		if !v.Final() {
+			v = v.Decided(g.decide(feats))
 		}
 	}
-	feats := g.LiveFeatures(alloc, j.App.Class)
-	missing := -1.0
-	if g.MaxMissing > 0 {
-		missing = nanFraction(feats)
-		if missing > g.MaxMissing {
-			return g.failOpen(now, j, obs.ReasonMissingFeatures, age, missing)
-		}
-	}
-	g.Evaluations++
-	g.met.evaluations.Inc()
-	if g.Breaker != nil {
-		g.Breaker.Success(now)
-	}
-	veto, class := g.decide(feats)
-	if g.Hook != nil {
-		// The hook sees the incumbent's verdict and may flip it (canary
-		// decisions); veto/start accounting below reflects the final
-		// outcome, so trial counters describe what actually happened.
-		veto = g.Hook.Decide(j, feats, class, veto)
-	}
-	if veto {
-		g.Vetoes++
-		g.met.vetoes.Inc()
-		g.emit(now, j, obs.DecisionVeto, class, "", age, missing)
-		return false
-	}
-	g.emit(now, j, obs.DecisionStart, class, "", age, missing)
-	return true
-}
-
-// failOpen records a model-path failure and lets the job start. The
-// predicted class is reported as -1: the model was never consulted.
-func (g *RUSH) failOpen(now float64, j *Job, reason string, age, missing float64) bool {
-	if g.Breaker != nil {
-		g.Breaker.Failure(now)
-	}
-	g.Degraded++
-	g.met.degraded.Inc()
-	g.failReason(reason).Inc()
-	g.emit(now, j, obs.DecisionFailOpen, -1, reason, age, missing)
-	if g.Hook != nil {
-		g.Hook.FailOpen(j, reason)
-	}
-	return true
+	return g.Record(now, j, v, feats, g.Hook)
 }
 
 // Model returns the gate's current classifier (the incumbent).
@@ -310,19 +237,6 @@ func (g *RUSH) DegradedTime() float64 {
 	return g.Breaker.DegradedTime(g.m.Eng.Now())
 }
 
-func nanFraction(feats []float64) float64 {
-	if len(feats) == 0 {
-		return 0
-	}
-	n := 0
-	for _, v := range feats {
-		if math.IsNaN(v) {
-			n++
-		}
-	}
-	return float64(n) / float64(len(feats))
-}
-
 // decide applies either the hard label rule (Algorithm 2) or, when
 // ProbThreshold is set, the probability rule, by delegating to the
 // decideWith core shared with Snapshot.Decide. It returns the veto
@@ -331,62 +245,10 @@ func nanFraction(feats []float64) float64 {
 // invoked — never only when tracing — so enabling a trace cannot perturb
 // a single decision.
 func (g *RUSH) decide(feats []float64) (veto bool, class int) {
-	if fp, ok := g.model.(mlkit.FastProbaPredictor); ok && !g.DisableFastPath {
+	if fp, ok := g.model.(mlkit.FastProbaPredictor); ok && !g.reference {
 		if n := len(fp.Classes()); cap(g.probsBuf) < n {
 			g.probsBuf = make([]float64, n)
 		}
 	}
-	return decideWith(g.model, g.VariationLabels, g.ProbThreshold, !g.DisableFastPath, feats, g.probsBuf[:cap(g.probsBuf)])
-}
-
-// LiveFeatures assembles the 282-feature vector the model expects from
-// the current machine state: the five-minute counter aggregation over the
-// decision scope plus freshly run MPI probes on the tentative allocation.
-//
-// The returned slice is a per-gate buffer reused by the next LiveFeatures
-// or Allow call; callers that retain features across decisions must copy
-// them. The probe noise draw order is identical on the fast and reference
-// paths, so DisableFastPath never perturbs the rng stream.
-func (g *RUSH) LiveFeatures(alloc cluster.Allocation, class apps.Class) []float64 {
-	now := g.m.Eng.Now()
-	if g.DisableFastPath {
-		agg := g.m.Sampler.AggregateRangeRef(g.m.Net.History(), g.scopeNodes(alloc), now-telemetry.WindowSeconds, now)
-		probes := g.m.RunProbes(alloc)
-		return dataset.BuildFeatures(agg, probes, class)
-	}
-	if g.AllNodesScope {
-		// The machine-wide scope is fixed, so a sliding-window aggregator
-		// amortizes each tick's node sweep across decisions.
-		if g.winAgg == nil {
-			g.winAgg = g.m.Sampler.NewWindowAgg(g.m.Net.History(), g.scopeNodes(alloc))
-		}
-		g.winAgg.AggregateInto(now, &g.aggBuf)
-	} else {
-		g.m.Sampler.AggregateWindowInto(g.m.Net.History(), alloc.Nodes, now, &g.aggBuf)
-	}
-	g.m.RunProbesInto(alloc, &g.probeBuf)
-	if g.featsBuf == nil {
-		g.featsBuf = make([]float64, 0, dataset.NumFeatures)
-	}
-	g.featsBuf = dataset.BuildFeaturesInto(g.aggBuf, g.probeBuf, class, g.featsBuf[:0])
-	return g.featsBuf
-}
-
-// scopeNodes returns the node set the gate's telemetry decisions cover.
-func (g *RUSH) scopeNodes(alloc cluster.Allocation) []cluster.NodeID {
-	if g.AllNodesScope {
-		if g.allNodes == nil {
-			g.allNodes = allMachineNodes(g.m.Topo.Nodes)
-		}
-		return g.allNodes
-	}
-	return alloc.Nodes
-}
-
-func allMachineNodes(n int) []cluster.NodeID {
-	out := make([]cluster.NodeID, n)
-	for i := range out {
-		out[i] = cluster.NodeID(i)
-	}
-	return out
+	return decideWith(g.model, g.VariationLabels, g.ProbThreshold, !g.reference, feats, g.probsBuf[:cap(g.probsBuf)])
 }

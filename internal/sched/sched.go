@@ -10,8 +10,7 @@
 // Schedulers are built from a Config (see NewScheduler): the machine,
 // the two queue-ordering policies, the gate, an optional observer for
 // structured tracing and metrics, and an optional pre-attached fault
-// injector. The positional New constructor is a deprecated shim kept
-// for source compatibility.
+// injector. NewScheduler is the only constructor.
 //
 // # Error handling
 //
@@ -28,7 +27,7 @@
 // every job lifecycle step (submit, start, backfill, finish, requeue,
 // failure) and maintains counters and wait/run-time histograms in the
 // observer's metrics registry. Gates and the circuit breaker emit their
-// own decision and transition events (see gate.go and breaker.go). A nil
+// own decision and transition events (see Ledger and Breaker). A nil
 // observer compiles to a nil check on the hot path: zero allocations,
 // pinned by TestPassZeroAllocs and BenchmarkPassNoObserver.
 //
@@ -41,7 +40,9 @@
 // the predictor call errors or the model service is down (ModelDown),
 // when the telemetry needed for the feature vector is older than
 // MaxStaleness or more than MaxMissing of it is absent, or when the
-// circuit breaker is open.
+// circuit breaker is open. Pipeline (pipeline.go) is the one place
+// those layers and their order are written; the in-process gate and the
+// serving daemon both walk it.
 //
 // The Breaker wraps the predictor call with the classic three-state
 // circuit: Closed passes calls through and counts consecutive
@@ -146,16 +147,7 @@ func (j *Job) RunTime() float64 { return j.EndTime - j.StartTime }
 
 // SkipLimit returns the job's effective skip threshold. A zero limit
 // means the gate may never delay the job.
-func (j *Job) SkipLimit() int {
-	switch {
-	case j.SkipThreshold < 0:
-		return 0
-	case j.SkipThreshold > 0:
-		return j.SkipThreshold
-	default:
-		return DefaultSkipThreshold
-	}
-}
+func (j *Job) SkipLimit() int { return SkipLimit(j.SkipThreshold) }
 
 // RetryLimit returns the job's effective retry budget. A zero limit
 // means the job fails on its first node-failure kill.

@@ -8,11 +8,11 @@ import (
 	"rush/internal/telemetry"
 )
 
-// Snapshot is an immutable view of everything one RUSH gate decision
-// needs — the trained classifier, the veto-label rule, and (optionally)
-// the telemetry window aggregates of the serving scope — carved out of
-// the scheduler-entangled RUSH gate so decisions can run outside the
-// simulator's single-threaded event loop.
+// Snapshot is an immutable view of what the last pipeline layer, the
+// model consultation, reads: the trained classifier, the veto-label rule
+// and (optionally) the telemetry window aggregates of the serving scope.
+// It lets that layer run outside the simulator's single-threaded event
+// loop.
 //
 // A Snapshot is never mutated after construction: concurrent readers may
 // call Decide and Features freely while a writer builds the *next*
@@ -20,8 +20,8 @@ import (
 // style; see internal/serve for the serving-side swap discipline).
 // Decide performs no heap allocations when the model implements
 // mlkit.FastProbaPredictor and the caller supplies the probability
-// scratch buffer, and it is pinned bit-identical to the in-process
-// gate's verdict: both run the same decision core (decideWith).
+// scratch buffer, and it gives the in-process gate's answer by
+// construction: both run the same decision core (decideWith).
 type Snapshot struct {
 	// Model is the trained classifier consulted by Decide. Trained
 	// models are never mutated by inference (see
@@ -80,18 +80,6 @@ func (s *Snapshot) Decide(feats, probs []float64) (veto bool, class int) {
 // feature guard accounts for; counters-only consumers rely on that.
 func (s *Snapshot) Features(probes simnet.ProbeResult, class apps.Class, buf []float64) []float64 {
 	return dataset.BuildFeaturesInto(s.Agg, probes, class, buf)
-}
-
-// Snapshot captures the gate's current decision state — model, veto
-// labels, probability threshold — as an immutable Snapshot with no
-// telemetry aggregates (Epoch 0). Serving publishers start from it and
-// attach frozen window aggregates on each ingest.
-func (g *RUSH) Snapshot() *Snapshot {
-	labels := make(map[int]bool, len(g.VariationLabels))
-	for k, v := range g.VariationLabels {
-		labels[k] = v
-	}
-	return &Snapshot{Model: g.model, VariationLabels: labels, ProbThreshold: g.ProbThreshold}
 }
 
 // decideWith is the pure decision core shared by the in-process gate

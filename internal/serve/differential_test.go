@@ -1,7 +1,10 @@
 package serve_test
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
+	"net"
 	"path/filepath"
 	"testing"
 
@@ -72,11 +75,24 @@ func startServer(t *testing.T, cfg serve.Config) (*serve.Server, *serve.Client) 
 // the differential test, which is the point.
 func runServedTrial(t *testing.T, name string, jobs []workload.SubmittedJob, client *serve.Client, fcfg faults.Config) ([]byte, *serve.Gate) {
 	t.Helper()
+	trace, gate, _ := driveServedTrial(t, name, jobs, client, fcfg, nil)
+	if gate.Err != nil {
+		t.Fatalf("gate transport error: %v", gate.Err)
+	}
+	return trace, gate
+}
+
+// driveServedTrial is runServedTrial without the demand that the daemon
+// outlives the trial: arm, when non-nil, schedules the test's own events
+// on the trial's engine before the first job is submitted.
+func driveServedTrial(t *testing.T, name string, jobs []workload.SubmittedJob, client *serve.Client, fcfg faults.Config, arm func(*sim.Engine)) ([]byte, *serve.Gate, *obs.Snapshot) {
+	t.Helper()
 	const seed = 11
 	eng := sim.New(seed)
 	traceBuf := &bytes.Buffer{}
 	tracer := obs.NewTracer(traceBuf)
-	observer := obs.New(tracer, nil)
+	reg := obs.NewRegistry()
+	observer := obs.New(tracer, reg)
 	observer.Emit(obs.Event{Time: 0, Kind: obs.KindTrial, Experiment: name, Policy: string(experiments.RUSH), Seed: seed})
 
 	m, err := machine.New(eng, cluster.Pod512())
@@ -102,6 +118,9 @@ func runServedTrial(t *testing.T, name string, jobs []workload.SubmittedJob, cli
 	if err != nil {
 		t.Fatal(err)
 	}
+	if arm != nil {
+		arm(eng)
+	}
 	for _, sj := range jobs {
 		sj := sj
 		eng.At(sj.SubmitAt, func() { s.Submit(sj.Job) })
@@ -118,13 +137,10 @@ func runServedTrial(t *testing.T, name string, jobs []workload.SubmittedJob, cli
 	if err := s.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if gate.Err != nil {
-		t.Fatalf("gate transport error: %v", gate.Err)
-	}
 	if err := tracer.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return traceBuf.Bytes(), gate
+	return traceBuf.Bytes(), gate, reg.Snapshot()
 }
 
 // stripBreakerEvents drops circuit-breaker state-transition lines from a
@@ -220,5 +236,114 @@ func TestServedDecisionsMatchInProcess(t *testing.T) {
 				t.Fatal("clean scenario exercised no veto")
 			}
 		})
+	}
+}
+
+// TestGateFailsOpenWhenDaemonDies closes the daemon in the middle of a
+// served trial. The queue must drain as under the baseline, and the trial
+// must say what happened: the decision that hit the dead connection and
+// every one after it is traced fail-open with reason model-down, and the
+// gate's Degraded count and the per-reason metric agree with the trace. A
+// predictor that died must not read like a clean baseline run.
+func TestGateFailsOpenWhenDaemonDies(t *testing.T) {
+	pred := servePredictor(t)
+	spec, err := workload.SpecByName("ADAA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := workload.Generate(spec, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, client := startServer(t, serve.Config{Model: pred.Model})
+	const diesAt = 600.0
+	trace, gate, metrics := driveServedTrial(t, spec.Name, jobs, client, faults.Config{}, func(eng *sim.Engine) {
+		eng.At(diesAt, func() { srv.Close() })
+	})
+	if gate.Err == nil {
+		t.Fatal("the daemon died mid-trial and the gate recorded no transport error")
+	}
+
+	var evaluatedBefore, failedOpen int
+	for _, line := range bytes.Split(trace, []byte("\n")) {
+		if !bytes.Contains(line, []byte(`"kind":"gate"`)) {
+			continue
+		}
+		var ev struct {
+			T        float64 `json:"t"`
+			Decision string  `json:"decision"`
+			Reason   string  `json:"reason"`
+		}
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatalf("gate line is not JSON: %v\n%s", err, line)
+		}
+		switch {
+		case ev.T < diesAt && ev.Decision == obs.DecisionFailOpen:
+			t.Fatalf("fail-open before the daemon died: %s", line)
+		case ev.T < diesAt:
+			evaluatedBefore++
+		case ev.Decision != obs.DecisionFailOpen || ev.Reason != obs.ReasonModelDown:
+			t.Fatalf("decision after the daemon died is not a model-down fail-open: %s", line)
+		default:
+			failedOpen++
+		}
+	}
+	if evaluatedBefore == 0 || failedOpen == 0 {
+		t.Fatalf("trial did not straddle the daemon's death: %d decisions before, %d fail-opens after", evaluatedBefore, failedOpen)
+	}
+	if gate.Degraded != failedOpen {
+		t.Fatalf("Degraded = %d, the trace has %d fail-open lines", gate.Degraded, failedOpen)
+	}
+	counted := -1.0
+	for _, c := range metrics.Counters {
+		if c.Name == "gate_fail_open_model_down_total" {
+			counted = c.Value
+		}
+	}
+	if counted != float64(failedOpen) {
+		t.Fatalf("gate_fail_open_model_down_total = %v, the trace has %d fail-open lines", counted, failedOpen)
+	}
+}
+
+// TestGateBooksBusyDaemonAsFailOpen pins the other way a daemon can be
+// there and still not answer: BUSY degrades the one decision open, booked
+// and traced like any fail-open, and does not poison the connection.
+func TestGateBooksBusyDaemonAsFailOpen(t *testing.T) {
+	near, far := net.Pipe()
+	go func() { // a daemon whose decision queue is always full
+		br := bufio.NewReader(far)
+		for {
+			var req serve.Request
+			if serve.ReadFrame(br, &req) != nil {
+				return
+			}
+			if serve.WriteFrame(far, &serve.Response{V: serve.ProtoVersion, ID: req.ID, Status: serve.StatusBusy}) != nil {
+				return
+			}
+		}
+	}()
+	client := serve.NewClient(near)
+	defer client.Close()
+
+	m, err := machine.New(sim.New(1), cluster.Pod512())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace bytes.Buffer
+	gate := serve.NewGate(m, client)
+	gate.Observe(obs.New(obs.NewTracer(&trace), nil))
+	alloc, err := m.Alloc.Alloc(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !gate.Allow(&sched.Job{ID: 1, App: apps.Defaults()[1]}, alloc) {
+		t.Fatal("a busy daemon must fail open")
+	}
+	if gate.Err != nil || gate.Degraded != 1 {
+		t.Fatalf("Err = %v, Degraded = %d; want a live connection and one degraded decision", gate.Err, gate.Degraded)
+	}
+	want := `"decision":"fail-open","class":-1,"skips":0,"reason":"model-down"`
+	if !bytes.Contains(trace.Bytes(), []byte(want)) {
+		t.Fatalf("busy decision not traced as a model-down fail-open:\n%s", trace.Bytes())
 	}
 }

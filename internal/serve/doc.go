@@ -2,8 +2,10 @@
 // service that loads a trained variability predictor, ingests telemetry
 // windows, and answers the scheduler's gate decisions over a small
 // versioned wire protocol. It is the out-of-process form of the
-// in-process sched.RUSH gate — the differential test suite pins the two
-// byte-identical, fail-open paths included.
+// in-process sched.RUSH gate: both walk the one sched.Pipeline, so the
+// decision and its fail-open layers are the same code, and the
+// differential test suite checks whole served trials byte-identical to
+// in-process ones, fail-open paths included.
 //
 // # Architecture
 //
@@ -16,15 +18,17 @@
 // single integer compare both validates a hit and invalidates the
 // whole cache the moment new telemetry or a new model lands.
 //
-// Availability is layered in front of inference exactly as in the
-// in-process gate, in this order: skip-threshold override, circuit
-// breaker, predictor outage, telemetry staleness, missing-feature
-// fraction. Any failure in those layers fails OPEN — the job is
+// Availability is layered in front of inference by sched.Pipeline, in
+// its order: skip-threshold override, circuit breaker, predictor
+// outage, telemetry staleness, vector width, missing-feature fraction.
+// Server.decide feeds it the request's fields under the breaker mutex
+// (the breaker is the only state a decision mutates) and adds no layer
+// of its own. Any failure in those layers fails OPEN — the job is
 // admitted with a typed reason (obs.ReasonModelDown,
 // obs.ReasonStaleTelemetry, ...) rather than blocked on a dead model.
 // Repeated failures trip the breaker (sched.NewBreaker defaults:
 // 3 failures, 300 s open window), after which decisions fail open
-// without touching the pipeline until a half-open probe succeeds.
+// without consulting anything until a half-open probe succeeds.
 //
 // Inference requests are funneled through a single batcher goroutine
 // that drains its bounded queue greedily (or over a configured
@@ -58,10 +62,13 @@
 // into the response for matching), and "op". The operations:
 //
 //	ping    liveness; response carries the current snapshot epoch
-//	decide  single-shot gate decision (full pipeline + inference)
-//	check   phase one of the two-phase decision (pipeline up to
-//	        staleness; answers a final decision or "evaluate")
-//	eval    phase two: client-built features, missing-check + inference
+//	decide  single-shot gate decision (both halves of the pipeline,
+//	        the decision cache between them)
+//	check   phase one of the two-phase decision: the pre-feature half
+//	        (Pipeline.Admit, Pipeline.Fresh); answers a final decision
+//	        or "evaluate"
+//	eval    phase two: the post-feature half (Pipeline.Eval, then
+//	        inference) on client-built features
 //	ingest  publish a telemetry window (min/mean/max aggregates);
 //	        epoch+1, invalidates the decision cache
 //	swap    hot-swap the model from a serialized mlkit blob; epoch+1
@@ -87,11 +94,12 @@
 // parity-faithful client must not gather them when the in-process gate
 // would not have reached feature assembly (override, breaker open,
 // outage, stale telemetry). OpCheck runs exactly those pre-feature
-// layers and answers either a final decision or DecisionEvaluate; only
-// on "evaluate" does the client build features and send OpEval. A
-// counters-only client can skip all of that and use single-shot
-// OpDecide, which builds features from the server's own snapshot and is
-// eligible for the per-scope cache.
+// layers (they are the same functions the in-process gate calls before
+// it builds features) and answers either a final decision or
+// DecisionEvaluate; only on "evaluate" does the client build features
+// and send OpEval. A counters-only client can skip all of that and use
+// single-shot OpDecide, which builds features from the server's own
+// snapshot and is eligible for the per-scope cache.
 //
 // Non-finite numbers: JSON cannot encode NaN or infinities.
 // FeatureVector marshals non-finite entries as null and unmarshals null
@@ -120,7 +128,10 @@
 // ReasonMissingFeatures; repeated failures → breaker open, fail-open
 // ReasonBreakerOpen without consulting anything; queue full →
 // StatusBusy (request not processed). On the client side, serve.Gate
-// degrades the same direction: any transport or server error admits the
-// job and increments its Degraded counter, so a dead daemon costs
-// scheduling quality, never scheduling liveness.
+// degrades the same direction and says so: a transport error (sticky),
+// a StatusBusy or a StatusError answer admits the job and is booked in
+// the gate's sched.Ledger as a fail-open with obs.ReasonModelDown,
+// counted in Degraded and gate_fail_open_model_down_total and traced
+// like any other decision. A dead daemon costs scheduling quality, never
+// scheduling liveness, and never passes for a clean baseline run.
 package serve

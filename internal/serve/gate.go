@@ -7,28 +7,33 @@ import (
 	"rush/internal/machine"
 	"rush/internal/obs"
 	"rush/internal/sched"
-	"rush/internal/telemetry"
 )
 
 // Gate is a sched.Gate whose decisions come from a serve daemon instead
-// of an in-process model: it assembles the live feature vector locally
-// (counters and probes live with the simulated machine) and delegates
-// the whole fail-open pipeline — skip override, breaker, outage,
-// staleness, missing features, inference — to the server over the wire
-// protocol's two-phase check/eval exchange. The split keeps probe
-// randomness at parity with the in-process RUSH gate: probes run only
-// when the server answers DecisionEvaluate, exactly the cases in which
-// RUSH.Allow would have reached LiveFeatures. The differential test pins
-// served schedules byte-identical to in-process ones, fault injection
-// included.
+// of an in-process model. What stays on this side is what lives with the
+// simulated machine: sched.Features measures telemetry freshness and
+// assembles the live feature vector (counters and probes), and
+// sched.Ledger books the daemon's verdicts exactly as it books the
+// in-process gate's. The sched.Pipeline itself runs in the daemon, reached
+// by the wire protocol's two-phase check/eval exchange. The split keeps
+// probe randomness at parity with the in-process RUSH gate: probes run
+// only when the server answers DecisionEvaluate, exactly the cases in
+// which RUSH.Allow would have reached LiveFeatures.
 //
-// A transport failure is itself handled fail-open: the gate sticks in
-// degraded mode (Err is set) and every job launches as under the
-// FCFS+EASY baseline — a dead prediction service must never stall the
-// queue.
+// A daemon that cannot be asked is handled fail-open and in the open: a
+// transport failure sticks (Err is set), and that decision and every
+// later one, like any BUSY or error answer, is booked as fail-open with
+// obs.ReasonModelDown, so the job launches as under the FCFS+EASY
+// baseline and the trace and the Degraded count say why. A dead
+// prediction service must never stall the queue, nor pass for a clean
+// baseline run.
 type Gate struct {
+	// Features carries AllNodesScope, with the meaning it has on
+	// sched.RUSH, for both the freshness measurement and the vector.
+	sched.Features
+	sched.Ledger
+
 	m      *machine.Machine
-	rush   *sched.RUSH // feature assembly only; its model stays nil
 	client *Client
 
 	// Down reports a client-observed predictor outage (fault-injection
@@ -39,117 +44,37 @@ type Gate struct {
 	// the age with each check. It must match the server's configuration
 	// for decision parity (default 90, the shared default).
 	MaxStaleness float64
-	// AllNodesScope mirrors sched.RUSH.AllNodesScope for both the
-	// freshness measurement and feature aggregation scope.
-	AllNodesScope bool
-	// Err is the sticky transport error; once set, every decision fails
-	// open locally.
+	// Err is the sticky transport error; once set, the daemon is no
+	// longer asked.
 	Err error
-
-	// Counters mirroring sched.RUSH's, so trial summaries read the same.
-	Evaluations        int
-	Vetoes             int
-	ThresholdOverrides int
-	Degraded           int
-
-	obs      *obs.Observer
-	met      remoteGateMetrics
-	allNodes []cluster.NodeID
-}
-
-// remoteGateMetrics mirrors the RUSH gate's metric handles (same names,
-// so traces and registry snapshots are interchangeable across the
-// in-process and served deployments).
-type remoteGateMetrics struct {
-	evaluations *obs.Counter
-	vetoes      *obs.Counter
-	overrides   *obs.Counter
-	degraded    *obs.Counter
-	failBreaker *obs.Counter
-	failModel   *obs.Counter
-	failStale   *obs.Counter
-	failMissing *obs.Counter
 }
 
 // NewGate returns a remote gate over machine m speaking to client.
 func NewGate(m *machine.Machine, client *Client) *Gate {
-	return &Gate{
-		m:            m,
-		rush:         sched.NewRUSH(m, nil),
-		client:       client,
-		MaxStaleness: 90,
-	}
+	return &Gate{Features: sched.NewFeatures(m), m: m, client: client, MaxStaleness: 90}
 }
 
 // Name implements sched.Gate. It reports the decision algorithm ("RUSH"),
 // not the transport: a served gate is the same gate.
 func (g *Gate) Name() string { return "RUSH" }
 
-// Observe implements sched.ObservableGate with the same counter names as
-// the in-process gate.
-func (g *Gate) Observe(o *obs.Observer) {
-	g.obs = o
-	reg := o.Metrics()
-	g.met = remoteGateMetrics{
-		evaluations: reg.Counter("gate_evaluations_total"),
-		vetoes:      reg.Counter("gate_vetoes_total"),
-		overrides:   reg.Counter("gate_overrides_total"),
-		degraded:    reg.Counter("gate_degraded_total"),
-		failBreaker: reg.Counter("gate_fail_open_breaker_open_total"),
-		failModel:   reg.Counter("gate_fail_open_model_down_total"),
-		failStale:   reg.Counter("gate_fail_open_stale_telemetry_total"),
-		failMissing: reg.Counter("gate_fail_open_missing_features_total"),
-	}
-}
-
-func (g *Gate) failReason(reason string) *obs.Counter {
-	switch reason {
-	case obs.ReasonBreakerOpen:
-		return g.met.failBreaker
-	case obs.ReasonModelDown:
-		return g.met.failModel
-	case obs.ReasonStaleTelemetry:
-		return g.met.failStale
-	case obs.ReasonMissingFeatures:
-		return g.met.failMissing
-	default:
-		return nil
-	}
-}
-
-// emit mirrors sched.RUSH's trace event exactly (same kind, fields, and
-// -1 conventions), so served and in-process traces are comparable line
-// by line.
-func (g *Gate) emit(now float64, j *sched.Job, decision string, class int, reason string, age, missing float64) {
-	if !g.obs.Tracing() {
-		return
-	}
-	g.obs.Emit(obs.Event{Time: now, Kind: obs.KindGate, Job: j.ID, App: j.App.Name,
-		Decision: decision, Class: class, Skips: j.Skips, Reason: reason, Age: age, Missing: missing})
-}
-
-// scopeNodes mirrors the RUSH gate's telemetry scope.
-func (g *Gate) scopeNodes(alloc cluster.Allocation) []cluster.NodeID {
-	if g.AllNodesScope {
-		if g.allNodes == nil {
-			g.allNodes = telemetry.AllNodes(g.m.Topo)
-		}
-		return g.allNodes
-	}
-	return alloc.Nodes
-}
-
-// Allow implements sched.Gate by the two-phase exchange: OpCheck carries
-// the decision context (skip state, outage flag, locally measured
-// telemetry age); only a DecisionEvaluate answer makes the gate gather
-// features — running the MPI probes, which draw simulation randomness —
-// and send OpEval. Any transport failure, BUSY, or protocol error fails
-// open.
+// Allow implements sched.Gate: the daemon's verdict, booked.
 func (g *Gate) Allow(j *sched.Job, alloc cluster.Allocation) bool {
-	if g.Err != nil {
-		return true
-	}
 	now := g.m.Eng.Now()
+	return g.Record(now, j, g.ask(now, j, alloc), nil, nil)
+}
+
+// ask runs the two-phase exchange: OpCheck carries the decision context
+// (skip state, outage flag, locally measured telemetry age); only a
+// DecisionEvaluate answer makes the gate gather features, running the MPI
+// probes, which draw simulation randomness, and send OpEval. Without a
+// usable answer the verdict is fail-open, the predictor service being
+// unreachable.
+func (g *Gate) ask(now float64, j *sched.Job, alloc cluster.Allocation) sched.Verdict {
+	unreachable := sched.NewVerdict(obs.DecisionFailOpen, obs.ReasonModelDown)
+	if g.Err != nil {
+		return unreachable
+	}
 	req := Request{
 		Op:        OpCheck,
 		Now:       now,
@@ -158,77 +83,46 @@ func (g *Gate) Allow(j *sched.Job, alloc cluster.Allocation) bool {
 		Class:     int(j.App.Class),
 		Skips:     j.Skips,
 		SkipLimit: j.SkipThreshold,
-	}
-	if g.Down != nil && g.Down() {
-		req.Down = true
+		Down:      g.Down != nil && g.Down(),
 	}
 	localAge := -1.0
 	if g.MaxStaleness > 0 {
-		localAge = g.m.Sampler.FreshnessAge(g.scopeNodes(alloc), now)
+		localAge = g.FreshnessAge(alloc)
 		wireAge := WireAge(localAge)
 		req.Age = &wireAge
 	}
 	resp, err := g.client.Do(&req)
-	if err != nil {
-		g.Err = err
-		return true
-	}
-	if resp.Status == StatusOK && resp.Decision == DecisionEvaluate {
-		g.rush.AllNodesScope = g.AllNodesScope
-		feats := g.rush.LiveFeatures(alloc, j.App.Class)
-		eval := Request{
+	if err == nil && resp.Status == StatusOK && resp.Decision == DecisionEvaluate {
+		resp, err = g.client.Do(&Request{
 			Op:    OpEval,
 			Now:   now,
 			Job:   j.ID,
 			App:   j.App.Name,
 			Class: int(j.App.Class),
 			Skips: j.Skips,
-			Feats: FeatureVector(feats),
+			Feats: FeatureVector(g.LiveFeatures(alloc, j.App.Class)),
 			Age:   req.Age,
-		}
-		resp, err = g.client.Do(&eval)
-		if err != nil {
-			g.Err = err
-			return true
-		}
+		})
+	}
+	if err != nil {
+		g.Err = err
+		return unreachable
 	}
 	if resp.Status != StatusOK {
 		// BUSY and server-side errors degrade open without poisoning the
 		// connection; the next decision tries again.
-		g.Degraded++
-		g.met.degraded.Inc()
-		return true
+		return unreachable
+	}
+	switch resp.Decision {
+	case obs.DecisionOverride, obs.DecisionFailOpen, obs.DecisionVeto, obs.DecisionStart:
+	default:
+		g.Err = fmt.Errorf("serve: unexpected decision %q", resp.Decision)
+		return unreachable
 	}
 	// The wire clamps +Inf ages; trace the true local measurement.
 	age := resp.Age
 	if age >= 0 {
 		age = localAge
 	}
-	switch resp.Decision {
-	case obs.DecisionOverride:
-		g.ThresholdOverrides++
-		g.met.overrides.Inc()
-		g.emit(now, j, resp.Decision, resp.Class, "", age, resp.Missing)
-		return true
-	case obs.DecisionFailOpen:
-		g.Degraded++
-		g.met.degraded.Inc()
-		g.failReason(resp.Reason).Inc()
-		g.emit(now, j, resp.Decision, resp.Class, resp.Reason, age, resp.Missing)
-		return true
-	case obs.DecisionVeto:
-		g.Evaluations++
-		g.met.evaluations.Inc()
-		g.Vetoes++
-		g.met.vetoes.Inc()
-		g.emit(now, j, resp.Decision, resp.Class, "", age, resp.Missing)
-		return false
-	case obs.DecisionStart:
-		g.Evaluations++
-		g.met.evaluations.Inc()
-		g.emit(now, j, resp.Decision, resp.Class, "", age, resp.Missing)
-		return true
-	}
-	g.Err = fmt.Errorf("serve: unexpected decision %q", resp.Decision)
-	return true
+	return sched.Verdict{Decision: resp.Decision, Reason: resp.Reason, Class: resp.Class, Age: age, Missing: resp.Missing}
 }

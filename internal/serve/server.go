@@ -100,19 +100,17 @@ type batchItem struct {
 // an AtomicHost: Server implements lifecycle.ModelHost, so a lifecycle
 // manager can promote challengers straight into a live server.
 type Server struct {
-	maxStaleness float64 // 0 = disabled
-	maxMissing   float64 // 0 = disabled
-	batchWindow  time.Duration
-	maxBatch     int
-	cacheOff     bool
+	batchWindow time.Duration
+	maxBatch    int
+	cacheOff    bool
 
 	host *lifecycle.AtomicHost
 	snap atomic.Pointer[sched.Snapshot]
 
 	pubMu sync.Mutex // serializes snapshot builds (ingest, swap)
 
-	bmu     sync.Mutex // breaker state is mutated on every decision
-	breaker *sched.Breaker
+	bmu  sync.Mutex     // the pipeline's breaker is mutated on every decision
+	pipe sched.Pipeline // thresholds (0 = layer disabled) and breaker
 
 	down       atomic.Bool
 	lastIngest atomic.Uint64 // Float64bits of the last ingest Now; NaN = never
@@ -163,25 +161,23 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 	}
 	s := &Server{
-		maxStaleness: 90,
-		maxMissing:   0.5,
-		batchWindow:  cfg.BatchWindow,
-		maxBatch:     cfg.MaxBatch,
-		cacheOff:     cfg.DisableCache,
-		host:         lifecycle.NewAtomicHost(cfg.Model),
-		breaker:      cfg.Breaker,
-		cache:        map[cacheKey]cacheEntry{},
-		stopCh:       make(chan struct{}),
-		conns:        map[net.Conn]struct{}{},
+		pipe:        sched.Pipeline{MaxStaleness: 90, MaxMissing: 0.5, Breaker: cfg.Breaker},
+		batchWindow: cfg.BatchWindow,
+		maxBatch:    cfg.MaxBatch,
+		cacheOff:    cfg.DisableCache,
+		host:        lifecycle.NewAtomicHost(cfg.Model),
+		cache:       map[cacheKey]cacheEntry{},
+		stopCh:      make(chan struct{}),
+		conns:       map[net.Conn]struct{}{},
 	}
 	if cfg.MaxStaleness != 0 {
-		s.maxStaleness = math.Max(cfg.MaxStaleness, 0)
+		s.pipe.MaxStaleness = math.Max(cfg.MaxStaleness, 0)
 	}
 	if cfg.MaxMissing != 0 {
-		s.maxMissing = math.Max(cfg.MaxMissing, 0)
+		s.pipe.MaxMissing = math.Max(cfg.MaxMissing, 0)
 	}
-	if s.breaker == nil {
-		s.breaker = sched.NewBreaker()
+	if s.pipe.Breaker == nil {
+		s.pipe.Breaker = sched.NewBreaker()
 	}
 	if s.maxBatch <= 0 {
 		s.maxBatch = 64
@@ -265,33 +261,6 @@ func (s *Server) lastIngestAt() float64 {
 	return math.Float64frombits(s.lastIngest.Load())
 }
 
-// skipLimit resolves a wire skip limit with sched.Job.SkipLimit rules:
-// zero means the default threshold, negative means never delay.
-func skipLimit(limit int) int {
-	switch {
-	case limit < 0:
-		return 0
-	case limit > 0:
-		return limit
-	default:
-		return sched.DefaultSkipThreshold
-	}
-}
-
-// nanFraction mirrors the gate's missing-feature accounting.
-func nanFraction(feats []float64) float64 {
-	if len(feats) == 0 {
-		return 0
-	}
-	n := 0
-	for _, v := range feats {
-		if math.IsNaN(v) {
-			n++
-		}
-	}
-	return float64(n) / float64(len(feats))
-}
-
 // Decision phases: OpDecide runs the whole pipeline, OpCheck stops
 // before feature evaluation, OpEval resumes there.
 const (
@@ -300,141 +269,115 @@ const (
 	phaseEval
 )
 
-// failOpen records a model-path failure (one breaker failure, exactly as
-// the in-process gate charges it) and fills a fail-open ALLOW response.
-func (s *Server) failOpen(resp *Response, now float64, reason string) {
-	s.bmu.Lock()
-	s.breaker.Failure(now)
-	s.bmu.Unlock()
-	resp.Decision = obs.DecisionFailOpen
-	resp.Reason = reason
-	s.cFailOpen.Inc()
-}
-
-// decide runs the gate pipeline in the same order as sched.RUSH.Allow —
-// skip override, breaker, outage, staleness, features, missing fraction,
-// inference — which is what keeps served decisions byte-identical to
-// in-process ones (pinned by the differential test). The cached-decision
-// path (counters-only request with a warm scope) performs zero heap
-// allocations (gated by `make bench-serve`).
+// decide walks the sched.Pipeline the in-process gate walks, with the
+// request's fields for inputs, which is what keeps served decisions
+// byte-identical to in-process ones by construction (the differential
+// test checks it). The phase selects the halves: check stops after the
+// pre-feature half (Admit, Fresh), eval starts at the post-feature half
+// (Eval, then inference through the batcher), and the decision cache sits
+// between them. The breaker mutex is held around the pipeline calls only,
+// never across inference. The cached-decision path (counters-only request
+// with a warm scope) performs zero heap allocations (gated by `make
+// bench-serve`).
 func (s *Server) decide(req *Request, resp *Response, phase int) {
 	snap := s.snap.Load()
 	resp.Epoch = snap.Epoch
 	now := req.Now
-	if phase != phaseEval {
-		if req.Skips >= skipLimit(req.SkipLimit) {
-			resp.Decision = obs.DecisionOverride
-			s.cOverrides.Inc()
-			return
+	v := sched.NewVerdict("", "")
+	if phase == phaseEval {
+		if req.Age != nil {
+			v.Age = *req.Age
 		}
-		s.bmu.Lock()
-		ready := s.breaker.Ready(now)
-		s.bmu.Unlock()
-		if !ready {
-			// An open breaker is not charged as another failure — the
-			// model was never consulted — but the decision degraded.
-			resp.Decision = obs.DecisionFailOpen
-			resp.Reason = obs.ReasonBreakerOpen
-			s.cFailOpen.Inc()
-			return
-		}
-		if req.Down || s.down.Load() {
-			s.failOpen(resp, now, obs.ReasonModelDown)
-			return
-		}
-		if s.maxStaleness > 0 {
-			age := -1.0
+	} else {
+		age := -1.0
+		if s.pipe.MaxStaleness > 0 {
 			if req.Age != nil {
 				age = *req.Age
 			} else if last := s.lastIngestAt(); !math.IsNaN(last) {
 				age = now - last
 			}
-			resp.Age = age
-			if age > s.maxStaleness {
-				s.failOpen(resp, now, obs.ReasonStaleTelemetry)
-				return
-			}
 		}
-		if phase == phaseCheck {
-			resp.Decision = DecisionEvaluate
-			return
+		s.bmu.Lock()
+		if v = s.pipe.Admit(now, req.Skips, req.SkipLimit, req.Down || s.down.Load()); !v.Final() {
+			v = s.pipe.Fresh(now, age)
 		}
-	} else if req.Age != nil {
-		resp.Age = *req.Age
+		s.bmu.Unlock()
+		if phase == phaseCheck && !v.Final() {
+			v.Decision = DecisionEvaluate
+		}
+	}
+	if v.Final() {
+		s.answer(resp, v)
+		return
 	}
 
 	feats := []float64(req.Feats)
-	cacheable := false
-	var key cacheKey
-	if feats == nil {
-		cacheable = !s.cacheOff && req.Scope != ""
-		if cacheable {
-			key = cacheKey{scope: req.Scope, class: req.Class}
-			s.cmu.RLock()
-			e, ok := s.cache[key]
-			s.cmu.RUnlock()
-			if ok && e.epoch == snap.Epoch {
-				s.cHits.Inc()
-				resp.Cached = true
-				resp.Class = e.class
-				resp.Missing = e.missing
-				if e.veto {
-					resp.Decision = obs.DecisionVeto
-					s.cVetoes.Inc()
-				} else {
-					resp.Decision = obs.DecisionStart
-					s.cStarts.Inc()
-				}
-				return
-			}
-			s.cMisses.Inc()
+	cacheable := feats == nil && !s.cacheOff && req.Scope != ""
+	key := cacheKey{scope: req.Scope, class: req.Class}
+	if cacheable {
+		s.cmu.RLock()
+		e, ok := s.cache[key]
+		s.cmu.RUnlock()
+		if ok && e.epoch == snap.Epoch {
+			s.cHits.Inc()
+			resp.Cached = true
+			v.Missing = e.missing
+			s.answer(resp, v.Decided(e.veto, e.class))
+			return
 		}
+		s.cMisses.Inc()
+	}
+	if feats == nil {
 		if len(snap.Agg.Mean) != telemetry.NumCounters {
-			// No telemetry window has been ingested: every counter
-			// feature is missing, so the decision fails open rather than
+			// No telemetry window has been ingested: every counter feature
+			// is missing, so the decision fails open rather than
 			// predicting from nothing.
-			resp.Missing = 1
-			s.failOpen(resp, now, obs.ReasonMissingFeatures)
+			s.bmu.Lock()
+			v = s.pipe.FailOpen(now, obs.ReasonMissingFeatures, v.Age, 1)
+			s.bmu.Unlock()
+			s.answer(resp, v)
 			return
 		}
 		feats = snap.Features(simnet.ProbeResult{}, apps.Class(req.Class), make([]float64, 0, dataset.NumFeatures))
 	}
-	// The models index the vector unchecked. A wider one is legal (a model
-	// may read a prefix of the ingest features); a narrower one would
-	// panic the batcher goroutine, so it is the client's error.
-	if w, ok := snap.Model.(interface{ NumFeatures() int }); ok && len(feats) < w.NumFeatures() {
+	resp.Age = v.Age // an error answer below still reports the age
+	s.bmu.Lock()
+	v, err := s.pipe.Eval(now, v.Age, feats, snap.Model)
+	s.bmu.Unlock()
+	if err != nil {
+		// A short vector would panic the batcher goroutine; it is the
+		// client's error.
 		resp.Status = StatusError
-		resp.Error = fmt.Sprintf("feature vector has %d entries, the model reads %d", len(feats), w.NumFeatures())
+		resp.Error = err.Error()
 		s.cProtoErrs.Inc()
 		return
 	}
-	if s.maxMissing > 0 {
-		miss := nanFraction(feats)
-		resp.Missing = miss
-		if miss > s.maxMissing {
-			s.failOpen(resp, now, obs.ReasonMissingFeatures)
-			return
+	if !v.Final() {
+		v = v.Decided(s.infer(snap, feats))
+		if cacheable {
+			s.cmu.Lock()
+			if len(s.cache) >= maxCacheEntries {
+				s.cache = map[cacheKey]cacheEntry{}
+			}
+			s.cache[key] = cacheEntry{epoch: snap.Epoch, veto: v.Decision == obs.DecisionVeto, class: v.Class, missing: v.Missing}
+			s.cmu.Unlock()
 		}
 	}
-	s.bmu.Lock()
-	s.breaker.Success(now)
-	s.bmu.Unlock()
-	veto, class := s.infer(snap, feats)
-	resp.Class = class
-	if veto {
-		resp.Decision = obs.DecisionVeto
+	s.answer(resp, v)
+}
+
+// answer writes a verdict into the response and counts it.
+func (s *Server) answer(resp *Response, v sched.Verdict) {
+	resp.Decision, resp.Reason, resp.Class, resp.Age, resp.Missing = v.Decision, v.Reason, v.Class, v.Age, v.Missing
+	switch v.Decision {
+	case obs.DecisionOverride:
+		s.cOverrides.Inc()
+	case obs.DecisionFailOpen:
+		s.cFailOpen.Inc()
+	case obs.DecisionVeto:
 		s.cVetoes.Inc()
-	} else {
-		resp.Decision = obs.DecisionStart
+	case obs.DecisionStart:
 		s.cStarts.Inc()
-	}
-	if cacheable {
-		s.cmu.Lock()
-		if len(s.cache) >= maxCacheEntries {
-			s.cache = map[cacheKey]cacheEntry{}
-		}
-		s.cache[key] = cacheEntry{epoch: snap.Epoch, veto: veto, class: class, missing: resp.Missing}
-		s.cmu.Unlock()
 	}
 }
 
