@@ -5,9 +5,9 @@ package rush
 // job stream on the full 2,988-node Quartz machine (and the synthetic
 // 4,096-node, 8-pod stress shape), scheduled end to end under the
 // baseline policy, through the sharded dirty-lane contention engine with
-// pooled job state. The full-recompute executor it is differential-tested
-// against (TestEngineDifferentialAcrossTopologies) is reachable only from
-// in-package tests; BENCH_engine.json keeps its last measured rows.
+// pooled job state. The full-recompute oracle it is held to is the shadow
+// check of internal/machine/lanes_test.go; BENCH_engine.json keeps the
+// last measured rows of the executor that used to run it.
 
 import (
 	"testing"

@@ -91,13 +91,6 @@ type Config struct {
 	// TestRunExperimentParallelDeterminism).
 	Workers int
 
-	// schedReference and engineReference route the trial through the
-	// reference scheduler scanner (sched.Scheduler.DisableFastPath) and the
-	// serial full-recompute contention executor
-	// (machine.Machine.DisableFastPath). Only this package's differential
-	// tests set them; the shipped path is always the fast one.
-	schedReference  bool
-	engineReference bool
 	// pruneKeep widens the telemetry-history retention past
 	// defaultPruneKeep; TestReplayPruningDifferential sets it to pin that
 	// retention never changes a schedule.
@@ -279,7 +272,6 @@ func newTrialEnv(name string, policy Policy, pred *core.Predictor, seed int64, c
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	m.DisableFastPath = cfg.engineReference
 	// Trials never hand *RunningJob to callers, so job-state pooling is
 	// always safe here and keeps machine-scale churn allocation-bounded.
 	m.PoolJobs = true
@@ -353,7 +345,6 @@ func newTrialEnv(name string, policy Policy, pred *core.Predictor, seed int64, c
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	s.DisableFastPath = cfg.schedReference
 	if env.lcm != nil {
 		s.OnComplete = env.lcm.JobCompleted
 	}

@@ -29,9 +29,9 @@
 // its progress and re-times its completion event, and the machine tells
 // the engine beforehand (sim.Engine.BatchRearm) that it is about to
 // re-time every queued completion, so the engine rebuilds its heap once
-// instead of sifting once per job. See DisableFastPath for the oracle
-// all of this is differenced against: it recomputes every job's slowdown
-// from the raw loads and re-times one event at a time.
+// instead of sifting once per job. The oracle all of this is held to is
+// the shadow check of lanes_test.go: after every mutation it recomputes
+// every running job's slowdown from the raw loads and compares the bits.
 package machine
 
 import (
@@ -103,15 +103,6 @@ type Machine struct {
 	Net     *simnet.State
 	Sampler *telemetry.Sampler
 
-	// DisableFastPath routes every contention change through the
-	// reference executor, which recomputes every running job's slowdown
-	// machine-wide from the raw loads (no cached factor, no cached
-	// network term) and re-times one completion at a time. It is the
-	// oracle the production path — dirty lanes, cached terms, batched
-	// re-timing — is differential-tested against; simulations are
-	// bit-identical either way, the reference is just O(running jobs)
-	// divisions and sifts per change.
-	DisableFastPath bool
 	// PoolJobs recycles RunningJob state (including the completion
 	// event and contribution map) across jobs, making steady-state job
 	// churn allocation-bounded. Opt-in: a caller that retains a
@@ -201,11 +192,7 @@ func (m *Machine) StartJob(profile apps.Profile, alloc cluster.Allocation, baseW
 	m.Net.Apply(rj.contrib)
 	m.insert(rj)
 	m.refreshNetTerm(rj)
-	if m.DisableFastPath {
-		rj.slowdown = m.referenceSlowdown(rj)
-	} else {
-		rj.slowdown = slowdownAt(rj, m.Net.FSOverload())
-	}
+	rj.slowdown = slowdownAt(rj, m.Net.FSOverload())
 	m.scheduleCompletion(rj)
 	return rj
 }
@@ -327,8 +314,8 @@ func (m *Machine) refreshNetTerm(rj *RunningJob) {
 // slowdownAt evaluates a job's wall-per-work factor from its cached
 // network term and the given filesystem factor, including its per-run
 // jitter: the operations of apps.Profile.SlowdownCore times jitter in
-// the same order, so the same bits (referenceSlowdown is the uncached
-// form).
+// the same order, so the same bits (the shadow check of lanes_test.go
+// evaluates the uncached form).
 func slowdownAt(rj *RunningJob, fsOv float64) float64 {
 	s := (rj.netTerm + rj.fsSens*fsOv) * rj.jitter
 	if s < 1e-6 {
@@ -343,29 +330,6 @@ func slowdownAt(rj *RunningJob, fsOv float64) float64 {
 //go:noinline
 func degenerate(s float64) {
 	panic(fmt.Sprintf("machine: degenerate slowdown %v", s))
-}
-
-// referenceSlowdown is the reference executor's slowdown: everything
-// from scratch — Overload of each raw load, the profile's own formula —
-// with no state read that the production path caches.
-func (m *Machine) referenceSlowdown(rj *RunningJob) float64 {
-	var sum float64
-	for i, p := range rj.pods {
-		sum += rj.podCounts[i] * simnet.Overload(m.Net.NetLoad(p))
-	}
-	netOv := 0.0
-	if rj.nNodes > 0 {
-		netOv = sum / rj.nNodes
-	}
-	coreOv := 0.0
-	if rj.multiPod {
-		coreOv = simnet.Overload(m.Net.CoreLoad())
-	}
-	s := rj.Profile.SlowdownCore(netOv, coreOv, simnet.Overload(m.Net.FSLoad())) * rj.jitter
-	if s < 1e-6 {
-		degenerate(s)
-	}
-	return s
 }
 
 // advance integrates a job's progress up to the current instant under its
@@ -488,8 +452,7 @@ func (m *Machine) kill(rj *RunningJob) {
 // per-job constants; the change names exactly the factors that moved, so
 // jobs outside the named lanes would recompute a bit-identical slowdown
 // and are skipped. Progress is integrated lazily, at slowdown changes
-// only, in both this and the reference path — identical float operation
-// sequences, hence identical trajectories.
+// only (see setSlowdown).
 //
 // The lanes and cross jobs named under Pods and Core get their cached
 // network term refreshed; every other job's term is still exact. A
@@ -505,10 +468,6 @@ func (m *Machine) onNetChange(ch simnet.Change) {
 	}
 	m.updates = true
 	defer func() { m.updates = false }()
-	if m.DisableFastPath {
-		m.reintegrateAll()
-		return
-	}
 	if ch.Empty() {
 		return
 	}
@@ -558,20 +517,6 @@ func (m *Machine) setSlowdown(rj *RunningJob, sd float64) {
 		m.advance(rj)
 		rj.slowdown = sd
 		m.scheduleCompletion(rj)
-	}
-}
-
-// reintegrateAll is the reference executor: recompute every running job
-// machine-wide from the raw loads, in (pod, lane-position) order then
-// the cross lane, re-timing one completion event at a time.
-func (m *Machine) reintegrateAll() {
-	for _, lane := range m.lanes {
-		for _, rj := range lane {
-			m.setSlowdown(rj, m.referenceSlowdown(rj))
-		}
-	}
-	for _, rj := range m.cross {
-		m.setSlowdown(rj, m.referenceSlowdown(rj))
 	}
 }
 

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -10,19 +9,11 @@ import (
 )
 
 // newProfile builds a profile starting at now with the given current
-// free count and a set of future releases (time, nodes) in any order. It
-// copies and sorts them; the scheduler sorts its reusable snapshot
-// buffer once and calls newProfileFromSorted directly.
+// free count and a set of future releases (time, nodes) in any order.
 func newProfile(now float64, freeNow int, releases []release) *profile {
 	sorted := append([]release(nil), releases...)
 	sortReleases(sorted)
 	return newProfileFromSorted(now, freeNow, sorted)
-}
-
-// sortReleases sorts rels in place into snapshot order.
-func sortReleases(rels []release) {
-	s := releaseSorter{rels: rels}
-	sort.Sort(&s)
 }
 
 func TestProfileFindSlotBasics(t *testing.T) {

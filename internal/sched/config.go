@@ -37,8 +37,7 @@ type Config struct {
 
 // NewScheduler builds a scheduler from cfg, applying defaults for every
 // omitted field and wiring the observer through all observable
-// components. It is the only constructor; the deprecated positional New
-// shim has been removed.
+// components. It is the only constructor.
 func NewScheduler(cfg Config) (*Scheduler, error) {
 	if cfg.Machine == nil {
 		return nil, fmt.Errorf("sched: Config.Machine is required")
@@ -59,7 +58,6 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 		VetoCooldown:      30,
 		RequeueBackoff:    60,
 		MaxRequeueBackoff: 15 * 60,
-		fastValid:         true, // the empty queue is trivially in order
 	}
 	if cfg.Observer != nil {
 		s.obs = cfg.Observer

@@ -3,15 +3,14 @@ package sched
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
-// This file implements the fast scheduling pass over the availability
-// timeline (timeline.go). The reference pass (sched.go, passReference)
-// re-derives everything from scratch every cycle: it re-sorts the queue,
-// snapshots and sorts the running set, and after every successful start
-// throws the whole scan away and restarts it. The fast pass keeps that
-// work across events and across starts:
+// This file implements the scheduling pass over the availability
+// timeline (timeline.go). The reference scanner the tests difference it
+// against (reference_test.go) re-derives everything from scratch every
+// cycle: it re-sorts the queue, snapshots and sorts the running set, and
+// after every successful start throws the whole scan away and restarts
+// it. The pass here keeps that work across events and across starts:
 //
 //   - The queue is maintained in (R1, seq) order at enqueue time, so a
 //     pass never sorts. seq is the enqueue serial; breaking policy ties
@@ -179,14 +178,6 @@ func (s *Scheduler) refreshBlock(b int) {
 	s.blkEst[b] = minE
 }
 
-// refreshBlocks recomputes the whole skip table from q2.
-func (s *Scheduler) refreshBlocks() {
-	nb := s.sizeBlocks()
-	for b := 0; b < nb; b++ {
-		s.refreshBlock(b)
-	}
-}
-
 // shiftBlocks brings the skip table up to date after q2 gained
 // (inserted) or lost one element at position pos. The block holding pos
 // is recomputed. Every later block kept all its members but one: the
@@ -232,40 +223,12 @@ func (s *Scheduler) shiftBlocks(pos int, inserted bool) {
 	}
 }
 
-// fastSorter sorts a job slice by an arbitrary total order for
-// rebuildFast (the cold path after a reference pass invalidated the
-// maintained orders).
-type fastSorter struct {
-	jobs   []*Job
-	before func(a, b *Job) bool
-}
-
-func (f *fastSorter) Len() int           { return len(f.jobs) }
-func (f *fastSorter) Less(i, j int) bool { return f.before(f.jobs[i], f.jobs[j]) }
-func (f *fastSorter) Swap(i, j int)      { f.jobs[i], f.jobs[j] = f.jobs[j], f.jobs[i] }
-
-// rebuildFast re-establishes the maintained orders from scratch: sort
-// the queue by (R1, seq), mirror it into q2 by (R2, R1, seq), rebuild
-// the skip table. Runs only when a reference pass (or an enqueue during
-// one) broke incremental maintenance; steady fast operation never
-// reaches it.
-func (s *Scheduler) rebuildFast() {
-	sort.Sort(&fastSorter{jobs: s.queue, before: s.beforeR1})
-	s.q2 = append(s.q2[:0], s.queue...)
-	sort.Sort(&fastSorter{jobs: s.q2, before: s.beforeR2})
-	s.refreshBlocks()
-	s.fastValid = true
-}
-
 // passFast is the availability-timeline scheduling cycle. It mirrors
-// passReference decision for decision (same tryStart sequence, same veto
-// bookkeeping, same backfill flags) while touching only what changed
-// since the last pass — see the file comment for the equivalence
+// the reference scanner decision for decision (same tryStart sequence,
+// same veto bookkeeping, same backfill flags) while touching only what
+// changed since the last pass — see the file comment for the equivalence
 // argument.
 func (s *Scheduler) passFast() {
-	if !s.fastValid {
-		s.rebuildFast()
-	}
 	now := s.m.Eng.Now()
 	s.tl.promote(now)
 

@@ -6,15 +6,13 @@ import (
 )
 
 // BenchmarkDeepQueuePass measures one steady-state scheduling pass over
-// a blocked queue at 1k/10k/100k pending jobs, fast path versus the
-// reference scanner. The scheduler is always BUILT in fast mode — deep
-// reference-mode setup would pay the full rescan on every submit — and
-// DisableFastPath is toggled afterwards for the reference variants (the
-// first reference pass re-sorts the already-ordered queue, which is the
-// insertion sort's linear best case, so the steady-state measurement is
-// not polluted by a one-off resort). `make bench-sched` guards the fast
-// variants at 0 allocs/op and the 100k fast pass against latency
-// regressions.
+// a blocked queue at 1k/10k/100k pending jobs, the timeline pass (fast/)
+// versus the reference scanner of reference_test.go (reference/). The
+// backlog is always BUILT through the timeline pass — submitting it
+// through the scanner would pay the full rescan on every submit — and
+// the scanner is put on the scheduler's test seam afterwards for the
+// reference variants. `make bench-sched` guards the fast variants at 0
+// allocs/op and the 100k fast pass against latency regressions.
 func BenchmarkDeepQueuePass(b *testing.B) {
 	for _, depth := range []int{1000, 10000, 100000} {
 		s := deepBlockedScheduler(depth)
@@ -24,7 +22,9 @@ func BenchmarkDeepQueuePass(b *testing.B) {
 				name = "reference"
 			}
 			b.Run(fmt.Sprintf("%s/q%d", name, depth), func(b *testing.B) {
-				s.DisableFastPath = ref
+				if ref {
+					useReference(s)
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -54,7 +54,9 @@ func BenchmarkSchedChurn(b *testing.B) {
 		b.Run(fmt.Sprintf("%s/q%d", name, depth), func(b *testing.B) {
 			s := deepBlockedScheduler(depth)
 			m := s.Machine()
-			s.DisableFastPath = ref
+			if ref {
+				useReference(s)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

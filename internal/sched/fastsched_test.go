@@ -8,7 +8,9 @@ import (
 	"slices"
 	"testing"
 
+	"rush/internal/apps"
 	"rush/internal/cluster"
+	"rush/internal/faults"
 	"rush/internal/machine"
 	"rush/internal/obs"
 	"rush/internal/sim"
@@ -161,9 +163,10 @@ func TestTimelineFillProfileMatchesReference(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// Differential scheduler tests: twin schedulers — one on the fast path,
-// one forced through the reference scanner — run identical workloads and
-// must produce byte-identical traces and identical metrics.
+// Differential scheduler tests: twin schedulers — one running the
+// timeline pass, one the reference scanner of reference_test.go — run
+// identical workloads and must produce byte-identical traces and
+// identical metrics.
 // ---------------------------------------------------------------------
 
 // schedRun is everything observable about one scheduler run: the full
@@ -182,20 +185,46 @@ type twinSpec struct {
 	nodes   int
 	jobs    int
 	mode    BackfillMode
-	gate    func() Gate
+	gate    gateMaker
 	r1, r2  Policy
 	faults  bool    // scripted node kill/restore cycles
 	honesty float64 // lowest estimate factor; < 1 makes jobs overrun
+	// inject attaches a fault injector (node churn, telemetry loss, model
+	// outages) and stack runs the paper's application mix beside the
+	// noise job, so that contention moves and a RUSH gate has something
+	// to veto: the trial stack of internal/experiments, built here.
+	inject faults.Config
+	stack  bool
+	// perturb is handed to the reference scanner (refScanner.perturb).
+	perturb func([]*Job)
 }
 
-// runTwinHalf executes spec on a fresh machine with the fast path on or
-// off and captures every observable output. The workload, fault script,
-// and machine construction are derived only from spec, so the reference
-// flag is the sole difference between the two halves.
+// gateMaker builds one half's gate on that half's machine and injector.
+type gateMaker func(*machine.Machine, *faults.Injector) Gate
+
+// twinHorizon bounds a twin run that fails to drain; every workload here
+// finishes well inside it.
+const twinHorizon = 1e5
+
+// runTwinHalf executes spec on a fresh machine through the timeline pass
+// or the reference scanner and captures every observable output. The
+// workload, fault script, and machine construction are derived only from
+// spec, so the pass body is the sole difference between the two halves.
 func runTwinHalf(t *testing.T, spec twinSpec, reference bool) schedRun {
 	t.Helper()
 	eng := sim.New(spec.seed)
 	m, err := machine.New(eng, cluster.Topology{Nodes: spec.nodes, PodSize: spec.nodes, CoresPerNode: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	profiles := []apps.Profile{steadyApp()}
+	if spec.stack {
+		profiles = apps.Defaults()
+		if _, err := m.StartNoise(apps.DefaultNoise()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inj, err := faults.Attach(m, spec.inject, eng.Source().Derive("faults"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,14 +234,17 @@ func runTwinHalf(t *testing.T, spec twinSpec, reference bool) schedRun {
 		Machine:  m,
 		Primary:  spec.r1,
 		Backfill: spec.r2,
-		Gate:     spec.gate(),
+		Gate:     spec.gate(m, inj),
 		Mode:     spec.mode,
 		Observer: obs.New(obs.NewTracer(&buf), reg),
+		Faults:   inj,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.DisableFastPath = reference
+	if reference {
+		useReference(s).perturb = spec.perturb
+	}
 	s.RetryInterval = 15
 	s.VetoCooldown = 15
 	s.RequeueBackoff = 20
@@ -226,7 +258,7 @@ func runTwinHalf(t *testing.T, spec twinSpec, reference bool) schedRun {
 		work := rng.Uniform(10, 250)
 		j := &Job{
 			ID:       i,
-			App:      steadyApp(),
+			App:      profiles[i%len(profiles)],
 			Nodes:    1 + rng.Intn(spec.nodes/2),
 			BaseWork: work,
 			Estimate: work * rng.Uniform(lo, 2.0),
@@ -244,7 +276,10 @@ func runTwinHalf(t *testing.T, spec twinSpec, reference bool) schedRun {
 			m.Eng.At(down+40, func() { m.RestoreNode(node) })
 		}
 	}
-	m.Eng.Run()
+	// The noise job and the injector's node lives never run out of events:
+	// stop when the workload has drained.
+	for s.CompletedCount() < spec.jobs && eng.Now() < twinHorizon && eng.Step() {
+	}
 
 	run := schedRun{trace: buf.String(), snap: reg.Snapshot(), err: s.Err()}
 	for _, j := range s.Completed() {
@@ -264,7 +299,9 @@ func scrubWallClock(s *obs.Snapshot) {
 	}
 }
 
-func diffTwin(t *testing.T, name string, spec twinSpec) {
+// diffTwin runs spec through both pass bodies, requires every observable
+// output to agree and returns the timeline half.
+func diffTwin(t *testing.T, name string, spec twinSpec) schedRun {
 	t.Helper()
 	fast := runTwinHalf(t, spec, false)
 	ref := runTwinHalf(t, spec, true)
@@ -282,38 +319,111 @@ func diffTwin(t *testing.T, name string, spec twinSpec) {
 	if !reflect.DeepEqual(fast.snap, ref.snap) {
 		t.Fatalf("%s: metrics diverge\nfast: %+v\nref:  %+v", name, fast.snap, ref.snap)
 	}
+	return fast
+}
+
+// alwaysGate and vetoGate build the two model-free gates of the matrix.
+func alwaysGate(*machine.Machine, *faults.Injector) Gate { return AlwaysStart{} }
+
+func vetoGate(n int) gateMaker {
+	return func(*machine.Machine, *faults.Injector) Gate { return &countGate{n: n} }
 }
 
 // TestFastPassMatchesReferenceMatrix is the differential acceptance
 // test: for every combination of seed × backfill mode × gate × fault
-// script, the fast and reference passes must produce byte-identical
-// traces, identical completion records, and identical metrics. Estimate
-// factors below 1 force overruns so timeline promotion is exercised.
+// scenario, the timeline pass and the reference scanner must produce
+// byte-identical traces, identical completion records, and identical
+// metrics. Estimate factors below 1 force overruns so timeline promotion
+// is exercised.
+//
+// The scenarios are a scripted kill/restore wave and the five rows of
+// the robustness sweep (experiments.DefaultFaultScenarios: clean, node
+// churn, telemetry loss, model outage, all at once), the latter on the
+// trial stack: the paper's application mix, the noise job, a fault
+// injector and, as the third gate, RUSH over a trained model with the
+// injector's outage hook, so vetoes, fail-open decisions, kills and
+// requeues all reach both pass bodies.
 func TestFastPassMatchesReferenceMatrix(t *testing.T) {
 	seeds := []int64{101, 202, 303, 404, 505}
 	modes := []BackfillMode{EASYBackfill, ConservativeBackfill, NoBackfill}
+	model := trainedToyModel(t, gateMachine())
 	gates := []struct {
 		name string
-		mk   func() Gate
+		mk   gateMaker
 	}{
-		{"always", func() Gate { return AlwaysStart{} }},
-		{"veto2", func() Gate { return &countGate{n: 2} }},
+		{"always", alwaysGate},
+		{"veto2", vetoGate(2)},
+		{"rush", func(m *machine.Machine, inj *faults.Injector) Gate {
+			g := NewRUSH(m, model)
+			g.ModelDown = inj.ModelDown()
+			return g
+		}},
 	}
+	churn := faults.Config{NodeMTBF: 4 * 3600, NodeMTTR: 900}
+	loss := faults.Config{TelemetryLoss: 0.2, FreezeProb: 0.05}
+	all := faults.Config{NodeMTBF: 4 * 3600, NodeMTTR: 900, TelemetryLoss: 0.2, FreezeProb: 0.05, ModelOutage: 0.3}
+	scenarios := []struct {
+		name     string
+		scripted bool
+		stack    bool
+		inject   faults.Config
+	}{
+		{name: "plain"},
+		{name: "scripted-kills", scripted: true},
+		{name: "clean", stack: true},
+		{name: "node-churn", stack: true, inject: churn},
+		{name: "telemetry-loss", stack: true, inject: loss},
+		{name: "model-outage", stack: true, inject: faults.Config{ModelOutage: 0.3}},
+		{name: "all-faults", stack: true, inject: all},
+	}
+	var vetoes, degraded, requeued uint64
 	for _, seed := range seeds {
 		for _, mode := range modes {
 			for _, g := range gates {
-				for _, faulted := range []bool{false, true} {
-					name := fmt.Sprintf("s%d-%s-%s-faults%v", seed, mode, g.name, faulted)
-					diffTwin(t, name, twinSpec{
-						seed: seed, nodes: 64, jobs: 80,
+				for _, sc := range scenarios {
+					jobs := 80
+					if g.name == "rush" {
+						// A model decision costs a telemetry window, a
+						// thousand times a scheduling pass: the RUSH rows
+						// are the stack scenarios (the steady app never
+						// congests, so elsewhere there is nothing to veto),
+						// at half length, on every seed under EASY and on
+						// two under the ablation modes.
+						if !sc.stack || (mode != EASYBackfill && seed > 202) {
+							continue
+						}
+						jobs = 40
+					}
+					name := fmt.Sprintf("s%d-%s-%s-%s", seed, mode, g.name, sc.name)
+					fast := diffTwin(t, name, twinSpec{
+						seed: seed, nodes: 64, jobs: jobs,
 						mode: mode, gate: g.mk,
 						r1: FCFS{}, r2: SJF{},
-						faults: faulted, honesty: 0.6,
+						faults: sc.scripted, honesty: 0.6,
+						stack: sc.stack, inject: sc.inject,
 					})
+					if g.name == "rush" {
+						vetoes += counter(fast.snap, "gate_vetoes_total")
+						degraded += counter(fast.snap, "gate_degraded_total")
+					}
+					requeued += counter(fast.snap, "sched_jobs_requeued_total")
 				}
 			}
 		}
 	}
+	if vetoes == 0 || degraded == 0 || requeued == 0 {
+		t.Fatalf("degenerate matrix: %d RUSH vetoes, %d fail-open decisions, %d requeues", vetoes, degraded, requeued)
+	}
+}
+
+// counter reads one counter out of a metrics snapshot (0 when absent).
+func counter(s *obs.Snapshot, name string) uint64 {
+	for _, c := range s.Counters {
+		if c.Name == name {
+			return uint64(c.Value)
+		}
+	}
+	return 0
 }
 
 // TestFastPassMatchesReferenceSJFPrimary covers the policy permutation
@@ -323,45 +433,48 @@ func TestFastPassMatchesReferenceSJFPrimary(t *testing.T) {
 	for _, seed := range []int64{7, 77} {
 		diffTwin(t, fmt.Sprintf("sjf-primary-s%d", seed), twinSpec{
 			seed: seed, nodes: 48, jobs: 70,
-			mode: EASYBackfill, gate: func() Gate { return AlwaysStart{} },
+			mode: EASYBackfill, gate: alwaysGate,
 			r1: SJF{}, r2: FCFS{},
 			faults: true, honesty: 0.5,
 		})
 	}
 }
 
-// TestFastPathToggleMidRun flips DisableFastPath back and forth on a
-// live scheduler and requires the run to finish exactly like an
-// untoggled fast run: the rebuild path must restore maintained order
-// losslessly.
-func TestFastPathToggleMidRun(t *testing.T) {
-	run := func(toggle bool) []string {
-		m := testMachine(32)
-		s := newSched(m, FCFS{}, SJF{}, AlwaysStart{})
-		rng := sim.NewSource(5).Derive("toggle")
-		for i := 0; i < 50; i++ {
-			work := rng.Uniform(20, 150)
-			j := &Job{ID: i, App: steadyApp(), Nodes: 1 + rng.Intn(16), BaseWork: work, Estimate: work * 1.3}
-			m.Eng.At(rng.Uniform(0, 400), func() { s.Submit(j) })
-		}
-		if toggle {
-			for k := 0; k < 10; k++ {
-				on := k%2 == 0
-				m.Eng.At(50+float64(k)*45, func() { s.DisableFastPath = on })
+// TestReferenceReadsMembershipOnly shows that the oracle cannot inherit
+// a fault of the order maintenance it checks: a reference scanner whose
+// copy of the queue has two entries swapped before every scan (the copy,
+// never the scheduler's own queue or q2, which tryStart still searches)
+// picks the same starts as one reading the untouched copy, under every
+// backfill mode and with an SJF main queue. What it reads is who is
+// queued, not where.
+func TestReferenceReadsMembershipOnly(t *testing.T) {
+	swapped := 0
+	for _, mode := range []BackfillMode{EASYBackfill, ConservativeBackfill, NoBackfill} {
+		for _, r1 := range []Policy{FCFS{}, SJF{}} {
+			spec := twinSpec{
+				seed: 303, nodes: 64, jobs: 80,
+				mode: mode, gate: vetoGate(1),
+				r1: r1, r2: SJF{},
+				faults: true, honesty: 0.6,
+			}
+			plain := runTwinHalf(t, spec, true)
+			spec.perturb = func(q []*Job) {
+				if n := len(q); n > 1 {
+					q[0], q[n-1] = q[n-1], q[0]
+					swapped++
+				}
+			}
+			perturbed := runTwinHalf(t, spec, true)
+			if plain.err != nil || perturbed.err != nil {
+				t.Fatalf("%s/%s: sticky errors %v, %v", mode, r1.Name(), plain.err, perturbed.err)
+			}
+			if plain.trace != perturbed.trace {
+				t.Fatalf("%s/%s: the reference scanner read the order of the queue it was handed", mode, r1.Name())
 			}
 		}
-		m.Eng.Run()
-		if err := s.Err(); err != nil {
-			t.Fatal(err)
-		}
-		var out []string
-		for _, j := range s.Completed() {
-			out = append(out, fmt.Sprintf("%d@%v-%v", j.ID, j.StartTime, j.EndTime))
-		}
-		return out
 	}
-	if a, b := run(false), run(true); !reflect.DeepEqual(a, b) {
-		t.Fatalf("toggling the fast path changed the schedule\nfast-only: %v\ntoggled:   %v", a, b)
+	if swapped == 0 {
+		t.Fatal("no scan ever saw two queued jobs: nothing was swapped")
 	}
 }
 
@@ -398,34 +511,12 @@ func TestFastPassPropertyRandomStreams(t *testing.T) {
 			honesty: meta.Uniform(0.4, 1.2),
 		}
 		vetoes := meta.Intn(3) // 0 = AlwaysStart
-		spec.gate = func() Gate {
-			if vetoes == 0 {
-				return AlwaysStart{}
-			}
-			return &countGate{n: vetoes}
+		spec.gate = alwaysGate
+		if vetoes > 0 {
+			spec.gate = vetoGate(vetoes)
 		}
 		name := fmt.Sprintf("iter%d-s%d-%s", iter, seed, spec.mode)
-		fast := runTwinHalf(t, spec, false)
-		ref := runTwinHalf(t, spec, true)
-		if fast.err != nil || ref.err != nil {
-			t.Fatalf("%s: sticky errors fast=%v ref=%v", name, fast.err, ref.err)
-		}
-		if fast.trace != ref.trace {
-			t.Fatalf("%s: traces diverge (fast %d bytes, ref %d bytes)", name, len(fast.trace), len(ref.trace))
-		}
-		if !reflect.DeepEqual(fast.completed, ref.completed) {
-			t.Fatalf("%s: completion records diverge", name)
-		}
-		scrubWallClock(fast.snap)
-		scrubWallClock(ref.snap)
-		if !reflect.DeepEqual(fast.snap, ref.snap) {
-			t.Fatalf("%s: metrics diverge\nfast: %+v\nref:  %+v", name, fast.snap, ref.snap)
-		}
-		for _, c := range fast.snap.Counters {
-			if c.Name == "sched_passes_total" {
-				passes += uint64(c.Value)
-			}
-		}
+		passes += counter(diffTwin(t, name, spec).snap, "sched_passes_total")
 	}
 	if passes < wantPasses {
 		t.Fatalf("only %d passes compared across %d iterations, want >= %d", passes, iter, wantPasses)
@@ -548,7 +639,7 @@ func TestSkipTableShiftMatchesRecompute(t *testing.T) {
 					check(i, "insert")
 				} else {
 					k := rng.Intn(len(queued))
-					s.removeQueued(queued[k])
+					s.fastRemove(queued[k])
 					queued[k] = queued[len(queued)-1]
 					queued = queued[:len(queued)-1]
 					check(i, "remove")

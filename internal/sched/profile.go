@@ -18,30 +18,8 @@ type profile struct {
 	free  []int
 }
 
-// newProfileFromSorted builds a profile starting at now with the given
-// current free count from future releases (time, nodes) already in
-// snapshot order (releaseSorter). Ascending insertion keeps every addAt
-// appending at the tail — no mid-slice splits — so construction is
-// linear in the release count.
-func newProfileFromSorted(now float64, freeNow int, sorted []release) *profile {
-	p := &profile{
-		times: make([]float64, 1, len(sorted)+1),
-		free:  make([]int, 1, len(sorted)+1),
-	}
-	p.times[0] = now
-	p.free[0] = freeNow
-	for _, r := range sorted {
-		t := r.t
-		if t < now {
-			t = now
-		}
-		p.addAt(t, r.n)
-	}
-	return p
-}
-
 // reset re-initializes p to a single segment [now, ∞) with freeNow free
-// nodes, reusing the backing arrays. The fast conservative-backfill path
+// nodes, reusing the backing arrays. The conservative-backfill pass
 // keeps one pooled profile per scheduler and resets it every pass, so
 // steady-state passes allocate nothing once the arrays have grown to the
 // workload's high-water segment count.
@@ -49,27 +27,6 @@ func (p *profile) reset(now float64, freeNow int) {
 	p.times = append(p.times[:0], now)
 	p.free = append(p.free[:0], freeNow)
 }
-
-type release struct {
-	t float64
-	n int
-}
-
-// releaseSorter orders releases by time, ties broken by node count —
-// a deterministic snapshot order regardless of the map-iteration order
-// the releases were collected in. Releases that tie on both fields are
-// interchangeable: addAt is commutative integer addition at one
-// boundary, so any order builds the identical profile.
-type releaseSorter struct{ rels []release }
-
-func (r *releaseSorter) Len() int { return len(r.rels) }
-func (r *releaseSorter) Less(i, j int) bool {
-	if r.rels[i].t != r.rels[j].t {
-		return r.rels[i].t < r.rels[j].t
-	}
-	return r.rels[i].n < r.rels[j].n
-}
-func (r *releaseSorter) Swap(i, j int) { r.rels[i], r.rels[j] = r.rels[j], r.rels[i] }
 
 // addAt adds delta free nodes from time t onward.
 func (p *profile) addAt(t float64, delta int) {

@@ -59,7 +59,6 @@ package sched
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"rush/internal/apps"
@@ -166,13 +165,13 @@ func (j *Job) RetryLimit() int {
 //
 // Less must be a strict weak ordering over fields that do not change
 // while a job is queued (FCFS reads SubmitTime, SJF reads Estimate;
-// both are fixed at submission). The fast scheduling pass maintains the
-// queue incrementally in policy order instead of re-sorting it every
-// pass, so a key that mutated while queued would silently corrupt the
-// order. Ties are broken by enqueue sequence, which reproduces exactly
-// the order a stable sort of the arrival-ordered queue would produce —
-// the two pass implementations are therefore job-for-job identical (see
-// Scheduler.DisableFastPath).
+// both are fixed at submission). The scheduler maintains the queue
+// incrementally in policy order instead of re-sorting it every pass, so
+// a key that mutated while queued would silently corrupt the order. Ties
+// are broken by enqueue sequence, which reproduces exactly the order a
+// stable sort of the arrival-ordered queue would produce; the reference
+// scanner in reference_test.go sorts that way and the differential tests
+// hold the two job for job.
 type Policy interface {
 	// Less reports whether a should run before b.
 	Less(a, b *Job) bool
@@ -311,17 +310,6 @@ type Scheduler struct {
 	// Backfill selects the backfilling discipline (default EASY).
 	Backfill BackfillMode
 
-	// DisableFastPath routes Pass through the reference scanner: a full
-	// queue re-sort, a fresh snapshot-and-sort of the running set, and a
-	// complete candidate rescan after every start — O(queue × nodes) per
-	// pass. The fast path instead maintains the queue in policy order,
-	// keeps the running set's releases on a persistent availability
-	// timeline, and resumes its scans across starts, so a pass costs
-	// near-O(changes). Schedules are job-for-job identical either way
-	// (pinned by the differential and property tests in fastsched_test);
-	// the toggle exists for those tests and the deep-queue benchmarks.
-	DisableFastPath bool
-
 	queue      []*Job
 	running    []*Job
 	completed  []*Job
@@ -335,19 +323,17 @@ type Scheduler struct {
 	// through OnComplete instead.
 	DiscardCompleted bool
 
-	// Fast-path state: tl mirrors the running set's release breakpoints
-	// (see timeline.go); q2 is the queue in backfill-candidate order with
-	// blkNodes/blkEst holding per-block minima so the candidate scan can
-	// skip 64 jobs at a time; fastValid marks queue+q2 as maintained and
-	// in policy order (a reference pass invalidates it, the next fast
-	// pass rebuilds). nextSeq stamps Job.seq at every (re-)enqueue.
-	tl        timeline
-	q2        []*Job
-	blkNodes  []int
-	blkEst    []float64
-	fastValid bool
-	nextSeq   uint64
-	prof      profile // pooled conservative-backfill profile
+	// Maintained orders: queue is kept in (R1, seq) order and q2 holds the
+	// same jobs in backfill-candidate order, with blkNodes/blkEst holding
+	// per-block minima so the candidate scan can skip 64 jobs at a time
+	// (fastpass.go); tl mirrors the running set's release breakpoints
+	// (timeline.go). nextSeq stamps Job.seq at every (re-)enqueue.
+	tl       timeline
+	q2       []*Job
+	blkNodes []int
+	blkEst   []float64
+	nextSeq  uint64
+	prof     profile // pooled conservative-backfill profile
 
 	// OnComplete, when set, observes each finished job.
 	OnComplete func(*Job)
@@ -382,13 +368,10 @@ type Scheduler struct {
 	passVetoes    int
 	pendingVetoes int
 
-	// Reusable scratch buffers so a pass that starts nothing allocates
-	// nothing (pinned by TestPassZeroAllocs).
-	candsBuf []*Job
-	relsBuf  []release
-	relSort  relSorter
-	bfRels   []release
-	bfSort   releaseSorter
+	// passBody, when non-nil, runs in place of the timeline pass. It is
+	// the scheduler's one test seam: nothing outside _test.go writes it,
+	// and the reference scanner of reference_test.go goes in here.
+	passBody func()
 
 	inPass     bool
 	passWant   bool
@@ -420,11 +403,22 @@ func (s *Scheduler) GateName() string { return s.gt.Name() }
 func (s *Scheduler) Observer() *obs.Observer { return s.obs }
 
 // Submit validates and enqueues j (stamping its submit time), then runs
-// a scheduling pass. A job that cannot ever run on this machine is
-// rejected with an error rather than enqueued.
+// a scheduling pass. A job that cannot ever run on this machine — too
+// large, without finite positive work, or with a non-finite estimate —
+// is rejected with an error rather than enqueued.
 func (s *Scheduler) Submit(j *Job) error {
 	if j.Nodes <= 0 || j.Nodes > s.m.Topo.Nodes {
 		return fmt.Errorf("sched: job %d requests %d nodes on a %d-node machine", j.ID, j.Nodes, s.m.Topo.Nodes)
+	}
+	// Refused here because nobody can receive the error later: the
+	// machine panics on non-positive work inside an event callback, never
+	// finishes infinite work, and a NaN estimate has no place in the
+	// maintained orders.
+	if !(j.BaseWork > 0) || math.IsInf(j.BaseWork, 1) {
+		return fmt.Errorf("sched: job %d has base work %v, want finite and positive", j.ID, j.BaseWork)
+	}
+	if math.IsNaN(j.Estimate) || math.IsInf(j.Estimate, 0) {
+		return fmt.Errorf("sched: job %d has a non-finite estimate %v", j.ID, j.Estimate)
 	}
 	if j.Estimate <= 0 {
 		j.Estimate = j.BaseWork
@@ -457,11 +451,11 @@ func (s *Scheduler) Err() error { return s.err }
 // and will be the first to be considered ... next time resources become
 // available"). The returned error is sticky — see Err.
 //
-// Two implementations exist: the availability-timeline fast pass
-// (default, near-O(changes); see fastpass.go) and the reference scanner
-// (DisableFastPath, O(queue × nodes)). Both produce identical schedules;
-// with a nil observer both run allocation-free in steady state (pinned
-// by TestPassZeroAllocs and `make bench-sched`).
+// The cycle itself is the availability-timeline pass of fastpass.go,
+// near-O(changes) and, with a nil observer, allocation-free in steady
+// state (pinned by TestPassZeroAllocs and `make bench-sched`). The
+// O(queue × nodes) scanner it is differenced against lives in
+// reference_test.go.
 func (s *Scheduler) Pass() error {
 	if s.inPass {
 		s.passWant = true
@@ -482,9 +476,8 @@ func (s *Scheduler) Pass() error {
 	}
 	s.passGen++
 	s.passVetoes = 0
-	if s.DisableFastPath {
-		s.fastValid = false
-		s.passReference()
+	if s.passBody != nil {
+		s.passBody()
 	} else {
 		s.passFast()
 	}
@@ -509,120 +502,6 @@ func (s *Scheduler) Pass() error {
 	return s.err
 }
 
-// passReference is the reference scheduling cycle: re-sort the queue,
-// scan for the pivot, snapshot and sort the running set for the
-// reservation, collect and sort backfill candidates, and restart the
-// whole scan after every successful start. It is deliberately untouched
-// by the fast-path refactor — the differential tests pin the fast pass
-// against it job for job.
-func (s *Scheduler) passReference() {
-restart:
-	for s.err == nil {
-		sortJobs(s.queue, s.r1)
-		var pivot *Job
-		for _, j := range s.queue {
-			if j.vetoGen == s.passGen || s.coolingDown(j) {
-				continue
-			}
-			if s.m.Alloc.CanAlloc(j.Nodes) {
-				if s.tryStart(j, false) {
-					continue restart
-				}
-				continue // vetoed: consider the next job, j keeps its place
-			}
-			pivot = j
-			break
-		}
-		if pivot == nil {
-			break
-		}
-		switch s.Backfill {
-		case NoBackfill:
-			// Strict in-order scheduling: the blocked head blocks all.
-		case ConservativeBackfill:
-			if s.conservativeBackfill() {
-				continue restart
-			}
-		default: // EASY backfilling around the pivot's reservation.
-			shadow, extra := s.reservation(pivot)
-			cands := s.candsBuf[:0]
-			for _, j := range s.queue {
-				if j != pivot && j.vetoGen != s.passGen && !s.coolingDown(j) {
-					cands = append(cands, j)
-				}
-			}
-			sortJobs(cands, s.r2)
-			s.candsBuf = cands
-			now := s.m.Eng.Now()
-			for _, c := range cands {
-				if !s.m.Alloc.CanAlloc(c.Nodes) {
-					continue
-				}
-				if now+c.Estimate <= shadow || c.Nodes <= extra {
-					if s.tryStart(c, true) {
-						continue restart
-					}
-				}
-			}
-		}
-		break
-	}
-}
-
-// sortJobs is a stable insertion sort under p. Stable sorting has a
-// unique result, so this orders exactly as sort.SliceStable did — but
-// without its per-call allocations, which keeps Pass allocation-free.
-// Queues here are short (hundreds at most) and almost sorted between
-// passes, where insertion sort approaches linear time.
-func sortJobs(q []*Job, p Policy) {
-	for i := 1; i < len(q); i++ {
-		j := q[i]
-		k := i
-		for k > 0 && p.Less(j, q[k-1]) {
-			q[k] = q[k-1]
-			k--
-		}
-		q[k] = j
-	}
-}
-
-// conservativeBackfill places every queued job on a node-availability
-// profile in R1 order, giving each a tentative reservation, and starts
-// any job whose reservation begins now. No job's start can be delayed by
-// a later job because later jobs only take capacity the earlier
-// reservations left behind. Returns true when a job started (the caller
-// restarts its pass).
-func (s *Scheduler) conservativeBackfill() bool {
-	now := s.m.Eng.Now()
-	// Snapshot the running set's releases into a reusable buffer and
-	// sort once, deterministically (releaseSorter).
-	rels := s.bfRels[:0]
-	for _, j := range s.running {
-		end := j.StartTime + j.Estimate
-		if end < now {
-			end = now // overrun its estimate; may finish any moment
-		}
-		rels = append(rels, release{t: end, n: j.Nodes})
-	}
-	s.bfRels = rels
-	s.bfSort.rels = rels
-	sort.Sort(&s.bfSort)
-	p := newProfileFromSorted(now, s.m.Alloc.FreeCount(), rels)
-	// s.queue is already sorted by R1 (the pass sorts before calling us).
-	for i, j := range s.queue {
-		t := p.findSlot(j.Nodes, j.Estimate, now)
-		if t == now && j.vetoGen != s.passGen && !s.coolingDown(j) && s.m.Alloc.CanAlloc(j.Nodes) {
-			if s.tryStart(j, i > 0) {
-				return true
-			}
-			// Vetoed just now: keep its reservation below so no later
-			// job can capture its slot.
-		}
-		p.reserve(t, j.Estimate, j.Nodes)
-	}
-	return false
-}
-
 // coolingDown reports whether j was gate-vetoed too recently to be
 // reconsidered.
 func (s *Scheduler) coolingDown(j *Job) bool {
@@ -630,65 +509,6 @@ func (s *Scheduler) coolingDown(j *Job) bool {
 		return false
 	}
 	return j.vetoPending && s.m.Eng.Now()-j.lastVetoAt < s.VetoCooldown
-}
-
-// relSorter sorts a release slice into snapshot order — by time, ties
-// broken by node count — in place. It is kept as a scheduler field so
-// sort.Sort receives a pointer that already lives on the scheduler — no
-// per-pass boxing allocation. The node-count tie-break matches
-// releaseSorter (the conservative path's snapshot order) and the
-// availability timeline's breakpoint order: ties arise whenever two
-// overrun jobs are clamped to the same pass time, and without a
-// deterministic tie-break the unstable sort would leave `extra` — which
-// can depend on which same-time release the reservation walk consumes
-// last — at the mercy of pdqsort's permutation, and the fast pass could
-// not reproduce it incrementally. Releases tying on both fields are
-// interchangeable: the walk accumulates them commutatively.
-type relSorter struct{ rels []release }
-
-func (r *relSorter) Len() int { return len(r.rels) }
-func (r *relSorter) Less(i, j int) bool {
-	if r.rels[i].t != r.rels[j].t {
-		return r.rels[i].t < r.rels[j].t
-	}
-	return r.rels[i].n < r.rels[j].n
-}
-func (r *relSorter) Swap(i, j int) { r.rels[i], r.rels[j] = r.rels[j], r.rels[i] }
-
-// reservation computes the pivot's EASY reservation using the standard
-// count-based method: walk running jobs by estimated completion until
-// enough nodes accumulate. It returns the shadow time and the number of
-// spare nodes at that time (backfill jobs at most that size cannot delay
-// the reservation regardless of their duration).
-func (s *Scheduler) reservation(pivot *Job) (shadow float64, extra int) {
-	rels := s.relsBuf[:0]
-	now := s.m.Eng.Now()
-	for _, j := range s.running {
-		end := j.StartTime + j.Estimate
-		if end < now {
-			end = now // overrun its estimate; it can finish any moment
-		}
-		rels = append(rels, release{t: end, n: j.Nodes})
-	}
-	s.relsBuf = rels
-	s.relSort.rels = rels
-	sort.Sort(&s.relSort)
-	avail := s.m.Alloc.FreeCount()
-	shadow = now
-	for _, r := range rels {
-		if avail >= pivot.Nodes {
-			break
-		}
-		avail += r.n
-		shadow = r.t
-	}
-	if avail < pivot.Nodes {
-		// The pivot can never fit (e.g. the noise job permanently holds
-		// nodes it would need): reserve at infinity so any fitting job
-		// backfills freely.
-		return math.Inf(1), s.m.Alloc.FreeCount()
-	}
-	return shadow, avail - pivot.Nodes
 }
 
 // tryStart allocates, consults the gate, and either launches the job or
@@ -725,7 +545,7 @@ func (s *Scheduler) tryStart(j *Job, backfill bool) bool {
 		j.vetoPending = false
 		s.pendingVetoes--
 	}
-	s.removeQueued(j)
+	s.fastRemove(j)
 	s.running = append(s.running, j)
 	s.tl.add(j, j.StartTime+j.Estimate)
 	if backfill {
@@ -752,32 +572,12 @@ func (s *Scheduler) tryStart(j *Job, backfill bool) bool {
 	return true
 }
 
-// enqueue stamps j's enqueue serial and places it in the queue: sorted
-// insertion when the fast-path order is live, a plain append (sorted by
-// the next reference pass) otherwise.
+// enqueue stamps j's enqueue serial and inserts it into the maintained
+// orders.
 func (s *Scheduler) enqueue(j *Job) {
 	s.nextSeq++
 	j.seq = s.nextSeq
-	if s.fastValid && !s.DisableFastPath {
-		s.fastInsert(j)
-		return
-	}
-	s.fastValid = false
-	s.queue = append(s.queue, j)
-}
-
-func (s *Scheduler) removeQueued(j *Job) {
-	if s.fastValid {
-		s.fastRemove(j)
-		return
-	}
-	for i, q := range s.queue {
-		if q == j {
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
-			return
-		}
-	}
-	panic(fmt.Sprintf("sched: job %d started but not in queue", j.ID))
+	s.fastInsert(j)
 }
 
 func (s *Scheduler) finish(j *Job) {

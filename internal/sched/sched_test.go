@@ -285,6 +285,26 @@ func TestSubmitValidation(t *testing.T) {
 	if err := s.Submit(job(1, 0, 10)); err == nil {
 		t.Fatal("zero-node job should be rejected")
 	}
+	// Work the machine could never finish, and an estimate the maintained
+	// orders could never place, are errors at the door, not panics inside
+	// an event callback.
+	for _, bad := range []struct {
+		name           string
+		work, estimate float64
+	}{
+		{"infinite work", math.Inf(1), 10},
+		{"NaN work", math.NaN(), 10},
+		{"zero work", 0, 10},
+		{"negative work", -5, 10},
+		{"NaN estimate", 10, math.NaN()},
+		{"infinite estimate", 10, math.Inf(1)},
+		{"negative infinite estimate", 10, math.Inf(-1)},
+	} {
+		j := &Job{ID: 9, App: steadyApp(), Nodes: 4, BaseWork: bad.work, Estimate: bad.estimate}
+		if err := s.Submit(j); err == nil {
+			t.Fatalf("%s should be rejected", bad.name)
+		}
+	}
 	if s.QueueLen() != 0 {
 		t.Fatalf("rejected jobs must not be enqueued, queue=%d", s.QueueLen())
 	}

@@ -4,19 +4,21 @@ import "math"
 
 // This file implements the availability timeline: the persistent,
 // incrementally-maintained view of when running jobs release their
-// nodes. It replaces the per-pass snapshot-sort-scan of the running set
-// (see reservation and conservativeBackfill in sched.go, the reference
-// path) with a sorted breakpoint slice that is updated once per job
-// lifecycle event — start inserts a breakpoint, finish/kill removes it —
-// so a scheduling pass touches only what changed.
+// nodes. It stands in for a per-pass snapshot-sort-scan of the running
+// set (what reservation and conservativeBackfill of the reference
+// scanner in reference_test.go do) with a sorted breakpoint slice that
+// is updated once per job lifecycle event — start inserts a breakpoint,
+// finish/kill removes it — so a scheduling pass touches only what
+// changed.
 //
 // Equivalence contract: after promote(now), the entry sequence is
-// exactly the clamped release snapshot the reference path builds and
+// exactly the clamped release snapshot the reference scanner builds and
 // sorts on every pass (releases ordered by (t, n); entries that tie on
 // both fields are interchangeable because every consumer either sums
 // them or adds them at one profile boundary, both commutative). Every
 // timeline query is therefore bit-identical to its reference
-// counterpart; the differential tests in fastpath pin this job-for-job.
+// counterpart; the differential tests in fastsched_test.go pin this job
+// for job.
 
 // tlEntry is one breakpoint: running job `job` is expected to release n
 // nodes at time t. t starts as StartTime+Estimate and is clamped
@@ -76,16 +78,16 @@ func (tl *timeline) remove(j *Job) {
 			return
 		}
 	}
-	// Not finding the job would mean a start without an add; the
-	// fast-path hooks make that unreachable, and the differential tests
-	// would catch a divergence before this could matter.
+	// Not finding the job would mean a start without an add; tryStart
+	// and removeRunning are paired, so that is unreachable, and the
+	// differential tests would catch a divergence before it could matter.
 }
 
 // promote clamps every overdue breakpoint (t < now) to now — an overrun
 // job may finish at any moment, exactly like the reference snapshot's
 // clamp — and restores (t, n) order within the now-group. It runs once
-// at the start of each fast pass; between passes time only moves
-// forward, so promotion is monotone and the suffix of genuinely-future
+// at the start of each pass; between passes time only moves forward,
+// so promotion is monotone and the suffix of genuinely-future
 // entries is never touched.
 func (tl *timeline) promote(now float64) {
 	k := 0
@@ -145,8 +147,8 @@ func (tl *timeline) reservation(need, free int, now float64) (shadow float64, ex
 
 // fillProfile rebuilds the conservative-backfill step profile from the
 // promoted timeline into p, reusing p's backing arrays. The addAt
-// sequence is identical to newProfileFromSorted over the reference
-// path's clamped, (t, n)-sorted snapshot, so the resulting profile is
+// sequence is identical to the reference scanner's newProfileFromSorted
+// over its clamped, (t, n)-sorted snapshot, so the resulting profile is
 // field-for-field identical. Callers must promote first.
 func (tl *timeline) fillProfile(p *profile, now float64, freeNow int) {
 	p.reset(now, freeNow)

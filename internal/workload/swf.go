@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -85,14 +86,29 @@ func interpretSWF(fv *[swfFields]float64) SWFJob {
 	return j
 }
 
+// swfSpace reports whether r separates SWF fields: a blank, a tab or a
+// carriage return, the set the streaming scanner splits on. Any other
+// byte is part of a field in both loaders, so they accept the same
+// lines.
+func swfSpace(r rune) bool { return r == ' ' || r == '\t' || r == '\r' }
+
 // replayableSWF reports whether a record can drive the simulator: it
 // needs a positive run time (cancelled or corrupt records have -1 or 0)
 // and a positive processor count after the -1 defaults were applied.
-// Unreplayable records are skipped — both loaders count them so callers
-// can report how much of a trace was usable.
+// The run time must also be finite, and small enough that the 1.5x
+// fallback estimate is — "inf" parses as a number, and a job of infinite
+// work never completes — and the submit time must be a finite number,
+// or the job has no place in a stream ordered by it. Unreplayable
+// records are skipped — both loaders count them so callers can report
+// how much of a trace was usable.
 func replayableSWF(j SWFJob) bool {
-	return j.RunTime > 0 && j.Procs > 0
+	return j.RunTime > 0 && j.RunTime <= math.MaxFloat64/swfEstimateFactor && j.Procs > 0 &&
+		!math.IsNaN(j.Submit) && !math.IsInf(j.Submit, 1)
 }
+
+// swfEstimateFactor scales a run time into the walltime estimate of a
+// record that requests none (or less than it ran).
+const swfEstimateFactor = 1.5
 
 // ParseSWF reads a whole SWF trace into memory. Header comments and
 // blank lines are skipped; short data lines are padded with -1 (unknown)
@@ -108,11 +124,10 @@ func ParseSWF(r io.Reader) ([]SWFJob, error) {
 	line := 0
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, ";") {
+		fields := strings.FieldsFunc(sc.Text(), swfSpace)
+		if len(fields) == 0 || fields[0][0] == ';' {
 			continue
 		}
-		fields := strings.Fields(text)
 		if len(fields) < swfMinFields || len(fields) > swfFields {
 			return nil, fmt.Errorf("workload: swf line %d: %d fields, want %d-%d", line, len(fields), swfMinFields, swfFields)
 		}
@@ -217,9 +232,11 @@ func (c *swfConverter) convert(sj SWFJob) (SubmittedJob, bool) {
 	} else {
 		profile = c.profiles[c.rng.Intn(len(c.profiles))]
 	}
+	// A requested time that is unknown, shorter than the run, or not a
+	// finite number ("nan" and "inf" parse) gives way to the fallback.
 	estimate := sj.ReqTime
-	if estimate <= 0 || estimate < sj.RunTime {
-		estimate = sj.RunTime * 1.5
+	if !(estimate >= sj.RunTime) || math.IsInf(estimate, 1) {
+		estimate = sj.RunTime * swfEstimateFactor
 	}
 	at := sj.Submit - c.t0
 	if at < c.lastAt {
