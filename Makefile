@@ -19,17 +19,20 @@ race-hot:
 	$(GO) test -race ./internal/parallel/... ./internal/experiments/...
 
 # fuzz-smoke runs each fuzz target for ten seconds: no bytes LoadModel
-# accepts may make a prediction panic or hang, and no bytes may panic
+# accepts may make a prediction panic or hang, no bytes may panic
 # the SWF scanner, make the two SWF loaders disagree, or yield a job the
-# replay driver cannot run.
+# replay driver cannot run, and no sequence of appends, same-instant
+# mutations, prunes and window queries may make simnet's history ring
+# answer differently from the linear slice it is checked against.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadModel$$' -fuzztime 10s ./internal/mlkit/
 	$(GO) test -run '^$$' -fuzz '^FuzzSWFStream$$' -fuzztime 10s ./internal/workload/
+	$(GO) test -run '^$$' -fuzz '^FuzzHistoryOps$$' -fuzztime 10s ./internal/simnet/
 
 # loc prints non-test Go lines outside bench/ per package and fails when
 # the total passes LOC_CEILING, the count at the change that last cut
 # code, so a change that grows the tree has to say so by raising it.
-LOC_CEILING = 18507
+LOC_CEILING = 18505
 loc:
 	@find . -path ./bench -prune -o -name '*.go' -not -name '*_test.go' -print | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
@@ -127,36 +130,37 @@ bench-serve:
 # bench-engine guards the full-Quartz acceptance target: a month-long
 # 103k-job workload on the 2,988-node machine, simulated end to end
 # through the sharded contention engine, must finish inside a 10-second
-# wall-clock budget (the measured value is ~0.8s — see BENCH_engine.json,
+# wall-clock budget (the measured value is ~0.4s — see BENCH_engine.json,
 # which also records the synthetic 4,096-node shape and the last
 # measured rows of a full recompute on every change) and inside a
-# 1.4M allocation budget (~2x the measured ~685k, so steady-state churn
-# stays pooled). It also guards the unit of work a saturated machine is
-# made of: one contention change with 760 jobs running on Quartz and the
-# filesystem past its threshold (BenchmarkContentionChange) must stay
-# under 24µs, twice the measured ~12µs (the parent of the change that
-# cached the factors and batched the re-timing measured 25-30µs), and at
-# exactly one allocation, simnet.History's epoch copy: re-integrating
-# the jobs and rebuilding the event heap allocate nothing.
+# 4,750 allocation budget (2x the measured 2,373: what is left is the
+# warm-up of the job pool, the lanes and the history ring, so one
+# allocation per job anywhere in the engine is twenty times over). It
+# also guards the unit of work a saturated machine is made of: one
+# contention change with 760 jobs running on Quartz and the filesystem
+# past its threshold (BenchmarkContentionChange) must stay under 24µs,
+# twice the measured ~12µs, and allocate nothing: recording the history
+# epoch, re-integrating the jobs and rebuilding the event heap all work
+# in place.
 bench-engine:
 	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkEngineMonth/quartz/fast' -benchtime 1x -benchmem -timeout 600s .); \
 	echo "$$out"; \
 	echo "$$out" | awk '/EngineMonth\/quartz\/fast/ { if ($$3+0 > 10000000000) { printf "bench-engine: month-long Quartz run regressed to %s ns/op (budget 10s)\n", $$3; exit 1 } }' || exit 1; \
-	echo "$$out" | awk '/EngineMonth\/quartz\/fast/ { for (i=1; i<NF; i++) if ($$(i+1) == "allocs/op") { if ($$i+0 > 1400000) { printf "bench-engine: month-long Quartz run regressed to %s allocs/op (budget 1400000)\n", $$i; exit 1 } } }' || exit 1
+	echo "$$out" | awk '/EngineMonth\/quartz\/fast/ { for (i=1; i<NF; i++) if ($$(i+1) == "allocs/op") { if ($$i+0 > 4750) { printf "bench-engine: month-long Quartz run regressed to %s allocs/op (budget 4750)\n", $$i; exit 1 } } }' || exit 1
 	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkContentionChange/quartz/saturated' -benchmem .); \
 	echo "$$out"; \
 	sat=$$(echo "$$out" | grep 'ContentionChange/quartz/saturated'); \
 	[ -n "$$sat" ] || { echo "bench-engine: saturated contention-change benchmark did not run"; exit 1; }; \
-	echo "$$sat" | grep -q ' 1 allocs/op' || { echo "bench-engine: a contention change allocates beyond the history epoch (want 1 allocs/op)"; exit 1; }; \
+	echo "$$sat" | grep -q ' 0 allocs/op' || { echo "bench-engine: a contention change allocates (want 0 allocs/op)"; exit 1; }; \
 	echo "$$sat" | awk '{ if ($$3+0 > 24000) { printf "bench-engine: saturated contention change regressed to %s ns/op (budget 24000)\n", $$3; exit 1 } }'
 
 # bench-replay guards the long-horizon acceptance target: a year-long
 # ~1M-job workload streamed through the bounded-memory replay driver on
 # full Quartz must finish inside a 10-second wall-clock budget per
-# simulated year (the measured value is ~4.3s — see BENCH_replay.json,
+# simulated year (the measured value is ~3s — see BENCH_replay.json,
 # which also records the SWF-scanner variant that parses a million-line
 # trace on the way in) and inside a 64MB peak-heap budget (the measured
-# flat profile is ~9MB; a retained job history would be hundreds of MB).
+# flat profile is ~5MB; a retained job history would be hundreds of MB).
 # The heap check reads the benchmark's peak-heap-MB metric, which is the
 # high-water mark of daily runtime.ReadMemStats samples over the run.
 bench-replay:
@@ -197,7 +201,7 @@ fmt:
 # staticcheck when installed, including the sched/sim/simnet godoc
 # checks), the test suite under the race detector (race subsumes
 # race-hot; both run so the hot paths report first), ten seconds of each
-# fuzz target (model loader, SWF loaders), the non-test line-count ceiling, the
+# fuzz target (model loader, SWF loaders, history ring), the non-test line-count ceiling, the
 # benchmark module's own vet and tests, the zero-alloc
 # observability, gate-decision, nil-lifecycle, deep-queue scheduler,
 # and cached-serving-decision guards, the training-path allocation

@@ -103,9 +103,9 @@ func BenchmarkEngineMonth(b *testing.B) {
 // do. Every Apply and every Remove moves the filesystem factor, so each
 // is an all-lanes change: 760 slowdowns recomputed, 760 jobs integrated,
 // 760 completion events re-timed, and the event heap rebuilt when the
-// clock next moves. One op is one change. The one allocation per op is
-// simnet.History's copy of the pod loads for the new epoch; the machine
-// and the engine add none, and `make bench-engine` fails on a second.
+// clock next moves. One op is one change. Nothing in it allocates: the
+// history copies the pod loads into a ring slot the prune released, and
+// `make bench-engine` fails on anything but 0 allocs/op.
 func BenchmarkContentionChange(b *testing.B) {
 	b.Run("quartz/saturated", func(b *testing.B) {
 		topo := cluster.Quartz()

@@ -119,7 +119,11 @@ func (t Topology) podSpan(p int) int {
 	return span
 }
 
-// Allocation is a set of nodes granted to one job.
+// Allocation is a set of nodes granted to one job. A list an Allocator
+// grants is carved from one of the allocator's chunks with its capacity
+// equal to its length, so appending to it copies and cannot reach the
+// next grant's nodes; the allocator never takes a list back, so it stays
+// readable after Free.
 type Allocation struct {
 	Nodes []NodeID
 }
@@ -157,7 +161,8 @@ type Allocator struct {
 	// freeByPod[p] counts nodes in pod p that are free and in service.
 	// Maintained incrementally so Alloc is O(pods + n), not O(nodes).
 	freeByPod []int
-	podOrder  []int // scratch for Alloc's emptiest-pods-first ordering
+	podOrder  []int    // scratch for Alloc's emptiest-pods-first ordering
+	chunk     []NodeID // unused tail of the block Alloc carves node lists from
 }
 
 // NewAllocator returns an allocator with every node free and in service.
@@ -269,7 +274,11 @@ func (a *Allocator) Alloc(n int) (Allocation, error) {
 		order[j] = p
 	}
 
-	nodes := make([]NodeID, 0, n)
+	if len(a.chunk) < n {
+		a.chunk = make([]NodeID, max(1024, n))
+	}
+	nodes := a.chunk[:0:n]
+	a.chunk = a.chunk[n:]
 	for _, p := range order {
 		if len(nodes) == n {
 			break
@@ -314,17 +323,4 @@ func (a *Allocator) Free(alloc Allocation) {
 			a.freeByPod[a.topo.PodOf(n)]++
 		}
 	}
-}
-
-// FreeNodes returns the IDs of all currently allocatable nodes (free and
-// in service) in ascending order. It is used by telemetry scopes and by
-// tests.
-func (a *Allocator) FreeNodes() []NodeID {
-	var out []NodeID
-	for i, f := range a.free {
-		if f && !a.down[i] {
-			out = append(out, NodeID(i))
-		}
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -231,21 +232,34 @@ func TestNewAllocatorRejectsInvalidTopology(t *testing.T) {
 	}
 }
 
-func TestFreeNodesSortedAndComplete(t *testing.T) {
-	a := newAlloc(Topology{Nodes: 10, PodSize: 5, CoresPerNode: 1})
-	alloc, _ := a.Alloc(3)
-	free := a.FreeNodes()
-	if len(free) != 7 {
-		t.Fatalf("free list has %d nodes, want 7", len(free))
+// TestAllocationsNeverShareMemory pins the carving contract: node lists
+// come out with capacity equal to length, so an append on one copies
+// instead of writing into the next grant, and a list survives Free and
+// the grants that follow it.
+func TestAllocationsNeverShareMemory(t *testing.T) {
+	a := newAlloc(Topology{Nodes: 4096, PodSize: 192, CoresPerNode: 1})
+	first, _ := a.Alloc(3)
+	second, _ := a.Alloc(4)
+	if cap(first.Nodes) != len(first.Nodes) || cap(second.Nodes) != len(second.Nodes) {
+		t.Fatalf("caps %d/%d, lens %d/%d: capacity must equal length",
+			cap(first.Nodes), cap(second.Nodes), len(first.Nodes), len(second.Nodes))
 	}
-	for i := 1; i < len(free); i++ {
-		if free[i] <= free[i-1] {
-			t.Fatal("free list not sorted")
+	want := append([]NodeID(nil), second.Nodes...)
+	_ = append(first.Nodes, 9999)
+	if !reflect.DeepEqual(second.Nodes, want) {
+		t.Fatalf("append on the first allocation changed the second: %v, want %v", second.Nodes, want)
+	}
+	kept := append([]NodeID(nil), first.Nodes...)
+	a.Free(first)
+	// A request larger than what is left of the chunk starts a new one
+	// and the small ones after it keep carving: none may land on first.
+	for _, n := range []int{2000, 3, 1500, 3} {
+		if _, err := a.Alloc(n); err != nil {
+			t.Fatal(err)
 		}
 	}
-	a.Free(alloc)
-	if len(a.FreeNodes()) != 10 {
-		t.Fatal("free list incomplete after free")
+	if !reflect.DeepEqual(first.Nodes, kept) {
+		t.Fatalf("a freed list was overwritten by a later grant: %v, want %v", first.Nodes, kept)
 	}
 }
 

@@ -2,13 +2,16 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"rush/internal/cluster"
 	"rush/internal/workload"
 )
 
@@ -171,6 +174,50 @@ func TestReplayPruningDifferential(t *testing.T) {
 	wide := run(100 * 24 * 3600) // effectively unpruned
 	if !bytes.Equal(tight, wide) {
 		t.Fatalf("retention width changed the schedule:\n%s", firstTraceDiff(tight, wide))
+	}
+}
+
+// openQuartzSWF renders days of light-load submissions for full Quartz:
+// exponential interarrivals with a 31.5 s mean, the seven executables in
+// rotation on 1 to 16 nodes for 40 to 80 minutes, so about a quarter of
+// the machine is busy and nothing queues.
+func openQuartzSWF(days float64) (raw []byte, jobs int) {
+	rng := rand.New(rand.NewSource(23))
+	cores := cluster.Quartz().CoresPerNode
+	var buf bytes.Buffer
+	for at := 0.0; ; jobs++ {
+		at += rng.ExpFloat64() * 31.5
+		if at > days*86400 {
+			return buf.Bytes(), jobs
+		}
+		procs := cores << (jobs / 7 % 5)
+		run := 2400 + rng.Intn(2400)
+		fmt.Fprintf(&buf, "%d %d -1 %d %d -1 -1 %d %d -1 1 1 1 %d 1 -1 -1 -1\n",
+			jobs+1, int64(at), run, procs, procs, run*3/2, jobs%7+1)
+	}
+}
+
+// TestReplayAllocationBudget is the allocation guard of the replay
+// pipeline end to end: three simulated days on Quartz under Baseline,
+// completed jobs discarded as ReplayStream always does. What a job still
+// costs is its share of a sched.Job chunk and of a node-list chunk; the
+// machine, the rings and the queues are paid once. A history epoch, a
+// completion closure, a job or a node list allocated per job each put
+// this near 1.
+func TestReplayAllocationBudget(t *testing.T) {
+	topo := cluster.Quartz()
+	raw, jobs := openQuartzSWF(3)
+	allocs := testing.AllocsPerRun(1, func() {
+		sum, err := ReplayStream("swf-allocs",
+			workload.NewSWFStream(bytes.NewReader(raw), workload.SWFOptions{
+				CoresPerNode: topo.CoresPerNode, MaxNodes: topo.Nodes, Seed: 1}),
+			Baseline, nil, 1, Config{Topo: topo})
+		if err != nil || sum.Jobs != jobs {
+			t.Fatalf("replayed %v of %d jobs, err %v", sum, jobs, err)
+		}
+	})
+	if perJob := allocs / float64(jobs); perJob > 0.25 {
+		t.Fatalf("%.0f allocations for %d jobs = %.3f per job, budget 0.25", allocs, jobs, perJob)
 	}
 }
 

@@ -342,7 +342,7 @@ func workDone(topo cluster.Topology, hist *simnet.History, j doneJob) float64 {
 		perPod[topo.PodOf(n)]++
 	}
 	var work float64
-	for _, sl := range hist.Window(j.start, j.end) {
+	for _, sl := range hist.WindowInto(j.start, j.end, nil) {
 		var netOv float64
 		for pod, nodes := range perPod {
 			netOv += nodes * simnet.Overload(sl.PodNet[pod])

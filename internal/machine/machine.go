@@ -78,6 +78,13 @@ type RunningJob struct {
 	// the remaining work was lost.
 	Killed bool
 
+	// Owner is the caller's handle on the run: StartJob returns with it
+	// nil, the caller may set it on the returned value and read it back
+	// in onDone, so one callback can serve every job without a closure
+	// per job. The machine never reads it and clears it when it pools
+	// the object.
+	Owner any
+
 	multiPod bool   // allocation spans pods: core contention applies
 	fire     func() // stable completion callback, set once per object
 	contrib  simnet.Contribution
@@ -104,10 +111,10 @@ type Machine struct {
 	Sampler *telemetry.Sampler
 
 	// PoolJobs recycles RunningJob state (including the completion
-	// event and contribution map) across jobs, making steady-state job
-	// churn allocation-bounded. Opt-in: a caller that retains a
-	// *RunningJob after its onDone callback returns would observe the
-	// object being reused for a later job.
+	// event and contribution map) across jobs, so steady-state job churn
+	// allocates nothing. Opt-in: a caller that retains a *RunningJob
+	// after its onDone callback returns would observe the object being
+	// reused for a later job, with Alloc, Owner and onDone cleared.
 	PoolJobs bool
 
 	rng     *sim.Source
@@ -158,7 +165,10 @@ func (m *Machine) Running() int { return m.nJobs }
 
 // StartJob begins executing profile on alloc with the given contention-
 // free base run time. onDone is invoked (with the allocation already
-// freed and the job's load withdrawn) when the job completes.
+// freed and the job's load withdrawn, rj.Alloc still naming the nodes)
+// when the job completes or is killed, never before StartJob returns. A
+// caller that passes the same onDone for every job tells them apart by
+// setting Owner on the returned value.
 func (m *Machine) StartJob(profile apps.Profile, alloc cluster.Allocation, baseWork float64, onDone func(*RunningJob)) *RunningJob {
 	if baseWork <= 0 {
 		panic(fmt.Sprintf("machine: non-positive base work %v for %s", baseWork, profile.Name))
@@ -379,6 +389,7 @@ func (m *Machine) recycle(rj *RunningJob) {
 		return
 	}
 	rj.onDone = nil
+	rj.Owner = nil
 	rj.Alloc = cluster.Allocation{}
 	m.freeJobs = append(m.freeJobs, rj)
 }

@@ -332,3 +332,38 @@ func TestFailIdleNodeKillsNothing(t *testing.T) {
 		t.Fatalf("free=%d", m.Alloc.FreeCount())
 	}
 }
+
+// TestPooledJobComesBackWithoutOwner pins who clears Owner: the machine,
+// when it returns the object to the pool, after onDone has read it.
+func TestPooledJobComesBackWithoutOwner(t *testing.T) {
+	m := newMachine(3)
+	m.PoolJobs = true
+	type tag struct{ name string }
+	var seen []any
+	onDone := func(rj *RunningJob) { seen = append(seen, rj.Owner) }
+	start := func() *RunningJob {
+		alloc, err := m.Alloc.Alloc(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.StartJob(calmProfile(), alloc, 10, onDone)
+	}
+	first := start()
+	if first.Owner != nil {
+		t.Fatal("StartJob must return with Owner unset")
+	}
+	owner := &tag{"first"}
+	first.Owner = owner
+	m.Eng.Run()
+	second := start()
+	if second != first {
+		t.Fatal("the pool did not hand the finished job's object back")
+	}
+	if second.Owner != nil {
+		t.Fatalf("pooled job came back owned by %v", second.Owner)
+	}
+	m.Eng.Run()
+	if len(seen) != 2 || seen[0] != any(owner) || seen[1] != nil {
+		t.Fatalf("onDone saw owners %v, want [%p <nil>]", seen, owner)
+	}
+}

@@ -59,6 +59,7 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 		RequeueBackoff:    60,
 		MaxRequeueBackoff: 15 * 60,
 	}
+	s.onDone = s.jobDone
 	if cfg.Observer != nil {
 		s.obs = cfg.Observer
 		reg := cfg.Observer.Metrics()

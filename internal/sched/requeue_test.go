@@ -165,3 +165,44 @@ func TestRequeueBackoffGrowth(t *testing.T) {
 		t.Fatalf("final start = %v, want 70 (10, 20, then capped 25 backoff)", j.StartTime)
 	}
 }
+
+// The scheduler has one completion callback and finds the job through
+// RunningJob.Owner. With two jobs running on pooled RunningJobs, a node
+// failure under one must requeue that job and no other, and the retry —
+// which runs on the object the kill returned to the pool — must finish
+// as itself.
+func TestKillFindsItsJobThroughOwner(t *testing.T) {
+	m := testMachine(32)
+	m.PoolJobs = true
+	s := newSched(m, FCFS{}, FCFS{}, AlwaysStart{})
+	s.RequeueBackoff = 5
+	var done []int
+	s.OnComplete = func(j *Job) { done = append(done, j.ID) }
+	bystander, victim := job(0, 16, 100), job(1, 16, 100)
+	for _, j := range []*Job{bystander, victim} {
+		if err := s.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Eng.Schedule(40, func() {
+		// FCFS packs the bystander onto nodes 0-15, the victim onto 16-31.
+		if n, err := m.FailNode(20); err != nil || n != 1 {
+			t.Errorf("FailNode killed %d jobs (err %v), want 1", n, err)
+		}
+		if err := m.RestoreNode(20); err != nil {
+			t.Errorf("RestoreNode: %v", err)
+		}
+	})
+	m.Eng.RunUntil(1000)
+
+	if bystander.Retries != 0 || victim.Retries != 1 {
+		t.Fatalf("retries: bystander %d, victim %d, want 0 and 1", bystander.Retries, victim.Retries)
+	}
+	if math.Abs(bystander.EndTime-100) > 1 || math.Abs(victim.RunTime()-100) > 1 || victim.StartTime < 45 {
+		t.Fatalf("bystander ended at %v, victim reran %v..%v; want ~100 and a full stint after the backoff",
+			bystander.EndTime, victim.StartTime, victim.EndTime)
+	}
+	if len(done) != 2 || done[0] != 0 || done[1] != 1 {
+		t.Fatalf("completion order %v, want [0 1]", done)
+	}
+}

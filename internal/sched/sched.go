@@ -373,6 +373,7 @@ type Scheduler struct {
 	// and the reference scanner of reference_test.go goes in here.
 	passBody func()
 
+	onDone     func(*machine.RunningJob) // s.jobDone, bound once
 	inPass     bool
 	passWant   bool
 	retryArmed bool
@@ -562,14 +563,19 @@ func (s *Scheduler) tryStart(j *Job, backfill bool) bool {
 		s.obs.Emit(obs.Event{Time: j.StartTime, Kind: kind, Job: j.ID, App: j.App.Name,
 			Nodes: j.Nodes, Wait: j.waitAccum, Skips: j.Skips})
 	}
-	s.m.StartJob(j.App, alloc, j.BaseWork, func(rj *machine.RunningJob) {
-		if rj.Killed {
-			s.requeue(j)
-		} else {
-			s.finish(j)
-		}
-	})
+	s.m.StartJob(j.App, alloc, j.BaseWork, s.onDone).Owner = j
 	return true
+}
+
+// jobDone is the completion callback of every job the scheduler starts
+// (held in onDone, built once); the job is the run's Owner.
+func (s *Scheduler) jobDone(rj *machine.RunningJob) {
+	j := rj.Owner.(*Job)
+	if rj.Killed {
+		s.requeue(j)
+	} else {
+		s.finish(j)
+	}
 }
 
 // enqueue stamps j's enqueue serial and inserts it into the maintained

@@ -70,7 +70,7 @@ func TestHistoryWindowSpansPods(t *testing.T) {
 	*now = 30
 	s.Remove(Contribution{PodNet: map[int]float64{1: 0.8}})
 
-	sl := s.History().Window(5, 35)
+	sl := s.History().WindowInto(5, 35, nil)
 	if len(sl) != 4 {
 		t.Fatalf("window slice count = %d, want 4", len(sl))
 	}
@@ -95,8 +95,8 @@ func TestHistoryWindowSpansPods(t *testing.T) {
 // TestChangeDirtinessIsOverloadLevel pins the fast path's contract: a
 // Change names a pod (or global) exactly when its contention factor
 // moved, not merely its raw load. Below-threshold churn is invisible to
-// change subscribers while remaining fully recorded in the history and
-// the raw version counters.
+// change subscribers while remaining fully recorded in the raw loads and
+// the history.
 func TestChangeDirtinessIsOverloadLevel(t *testing.T) {
 	s, now := multiPodState(t)
 	var last *Change
@@ -112,9 +112,9 @@ func TestChangeDirtinessIsOverloadLevel(t *testing.T) {
 	if last == nil || !last.Empty() {
 		t.Fatalf("below-threshold change = %+v, want empty", last)
 	}
-	if s.PodVersion(2) != 1 || s.CoreVersion() != 1 || s.FSVersion() != 1 {
-		t.Fatalf("raw versions must still bump: pod2=%d core=%d fs=%d",
-			s.PodVersion(2), s.CoreVersion(), s.FSVersion())
+	if s.NetLoad(2) != 0.5 || s.CoreLoad() != 0.1 || s.FSLoad() != 0.2 {
+		t.Fatalf("raw loads must still move: pod2=%v core=%v fs=%v",
+			s.NetLoad(2), s.CoreLoad(), s.FSLoad())
 	}
 	if s.History().Len() < 2 {
 		t.Fatal("history must record below-threshold epochs")
@@ -233,14 +233,12 @@ func TestReentrantMutationPanics(t *testing.T) {
 // random sequence of Apply and Remove calls — removals in an order
 // other than the applications', so that float residues around zero
 // appear and the clamp fires — every factor the state serves equals
-// Overload of the load it serves, AllocNetOverload equals the
-// node-weighted mean of those, and the Change handed to subscribers
+// Overload of the load it serves, and the Change handed to subscribers
 // names exactly the resources whose factor differs from before the
 // call: no resource missed, none named whose factor stood still.
 func TestCachedFactorsTrackLoads(t *testing.T) {
 	s, now := multiPodState(t)
-	topo := s.Topology()
-	pods := topo.Pods()
+	pods := s.Topology().Pods()
 	rng := sim.NewSource(23)
 
 	var got Change
@@ -251,7 +249,6 @@ func TestCachedFactorsTrackLoads(t *testing.T) {
 		gotPods = append(gotPods[:0], ch.Pods...)
 		got = ch
 	})
-	alloc := cluster.Allocation{Nodes: []cluster.NodeID{3, 4, 600, 601, 602, 4000}}
 
 	// Loads are drawn from multiples of a tenth: their sums sit on and
 	// around the 0.65 threshold and leave residues when withdrawn in
@@ -334,13 +331,6 @@ func TestCachedFactorsTrackLoads(t *testing.T) {
 			still++
 		} else {
 			moved++
-		}
-		var sum float64
-		for _, n := range alloc.Nodes {
-			sum += Overload(s.NetLoad(topo.PodOf(n)))
-		}
-		if mean := sum / float64(len(alloc.Nodes)); s.AllocNetOverload(alloc) != mean {
-			t.Fatalf("step %d: AllocNetOverload = %v, mean of Overload = %v", step, s.AllocNetOverload(alloc), mean)
 		}
 	}
 	if clamped < 20 || moved < 500 || still < 500 {

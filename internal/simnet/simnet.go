@@ -6,10 +6,13 @@
 // Load is tracked in normalized units where 1.0 is the nominal capacity of
 // the resource. Running jobs, the all-to-all noise job, and ambient
 // background traffic each register additive load contributions. The state
-// keeps a complete history of load epochs so that telemetry can be
+// records every load epoch in a History so that telemetry can be
 // aggregated over any past window without sampling every node at every
 // tick, and notifies subscribers whenever the load changes so running jobs
-// can re-integrate their remaining work.
+// can re-integrate their remaining work. The history is a ring: it keeps
+// every epoch since the last Prune, grows only while it is full of live
+// epochs, and a run that prunes on a cadence settles at a fixed size and
+// stops allocating.
 //
 // # Incremental change tracking
 //
@@ -19,11 +22,11 @@
 // granularity a slowdown computation actually consumes: a pod is dirty
 // only when its contention factor (Overload of its load) changed, not
 // merely its raw load, and the core-link and filesystem loads are
-// separately versioned globals with their own dirtiness bits. Subscribers
-// registered through SubscribeChanges receive a Change describing exactly
-// which pods and globals crossed to a different contention factor, so a
-// machine with hundreds of running jobs re-integrates only the jobs whose
-// inputs moved. Mutations apply pod loads in ascending pod order
+// globals with their own dirtiness bits. Subscribers registered through
+// SubscribeChanges receive a Change describing exactly which pods and
+// globals crossed to a different contention factor, so a machine with
+// hundreds of running jobs re-integrates only the jobs whose inputs
+// moved. Mutations apply pod loads in ascending pod order
 // regardless of how the Contribution map iterates, keeping every
 // notification — and everything downstream of it — deterministic.
 //
@@ -33,15 +36,14 @@
 // and of the filesystem beside the raw loads. A mutation evaluates
 // Overload once for each load it moved — the evaluation that decides
 // dirtiness — and stores the result; NetOverload, CoreOverload,
-// FSOverload, AllocNetOverload and the probes read the stored factor, so
-// a consumer that asks for the same factor once per running job pays a
-// load, not a division. Nothing else writes the factors, so each always
-// equals Overload of its load (TestCachedFactorsTrackLoads).
+// FSOverload and the probes read the stored factor, so a consumer that
+// asks for the same factor once per running job pays a load, not a
+// division. Nothing else writes the factors, so each always equals
+// Overload of its load (TestCachedFactorsTrackLoads).
 package simnet
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"rush/internal/cluster"
@@ -92,13 +94,7 @@ type State struct {
 	fsOv   float64
 	now    func() float64
 	hist   *History
-	subs   []func()
 	chSubs []func(Change)
-
-	version uint64
-	podVer  []uint64
-	coreVer uint64
-	fsVer   uint64
 
 	keyBuf   []int // sorted Contribution pods, reused across mutations
 	dirtyBuf []int // pods whose Overload changed, reused across mutations
@@ -116,7 +112,6 @@ func NewState(topo cluster.Topology, now func() float64) (*State, error) {
 		topo:   topo,
 		podNet: make([]float64, topo.Pods()),
 		podOv:  make([]float64, topo.Pods()),
-		podVer: make([]uint64, topo.Pods()),
 		now:    now,
 		hist:   &History{pods: topo.Pods()},
 	}
@@ -126,25 +121,6 @@ func NewState(topo cluster.Topology, now func() float64) (*State, error) {
 
 // Topology returns the state's topology.
 func (s *State) Topology() cluster.Topology { return s.topo }
-
-// Version increments on every mutation; callers can cheaply detect
-// staleness of anything derived from the whole state.
-func (s *State) Version() uint64 { return s.version }
-
-// PodVersion increments whenever pod's raw network load changes, so
-// per-pod caches can be validated without touching the other pods.
-func (s *State) PodVersion(pod int) uint64 { return s.podVer[pod] }
-
-// CoreVersion increments whenever the raw core-link load changes.
-func (s *State) CoreVersion() uint64 { return s.coreVer }
-
-// FSVersion increments whenever the raw filesystem load changes.
-func (s *State) FSVersion() uint64 { return s.fsVer }
-
-// Subscribe registers fn to run after every mutation, whether or not any
-// contention factor moved. Prefer SubscribeChanges at scale: a legacy
-// subscriber pays for every mutation machine-wide.
-func (s *State) Subscribe(fn func()) { s.subs = append(s.subs, fn) }
 
 // SubscribeChanges registers fn to run after every mutation with the set
 // of resources whose contention factor changed (possibly empty).
@@ -197,7 +173,6 @@ func (s *State) mutate(c Contribution, sign float64) {
 			continue
 		}
 		s.podNet[pod] = nv
-		s.podVer[pod]++
 		if ov := Overload(nv); ov != s.podOv[pod] {
 			s.podOv[pod] = ov
 			dirty = append(dirty, pod)
@@ -214,7 +189,6 @@ func (s *State) mutate(c Contribution, sign float64) {
 	}
 	if nv != oldCore {
 		s.core = nv
-		s.coreVer++
 		if ov := Overload(nv); ov != s.coreOv {
 			s.coreOv = ov
 			coreDirty = true
@@ -230,20 +204,15 @@ func (s *State) mutate(c Contribution, sign float64) {
 	}
 	if nv != oldFS {
 		s.fs = nv
-		s.fsVer++
 		if ov := Overload(nv); ov != s.fsOv {
 			s.fsOv = ov
 			fsDirty = true
 		}
 	}
-	s.version++
 	// History records every raw-load epoch even when no contention
 	// factor moved: telemetry samples raw loads, not just overloads.
 	s.hist.append(s.now(), s.podNet, s.core, s.fs)
 	s.keyBuf, s.dirtyBuf = keys, dirty
-	for _, fn := range s.subs {
-		fn()
-	}
 	if len(s.chSubs) > 0 {
 		ch := Change{Pods: dirty, Core: coreDirty, FS: fsDirty}
 		for _, fn := range s.chSubs {
@@ -288,20 +257,6 @@ func (s *State) CoreOverload() float64 { return s.coreOv }
 // FSOverload returns the contention factor of the filesystem.
 func (s *State) FSOverload() float64 { return s.fsOv }
 
-// AllocNetOverload returns the mean network contention factor across the
-// pods an allocation touches, weighted by the number of the allocation's
-// nodes in each pod.
-func (s *State) AllocNetOverload(alloc cluster.Allocation) float64 {
-	if len(alloc.Nodes) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, n := range alloc.Nodes {
-		sum += s.NetOverload(s.topo.PodOf(n))
-	}
-	return sum / float64(len(alloc.Nodes))
-}
-
 // History returns the recorded load history.
 func (s *State) History() *History { return s.hist }
 
@@ -313,45 +268,67 @@ type Epoch struct {
 	FS     float64
 }
 
-// History is the append-only record of load epochs. Epoch i covers
-// [epochs[i].T, epochs[i+1].T); the final epoch extends to the present.
+// History is the record of load epochs since the last Prune. Epoch i
+// covers [at(i).T, at(i+1).T); the final epoch extends to the present.
+//
+// The epochs live in a ring whose length is a power of two, and every
+// slot's PodNet row is carved from one slab (slot k holds loads
+// k*pods to (k+1)*pods of it), so recording an epoch copies into a slot
+// and allocates nothing. The ring doubles only when all its slots hold live
+// epochs: a history that is pruned on a cadence reaches a fixed size, one
+// that is never pruned keeps everything.
 type History struct {
-	pods   int
-	epochs []Epoch
+	pods int
+	ring []Epoch
+	head int // ring index of the oldest live epoch
+	n    int // live epochs
 }
 
+// at returns live epoch i, oldest first.
+func (h *History) at(i int) *Epoch { return &h.ring[(h.head+i)&(len(h.ring)-1)] }
+
 func (h *History) append(t float64, podNet []float64, core, fs float64) {
-	cp := make([]float64, len(podNet))
-	copy(cp, podNet)
-	if n := len(h.epochs); n > 0 {
-		if h.epochs[n-1].T == t {
+	if h.n > 0 {
+		last := h.at(h.n - 1)
+		if last.T > t {
+			panic(fmt.Sprintf("simnet: history time went backwards: %v after %v", t, last.T))
+		}
+		if last.T == t {
 			// Several mutations at the same instant collapse into one epoch.
-			h.epochs[n-1].PodNet = cp
-			h.epochs[n-1].Core = core
-			h.epochs[n-1].FS = fs
+			copy(last.PodNet, podNet)
+			last.Core, last.FS = core, fs
 			return
 		}
-		if h.epochs[n-1].T > t {
-			panic(fmt.Sprintf("simnet: history time went backwards: %v after %v", t, h.epochs[n-1].T))
-		}
 	}
-	h.epochs = append(h.epochs, Epoch{T: t, PodNet: cp, Core: core, FS: fs})
+	if h.n == len(h.ring) {
+		h.grow()
+	}
+	e := h.at(h.n)
+	h.n++
+	e.T, e.Core, e.FS = t, core, fs
+	copy(e.PodNet, podNet)
+}
+
+// grow doubles the ring into a fresh slab, oldest epoch first. The old
+// slab is left to the collector, so slices WindowInto returned before the
+// growth keep their values.
+func (h *History) grow() {
+	size := max(16, 2*len(h.ring))
+	ring := make([]Epoch, size)
+	rows := make([]float64, size*h.pods)
+	for k := range ring {
+		ring[k].PodNet = rows[k*h.pods : (k+1)*h.pods : (k+1)*h.pods]
+	}
+	for i := 0; i < h.n; i++ {
+		old := h.at(i)
+		ring[i].T, ring[i].Core, ring[i].FS = old.T, old.Core, old.FS
+		copy(ring[i].PodNet, old.PodNet)
+	}
+	h.ring, h.head = ring, 0
 }
 
 // Len returns the number of recorded epochs.
-func (h *History) Len() int { return len(h.epochs) }
-
-// LastT returns the start time of the most recent epoch, or -Inf when no
-// epoch has been recorded. Epochs strictly older than LastT are final:
-// only the newest epoch can still be collapsed into by a same-instant
-// mutation, so values derived from loads at times before LastT may be
-// cached safely.
-func (h *History) LastT() float64 {
-	if len(h.epochs) == 0 {
-		return math.Inf(-1)
-	}
-	return h.epochs[len(h.epochs)-1].T
-}
+func (h *History) Len() int { return h.n }
 
 // Slice is one piece of a window query: constant load over [T0, T1).
 type Slice struct {
@@ -361,28 +338,20 @@ type Slice struct {
 	FS     float64
 }
 
-// Window returns the sequence of constant-load slices covering [t0, t1).
-// Requests before the first recorded epoch are clamped to it.
-func (h *History) Window(t0, t1 float64) []Slice {
-	return h.WindowInto(t0, t1, nil)
-}
-
-// WindowInto is Window appending into buf (pass buf[:0] to reuse its
-// backing array), so hot-path callers can query windows without
-// allocating. The returned slices alias the history's epochs; they stay
-// valid until the next Prune.
+// WindowInto appends to buf (pass buf[:0] to reuse its backing array, nil
+// to allocate) the sequence of constant-load slices covering [t0, t1).
+// Requests before the first recorded epoch are clamped to it. The
+// returned PodNet slices alias the history's rows: they stay valid until
+// the next Prune, after which later mutations may overwrite them, and
+// the slice of the newest epoch follows a later mutation at the same
+// instant.
 func (h *History) WindowInto(t0, t1 float64, buf []Slice) []Slice {
 	out := buf
-	if t1 <= t0 || len(h.epochs) == 0 {
+	if t1 <= t0 || h.n == 0 {
 		return out
 	}
-	// First epoch whose start is > t0, minus one, is the epoch containing t0.
-	i := sort.Search(len(h.epochs), func(i int) bool { return h.epochs[i].T > t0 })
-	if i > 0 {
-		i--
-	}
-	for ; i < len(h.epochs); i++ {
-		e := h.epochs[i]
+	for i := h.containing(t0); i < h.n; i++ {
+		e := h.at(i)
 		start := e.T
 		if i == 0 || start < t0 {
 			// The first epoch also describes all time before it was
@@ -390,8 +359,8 @@ func (h *History) WindowInto(t0, t1 float64, buf []Slice) []Slice {
 			start = t0
 		}
 		end := t1
-		if i+1 < len(h.epochs) && h.epochs[i+1].T < t1 {
-			end = h.epochs[i+1].T
+		if i+1 < h.n && h.at(i+1).T < t1 {
+			end = h.at(i + 1).T
 		}
 		if end <= start {
 			if e.T >= t1 {
@@ -407,15 +376,22 @@ func (h *History) WindowInto(t0, t1 float64, buf []Slice) []Slice {
 	return out
 }
 
-// Prune drops history strictly older than t, keeping the epoch containing
-// t so that Window queries starting at t still resolve. Long-running
-// collection campaigns call this to bound memory.
-func (h *History) Prune(t float64) {
-	i := sort.Search(len(h.epochs), func(i int) bool { return h.epochs[i].T > t })
+// containing returns the index of the epoch containing t: the last one
+// that starts at or before t, or the first when t precedes them all.
+func (h *History) containing(t float64) int {
+	i := sort.Search(h.n, func(i int) bool { return h.at(i).T > t })
 	if i > 0 {
 		i--
 	}
-	if i > 0 {
-		h.epochs = append([]Epoch(nil), h.epochs[i:]...)
-	}
+	return i
+}
+
+// Prune drops history strictly older than t, keeping the epoch containing
+// t so that window queries starting at t still resolve. It releases ring
+// slots for reuse and frees nothing; long runs call it on a cadence so
+// the ring stops growing.
+func (h *History) Prune(t float64) {
+	i := h.containing(t)
+	h.head = (h.head + i) & (len(h.ring) - 1)
+	h.n -= i
 }

@@ -67,18 +67,23 @@ func TestOverloadShape(t *testing.T) {
 	}
 }
 
-func TestVersionAndSubscribe(t *testing.T) {
+// TestSubscribeChangesRunsOncePerMutation pins that every subscriber
+// hears every mutation exactly once, whether or not a factor moved.
+func TestSubscribeChangesRunsOncePerMutation(t *testing.T) {
 	s := mustState(podTopo(), func() float64 { return 0 })
-	calls := 0
-	s.Subscribe(func() { calls++ })
-	v0 := s.Version()
+	var first, second []Change
+	s.SubscribeChanges(func(ch Change) { first = append(first, ch) })
+	s.SubscribeChanges(func(ch Change) { second = append(second, ch) })
 	s.Apply(Contribution{FS: 0.1})
 	s.Apply(Contribution{PodNet: map[int]float64{1: 0.2}})
-	if s.Version() != v0+2 {
-		t.Fatalf("version = %d, want %d", s.Version(), v0+2)
+	s.Remove(Contribution{FS: 0.1})
+	if len(first) != 3 || len(second) != 3 {
+		t.Fatalf("subscribers called %d and %d times, want 3 each", len(first), len(second))
 	}
-	if calls != 2 {
-		t.Fatalf("subscriber called %d times, want 2", calls)
+	for i, ch := range first {
+		if !ch.Empty() {
+			t.Fatalf("mutation %d below the threshold reported %+v", i, ch)
+		}
 	}
 }
 
@@ -92,7 +97,7 @@ func TestHistoryWindow(t *testing.T) {
 	now = 30
 	s.Remove(Contribution{PodNet: map[int]float64{0: 0.8}})
 
-	slices := s.History().Window(5, 25)
+	slices := s.History().WindowInto(5, 25, nil)
 	if len(slices) != 3 {
 		t.Fatalf("expected 3 slices, got %d: %+v", len(slices), slices)
 	}
@@ -111,7 +116,7 @@ func TestHistoryWindow(t *testing.T) {
 func TestHistoryWindowBeforeFirstEpoch(t *testing.T) {
 	now := 100.0
 	s := mustState(podTopo(), func() float64 { return now })
-	slices := s.History().Window(0, 50)
+	slices := s.History().WindowInto(0, 50, nil)
 	if len(slices) != 1 || slices[0].T0 != 0 || slices[0].T1 != 50 {
 		t.Fatalf("pre-history window should clamp to first epoch: %+v", slices)
 	}
@@ -119,10 +124,10 @@ func TestHistoryWindowBeforeFirstEpoch(t *testing.T) {
 
 func TestHistoryWindowEmptyAndInverted(t *testing.T) {
 	s := mustState(podTopo(), func() float64 { return 0 })
-	if got := s.History().Window(10, 10); got != nil {
+	if got := s.History().WindowInto(10, 10, nil); got != nil {
 		t.Fatalf("empty window should be nil, got %+v", got)
 	}
-	if got := s.History().Window(10, 5); got != nil {
+	if got := s.History().WindowInto(10, 5, nil); got != nil {
 		t.Fatalf("inverted window should be nil, got %+v", got)
 	}
 }
@@ -137,7 +142,7 @@ func TestHistorySameInstantCollapses(t *testing.T) {
 	if got := s.History().Len(); got != 2 {
 		t.Fatalf("same-instant mutations should collapse to one epoch: len=%d", got)
 	}
-	sl := s.History().Window(5, 6)
+	sl := s.History().WindowInto(5, 6, nil)
 	if len(sl) != 1 || math.Abs(sl[0].FS-0.3) > 1e-12 || sl[0].PodNet[0] != 0.4 {
 		t.Fatalf("collapsed epoch holds wrong state: %+v", sl)
 	}
@@ -155,7 +160,7 @@ func TestHistoryPrune(t *testing.T) {
 		t.Fatalf("prune did not drop epochs: len=%d", s.History().Len())
 	}
 	// Window at the prune point must still resolve.
-	sl := s.History().Window(55, 65)
+	sl := s.History().WindowInto(55, 65, nil)
 	if len(sl) == 0 {
 		t.Fatal("window at prune point is empty")
 	}
@@ -172,7 +177,7 @@ func TestHistoryWindowCoverageProperty(t *testing.T) {
 			s.Apply(Contribution{FS: 0.001})
 		}
 		t0, t1 := float64(a), float64(a)+float64(b)+1
-		slices := s.History().Window(t0, t1)
+		slices := s.History().WindowInto(t0, t1, nil)
 		if len(slices) == 0 {
 			return false
 		}
@@ -188,21 +193,6 @@ func TestHistoryWindowCoverageProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAllocNetOverload(t *testing.T) {
-	topo := podTopo()
-	s := mustState(topo, func() float64 { return 0 })
-	s.Apply(Contribution{PodNet: map[int]float64{0: 1.0}}) // pod 0 at capacity
-	alloc := cluster.Allocation{Nodes: []cluster.NodeID{0, 1, 16, 17}}
-	// Two nodes in the congested pod (overload 1.0), two in an idle pod.
-	got := s.AllocNetOverload(alloc)
-	if math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("alloc overload = %v, want 0.5", got)
-	}
-	if s.AllocNetOverload(cluster.Allocation{}) != 0 {
-		t.Fatal("empty alloc overload should be 0")
 	}
 }
 

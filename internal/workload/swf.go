@@ -191,6 +191,7 @@ type swfConverter struct {
 	t0       float64
 	lastAt   float64
 	n        int
+	jobs     []sched.Job // unused tail of the chunk jobs are carved from
 }
 
 func newSWFConverter(opts SWFOptions) *swfConverter {
@@ -243,18 +244,23 @@ func (c *swfConverter) convert(sj SWFJob) (SubmittedJob, bool) {
 		at = c.lastAt
 	}
 	c.lastAt = at
-	out := SubmittedJob{
-		Job: &sched.Job{
-			ID:       c.n,
-			App:      profile,
-			Nodes:    nodes,
-			BaseWork: sj.RunTime,
-			Estimate: estimate,
-		},
-		SubmitAt: at,
+	if len(c.jobs) == 0 {
+		// 136 jobs fill a 32 KiB allocation. A chunk is collected once
+		// every job carved from it is unreachable: a streaming replay
+		// holds about one chunk more than its live jobs.
+		c.jobs = make([]sched.Job, 136)
+	}
+	j := &c.jobs[0]
+	c.jobs = c.jobs[1:]
+	*j = sched.Job{
+		ID:       c.n,
+		App:      profile,
+		Nodes:    nodes,
+		BaseWork: sj.RunTime,
+		Estimate: estimate,
 	}
 	c.n++
-	return out, true
+	return SubmittedJob{Job: j, SubmitAt: at}, true
 }
 
 // FromSWF converts an SWF trace into a submittable job stream. Run times

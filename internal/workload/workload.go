@@ -110,6 +110,7 @@ func Generate(spec Spec, seed int64) ([]SubmittedJob, error) {
 	rng := sim.NewSource(seed).Derive("workload-" + spec.Name)
 
 	jobs := make([]SubmittedJob, 0, spec.NumJobs)
+	slab := make([]sched.Job, spec.NumJobs)
 	for i := 0; i < spec.NumJobs; i++ {
 		appName := spec.RunApps[i%len(spec.RunApps)]
 		profile, err := apps.ByName(appName)
@@ -118,7 +119,8 @@ func Generate(spec Spec, seed int64) ([]SubmittedJob, error) {
 		}
 		nodes := spec.NodeCounts[(i/len(spec.RunApps))%len(spec.NodeCounts)]
 		base := profile.BaseTime(nodes, spec.Scaling)
-		j := &sched.Job{
+		j := &slab[i]
+		*j = sched.Job{
 			ID:       i,
 			App:      profile,
 			Nodes:    nodes,
