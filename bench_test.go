@@ -126,15 +126,17 @@ func printReports(title string, artifact ...report) {
 	}
 }
 
-// variation binds ReportVariation to cmp judged against its own
-// baseline trials.
+// variation binds experiments.ReportVariation to cmp judged against its
+// own baseline trials.
 func variation(cmp *experiments.Comparison) report {
-	return func(w io.Writer) error { return ReportVariation(w, cmp, BaselineStats(cmp.Baseline)) }
+	return func(w io.Writer) error {
+		return experiments.ReportVariation(w, cmp, experiments.BaselineStats(cmp.Baseline))
+	}
 }
 
-// makespan binds ReportMakespan to cmps.
+// makespan binds experiments.ReportMakespan to cmps.
 func makespan(cmps ...*experiments.Comparison) report {
-	return func(w io.Writer) error { return ReportMakespan(w, cmps) }
+	return func(w io.Writer) error { return experiments.ReportMakespan(w, cmps) }
 }
 
 // BenchmarkFigure1Longitudinal measures the data-collection campaign (a
@@ -142,7 +144,7 @@ func makespan(cmps ...*experiments.Comparison) report {
 // variability table from the shared 60-day campaign.
 func BenchmarkFigure1Longitudinal(b *testing.B) {
 	benchSetup(b)
-	printOnce("Figure 1: longitudinal variability", func(w io.Writer) error { return ReportFigure1(w, benchCampaign.JobScope) })
+	printOnce("Figure 1: longitudinal variability", func(w io.Writer) error { return experiments.ReportFigure1(w, benchCampaign.JobScope) })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Collect(core.CollectConfig{Days: 7, Seed: int64(i)}); err != nil {
@@ -156,7 +158,7 @@ func BenchmarkFigure1Longitudinal(b *testing.B) {
 // and prints the dataset inventory.
 func BenchmarkTable1DatasetAssembly(b *testing.B) {
 	benchSetup(b)
-	printOnce("Table I: dataset inventory", ReportTableI)
+	printOnce("Table I: dataset inventory", experiments.ReportTableI)
 	spec, _ := workload.SpecByName("ADAA")
 	// One RUSH trial performs one feature assembly per gate evaluation;
 	// time trials and report per-evaluation cost via custom metric.
@@ -186,7 +188,7 @@ func BenchmarkFigure3ModelF1(b *testing.B) {
 			b.Fatal(err)
 		}
 		printReports("Figure 3: model F1 comparison", func(w io.Writer) error {
-			return ReportFigure3(w, append(jobScores, allScores...))
+			return experiments.ReportFigure3(w, append(jobScores, allScores...))
 		})
 	}
 	b.ResetTimer()
@@ -200,7 +202,7 @@ func BenchmarkFigure3ModelF1(b *testing.B) {
 // BenchmarkTable2Workloads measures workload generation and prints the
 // experiment definitions.
 func BenchmarkTable2Workloads(b *testing.B) {
-	printOnce("Table II: experiments", ReportTableII)
+	printOnce("Table II: experiments", experiments.ReportTableII)
 	specs := workload.TableII()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -233,7 +235,7 @@ func benchTrialExperiment(b *testing.B, name string, print func(io.Writer, *expe
 // BenchmarkFigure5VariationADAA regenerates the ADAA variation counts.
 func BenchmarkFigure5VariationADAA(b *testing.B) {
 	benchTrialExperiment(b, "ADAA", func(w io.Writer, cmp *experiments.Comparison) error {
-		return ReportVariation(w, cmp, BaselineStats(cmp.Baseline))
+		return experiments.ReportVariation(w, cmp, experiments.BaselineStats(cmp.Baseline))
 	})
 }
 
@@ -255,25 +257,25 @@ func BenchmarkFigure4VariationADPAPDPA(b *testing.B) {
 // BenchmarkFigure6RuntimeDistADAA regenerates the ADAA run-time
 // distributions.
 func BenchmarkFigure6RuntimeDistADAA(b *testing.B) {
-	benchTrialExperiment(b, "ADAA", ReportRunTimeDist)
+	benchTrialExperiment(b, "ADAA", experiments.ReportRunTimeDist)
 }
 
 // BenchmarkFigure7RuntimeDistPDPA regenerates the PDPA run-time
 // distributions.
 func BenchmarkFigure7RuntimeDistPDPA(b *testing.B) {
-	benchTrialExperiment(b, "PDPA", ReportRunTimeDist)
+	benchTrialExperiment(b, "PDPA", experiments.ReportRunTimeDist)
 }
 
 // BenchmarkFigure8WeakScaling regenerates the weak-scaling run-time
 // ranges.
 func BenchmarkFigure8WeakScaling(b *testing.B) {
-	benchTrialExperiment(b, "WS", ReportScalingDist)
+	benchTrialExperiment(b, "WS", experiments.ReportScalingDist)
 }
 
 // BenchmarkFigure9StrongScaling regenerates the strong-scaling percent
 // improvements.
 func BenchmarkFigure9StrongScaling(b *testing.B) {
-	benchTrialExperiment(b, "SS", ReportMaxImprovement)
+	benchTrialExperiment(b, "SS", experiments.ReportMaxImprovement)
 }
 
 // BenchmarkFigure10Makespan regenerates the per-experiment makespans.
@@ -295,7 +297,7 @@ func BenchmarkFigure10Makespan(b *testing.B) {
 
 // BenchmarkFigure11WaitTimes regenerates the ADAA per-app wait times.
 func BenchmarkFigure11WaitTimes(b *testing.B) {
-	benchTrialExperiment(b, "ADAA", ReportWaitTimes)
+	benchTrialExperiment(b, "ADAA", experiments.ReportWaitTimes)
 }
 
 // BenchmarkAblationDelayOnLittle measures RUSH when the gate also delays
@@ -369,7 +371,7 @@ func BenchmarkAblationCanary(b *testing.B) {
 	benchSetup(b)
 	spec, _ := workload.SpecByName("ADAA")
 	if _, loaded := printedOnce.LoadOrStore("ablation-canary", true); !loaded {
-		ref := BaselineStats(benchCmps["ADAA"].Baseline)
+		ref := experiments.BaselineStats(benchCmps["ADAA"].Baseline)
 		var canaryTrials []*experiments.Trial
 		for i := 0; i < benchTrials; i++ {
 			tr, err := experiments.RunTrial(spec, experiments.Canary, nil, 42000+int64(i), experiments.Config{})
@@ -380,9 +382,9 @@ func BenchmarkAblationCanary(b *testing.B) {
 		}
 		fmt.Printf("\n===== Ablation: canary gate vs RUSH =====\n")
 		fmt.Printf("  total variation: FCFS+EASY=%.1f  Canary=%.1f  RUSH=%.1f\n",
-			TotalVariation(benchCmps["ADAA"].Baseline, ref),
-			TotalVariation(canaryTrials, ref),
-			TotalVariation(benchCmps["ADAA"].RUSH, ref))
+			experiments.TotalVariation(benchCmps["ADAA"].Baseline, ref),
+			experiments.TotalVariation(canaryTrials, ref),
+			experiments.TotalVariation(benchCmps["ADAA"].RUSH, ref))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -408,9 +410,9 @@ func BenchmarkAblationProbThreshold(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ref := BaselineStats(cmp.Baseline)
+			ref := experiments.BaselineStats(cmp.Baseline)
 			fmt.Printf("  tau=%.1f  baseline=%.1f  rush=%.1f  makespan=%.0f\n",
-				tau, TotalVariation(cmp.Baseline, ref), TotalVariation(cmp.RUSH, ref), MeanMakespan(cmp.RUSH))
+				tau, experiments.TotalVariation(cmp.Baseline, ref), experiments.TotalVariation(cmp.RUSH, ref), experiments.MeanMakespan(cmp.RUSH))
 		}
 	}
 	b.ResetTimer()

@@ -127,7 +127,7 @@ func main() {
 	// Each trial re-opens and re-streams the trace: streams are
 	// single-pass, and per-trial readers keep the fan-out embarrassingly
 	// parallel.
-	sums, err := parallel.Map(nil, *workers, *trials, func(i int) (*experiments.ReplaySummary, error) {
+	sums, err := parallel.Map(*workers, *trials, func(i int) (*experiments.ReplaySummary, error) {
 		opts := workload.SWFOptions{
 			CoresPerNode: *coresPerNode, MaxNodes: *maxNodes,
 			MaxJobs: *maxJobs, Seed: *seed + int64(i),

@@ -189,7 +189,7 @@ func main() {
 		}
 		// Trials fan out across the pool; results slot by trial index, so
 		// traces and report lines stay in trial order at any worker count.
-		trs, err := parallel.Map(nil, *workers, *trials, func(i int) (*experiments.Trial, error) {
+		trs, err := parallel.Map(*workers, *trials, func(i int) (*experiments.Trial, error) {
 			return experiments.RunTrial(spec, pol, pred, *seed+int64(i), cfg)
 		})
 		if err != nil {

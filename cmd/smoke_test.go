@@ -2,6 +2,8 @@
 // every binary builds, the three simulation drivers exit 0 on a tiny
 // configuration with output that does not depend on -workers, and the
 // retired path-selection flags and the retired fifth model are rejected.
+// It also builds and runs examples/quickstart, the one Go-level driver
+// of the pipeline, so that cannot stop working unnoticed either.
 package cmd_test
 
 import (
@@ -15,15 +17,16 @@ import (
 
 var commands = []string{"rush-collect", "rush-experiments", "rush-replay", "rush-serve", "rush-sim", "rush-train"}
 
-// buildAll compiles every command into a temp directory and returns it.
+// buildAll compiles every command and examples/quickstart into a temp
+// directory and returns it.
 func buildAll(t *testing.T) string {
 	t.Helper()
 	bin := t.TempDir()
-	out, err := exec.Command("go", "build", "-o", bin+string(filepath.Separator), "./...").CombinedOutput()
+	out, err := exec.Command("go", "build", "-o", bin+string(filepath.Separator), "./...", "../examples/quickstart").CombinedOutput()
 	if err != nil {
-		t.Fatalf("go build ./... in cmd: %v\n%s", err, out)
+		t.Fatalf("go build ./... ../examples/quickstart in cmd: %v\n%s", err, out)
 	}
-	for _, name := range commands {
+	for _, name := range append([]string{"quickstart"}, commands...) {
 		if _, err := os.Stat(filepath.Join(bin, name)); err != nil {
 			t.Fatalf("%s was not built: %v", name, err)
 		}
@@ -89,6 +92,17 @@ func TestCommandsSmoke(t *testing.T) {
 		if !bytes.Equal(traces[0], traces[1]) {
 			t.Errorf("%s: -trace output differs between -workers 1 and 4", d.name)
 		}
+	}
+
+	// The quickstart prints its two report blocks, the same on every run.
+	quick := run(t, bin, "quickstart")
+	for _, want := range []string{"ADAA: mean runs with significant variation", "Figure 10: mean makespan"} {
+		if !bytes.Contains(quick, []byte(want)) {
+			t.Errorf("quickstart output has no %q block:\n%s", want, quick)
+		}
+	}
+	if again := run(t, bin, "quickstart"); !bytes.Equal(quick, again) {
+		t.Errorf("quickstart output differs between two runs:\n%s\n---\n%s", quick, again)
 	}
 
 	// The flags that used to select between equivalent paths are gone.

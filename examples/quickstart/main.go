@@ -8,7 +8,10 @@ import (
 	"log"
 	"os"
 
-	"rush"
+	"rush/internal/core"
+	"rush/internal/dataset"
+	"rush/internal/experiments"
+	"rush/internal/workload"
 )
 
 func main() {
@@ -16,15 +19,15 @@ func main() {
 
 	// 1. Collect two weeks of control-job data on the simulated cluster.
 	fmt.Println("collecting a 14-day campaign (7 proxy apps, 2-3 runs/day)...")
-	res, err := rush.Collect(rush.CollectConfig{Days: 14, Seed: 7, Incident: true})
+	res, err := core.Collect(core.CollectConfig{Days: 14, Seed: 7, Incident: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  %d samples, %d features each\n\n", res.JobScope.Len(), rush.NumFeatures)
+	fmt.Printf("  %d samples, %d features each\n\n", res.JobScope.Len(), dataset.NumFeatures)
 
 	// 2. Train the deployed three-class predictor (AdaBoost, as in the
 	// paper).
-	pred, err := rush.TrainPredictor(res.JobScope, rush.ModelAdaBoost, nil, 1)
+	pred, err := core.TrainPredictor(res.JobScope, core.ModelAdaBoost, nil, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -32,22 +35,22 @@ func main() {
 		pred.ModelName, pred.CVF1)
 
 	// 3. Run the ADAA experiment once under each policy.
-	spec, err := rush.SpecByName("ADAA")
+	spec, err := workload.SpecByName("ADAA")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("running ADAA: 190 jobs on a 512-node pod with a noise job...")
-	cmp, err := rush.RunExperiment(spec, pred, 2, 1, rush.ExperimentConfig{})
+	cmp, err := experiments.RunExperiment(spec, pred, 2, 1, experiments.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// 4. Compare.
-	ref := rush.BaselineStats(cmp.Baseline)
-	if err := rush.ReportVariation(os.Stdout, cmp, ref); err != nil {
+	ref := experiments.BaselineStats(cmp.Baseline)
+	if err := experiments.ReportVariation(os.Stdout, cmp, ref); err != nil {
 		log.Fatal(err)
 	}
-	if err := rush.ReportMakespan(os.Stdout, []*rush.Comparison{cmp}); err != nil {
+	if err := experiments.ReportMakespan(os.Stdout, []*experiments.Comparison{cmp}); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -21,6 +21,9 @@ func TestTopologyValidate(t *testing.T) {
 	if err := Pod512().Validate(); err != nil {
 		t.Fatal(err)
 	}
+	if Quartz().Nodes != 2988 || Pod512().Nodes != 512 {
+		t.Fatalf("paper machines are 2,988 and 512 nodes, got %d and %d", Quartz().Nodes, Pod512().Nodes)
+	}
 	bad := []Topology{
 		{Nodes: 0, PodSize: 1, CoresPerNode: 1},
 		{Nodes: 10, PodSize: 0, CoresPerNode: 1},

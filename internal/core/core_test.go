@@ -208,13 +208,16 @@ func TestCompareModelsAndSelectBest(t *testing.T) {
 }
 
 func TestNewModelNames(t *testing.T) {
+	if n := len(AllModels()); n != 4 {
+		t.Fatalf("paper compares 4 models, got %d", n)
+	}
 	for _, name := range AllModels() {
 		m, err := NewModel(name, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m == nil {
-			t.Fatalf("nil model for %s", name)
+		if m == nil || m.Name() != string(name) {
+			t.Fatalf("NewModel(%s) = %v", name, m)
 		}
 	}
 	if _, err := NewModel("bogus", 1); err == nil {

@@ -109,7 +109,7 @@ func RunDriftExperiment(spec workload.Spec, pred *core.Predictor, scenarios []Dr
 	for s := range rows {
 		rows[s] = DriftRow{Scenario: scenarios[s], Trials: make([]*Trial, trials)}
 	}
-	err := parallel.Run(nil, cfg.Workers, len(scenarios)*trials, func(k int) error {
+	err := parallel.Run(cfg.Workers, len(scenarios)*trials, func(k int) error {
 		s, i := k/trials, k%trials
 		sc := scenarios[s]
 		scCfg := cfg

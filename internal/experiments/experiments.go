@@ -596,7 +596,7 @@ func FaultMatrix(spec workload.Spec, pred *core.Predictor, scenarios []FaultScen
 	if len(scenarios) == 0 {
 		scenarios = DefaultFaultScenarios()
 	}
-	rows, err := parallel.Map(nil, cfg.Workers, len(scenarios), func(s int) (FaultRow, error) {
+	rows, err := parallel.Map(cfg.Workers, len(scenarios), func(s int) (FaultRow, error) {
 		scCfg := cfg
 		scCfg.Faults = scenarios[s].Faults
 		// The inner experiment keeps cfg.Workers: the nested pools bound
@@ -632,7 +632,7 @@ func RunExperiment(spec workload.Spec, pred *core.Predictor, trials int, baseSee
 	// Task 2i is baseline trial i, task 2i+1 its paired RUSH trial, so
 	// the lowest-index error the pool reports is the same one the old
 	// serial baseline-then-RUSH loop would have hit first.
-	err := parallel.Run(nil, cfg.Workers, 2*trials, func(k int) error {
+	err := parallel.Run(cfg.Workers, 2*trials, func(k int) error {
 		i, seed := k/2, baseSeed+int64(k/2)
 		if k%2 == 0 {
 			b, err := RunTrial(spec, Baseline, pred, seed, cfg)

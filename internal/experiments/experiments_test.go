@@ -349,3 +349,54 @@ func TestBackfillAndSJFConfigs(t *testing.T) {
 		}
 	}
 }
+
+// TestPerJobSkipThresholds runs a full ADAA RUSH trial in which every
+// fifth job may never be delayed (SkipThreshold -1) and every third
+// tolerates two delays: the paper's per-job priority extension, pinned
+// in sched by TestNeverDelayJobIgnoresGate and
+// TestSkipThresholdForcesStart, must hold under the trained gate too.
+func TestPerJobSkipThresholds(t *testing.T) {
+	spec, _ := workload.SpecByName("ADAA")
+	jobs, err := workload.Generate(spec, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := map[int]int{}
+	for i, sj := range jobs {
+		switch {
+		case i%5 == 0:
+			sj.Job.SkipThreshold = -1
+			limit[sj.Job.ID] = 0
+		case i%3 == 0:
+			sj.Job.SkipThreshold = 2
+			limit[sj.Job.ID] = 2
+		default:
+			limit[sj.Job.ID] = sched.DefaultSkipThreshold
+		}
+	}
+	tr, err := RunTrialJobs("ADAA-priorities", jobs, RUSH, predictor(t), 100, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Jobs) != len(jobs) {
+		t.Fatalf("completed %d of %d jobs", len(tr.Jobs), len(jobs))
+	}
+	bound, unbound := 0, 0
+	for _, j := range tr.Jobs {
+		if j.Skips > limit[j.ID] {
+			t.Errorf("job %d delayed %d times, limit %d", j.ID, j.Skips, limit[j.ID])
+		}
+		if limit[j.ID] == 2 && j.Skips == 2 {
+			bound++
+		}
+		if limit[j.ID] == sched.DefaultSkipThreshold && j.Skips > 2 {
+			unbound++
+		}
+	}
+	// The limits must have been what stopped the gate, or the test is
+	// vacuous: some two-delay job reached its limit and some default
+	// job was delayed more often than that.
+	if bound == 0 || unbound == 0 {
+		t.Fatalf("gate too quiet to test the limits: %d jobs at the two-delay limit, %d default jobs past it", bound, unbound)
+	}
+}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -102,6 +103,53 @@ func TestReportFigure1(t *testing.T) {
 	for _, want := range []string{"Laghos", "LBANN", "peak"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Figure 1 report missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestEndToEndPipeline runs the three stages the way examples/quickstart
+// does: collect, train, schedule, report.
+func TestEndToEndPipeline(t *testing.T) {
+	res, err := core.Collect(core.CollectConfig{Days: 30, Seed: 11, Incident: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.JobScope.Len() < 200 {
+		t.Fatalf("campaign too small: %d samples", res.JobScope.Len())
+	}
+
+	pred, err := core.TrainPredictor(res.JobScope, core.ModelAdaBoost, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	spec, err := workload.SpecByName("ADAA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmp, err := RunExperiment(spec, pred, 2, 50, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := BaselineStats(cmp.Baseline)
+	base, rushVar := TotalVariation(cmp.Baseline, ref), TotalVariation(cmp.RUSH, ref)
+	if base <= 0 {
+		t.Fatal("baseline shows no variation at all")
+	}
+	// This is a smoke test on a deliberately short campaign and few
+	// trials; the strong variation-reduction assertion is
+	// TestRUSHReducesVariation. Here we only require RUSH not to make
+	// things clearly worse.
+	if rushVar > base*1.2 {
+		t.Fatalf("RUSH increased variation: %v -> %v", base, rushVar)
+	}
+
+	out := renderText(t, func(w io.Writer) error {
+		return errors.Join(ReportVariation(w, cmp, ref), ReportMakespan(w, []*Comparison{cmp}), ReportWaitTimes(w, cmp))
+	})
+	for _, want := range []string{"ADAA", "TOTAL", "Figure 10", "RUSH"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("report missing %q:\n%s", want, out)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"rush/internal/mlkit"
 	"rush/internal/obs"
 	"rush/internal/sched"
+	"rush/internal/serve"
 	"rush/internal/sim"
 )
 
@@ -127,6 +128,9 @@ func (s *stubModel) Name() string                     { return s.name }
 type swapHost struct{ swapped []mlkit.Classifier }
 
 func (h *swapHost) SwapModel(m mlkit.Classifier) { h.swapped = append(h.swapped, m) }
+
+// The serving daemon is a host a Manager can promote into.
+var _ ModelHost = (*serve.Server)(nil)
 
 // lifecycleEnv drives a Manager directly, standing in for the gate and
 // scheduler: decide() is one evaluated gate decision, complete() the

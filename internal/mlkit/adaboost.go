@@ -277,7 +277,7 @@ func bestStump(colv []float64, n int, yi []int, w []float64, k int, cols *sorted
 	}
 	nf := len(colv) / n
 	cands := make([]candidate, nf)
-	err := parallel.Run(nil, workers, nf, func(f int) error {
+	err := parallel.Run(workers, nf, func(f int) error {
 		idx := cols.col(f)
 		vals := colv[f*n : (f+1)*n]
 		fBest := candidate{st: stump{Feature: -1}, err: math.Inf(1)}

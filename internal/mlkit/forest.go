@@ -126,7 +126,7 @@ func (f *Forest) Fit(x [][]float64, y []int) error {
 		}
 	}
 
-	if err := parallel.Run(nil, f.cfg.Workers, f.cfg.Trees, func(t int) error {
+	if err := parallel.Run(f.cfg.Workers, f.cfg.Trees, func(t int) error {
 		tree := NewTree(TreeConfig{
 			MaxDepth:        f.cfg.MaxDepth,
 			MinLeaf:         f.cfg.MinLeaf,

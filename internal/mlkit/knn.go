@@ -126,7 +126,7 @@ func (k *KNN) nearest(sample []float64) ([]hit, int) {
 		}
 	} else {
 		chunk := (len(k.x) + workers - 1) / workers
-		if err := parallel.Run(nil, workers, workers, func(c int) error {
+		if err := parallel.Run(workers, workers, func(c int) error {
 			lo := c * chunk
 			hi := lo + chunk
 			if hi > len(k.x) {

@@ -91,18 +91,6 @@ func (c *Confusion) F1(pos int) float64 {
 	return 2 * p * r / (p + r)
 }
 
-// MacroF1 averages per-class F1 over all classes present in the matrix.
-func (c *Confusion) MacroF1() float64 {
-	if len(c.Counts) == 0 {
-		return 0
-	}
-	var sum float64
-	for k := range c.Counts {
-		sum += c.F1(k)
-	}
-	return sum / float64(len(c.Counts))
-}
-
 // F1Score is a convenience wrapper: the F1 of class pos computed directly
 // from label slices.
 func F1Score(yTrue, yPred []int, pos int) float64 {

@@ -62,19 +62,6 @@ func TestF1DegenerateCases(t *testing.T) {
 	}
 }
 
-func TestMacroF1ThreeClass(t *testing.T) {
-	yTrue := []int{0, 1, 2, 0, 1, 2}
-	yPred := []int{0, 1, 2, 0, 1, 2}
-	c, _ := NewConfusion(yTrue, yPred)
-	if got := c.MacroF1(); got != 1 {
-		t.Fatalf("perfect macro F1 = %v", got)
-	}
-	c2, _ := NewConfusion([]int{0, 1, 2}, []int{1, 2, 0})
-	if got := c2.MacroF1(); got != 0 {
-		t.Fatalf("all-wrong macro F1 = %v", got)
-	}
-}
-
 func TestConfusionErrors(t *testing.T) {
 	if _, err := NewConfusion([]int{0}, []int{0, 1}); err == nil {
 		t.Fatal("length mismatch should error")

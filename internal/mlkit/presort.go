@@ -82,7 +82,7 @@ func (c *sortedCols) col(f int) []int32 { return c.idx[f*c.n : (f+1)*c.n] }
 // permutation, at roughly half the cost of an interface-based sort.
 func presortColumns(colv []float64, nf, n, workers int) *sortedCols {
 	c := &sortedCols{n: n, idx: make([]int32, nf*n), val: make([]float64, nf*n)}
-	if err := parallel.Run(nil, workers, nf, func(f int) error {
+	if err := parallel.Run(workers, nf, func(f int) error {
 		col := c.idx[f*n : (f+1)*n]
 		for i := range col {
 			col[i] = int32(i)

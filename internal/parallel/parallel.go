@@ -15,9 +15,7 @@
 //   - Deterministic errors: a failing task does not cancel its
 //     siblings; all n tasks run, and Run returns the error of the
 //     lowest-numbered failed task — the same error a serial loop would
-//     have hit first, regardless of scheduling. Use context
-//     cancellation for early abort (an external event, so determinism
-//     is not expected of it).
+//     have hit first, regardless of scheduling.
 //   - Panic capture: a panicking task is converted into a *PanicError
 //     carrying the task index, the panic value, and the stack, and
 //     merged like any other error instead of crashing the process.
@@ -28,7 +26,6 @@
 package parallel
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -67,20 +64,14 @@ func (e *PanicError) Error() string {
 // nil when every task succeeded. Task indices are dispatched in
 // ascending order; a started task always runs to completion, and a
 // failed task never prevents its siblings from running, so the returned
-// error is independent of scheduling. ctx cancellation (the one
-// non-deterministic input, reserved for external aborts) stops
-// dispatching new tasks and is reported once started tasks drain; a nil
-// ctx means context.Background().
+// error is independent of scheduling.
 //
 // The worker count never changes what tasks compute — only how many run
 // at once. Callers must keep per-task work independent: tasks may write
 // only to their own index's slot of shared output slices.
-func Run(ctx context.Context, workers, n int, task func(i int) error) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+func Run(workers, n int, task func(i int) error) error {
 	if n <= 0 {
-		return ctx.Err()
+		return nil
 	}
 	workers = Workers(workers)
 	if workers > n {
@@ -102,17 +93,11 @@ func Run(ctx context.Context, workers, n int, task func(i int) error) error {
 		// lowest is also the first).
 		var first error
 		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				break
-			}
 			if err := call(i); err != nil && first == nil {
 				first = err
 			}
 		}
-		if first != nil {
-			return first
-		}
-		return ctx.Err()
+		return first
 	}
 
 	errs := make([]error, n)
@@ -123,7 +108,7 @@ func Run(ctx context.Context, workers, n int, task func(i int) error) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for ctx.Err() == nil {
+			for {
 				i := int(next.Add(1))
 				if i >= n {
 					return
@@ -139,15 +124,15 @@ func Run(ctx context.Context, workers, n int, task func(i int) error) error {
 			return err
 		}
 	}
-	return ctx.Err()
+	return nil
 }
 
 // Map runs fn(0) … fn(n-1) through Run and returns the results slotted
 // by index. On error the slice is still returned: slots whose tasks
 // succeeded are filled, the rest hold zero values.
-func Map[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
+func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	err := Run(ctx, workers, n, func(i int) error {
+	err := Run(workers, n, func(i int) error {
 		v, err := fn(i)
 		if err != nil {
 			return err

@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -28,7 +27,7 @@ func TestRunExecutesEveryTaskOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 64} {
 		const n = 100
 		counts := make([]atomic.Int64, n)
-		err := Run(context.Background(), workers, n, func(i int) error {
+		err := Run(workers, n, func(i int) error {
 			counts[i].Add(1)
 			return nil
 		})
@@ -46,7 +45,7 @@ func TestRunExecutesEveryTaskOnce(t *testing.T) {
 func TestRunBoundsConcurrency(t *testing.T) {
 	const workers, n = 3, 50
 	var inFlight, peak atomic.Int64
-	err := Run(context.Background(), workers, n, func(int) error {
+	err := Run(workers, n, func(int) error {
 		cur := inFlight.Add(1)
 		defer inFlight.Add(-1)
 		for {
@@ -71,7 +70,7 @@ func TestRunReturnsLowestIndexError(t *testing.T) {
 	// completion-order merge would report 17 first. The index-order merge
 	// must still return task 3's error at every worker count.
 	for _, workers := range []int{1, 2, 8} {
-		err := Run(context.Background(), workers, 32, func(i int) error {
+		err := Run(workers, 32, func(i int) error {
 			switch i {
 			case 3:
 				time.Sleep(20 * time.Millisecond)
@@ -90,7 +89,7 @@ func TestRunReturnsLowestIndexError(t *testing.T) {
 func TestRunErrorDoesNotCancelSiblings(t *testing.T) {
 	const n = 40
 	var ran atomic.Int64
-	err := Run(context.Background(), 4, n, func(i int) error {
+	err := Run(4, n, func(i int) error {
 		ran.Add(1)
 		if i == 0 {
 			return errors.New("boom")
@@ -107,7 +106,7 @@ func TestRunErrorDoesNotCancelSiblings(t *testing.T) {
 
 func TestRunCapturesPanic(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		err := Run(context.Background(), workers, 8, func(i int) error {
+		err := Run(workers, 8, func(i int) error {
 			if i == 5 {
 				panic("kaboom")
 			}
@@ -126,36 +125,15 @@ func TestRunCapturesPanic(t *testing.T) {
 	}
 }
 
-func TestRunContextCancellationStopsDispatch(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int64
-	err := Run(ctx, 2, 1000, func(i int) error {
-		if ran.Add(1) == 4 {
-			cancel()
-		}
-		time.Sleep(time.Millisecond)
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if got := ran.Load(); got >= 1000 {
-		t.Fatalf("cancellation did not stop dispatch (%d tasks ran)", got)
-	}
-}
-
-func TestRunNilContextAndEmptyInput(t *testing.T) {
-	if err := Run(nil, 4, 0, func(int) error { t.Fatal("no tasks to run"); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if err := Run(nil, 4, 3, func(int) error { return nil }); err != nil {
+func TestRunEmptyInput(t *testing.T) {
+	if err := Run(4, 0, func(int) error { t.Fatal("no tasks to run"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestMapSlotsResultsByIndex(t *testing.T) {
 	for _, workers := range []int{1, 3, 16} {
-		out, err := Map(context.Background(), workers, 64, func(i int) (int, error) {
+		out, err := Map(workers, 64, func(i int) (int, error) {
 			// Stagger completion so a completion-order merge would scramble.
 			time.Sleep(time.Duration(64-i) * 10 * time.Microsecond)
 			return i * i, nil
@@ -172,7 +150,7 @@ func TestMapSlotsResultsByIndex(t *testing.T) {
 }
 
 func TestMapKeepsPartialResultsOnError(t *testing.T) {
-	out, err := Map(context.Background(), 4, 10, func(i int) (string, error) {
+	out, err := Map(4, 10, func(i int) (string, error) {
 		if i == 6 {
 			return "", errors.New("slot 6 failed")
 		}

@@ -223,9 +223,9 @@ func (g *RUSH) Model() mlkit.Classifier { return g.model }
 // model with a different class count is safe.
 //
 // The swap is a plain pointer write: the gate lives inside one trial's
-// single-threaded event loop, like the scheduler itself. Hosts whose
-// readers run concurrently with promotions (the serving daemon) must use
-// lifecycle.AtomicHost instead, which publishes the swap atomically.
+// single-threaded event loop, like the scheduler itself. A host whose
+// readers run concurrently with promotions must publish the swap
+// atomically, as serve.Server does with its Snapshot pointer.
 func (g *RUSH) SwapModel(m mlkit.Classifier) { g.model = m }
 
 // DegradedTime returns the simulated seconds spent with the breaker

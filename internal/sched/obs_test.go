@@ -115,7 +115,7 @@ func TestNewSchedulerDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.GateName(); got != (AlwaysStart{}).Name() {
+	if got := s.gt.Name(); got != (AlwaysStart{}).Name() {
 		t.Fatalf("default gate = %q", got)
 	}
 	if s.Backfill != EASYBackfill {

@@ -397,9 +397,6 @@ func (s *Scheduler) Completed() []*Job { return s.completed }
 // ones), whether or not they were retained.
 func (s *Scheduler) CompletedCount() int { return s.nCompleted }
 
-// GateName returns the active gate's name (for reports).
-func (s *Scheduler) GateName() string { return s.gt.Name() }
-
 // Observer returns the attached observer, or nil.
 func (s *Scheduler) Observer() *obs.Observer { return s.obs }
 

@@ -411,7 +411,7 @@ func TestPolicyAndGateNames(t *testing.T) {
 		t.Fatal("gate names wrong")
 	}
 	s := newSched(m, FCFS{}, SJF{}, AlwaysStart{})
-	if s.GateName() != "FCFS+EASY" {
+	if s.gt.Name() != "FCFS+EASY" {
 		t.Fatal("scheduler gate name wrong")
 	}
 	if s.Machine() != m {

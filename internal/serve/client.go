@@ -74,18 +74,6 @@ func (c *Client) Do(req *Request) (*Response, error) {
 	return resp, nil
 }
 
-// Ping round-trips an OpPing and returns the server's snapshot epoch.
-func (c *Client) Ping() (uint64, error) {
-	resp, err := c.Do(&Request{Op: OpPing})
-	if err != nil {
-		return 0, err
-	}
-	if resp.Status != StatusOK {
-		return 0, fmt.Errorf("serve: ping failed: %s", resp.Error)
-	}
-	return resp.Epoch, nil
-}
-
 // Err returns the sticky transport error, nil while the connection is
 // healthy.
 func (c *Client) Err() error {

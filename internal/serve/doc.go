@@ -32,10 +32,11 @@
 //
 // Inference requests are funneled through a single batcher goroutine
 // that drains its bounded queue greedily (or over a configured
-// BatchWindow) and runs each batch against one snapshot, amortizing
-// ensemble dispatch. When the queue is full the server answers
-// StatusBusy instead of blocking — bounded-queue backpressure, never
-// unbounded buffering.
+// BatchWindow, up to 64 at a time). Each item carries the snapshot its
+// request loaded and Snapshot.Decide is called once per item; what the
+// items of a batch share is the goroutine and its probability scratch
+// buffer. When the queue is full the server answers StatusBusy instead
+// of blocking — bounded-queue backpressure, never unbounded buffering.
 //
 // # Wire protocol (version 1)
 //

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,7 +13,6 @@ import (
 
 	"rush/internal/apps"
 	"rush/internal/dataset"
-	"rush/internal/lifecycle"
 	"rush/internal/mlkit"
 	"rush/internal/obs"
 	"rush/internal/sched"
@@ -48,10 +46,6 @@ type Config struct {
 	// first queued decision to collect more (default 0: greedy — take
 	// whatever is already queued, never wait).
 	BatchWindow time.Duration
-	// MaxBatch bounds one inference batch (default 64).
-	MaxBatch int
-	// DisableCache turns off the per-scope decision cache.
-	DisableCache bool
 	// Breaker is the predictor circuit breaker backing degraded mode
 	// (default sched.NewBreaker()). It runs on request-carried
 	// timestamps, so replayed simulated streams and wall-clock clients
@@ -76,6 +70,9 @@ type cacheEntry struct {
 	missing float64
 }
 
+// maxBatch bounds one inference batch.
+const maxBatch = 64
+
 // maxCacheEntries bounds the decision cache; on overflow the whole map
 // is dropped (entries are one epoch deep, so losing them only costs one
 // re-inference per live scope).
@@ -96,15 +93,12 @@ type batchItem struct {
 // one and publishes it with a swap — epoch/RCU style), batches ensemble
 // inference, caches counters-only decisions per scope, and degrades to
 // fail-open ALLOW behind the circuit breaker whenever the model path is
-// unavailable. Model hot-swap reuses lifecycle.SwapModel semantics via
-// an AtomicHost: Server implements lifecycle.ModelHost, so a lifecycle
+// unavailable. The snapshot carries the model, so a hot-swap is one more
+// publish: Server implements lifecycle.ModelHost, and a lifecycle
 // manager can promote challengers straight into a live server.
 type Server struct {
 	batchWindow time.Duration
-	maxBatch    int
-	cacheOff    bool
 
-	host *lifecycle.AtomicHost
 	snap atomic.Pointer[sched.Snapshot]
 
 	pubMu sync.Mutex // serializes snapshot builds (ingest, swap)
@@ -163,9 +157,6 @@ func NewServer(cfg Config) (*Server, error) {
 	s := &Server{
 		pipe:        sched.Pipeline{MaxStaleness: 90, MaxMissing: 0.5, Breaker: cfg.Breaker},
 		batchWindow: cfg.BatchWindow,
-		maxBatch:    cfg.MaxBatch,
-		cacheOff:    cfg.DisableCache,
-		host:        lifecycle.NewAtomicHost(cfg.Model),
 		cache:       map[cacheKey]cacheEntry{},
 		stopCh:      make(chan struct{}),
 		conns:       map[net.Conn]struct{}{},
@@ -178,9 +169,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if s.pipe.Breaker == nil {
 		s.pipe.Breaker = sched.NewBreaker()
-	}
-	if s.maxBatch <= 0 {
-		s.maxBatch = 64
 	}
 	inflight := cfg.MaxInflight
 	if inflight <= 0 {
@@ -201,26 +189,16 @@ func NewServer(cfg Config) (*Server, error) {
 // Snapshot returns the currently published decision snapshot (lock-free).
 func (s *Server) Snapshot() *sched.Snapshot { return s.snap.Load() }
 
-// publish builds the next snapshot from the current one (fresh model
-// load from the host, mut applied on top), assigns it the next epoch,
-// and swaps it in. Ingest and swap serialize here; readers never wait.
-func (s *Server) publish(mut func(next *sched.Snapshot)) uint64 {
+// publish builds the next snapshot from a copy of the current one with
+// mut applied on top, assigns it the next epoch, and swaps it in. Ingest
+// and swap serialize here; readers never wait.
+func (s *Server) publish(mut func(next *sched.Snapshot)) {
 	s.pubMu.Lock()
 	defer s.pubMu.Unlock()
-	cur := s.snap.Load()
-	next := &sched.Snapshot{
-		Model:           s.host.Model(),
-		VariationLabels: cur.VariationLabels,
-		ProbThreshold:   cur.ProbThreshold,
-		Agg:             cur.Agg,
-		Tick:            cur.Tick,
-		Epoch:           cur.Epoch + 1,
-	}
-	if mut != nil {
-		mut(next)
-	}
-	s.snap.Store(next)
-	return next.Epoch
+	next := *s.snap.Load()
+	next.Epoch++
+	mut(&next)
+	s.snap.Store(&next)
 }
 
 // SwapModel implements lifecycle.ModelHost: it atomically installs m as
@@ -228,9 +206,8 @@ func (s *Server) publish(mut func(next *sched.Snapshot)) uint64 {
 // cached decisions. In-flight decisions finish on the snapshot they
 // loaded — the old model — exactly as lifecycle promotion intends.
 func (s *Server) SwapModel(m mlkit.Classifier) {
-	s.host.SwapModel(m)
 	s.cSwaps.Inc()
-	s.publish(nil)
+	s.publish(func(next *sched.Snapshot) { next.Model = m })
 }
 
 // Ingest publishes one telemetry window (per-counter min/mean/max in
@@ -312,7 +289,7 @@ func (s *Server) decide(req *Request, resp *Response, phase int) {
 	}
 
 	feats := []float64(req.Feats)
-	cacheable := feats == nil && !s.cacheOff && req.Scope != ""
+	cacheable := feats == nil && req.Scope != ""
 	key := cacheKey{scope: req.Scope, class: req.Class}
 	if cacheable {
 		s.cmu.RLock()
@@ -425,7 +402,7 @@ func (s *Server) batcher() {
 			if s.batchWindow > 0 {
 				timer := time.NewTimer(s.batchWindow)
 			window:
-				for len(batch) < s.maxBatch {
+				for len(batch) < maxBatch {
 					select {
 					case more := <-s.batchCh:
 						batch = append(batch, more)
@@ -438,7 +415,7 @@ func (s *Server) batcher() {
 				timer.Stop()
 			} else {
 			greedy:
-				for len(batch) < s.maxBatch {
+				for len(batch) < maxBatch {
 					select {
 					case more := <-s.batchCh:
 						batch = append(batch, more)
@@ -554,22 +531,6 @@ func (s *Server) Stats() map[string]uint64 {
 		"serve_batched_decisions_total":  s.cBatchJobs.Value(),
 		"serve_batch_max_size":           s.gBatchMax.Value(),
 	}
-}
-
-// MetricsSnapshot renders the serve counters as a name-sorted
-// obs.Snapshot, mergeable with trial registries by obs.Merge.
-func (s *Server) MetricsSnapshot() *obs.Snapshot {
-	stats := s.Stats()
-	names := make([]string, 0, len(stats))
-	for name := range stats {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	snap := &obs.Snapshot{}
-	for _, name := range names {
-		snap.Counters = append(snap.Counters, obs.MetricValue{Name: name, Value: float64(stats[name])})
-	}
-	return snap
 }
 
 // Listen opens the server's listening socket: an address of the form

@@ -213,44 +213,3 @@ func (o *Online) Max() float64 {
 	}
 	return o.max
 }
-
-// Histogram counts values into equal-width bins over [lo, hi). Values
-// outside the range are clamped into the first or last bin so that no
-// observation is silently dropped.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram returns a histogram with bins equal-width bins spanning
-// [lo, hi). It panics when bins < 1 or hi <= lo.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins < 1 || hi <= lo {
-		panic(fmt.Sprintf("stats: invalid histogram [%v,%v) with %d bins", lo, hi, bins))
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add counts x into its bin.
-func (h *Histogram) Add(x float64) {
-	bins := len(h.Counts)
-	idx := int(float64(bins) * (x - h.Lo) / (h.Hi - h.Lo))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= bins {
-		idx = bins - 1
-	}
-	h.Counts[idx]++
-	h.total++
-}
-
-// Total returns the number of values added.
-func (h *Histogram) Total() int { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
-}

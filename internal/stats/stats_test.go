@@ -130,32 +130,3 @@ func TestOnlineProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 42} {
-		h.Add(x)
-	}
-	if h.Total() != 8 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	// -1, 0, 1.9 -> bin 0; 2 -> bin 1; 5 -> bin 2; 9.99, 10, 42 -> bin 4.
-	want := []int{3, 1, 1, 0, 3}
-	for i, w := range want {
-		if h.Counts[i] != w {
-			t.Fatalf("bin %d = %d, want %d (counts %v)", i, h.Counts[i], w, h.Counts)
-		}
-	}
-	if c := h.BinCenter(0); !almostEq(c, 1, 1e-12) {
-		t.Fatalf("bin center = %v", c)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid histogram should panic")
-		}
-	}()
-	NewHistogram(5, 5, 3)
-}

@@ -259,21 +259,6 @@ func (a Aggregates) Clone() Aggregates {
 	}
 }
 
-// MissingFraction returns the share of counters whose aggregates are NaN
-// (every sample in the window was dropped).
-func (a Aggregates) MissingFraction() float64 {
-	if len(a.Mean) == 0 {
-		return 0
-	}
-	missing := 0
-	for _, v := range a.Mean {
-		if math.IsNaN(v) {
-			missing++
-		}
-	}
-	return float64(missing) / float64(len(a.Mean))
-}
-
 // mayMiss reports whether a sample row can hold NaN, which only a fault
 // model (dropped tables) or a drift model (Perturb returns what it likes)
 // can put there: finite loads synthesize finite samples.

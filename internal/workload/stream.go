@@ -81,9 +81,6 @@ func (s *SWFScanner) Job() SWFJob { return s.job }
 // trace.
 func (s *SWFScanner) Err() error { return s.err }
 
-// Line returns the number of input lines consumed so far.
-func (s *SWFScanner) Line() int { return s.line }
-
 // Skipped returns how many well-formed records were dropped as
 // unreplayable (cancelled jobs, unknown run times or processor counts).
 func (s *SWFScanner) Skipped() int { return s.skipped }
