@@ -22,34 +22,21 @@ package rush
 import (
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sync"
 	"testing"
 	"time"
 
-	"rush/internal/apps"
-	"rush/internal/cluster"
 	"rush/internal/core"
-	"rush/internal/dataset"
 	"rush/internal/experiments"
-	"rush/internal/machine"
-	"rush/internal/mlkit"
-	"rush/internal/sched"
-	"rush/internal/sim"
-	"rush/internal/simnet"
-	"rush/internal/telemetry"
 	"rush/internal/workload"
 )
-
-// thin aliases so the benchmark bodies read cleanly.
-var mlkitLeaveOneGroupOut = mlkit.LeaveOneGroupOut
 
 // Shared artifacts, built once per `go test -bench` process. Model
 // training (benchModelsOnce) is split from the experiment comparisons
 // (benchOnce) so benchmarks that only need a predictor — e.g.
-// BenchmarkParallelSpeedup, which the CI smoke target runs alone —
-// skip the five-experiment sweep.
+// BenchmarkParallelSpeedup, run on its own — skip the five-experiment
+// sweep.
 var (
 	benchModelsOnce sync.Once
 	benchOnce       sync.Once
@@ -458,251 +445,5 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 				run(w)
 			}
 		})
-	}
-}
-
-// leaveOneAppOut builds per-application CV folds from a campaign.
-func leaveOneAppOut(res *core.CollectResult) ([]string, [][]int) {
-	return mlkitLeaveOneGroupOut(res.JobScope.AppNames())
-}
-
-// ----- Gate-decision fast path (BENCH_gate.json) -----
-
-// The gate benchmarks deliberately skip the 120-day benchSetup campaign:
-// the fast path's contract is about per-decision cost, so a compact
-// synthetic-data ensemble (same feature width and class count as the
-// real predictor) keeps `make bench-gate` runnable in seconds while the
-// differential tests pin equivalence to the reference path.
-var (
-	benchGateOnce  sync.Once
-	benchGateModel mlkit.Classifier
-)
-
-func gateBenchModel(b *testing.B) mlkit.Classifier {
-	b.Helper()
-	benchGateOnce.Do(func() {
-		rng := sim.NewSource(1234).Derive("bench-gate")
-		const n = 240
-		x := make([][]float64, n)
-		y := make([]int, n)
-		for i := range x {
-			row := make([]float64, dataset.NumFeatures)
-			c := rng.Intn(3)
-			for j := range row {
-				row[j] = rng.Normal(float64(c)*float64(j%5)*0.2, 1.0)
-			}
-			x[i] = row
-			y[i] = c
-		}
-		m := mlkit.NewAdaBoost(mlkit.AdaBoostConfig{Rounds: 30, Depth: 2, Seed: 9, Workers: 1})
-		if err := m.Fit(x, y); err != nil {
-			panic(err)
-		}
-		benchGateModel = m
-	})
-	return benchGateModel
-}
-
-// newBenchMachine builds a 512-node machine under ambient load, 900
-// simulated seconds in, with a RUSH gate on the compact bench model.
-func newBenchMachine(b *testing.B) (*machine.Machine, *sched.RUSH) {
-	b.Helper()
-	eng := sim.New(4242)
-	m, err := machine.New(eng, cluster.Topology{Nodes: 512, PodSize: 64, CoresPerNode: 36})
-	if err != nil {
-		b.Fatal(err)
-	}
-	gate := sched.NewRUSH(m, gateBenchModel(b))
-	bg := m.NewBackground()
-	bg.Set(simnet.Contribution{
-		PodNet: map[int]float64{0: 0.8, 1: 0.6, 2: 0.9, 3: 0.4, 4: 0.7, 5: 0.5, 6: 0.3, 7: 0.6},
-		FS:     0.3,
-	})
-	eng.RunUntil(900)
-	return m, gate
-}
-
-// newBenchGate puts newBenchMachine's gate on the machine-wide scope,
-// the heaviest decision the scheduler issues.
-func newBenchGate(b *testing.B) (*sched.RUSH, *sched.Job, cluster.Allocation) {
-	b.Helper()
-	_, gate := newBenchMachine(b)
-	gate.AllNodesScope = true
-	nodes := make([]cluster.NodeID, 16)
-	for i := range nodes {
-		nodes[i] = cluster.NodeID(i)
-	}
-	j := &sched.Job{ID: 1, App: apps.Defaults()[1]}
-	return gate, j, cluster.Allocation{Nodes: nodes}
-}
-
-// BenchmarkGateDecision times one full gate decision — freshness check,
-// 300-second window aggregation, MPI probes, feature assembly, ensemble
-// inference. fast is the steady-state decision on the 512-node
-// machine-wide scope. The job sub-benchmarks are the two decisions a RUSH
-// trial is made of, both on a 16-node job scope (see benchJobScopeGate).
-// All three must report 0 allocs/op, the job shapes 0 B/op too (`make
-// bench-gate` enforces it).
-func BenchmarkGateDecision(b *testing.B) {
-	b.Run("fast", func(b *testing.B) {
-		gate, j, alloc := newBenchGate(b)
-		j.Skips = 0
-		gate.Allow(j, alloc) // warm caches and reusable buffers
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			j.Skips = 0
-			gate.Allow(j, alloc)
-		}
-	})
-	// first-ask: a job's first decision on a freshly allocated node set,
-	// one the sampler has not aggregated within the window, so all 320
-	// rows are computed. re-ask: the same scope asked again two ticks
-	// later, the scheduler's 30 s veto cooldown, when 32 rows are new.
-	b.Run("job/first-ask", func(b *testing.B) { benchJobScopeGate(b, 1, true) })
-	b.Run("job/re-ask", func(b *testing.B) { benchJobScopeGate(b, 2, false) })
-}
-
-// benchJobScopeGate times job-scoped decisions on newBenchMachine's gate,
-// shaped like the cold and warm gate drivers of bench/drivers.go: the
-// clock advances ticks sample periods between decisions, and the scope
-// either rotates through 28 disjoint 16-node allocations, so each
-// returns after 420 s and finds none of its rows kept, or stays put.
-// History and sampler are pruned as a trial prunes them. One lap over the
-// scopes before the timer starts leaves every row block allocated, which
-// is the state a trial is in after its first minutes.
-func benchJobScopeGate(b *testing.B, ticks int, rotate bool) {
-	m, gate := newBenchMachine(b)
-	m.StartPruning(telemetry.WindowSeconds, 3*telemetry.WindowSeconds)
-	eng := m.Eng
-	j := &sched.Job{ID: 1, App: apps.Defaults()[1]}
-	var scopes []cluster.Allocation
-	for lo := 64; lo+16 <= 512; lo += 16 {
-		nodes := make([]cluster.NodeID, 16)
-		for i := range nodes {
-			nodes[i] = cluster.NodeID(lo + i)
-		}
-		scopes = append(scopes, cluster.Allocation{Nodes: nodes})
-	}
-	ask := func(i int) {
-		eng.RunUntil(eng.Now() + float64(ticks)*telemetry.SamplePeriod)
-		scope := scopes[0]
-		if rotate {
-			scope = scopes[i%len(scopes)]
-		}
-		j.Skips = 0
-		gate.Allow(j, scope)
-	}
-	for i := range scopes {
-		ask(i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ask(i)
-	}
-}
-
-// ----- Training fast path (BENCH_train.json) -----
-
-// The training benchmarks use a synthetic dataset at the deployed
-// predictor's exact shape — 2000 rows × the full 282-feature Table I
-// width, three classes, 2% missing values — so the measured speedups
-// transfer directly to TrainPredictor. Differential tests
-// (TestFastPathBitIdentical and friends) pin the fast path byte-identical
-// to the reference path, so the sub-benchmarks differ only in wall clock.
-var (
-	benchFitOnce sync.Once
-	benchFitX    [][]float64
-	benchFitY    []int
-)
-
-func fitBenchData(b *testing.B) ([][]float64, []int) {
-	b.Helper()
-	benchFitOnce.Do(func() {
-		rng := sim.NewSource(4321).Derive("bench-fit")
-		const n = 2000
-		benchFitX = make([][]float64, n)
-		benchFitY = make([]int, n)
-		for i := range benchFitX {
-			row := make([]float64, dataset.NumFeatures)
-			c := rng.Intn(3)
-			for j := range row {
-				if rng.Float64() < 0.02 {
-					row[j] = math.NaN()
-					continue
-				}
-				row[j] = rng.Normal(float64(c)*float64(j%7)*0.15, 1.0)
-			}
-			benchFitX[i] = row
-			benchFitY[i] = c
-		}
-	})
-	return benchFitX, benchFitY
-}
-
-// BenchmarkFit times one full Fit of each ensemble on the presorted
-// column-partitioning builder. Tree counts are scaled down from the
-// deployed configs (60 trees, 150 rounds) to keep `make bench-train`
-// fast; the per-tree cost is what transfers. The per-node-sort oracle
-// builder is reachable only from internal/mlkit's own tests, so it has
-// no arm here; BENCH_train.json keeps its last measured rows.
-//
-// Forest is the headline: full-candidate exact splits (MaxFeatures =
-// all 282), where a per-node sort would cost O(features × n log n) at
-// every node. ForestSqrt and ExtraTrees are the deployed shapes
-// (sqrt-candidate).
-func BenchmarkFit(b *testing.B) {
-	x, y := fitBenchData(b)
-	models := []struct {
-		name string
-		mk   func() mlkit.Classifier
-	}{
-		{"Tree", func() mlkit.Classifier {
-			return mlkit.NewTree(mlkit.TreeConfig{MaxDepth: 12})
-		}},
-		{"Forest", func() mlkit.Classifier {
-			return mlkit.NewRandomForest(mlkit.ForestConfig{Trees: 4, MaxDepth: 12, MaxFeatures: dataset.NumFeatures, Seed: 7, Workers: 1})
-		}},
-		{"ForestSqrt", func() mlkit.Classifier {
-			return mlkit.NewRandomForest(mlkit.ForestConfig{Trees: 20, MaxDepth: 12, Seed: 7, Workers: 1})
-		}},
-		{"ExtraTrees", func() mlkit.Classifier {
-			return mlkit.NewExtraTrees(mlkit.ForestConfig{Trees: 20, MaxDepth: 14, Seed: 7, Workers: 1})
-		}},
-		{"AdaBoost", func() mlkit.Classifier {
-			return mlkit.NewAdaBoost(mlkit.AdaBoostConfig{Rounds: 10, Depth: 2, Seed: 7, Workers: 1})
-		}},
-	}
-	for _, m := range models {
-		b.Run(m.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := m.mk().Fit(x, y); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkPredictProba times ensemble inference alone and is the
-// 0-alloc guard on PredictProbaInto, the call the gate makes.
-func BenchmarkPredictProba(b *testing.B) {
-	model := gateBenchModel(b)
-	fp, ok := model.(mlkit.FastProbaPredictor)
-	if !ok {
-		b.Fatalf("%s does not implement FastProbaPredictor", model.Name())
-	}
-	rng := sim.NewSource(77).Derive("bench-sample")
-	sample := make([]float64, dataset.NumFeatures)
-	for i := range sample {
-		sample[i] = rng.Normal(0.5, 1.0)
-	}
-	out := make([]float64, len(fp.Classes()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fp.PredictProbaInto(sample, out)
 	}
 }

@@ -10,7 +10,7 @@
 // (rush-collect, rush-train, rush-sim, rush-experiments, rush-replay,
 // rush-serve); examples/quickstart drives the same three stages from Go
 // through internal/core, internal/workload and internal/experiments.
-// This package exports nothing. It holds the benchmark harness the
-// Makefile's bench-* targets run (bench_test.go, engine_bench_test.go,
-// replay_bench_test.go) and docs_test.go, which checks the documents.
+// This package exports nothing. It holds the benchmarks that print the
+// paper's figures and tables (bench_test.go) and docs_test.go, which
+// checks the documents.
 package rush

@@ -14,7 +14,7 @@ import (
 )
 
 // docFiles are the documents TestDocsNameWhatExists holds to the tree.
-var docFiles = []string{"README.md", "ARCHITECTURE.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"}
+var docFiles = []string{"README.md", "ARCHITECTURE.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
 
 var (
 	codeSpan   = regexp.MustCompile("`([^`]+)`")
@@ -36,20 +36,23 @@ type pkgDecls struct {
 	members map[string]map[string]bool
 }
 
-// TestDocsNameWhatExists extracts every back-quoted token from docFiles
-// and fails, naming file and line, when one that looks like a repository
+// TestDocsNameWhatExists extracts every back-quoted token from docFiles,
+// a span that wraps onto the next line of its paragraph included, and
+// fails, naming file and line, when one that looks like a repository
 // path does not exist, a `make` target is not in the Makefile, a -flag
 // attributed to a rush-* command (in the same token, or the nearest
 // command named earlier in the paragraph) is not registered by that
 // command, a pkg.Identifier whose pkg is the root package or a directory
 // under internal/ is not declared there (nor a bare Identifier in that
-// package's row of a package table), or a Test/Benchmark/Fuzz name is
-// declared by no _test.go file. Of a fenced block it reads the pkg.Name
-// selectors when the block is Go and the command lines otherwise. A token
-// that fits none of these shapes is skipped, not guessed at.
+// package's row of a package table) and is not a metric of the
+// bench/metrics.go catalogue, or a Test/Benchmark/Fuzz name is declared
+// by no _test.go file. Of a fenced block it reads the pkg.Name selectors
+// when the block is Go and the command lines otherwise. A token that
+// fits none of these shapes is skipped, not guessed at.
 func TestDocsNameWhatExists(t *testing.T) {
 	targets := makeTargets(t)
 	flags := commandFlags(t)
+	metrics := benchMetrics(t)
 	pkgs := map[string]*pkgDecls{"rush": parseDecls(t, ".")}
 	internalDirs := map[string]bool{}
 	entries, err := os.ReadDir("internal")
@@ -122,8 +125,8 @@ func TestDocsNameWhatExists(t *testing.T) {
 			}
 			return ""
 		}
-		isFile := strings.HasSuffix(tok, ".go") || strings.HasSuffix(tok, ".md")
-		if m := identToken.FindStringSubmatch(tok); m != nil && pkgs[m[1]] != nil && !isFile {
+		isFile := strings.HasSuffix(tok, ".go") || strings.HasSuffix(tok, ".md") || strings.HasSuffix(tok, ".json")
+		if m := identToken.FindStringSubmatch(tok); m != nil && pkgs[m[1]] != nil && !isFile && !metrics[tok] {
 			decls := pkgs[m[1]]
 			if !decls.top[m[2]] {
 				return fmt.Sprintf("package %s declares no %s", m[1], m[2])
@@ -160,7 +163,7 @@ func TestDocsNameWhatExists(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fence, cmd := "", ""
+		fence, cmd, open := "", "", ""
 		for i, line := range strings.Split(string(data), "\n") {
 			fail := func(tok, why string) {
 				if why != "" {
@@ -186,7 +189,17 @@ func TestDocsNameWhatExists(t *testing.T) {
 				}
 			default:
 				if trimmed == "" || listItem.MatchString(line) || strings.HasPrefix(line, "#") {
-					cmd = "" // a new paragraph inherits no command
+					cmd, open = "", "" // a new paragraph inherits no command and no span
+				}
+				if open != "" {
+					end := strings.Index(line, "`")
+					if end < 0 {
+						open += " " + trimmed
+						continue
+					}
+					tok := strings.TrimSpace(open + " " + strings.TrimSpace(line[:end]))
+					fail(tok, check(tok, &cmd))
+					line, open = line[end+1:], ""
 				}
 				row := packageRow.FindStringSubmatch(line)
 				for _, m := range codeSpan.FindAllStringSubmatch(line, -1) {
@@ -198,6 +211,9 @@ func TestDocsNameWhatExists(t *testing.T) {
 						continue
 					}
 					fail(tok, check(tok, &cmd))
+				}
+				if strings.Count(line, "`")%2 == 1 {
+					open = line[strings.LastIndex(line, "`")+1:]
 				}
 			}
 		}
@@ -215,6 +231,23 @@ func makeTargets(t *testing.T) map[string]bool {
 		targets[m[1]] = true
 	}
 	return targets
+}
+
+// benchMetrics returns the metric names of the bench/run.sh catalogue
+// in bench/metrics.go, which documents cite as `layer.metric`.
+func benchMetrics(t *testing.T) map[string]bool {
+	data, err := os.ReadFile("bench/metrics.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, m := range regexp.MustCompile(`\{name: "([a-z][a-z0-9_.]*)"`).FindAllStringSubmatch(string(data), -1) {
+		names[m[1]] = true
+	}
+	if len(names) == 0 {
+		t.Fatal("bench/metrics.go lists no metrics")
+	}
+	return names
 }
 
 // commandFlags maps each command under cmd/ to the flags it registers:

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -279,6 +280,58 @@ func TestReplayHeapSampling(t *testing.T) {
 	if !found["sim_heap_inuse"] || !found["replay_peak_rss"] {
 		t.Fatalf("memory gauges missing from snapshot: %+v", sum.Metrics.Gauges)
 	}
+}
+
+// TestReplayYearHeapBounded pins the bounded-memory contract that lets a
+// year of submissions replay in a few megabytes: doubling the simulated
+// horizon must not grow the driver's peak heap, because completed jobs
+// are discarded, telemetry history is pruned, and the trace buffer is
+// flushed in batches. The stream is openQuartzSWF's, read back from a
+// file as rush-replay reads one, so the bytes of the trace are not part
+// of the heap being measured; the per-day heap samples feeding
+// PeakHeapBytes make 30 and 60 days comparable.
+func TestReplayYearHeapBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long-horizon replay")
+	}
+	topo := cluster.Quartz()
+	peak := func(days float64) uint64 {
+		path := filepath.Join(t.TempDir(), "quartz.swf")
+		raw, jobs := openQuartzSWF(days)
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC() // the generated bytes are garbage from here on
+		f, err := workload.OpenSWF(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		sum, err := ReplayStream("replay-heap",
+			workload.NewSWFStream(f, workload.SWFOptions{
+				CoresPerNode: topo.CoresPerNode, MaxNodes: topo.Nodes, Seed: 7}),
+			Baseline, nil, 7, Config{
+				Topo:       topo,
+				MaxSimTime: 2 * days * 86400,
+				Metrics:    true,
+				MemSample:  86400,
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum.Jobs != jobs {
+			t.Fatalf("%v days: completed %d of %d jobs", days, sum.Jobs, jobs)
+		}
+		return sum.PeakHeapBytes
+	}
+	half, full := peak(30), peak(60)
+	// Allow slack for GC timing noise; what must not happen is the
+	// linear growth a retained job history would show.
+	if float64(full) > 1.5*float64(half) {
+		t.Fatalf("peak heap grows with horizon: %d MB at 30 days vs %d MB at 60 days",
+			half>>20, full>>20)
+	}
+	t.Logf("peak heap: %d MB at 30 days, %d MB at 60 days", half>>20, full>>20)
 }
 
 // TestReplayCanaryPolicy exercises the gated path (no predictor needed)

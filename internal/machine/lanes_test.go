@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"rush/internal/cluster"
 	"rush/internal/sim"
 	"rush/internal/simnet"
+	"rush/internal/telemetry"
 )
 
 // heavyProfile feels every contention dimension and emits enough load
@@ -146,7 +148,7 @@ func runScenario(t *testing.T, topo cluster.Topology, seed int64, saturated, poo
 	// launch starts p on n fresh nodes and returns the first of them,
 	// unless the cap or the machine is full (deterministic either way).
 	launch := func(p apps.Profile, n int, work float64) (cluster.NodeID, bool) {
-		if m.Running() >= maxRunning {
+		if m.nJobs >= maxRunning {
 			return 0, false
 		}
 		alloc, err := m.Alloc.Alloc(n)
@@ -236,8 +238,8 @@ func runScenario(t *testing.T, topo cluster.Topology, seed int64, saturated, poo
 	eng.At(130, fail(&lastSmall))
 	eng.At(135, fail(&lastLarge))
 	eng.RunUntil(200000)
-	if m.Running() != 0 {
-		t.Fatalf("%v seed %d saturated=%v: %d jobs still running at horizon", topo, seed, saturated, m.Running())
+	if m.nJobs != 0 {
+		t.Fatalf("%v seed %d saturated=%v: %d jobs still running at horizon", topo, seed, saturated, m.nJobs)
 	}
 	return run
 }
@@ -404,8 +406,8 @@ func TestLaneBookkeeping(t *testing.T) {
 				}
 			}
 		}
-		if seen != m.Running() {
-			t.Fatalf("lanes hold %d jobs, Running() = %d", seen, m.Running())
+		if seen != m.nJobs {
+			t.Fatalf("lanes hold %d jobs, nJobs = %d", seen, m.nJobs)
 		}
 	}
 	check()
@@ -415,8 +417,81 @@ func TestLaneBookkeeping(t *testing.T) {
 		check()
 	}
 	eng.Run()
-	if m.Running() != 0 {
+	if m.nJobs != 0 {
 		t.Fatal("jobs remain after drain")
 	}
 	check()
+}
+
+// TestContentionChangeZeroAllocs pins the unit of work a saturated
+// machine is made of: full Quartz with 760 pooled jobs running on 1 to 8
+// nodes, the filesystem held past its threshold by an ambient load, and
+// a job-sized load applied and withdrawn in turn, as a start and a
+// finish do. Every Apply and Remove moves the filesystem factor, so each
+// is an all-lanes change: 760 slowdowns recomputed, 760 completions
+// re-timed, the event heap rebuilt when the clock next moves. None of it
+// allocates once the load history holds the epochs of its retention
+// window: the history copies the pod loads into a ring slot a prune
+// released. One change a simulated second fills the ring until the
+// first prune past the retention window (1,200 s), so the warm-up runs
+// that far plus 64 changes. The count is a runtime.MemStats delta over
+// 200 changes, so a single allocation in any of them fails it.
+func TestContentionChangeZeroAllocs(t *testing.T) {
+	eng := sim.New(7)
+	m, err := New(eng, cluster.Quartz())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.PoolJobs = true
+	profiles := apps.Defaults()
+	sizes := []int{1, 2, 4, 8}
+	for i := 0; i < 760; i++ {
+		alloc, err := m.Alloc.Alloc(sizes[i%len(sizes)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.StartJob(profiles[i%len(profiles)], alloc, 1e12, nil)
+	}
+	m.NewBackground().Set(simnet.Contribution{FS: 1.0})
+	const interval, keep = telemetry.WindowSeconds, 3 * telemetry.WindowSeconds
+	m.StartPruning(interval, keep)
+	job := simnet.Contribution{PodNet: map[int]float64{3: 0.01}, FS: 0.004}
+	change := func(i int) {
+		if i&1 == 0 {
+			m.Net.Apply(job)
+		} else {
+			m.Net.Remove(job)
+		}
+		eng.RunUntil(eng.Now() + 1)
+	}
+	for i := 0; i < interval+keep+64; i++ {
+		change(i)
+	}
+	objects, _ := allocated(func() {
+		for i := 0; i < 200; i++ {
+			change(i)
+		}
+	})
+	if m.nJobs != 760 {
+		t.Fatalf("%d jobs running, want 760", m.nJobs)
+	}
+	if objects != 0 {
+		t.Fatalf("200 contention changes allocated %d times; want 0", objects)
+	}
+}
+
+// allocated runs f once and returns the heap objects and bytes it
+// allocated: a runtime.MemStats delta taken the way testing.AllocsPerRun
+// takes it, on one P so the runtime starts no thread inside the count,
+// but not divided by a run count that would round a fraction of an
+// allocation per call down to zero. A collection first finishes any
+// cycle in progress, whose mark phase would otherwise allocate inside.
+func allocated(f func()) (objects, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }

@@ -160,9 +160,6 @@ func New(eng *sim.Engine, topo cluster.Topology) (*Machine, error) {
 	return m, nil
 }
 
-// Running returns the number of currently executing jobs.
-func (m *Machine) Running() int { return m.nJobs }
-
 // StartJob begins executing profile on alloc with the given contention-
 // free base run time. onDone is invoked (with the allocation already
 // freed and the job's load withdrawn, rj.Alloc still naming the nodes)

@@ -301,7 +301,7 @@ func TestFailNodeKillsVictimAndRestores(t *testing.T) {
 	if math.Abs(done.EndTime-40) > 1e-9 {
 		t.Fatalf("kill time = %v, want 40", done.EndTime)
 	}
-	if m.Running() != 0 || m.Alloc.UsedCount() != 0 {
+	if m.nJobs != 0 || m.Alloc.UsedCount() != 0 {
 		t.Fatal("killed job must release its allocation")
 	}
 	// The failed node stays out of the pool until restored.

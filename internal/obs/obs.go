@@ -11,8 +11,8 @@
 //     handles resolved from it); all methods are nil-receiver safe, so
 //     the disabled hot path is a nil check and nothing else — no
 //     allocations, no map lookups, no branches on configuration structs.
-//     The guarantee is pinned by TestPassZeroAllocs and
-//     BenchmarkPassNoObserver in internal/sched.
+//     The guarantee is pinned by TestPassZeroAllocs in
+//     internal/sched.
 //
 //   - Deterministic output. Events are keyed by simulated time — no wall
 //     clocks, no goroutine identities — and encoded with a fixed field

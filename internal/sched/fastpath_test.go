@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"rush/internal/apps"
@@ -10,6 +11,7 @@ import (
 	"rush/internal/mlkit"
 	"rush/internal/sim"
 	"rush/internal/simnet"
+	"rush/internal/telemetry"
 )
 
 // twinGates builds two machines from the same seed with identical trained
@@ -101,36 +103,123 @@ func TestGateFastPathMatchesReference(t *testing.T) {
 	}
 }
 
-// TestGateDecisionZeroAllocs pins the tentpole allocation contract: a
-// steady-state gate decision — freshness check, window aggregation over
-// the machine-wide scope, probes, feature assembly, ensemble inference —
-// performs zero heap allocations.
+// TestGateDecisionZeroAllocs pins the tentpole allocation contract on
+// both scopes. machine-wide is a steady-state decision — freshness
+// check, window aggregation over every node, probes, feature assembly,
+// ensemble inference. The job shapes are the two decisions a RUSH trial
+// is made of, on a 16-node scope of a 512-node machine under ambient
+// load, with history and sampler pruned as a trial prunes them.
+// first-ask rotates through 28 disjoint scopes one sample period apart,
+// so each returns after 420 s and every row of its window is computed;
+// re-ask stays on one scope and asks two ticks later, the scheduler's
+// 30 s veto cooldown, when 32 rows are new. One lap over the scopes warms
+// the row store, as a trial's first minutes do; after that neither may
+// allocate an object or a byte over two laps. The counts are
+// runtime.MemStats deltas, so a fraction of an allocation per decision,
+// which testing.AllocsPerRun rounds to zero, fails too.
 func TestGateDecisionZeroAllocs(t *testing.T) {
+	model := trainedToyModel(t, gateMachine())
+	if _, ok := model.(mlkit.FastProbaPredictor); !ok {
+		t.Fatal("toy model does not implement the fast path")
+	}
+	j := &Job{ID: 1, App: apps.Defaults()[1]}
 	eng := sim.New(41)
 	m, err := machine.New(eng, cluster.Topology{Nodes: 64, PodSize: 16, CoresPerNode: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := trainedToyModel(t, gateMachine())
 	gate := NewRUSH(m, model)
-	gate.AllNodesScope = true
-	if _, ok := gate.model.(mlkit.FastProbaPredictor); !ok {
-		t.Fatal("toy model does not implement the fast path")
-	}
-	bg := m.NewBackground()
-	bg.Set(simnet.Contribution{PodNet: map[int]float64{0: 0.8}, FS: 0.2})
+	m.NewBackground().Set(simnet.Contribution{PodNet: map[int]float64{0: 0.8}, FS: 0.2})
 	eng.RunUntil(900)
-	alloc := cluster.Allocation{Nodes: []cluster.NodeID{0, 1, 2, 3}}
-	j := &Job{ID: 1, App: apps.Defaults()[1]}
-
-	if !gate.Allow(j, alloc) {
-		j.Skips = 0 // warmup decision outcome irrelevant
-	}
-	allocs := testing.AllocsPerRun(100, func() {
+	// A decision asserts its model to mlkit.FastProbaPredictor at two call
+	// sites, and Go builds a site's type-assertion cache lazily, on about
+	// one call in 1,024, with a 48-byte allocation. Cheap one-node
+	// decisions settle both caches first: the chance that one is still
+	// unbuilt after 20,000 calls is e^-19.
+	one := cluster.Allocation{Nodes: []cluster.NodeID{0}}
+	for i := 0; i < 20000; i++ {
 		j.Skips = 0
-		gate.Allow(j, alloc)
-	})
-	if allocs != 0 {
-		t.Fatalf("gate decision allocated %.1f times per run; want 0", allocs)
+		gate.Allow(j, one)
 	}
+	// measure counts what 56 asks, two laps of the 28 job scopes, allocate.
+	measure := func(ask func(i int)) (objects, bytes uint64) {
+		return allocated(func() {
+			for i := 0; i < 2*28; i++ {
+				ask(i)
+			}
+		})
+	}
+
+	t.Run("machine-wide", func(t *testing.T) {
+		gate.AllNodesScope = true
+		alloc := cluster.Allocation{Nodes: []cluster.NodeID{0, 1, 2, 3}}
+		ask := func(int) {
+			j.Skips = 0
+			gate.Allow(j, alloc)
+		}
+		ask(0) // warm caches and reusable buffers
+		if objects, bytes := measure(ask); objects != 0 || bytes != 0 {
+			t.Fatalf("56 machine-wide gate decisions allocated %d objects, %d bytes; want 0", objects, bytes)
+		}
+	})
+
+	for _, shape := range []struct {
+		name   string
+		ticks  int
+		rotate bool
+	}{{"job/first-ask", 1, true}, {"job/re-ask", 2, false}} {
+		t.Run(shape.name, func(t *testing.T) {
+			eng := sim.New(4242)
+			m, err := machine.New(eng, cluster.Topology{Nodes: 512, PodSize: 64, CoresPerNode: 36})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gate := NewRUSH(m, model)
+			m.NewBackground().Set(simnet.Contribution{
+				PodNet: map[int]float64{0: 0.8, 1: 0.6, 2: 0.9, 3: 0.4, 4: 0.7, 5: 0.5, 6: 0.3, 7: 0.6},
+				FS:     0.3,
+			})
+			eng.RunUntil(900)
+			m.StartPruning(telemetry.WindowSeconds, 3*telemetry.WindowSeconds)
+			var scopes []cluster.Allocation
+			for lo := 64; lo+16 <= 512; lo += 16 {
+				nodes := make([]cluster.NodeID, 16)
+				for i := range nodes {
+					nodes[i] = cluster.NodeID(lo + i)
+				}
+				scopes = append(scopes, cluster.Allocation{Nodes: nodes})
+			}
+			ask := func(i int) {
+				eng.RunUntil(eng.Now() + float64(shape.ticks)*telemetry.SamplePeriod)
+				scope := scopes[0]
+				if shape.rotate {
+					scope = scopes[i%len(scopes)]
+				}
+				j.Skips = 0
+				gate.Allow(j, scope)
+			}
+			for i := range scopes {
+				ask(i)
+			}
+			if objects, bytes := measure(ask); objects != 0 || bytes != 0 {
+				t.Fatalf("two laps of %s gate decisions allocated %d objects, %d bytes; want 0", shape.name, objects, bytes)
+			}
+		})
+	}
+}
+
+// allocated runs f once and returns the heap objects and bytes it
+// allocated: a runtime.MemStats delta taken the way testing.AllocsPerRun
+// takes it, on one P so the runtime starts no thread inside the count,
+// but not divided by a run count that would round a fraction of an
+// allocation per call down to zero. A collection first finishes any
+// cycle in progress, whose mark phase would otherwise allocate inside.
+func allocated(f func()) (objects, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }

@@ -554,20 +554,27 @@ func deepBlockedScheduler(depth int) *Scheduler {
 }
 
 // TestDeepQueuePassZeroAllocs extends the zero-alloc contract to queue
-// depth: a steady-state pass over a 10k-deep blocked queue with a nil
-// observer performs zero heap allocations on the fast path.
+// depth: a steady-state pass over a 1k-, 10k- and 100k-deep blocked
+// queue with a nil observer allocates nothing, counted exactly over 20
+// passes at each depth.
 func TestDeepQueuePassZeroAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("deep queue setup is slow under -short")
 	}
-	s := deepBlockedScheduler(10000)
-	allocs := testing.AllocsPerRun(20, func() {
-		if err := s.Pass(); err != nil {
+	for _, depth := range []int{1000, 10000, 100000} {
+		s := deepBlockedScheduler(depth)
+		var err error
+		objects, bytes := allocated(func() {
+			for i := 0; i < 20 && err == nil; i++ {
+				err = s.Pass()
+			}
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("deep-queue Pass allocated %.1f times per run with a nil observer; want 0", allocs)
+		if objects != 0 || bytes != 0 {
+			t.Fatalf("20 passes over a %d-deep queue allocated %d objects, %d bytes with a nil observer; want 0", depth, objects, bytes)
+		}
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // with a challenger model on every evaluated decision and, during a
 // canary phase, to act on a seeded fraction of them. A nil hook costs a
 // single pointer check per decision, so leaving the hook compiled in is
-// free (pinned by BenchmarkPassNilLifecycle / `make bench-lifecycle`).
+// free (pinned by TestPassNilLifecycleZeroAllocs).
 type DecisionHook interface {
 	// Decide is called after the incumbent model evaluated feats and
 	// returns the final veto decision (implementations that only observe

@@ -16,7 +16,7 @@ import (
 // a congestion-driven feature: it learns "variation iff max xmit wait is
 // high". The feature vector layout matches dataset.BuildFeatures, and
 // the xmit-wait counter responds to pod overload.
-func trainedToyModel(t testing.TB, m *machine.Machine) mlkit.Classifier {
+func trainedToyModel(t *testing.T, m *machine.Machine) mlkit.Classifier {
 	t.Helper()
 	alloc := cluster.Allocation{Nodes: []cluster.NodeID{0, 1, 2, 3}}
 	bg := m.NewBackground()

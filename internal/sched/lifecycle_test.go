@@ -64,17 +64,17 @@ func TestBreakerStateGaugeTracksRecovery(t *testing.T) {
 // RUSH-gated scheduler whose DecisionHook is nil, fully loaded with a
 // blocker plus a backlog so every pass sorts the queue, computes the
 // EASY reservation, and scans backfill candidates.
-func nilHookScheduler(tb testing.TB) *Scheduler {
+func nilHookScheduler(t *testing.T) *Scheduler {
 	m := gateMachine()
-	model := trainedToyModel(tb, m)
+	model := trainedToyModel(t, m)
 	gate := NewRUSH(m, model)
 	s, err := NewScheduler(Config{Machine: m, Gate: gate})
 	if err != nil {
-		tb.Fatal(err)
+		t.Fatal(err)
 	}
 	s.Submit(job(0, m.Topo.Nodes, 1e6)) // holds every node once started
 	if err := s.Pass(); err != nil {
-		tb.Fatal(err)
+		t.Fatal(err)
 	}
 	for i := 1; i <= 4; i++ {
 		s.Submit(job(i, 4*i, 100)) // queued behind the blocker
@@ -95,19 +95,5 @@ func TestPassNilLifecycleZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Pass with a nil lifecycle hook allocated %.1f times per run; want 0", allocs)
-	}
-}
-
-// BenchmarkPassNilLifecycle is the CI-guarded form of
-// TestPassNilLifecycleZeroAllocs (`make bench-lifecycle` fails the build
-// if allocs/op exceed zero).
-func BenchmarkPassNilLifecycle(b *testing.B) {
-	s := nilHookScheduler(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Pass(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

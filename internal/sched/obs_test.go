@@ -41,19 +41,6 @@ func TestPassZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkPassNoObserver is the CI-guarded form of TestPassZeroAllocs
-// (`make bench-obs` fails the build if allocs/op exceed zero).
-func BenchmarkPassNoObserver(b *testing.B) {
-	s := blockedScheduler()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Pass(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestBreakerTransitionsEmitOneEventEach drives the breaker around its
 // full cycle — closed -> open (Failure), open -> half-open (State after
 // the cool-down), half-open -> closed (Success) — and checks each

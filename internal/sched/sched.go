@@ -29,7 +29,7 @@
 // observer's metrics registry. Gates and the circuit breaker emit their
 // own decision and transition events (see Ledger and Breaker). A nil
 // observer compiles to a nil check on the hot path: zero allocations,
-// pinned by TestPassZeroAllocs and BenchmarkPassNoObserver.
+// pinned by TestPassZeroAllocs and TestDeepQueuePassZeroAllocs.
 //
 // # Fail-open semantics
 //
@@ -451,8 +451,8 @@ func (s *Scheduler) Err() error { return s.err }
 //
 // The cycle itself is the availability-timeline pass of fastpass.go,
 // near-O(changes) and, with a nil observer, allocation-free in steady
-// state (pinned by TestPassZeroAllocs and `make bench-sched`). The
-// O(queue × nodes) scanner it is differenced against lives in
+// state (pinned by TestPassZeroAllocs and TestDeepQueuePassZeroAllocs).
+// The O(queue × nodes) scanner it is differenced against lives in
 // reference_test.go.
 func (s *Scheduler) Pass() error {
 	if s.inPass {

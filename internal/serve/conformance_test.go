@@ -25,7 +25,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // conformanceModel trains a small deterministic forest (fixed seed,
 // platform-independent math/rand stream) so every transcript byte is
 // reproducible.
-func conformanceModel(t testing.TB, seed int64) mlkit.Classifier {
+func conformanceModel(t *testing.T, seed int64) mlkit.Classifier {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	x := make([][]float64, 60)

@@ -254,8 +254,8 @@ const (
 // (Eval, then inference through the batcher), and the decision cache sits
 // between them. The breaker mutex is held around the pipeline calls only,
 // never across inference. The cached-decision path (counters-only request
-// with a warm scope) performs zero heap allocations (gated by `make
-// bench-serve`).
+// with a warm scope) performs zero heap allocations (pinned by
+// TestCachedDecisionZeroAllocs).
 func (s *Server) decide(req *Request, resp *Response, phase int) {
 	snap := s.snap.Load()
 	resp.Epoch = snap.Epoch
