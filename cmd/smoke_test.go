@@ -1,13 +1,15 @@
 // Package cmd_test smoke-tests the six commands at their CLI surface:
 // every binary builds, the three simulation drivers exit 0 on a tiny
-// configuration with output that does not depend on -workers, and the
-// retired path-selection flags and the retired fifth model are rejected.
+// configuration with output that does not depend on -workers, and bad
+// -topo values, the retired path-selection flags and the retired fifth
+// model are rejected.
 // It also builds and runs examples/quickstart, the one Go-level driver
 // of the pipeline, so that cannot stop working unnoticed either.
 package cmd_test
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -116,6 +118,25 @@ func TestCommandsSmoke(t *testing.T) {
 			out, err := exec.Command(filepath.Join(bin, name), f).CombinedOutput()
 			if err == nil || !bytes.Contains(out, []byte("flag provided but not defined")) {
 				t.Errorf("%s %s: want an unknown-flag failure, got err=%v\n%.200s", name, f, err, out)
+			}
+		}
+	}
+
+	// A bad -topo exits 1 with a named error before any simulation,
+	// however large the node count.
+	badTopos := map[string]string{
+		"bogus":                 "bad topology",
+		"100,0":                 "non-positive topology field",
+		"9223372036854775807,1": "exceeds the limit",
+		"3000000000,512":        "exceeds the limit",
+	}
+	for _, d := range drivers {
+		for topo, want := range badTopos {
+			args := append(append([]string{}, d.args...), "-topo", topo)
+			out, err := exec.Command(filepath.Join(bin, d.name), args...).CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 || !bytes.Contains(out, []byte(want)) {
+				t.Errorf("%s -topo %s: want exit 1 saying %q, got err=%v\n%.300s", d.name, topo, want, err, out)
 			}
 		}
 	}

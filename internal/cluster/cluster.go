@@ -88,10 +88,22 @@ func (t Topology) String() string {
 	return fmt.Sprintf("%d,%d", t.Nodes, t.PodSize)
 }
 
-// Validate reports whether the topology is internally consistent.
+// maxNodes bounds Topology.Nodes: about 350 times Quartz's 2,988 nodes
+// and 256 times the 4,096-node stress shape, yet small enough that the
+// per-node state a simulation allocates up front fits in memory. Without
+// it a count such as 9223372036854775807 panics inside the first
+// allocation, and 3000000000 was still running a one-trial simulation
+// after a minute.
+const maxNodes = 1 << 20
+
+// Validate reports whether the topology is internally consistent and
+// small enough to simulate.
 func (t Topology) Validate() error {
 	if t.Nodes <= 0 || t.PodSize <= 0 || t.CoresPerNode <= 0 {
 		return fmt.Errorf("cluster: non-positive topology field: %+v", t)
+	}
+	if t.Nodes > maxNodes {
+		return fmt.Errorf("cluster: %d nodes exceeds the limit of %d", t.Nodes, maxNodes)
 	}
 	if t.PodSize > t.Nodes {
 		return fmt.Errorf("cluster: pod size %d exceeds node count %d", t.PodSize, t.Nodes)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -29,11 +30,15 @@ func TestTopologyValidate(t *testing.T) {
 		{Nodes: 10, PodSize: 0, CoresPerNode: 1},
 		{Nodes: 10, PodSize: 20, CoresPerNode: 1},
 		{Nodes: 10, PodSize: 2, CoresPerNode: 0},
+		{Nodes: maxNodes + 1, PodSize: 512, CoresPerNode: 36},
 	}
 	for _, b := range bad {
 		if err := b.Validate(); err == nil {
 			t.Errorf("topology %+v should be invalid", b)
 		}
+	}
+	if err := Synthetic(maxNodes, 512).Validate(); err != nil {
+		t.Errorf("the largest topology allowed is rejected: %v", err)
 	}
 }
 
@@ -277,6 +282,16 @@ func TestAllocationPods(t *testing.T) {
 	for i := range want {
 		if pods[i] != want[i] {
 			t.Fatalf("pods = %v, want %v", pods, want)
+		}
+	}
+}
+
+// TestParseRejectsOversizedTopology: a node count past maxNodes is a
+// named error from Parse, not a panic or a hang inside the simulation.
+func TestParseRejectsOversizedTopology(t *testing.T) {
+	for _, in := range []string{"9223372036854775807,1", "3000000000,512", "1048577,512"} {
+		if _, err := Parse(in); err == nil || !strings.Contains(err.Error(), "exceeds the limit") {
+			t.Errorf("Parse(%q) error = %v, want the node limit named", in, err)
 		}
 	}
 }

@@ -59,3 +59,28 @@ func TestSyntheticPods(t *testing.T) {
 		t.Errorf("quartz pods = %d, want 16 (last partial)", got)
 	}
 }
+
+// FuzzTopoParse feeds arbitrary -topo values to Parse. Each must end in
+// an error or in a topology Validate accepts, within maxNodes, whose
+// String parses back to the same topology.
+func FuzzTopoParse(f *testing.F) {
+	for _, seed := range []string{"pod512", "quartz", "4096,512", "+1,1", "100,0", "9223372036854775807,1", "3000000000,512"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		topo, err := Parse(in)
+		if err != nil {
+			return
+		}
+		if err := topo.Validate(); err != nil {
+			t.Fatalf("Parse(%q) = %+v, which Validate rejects: %v", in, topo, err)
+		}
+		if topo.Nodes > maxNodes {
+			t.Fatalf("Parse(%q) = %d nodes, past the limit of %d", in, topo.Nodes, maxNodes)
+		}
+		back, err := Parse(topo.String())
+		if err != nil || back != topo {
+			t.Fatalf("Parse(%q) = %+v renders as %q, which parses to %+v (err %v)", in, topo, topo.String(), back, err)
+		}
+	})
+}

@@ -507,9 +507,10 @@ func drive(name string, stream workload.JobStream, policy Policy, pred *core.Pre
 }
 
 // RunTrialJobs executes a job slice (e.g. one from workload.Generate or
-// workload.FromSWF) under the given policy and keeps one JobRecord per
-// job. The slice may be in any order: it is fed in SubmitAt order, jobs
-// with equal submit times in slice order, and is not modified.
+// a drained workload.SWFStream) under the given policy and keeps one
+// JobRecord per job. The slice may be in any order: it is fed in SubmitAt
+// order, jobs with equal submit times in slice order, and is not
+// modified.
 func RunTrialJobs(name string, jobs []workload.SubmittedJob, policy Policy, pred *core.Predictor, seed int64, cfg Config) (*Trial, error) {
 	sorted := append([]workload.SubmittedJob(nil), jobs...)
 	sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].SubmitAt < sorted[b].SubmitAt })

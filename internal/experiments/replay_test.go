@@ -27,26 +27,29 @@ func replayFixture(t *testing.T) []byte {
 	return b
 }
 
-// fixtureJobs converts the fixture through the in-memory reference
-// loader.
+// fixtureJobs drains the fixture's SWF stream into a slice. That the
+// stream yields what the materializing loader yields is proven in
+// workload (TestStreamMatchesInMemoryLoader, FuzzSWFStream).
 func fixtureJobs(t *testing.T, opts workload.SWFOptions) []workload.SubmittedJob {
 	t.Helper()
-	trace, err := workload.ParseSWF(bytes.NewReader(replayFixture(t)))
-	if err != nil {
-		t.Fatal(err)
+	st := workload.NewSWFStream(bytes.NewReader(replayFixture(t)), opts)
+	var jobs []workload.SubmittedJob
+	for {
+		j, ok, err := st.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return jobs
+		}
+		jobs = append(jobs, j)
 	}
-	jobs, err := workload.FromSWF(trace, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return jobs
 }
 
-// TestReplayStreamingMatchesInMemory is the loader differential through
-// the whole stack: a replay fed lazily from SWF bytes must be
+// TestReplayStreamingMatchesInMemory pins that how the jobs arrive does
+// not matter to a replay: one fed lazily from SWF bytes must be
 // bit-identical — trace bytes and all aggregates — to one fed from the
-// slice the in-memory reference loader (workload.ParseSWF + FromSWF)
-// materializes, across seeds.
+// same jobs materialized into a slice first, across seeds.
 func TestReplayStreamingMatchesInMemory(t *testing.T) {
 	raw := replayFixture(t)
 	for _, seed := range []int64{1, 2, 3} {

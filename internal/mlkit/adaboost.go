@@ -60,9 +60,6 @@ type AdaBoost struct {
 	trees   []*Tree // weak learners when Depth >= 2
 	alphas  []float64
 	imp     []float64
-	// reference is TreeConfig.reference for depth >= 2 weak learners; set
-	// only by this package's tests. Stumps have one implementation.
-	reference bool
 }
 
 // stump is a depth-1 decision rule: class left/right of one threshold.
@@ -138,14 +135,10 @@ func (a *AdaBoost) Fit(x [][]float64, y []int) error {
 	// depth >= 2 tree weak learners partition a per-round copy of it
 	// instead of re-sorting per node.
 	n := len(x)
-	var colv []float64
-	var cols *sortedCols
-	if a.cfg.Depth == 1 || !a.reference {
-		colv = columnMajor(x, nf)
-		cols = presortColumns(colv, nf, n, a.cfg.Workers)
-	}
+	colv := columnMajor(x, nf)
+	cols := presortColumns(colv, nf, n, a.cfg.Workers)
 	var treeCtx *trainCtx
-	if a.cfg.Depth >= 2 && !a.reference {
+	if a.cfg.Depth >= 2 {
 		treeCtx = &trainCtx{colv: colv, cols: cols}
 	}
 	w := make([]float64, n)
@@ -177,7 +170,6 @@ func (a *AdaBoost) Fit(x [][]float64, y []int) error {
 				MaxDepth:    a.cfg.Depth + 1, // CART counts the root as a level
 				MaxFeatures: a.cfg.MaxFeatures,
 				Seed:        seedRng.Int63(),
-				reference:   a.reference,
 			})
 			if err := tree.fitWeightedCtx(x, yi, w, treeCtx); err != nil {
 				return err

@@ -56,9 +56,6 @@ type Forest struct {
 	// lists are mapped into the forest's). Derived by compile after Fit
 	// and LoadModel, never serialized.
 	treePos [][]int32
-	// reference is TreeConfig.reference for every tree of the fit, and
-	// skips the shared column presort; set only by this package's tests.
-	reference bool
 }
 
 // NewRandomForest returns a Random Forest classifier.
@@ -114,16 +111,13 @@ func (f *Forest) Fit(x [][]float64, y []int) error {
 		jobs[t] = treeJob{x: tx, y: ty, picks: picks, seed: rng.Int63()}
 	}
 
-	// The fast path presorts the original matrix once and derives each
-	// bootstrap tree's sorted columns from it (bootstrapCtx) instead of
-	// sorting per tree; Extra Trees never consult sorted order, so they
-	// share just the column-major values.
-	var master *trainCtx
-	if !f.reference {
-		master = &trainCtx{colv: columnMajor(x, nf)}
-		if f.bootstrap && !f.randomThr {
-			master.cols = presortColumns(master.colv, nf, len(x), f.cfg.Workers)
-		}
+	// Presort the original matrix once and derive each bootstrap tree's
+	// sorted columns from it (bootstrapCtx) instead of sorting per tree;
+	// Extra Trees never consult sorted order, so they share just the
+	// column-major values.
+	master := &trainCtx{colv: columnMajor(x, nf)}
+	if f.bootstrap && !f.randomThr {
+		master.cols = presortColumns(master.colv, nf, len(x), f.cfg.Workers)
 	}
 
 	if err := parallel.Run(f.cfg.Workers, f.cfg.Trees, func(t int) error {
@@ -133,18 +127,13 @@ func (f *Forest) Fit(x [][]float64, y []int) error {
 			MaxFeatures:     f.cfg.MaxFeatures,
 			RandomThreshold: f.randomThr,
 			Seed:            jobs[t].seed,
-			reference:       f.reference,
 		})
-		var tc *trainCtx
-		if master != nil {
-			if jobs[t].picks != nil {
-				tc = bootstrapCtx(master, nf, len(x), jobs[t].picks)
-			} else {
-				tc = master
-			}
+		tc := master
+		if jobs[t].picks != nil {
+			tc = bootstrapCtx(master, nf, len(x), jobs[t].picks)
 		}
 		err := tree.fitCtx(jobs[t].x, jobs[t].y, tc)
-		if tc != nil && tc != master {
+		if tc != master {
 			tc.release() // pooled bootstrap buffers; the fit retains nothing from them
 		}
 		if err != nil {

@@ -6,11 +6,12 @@ import (
 	"rush/internal/sim"
 )
 
-// This file is the production training path: an iterative tree builder
-// that grows exactly the trees treeBuilder (tree.go) grows — same nodes,
-// same bytes — without its per-node per-candidate sort.Slice calls. Feature columns are sorted once per Fit (presort.go)
-// and every split stably partitions the sorted index segments in place,
-// so a node's candidate scan just walks its already-sorted segment. All
+// This file is the training path: an iterative tree builder that grows
+// exactly the trees the per-node-sort oracle (treeref_test.go) grows —
+// same nodes, same bytes — without its per-node per-candidate sort.Slice
+// calls. Feature columns are sorted once per Fit (presort.go) and every
+// split stably partitions the sorted index segments in place, so a
+// node's candidate scan just walks its already-sorted segment. All
 // working storage (row lists, class histograms, partition scratch, the
 // feature-subsample permutation, the node stack) is allocated once per
 // Fit and reused across nodes.
@@ -41,10 +42,9 @@ import (
 // sums while the inner loops drop the weight loads and float adds.
 // Weighted fits (AdaBoost with Depth >= 2) keep the float accumulation.
 //
-// treeBuilder stays as the oracle: the unexported TreeConfig.reference
-// (which the ensembles propagate) routes a fit through it, and only the
-// differential tests in trainfast_test.go set that, to diff the
-// serialized bytes of both builders.
+// The oracle is test code: viaReference puts it on the one seam,
+// oracleBuild (tree.go), and the differential tests in trainfast_test.go
+// diff the serialized bytes of both builders.
 
 // fastFrame is one pending subtree: the node's half-open segment in the
 // partitioned row/column arrays, its depth, and the parent slot to patch
@@ -207,7 +207,7 @@ func (fb *fastTreeBuilder) run() {
 }
 
 // node emits the node for one frame — a leaf, or a split plus its two
-// child frames — and returns its index. It mirrors treeBuilder.build
+// child frames — and returns its index. It mirrors the oracle's build
 // statement for statement.
 func (fb *fastTreeBuilder) node(fr fastFrame) int {
 	rows := fb.rows[fr.start:fr.end]

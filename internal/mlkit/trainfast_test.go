@@ -41,24 +41,8 @@ func quantizedDataset(n, nf int, seed int64) ([][]float64, []int) {
 	return x, y
 }
 
-// viaReference selects the per-node-sort oracle builder (treeBuilder)
-// for m's next Fit when on is set — the one place the unexported
-// reference hooks are written.
-func viaReference(c Classifier, on bool) Classifier {
-	switch m := c.(type) {
-	case *Tree:
-		m.cfg.reference = on
-	case *Forest:
-		m.reference = on
-	case *AdaBoost:
-		m.reference = on
-	}
-	return c
-}
-
-// fastPathModels builds every tree-family model in both fast and
-// reference configurations.
-func fastPathModels(seed int64, workers int, reference bool) []struct {
+// fastPathModels builds every tree-family model, untrained.
+func fastPathModels(seed int64, workers int) []struct {
 	name string
 	c    Classifier
 } {
@@ -73,9 +57,6 @@ func fastPathModels(seed int64, workers int, reference bool) []struct {
 		{"ExtraTrees", NewExtraTrees(ForestConfig{Trees: 12, MaxDepth: 7, Seed: seed, Workers: workers})},
 		{"AdaBoostStumps", NewAdaBoost(AdaBoostConfig{Rounds: 15, Seed: seed, Workers: workers})},
 		{"AdaBoostTrees", NewAdaBoost(AdaBoostConfig{Rounds: 8, Depth: 2, MaxFeatures: 6, Seed: seed, Workers: workers})},
-	}
-	for _, m := range models {
-		viaReference(m.c, reference)
 	}
 	return models
 }
@@ -95,11 +76,12 @@ func TestFastPathBitIdentical(t *testing.T) {
 	for _, ds := range datasets {
 		for seed := int64(1); seed <= 5; seed++ {
 			x, y := ds.mk(seed)
-			ref := fastPathModels(seed, 1, true)
-			fast1 := fastPathModels(seed, 1, false)
-			fast8 := fastPathModels(seed, 8, false)
+			ref := fastPathModels(seed, 1)
+			fast1 := fastPathModels(seed, 1)
+			fast8 := fastPathModels(seed, 8)
 			for i := range ref {
-				want := fitSerialized(t, ref[i].c, x, y)
+				var want []byte
+				viaReference(func() { want = fitSerialized(t, ref[i].c, x, y) })
 				got1 := fitSerialized(t, fast1[i].c, x, y)
 				got8 := fitSerialized(t, fast8[i].c, x, y)
 				if !bytes.Equal(want, got1) {
@@ -127,9 +109,10 @@ func TestFastPathWeightedBitIdentical(t *testing.T) {
 		}
 		for _, maxFeat := range []int{0, SqrtFeatures} {
 			ref := NewTree(TreeConfig{MaxDepth: 8, MaxFeatures: maxFeat, Seed: seed})
-			ref.cfg.reference = true
 			fast := NewTree(TreeConfig{MaxDepth: 8, MaxFeatures: maxFeat, Seed: seed})
-			if err := ref.FitWeighted(x, y, w); err != nil {
+			var err error
+			viaReference(func() { err = ref.FitWeighted(x, y, w) })
+			if err != nil {
 				t.Fatal(err)
 			}
 			if err := fast.FitWeighted(x, y, w); err != nil {
@@ -155,17 +138,18 @@ func TestFastPathWeightedBitIdentical(t *testing.T) {
 // ranker.
 func TestRFEUnchangedByFastPath(t *testing.T) {
 	x, y := synthBinary(160, 5, 15, 0.4, 7)
-	run := func(reference bool) RFEResult {
+	run := func() RFEResult {
 		res, err := RFE(func() Classifier {
-			return viaReference(NewExtraTrees(ForestConfig{Trees: 10, MaxDepth: 6, Seed: 3}), reference)
+			return NewExtraTrees(ForestConfig{Trees: 10, MaxDepth: 6, Seed: 3})
 		}, x, y, RFEConfig{Seed: 11, MinFeatures: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	ref := run(true)
-	fast := run(false)
+	var ref RFEResult
+	viaReference(func() { ref = run() })
+	fast := run()
 	if !reflect.DeepEqual(ref, fast) {
 		t.Errorf("RFE results differ between fast and reference paths:\nref:  %+v\nfast: %+v", ref, fast)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"rush/internal/apps"
 	"rush/internal/cluster"
+	"rush/internal/dataset"
 	"rush/internal/machine"
 	"rush/internal/mlkit"
 	"rush/internal/sim"
@@ -15,8 +16,9 @@ import (
 )
 
 // twinGates builds two machines from the same seed with identical trained
-// models — one gate on the fast path, one forced through the reference
-// path — so their decisions can be compared step for step.
+// models, one gate on each, so that the production decision of one and
+// the oracle decision of the other (refAllow) can be compared step for
+// step.
 func twinGates(t *testing.T, seed int64, allScope bool, probThreshold float64) (fast, ref *RUSH, bgF, bgR *machine.Background) {
 	t.Helper()
 	build := func() (*machine.Machine, *machine.Background) {
@@ -36,7 +38,6 @@ func twinGates(t *testing.T, seed int64, allScope bool, probThreshold float64) (
 	model := trainedToyModel(t, gateMachine())
 	fast = NewRUSH(mF, model)
 	ref = NewRUSH(mR, model)
-	ref.reference = true
 	fast.AllNodesScope = allScope
 	ref.AllNodesScope = allScope
 	fast.ProbThreshold = probThreshold
@@ -44,9 +45,60 @@ func twinGates(t *testing.T, seed int64, allScope bool, probThreshold float64) (
 	return fast, ref, bgF, bgR
 }
 
+// refFeatures is the oracle of Features.LiveFeatures: the feature vector
+// built from scratch by the functions core.Collect builds training rows
+// with, aggregated by a sampler that stores no row. Its topology has the
+// machine's pod size and no nodes, so every node of a scope is one it
+// has no ring for and each row is computed afresh, from the machine's
+// history and with its sampler's noise stream. (Flushing the machine's
+// own store would leave the oracle reading the row store it checks.)
+func refFeatures(g *RUSH, alloc cluster.Allocation, class apps.Class) []float64 {
+	m := g.m
+	s := telemetry.NewSampler(cluster.Topology{PodSize: m.Topo.PodSize}, m.Eng.Source().Derive("telemetry"))
+	agg := s.AggregateWindow(m.Net.History(), g.scopeNodes(alloc), m.Eng.Now())
+	return dataset.BuildFeatures(agg, m.RunProbes(alloc), class)
+}
+
+// refAllow is RUSH.Allow with both oracles in place of the production
+// paths: refFeatures for the vector, and the model's allocating Predict
+// and PredictProba for the verdict. The pipeline layers and the ledger
+// are g's own, so the counters can be compared too.
+func refAllow(t *testing.T, g *RUSH, j *Job, alloc cluster.Allocation) bool {
+	t.Helper()
+	now := g.m.Eng.Now()
+	v := g.Admit(now, j.Skips, j.SkipThreshold, false)
+	if !v.Final() && g.MaxStaleness > 0 {
+		v = g.Fresh(now, g.FreshnessAge(alloc))
+	}
+	var feats []float64
+	if !v.Final() {
+		feats = refFeatures(g, alloc, j.App.Class)
+		var err error
+		if v, err = g.Eval(now, v.Age, feats, len(feats)); err != nil {
+			t.Fatal(err)
+		}
+		if !v.Final() {
+			class := g.model.Predict(feats)
+			veto := g.VariationLabels[class]
+			if g.ProbThreshold > 0 {
+				pp := g.model.(mlkit.ProbaPredictor)
+				var mass float64
+				for i, p := range pp.PredictProba(feats) {
+					if g.VariationLabels[pp.Classes()[i]] {
+						mass += p
+					}
+				}
+				veto = mass > g.ProbThreshold
+			}
+			v = v.Decided(veto, class)
+		}
+	}
+	return g.Record(now, j, v, feats, nil)
+}
+
 // TestGateFastPathMatchesReference drives twin gates through identical
 // load histories and checks every decision, feature vector, and counter
-// agrees bit for bit between the fast path and the reference path —
+// agrees bit for bit between the production path and the oracles —
 // across both scopes and both decision rules.
 func TestGateFastPathMatchesReference(t *testing.T) {
 	cases := []struct {
@@ -73,7 +125,7 @@ func TestGateFastPathMatchesReference(t *testing.T) {
 				ref.m.Eng.RunUntil(ref.m.Eng.Now() + dt)
 
 				ff := fast.LiveFeatures(alloc, apps.NetworkIntensive)
-				rf := ref.LiveFeatures(alloc, apps.NetworkIntensive)
+				rf := refFeatures(ref, alloc, apps.NetworkIntensive)
 				if len(ff) != len(rf) {
 					t.Fatalf("step %d: feature lengths %d vs %d", step, len(ff), len(rf))
 				}
@@ -83,11 +135,11 @@ func TestGateFastPathMatchesReference(t *testing.T) {
 					}
 				}
 				j := &Job{ID: step, App: apps.Defaults()[1]}
-				// LiveFeatures above consumed probe draws on both sides
-				// equally; Allow consumes another identical set.
+				// The feature builds above consumed probe draws on both
+				// sides equally; a decision consumes another identical set.
 				fd := fast.Allow(j, alloc)
 				j2 := &Job{ID: step, App: apps.Defaults()[1]}
-				rd := ref.Allow(j2, alloc)
+				rd := refAllow(t, ref, j2, alloc)
 				if fd != rd {
 					t.Fatalf("step %d: fast decision %v, reference %v", step, fd, rd)
 				}
@@ -131,16 +183,6 @@ func TestGateDecisionZeroAllocs(t *testing.T) {
 	gate := NewRUSH(m, model)
 	m.NewBackground().Set(simnet.Contribution{PodNet: map[int]float64{0: 0.8}, FS: 0.2})
 	eng.RunUntil(900)
-	// A decision asserts its model to mlkit.FastProbaPredictor at two call
-	// sites, and Go builds a site's type-assertion cache lazily, on about
-	// one call in 1,024, with a 48-byte allocation. Cheap one-node
-	// decisions settle both caches first: the chance that one is still
-	// unbuilt after 20,000 calls is e^-19.
-	one := cluster.Allocation{Nodes: []cluster.NodeID{0}}
-	for i := 0; i < 20000; i++ {
-		j.Skips = 0
-		gate.Allow(j, one)
-	}
 	// measure counts what 56 asks, two laps of the 28 job scopes, allocate.
 	measure := func(ask func(i int)) (objects, bytes uint64) {
 		return allocated(func() {

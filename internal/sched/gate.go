@@ -47,13 +47,6 @@ type Features struct {
 	// comparison; job-node scope is the deployed default).
 	AllNodesScope bool
 
-	// reference routes LiveFeatures, and the embedding RUSH gate's model
-	// call, through the allocating reference implementations: full window
-	// recompute (Sampler.AggregateRangeRef) and pointer-tree PredictProba.
-	// Decisions are bit-identical either way; only the differential test
-	// in fastpath_test.go sets it.
-	reference bool
-
 	allNodes []cluster.NodeID
 	winAgg   *telemetry.WindowAgg
 	aggBuf   telemetry.Aggregates
@@ -69,16 +62,9 @@ func NewFeatures(m *machine.Machine) Features { return Features{m: m} }
 // the current machine state.
 //
 // The returned slice is a per-value buffer reused by the next call;
-// callers that retain features across decisions must copy them. The probe
-// noise draw order is identical on the fast and reference paths, so the
-// reference path never perturbs the rng stream.
+// callers that retain features across decisions must copy them.
 func (f *Features) LiveFeatures(alloc cluster.Allocation, class apps.Class) []float64 {
 	now := f.m.Eng.Now()
-	if f.reference {
-		agg := f.m.Sampler.AggregateRangeRef(f.m.Net.History(), f.scopeNodes(alloc), now-telemetry.WindowSeconds, now)
-		probes := f.m.RunProbes(alloc)
-		return dataset.BuildFeatures(agg, probes, class)
-	}
 	if f.AllNodesScope {
 		// The machine-wide scope is fixed, so a sliding-window aggregator
 		// amortizes each tick's node sweep across decisions.
@@ -128,6 +114,10 @@ type RUSH struct {
 	Ledger
 
 	model mlkit.Classifier
+	// fast (nil when the model lacks the interface) and width are the
+	// model's capabilities a decision reads, asserted once by setModel.
+	fast  mlkit.FastProbaPredictor
+	width int
 
 	// VariationLabels is the set of predicted labels that delay a job.
 	// The default delays only dataset.LabelVariation; including
@@ -171,13 +161,31 @@ func (g *RUSH) Observe(o *obs.Observer) {
 // fail-open thresholds (telemetry at most 90 s old, 1.5 sample periods;
 // at most half the features missing) and a default Breaker.
 func NewRUSH(m *machine.Machine, model mlkit.Classifier) *RUSH {
-	return &RUSH{
+	g := &RUSH{
 		Features: NewFeatures(m),
 		Pipeline: Pipeline{MaxStaleness: 90, MaxMissing: 0.5, Breaker: NewBreaker()},
-		model:    model,
 		VariationLabels: map[int]bool{
 			dataset.LabelVariation: true,
 		},
+	}
+	g.setModel(model)
+	return g
+}
+
+// setModel installs a trained model. Its feature width and whether it
+// implements mlkit.FastProbaPredictor are read here, once, and the
+// probability buffer is sized to its classes, so a decision asserts
+// nothing about the model.
+func (g *RUSH) setModel(model mlkit.Classifier) {
+	g.model, g.width = model, 0
+	if w, ok := model.(interface{ NumFeatures() int }); ok {
+		g.width = w.NumFeatures()
+	}
+	g.fast, _ = model.(mlkit.FastProbaPredictor)
+	if g.fast != nil {
+		if n := len(g.fast.Classes()); cap(g.probsBuf) < n {
+			g.probsBuf = make([]float64, n)
+		}
 	}
 }
 
@@ -202,7 +210,7 @@ func (g *RUSH) Allow(j *Job, alloc cluster.Allocation) bool {
 	if !v.Final() {
 		feats = g.LiveFeatures(alloc, j.App.Class)
 		var err error
-		if v, err = g.Eval(now, v.Age, feats, g.model); err != nil {
+		if v, err = g.Eval(now, v.Age, feats, g.width); err != nil {
 			// LiveFeatures always builds dataset.NumFeatures entries, so
 			// only a model trained on some other layout gets here.
 			panic("sched: " + err.Error())
@@ -219,14 +227,14 @@ func (g *RUSH) Model() mlkit.Classifier { return g.model }
 
 // SwapModel replaces the gate's classifier in place — the model
 // lifecycle promotes a vetted challenger this way. The next decision
-// uses the new model; the probability buffer resizes on demand, so a
-// model with a different class count is safe.
+// uses the new model; the probability buffer is resized here, so a model
+// with a different class count is safe.
 //
-// The swap is a plain pointer write: the gate lives inside one trial's
+// The swap is a plain write: the gate lives inside one trial's
 // single-threaded event loop, like the scheduler itself. A host whose
 // readers run concurrently with promotions must publish the swap
 // atomically, as serve.Server does with its Snapshot pointer.
-func (g *RUSH) SwapModel(m mlkit.Classifier) { g.model = m }
+func (g *RUSH) SwapModel(m mlkit.Classifier) { g.setModel(m) }
 
 // DegradedTime returns the simulated seconds spent with the breaker
 // open, or 0 when the breaker is disabled.
@@ -245,10 +253,5 @@ func (g *RUSH) DegradedTime() float64 {
 // invoked — never only when tracing — so enabling a trace cannot perturb
 // a single decision.
 func (g *RUSH) decide(feats []float64) (veto bool, class int) {
-	if fp, ok := g.model.(mlkit.FastProbaPredictor); ok && !g.reference {
-		if n := len(fp.Classes()); cap(g.probsBuf) < n {
-			g.probsBuf = make([]float64, n)
-		}
-	}
-	return decideWith(g.model, g.VariationLabels, g.ProbThreshold, !g.reference, feats, g.probsBuf[:cap(g.probsBuf)])
+	return decideWith(g.model, g.fast, g.VariationLabels, g.ProbThreshold, feats, g.probsBuf)
 }

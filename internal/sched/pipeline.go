@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"rush/internal/mlkit"
 	"rush/internal/obs"
 )
 
@@ -130,13 +129,14 @@ func (p *Pipeline) Fresh(now, age float64) Verdict {
 }
 
 // Eval runs the layers that read the feature vector, up to and including
-// the breaker success that precedes the model call. A vector narrower
-// than the model reads is an error and no decision at all (the models
-// index it unchecked; a wider one is legal, a model may read a prefix).
-// On a clear verdict the caller consults the model and calls Decided.
-func (p *Pipeline) Eval(now, age float64, feats []float64, model mlkit.Classifier) (Verdict, error) {
-	if w, ok := model.(interface{ NumFeatures() int }); ok && len(feats) < w.NumFeatures() {
-		return Verdict{}, fmt.Errorf("feature vector has %d entries, the model reads %d", len(feats), w.NumFeatures())
+// the breaker success that precedes the model call. width is how many
+// features the model reads, 0 when it does not say. A vector narrower
+// than that is an error and no decision at all (the models index it
+// unchecked; a wider one is legal, a model may read a prefix). On a
+// clear verdict the caller consults the model and calls Decided.
+func (p *Pipeline) Eval(now, age float64, feats []float64, width int) (Verdict, error) {
+	if len(feats) < width {
+		return Verdict{}, fmt.Errorf("feature vector has %d entries, the model reads %d", len(feats), width)
 	}
 	v := NewVerdict("", "")
 	v.Age = age

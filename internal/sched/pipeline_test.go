@@ -106,7 +106,7 @@ func walkPipeline(t *testing.T, r pipelineRow, twoPhase bool) pipelineRun {
 			feats[i] = math.NaN()
 		}
 		var err error
-		if v, err = p.Eval(pipelineNow, v.Age, feats, model); err != nil {
+		if v, err = p.Eval(pipelineNow, v.Age, feats, model.NumFeatures()); err != nil {
 			run.err = true
 		} else if !v.Final() {
 			v = v.Decided(snap.Decide(feats, nil))

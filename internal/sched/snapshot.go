@@ -65,12 +65,13 @@ func (s *Snapshot) Classes() int {
 // it concurrently. The verdict is bit-identical to RUSH.Allow's model
 // consultation for the same features (both delegate to decideWith).
 func (s *Snapshot) Decide(feats, probs []float64) (veto bool, class int) {
-	if fp, ok := s.Model.(mlkit.FastProbaPredictor); ok {
+	fp, _ := s.Model.(mlkit.FastProbaPredictor)
+	if fp != nil {
 		if n := len(fp.Classes()); len(probs) < n {
 			probs = make([]float64, n)
 		}
 	}
-	return decideWith(s.Model, s.VariationLabels, s.ProbThreshold, true, feats, probs)
+	return decideWith(s.Model, fp, s.VariationLabels, s.ProbThreshold, feats, probs)
 }
 
 // Features assembles the model's feature vector from the snapshot's
@@ -85,12 +86,12 @@ func (s *Snapshot) Features(probes simnet.ProbeResult, class apps.Class, buf []f
 // decideWith is the pure decision core shared by the in-process gate
 // (RUSH.decide) and read-only snapshots (Snapshot.Decide): apply either
 // the hard label rule (Algorithm 2) or, when probThreshold is positive,
-// the probability rule. probs must have len >= len(Classes()) when fast
-// is true and the model supports allocation-free inference; the
-// reference path ignores it. Keeping one implementation is what pins
-// served decisions byte-identical to in-process ones.
-func decideWith(model mlkit.Classifier, labels map[int]bool, probThreshold float64, fast bool, feats, probs []float64) (veto bool, class int) {
-	if fp, ok := model.(mlkit.FastProbaPredictor); ok && fast {
+// the probability rule. fp is model's mlkit.FastProbaPredictor, nil when
+// it has none; with one, probs must have len >= len(fp.Classes()).
+// Keeping one implementation is what pins served decisions byte-identical
+// to in-process ones.
+func decideWith(model mlkit.Classifier, fp mlkit.FastProbaPredictor, labels map[int]bool, probThreshold float64, feats, probs []float64) (veto bool, class int) {
+	if fp != nil {
 		classes := fp.Classes()
 		p := probs[:len(classes)]
 		class = fp.PredictProbaInto(feats, p)

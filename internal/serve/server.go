@@ -318,8 +318,12 @@ func (s *Server) decide(req *Request, resp *Response, phase int) {
 		feats = snap.Features(simnet.ProbeResult{}, apps.Class(req.Class), make([]float64, 0, dataset.NumFeatures))
 	}
 	resp.Age = v.Age // an error answer below still reports the age
+	width := 0
+	if w, ok := snap.Model.(interface{ NumFeatures() int }); ok {
+		width = w.NumFeatures()
+	}
 	s.bmu.Lock()
-	v, err := s.pipe.Eval(now, v.Age, feats, snap.Model)
+	v, err := s.pipe.Eval(now, v.Age, feats, width)
 	s.bmu.Unlock()
 	if err != nil {
 		// A short vector would panic the batcher goroutine; it is the

@@ -34,6 +34,47 @@ func (f testFaults) SampleTick(node cluster.NodeID, tick int64) int64 {
 	return tick
 }
 
+// aggregateRef is the from-scratch oracle the row store and WindowAgg are
+// differenced against: every (node, tick) row of the window goes through
+// computeRow into a row of its own, with no store, and the rows fold the
+// way aggregateInto folds them. It uses none of the sampler's caches or
+// scratch buffers.
+func aggregateRef(s *Sampler, hist *simnet.History, nodes []cluster.NodeID, t0, t1 float64) Aggregates {
+	var (
+		out    Aggregates
+		fold   tickFold
+		counts [NumCounters]int
+		row    sampleRow
+	)
+	startAggregates(&out, &counts)
+	nodes = capNodes(nodes)
+	if len(nodes) == 0 {
+		return out
+	}
+	first, last := tickBounds(t0, t1)
+	if last < first {
+		first = int64(math.Floor(t0 / SamplePeriod))
+		last = first
+	}
+	slices := hist.WindowInto(t0, t1, nil)
+	fold.reset()
+	for tick := first; tick <= last; tick++ {
+		tickT := float64(tick) * SamplePeriod
+		if tickT < t0 {
+			tickT = t0
+		}
+		_, tickNet, tickFS := loadsAt(slices, 0, tickT)
+		fold.nextTick()
+		for _, node := range nodes {
+			s.computeRow(slices, node, tick, tickT, tickNet, tickFS, &row)
+			fold.add(&row.vals, true)
+		}
+		fold.mergeInto(&out, &counts)
+	}
+	finishAggregates(&out, &counts)
+	return out
+}
+
 // sameAggregates compares two aggregate sets bit-for-bit (NaN == NaN).
 func sameAggregates(t *testing.T, label string, a, b Aggregates) {
 	t.Helper()
@@ -67,7 +108,7 @@ func scrambleLoad(st *simnet.State, rng *sim.Source, step int) simnet.Contributi
 // TestFastAggregationMatchesReference is the tentpole differential
 // property test: over several seeds, with and without fault injection,
 // the cached fast path (AggregateRangeInto) must be bit-identical to the
-// from-scratch reference (AggregateRangeRef) for a mix of sliding,
+// from-scratch reference (aggregateRef) for a mix of sliding,
 // overlapping, and repeated windows interleaved with load changes.
 func TestFastAggregationMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
@@ -105,7 +146,7 @@ func TestFastAggregationMatchesReference(t *testing.T) {
 					t0 = t1 - rng.Uniform(5, WindowSeconds)
 				}
 				fast := sampler.AggregateRange(st.History(), nodes, t0, t1)
-				ref := sampler.AggregateRangeRef(st.History(), nodes, t0, t1)
+				ref := aggregateRef(sampler, st.History(), nodes, t0, t1)
 				sameAggregates(t, "window", fast, ref)
 
 				// Re-query the same window: fully cached result.
@@ -153,7 +194,7 @@ func TestWindowAggMatchesReference(t *testing.T) {
 				*now += rng.Uniform(5, 45)
 			}
 			got := wa.Aggregate(*now)
-			want := sampler.AggregateRangeRef(st.History(), nodes, *now-WindowSeconds, *now)
+			want := aggregateRef(sampler, st.History(), nodes, *now-WindowSeconds, *now)
 			sameAggregates(t, "sliding", got, want)
 		}
 	}
@@ -176,15 +217,15 @@ func TestWindowAggSurvivesFaultSwap(t *testing.T) {
 	st.Apply(simnet.Contribution{PodNet: map[int]float64{0: 0.9}})
 	*now = 600
 	sameAggregates(t, "clean", wa.Aggregate(*now),
-		sampler.AggregateRangeRef(st.History(), nodes, *now-WindowSeconds, *now))
+		aggregateRef(sampler, st.History(), nodes, *now-WindowSeconds, *now))
 
 	sampler.SetFaults(testFaults{src: sim.NewSource(9), dropP: 0.5, freezeP: 0.5, freezeSpan: 5})
 	sameAggregates(t, "faulted", wa.Aggregate(*now),
-		sampler.AggregateRangeRef(st.History(), nodes, *now-WindowSeconds, *now))
+		aggregateRef(sampler, st.History(), nodes, *now-WindowSeconds, *now))
 
 	sampler.SetFaults(nil)
 	sameAggregates(t, "healed", wa.Aggregate(*now),
-		sampler.AggregateRangeRef(st.History(), nodes, *now-WindowSeconds, *now))
+		aggregateRef(sampler, st.History(), nodes, *now-WindowSeconds, *now))
 }
 
 // TestSamplerPrune checks pruning evicts old rows, keeps recent ones, and
@@ -216,7 +257,7 @@ func TestSamplerPrune(t *testing.T) {
 		t.Fatalf("prune kept %d of %d rows", after, before)
 	}
 	fast := sampler.AggregateWindow(st.History(), nodes, 1300)
-	ref := sampler.AggregateRangeRef(st.History(), nodes, 1300-WindowSeconds, 1300)
+	ref := aggregateRef(sampler, st.History(), nodes, 1300-WindowSeconds, 1300)
 	sameAggregates(t, "post-prune", fast, ref)
 }
 

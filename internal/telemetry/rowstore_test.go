@@ -80,14 +80,14 @@ func TestOutOfRangeNodesAreServedUncached(t *testing.T) {
 	outside := []cluster.NodeID{beyond, beyond + 4096, -1, -5000}
 	for i := 0; i < 2; i++ {
 		fast := s.AggregateWindow(st.History(), outside, *now)
-		sameAggregates(t, "outside", fast, s.AggregateRangeRef(st.History(), outside, *now-WindowSeconds, *now))
+		sameAggregates(t, "outside", fast, aggregateRef(s, st.History(), outside, *now-WindowSeconds, *now))
 	}
 	if n := s.CachedRows(); n != 0 {
 		t.Fatalf("%d rows stored for nodes that have no ring", n)
 	}
 	mixed := append([]cluster.NodeID{3, 4}, outside...)
 	fast := s.AggregateWindow(st.History(), mixed, *now)
-	sameAggregates(t, "mixed", fast, s.AggregateRangeRef(st.History(), mixed, *now-WindowSeconds, *now))
+	sameAggregates(t, "mixed", fast, aggregateRef(s, st.History(), mixed, *now-WindowSeconds, *now))
 	if n := s.CachedRows(); n != 2*WindowTicks {
 		t.Fatalf("%d rows stored, want the %d of the two real nodes", n, 2*WindowTicks)
 	}
@@ -102,7 +102,7 @@ func TestNegativeTicksLandInRing(t *testing.T) {
 	for _, t1 := range []float64{0, 7, 15, 100, 299, 300} {
 		*now = t1
 		fast := s.AggregateWindow(st.History(), nodes, t1)
-		sameAggregates(t, "early", fast, s.AggregateRangeRef(st.History(), nodes, t1-WindowSeconds, t1))
+		sameAggregates(t, "early", fast, aggregateRef(s, st.History(), nodes, t1-WindowSeconds, t1))
 	}
 	// Ticks -20 .. 19 were asked for, and 40 ticks do not fit a ring of
 	// 32: what is left is the newest 32 per node, negative ones included.
@@ -128,12 +128,12 @@ func TestWindowLongerThanRing(t *testing.T) {
 	for _, span := range []float64{float64(ringTicks+1) * SamplePeriod, 1000, 4000} {
 		for i := 0; i < 2; i++ {
 			fast := s.AggregateRange(st.History(), nodes, *now-span, *now)
-			sameAggregates(t, "long", fast, s.AggregateRangeRef(st.History(), nodes, *now-span, *now))
+			sameAggregates(t, "long", fast, aggregateRef(s, st.History(), nodes, *now-span, *now))
 		}
 		// A standard window straight after finds a ring the long one
 		// churned through.
 		fast := s.AggregateWindow(st.History(), nodes, *now)
-		sameAggregates(t, "after long", fast, s.AggregateRangeRef(st.History(), nodes, *now-WindowSeconds, *now))
+		sameAggregates(t, "after long", fast, aggregateRef(s, st.History(), nodes, *now-WindowSeconds, *now))
 	}
 }
 
@@ -256,7 +256,7 @@ func TestRowStoreMatchesReferenceProperty(t *testing.T) {
 
 			s.AggregateRangeInto(hist, nodes, t0, t1, &buf)
 			label := fmt.Sprintf("seed %d query %d: %d nodes, window [%v, %v) at now %v", seed, q, size, t0, t1, *now)
-			sameAggregates(t, label, buf, s.AggregateRangeRef(hist, nodes, t0, t1))
+			sameAggregates(t, label, buf, aggregateRef(s, hist, nodes, t0, t1))
 			if q%100 == 0 && s.CachedRows() > 0 {
 				populated = true
 			}
@@ -291,4 +291,95 @@ func TestColdWindowZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("cold window allocated %.1f times per run; want 0", allocs)
 	}
+}
+
+// FuzzRowStoreOps lets the fuzzer write a sampler's life four bytes at a
+// time (op, a, b, c): load mutations and clock advances; paired
+// Sampler.Prune / History.Prune; fault and drift models coming and going,
+// which flush the store; and window queries over job scopes, scopes over
+// maxScopeNodes, node IDs outside the topology, and windows from
+// sub-period to longer than the ring. Every answer of AggregateRangeInto
+// must equal aggregateRef bit for bit.
+func FuzzRowStoreOps(f *testing.F) {
+	f.Add([]byte{0, 1, 90, 40, 1, 20, 0, 0, 5, 0, 3, 1, 1, 60, 0, 0, 6, 1, 7, 2, 5, 2, 0, 1})
+	f.Add([]byte{4, 1, 3, 120, 1, 30, 0, 0, 7, 3, 9, 0, 2, 200, 0, 0, 5, 0, 4, 2, 3, 100, 0, 0, 6, 4, 0, 1})
+	f.Add([]byte{4, 2, 5, 0, 1, 45, 0, 0, 7, 1, 33, 3, 0, 2, 250, 50, 5, 0, 2, 0, 4, 0, 0, 0, 5, 0, 2, 1})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 1<<9 {
+			ops = ops[:1<<9]
+		}
+		st, s, now := newStoreEnv(t)
+		hist, topo := st.History(), storeTopo()
+		// The clock starts past the history's first epoch, at 0. Ticks
+		// before it read that epoch's loads, which a mutation at 0 still
+		// changes, so a row stored at 0 can go stale (see Sampler).
+		*now = SamplePeriod
+		var load simnet.Contribution
+		var buf Aggregates
+		for step := 0; len(ops) >= 4; step++ {
+			op, a, b, c := ops[0], ops[1], ops[2], ops[3]
+			ops = ops[4:]
+			switch op % 8 {
+			case 0:
+				st.Remove(load)
+				load = simnet.Contribution{PodNet: map[int]float64{int(a) % topo.Pods(): float64(b) / 200}, FS: float64(c) / 230}
+				st.Apply(load)
+			case 1:
+				*now += float64(a) + float64(b)/256
+			case 2:
+				cut := *now - float64(a)/255*3*WindowSeconds
+				hist.Prune(cut)
+				s.Prune(cut)
+			case 3:
+				switch a % 4 {
+				case 0:
+					s.SetFaults(nil)
+				case 1:
+					s.SetFaults(testFaults{src: sim.NewSource(int64(b)), dropP: float64(c%128) / 255, freezeP: float64(c/2) / 255, freezeSpan: int64(2 + b%9)})
+				case 2:
+					s.SetDrift(hashDrift{src: sim.NewSource(int64(c)), startTick: int64(*now/SamplePeriod) - int64(b%40)})
+				default:
+					s.SetDrift(nil)
+				}
+			default:
+				var nodes []cluster.NodeID
+				switch a % 5 {
+				case 0: // a job scope of adjacent nodes
+					for i := 0; i < 1+int(b%16); i++ {
+						nodes = append(nodes, cluster.NodeID((int(c)+i)%topo.Nodes))
+					}
+				case 1: // a scattered job scope
+					for i := 0; i < 1+int(b%16); i++ {
+						nodes = append(nodes, cluster.NodeID((int(c)*7+i*37)%topo.Nodes))
+					}
+				case 2: // more nodes than maxScopeNodes, so the scope is capped
+					for i := 0; i < maxScopeNodes+1+int(b); i++ {
+						nodes = append(nodes, cluster.NodeID((int(c)+i)%topo.Nodes))
+					}
+				case 3: // IDs the topology does not have, among ones it does
+					nodes = []cluster.NodeID{cluster.NodeID(int(c) % topo.Nodes), cluster.NodeID(topo.Nodes + int(b)), cluster.NodeID(-1 - int(c))}
+				default:
+					nodes = AllNodes(topo)
+				}
+				t1 := *now - float64(b%64)
+				if b&64 != 0 {
+					t1 = math.Floor(t1/SamplePeriod) * SamplePeriod
+				}
+				var t0 float64
+				switch c % 4 {
+				case 0:
+					t0 = t1 - float64(1+c%14)
+				case 1:
+					t0 = t1 - WindowSeconds
+				case 2:
+					t0 = t1 - float64(ringTicks+1+int(c/4%8))*SamplePeriod
+				default:
+					t0 = t1 - float64(c)*2
+				}
+				s.AggregateRangeInto(hist, nodes, t0, t1, &buf)
+				sameAggregates(t, fmt.Sprintf("step %d: %d nodes, window [%v, %v) at now %v", step, len(nodes), t0, t1, *now),
+					buf, aggregateRef(s, hist, nodes, t0, t1))
+			}
+		}
+	})
 }

@@ -66,7 +66,11 @@ type DriftModel interface {
 // The store relies on windows never extending beyond the current
 // simulated instant — load history only ever mutates at the present, so
 // every sample inside a past window is final. Callers must therefore
-// pass t1 <= now; sampling the future would be meaningless anyway.
+// pass t1 <= now; sampling the future would be meaningless anyway. One
+// exception is known: a tick before the history's first epoch reads that
+// epoch's loads, which a mutation at the same instant still changes, so
+// rows stored for such ticks while the clock stands at the first epoch
+// can go stale; the from-scratch recompute would read the new loads.
 type Sampler struct {
 	topo   cluster.Topology
 	schema []Counter
@@ -80,7 +84,7 @@ type Sampler struct {
 	noiseHash [NumCounters]sim.HashState
 
 	store   rowStore
-	scratch sampleRow // rows that bypass the store: reference path, nodes without a ring
+	scratch sampleRow // rows that bypass the store: sub-period windows, nodes without a ring
 
 	// Reusable scratch for the allocation-free aggregation path.
 	capBuf   []cluster.NodeID
@@ -388,25 +392,15 @@ func (s *Sampler) AggregateWindowInto(hist *simnet.History, nodes []cluster.Node
 }
 
 // AggregateRangeInto is AggregateRange writing into out, reusing its
-// slices (the fast path: stored rows reused, new ones computed in place).
+// slices: stored rows are reused, new ones computed in place.
 func (s *Sampler) AggregateRangeInto(hist *simnet.History, nodes []cluster.NodeID, t0, t1 float64, out *Aggregates) {
-	s.aggregateInto(hist, nodes, t0, t1, out, true)
-}
-
-// AggregateRangeRef is AggregateRange bypassing the row store: every
-// sample is recomputed from the load history. It exists as the reference
-// implementation for the differential tests and benchmarks; the fast path
-// must be bit-identical to it.
-func (s *Sampler) AggregateRangeRef(hist *simnet.History, nodes []cluster.NodeID, t0, t1 float64) Aggregates {
-	var agg Aggregates
-	s.aggregateInto(hist, nodes, t0, t1, &agg, false)
-	return agg
+	s.aggregateInto(hist, nodes, t0, t1, out)
 }
 
 // aggregateInto is the shared aggregation loop: each tick's rows go
 // through one tickFold, node-major, and the tick folds are merged in tick
 // order, which is what WindowAgg does with the tick folds it keeps.
-func (s *Sampler) aggregateInto(hist *simnet.History, nodes []cluster.NodeID, t0, t1 float64, out *Aggregates, useCache bool) {
+func (s *Sampler) aggregateInto(hist *simnet.History, nodes []cluster.NodeID, t0, t1 float64, out *Aggregates) {
 	var (
 		fold   tickFold
 		counts [NumCounters]int
@@ -417,6 +411,7 @@ func (s *Sampler) aggregateInto(hist *simnet.History, nodes []cluster.NodeID, t0
 		return
 	}
 
+	useCache := true
 	first, last := tickBounds(t0, t1)
 	if last < first {
 		// A window shorter than one period still yields one sample (the

@@ -87,7 +87,7 @@ func (w *WindowAgg) AggregateInto(t1 float64, out *Aggregates) {
 	if last < first {
 		// Sub-period window: delegate to the direct path's single-sample
 		// fallback (never the case for the standard window).
-		s.aggregateInto(w.hist, w.nodes, t0, t1, out, true)
+		s.aggregateInto(w.hist, w.nodes, t0, t1, out)
 		return
 	}
 	// The standard window spans exactly WindowTicks ticks, but guard

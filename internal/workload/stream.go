@@ -12,8 +12,8 @@ import (
 // Streaming SWF ingest: a zero-allocation line scanner over an io.Reader
 // plus a lazy job stream, so a Parallel-Workloads-Archive year replays
 // straight off disk (or through gzip) without ever materializing the
-// trace. The slice loaders in swf.go are the differential reference;
-// stream_test.go pins the two byte-identical on real-trace excerpts.
+// trace. The materializing loader in swfref_test.go is the differential
+// reference; stream_test.go pins the two identical on real-trace excerpts.
 
 // SWFScanner reads an SWF trace record by record without allocating per
 // line or per field: lines are sliced out of an internal read buffer and
@@ -260,9 +260,8 @@ type JobStream interface {
 	Next() (SubmittedJob, bool, error)
 }
 
-// SWFStream adapts a scanner into a JobStream using the same per-record
-// conversion as FromSWF, so the streaming and in-memory loaders produce
-// identical job streams from identical bytes.
+// SWFStream adapts a scanner into a JobStream through swfConverter, the
+// per-record conversion every SWF loader shares.
 type SWFStream struct {
 	sc   *SWFScanner
 	conv *swfConverter
@@ -300,7 +299,7 @@ func (st *SWFStream) Emitted() int { return st.conv.n }
 
 // SliceStream wraps an in-memory job slice as a JobStream, yielding the
 // jobs in slice order. A JobStream's submit times must be
-// non-decreasing: FromSWF output already is, Generate output is not and
+// non-decreasing: a drained SWFStream already is, Generate output is not and
 // needs a stable sort by SubmitAt first (experiments.RunTrialJobs does
 // that for its callers).
 type SliceStream struct {

@@ -1,12 +1,7 @@
 package workload
 
 import (
-	"bufio"
-	"fmt"
-	"io"
 	"math"
-	"strconv"
-	"strings"
 
 	"rush/internal/apps"
 	"rush/internal/sched"
@@ -16,16 +11,14 @@ import (
 // Standard Workload Format (SWF) support. SWF is the de-facto archive
 // format for HPC job logs (the Parallel Workloads Archive); supporting it
 // lets RUSH replay real cluster traces instead of the synthetic Table II
-// streams, and lets simulation results feed standard analysis tools.
+// streams.
 //
 // Each SWF record is 18 whitespace-separated fields; unknown values are
-// -1 and comment lines start with ';'. Two loaders exist: ParseSWF /
-// FromSWF build the whole trace in memory (the differential reference),
-// and SWFScanner / NewSWFStream in stream.go yield records lazily off an
-// io.Reader so a year-scale trace never has to fit in memory. Both paths
-// interpret records through the same code (interpretSWF, swfConverter),
-// so they produce identical job streams by construction — pinned by the
-// differential tests in stream_test.go.
+// -1 and comment lines start with ';'. SWFScanner / NewSWFStream in
+// stream.go yield records lazily off an io.Reader, so a year-scale trace
+// never has to fit in memory. Records are interpreted and converted by
+// interpretSWF and swfConverter; the materializing loader the tests
+// difference the stream against (swfref_test.go) runs the same two.
 
 // swfFields is the SWF record width: 18 whitespace-separated values.
 const swfFields = 18
@@ -63,8 +56,8 @@ type SWFJob struct {
 // the SWF spec's "-1 means unknown" defaults where a sane substitute
 // exists: an unknown allocated-processor count falls back to the
 // requested count (and vice versa), and an unknown submit time clamps to
-// the trace start. Both the in-memory and the streaming loader build
-// records through this one function.
+// the trace start. Every loader builds records through this one
+// function.
 func interpretSWF(fv *[swfFields]float64) SWFJob {
 	j := SWFJob{
 		ID: int(fv[0]), Submit: fv[1], Wait: fv[2], RunTime: fv[3],
@@ -86,12 +79,6 @@ func interpretSWF(fv *[swfFields]float64) SWFJob {
 	return j
 }
 
-// swfSpace reports whether r separates SWF fields: a blank, a tab or a
-// carriage return, the set the streaming scanner splits on. Any other
-// byte is part of a field in both loaders, so they accept the same
-// lines.
-func swfSpace(r rune) bool { return r == ' ' || r == '\t' || r == '\r' }
-
 // replayableSWF reports whether a record can drive the simulator: it
 // needs a positive run time (cancelled or corrupt records have -1 or 0)
 // and a positive processor count after the -1 defaults were applied.
@@ -99,7 +86,7 @@ func swfSpace(r rune) bool { return r == ' ' || r == '\t' || r == '\r' }
 // fallback estimate is — "inf" parses as a number, and a job of infinite
 // work never completes — and the submit time must be a finite number,
 // or the job has no place in a stream ordered by it. Unreplayable
-// records are skipped — both loaders count them so callers can report
+// records are skipped — the scanner counts them so callers can report
 // how much of a trace was usable.
 func replayableSWF(j SWFJob) bool {
 	return j.RunTime > 0 && j.RunTime <= math.MaxFloat64/swfEstimateFactor && j.Procs > 0 &&
@@ -109,50 +96,6 @@ func replayableSWF(j SWFJob) bool {
 // swfEstimateFactor scales a run time into the walltime estimate of a
 // record that requests none (or less than it ran).
 const swfEstimateFactor = 1.5
-
-// ParseSWF reads a whole SWF trace into memory. Header comments and
-// blank lines are skipped; short data lines are padded with -1 (unknown)
-// per the archive convention provided at least the first four fields are
-// present; malformed lines surface as line-numbered errors. Records that
-// cannot be replayed (no positive run time or processor count) are
-// dropped. It is the slice-building reference the streaming loader in
-// stream.go is differenced against.
-func ParseSWF(r io.Reader) ([]SWFJob, error) {
-	var jobs []SWFJob
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		fields := strings.FieldsFunc(sc.Text(), swfSpace)
-		if len(fields) == 0 || fields[0][0] == ';' {
-			continue
-		}
-		if len(fields) < swfMinFields || len(fields) > swfFields {
-			return nil, fmt.Errorf("workload: swf line %d: %d fields, want %d-%d", line, len(fields), swfMinFields, swfFields)
-		}
-		var fv [swfFields]float64
-		for i := range fv {
-			fv[i] = -1
-		}
-		for i, f := range fields {
-			v, err := strconv.ParseFloat(f, 64)
-			if err != nil {
-				return nil, fmt.Errorf("workload: swf line %d field %d: %w", line, i+1, err)
-			}
-			fv[i] = v
-		}
-		j := interpretSWF(&fv)
-		if !replayableSWF(j) {
-			continue
-		}
-		jobs = append(jobs, j)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("workload: swf scan: %w", err)
-	}
-	return jobs, nil
-}
 
 // SWFOptions controls how an SWF trace maps onto the simulator.
 type SWFOptions struct {
@@ -180,8 +123,8 @@ func (o *SWFOptions) fill() {
 // swfConverter turns SWF records into submittable jobs, one at a time.
 // It carries the state the conversion needs across records — the trace
 // start offset, the application-assignment random stream, the emitted-
-// job count, and the monotonic submit clamp — so the in-memory loader
-// (FromSWF) and the lazy stream (NewSWFStream) run the identical
+// job count, and the monotonic submit clamp — so the lazy stream
+// (NewSWFStream) and the tests' materializing loader run the identical
 // per-record code and therefore produce identical job streams.
 type swfConverter struct {
 	opts     SWFOptions
@@ -261,56 +204,4 @@ func (c *swfConverter) convert(sj SWFJob) (SubmittedJob, bool) {
 	}
 	c.n++
 	return SubmittedJob{Job: j, SubmitAt: at}, true
-}
-
-// FromSWF converts an SWF trace into a submittable job stream. Run times
-// become contention-free base work; requested times become the
-// backfiller's estimates (falling back to 1.5x the run time when absent);
-// each job is assigned a proxy-application profile keyed on its SWF
-// executable ID so re-runs of the same executable share a profile.
-// Submit times are offset from the first record's and clamped monotonic.
-func FromSWF(trace []SWFJob, opts SWFOptions) ([]SubmittedJob, error) {
-	conv := newSWFConverter(opts)
-	var out []SubmittedJob
-	for _, sj := range trace {
-		if conv.done() {
-			break
-		}
-		if j, ok := conv.convert(sj); ok {
-			out = append(out, j)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("workload: swf trace contains no replayable jobs")
-	}
-	return out, nil
-}
-
-// WriteSWF writes completed jobs as an SWF trace (one record per job,
-// unknown fields as -1) so results can feed standard workload-analysis
-// tools. Jobs are identified by their scheduler IDs; the executable ID
-// indexes the default application list.
-func WriteSWF(w io.Writer, jobs []*sched.Job, header string) error {
-	bw := bufio.NewWriter(w)
-	if header != "" {
-		for _, line := range strings.Split(strings.TrimRight(header, "\n"), "\n") {
-			if _, err := fmt.Fprintf(bw, "; %s\n", line); err != nil {
-				return err
-			}
-		}
-	}
-	appIndex := map[string]int{}
-	for i, name := range apps.Names() {
-		appIndex[name] = i + 1
-	}
-	for _, j := range jobs {
-		exe := appIndex[j.App.Name]
-		_, err := fmt.Fprintf(bw, "%d %.0f %.0f %.2f %d -1 -1 %d %.0f -1 1 -1 -1 %d -1 -1 -1 -1\n",
-			j.ID+1, j.SubmitTime, j.WaitTime(), j.RunTime(),
-			j.Nodes, j.Nodes, j.Estimate, exe)
-		if err != nil {
-			return fmt.Errorf("workload: write swf: %w", err)
-		}
-	}
-	return bw.Flush()
 }

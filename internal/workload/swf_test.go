@@ -1,12 +1,9 @@
 package workload
 
 import (
-	"bytes"
 	"math"
 	"strings"
 	"testing"
-
-	"rush/internal/sched"
 )
 
 const sampleSWF = `; SWF format, version 2
@@ -106,48 +103,5 @@ func TestFromSWFStableAppAssignment(t *testing.T) {
 func TestFromSWFEmpty(t *testing.T) {
 	if _, err := FromSWF(nil, SWFOptions{}); err == nil {
 		t.Fatal("empty trace should error")
-	}
-}
-
-func TestWriteSWFRoundTrip(t *testing.T) {
-	spec, _ := SpecByName("ADPA")
-	gen, err := Generate(spec, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fabricate completions for the first few jobs.
-	var done []*sched.Job
-	for i, sj := range gen[:10] {
-		j := sj.Job
-		j.SubmitTime = sj.SubmitAt
-		j.StartTime = sj.SubmitAt + 5
-		j.EndTime = j.StartTime + j.BaseWork
-		done = append(done, j)
-		_ = i
-	}
-	var buf bytes.Buffer
-	if err := WriteSWF(&buf, done, "reproduction trace\nseed 3"); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), "; reproduction trace") {
-		t.Fatalf("header missing:\n%s", buf.String()[:60])
-	}
-	back, err := ParseSWF(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(done) {
-		t.Fatalf("round trip lost jobs: %d vs %d", len(back), len(done))
-	}
-	for i, j := range back {
-		if j.Procs != done[i].Nodes {
-			t.Fatalf("job %d procs changed: %d vs %d", i, j.Procs, done[i].Nodes)
-		}
-		if math.Abs(j.RunTime-done[i].RunTime()) > 0.01 {
-			t.Fatalf("job %d run time changed", i)
-		}
-		if math.Abs(j.Wait-done[i].WaitTime()) > 0.5 {
-			t.Fatalf("job %d wait changed", i)
-		}
 	}
 }
