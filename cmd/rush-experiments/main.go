@@ -35,7 +35,6 @@ func main() {
 	trials := cliflags.Trials(experiments.DefaultTrials)
 	seed := cliflags.Seed(42)
 	quick := flag.Bool("quick", false, "shrink campaign and trials for a fast smoke run")
-	drift := flag.Bool("drift", false, "append the drift-scenario sweep (lifecycle-enabled RUSH under telemetry and app-mix drift)")
 	metrics := cliflags.Metrics()
 	pprofPath := cliflags.Pprof()
 	workers := cliflags.Workers()
@@ -154,17 +153,6 @@ func main() {
 			fmt.Println()
 			check(experiments.ReportMetrics(out, cmp))
 		}
-	}
-
-	if *drift {
-		log.Printf("running drift scenarios (%d trials each)...", *trials)
-		rows, err := experiments.RunDriftExperiment(adaa.Spec, pred, nil, *trials, *seed*1000,
-			experiments.Config{Topo: topo, Workers: *workers, Metrics: *metrics})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println()
-		check(experiments.ReportDrift(out, rows))
 	}
 
 	log.Printf("full evaluation finished in %v", time.Since(start).Round(time.Second))

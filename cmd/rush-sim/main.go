@@ -17,14 +17,12 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 
 	"rush/internal/cliflags"
 	"rush/internal/cluster"
 	"rush/internal/core"
 	"rush/internal/experiments"
 	"rush/internal/faults"
-	"rush/internal/lifecycle"
 	"rush/internal/parallel"
 	"rush/internal/sched"
 	"rush/internal/workload"
@@ -52,16 +50,7 @@ func main() {
 	telemetryLoss := flag.Float64("telemetry-loss", 0, "probability a telemetry table sample is dropped, in [0,1]")
 	telemetryFreeze := flag.Float64("telemetry-freeze", 0, "probability a node's counters freeze per window, in [0,1]")
 	modelOutage := flag.Float64("model-outage", 0, "fraction of time the predictor service is unreachable, in [0,1]")
-	driftStart := flag.Float64("drift-start", 0, "simulated time telemetry drift begins, in seconds")
-	driftRamp := flag.Float64("drift-ramp", 0, "seconds over which drift ramps to full strength (0 = abrupt regime change)")
-	driftMeanShift := flag.Float64("drift-mean-shift", 0, "relative telemetry mean shift at full drift strength (0 disables)")
-	driftNoiseBoost := flag.Float64("drift-noise-boost", 0, "relative telemetry variance boost at full drift strength")
-	driftTables := flag.String("drift-tables", "", "comma-separated telemetry tables to drift (empty = all)")
-	lifecycleOn := flag.Bool("lifecycle", false, "enable the online model lifecycle (drift detection + shadow/canary retraining) on RUSH trials")
-	lifecyclePSI := flag.Float64("lifecycle-psi", 0, "per-feature PSI drift threshold (0 = default 0.25)")
-	lifecycleCanaryFrac := flag.Float64("lifecycle-canary-fraction", 0, "fraction of decisions a canary challenger acts on (0 = default 0.25)")
-	lifecycleRetrainEvery := flag.Float64("lifecycle-retrain-every", 0, "also retrain on this fixed cadence in simulated seconds (0 = drift-triggered only)")
-	canaryThreshold := flag.Float64("canary-threshold", 0, "canary policy probe-slowdown veto threshold (0 = default 1.6; must be positive)")
+	canaryThreshold := flag.Float64("canary-threshold", 0, "canary policy probe-slowdown veto threshold (0 = default 1.6)")
 	canaryAllClasses := flag.Bool("canary-all-classes", false, "canary policy also gates compute-intensive jobs")
 	workers := cliflags.Workers()
 	topoFlag := cliflags.Topo()
@@ -96,25 +85,9 @@ func main() {
 		TelemetryLoss: *telemetryLoss,
 		FreezeProb:    *telemetryFreeze,
 		ModelOutage:   *modelOutage,
-		Drift: faults.DriftConfig{
-			Start:      *driftStart,
-			Ramp:       *driftRamp,
-			MeanShift:  *driftMeanShift,
-			NoiseBoost: *driftNoiseBoost,
-			Tables:     splitTables(*driftTables),
-		},
 	}
 	if err := cfg.Faults.Validate(); err != nil {
 		log.Fatal(err)
-	}
-	cfg.Lifecycle = lifecycle.Config{
-		Enabled:        *lifecycleOn,
-		PSIThreshold:   *lifecyclePSI,
-		CanaryFraction: *lifecycleCanaryFrac,
-		RetrainEvery:   *lifecycleRetrainEvery,
-	}
-	if *canaryThreshold < 0 {
-		log.Fatalf("canary threshold must be positive, got %v", *canaryThreshold)
 	}
 	cfg.CanaryThreshold = *canaryThreshold
 	cfg.CanaryAllClasses = *canaryAllClasses
@@ -208,10 +181,6 @@ func main() {
 				fmt.Printf("  faults: nodefail=%d kills=%d failedjobs=%d lostwork=%.0fs degraded=%d trips=%d downtime=%.0fs\n",
 					tr.NodeFailures, tr.JobKills, tr.FailedJobs, tr.LostWork, tr.GateDegraded, tr.BreakerTrips, tr.DegradedTime)
 			}
-			if cfg.Lifecycle.Enabled && tr.Policy == experiments.RUSH {
-				fmt.Printf("  lifecycle: drift=%d retrains=%d promotions=%d rollbacks=%d shadow=%d canary-acted=%d\n",
-					tr.DriftDetections, tr.Retrains, tr.Promotions, tr.Rollbacks, tr.ShadowPredictions, tr.CanaryActed)
-			}
 		}
 		if *metrics {
 			// A one-sided comparison reuses the merged-metrics renderer.
@@ -226,20 +195,6 @@ func main() {
 	default:
 		log.Fatalf("unknown policy %q (want baseline, rush, canary, or both)", *policy)
 	}
-}
-
-// splitTables parses the -drift-tables comma list into table names.
-func splitTables(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, t := range strings.Split(s, ",") {
-		if t = strings.TrimSpace(t); t != "" {
-			out = append(out, t)
-		}
-	}
-	return out
 }
 
 func check(err error) {

@@ -1,8 +1,9 @@
 // Package cmd_test smoke-tests the six commands at their CLI surface:
 // every binary builds, the three simulation drivers exit 0 on a tiny
 // configuration with output that does not depend on -workers, and bad
-// -topo values, the retired path-selection flags and the retired fifth
-// model are rejected.
+// -topo values, non-finite fault and canary rates, the retired
+// path-selection, drift and lifecycle flags and the retired fifth model
+// are rejected.
 // It also builds and runs examples/quickstart, the one Go-level driver
 // of the pipeline, so that cannot stop working unnoticed either.
 package cmd_test
@@ -107,10 +108,13 @@ func TestCommandsSmoke(t *testing.T) {
 		t.Errorf("quickstart output differs between two runs:\n%s\n---\n%s", quick, again)
 	}
 
-	// The flags that used to select between equivalent paths are gone.
+	// The flags that used to select between equivalent paths, inject
+	// telemetry drift or run the model lifecycle are gone.
 	retired := map[string][]string{
-		"rush-sim":         {"-sched-reference", "-engine-reference", "-engine-workers=2"},
-		"rush-experiments": {"-sched-reference", "-engine-reference", "-engine-workers=2"},
+		"rush-sim": {"-sched-reference", "-engine-reference", "-engine-workers=2",
+			"-drift-start=1", "-drift-ramp=1", "-drift-mean-shift=1", "-drift-noise-boost=1", "-drift-tables=x",
+			"-lifecycle", "-lifecycle-psi=1", "-lifecycle-canary-fraction=1", "-lifecycle-retrain-every=1"},
+		"rush-experiments": {"-sched-reference", "-engine-reference", "-engine-workers=2", "-drift"},
 		"rush-replay":      {"-sched-reference", "-engine-reference", "-engine-workers=2", "-in-memory"},
 	}
 	for name, flags := range retired {
@@ -132,13 +136,28 @@ func TestCommandsSmoke(t *testing.T) {
 	}
 	for _, d := range drivers {
 		for topo, want := range badTopos {
-			args := append(append([]string{}, d.args...), "-topo", topo)
-			out, err := exec.Command(filepath.Join(bin, d.name), args...).CombinedOutput()
-			var exit *exec.ExitError
-			if !errors.As(err, &exit) || exit.ExitCode() != 1 || !bytes.Contains(out, []byte(want)) {
-				t.Errorf("%s -topo %s: want exit 1 saying %q, got err=%v\n%.300s", d.name, topo, want, err, out)
-			}
+			wantExit1(t, bin, d.name, append(append([]string{}, d.args...), "-topo", topo), want)
 		}
+	}
+
+	// A rate that is not a finite number fails every range comparison, so
+	// it is rejected by name, before any simulation, and not run into a
+	// panic or a silently inert fault.
+	badRates := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"rush-sim", []string{"-policy", "baseline", "-node-mttr", "NaN"}, "node MTTR NaN is not a finite number"},
+		{"rush-sim", []string{"-policy", "baseline", "-model-outage", "NaN"}, "model outage NaN is not a finite number"},
+		{"rush-sim", []string{"-policy", "baseline", "-telemetry-loss", "NaN"}, "telemetry loss NaN is not a finite number"},
+		{"rush-sim", []string{"-policy", "canary", "-canary-threshold", "NaN"}, "canary threshold NaN is not a finite non-negative number"},
+		{"rush-sim", []string{"-policy", "baseline", "-canary-threshold", "-1"}, "canary threshold -1 is not a finite non-negative number"},
+		{"rush-replay", []string{"-swf", swf, "-node-mttr", "NaN"}, "node MTTR NaN is not a finite number"},
+		{"rush-replay", []string{"-swf", swf, "-model-outage", "NaN"}, "model outage NaN is not a finite number"},
+	}
+	for _, r := range badRates {
+		wantExit1(t, bin, r.name, append([]string{"-trials", "1"}, r.args...), r.want)
 	}
 
 	// Gradient boosting is gone: its name trains nothing and a predictor
@@ -163,5 +182,20 @@ func TestCommandsSmoke(t *testing.T) {
 		if err == nil || !bytes.Contains(out, []byte(r.want)) {
 			t.Errorf("%s %s: want a failure saying %q, got err=%v\n%.300s", r.name, strings.Join(r.args, " "), r.want, err, out)
 		}
+	}
+}
+
+// wantExit1 runs a built command that must exit 1 with want in its output
+// and nothing on stdout, which a run that got as far as a trial prints to.
+func wantExit1(t *testing.T, bin, name string, args []string, want string) {
+	t.Helper()
+	cmd := exec.Command(filepath.Join(bin, name), args...)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !bytes.Contains(stderr.Bytes(), []byte(want)) || stdout.Len() != 0 {
+		t.Errorf("%s %s: want exit 1 saying %q, got err=%v\nstdout: %.200s\nstderr: %.300s",
+			name, strings.Join(args, " "), want, err, stdout.Bytes(), stderr.Bytes())
 	}
 }

@@ -36,6 +36,23 @@ type pkgDecls struct {
 	members map[string]map[string]bool
 }
 
+// architectureCeiling is ARCHITECTURE.md's length in lines at the change
+// that last shortened it. Like the Makefile's LOC_CEILING for code, it
+// makes a change that grows the document say so by raising it.
+const architectureCeiling = 967
+
+// TestArchitectureWithinCeiling fails when ARCHITECTURE.md grows past
+// architectureCeiling lines.
+func TestArchitectureWithinCeiling(t *testing.T) {
+	b, err := os.ReadFile("ARCHITECTURE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(b), "\n"); n > architectureCeiling {
+		t.Fatalf("ARCHITECTURE.md has %d lines, over its ceiling of %d: cut, or raise architectureCeiling and say why", n, architectureCeiling)
+	}
+}
+
 // TestDocsNameWhatExists extracts every back-quoted token from docFiles,
 // a span that wraps onto the next line of its paragraph included, and
 // fails, naming file and line, when one that looks like a repository

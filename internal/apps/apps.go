@@ -189,23 +189,6 @@ func (p Profile) SlowdownCore(netOverload, coreOverload, fsOverload float64) flo
 	return 1 + p.NetSens*(netOverload+coreOverload) + p.FSSens*fsOverload
 }
 
-// Drifted returns a copy of p whose contention sensitivities and noise
-// floor are inflated by the given severity: NetSens, FSSens, and Jitter
-// each scale by (1 + severity). This models an application-mix rotation
-// where a familiar app's behaviour shifts under the same telemetry
-// signature — the base time, injected loads, and class label stay
-// unchanged, so only the run-time response (and therefore the labels the
-// gate should learn) moves. A non-positive severity returns p unchanged.
-func Drifted(p Profile, severity float64) Profile {
-	if severity <= 0 {
-		return p
-	}
-	p.NetSens *= 1 + severity
-	p.FSSens *= 1 + severity
-	p.Jitter *= 1 + severity
-	return p
-}
-
 // Defaults returns the seven proxy application profiles. The relative
 // sensitivities follow the paper's observations: Laghos, LBANN, and
 // sw4lite are the most variation-prone; Kripke, AMG, and PENNANT the

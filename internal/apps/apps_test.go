@@ -223,24 +223,3 @@ func TestSlowdownCore(t *testing.T) {
 		t.Fatal("core contention must add slowdown")
 	}
 }
-
-func TestDrifted(t *testing.T) {
-	p, _ := ByName("Laghos")
-	d := Drifted(p, 0.5)
-	if d.NetSens != p.NetSens*1.5 || d.FSSens != p.FSSens*1.5 || d.Jitter != p.Jitter*1.5 {
-		t.Fatalf("Drifted(0.5) sensitivities = %v/%v/%v, want 1.5x of %v/%v/%v",
-			d.NetSens, d.FSSens, d.Jitter, p.NetSens, p.FSSens, p.Jitter)
-	}
-	if d.NetPerNode != p.NetPerNode || d.Name != p.Name {
-		t.Fatal("Drifted must leave traffic profile and identity alone")
-	}
-	if z := Drifted(p, 0); z != p {
-		t.Fatal("zero severity must be the identity")
-	}
-	if z := Drifted(p, -1); z != p {
-		t.Fatal("negative severity must be the identity")
-	}
-	if d.Slowdown(0.3, 0.3) <= p.Slowdown(0.3, 0.3) {
-		t.Fatal("a drifted app under contention must slow down more")
-	}
-}

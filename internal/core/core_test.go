@@ -291,21 +291,3 @@ func TestPredictorSerializationRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-func TestTrainPredictorCapturesReference(t *testing.T) {
-	res := campaign(t)
-	p, err := TrainPredictor(res.JobScope, ModelAdaBoost, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := p.Reference
-	if ref == nil {
-		t.Fatal("predictor has no drift reference")
-	}
-	if len(ref.Edges) != dataset.NumFeatures || len(ref.Props) != dataset.NumFeatures {
-		t.Fatalf("reference profiles %d/%d columns, want %d", len(ref.Edges), len(ref.Props), dataset.NumFeatures)
-	}
-	if ref.VariationRate < 0 || ref.VariationRate > 1 {
-		t.Fatalf("training variation rate = %v", ref.VariationRate)
-	}
-}

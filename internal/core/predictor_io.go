@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"rush/internal/dataset"
-	"rush/internal/lifecycle"
 	"rush/internal/mlkit"
 )
 
@@ -17,7 +16,6 @@ type predictorFile struct {
 	Model     json.RawMessage            `json:"model"`
 	Stats     map[string]dataset.AppStat `json:"stats"`
 	CVF1      float64                    `json:"cv_f1"`
-	Reference *lifecycle.Reference       `json:"reference,omitempty"`
 }
 
 // Save serializes the predictor to JSON.
@@ -34,13 +32,12 @@ func (p *Predictor) Save() ([]byte, error) {
 		Model:     blob,
 		Stats:     p.Stats,
 		CVF1:      p.CVF1,
-		Reference: p.Reference,
 	}, "", " ")
 }
 
-// LoadPredictor deserializes a predictor saved with Save. Predictors
-// saved before the lifecycle subsystem carry no reference profile; the
-// lifecycle then self-calibrates from the live stream.
+// LoadPredictor deserializes a predictor saved with Save. Keys it does
+// not know, such as the "reference" profile older files carry, are
+// ignored.
 func LoadPredictor(data []byte) (*Predictor, error) {
 	var pf predictorFile
 	if err := json.Unmarshal(data, &pf); err != nil {
@@ -55,6 +52,5 @@ func LoadPredictor(data []byte) (*Predictor, error) {
 		ModelName: pf.ModelName,
 		Stats:     pf.Stats,
 		CVF1:      pf.CVF1,
-		Reference: pf.Reference,
 	}, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"rush/internal/mlkit"
@@ -46,7 +47,10 @@ func TestPredictorSaveLoadErrors(t *testing.T) {
 	}
 }
 
-func TestPredictorSaveLoadReference(t *testing.T) {
+// TestPredictorLoadIgnoresReference pins the file format across the
+// removal of the drift-reference profile: Save writes no "reference" key,
+// and a file that still carries one loads to the same predictor.
+func TestPredictorLoadIgnoresReference(t *testing.T) {
 	res := campaign(t)
 	p, err := TrainPredictor(res.JobScope, ModelAdaBoost, nil, 3)
 	if err != nil {
@@ -56,31 +60,23 @@ func TestPredictorSaveLoadReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadPredictor(data)
-	if err != nil {
-		t.Fatal(err)
+	if bytes.Contains(data, []byte(`"reference"`)) {
+		t.Fatal("Save wrote a reference key")
 	}
-	if loaded.Reference == nil {
-		t.Fatal("drift reference lost in round trip")
-	}
-	if loaded.Reference.VariationRate != p.Reference.VariationRate {
-		t.Fatal("variation rate changed in round trip")
-	}
-	for c := range p.Reference.Edges {
-		if len(loaded.Reference.Edges[c]) != len(p.Reference.Edges[c]) {
-			t.Fatalf("column %d edges changed in round trip", c)
-		}
-	}
-	// Pre-lifecycle predictor files carry no reference: loading must
-	// succeed and leave Reference nil (lifecycle self-calibrates).
 	old, err := LoadPredictor([]byte(`{"model_name":"AdaBoost","cv_f1":0.9,` +
 		`"stats":{"AMG":{"n":10,"mean":100,"std":5,"min":90}},` +
+		`"reference":{"edges":[[0.5,1.5]],"props":[[0.2,0.3,0.5]],"lo":[0],"hi":[2],"variation_rate":0.1},` +
 		`"model":` + string(modelJSON(t, p)) + `}`))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("a file with a reference key must still load: %v", err)
 	}
-	if old.Reference != nil {
-		t.Fatal("absent reference must load as nil")
+	if old.ModelName != ModelAdaBoost || old.CVF1 != 0.9 || old.Stats["AMG"].N != 10 {
+		t.Fatalf("fields around the reference key lost: %+v", old)
+	}
+	for _, s := range res.JobScope.Samples[:30] {
+		if old.Model.Predict(s.Features) != p.Model.Predict(s.Features) {
+			t.Fatal("model predictions changed after loading a file with a reference key")
+		}
 	}
 }
 

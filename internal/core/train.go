@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"rush/internal/dataset"
-	"rush/internal/lifecycle"
 	"rush/internal/mlkit"
 	"rush/internal/obs"
 )
@@ -116,11 +115,6 @@ type Predictor struct {
 	// CVF1 is the stratified k-fold F1 (variation class) of the deployed
 	// model on its training data.
 	CVF1 float64
-	// Reference profiles the training feature and label distributions
-	// for the lifecycle drift detector, captured at Fit so deployed
-	// drift is always judged against what the model actually learned
-	// from.
-	Reference *lifecycle.Reference
 }
 
 // TrainPredictor trains the deployed model (Section IV-A's second stage):
@@ -195,6 +189,5 @@ func TrainPredictorObserved(ds *dataset.Dataset, name ModelName, trainApps []str
 		ModelName: name,
 		Stats:     fullStats,
 		CVF1:      cvF1,
-		Reference: lifecycle.BuildReference(x, y, 0),
 	}, nil
 }

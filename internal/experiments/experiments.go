@@ -18,9 +18,7 @@ import (
 	"rush/internal/cluster"
 	"rush/internal/core"
 	"rush/internal/faults"
-	"rush/internal/lifecycle"
 	"rush/internal/machine"
-	"rush/internal/mlkit"
 	"rush/internal/obs"
 	"rush/internal/parallel"
 	"rush/internal/sched"
@@ -66,17 +64,12 @@ type Config struct {
 	// exceeds this value (0 keeps the paper's hard label rule).
 	ProbThreshold float64
 	// CanaryThreshold overrides the Canary policy's probe-slowdown
-	// threshold (0 keeps its default; negative values are rejected).
+	// threshold (0 keeps its default). Every run rejects a negative or
+	// non-finite value, whatever its policy.
 	CanaryThreshold float64
 	// CanaryAllClasses makes the Canary policy gate compute-intensive
 	// jobs too, not just the network- and I/O-intensive classes.
 	CanaryAllClasses bool
-	// Lifecycle enables the online model lifecycle on RUSH trials:
-	// drift detection over the gate's feature stream plus the
-	// shadow/canary challenger registry (see internal/lifecycle). The
-	// zero value is fully disabled and leaves RUSH trials bit-identical
-	// to a build without the subsystem.
-	Lifecycle lifecycle.Config
 	// MaxSimTime aborts a trial that fails to drain (safety net;
 	// default 6 hours of simulated time).
 	MaxSimTime float64
@@ -197,17 +190,6 @@ type Trial struct {
 	BreakerTrips int
 	DegradedTime float64
 
-	// Model-lifecycle outcomes (all zero unless Config.Lifecycle is
-	// enabled on a RUSH trial). FirstDriftAt is the simulated time of
-	// the first drift detection, -1 when none fired.
-	DriftDetections   int     `json:",omitempty"`
-	FirstDriftAt      float64 `json:",omitempty"`
-	Retrains          int     `json:",omitempty"`
-	Promotions        int     `json:",omitempty"`
-	Rollbacks         int     `json:",omitempty"`
-	ShadowPredictions int     `json:",omitempty"`
-	CanaryActed       int     `json:",omitempty"`
-
 	// Trace is the trial's JSONL event stream (nil unless Config.Trace).
 	Trace []byte `json:",omitempty"`
 	// Metrics is the trial's metrics snapshot (nil unless Config.Metrics).
@@ -240,7 +222,6 @@ type trialEnv struct {
 	inj       *faults.Injector
 	rushGate  *sched.RUSH
 	ledger    *sched.Ledger // the gate's books, whichever gate delays jobs
-	lcm       *lifecycle.Manager
 	s         *sched.Scheduler
 	submitted int    // jobs drive handed to the scheduler
 	peakHeap  uint64 // largest live heap the MemSample sampler saw
@@ -303,31 +284,11 @@ func newTrialEnv(name string, policy Policy, pred *core.Predictor, seed int64, c
 		if cfg.DelayOnLittle {
 			rushGate.VariationLabels[1] = true // dataset.LabelLittle
 		}
-		modelName, modelSeed := pred.ModelName, seed
-		lcm, err := lifecycle.New(cfg.Lifecycle, lifecycle.Deps{
-			Host:            rushGate,
-			Now:             eng.Now,
-			Stats:           pred.Stats,
-			Reference:       pred.Reference,
-			NewModel:        func(s int64) (mlkit.Classifier, error) { return core.NewModel(modelName, modelSeed+s) },
-			VariationLabels: rushGate.VariationLabels,
-			Observer:        observer,
-			Hash:            eng.Source().Derive("lifecycle"),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %w", err)
-		}
-		if lcm != nil {
-			rushGate.Hook = lcm
-		}
-		env.rushGate, env.ledger, env.lcm = rushGate, &rushGate.Ledger, lcm
+		env.rushGate, env.ledger = rushGate, &rushGate.Ledger
 		gate = rushGate
 	case Canary:
 		canaryGate := sched.NewCanary(m)
 		if cfg.CanaryThreshold != 0 {
-			if cfg.CanaryThreshold < 0 {
-				return nil, fmt.Errorf("experiments: canary threshold must be positive, got %v", cfg.CanaryThreshold)
-			}
 			canaryGate.SlowdownThreshold = cfg.CanaryThreshold
 		}
 		canaryGate.AllClasses = cfg.CanaryAllClasses
@@ -344,9 +305,6 @@ func newTrialEnv(name string, policy Policy, pred *core.Predictor, seed int64, c
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	if env.lcm != nil {
-		s.OnComplete = env.lcm.JobCompleted
 	}
 	env.s = s
 
@@ -374,11 +332,10 @@ func newTrialEnv(name string, policy Policy, pred *core.Predictor, seed int64, c
 // drive is the one trial loop: it assembles the environment, feeds
 // stream to the scheduler, runs the engine until every submitted job has
 // completed, and returns a Trial carrying everything that is not
-// per-job: identity, gate, fault and lifecycle counters, the trace and
-// the metrics snapshot. Each completed job is handed to observe (after
-// the lifecycle hook, if any) and then dropped, so what a run retains
-// per job is the caller's choice: RunTrialJobs keeps a JobRecord,
-// ReplayStream folds into running aggregates.
+// per-job: identity, gate and fault counters, the trace and the metrics
+// snapshot. Each completed job is handed to observe and then dropped, so
+// what a run retains per job is the caller's choice: RunTrialJobs keeps a
+// JobRecord, ReplayStream folds into running aggregates.
 //
 // The feeder is a single front-band event (sim.Engine.AtFront) re-armed
 // to each next submit time, so the pending-event heap never holds more
@@ -389,6 +346,9 @@ func newTrialEnv(name string, policy Policy, pred *core.Predictor, seed int64, c
 // because submitting it late would silently under-report its wait.
 func drive(name string, stream workload.JobStream, policy Policy, pred *core.Predictor, seed int64, cfg Config, observe func(*sched.Job)) (*Trial, *trialEnv, error) {
 	cfg.fill()
+	if t := cfg.CanaryThreshold; t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
+		return nil, nil, fmt.Errorf("experiments: canary threshold %v is not a finite non-negative number", t)
+	}
 	env, err := newTrialEnv(name, policy, pred, seed, cfg)
 	if err != nil {
 		return nil, nil, err
@@ -396,13 +356,7 @@ func drive(name string, stream workload.JobStream, policy Policy, pred *core.Pre
 	eng, s := env.eng, env.s
 
 	s.DiscardCompleted = true
-	lifecycleHook := s.OnComplete
-	s.OnComplete = func(j *sched.Job) {
-		if lifecycleHook != nil {
-			lifecycleHook(j)
-		}
-		observe(j)
-	}
+	s.OnComplete = observe
 
 	// pull advances next to the stream's next job and reports whether
 	// there is one; a stream error or a backwards submit time sets feedErr.
@@ -484,15 +438,6 @@ func drive(name string, stream workload.JobStream, policy Policy, pred *core.Pre
 		if g.Breaker != nil {
 			tr.BreakerTrips = g.Breaker.Trips
 		}
-	}
-	if lcm := env.lcm; lcm != nil {
-		tr.DriftDetections = lcm.DriftDetections
-		tr.FirstDriftAt = lcm.FirstDriftAt
-		tr.Retrains = lcm.Retrains
-		tr.Promotions = lcm.Promotions
-		tr.Rollbacks = lcm.Rollbacks
-		tr.ShadowPredictions = lcm.ShadowDecisions
-		tr.CanaryActed = lcm.CanaryActed
 	}
 	if env.traceBuf != nil {
 		if err := env.tracer.Flush(); err != nil {

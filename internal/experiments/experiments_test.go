@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"rush/internal/core"
@@ -330,6 +331,21 @@ func TestCanaryPolicyRuns(t *testing.T) {
 	// The canary gate should delay at least occasionally under noise.
 	if tr.GateVetoes == 0 {
 		t.Log("canary issued no vetoes in this trial (noise never crossed the threshold)")
+	}
+}
+
+// TestCanaryThresholdRejectedUnderEveryPolicy pins the one check of
+// Config.CanaryThreshold: a negative or non-finite value fails the run
+// before it starts, whichever policy it runs.
+func TestCanaryThresholdRejectedUnderEveryPolicy(t *testing.T) {
+	spec, _ := workload.SpecByName("ADAA")
+	for _, th := range []float64{-1, math.NaN(), math.Inf(1)} {
+		for _, pol := range []Policy{Baseline, Canary} {
+			if _, err := RunTrial(spec, pol, nil, 7, Config{CanaryThreshold: th}); err == nil ||
+				!strings.Contains(err.Error(), "canary threshold") {
+				t.Errorf("%s with canary threshold %v: error %v, want one naming the threshold", pol, th, err)
+			}
+		}
 	}
 }
 

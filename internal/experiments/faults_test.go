@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
 	"io"
 	"reflect"
 	"testing"
@@ -159,5 +161,119 @@ func TestDefaultFaultScenarios(t *testing.T) {
 		if err := sc.Faults.Validate(); err != nil {
 			t.Fatalf("scenario %s invalid: %v", sc.Name, err)
 		}
+	}
+}
+
+// TestInteractingFaultsFailOpenOncePerDecision is the interacting-fault
+// drill: the predictor is unreachable the whole run while telemetry is
+// simultaneously lossy and freezing and nodes churn. Every gate decision
+// must fail open exactly once (one gate event, one reason, no double
+// counting between the model-down and stale-telemetry paths) and wait
+// accounting must stay consistent across node-failure requeues.
+func TestInteractingFaultsFailOpenOncePerDecision(t *testing.T) {
+	pred := predictor(t)
+	spec, _ := workload.SpecByName("ADAA")
+	cfg := Config{
+		Trace: true, Metrics: true,
+		Faults: faults.Config{
+			ModelOutage:   1,
+			TelemetryLoss: 0.4,
+			FreezeProb:    0.2,
+			NodeMTBF:      20 * 3600,
+			NodeMTTR:      600,
+		},
+	}
+	tr, err := RunTrial(spec, RUSH, pred, 17, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.GateEvaluations != 0 {
+		t.Fatalf("unreachable model evaluated %d times", tr.GateEvaluations)
+	}
+	if tr.GateDegraded == 0 {
+		t.Fatal("full outage must degrade gate decisions")
+	}
+
+	// One gate event per decision; every non-override is a fail-open
+	// with exactly one recognized reason.
+	failOpens, overrides := 0, 0
+	for _, line := range bytes.Split(tr.Trace, []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		var ev struct {
+			Kind     string `json:"kind"`
+			Decision string `json:"decision"`
+			Reason   string `json:"reason"`
+		}
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatalf("bad trace line %q: %v", line, err)
+		}
+		if ev.Kind != "gate" {
+			continue
+		}
+		switch ev.Decision {
+		case "fail-open":
+			failOpens++
+			switch ev.Reason {
+			case "breaker-open", "model-down", "stale-telemetry", "missing-features":
+			default:
+				t.Fatalf("fail-open with unrecognized reason %q", ev.Reason)
+			}
+		case "override":
+			overrides++
+		default:
+			t.Fatalf("gate decision %q with the model unreachable", ev.Decision)
+		}
+	}
+	if failOpens != tr.GateDegraded {
+		t.Fatalf("trace has %d fail-open events, counter says %d", failOpens, tr.GateDegraded)
+	}
+	if overrides != tr.ThresholdOverrides {
+		t.Fatalf("trace has %d overrides, counter says %d", overrides, tr.ThresholdOverrides)
+	}
+
+	// The per-reason metrics must partition the degraded total exactly.
+	var reasonSum, degradedMetric float64
+	for _, mv := range tr.Metrics.Counters {
+		switch mv.Name {
+		case "gate_fail_open_breaker_open_total", "gate_fail_open_model_down_total",
+			"gate_fail_open_stale_telemetry_total", "gate_fail_open_missing_features_total":
+			reasonSum += mv.Value
+		case "gate_degraded_total":
+			degradedMetric = mv.Value
+		}
+	}
+	if reasonSum != float64(tr.GateDegraded) || degradedMetric != float64(tr.GateDegraded) {
+		t.Fatalf("per-reason fail-opens sum to %v, degraded metric %v, counter %d",
+			reasonSum, degradedMetric, tr.GateDegraded)
+	}
+
+	// Wait accounting across requeues: a job's recorded wait can never
+	// exceed queue-visible time before its final start, matches it
+	// exactly for never-killed jobs, and every record stays internally
+	// ordered even after kills and retries.
+	const eps = 1e-6
+	requeued := 0
+	for _, j := range tr.Jobs {
+		if j.Failed {
+			continue
+		}
+		if j.Wait < -eps || j.Start < j.Submit-eps || j.End <= j.Start {
+			t.Fatalf("job %d inconsistent after faults: %+v", j.ID, j)
+		}
+		if j.Wait > j.Start-j.Submit+eps {
+			t.Fatalf("job %d wait %v exceeds submit-to-start span %v", j.ID, j.Wait, j.Start-j.Submit)
+		}
+		if j.Retries == 0 {
+			if d := j.Wait - (j.Start - j.Submit); d > eps || d < -eps {
+				t.Fatalf("clean job %d wait %v != start-submit %v", j.ID, j.Wait, j.Start-j.Submit)
+			}
+		} else {
+			requeued++
+		}
+	}
+	if tr.JobKills > 0 && requeued == 0 && tr.FailedJobs == 0 {
+		t.Fatal("kills occurred but no job records a retry or failure")
 	}
 }

@@ -346,46 +346,3 @@ func ReportMetrics(w io.Writer, cmp *Comparison) error {
 		}
 	})
 }
-
-// ReportDrift renders a drift-scenario sweep: per scenario, the mean
-// drift-detection count, the mean detection latency after the scenario's
-// drift onset (telemetry drift start or app-rotation start; "-" when the
-// scenario has no onset or nothing was detected), and the mean
-// retrain/promotion/rollback counts.
-func ReportDrift(w io.Writer, rows []DriftRow) error {
-	return render(w, func(w io.Writer) {
-		fmt.Fprintf(w, "drift scenarios (mean per trial, RUSH with lifecycle)\n")
-		fmt.Fprintf(w, "  %-14s %9s %11s %8s %8s %9s\n",
-			"scenario", "detected", "latency", "retrain", "promote", "rollback")
-		for _, row := range rows {
-			n := float64(len(row.Trials))
-			if n == 0 {
-				continue
-			}
-			var det, retr, prom, roll float64
-			var lat float64
-			latN := 0
-			onset := row.Scenario.Faults.Drift.Start
-			if row.Scenario.AppSeverity > 0 && (onset == 0 || row.Scenario.AppStart < onset) {
-				onset = row.Scenario.AppStart
-			}
-			hasOnset := row.Scenario.Faults.Drift.Enabled() || row.Scenario.AppSeverity > 0
-			for _, tr := range row.Trials {
-				det += float64(tr.DriftDetections)
-				retr += float64(tr.Retrains)
-				prom += float64(tr.Promotions)
-				roll += float64(tr.Rollbacks)
-				if hasOnset && tr.FirstDriftAt >= 0 && tr.DriftDetections > 0 {
-					lat += tr.FirstDriftAt - onset
-					latN++
-				}
-			}
-			latency := "-"
-			if latN > 0 {
-				latency = fmt.Sprintf("%.0fs", lat/float64(latN))
-			}
-			fmt.Fprintf(w, "  %-14s %9.1f %11s %8.1f %8.1f %9.1f\n",
-				row.Scenario.Name, det/n, latency, retr/n, prom/n, roll/n)
-		}
-	})
-}

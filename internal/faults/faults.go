@@ -18,7 +18,6 @@ import (
 	"rush/internal/machine"
 	"rush/internal/obs"
 	"rush/internal/sim"
-	"rush/internal/telemetry"
 )
 
 // Config sets the fault rates. The zero value disables all injection.
@@ -48,57 +47,6 @@ type Config struct {
 	// ModelOutagePeriod is the outage granularity in seconds (default
 	// 600).
 	ModelOutagePeriod float64
-
-	// Drift shifts the telemetry counter distributions away from what
-	// any model trained before Drift.Start ever saw. The zero value
-	// injects nothing.
-	Drift DriftConfig
-}
-
-// DriftConfig seeds a deterministic distribution shift of the telemetry
-// stream — the "counters no longer mean what they meant at training
-// time" failure mode the lifecycle pipeline exists to catch. A gradual
-// ramp models slow calibration drift; a zero ramp is an abrupt regime
-// change (firmware update, collector replacement). Like every fault
-// knob, a zero-valued config neither installs a hook nor consumes a
-// random draw, leaving clean runs bit-identical.
-type DriftConfig struct {
-	// Start is when the drift begins, in simulated seconds.
-	Start float64
-	// Ramp is how long the shift takes to reach full strength, in
-	// seconds. 0 applies the full shift abruptly at Start.
-	Ramp float64
-	// MeanShift is the fractional mean inflation of affected counters
-	// at full strength (0.5 reports values 50% high). Must be > -1; a
-	// negative shift deflates.
-	MeanShift float64
-	// NoiseBoost adds extra multiplicative noise of this sigma at full
-	// strength, widening the counter distribution without moving its
-	// mean.
-	NoiseBoost float64
-	// Tables restricts the drift to the named counter tables (empty
-	// drifts every table).
-	Tables []string
-}
-
-// Enabled reports whether the drift would change any sample.
-func (d DriftConfig) Enabled() bool {
-	return d.MeanShift != 0 || d.NoiseBoost > 0
-}
-
-// Validate rejects parameters outside their domains.
-func (d DriftConfig) Validate() error {
-	switch {
-	case d.Start < 0:
-		return fmt.Errorf("faults: negative drift start %v", d.Start)
-	case d.Ramp < 0:
-		return fmt.Errorf("faults: negative drift ramp %v", d.Ramp)
-	case d.MeanShift <= -1:
-		return fmt.Errorf("faults: drift mean shift %v must be > -1", d.MeanShift)
-	case d.NoiseBoost < 0:
-		return fmt.Errorf("faults: negative drift noise boost %v", d.NoiseBoost)
-	}
-	return nil
 }
 
 func (c *Config) fill() {
@@ -113,8 +61,21 @@ func (c *Config) fill() {
 	}
 }
 
-// Validate rejects rates outside their domains.
+// Validate rejects rates outside their domains, a value that is not a
+// finite number first: a NaN fails every range comparison below.
 func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"node MTBF", c.NodeMTBF}, {"node MTTR", c.NodeMTTR},
+		{"telemetry loss", c.TelemetryLoss}, {"freeze probability", c.FreezeProb},
+		{"model outage", c.ModelOutage}, {"model outage period", c.ModelOutagePeriod},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("faults: %s %v is not a finite number", f.name, f.v)
+		}
+	}
 	switch {
 	case c.NodeMTBF < 0:
 		return fmt.Errorf("faults: negative node MTBF %v", c.NodeMTBF)
@@ -127,13 +88,12 @@ func (c Config) Validate() error {
 	case c.ModelOutage < 0 || c.ModelOutage > 1:
 		return fmt.Errorf("faults: model outage %v outside [0, 1]", c.ModelOutage)
 	}
-	return c.Drift.Validate()
+	return nil
 }
 
 // Enabled reports whether any fault class is active.
 func (c Config) Enabled() bool {
-	return c.NodeMTBF > 0 || c.TelemetryLoss > 0 || c.FreezeProb > 0 ||
-		c.ModelOutage > 0 || c.Drift.Enabled()
+	return c.NodeMTBF > 0 || c.TelemetryLoss > 0 || c.FreezeProb > 0 || c.ModelOutage > 0
 }
 
 // Injector drives fault injection against one machine.
@@ -180,13 +140,6 @@ func Attach(m *machine.Machine, cfg Config, src *sim.Source) (*Injector, error) 
 	inj := &Injector{cfg: cfg, m: m, src: src}
 	if cfg.TelemetryLoss > 0 || cfg.FreezeProb > 0 {
 		m.Sampler.SetFaults(&telemetryFaults{cfg: cfg, src: src})
-	}
-	if cfg.Drift.Enabled() {
-		d, err := newTelemetryDrift(cfg.Drift, m.Sampler.Schema(), src)
-		if err != nil {
-			return nil, err
-		}
-		m.Sampler.SetDrift(d)
 	}
 	if cfg.NodeMTBF > 0 {
 		for n := 0; n < m.Topo.Nodes; n++ {
@@ -272,84 +225,6 @@ func (f *telemetryFaults) SampleTick(node cluster.NodeID, tick int64) int64 {
 		return window * f.cfg.FreezeWindow
 	}
 	return tick
-}
-
-// telemetryDrift implements telemetry.DriftModel with pure hashing: a
-// sample's drifted value depends only on (seed, counter, node, tick)
-// and the ramp position at the tick's own instant, never on query
-// order, so cached rows and rerun simulations agree exactly.
-type telemetryDrift struct {
-	cfg      DriftConfig
-	src      *sim.Source
-	affected []bool // per schema index
-}
-
-// newTelemetryDrift resolves the config's table names against the
-// sampler schema; an unknown table is a configuration error, not a
-// silently inert drift.
-func newTelemetryDrift(cfg DriftConfig, schema []telemetry.Counter, src *sim.Source) (*telemetryDrift, error) {
-	d := &telemetryDrift{cfg: cfg, src: src, affected: make([]bool, len(schema))}
-	if len(cfg.Tables) == 0 {
-		for i := range d.affected {
-			d.affected[i] = true
-		}
-		return d, nil
-	}
-	want := map[string]bool{}
-	for _, t := range cfg.Tables {
-		want[t] = true
-	}
-	found := map[string]bool{}
-	for i := range schema {
-		if want[schema[i].Table] {
-			d.affected[i] = true
-			found[schema[i].Table] = true
-		}
-	}
-	for _, t := range cfg.Tables {
-		if !found[t] {
-			return nil, fmt.Errorf("faults: drift table %q not in the telemetry schema", t)
-		}
-	}
-	return d, nil
-}
-
-// strength returns the ramp position at tick, in [0, 1]: 0 before
-// Start, linear over Ramp seconds, 1 at full strength.
-func (d *telemetryDrift) strength(tick int64) float64 {
-	t := float64(tick) * telemetry.SamplePeriod
-	if t < d.cfg.Start {
-		return 0
-	}
-	if d.cfg.Ramp <= 0 {
-		return 1
-	}
-	if s := (t - d.cfg.Start) / d.cfg.Ramp; s < 1 {
-		return s
-	}
-	return 1
-}
-
-// Perturb implements telemetry.DriftModel.
-func (d *telemetryDrift) Perturb(ci int, node cluster.NodeID, tick int64, v float64) float64 {
-	if !d.affected[ci] {
-		return v
-	}
-	s := d.strength(tick)
-	if s == 0 {
-		return v
-	}
-	v *= 1 + s*d.cfg.MeanShift
-	if d.cfg.NoiseBoost > 0 {
-		// Uniform multiplicative noise matching the sampler's own noise
-		// shape (uniform with the variance of a normal of this sigma).
-		u := 2*d.src.HashUnit(hashTag("drift"), uint64(ci), uint64(node), uint64(tick)) - 1
-		v *= 1 + s*d.cfg.NoiseBoost*u*math.Sqrt(3)
-	}
-	if v < 0 {
-		v = 0
-	}
-	return v
 }
 
 // hashTag folds a string into one hash word (FNV-1a) so string-keyed

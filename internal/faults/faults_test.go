@@ -2,6 +2,7 @@ package faults
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"rush/internal/cluster"
@@ -20,18 +21,27 @@ func testMachine(t *testing.T, seed int64) *machine.Machine {
 }
 
 func TestConfigValidate(t *testing.T) {
-	bad := []Config{
-		{NodeMTBF: -1},
-		{NodeMTTR: -1},
-		{TelemetryLoss: -0.1},
-		{TelemetryLoss: 1.1},
-		{FreezeProb: 2},
-		{ModelOutage: -0.5},
-		{ModelOutage: 1.5},
+	bad := []struct {
+		c    Config
+		want string // the field the error must name
+	}{
+		{Config{NodeMTBF: -1}, "node MTBF"},
+		{Config{NodeMTTR: -1}, "node MTTR"},
+		{Config{TelemetryLoss: -0.1}, "telemetry loss"},
+		{Config{TelemetryLoss: 1.1}, "telemetry loss"},
+		{Config{FreezeProb: 2}, "freeze probability"},
+		{Config{ModelOutage: -0.5}, "model outage"},
+		{Config{ModelOutage: 1.5}, "model outage"},
+		{Config{NodeMTBF: 3600, NodeMTTR: math.NaN()}, "node MTTR NaN is not a finite number"},
+		{Config{NodeMTBF: math.Inf(1)}, "node MTBF +Inf is not a finite number"},
+		{Config{TelemetryLoss: math.NaN()}, "telemetry loss NaN is not a finite number"},
+		{Config{FreezeProb: math.NaN()}, "freeze probability NaN is not a finite number"},
+		{Config{ModelOutage: math.NaN()}, "model outage NaN is not a finite number"},
+		{Config{ModelOutage: 0.3, ModelOutagePeriod: math.NaN()}, "model outage period NaN is not a finite number"},
 	}
-	for _, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("config %+v should be invalid", c)
+	for _, b := range bad {
+		if err := b.c.Validate(); err == nil || !strings.Contains(err.Error(), b.want) {
+			t.Errorf("config %+v: error %v, want one naming %q", b.c, err, b.want)
 		}
 	}
 	ok := []Config{

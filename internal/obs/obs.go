@@ -59,40 +59,6 @@ const (
 	// KindNodeDown / KindNodeUp: injected node failure and repair.
 	KindNodeDown Kind = "node-down"
 	KindNodeUp   Kind = "node-up"
-	// KindDrift: the lifecycle drift detector tripped (feature
-	// distributions or the realized label rate diverged from the
-	// training-time reference).
-	KindDrift Kind = "drift"
-	// KindLifecycle: a model-lifecycle transition (retrain into shadow,
-	// shadow into canary, promotion, rollback, or a discarded challenger).
-	KindLifecycle Kind = "lifecycle"
-)
-
-// Drift signals (Event.Signal when Kind == KindDrift).
-const (
-	// SignalFeatures: per-feature PSI against the training reference
-	// exceeded the threshold on enough features.
-	SignalFeatures = "features"
-	// SignalLabels: the realized variation-label rate shifted away from
-	// the training rate.
-	SignalLabels = "labels"
-)
-
-// Lifecycle phases (Event.Phase when Kind == KindLifecycle).
-const (
-	// PhaseShadow: a challenger was retrained and entered shadow mode.
-	PhaseShadow = "shadow"
-	// PhaseCanary: the challenger's shadow F1 beat the incumbent; it now
-	// acts on a seeded fraction of decisions.
-	PhaseCanary = "canary"
-	// PhasePromoted: the canary held; the challenger replaced the
-	// incumbent.
-	PhasePromoted = "promoted"
-	// PhaseRolledBack: the canary regressed; the incumbent was restored.
-	PhaseRolledBack = "rolled-back"
-	// PhaseDiscarded: the challenger never beat the incumbent in shadow
-	// mode and was dropped without ever acting.
-	PhaseDiscarded = "discarded"
 )
 
 // Gate decision outcomes (Event.Decision).
@@ -163,15 +129,6 @@ type Event struct {
 	// Fault injection.
 	Node  int
 	Kills int
-
-	// Drift detection and model lifecycle.
-	Signal   string  // drift: which detector tripped (Signal* constants)
-	Score    float64 // drift: max per-feature PSI, or the label-rate delta
-	Features int     // drift: features whose PSI exceeded the threshold
-	Phase    string  // lifecycle: target phase (Phase* constants)
-	Gen      int     // lifecycle: challenger generation (retrain count)
-	Count    int     // lifecycle: decisions behind the transition
-	F1C, F1I float64 // lifecycle: challenger / incumbent shadow F1; -1 unmeasured
 }
 
 // Tracer encodes events as deterministic JSONL: one object per line,
@@ -287,23 +244,6 @@ func (t *Tracer) Emit(ev *Event) {
 		b = appendKI(b, "kills", ev.Kills)
 	case KindNodeUp:
 		b = appendKI(b, "node", ev.Node)
-	case KindDrift:
-		b = appendKV(b, "signal", ev.Signal)
-		b = appendKF(b, "score", ev.Score)
-		b = appendKI(b, "features", ev.Features)
-	case KindLifecycle:
-		b = appendKV(b, "phase", ev.Phase)
-		b = appendKI(b, "gen", ev.Gen)
-		b = appendKI(b, "count", ev.Count)
-		if ev.F1C >= 0 {
-			b = appendKF(b, "f1c", ev.F1C)
-		}
-		if ev.F1I >= 0 {
-			b = appendKF(b, "f1i", ev.F1I)
-		}
-		if ev.Reason != "" {
-			b = appendKV(b, "reason", ev.Reason)
-		}
 	}
 	b = append(b, '}', '\n')
 	t.buf = b

@@ -3,6 +3,8 @@ package sched
 import (
 	"math"
 	"testing"
+
+	"rush/internal/obs"
 )
 
 func TestBreakerTripsAfterThreshold(t *testing.T) {
@@ -81,5 +83,58 @@ func TestBreakerDegradedTimeAccounting(t *testing.T) {
 	b.Success(450)
 	if got := b.DegradedTime(1000); math.Abs(got-350) > 1e-9 {
 		t.Fatalf("degraded time after close = %v, want 350", got)
+	}
+}
+
+// TestBreakerStateGaugeTracksRecovery pins the breaker_state gauge
+// through a full predictor outage: closed (0) while healthy, open (1)
+// after the outage trips the breaker, half-open (2) when the cool-down
+// elapses, and closed (0) again once the probe succeeds.
+func TestBreakerStateGaugeTracksRecovery(t *testing.T) {
+	m := gateMachine()
+	model := trainedToyModel(t, m)
+	gate := NewRUSH(m, model)
+	reg := obs.NewRegistry()
+	gate.Observe(obs.New(nil, reg))
+	down := true
+	gate.ModelDown = func() bool { return down }
+	alloc, _ := m.Alloc.Alloc(4)
+
+	gauge := func() float64 {
+		for _, mv := range reg.Snapshot().Gauges {
+			if mv.Name == "breaker_state" {
+				return mv.Value
+			}
+		}
+		t.Fatal("breaker_state gauge not registered")
+		return -1
+	}
+
+	if gauge() != float64(BreakerClosed) {
+		t.Fatalf("initial gauge = %v, want closed", gauge())
+	}
+	// Predictor outage: consecutive failures trip the breaker.
+	for i := 0; i < gate.Breaker.FailureThreshold; i++ {
+		gate.Allow(job(i, 4, 100), alloc)
+	}
+	if gauge() != float64(BreakerOpen) {
+		t.Fatalf("gauge after outage = %v, want open", gauge())
+	}
+	// Outage ends; after the cool-down the state query itself advances
+	// the breaker to half-open, and the next decision probes the model.
+	down = false
+	m.Eng.RunUntil(m.Eng.Now() + gate.Breaker.OpenDuration + 1)
+	if st := gate.Breaker.State(m.Eng.Now()); st != BreakerHalfOpen {
+		t.Fatalf("state after cool-down = %v, want half-open", st)
+	}
+	if gauge() != float64(BreakerHalfOpen) {
+		t.Fatalf("gauge after cool-down = %v, want half-open", gauge())
+	}
+	gate.Allow(job(10, 4, 100), alloc)
+	if gauge() != float64(BreakerClosed) {
+		t.Fatalf("gauge after recovery = %v, want closed", gauge())
+	}
+	if gate.Breaker.State(m.Eng.Now()) != BreakerClosed {
+		t.Fatal("breaker must re-close after the outage ends")
 	}
 }

@@ -44,7 +44,7 @@ func (g *Canary) Name() string { return "Canary" }
 func (g *Canary) Allow(j *Job, alloc cluster.Allocation) bool {
 	now := g.m.Eng.Now()
 	if j.Skips >= j.SkipLimit() {
-		return g.Record(now, j, NewVerdict(obs.DecisionOverride, ""), nil, nil)
+		return g.Record(now, j, NewVerdict(obs.DecisionOverride, ""))
 	}
 	if !g.AllClasses && j.App.Class == apps.ComputeIntensive {
 		return true
@@ -57,5 +57,5 @@ func (g *Canary) Allow(j *Job, alloc cluster.Allocation) bool {
 	}
 	mean := sum / float64(len(probes.SendWait))
 	veto := mean > g.SlowdownThreshold*simnet.ProbeIdleDuration()
-	return g.Record(now, j, NewVerdict("", "").Decided(veto, -1), nil, nil)
+	return g.Record(now, j, NewVerdict("", "").Decided(veto, -1))
 }

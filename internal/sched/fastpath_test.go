@@ -93,7 +93,7 @@ func refAllow(t *testing.T, g *RUSH, j *Job, alloc cluster.Allocation) bool {
 			v = v.Decided(veto, class)
 		}
 	}
-	return g.Record(now, j, v, feats, nil)
+	return g.Record(now, j, v)
 }
 
 // TestGateFastPathMatchesReference drives twin gates through identical

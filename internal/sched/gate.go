@@ -11,28 +11,6 @@ import (
 	"rush/internal/telemetry"
 )
 
-// DecisionHook observes every RUSH gate decision and may adjust its
-// outcome. The model-lifecycle registry implements it to shadow-predict
-// with a challenger model on every evaluated decision and, during a
-// canary phase, to act on a seeded fraction of them. A nil hook costs a
-// single pointer check per decision, so leaving the hook compiled in is
-// free (pinned by TestPassNilLifecycleZeroAllocs).
-type DecisionHook interface {
-	// Decide is called after the incumbent model evaluated feats and
-	// returns the final veto decision (implementations that only observe
-	// return veto unchanged). feats aliases the gate's reusable buffer
-	// and class is the incumbent's predicted label; implementations must
-	// copy anything they retain across decisions.
-	Decide(j *Job, feats []float64, class int, veto bool) bool
-	// FailOpen is called when the decision failed open — the job
-	// launches without any model prediction. reason is one of the
-	// obs.Reason* constants.
-	FailOpen(j *Job, reason string)
-	// Override is called when the job exhausted its skip threshold and
-	// is forced through without consulting the model.
-	Override(j *Job)
-}
-
 // Features assembles the live Table I feature vector of a tentative
 // allocation from one machine: the five-minute counter aggregation over
 // the decision scope plus freshly run MPI probes. It owns the reusable
@@ -115,7 +93,7 @@ type RUSH struct {
 
 	model mlkit.Classifier
 	// fast (nil when the model lacks the interface) and width are the
-	// model's capabilities a decision reads, asserted once by setModel.
+	// model's capabilities a decision reads, asserted once by NewRUSH.
 	fast  mlkit.FastProbaPredictor
 	width int
 
@@ -139,10 +117,6 @@ type RUSH struct {
 	// pure: the gate reads it on every decision. A down model is a
 	// breaker failure and the decision fails open.
 	ModelDown func() bool
-	// Hook, when set, observes every decision and may adjust evaluated
-	// ones (the model-lifecycle registry's shadow/canary path). Nil is
-	// the zero-overhead default.
-	Hook DecisionHook
 
 	probsBuf []float64
 }
@@ -159,7 +133,10 @@ func (g *RUSH) Observe(o *obs.Observer) {
 // NewRUSH returns the RUSH gate over machine m with the given trained
 // model, delaying on dataset.LabelVariation only, with the deployed
 // fail-open thresholds (telemetry at most 90 s old, 1.5 sample periods;
-// at most half the features missing) and a default Breaker.
+// at most half the features missing) and a default Breaker. The model's
+// feature width and whether it implements mlkit.FastProbaPredictor are
+// read here, once, and the probability buffer is sized to its classes, so
+// a decision asserts nothing about the model.
 func NewRUSH(m *machine.Machine, model mlkit.Classifier) *RUSH {
 	g := &RUSH{
 		Features: NewFeatures(m),
@@ -167,26 +144,16 @@ func NewRUSH(m *machine.Machine, model mlkit.Classifier) *RUSH {
 		VariationLabels: map[int]bool{
 			dataset.LabelVariation: true,
 		},
+		model: model,
 	}
-	g.setModel(model)
-	return g
-}
-
-// setModel installs a trained model. Its feature width and whether it
-// implements mlkit.FastProbaPredictor are read here, once, and the
-// probability buffer is sized to its classes, so a decision asserts
-// nothing about the model.
-func (g *RUSH) setModel(model mlkit.Classifier) {
-	g.model, g.width = model, 0
 	if w, ok := model.(interface{ NumFeatures() int }); ok {
 		g.width = w.NumFeatures()
 	}
 	g.fast, _ = model.(mlkit.FastProbaPredictor)
 	if g.fast != nil {
-		if n := len(g.fast.Classes()); cap(g.probsBuf) < n {
-			g.probsBuf = make([]float64, n)
-		}
+		g.probsBuf = make([]float64, len(g.fast.Classes()))
 	}
+	return g
 }
 
 // Name implements Gate.
@@ -206,9 +173,8 @@ func (g *RUSH) Allow(j *Job, alloc cluster.Allocation) bool {
 	if !v.Final() && g.MaxStaleness > 0 {
 		v = g.Fresh(now, g.FreshnessAge(alloc))
 	}
-	var feats []float64
 	if !v.Final() {
-		feats = g.LiveFeatures(alloc, j.App.Class)
+		feats := g.LiveFeatures(alloc, j.App.Class)
 		var err error
 		if v, err = g.Eval(now, v.Age, feats, g.width); err != nil {
 			// LiveFeatures always builds dataset.NumFeatures entries, so
@@ -219,22 +185,8 @@ func (g *RUSH) Allow(j *Job, alloc cluster.Allocation) bool {
 			v = v.Decided(g.decide(feats))
 		}
 	}
-	return g.Record(now, j, v, feats, g.Hook)
+	return g.Record(now, j, v)
 }
-
-// Model returns the gate's current classifier (the incumbent).
-func (g *RUSH) Model() mlkit.Classifier { return g.model }
-
-// SwapModel replaces the gate's classifier in place — the model
-// lifecycle promotes a vetted challenger this way. The next decision
-// uses the new model; the probability buffer is resized here, so a model
-// with a different class count is safe.
-//
-// The swap is a plain write: the gate lives inside one trial's
-// single-threaded event loop, like the scheduler itself. A host whose
-// readers run concurrently with promotions must publish the swap
-// atomically, as serve.Server does with its Snapshot pointer.
-func (g *RUSH) SwapModel(m mlkit.Classifier) { g.setModel(m) }
 
 // DegradedTime returns the simulated seconds spent with the breaker
 // open, or 0 when the breaker is disabled.

@@ -41,6 +41,32 @@ func TestPassZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestGatedPassZeroAllocs extends the contract to a RUSH-gated
+// scheduler with a trained model, fully loaded with a blocker plus a
+// backlog: a pass still performs zero heap allocations.
+func TestGatedPassZeroAllocs(t *testing.T) {
+	m := gateMachine()
+	s, err := NewScheduler(Config{Machine: m, Gate: NewRUSH(m, trainedToyModel(t, m))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Submit(job(0, m.Topo.Nodes, 1e6)) // holds every node once started
+	if err := s.Pass(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 4; i++ {
+		s.Submit(job(i, 4*i, 100)) // queued behind the blocker
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := s.Pass(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Pass on a RUSH-gated scheduler allocated %.1f times per run; want 0", allocs)
+	}
+}
+
 // TestBreakerTransitionsEmitOneEventEach drives the breaker around its
 // full cycle — closed -> open (Failure), open -> half-open (State after
 // the cool-down), half-open -> closed (Success) — and checks each

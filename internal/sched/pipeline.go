@@ -219,20 +219,13 @@ func (l *Ledger) Observe(o *obs.Observer) {
 }
 
 // Record books one final verdict and returns the gate's answer: false
-// delays the job. hook, when non-nil, is told of overrides and fail-opens
-// after they are traced, and sees an evaluated decision before it is
-// booked: it may flip the veto (the lifecycle's canary phase), and the
-// counts and the trace line describe what actually happened. feats is
-// handed to the hook only.
-func (l *Ledger) Record(now float64, j *Job, v Verdict, feats []float64, hook DecisionHook) bool {
+// delays the job.
+func (l *Ledger) Record(now float64, j *Job, v Verdict) bool {
 	switch v.Decision {
 	case obs.DecisionOverride:
 		l.ThresholdOverrides++
 		l.overrides.Inc()
 		l.emit(now, j, v)
-		if hook != nil {
-			hook.Override(j)
-		}
 		return true
 	case obs.DecisionFailOpen:
 		l.Degraded++
@@ -248,22 +241,16 @@ func (l *Ledger) Record(now float64, j *Job, v Verdict, feats []float64, hook De
 			l.failMissing.Inc()
 		}
 		l.emit(now, j, v)
-		if hook != nil {
-			hook.FailOpen(j, v.Reason)
-		}
 		return true
 	}
 	l.Evaluations++
 	l.evaluations.Inc()
 	veto := v.Decision == obs.DecisionVeto
-	if hook != nil {
-		veto = hook.Decide(j, feats, v.Class, veto)
-	}
 	if veto {
 		l.Vetoes++
 		l.vetoes.Inc()
 	}
-	l.emit(now, j, v.Decided(veto, v.Class))
+	l.emit(now, j, v)
 	return !veto
 }
 

@@ -61,7 +61,7 @@ func (g *Gate) Name() string { return "RUSH" }
 // Allow implements sched.Gate: the daemon's verdict, booked.
 func (g *Gate) Allow(j *sched.Job, alloc cluster.Allocation) bool {
 	now := g.m.Eng.Now()
-	return g.Record(now, j, g.ask(now, j, alloc), nil, nil)
+	return g.Record(now, j, g.ask(now, j, alloc))
 }
 
 // ask runs the two-phase exchange: OpCheck carries the decision context

@@ -53,7 +53,7 @@ const (
 	// decisions.
 	OpIngest = "ingest"
 	// OpSwap hot-swaps the served model from a serialized mlkit blob
-	// (epoch+1, lifecycle.SwapModel semantics: atomic publish, in-flight
+	// (epoch+1, Server.SwapModel semantics: atomic publish, in-flight
 	// decisions finish on the old model).
 	OpSwap = "swap"
 	// OpOutage sets or clears the injected predictor-outage flag (fault

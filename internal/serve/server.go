@@ -78,6 +78,12 @@ const maxBatch = 64
 // re-inference per live scope).
 const maxCacheEntries = 4096
 
+// maxErrorBytes caps the error text of a response frame. An error may
+// echo client input (an unknown op, a model kind), which quoting and JSON
+// escaping can grow fivefold; the cap keeps every response frame far
+// under MaxFrame, so every request frame is answered.
+const maxErrorBytes = 4096
+
 // batchItem is one inference handed to the batcher goroutine.
 type batchItem struct {
 	snap  *sched.Snapshot
@@ -94,8 +100,7 @@ type batchItem struct {
 // inference, caches counters-only decisions per scope, and degrades to
 // fail-open ALLOW behind the circuit breaker whenever the model path is
 // unavailable. The snapshot carries the model, so a hot-swap is one more
-// publish: Server implements lifecycle.ModelHost, and a lifecycle
-// manager can promote challengers straight into a live server.
+// publish.
 type Server struct {
 	batchWindow time.Duration
 
@@ -201,10 +206,9 @@ func (s *Server) publish(mut func(next *sched.Snapshot)) {
 	s.snap.Store(&next)
 }
 
-// SwapModel implements lifecycle.ModelHost: it atomically installs m as
-// the incumbent and publishes a new snapshot (epoch+1), invalidating all
-// cached decisions. In-flight decisions finish on the snapshot they
-// loaded — the old model — exactly as lifecycle promotion intends.
+// SwapModel atomically installs m as the served model and publishes a
+// new snapshot (epoch+1), invalidating all cached decisions. In-flight
+// decisions finish on the snapshot they loaded, the old model.
 func (s *Server) SwapModel(m mlkit.Classifier) {
 	s.cSwaps.Inc()
 	s.publish(func(next *sched.Snapshot) { next.Model = m })
@@ -610,6 +614,9 @@ func (s *Server) handleConn(c net.Conn) {
 			s.cProtoErrs.Inc()
 		} else {
 			s.Handle(&req, &resp)
+		}
+		if len(resp.Error) > maxErrorBytes {
+			resp.Error = resp.Error[:maxErrorBytes]
 		}
 		if err := WriteFrame(bw, &resp); err != nil {
 			return

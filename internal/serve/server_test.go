@@ -267,7 +267,7 @@ func TestConcurrentSwapIngestDecide(t *testing.T) {
 
 	stats := srv.Stats()
 	if stats["serve_model_swaps_total"] != 200 || stats["serve_ingests_total"] != 201 {
-		t.Fatalf("lifecycle counters: %v", stats)
+		t.Fatalf("swap and ingest counters: %v", stats)
 	}
 	if srv.Snapshot().Epoch != 401 {
 		t.Fatalf("epoch = %d, want 401 (200 swaps + 201 ingests)", srv.Snapshot().Epoch)

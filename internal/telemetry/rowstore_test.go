@@ -137,30 +137,12 @@ func TestWindowLongerThanRing(t *testing.T) {
 	}
 }
 
-// hashDrift is a pure drift model: a hash-driven rescale from startTick
-// on, and now and then a NaN, which a Perturb is free to return.
-type hashDrift struct {
-	src       *sim.Source
-	startTick int64
-}
-
-func (d hashDrift) Perturb(ci int, node cluster.NodeID, tick int64, v float64) float64 {
-	if tick < d.startTick {
-		return v
-	}
-	u := d.src.HashUnit(uint64(ci), uint64(node)+5, uint64(tick)+9)
-	if u < 0.01 {
-		return math.NaN()
-	}
-	return v * (0.5 + u)
-}
-
 // TestRowStoreMatchesReferenceProperty drives one sampler through more
 // than ten thousand random queries — scopes of one node to more than the
 // cap, node IDs outside the topology, window ends on and off tick
 // boundaries, sub-period, standard and longer-than-ring windows, windows
 // that start before time zero — interleaved with load changes, prunes of
-// sampler and history, and fault and drift models coming and going, and
+// sampler and history, and fault models coming and going, and
 // checks every answer of the fast path against the reference bit for bit.
 func TestRowStoreMatchesReferenceProperty(t *testing.T) {
 	const seeds, queries = 3, 3500 // 10,500 in all
@@ -194,9 +176,9 @@ func TestRowStoreMatchesReferenceProperty(t *testing.T) {
 			case 1:
 				s.SetFaults(nil)
 			case 2:
-				s.SetDrift(hashDrift{src: sim.NewSource(seed).Derive("drift"), startTick: int64(*now/SamplePeriod) - int64(rng.Intn(30))})
+				s.SetFaults(testFaults{src: sim.NewSource(seed).Derive("drops"), dropP: rng.Uniform(0, 0.2), freezeSpan: 2})
 			case 3:
-				s.SetDrift(nil)
+				s.SetFaults(nil)
 			case 4, 5:
 				// History and sampler pruned together, as the machine does.
 				cut := *now - rng.Uniform(0, 3*WindowSeconds)
@@ -295,7 +277,7 @@ func TestColdWindowZeroAllocs(t *testing.T) {
 
 // FuzzRowStoreOps lets the fuzzer write a sampler's life four bytes at a
 // time (op, a, b, c): load mutations and clock advances; paired
-// Sampler.Prune / History.Prune; fault and drift models coming and going,
+// Sampler.Prune / History.Prune; fault models coming and going,
 // which flush the store; and window queries over job scopes, scopes over
 // maxScopeNodes, node IDs outside the topology, and windows from
 // sub-period to longer than the ring. Every answer of AggregateRangeInto
@@ -337,9 +319,9 @@ func FuzzRowStoreOps(f *testing.F) {
 				case 1:
 					s.SetFaults(testFaults{src: sim.NewSource(int64(b)), dropP: float64(c%128) / 255, freezeP: float64(c/2) / 255, freezeSpan: int64(2 + b%9)})
 				case 2:
-					s.SetDrift(hashDrift{src: sim.NewSource(int64(c)), startTick: int64(*now/SamplePeriod) - int64(b%40)})
+					s.SetFaults(testFaults{src: sim.NewSource(int64(c)), dropP: float64(b%64) / 255, freezeSpan: 2})
 				default:
-					s.SetDrift(nil)
+					s.SetFaults(nil)
 				}
 			default:
 				var nodes []cluster.NodeID

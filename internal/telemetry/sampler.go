@@ -42,21 +42,6 @@ type FaultModel interface {
 	SampleTick(node cluster.NodeID, tick int64) int64
 }
 
-// DriftModel lets a fault injector shift the latent distributions the
-// sampler synthesizes — the slow calibration drift, firmware-update
-// regime changes, and sensor recalibrations a months-old trained model
-// must survive. Implementations must be pure functions of their
-// arguments (and their own seed): cached rows stay valid under a fixed
-// drift model, overlapping windows agree on shared samples, and runs
-// remain reproducible.
-type DriftModel interface {
-	// Perturb returns the drifted value of counter ci on node given the
-	// healthy value v. tick is the effective sample tick (the instant
-	// the value reflects), so frozen counters keep repeating their
-	// pre-freeze, pre-drift value exactly as a stuck collector would.
-	Perturb(ci int, node cluster.NodeID, tick int64, v float64) float64
-}
-
 // Sampler synthesizes counter samples from the simulator's load history.
 //
 // Aggregation queries are memoized in a dense row store (see rowStore):
@@ -75,7 +60,6 @@ type Sampler struct {
 	topo   cluster.Topology
 	schema []Counter
 	faults FaultModel
-	drift  DriftModel
 	tables []string
 
 	// noiseHash[ci] is the sample-noise hash after the seed and counter
@@ -155,14 +139,6 @@ func NewSampler(topo cluster.Topology, rng *sim.Source) *Sampler {
 // that produced them.
 func (s *Sampler) SetFaults(f FaultModel) {
 	s.faults = f
-	s.store.flush()
-}
-
-// SetDrift installs a drift model (nil restores the calibrated stream).
-// The row store is flushed, mirroring SetFaults: stored rows are only
-// valid under the drift model that produced them.
-func (s *Sampler) SetDrift(d DriftModel) {
-	s.drift = d
 	s.store.flush()
 }
 
@@ -264,9 +240,9 @@ func (a Aggregates) Clone() Aggregates {
 }
 
 // mayMiss reports whether a sample row can hold NaN, which only a fault
-// model (dropped tables) or a drift model (Perturb returns what it likes)
-// can put there: finite loads synthesize finite samples.
-func (s *Sampler) mayMiss() bool { return s.faults != nil || s.drift != nil }
+// model (dropped tables) can put there: finite loads synthesize finite
+// samples.
+func (s *Sampler) mayMiss() bool { return s.faults != nil }
 
 // computeRow fills r with the full sample row of (node, tick): every
 // counter's value (NaN for dropped tables) plus the effective instant the
@@ -323,11 +299,6 @@ func (s *Sampler) computeRow(slices []simnet.Slice, node cluster.NodeID, tick in
 		v := (c.Base + c.Gain*signal[c.Src]) * (1 + c.Noise*u*math.Sqrt(3))
 		if v < 0 {
 			v = 0
-		}
-		if s.drift != nil {
-			// Drift applies at the effective tick: a frozen counter keeps
-			// repeating the value (and drift state) of its freeze instant.
-			v = s.drift.Perturb(ci, node, effTick, v)
 		}
 		r.vals[ci] = v
 	}

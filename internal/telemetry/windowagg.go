@@ -25,7 +25,6 @@ type WindowAgg struct {
 	hist     *simnet.History
 	nodes    []cluster.NodeID
 	faults   FaultModel // fault model the cached partials were computed under
-	drift    DriftModel // drift model ditto
 	partials []tickPartial
 	sliceBuf []simnet.Slice
 }
@@ -51,7 +50,6 @@ func (s *Sampler) NewWindowAgg(hist *simnet.History, nodes []cluster.NodeID) *Wi
 		hist:     hist,
 		nodes:    append([]cluster.NodeID(nil), capNodes(nodes)...),
 		faults:   s.faults,
-		drift:    s.drift,
 		partials: make([]tickPartial, WindowTicks),
 	}
 }
@@ -74,14 +72,13 @@ func (w *WindowAgg) AggregateInto(t1 float64, out *Aggregates) {
 	if len(w.nodes) == 0 {
 		return
 	}
-	if w.faults != s.faults || w.drift != s.drift {
-		// The sampler's fault or drift model changed under us: every
-		// cached partial is stale.
+	if w.faults != s.faults {
+		// The sampler's fault model changed under us: every cached
+		// partial is stale.
 		for i := range w.partials {
 			w.partials[i].set = false
 		}
 		w.faults = s.faults
-		w.drift = s.drift
 	}
 	first, last := tickBounds(t0, t1)
 	if last < first {
