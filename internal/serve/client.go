@@ -16,7 +16,7 @@ type Client struct {
 	mu   sync.Mutex
 	conn net.Conn
 	br   *bufio.Reader
-	bw   *bufio.Writer
+	buf  []byte // the frame being written or read
 	id   uint64
 	err  error // sticky transport error; the connection is dead once set
 }
@@ -39,12 +39,14 @@ func Dial(addr string) (*Client, error) {
 
 // NewClient wraps an established connection.
 func NewClient(conn net.Conn) *Client {
-	return &Client{conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
+	return &Client{conn: conn, br: bufio.NewReader(conn)}
 }
 
 // Do sends one request and waits for its response. It stamps req.V and
-// req.ID. A transport error is sticky: every later Do fails immediately
-// with it (the framing cannot be trusted after a partial exchange).
+// req.ID. A request that cannot be encoded (a non-finite Now or Age) is
+// an error of its own, and nothing is sent. A transport error is sticky:
+// every later Do fails immediately with it (the framing cannot be
+// trusted after a partial exchange).
 func (c *Client) Do(req *Request) (*Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -54,18 +56,22 @@ func (c *Client) Do(req *Request) (*Response, error) {
 	c.id++
 	req.V = ProtoVersion
 	req.ID = c.id
-	if err := WriteFrame(c.bw, req); err != nil {
+	frame, err := appendFrame(c.buf[:0], req)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := c.conn.Write(frame); err != nil {
 		c.err = err
 		return nil, err
 	}
-	if err := c.bw.Flush(); err != nil {
+	if c.buf, err = readRawFrame(c.br, frame); err != nil {
 		c.err = err
 		return nil, err
 	}
 	resp := &Response{}
-	if err := ReadFrame(c.br, resp); err != nil {
-		c.err = err
-		return nil, err
+	if err := decodeResponse(c.buf, resp); err != nil {
+		c.err = fmt.Errorf("serve: decode frame: %w", err)
+		return nil, c.err
 	}
 	if resp.ID != req.ID {
 		c.err = fmt.Errorf("serve: response id %d does not match request id %d", resp.ID, req.ID)

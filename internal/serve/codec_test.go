@@ -1,0 +1,256 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"math"
+	"os"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// The wire form of FeatureVector as encoding/json methods. They exist only
+// in the test binary, where they make json.Marshal and json.Unmarshal of a
+// Request the oracle the codec is differenced against: non-finite
+// entries marshal as null, and null entries unmarshal as NaN.
+
+func (f FeatureVector) MarshalJSON() ([]byte, error) {
+	if f == nil {
+		return []byte("null"), nil
+	}
+	buf := []byte{'['}
+	for i, v := range f {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			buf = append(buf, "null"...)
+			continue
+		}
+		b, err := json.Marshal(v)
+		if err != nil {
+			return nil, err
+		}
+		buf = append(buf, b...)
+	}
+	return append(buf, ']'), nil
+}
+
+func (f *FeatureVector) UnmarshalJSON(data []byte) error {
+	var raw []*float64
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return err
+	}
+	if raw == nil {
+		*f = nil
+		return nil
+	}
+	*f = make(FeatureVector, len(raw))
+	for i, p := range raw {
+		(*f)[i] = math.NaN()
+		if p != nil {
+			(*f)[i] = *p
+		}
+	}
+	return nil
+}
+
+// FuzzFrameCodec differences the codec against encoding/json. Arbitrary
+// bytes decode as a Request and as a Response: decodeRequest and
+// decodeResponse must accept exactly what json.Unmarshal accepts and
+// produce the same value, floats compared bit for bit and Model byte for
+// byte, and a request decoded into a connection's used scratch must come
+// out the same as into a fresh one. Every accepted value re-encodes to
+// json.Marshal's bytes. The bytes also fill a Request and a Response
+// directly (strings that need not be UTF-8, floats from raw bits, the
+// bytes as Model), which the encoders must write as json.Marshal does,
+// failing where it fails.
+func FuzzFrameCodec(f *testing.F) {
+	golden, err := os.ReadFile("testdata/conformance.golden")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, line := range bytes.Split(golden, []byte("\n")) {
+		if body, ok := bytes.CutPrefix(line, []byte("> ")); ok {
+			f.Add(bytes.TrimPrefix(body, []byte("(raw) ")))
+		}
+	}
+	for _, s := range []string{
+		// Keys folded the way encoding/json folds them: ASCII case, the
+		// long s (U+017F) for s and the Kelvin sign (U+212A) for k.
+		`{"V":1,"Id":2,"OP":"ping","sTaTuS":"ok","DECISION":"veto"}`,
+		`{"\u017fcope":"q","\u017fkips":1,"s\u212aip_limit":2,"jo\u0062":3,"mi\u017f\u017fing":0.5}`,
+		`{"v":1,"v":2,"feats":[1],"feats":[2,3],"age":1,"age":2,"model":[1],"model":{ "a" : 1 }}`,
+		`{"stats":{"a":1,"c":4},"stats":{"b":2,"a":3},"status":"x","status":"ok"}`,
+		`{"v":null,"op":null,"now":null,"feats":null,"age":null,"model":null,"stats":null,"down":null}`,
+		`{"v":1,"age":1,"age":null,"feats":[null,1,null],"min":[],"stats":{"a":null}}`,
+		`{"op":"p\u0069ng","app":"\ud83d\ude00 \u00e9 \/ \b\f\n\r\t \"\\ \u0000","scope":"\ud800x\udc00\ud800\ud800\udc00"}`,
+		"{\"app\":\"\xff\xfe<&>\",\"scope\":\"\xed\xa0\x80\",\"error\":\"\xe2\x80\xa8\xe2\x80\xa9\"}",
+		`{"now":1e400}`, `{"age":-1e400}`, `{"feats":[1e400]}`, `{"missing":1e-400,"age":-0}`,
+		`{"now":-0,"age":-0,"feats":[-0,1e-7,1e-6,1e21,1e20,123456789e300,5e-324,0.1]}`,
+		`{"v":9223372036854775807}`, `{"v":9223372036854775808}`, `{"v":-9223372036854775809}`,
+		`{"id":18446744073709551615}`, `{"id":18446744073709551616}`, `{"id":-1}`, `{"id":-0}`,
+		`{"v":1.0}`, `{"v":1e2}`, `{"tick":-0}`, `{"stats":{"a":-1}}`, `{"stats":{"a":1.5}}`,
+		`{"v":"1"}`, `{"down":1}`, `{"down":true,"cached":false}`, `{"op":5}`, `{"feats":{}}`, `{"feats":"x"}`,
+		`{"feats":[true]}`, `{"stats":[]}`, `{"model":"<\u2028>"}`,
+		"{\"model\": { \"a\" : \"<\u2028>\" , \"b\":[ 1 , 2 ] }, \"x\":1}",
+		`{"x":[{"y":[1,{"z":null}],"w":"<&>"}],"v":1,"x":{"":[true,false,-1.5E+3]}}`,
+		`null`, ` null `, "\t{}\r\n", `[]`, `"x"`, `5`, `true`, `{} x`, `nul`, ``, `{`, `{"v":1,}`,
+		`{"v":1 "id":2}`, `{"v" 1}`, `{,}`, `{"v":01}`, `{"v":-}`, `{"v":1.}`, `{"v":1e}`, `{"v":.5}`,
+		`{"app":"\x"}`, `{"app":"\u12g4"}`, `{"app":"\u12`, "{\"app\":\"a\nb\"}", `{"v":1}{}`,
+		`{"app":"\'"}`, `[1,]`, `{"x":[1 2]}`, `{"x":tru}`, "{\"x\":\xef\xbb\xbf1}",
+		// Raw control bytes and a raw U+2028, for the encoders.
+		"\x00\x01\x1f\x7f\b\f\n\r\t<\xe2\x80\xa8>",
+	} {
+		f.Add([]byte(s))
+	}
+
+	f.Fuzz(checkCodec)
+}
+
+// TestCodecNestingLimit checks the codec at encoding/json's nesting
+// limit, 10,000 arrays and objects deep, which the fuzzer's mutations
+// would only reach slowly.
+func TestCodecNestingLimit(t *testing.T) {
+	for _, n := range []int{9998, 9999, 10000} {
+		deep := strings.Repeat("[", n) + strings.Repeat("]", n)
+		for _, in := range []string{deep, `{"x":` + deep + `}`, `{"model":` + deep + `}`, `{"stats":{"a":` + deep + `}}`} {
+			checkCodec(t, []byte(in))
+		}
+	}
+}
+
+// checkCodec is FuzzFrameCodec's check of one input.
+func checkCodec(t *testing.T, in []byte) {
+	t.Helper()
+	var want Request
+	wantErr := json.Unmarshal(in, &want)
+	var got Request
+	if err := decodeRequest(in, &got, nil); (err == nil) != (wantErr == nil) {
+		t.Fatalf("request %q: codec error %v, encoding/json error %v", in, err, wantErr)
+	}
+	var used Request
+	var scratch reqScratch
+	if err := decodeRequest(full, &used, &scratch); err != nil {
+		t.Fatal(err)
+	}
+	if err := decodeRequest(in, &used, &scratch); (err == nil) != (wantErr == nil) {
+		t.Fatalf("request %q into used scratch: codec error %v, encoding/json error %v", in, err, wantErr)
+	}
+	if wantErr == nil {
+		if !sameRequest(got, want) || !sameRequest(used, want) {
+			t.Fatalf("request %q:\ncodec        %#v\nused scratch %#v\nencoding/json %#v", in, got, used, want)
+		}
+		sameEncoding(t, &got, &want)
+	}
+
+	var wantResp Response
+	wantErr = json.Unmarshal(in, &wantResp)
+	var gotResp Response
+	if err := decodeResponse(in, &gotResp); (err == nil) != (wantErr == nil) {
+		t.Fatalf("response %q: codec error %v, encoding/json error %v", in, err, wantErr)
+	}
+	if wantErr == nil {
+		if !sameResponse(gotResp, wantResp) {
+			t.Fatalf("response %q:\ncodec         %#v\nencoding/json %#v", in, gotResp, wantResp)
+		}
+		sameEncoding(t, &gotResp, &wantResp)
+	}
+
+	s := string(in)
+	bits := func(i int) float64 {
+		var w [8]byte
+		copy(w[:], in[min(i, len(in)):])
+		return math.Float64frombits(binary.LittleEndian.Uint64(w[:]))
+	}
+	age := bits(8)
+	vec := make(FeatureVector, len(in)/8)
+	for i := range vec {
+		vec[i] = bits(8 * i)
+	}
+	req := Request{V: len(in), ID: uint64(len(s)) << 40, Op: s, Now: bits(0), Job: -len(in), App: s, Scope: s,
+		Skips: 3, Down: len(in)%2 == 0, Age: &age, Feats: vec, Tick: -1, Min: vec[min(1, len(vec)):], Model: in}
+	sameEncoding(t, &req, &req)
+	resp := Response{V: 1, Status: s, Error: s, Decision: s, Reason: s, Class: -len(in), Age: bits(0), Missing: bits(8),
+		Cached: len(in)%2 == 1, Epoch: math.MaxUint64, Stats: map[string]uint64{s: 1, s + "<": 2, "": 3}}
+	sameEncoding(t, &resp, &resp)
+}
+
+// full is a request with every vector and an age: a request decoded into
+// the scratch it leaves must come out as into a fresh one.
+var full = []byte(`{"v":1,"age":7,"feats":[1,2,3],"min":[4],"mean":[5,6],"max":[7,8,9,10]}`)
+
+// sameEncoding checks that the codec encodes got as json.Marshal encodes
+// want, failing exactly where it fails.
+func sameEncoding(t *testing.T, got, want any) {
+	t.Helper()
+	wantBytes, wantErr := json.Marshal(want)
+	var gotBytes []byte
+	var err error
+	switch v := got.(type) {
+	case *Request:
+		gotBytes, err = appendRequest(nil, v)
+	case *Response:
+		gotBytes, err = appendResponse(nil, v)
+	}
+	if (err == nil) != (wantErr == nil) || !bytes.Equal(gotBytes, wantBytes) && err == nil {
+		t.Fatalf("%#v\ncodec encodes        %q (%v)\njson.Marshal encodes %q (%v)", got, gotBytes, err, wantBytes, wantErr)
+	}
+}
+
+func sameRequest(a, b Request) bool {
+	if !sameFloat(a.Now, b.Now) || (a.Age == nil) != (b.Age == nil) || a.Age != nil && !sameFloat(*a.Age, *b.Age) ||
+		(a.Model == nil) != (b.Model == nil) || !bytes.Equal(a.Model, b.Model) {
+		return false
+	}
+	for _, v := range [][2]FeatureVector{{a.Feats, b.Feats}, {a.Min, b.Min}, {a.Mean, b.Mean}, {a.Max, b.Max}} {
+		if (v[0] == nil) != (v[1] == nil) || len(v[0]) != len(v[1]) {
+			return false
+		}
+		for j := range v[0] {
+			if !sameFloat(v[0][j], v[1][j]) {
+				return false
+			}
+		}
+	}
+	a.Now, a.Age, a.Model, a.Feats, a.Min, a.Mean, a.Max = 0, nil, nil, nil, nil, nil, nil
+	b.Now, b.Age, b.Model, b.Feats, b.Min, b.Mean, b.Max = 0, nil, nil, nil, nil, nil, nil
+	return reflect.DeepEqual(a, b)
+}
+
+func sameResponse(a, b Response) bool {
+	if !sameFloat(a.Age, b.Age) || !sameFloat(a.Missing, b.Missing) {
+		return false
+	}
+	a.Age, a.Missing, b.Age, b.Missing = 0, 0, 0, 0
+	return reflect.DeepEqual(a, b)
+}
+
+func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestFieldTables holds the codec's field lists to the struct tags that
+// encoding/json reads: every field, in order, under its tag's name, and
+// omitempty where tagged.
+func TestFieldTables(t *testing.T) {
+	var req Request
+	var resp Response
+	reqFields, respFields := req.fields(), resp.fields()
+	for _, c := range []struct {
+		v      reflect.Value
+		fields []field
+	}{{reflect.ValueOf(&req).Elem(), reqFields[:]}, {reflect.ValueOf(&resp).Elem(), respFields[:]}} {
+		if c.v.NumField() != len(c.fields) {
+			t.Fatalf("%s has %d fields, the codec lists %d", c.v.Type(), c.v.NumField(), len(c.fields))
+		}
+		for i, f := range c.fields {
+			tag := c.v.Type().Field(i).Tag.Get("json")
+			name, opts, _ := strings.Cut(tag, ",")
+			if f.name != name || f.omitEmpty != (opts == "omitempty") || f.ptr != c.v.Field(i).Addr().Interface() {
+				t.Errorf("%s field %d is %s tagged %q; the codec lists %q, omitempty %v, %T",
+					c.v.Type(), i, c.v.Type().Field(i).Name, tag, f.name, f.omitEmpty, f.ptr)
+			}
+		}
+	}
+}

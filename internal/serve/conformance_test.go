@@ -58,19 +58,24 @@ type conformanceConn struct {
 func (c *conformanceConn) comment(name string) { fmt.Fprintf(c.log, "# %s\n", name) }
 
 // roundTrip sends req as one frame and reads one response, recording
-// both verbatim. reqLine overrides the logged request line (used to
-// elide a multi-kilobyte model blob while still pinning its size).
-func (c *conformanceConn) roundTrip(req any, reqLine string) serve.Response {
+// both verbatim. The request line is the codec's encoding, which must be
+// json.Marshal's byte for byte, so the golden transcript pins the
+// encoder. reqLine overrides the logged line (used to elide a
+// multi-kilobyte model blob while still pinning its size).
+func (c *conformanceConn) roundTrip(req serve.Request, reqLine string) serve.Response {
 	c.t.Helper()
-	body, err := json.Marshal(req)
+	body, err := serve.AppendRequest(nil, &req)
 	if err != nil {
 		c.t.Fatal(err)
+	}
+	if want, err := json.Marshal(&req); err != nil || !bytes.Equal(body, want) {
+		c.t.Fatalf("the codec encodes request %d as\n%s\njson.Marshal as\n%s (%v)", req.ID, body, want, err)
 	}
 	if reqLine == "" {
 		reqLine = string(body)
 	}
 	fmt.Fprintf(c.log, "> %s\n", reqLine)
-	if err := serve.WriteFrame(c.bw, json.RawMessage(body)); err != nil {
+	if err := serve.WriteFrame(c.bw, &req); err != nil {
 		c.t.Fatal(err)
 	}
 	if err := c.bw.Flush(); err != nil {

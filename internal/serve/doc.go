@@ -49,13 +49,18 @@
 //	+----------------+----------------------+
 //
 // The body is a Request (client→server) or Response (server→client).
-// One response per request, in order, on the same connection; pipelining
-// is allowed. A length prefix above MaxFrame (1 MiB) is unrecoverable —
-// the server replies with a StatusError frame and closes the connection,
-// because the oversized body was never consumed and the stream cannot be
-// resynchronized. A body that fails to parse as JSON is recoverable: the
-// server replies with a StatusError frame describing the parse error and
-// keeps the connection open.
+// Both sides write and read bodies with the package's own codec, not with
+// encoding/json: it writes byte for byte what json.Marshal writes for a
+// Request or a Response, and accepts and rejects what json.Unmarshal
+// accepts and rejects, with equal results, so any JSON client is served
+// as before. A connection reuses one frame buffer, and the storage of the
+// request it decodes. One response per request, in order, on the same
+// connection; pipelining is allowed. A length prefix above MaxFrame
+// (1 MiB) is unrecoverable — the server replies with a StatusError frame
+// and closes the connection, because the oversized body was never
+// consumed and the stream cannot be resynchronized. A body that fails to
+// parse as JSON is recoverable: the server replies with a StatusError
+// frame describing the parse error and keeps the connection open.
 //
 // Every request carries three envelope fields: "v" (must equal
 // ProtoVersion; anything else gets a StatusError response naming the
@@ -102,12 +107,14 @@
 // single-shot OpDecide, which builds features from the server's own
 // snapshot and is eligible for the per-scope cache.
 //
-// Non-finite numbers: JSON cannot encode NaN or infinities.
-// FeatureVector marshals non-finite entries as null and unmarshals null
+// Non-finite numbers: JSON cannot encode NaN or infinities. The codec
+// writes non-finite FeatureVector entries as null and reads null entries
 // as NaN, preserving the missing-feature accounting for counters fully
-// dropped by fault injection. Freshness ages are clamped with WireAge
-// (+Inf, "no sample ever", becomes math.MaxFloat64 — still stale under
-// any threshold).
+// dropped by fault injection; a non-finite Now, Age or Missing is an
+// encoding error, as it is for json.Marshal. Freshness ages are clamped
+// with WireAge, the client's and the one the server derives from its
+// ingest clock alike (+Inf, "no sample ever", becomes math.MaxFloat64 —
+// still stale under any threshold), so that every request is answered.
 //
 // # Compatibility rule
 //

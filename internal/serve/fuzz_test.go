@@ -54,6 +54,10 @@ func FuzzServeFrames(f *testing.F) {
 	// An unknown op the error message quotes: %q spells each DEL byte in
 	// four, JSON escaping adds one, so an unbounded echo outgrows MaxFrame.
 	f.Add(rawFrame(append(append([]byte(`{"v":1,"op":"`), bytes.Repeat([]byte{0x7f}, 250_000)...), '"', '}')))
+	// Clocks so far apart that the age the decide derives from the ingest
+	// is +Inf, which JSON cannot carry.
+	f.Add(append(frame(f, Request{V: ProtoVersion, ID: 9, Op: OpIngest, Now: -1.7e308, Tick: 1, Min: counters, Mean: counters, Max: counters}),
+		frame(f, Request{V: ProtoVersion, ID: 10, Op: OpDecide, Now: 1.7e308})...))
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		srv, err := NewServer(Config{Model: model})
@@ -123,7 +127,7 @@ func FuzzServeFrames(f *testing.F) {
 // frame encodes req as one length-prefixed frame.
 func frame(tb testing.TB, req Request) []byte {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, req); err != nil {
+	if err := WriteFrame(&buf, &req); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()

@@ -79,68 +79,23 @@ const (
 // vocabulary ("start", "veto", "fail-open", "override").
 const DecisionEvaluate = "evaluate"
 
-// WireAge clamps a telemetry freshness age for JSON transport: +Inf (no
-// sample ever arrived) becomes math.MaxFloat64, which any staleness
-// threshold still classifies as stale. JSON cannot encode infinities.
+// WireAge clamps a telemetry freshness age for JSON transport, which
+// cannot encode infinities: +Inf (no sample ever arrived) becomes
+// math.MaxFloat64, which any staleness threshold still classifies as
+// stale, and -Inf becomes -math.MaxFloat64.
 func WireAge(age float64) float64 {
-	if math.IsInf(age, 1) {
-		return math.MaxFloat64
+	if math.IsInf(age, 0) {
+		return math.Copysign(math.MaxFloat64, age)
 	}
 	return age
 }
 
-// FeatureVector is a []float64 whose JSON form encodes non-finite
-// entries as null. Telemetry counters fully dropped by the fault model
-// aggregate to NaN, and feature vectors must survive the wire without
-// altering the missing-feature accounting.
+// FeatureVector is a feature vector or a telemetry aggregate on the wire.
+// Its JSON form is an array in which non-finite entries are null, and a
+// null entry decodes as NaN: telemetry counters fully dropped by the
+// fault model aggregate to NaN, and feature vectors must survive the wire
+// without altering the missing-feature accounting.
 type FeatureVector []float64
-
-// MarshalJSON implements json.Marshaler with null for non-finite values.
-func (f FeatureVector) MarshalJSON() ([]byte, error) {
-	if f == nil {
-		return []byte("null"), nil
-	}
-	buf := make([]byte, 0, 8*len(f)+2)
-	buf = append(buf, '[')
-	for i, v := range f {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			buf = append(buf, "null"...)
-			continue
-		}
-		b, err := json.Marshal(v)
-		if err != nil {
-			return nil, err
-		}
-		buf = append(buf, b...)
-	}
-	return append(buf, ']'), nil
-}
-
-// UnmarshalJSON implements json.Unmarshaler, decoding null entries as
-// NaN.
-func (f *FeatureVector) UnmarshalJSON(data []byte) error {
-	var raw []*float64
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return err
-	}
-	if raw == nil {
-		*f = nil
-		return nil
-	}
-	out := make([]float64, len(raw))
-	for i, p := range raw {
-		if p == nil {
-			out[i] = math.NaN()
-		} else {
-			out[i] = *p
-		}
-	}
-	*f = out
-	return nil
-}
 
 // Request is one client frame. V, ID, and Op are required on every
 // request; the remaining fields depend on Op (see the Op* docs). Unknown
@@ -218,55 +173,87 @@ type Response struct {
 	Stats map[string]uint64 `json:"stats,omitempty"`
 }
 
-// WriteFrame marshals v and writes it as one length-prefixed frame: a
-// 4-byte big-endian body length followed by the JSON body.
+// WriteFrame writes v, a *Request or a *Response, as one length-prefixed
+// frame: a 4-byte big-endian body length followed by the JSON body.
 func WriteFrame(w io.Writer, v any) error {
-	body, err := json.Marshal(v)
+	frame, err := appendFrame(nil, v)
 	if err != nil {
-		return fmt.Errorf("serve: encode frame: %w", err)
-	}
-	if len(body) > MaxFrame {
-		return fmt.Errorf("serve: frame body %d bytes exceeds MaxFrame %d", len(body), MaxFrame)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	_, err = w.Write(body)
+	_, err = w.Write(frame)
 	return err
+}
+
+// appendFrame appends v, a *Request or a *Response, as one frame. On an
+// error b is returned as it was.
+func appendFrame(b []byte, v any) ([]byte, error) {
+	start := len(b)
+	b = append(b, 0, 0, 0, 0)
+	var err error
+	switch v := v.(type) {
+	case *Request:
+		b, err = appendRequest(b, v)
+	case *Response:
+		b, err = appendResponse(b, v)
+	default:
+		err = fmt.Errorf("a %T is not a frame", v)
+	}
+	if n := len(b) - start - 4; err == nil && n > MaxFrame {
+		err = fmt.Errorf("frame body %d bytes exceeds MaxFrame %d", n, MaxFrame)
+	}
+	if err != nil {
+		return b[:start], fmt.Errorf("serve: encode frame: %w", err)
+	}
+	binary.BigEndian.PutUint32(b[start:], uint32(len(b)-start-4))
+	return b, nil
 }
 
 // errFrameTooLarge marks a length prefix above MaxFrame; the reader has
 // consumed only the prefix, so the connection must be closed.
 var errFrameTooLarge = fmt.Errorf("serve: frame exceeds %d bytes", MaxFrame)
 
-// readRawFrame reads one length-prefixed frame body. io.EOF before the
-// first prefix byte means a clean close; errFrameTooLarge means the
-// prefix announced an oversized body (not consumed).
-func readRawFrame(r *bufio.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+// readRawFrame reads one length-prefixed frame body into buf, growing it
+// when it is too small. io.EOF before the first prefix byte means a clean
+// close; errFrameTooLarge means the prefix announced an oversized body
+// (not consumed).
+func readRawFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4, 512)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
+		return buf, err
+	}
+	n := binary.BigEndian.Uint32(buf)
 	if n > MaxFrame {
-		return nil, errFrameTooLarge
+		return buf, errFrameTooLarge
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("serve: short frame body: %w", err)
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
 	}
-	return body, nil
+	if _, err := io.ReadFull(r, buf[:n]); err != nil {
+		return buf, fmt.Errorf("serve: short frame body: %w", err)
+	}
+	return buf[:n], nil
 }
 
-// ReadFrame reads one frame and unmarshals it into v.
+// ReadFrame reads one frame and decodes it into v, a *Request or a
+// *Response, which it overwrites.
 func ReadFrame(r *bufio.Reader, v any) error {
-	body, err := readRawFrame(r)
+	req, isRequest := v.(*Request)
+	resp, isResponse := v.(*Response)
+	if !isRequest && !isResponse {
+		return fmt.Errorf("serve: a %T is not a frame", v)
+	}
+	body, err := readRawFrame(r, nil)
 	if err != nil {
 		return err
 	}
-	if err := json.Unmarshal(body, v); err != nil {
+	if isRequest {
+		err = decodeRequest(body, req, nil)
+	} else {
+		err = decodeResponse(body, resp)
+	}
+	if err != nil {
 		return fmt.Errorf("serve: decode frame: %w", err)
 	}
 	return nil

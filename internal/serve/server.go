@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"math"
 	"net"
@@ -275,7 +274,9 @@ func (s *Server) decide(req *Request, resp *Response, phase int) {
 			if req.Age != nil {
 				age = *req.Age
 			} else if last := s.lastIngestAt(); !math.IsNaN(last) {
-				age = now - last
+				// Far-apart clocks overflow to an infinite age, which
+				// the response could not carry.
+				age = WireAge(now - last)
 			}
 		}
 		s.bmu.Lock()
@@ -583,7 +584,9 @@ func (s *Server) Serve(ln net.Listener) error {
 // protocol error. Malformed JSON gets an error response and the
 // connection survives (frame boundaries are intact); an oversized length
 // prefix gets an error response and a close (the stream cannot be
-// resynchronized without reading the oversized body).
+// resynchronized without reading the oversized body). The connection
+// reuses one buffer for the frames it reads and writes, and the storage
+// of the request it decodes.
 func (s *Server) handleConn(c net.Conn) {
 	defer func() {
 		c.Close()
@@ -592,36 +595,46 @@ func (s *Server) handleConn(c net.Conn) {
 		s.lnMu.Unlock()
 	}()
 	br := bufio.NewReader(c)
-	bw := bufio.NewWriter(c)
-	var req Request
-	var resp Response
+	var (
+		req     Request
+		resp    Response
+		scratch reqScratch
+		buf     []byte
+		err     error
+	)
 	for {
-		raw, err := readRawFrame(br)
+		buf, err = readRawFrame(br, buf)
 		if err == errFrameTooLarge {
 			resp = Response{V: ProtoVersion, Status: StatusError, Error: err.Error(), Class: -1, Age: -1, Missing: -1}
 			s.cProtoErrs.Inc()
-			if WriteFrame(bw, &resp) == nil {
-				bw.Flush()
+			if frame, err := appendFrame(buf[:0], &resp); err == nil {
+				c.Write(frame)
 			}
 			return
 		}
 		if err != nil {
 			return
 		}
-		req = Request{}
-		if err := json.Unmarshal(raw, &req); err != nil {
+		if err := decodeRequest(buf, &req, &scratch); err != nil {
 			resp = Response{V: ProtoVersion, Status: StatusError, Error: "malformed request: " + err.Error(), Class: -1, Age: -1, Missing: -1}
 			s.cProtoErrs.Inc()
 		} else {
 			s.Handle(&req, &resp)
+			select {
+			case <-s.stopCh:
+				// infer may have left a batch item reading the request's
+				// vectors: they must not be decoded into again.
+				scratch = reqScratch{}
+			default:
+			}
 		}
 		if len(resp.Error) > maxErrorBytes {
 			resp.Error = resp.Error[:maxErrorBytes]
 		}
-		if err := WriteFrame(bw, &resp); err != nil {
+		if buf, err = appendFrame(buf[:0], &resp); err != nil {
 			return
 		}
-		if err := bw.Flush(); err != nil {
+		if _, err := c.Write(buf); err != nil {
 			return
 		}
 	}

@@ -1,11 +1,17 @@
 package serve_test
 
 import (
+	"bufio"
+	"bytes"
+	"math"
+	"net"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"rush/internal/dataset"
 	"rush/internal/mlkit"
 	"rush/internal/obs"
 	"rush/internal/serve"
@@ -348,4 +354,208 @@ func TestShortFeatureVectorIsAnError(t *testing.T) {
 		t.Fatalf("a wider vector must stay legal: %+v", resp)
 	}
 	stillServing(t, srv)
+}
+
+// pipeClient serves one net.Pipe connection with srv's connection loop
+// and returns a client on its other end; the loop is stopped with the
+// test.
+func pipeClient(t *testing.T, srv *serve.Server) *serve.Client {
+	t.Helper()
+	near, far := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.HandleConn(far)
+	}()
+	client := serve.NewClient(near)
+	t.Cleanup(func() {
+		client.Close()
+		<-done
+	})
+	return client
+}
+
+// counters returns a full telemetry window for an ingest.
+func counters() serve.FeatureVector {
+	w := make(serve.FeatureVector, telemetry.NumCounters)
+	for i := range w {
+		w[i] = 0.1 + float64(i)*0.01
+	}
+	return w
+}
+
+// TestWireAllocationBudget pins what one request costs the heap on the
+// wire path, client and server together: Client.Do, the codec both ways
+// and the connection loop over net.Pipe, for each kind a scheduler sends
+// in steady state. What remains is the Response that Do returns, the
+// strings decoded from the request (app, scope), the batch item and its
+// channel for an inference, and the snapshot an ingest publishes with
+// its three cloned aggregates: at most 5 per request, and each kind's own
+// count is pinned. The count is an exact runtime.MemStats delta over 100
+// requests of a kind. The runtime's channel bookkeeping allocates now and
+// then, so a tenth of an allocation per request is tolerated, but one
+// more per request fails.
+func TestWireAllocationBudget(t *testing.T) {
+	srv, err := serve.NewServer(serve.Config{Model: conformanceModel(t, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client := pipeClient(t, srv)
+	feats := make(serve.FeatureVector, dataset.NumFeatures)
+	for i := range feats {
+		feats[i] = 2 + float64(i%7)*0.01
+	}
+	age := 3.0
+	window := counters()
+	for _, k := range []struct {
+		name   string
+		req    serve.Request
+		budget uint64 // allocations per request
+	}{
+		{"ingest", serve.Request{Op: serve.OpIngest, Now: 100, Tick: 1, Min: window, Mean: window, Max: window}, 5},
+		{"decide-cached", serve.Request{Op: serve.OpDecide, Now: 101, App: "AMG", Scope: "q1"}, 3},
+		{"check", serve.Request{Op: serve.OpCheck, Now: 101, App: "Kripke", Class: 1, Age: &age}, 2},
+		{"eval", serve.Request{Op: serve.OpEval, Now: 101, App: "Kripke", Class: 1, Age: &age, Feats: feats}, 4},
+	} {
+		const n = 100
+		var bad *serve.Response
+		do := func() {
+			resp, err := client.Do(&k.req)
+			if err != nil {
+				t.Fatalf("%s: %v", k.name, err)
+			}
+			if resp.Status != serve.StatusOK || k.name == "decide-cached" && !resp.Cached {
+				bad = resp
+			}
+		}
+		do() // a decide's first request fills the cache; buffers grow
+		do()
+		bad = nil
+		objects, bytes := allocated(func() {
+			for i := 0; i < n; i++ {
+				do()
+			}
+		})
+		if bad != nil {
+			t.Fatalf("%s: %+v", k.name, bad)
+		}
+		t.Logf("%s: %d allocations, %d bytes over %d requests", k.name, objects, bytes, n)
+		if objects > k.budget*n+n/10 {
+			t.Errorf("%s: %d requests allocated %d times, budget %d per request", k.name, n, objects, k.budget)
+		}
+	}
+}
+
+// TestInfiniteDerivedAgeIsAnswered pins one response per request when the
+// server derives an age JSON cannot carry: clocks 3.4e308 apart make
+// now - last infinite. The decide is still answered, with the age clamped
+// as WireAge clamps it (stale and failing open when it is +Inf), and the
+// connection stays up.
+func TestInfiniteDerivedAgeIsAnswered(t *testing.T) {
+	srv, err := serve.NewServer(serve.Config{Model: conformanceModel(t, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client := pipeClient(t, srv)
+	w := counters()
+	for _, c := range []struct{ ingestAt, decideAt, age float64 }{
+		{-1.7e308, 1.7e308, math.MaxFloat64},
+		{1.7e308, -1.7e308, -math.MaxFloat64},
+	} {
+		if resp, err := client.Do(&serve.Request{Op: serve.OpIngest, Now: c.ingestAt, Tick: 1, Min: w, Mean: w, Max: w}); err != nil || resp.Status != serve.StatusOK {
+			t.Fatalf("ingest at %g: %+v, %v", c.ingestAt, resp, err)
+		}
+		resp, err := client.Do(&serve.Request{Op: serve.OpDecide, Now: c.decideAt, App: "AMG"})
+		if err != nil {
+			t.Fatalf("decide at %g after an ingest at %g: %v", c.decideAt, c.ingestAt, err)
+		}
+		stale := resp.Decision == obs.DecisionFailOpen && resp.Reason == obs.ReasonStaleTelemetry
+		if resp.Status != serve.StatusOK || resp.Age != c.age || stale != (c.age > 0) {
+			t.Fatalf("decide at %g after an ingest at %g: %+v", c.decideAt, c.ingestAt, resp)
+		}
+	}
+	if resp, err := client.Do(&serve.Request{Op: serve.OpPing}); err != nil || resp.Status != serve.StatusOK {
+		t.Fatalf("ping: %+v, %v", resp, err)
+	}
+}
+
+// TestClientEncodeErrorIsNotSticky pins that a request the client cannot
+// encode fails alone: nothing was sent, so the connection stays usable.
+func TestClientEncodeErrorIsNotSticky(t *testing.T) {
+	srv, err := serve.NewServer(serve.Config{Model: conformanceModel(t, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client := pipeClient(t, srv)
+	if _, err := client.Do(&serve.Request{Op: serve.OpDecide, Now: math.NaN()}); err == nil {
+		t.Fatal("a request with a NaN time was encoded")
+	}
+	if err := client.Err(); err != nil {
+		t.Fatalf("the encode error stuck to the connection: %v", err)
+	}
+	if resp, err := client.Do(&serve.Request{Op: serve.OpPing}); err != nil || resp.Status != serve.StatusOK {
+		t.Fatalf("ping after the encode error: %+v, %v", resp, err)
+	}
+}
+
+// firstCallBlocks parks its first Predict until released and then reads
+// the sample; later calls answer at once.
+type firstCallBlocks struct {
+	called           atomic.Bool
+	started, release chan struct{}
+	sum              float64
+}
+
+func (m *firstCallBlocks) Fit(x [][]float64, y []int) error { return nil }
+func (m *firstCallBlocks) Name() string                     { return "first-call-blocks" }
+func (m *firstCallBlocks) Predict(sample []float64) int {
+	if m.called.CompareAndSwap(false, true) {
+		m.started <- struct{}{}
+		<-m.release
+		for _, v := range sample {
+			m.sum += v
+		}
+	}
+	return 0
+}
+
+// TestShutdownKeepsBatchedVectors covers the one way a decoded request's
+// vectors outlive it: on shutdown, infer returns while the batcher may
+// still be reading the batch item's features. The connection loop must
+// then not decode the next request into the same storage. Two evals are
+// pipelined; the first is parked in the batcher while the server closes,
+// and the batcher reads its vector only after the second has been
+// decoded. Under -race, a reused buffer is reported.
+func TestShutdownKeepsBatchedVectors(t *testing.T) {
+	model := &firstCallBlocks{started: make(chan struct{}), release: make(chan struct{})}
+	srv, err := serve.NewServer(serve.Config{Model: model})
+	if err != nil {
+		t.Fatal(err)
+	}
+	near, far := net.Pipe()
+	defer near.Close()
+	go srv.HandleConn(far)
+	var frames bytes.Buffer
+	for id := uint64(1); id <= 2; id++ {
+		req := serve.Request{V: serve.ProtoVersion, ID: id, Op: serve.OpEval, Now: 1, Feats: feats6()}
+		if err := serve.WriteFrame(&frames, &req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	go near.Write(frames.Bytes())
+	<-model.started
+	srv.Close()
+	br := bufio.NewReader(near)
+	for id := uint64(1); id <= 2; id++ {
+		var resp serve.Response
+		if err := serve.ReadFrame(br, &resp); err != nil || resp.ID != id || resp.Status != serve.StatusOK {
+			t.Fatalf("eval %d: %+v, %v", id, resp, err)
+		}
+		if id == 1 {
+			close(model.release)
+		}
+	}
 }
