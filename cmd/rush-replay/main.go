@@ -28,7 +28,6 @@ import (
 	"rush/internal/experiments"
 	"rush/internal/faults"
 	"rush/internal/parallel"
-	"rush/internal/sched"
 	"rush/internal/workload"
 )
 
@@ -47,7 +46,6 @@ func main() {
 	maxSimTime := flag.Float64("max-sim-time", 0, "abort after this much simulated time in seconds (0 = unbounded)")
 	memSample := flag.Float64("mem-sample", 0, "sample the Go heap every this many simulated seconds into the metrics registry (0 disables)")
 	sjf := flag.Bool("sjf", false, "use shortest-job-first queue ordering instead of FCFS")
-	backfill := flag.String("backfill", "easy", "backfill discipline: easy, none, or conservative")
 	nodeMTBF := flag.Float64("node-mtbf", 0, "per-node mean time between failures in seconds (0 disables node faults)")
 	nodeMTTR := flag.Float64("node-mttr", 0, "per-node mean time to repair in seconds (default 1800 when -node-mtbf is set)")
 	modelOutage := flag.Float64("model-outage", 0, "fraction of time the predictor service is unreachable, in [0,1]")
@@ -82,16 +80,6 @@ func main() {
 	}
 	if err := cfg.Faults.Validate(); err != nil {
 		log.Fatal(err)
-	}
-	switch *backfill {
-	case "easy":
-		cfg.Backfill = sched.EASYBackfill
-	case "none":
-		cfg.Backfill = sched.NoBackfill
-	case "conservative":
-		cfg.Backfill = sched.ConservativeBackfill
-	default:
-		log.Fatalf("unknown backfill mode %q", *backfill)
 	}
 
 	pol := experiments.Baseline

@@ -24,7 +24,6 @@ import (
 	"rush/internal/experiments"
 	"rush/internal/faults"
 	"rush/internal/parallel"
-	"rush/internal/sched"
 	"rush/internal/workload"
 )
 
@@ -40,7 +39,6 @@ func main() {
 	delayLittle := flag.Bool("delay-on-little", false, "also delay on the little-variation class")
 	allNodes := flag.Bool("all-nodes-scope", false, "aggregate counters machine-wide at decision time")
 	sjf := flag.Bool("sjf", false, "use shortest-job-first queue ordering instead of FCFS")
-	backfill := flag.String("backfill", "easy", "backfill discipline: easy, none, or conservative")
 	tracePath := cliflags.Trace()
 	metrics := cliflags.Metrics()
 	pprofPath := cliflags.Pprof()
@@ -91,16 +89,6 @@ func main() {
 	}
 	cfg.CanaryThreshold = *canaryThreshold
 	cfg.CanaryAllClasses = *canaryAllClasses
-	switch *backfill {
-	case "easy":
-		cfg.Backfill = sched.EASYBackfill
-	case "none":
-		cfg.Backfill = sched.NoBackfill
-	case "conservative":
-		cfg.Backfill = sched.ConservativeBackfill
-	default:
-		log.Fatalf("unknown backfill mode %q", *backfill)
-	}
 
 	var pred *core.Predictor
 	if *policy == "rush" || *policy == "both" {

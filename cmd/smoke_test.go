@@ -109,13 +109,15 @@ func TestCommandsSmoke(t *testing.T) {
 	}
 
 	// The flags that used to select between equivalent paths, inject
-	// telemetry drift or run the model lifecycle are gone.
+	// telemetry drift, run the model lifecycle or pick a backfilling
+	// discipline other than EASY are gone.
 	retired := map[string][]string{
 		"rush-sim": {"-sched-reference", "-engine-reference", "-engine-workers=2",
 			"-drift-start=1", "-drift-ramp=1", "-drift-mean-shift=1", "-drift-noise-boost=1", "-drift-tables=x",
-			"-lifecycle", "-lifecycle-psi=1", "-lifecycle-canary-fraction=1", "-lifecycle-retrain-every=1"},
+			"-lifecycle", "-lifecycle-psi=1", "-lifecycle-canary-fraction=1", "-lifecycle-retrain-every=1",
+			"-backfill=conservative"},
 		"rush-experiments": {"-sched-reference", "-engine-reference", "-engine-workers=2", "-drift"},
-		"rush-replay":      {"-sched-reference", "-engine-reference", "-engine-workers=2", "-in-memory"},
+		"rush-replay":      {"-sched-reference", "-engine-reference", "-engine-workers=2", "-in-memory", "-backfill=conservative"},
 	}
 	for name, flags := range retired {
 		for _, f := range flags {
@@ -124,6 +126,10 @@ func TestCommandsSmoke(t *testing.T) {
 				t.Errorf("%s %s: want an unknown-flag failure, got err=%v\n%.200s", name, f, err, out)
 			}
 		}
+	}
+	// The queue order is the one scheduling option left.
+	if out := run(t, bin, "rush-sim", "-experiment", "WS", "-policy", "baseline", "-trials", "1", "-sjf"); !bytes.Contains(out, []byte("policy=FCFS+EASY jobs=")) {
+		t.Errorf("rush-sim -sjf printed no trial line:\n%s", out)
 	}
 
 	// A bad -topo exits 1 with a named error before any simulation,

@@ -52,13 +52,11 @@ type Config struct {
 	// AllNodesScope makes RUSH aggregate counters machine-wide instead
 	// of over the job's tentative nodes (ablation knob).
 	AllNodesScope bool
-	// UseSJF replaces the FCFS main-queue and backfill orderings with
-	// shortest-job-first — the paper notes RUSH composes with any static
-	// queue-ordering policy (ablation knob).
+	// UseSJF replaces the FCFS queue ordering, and with it the order EASY
+	// scans backfill candidates in, with shortest-job-first — the paper
+	// notes RUSH composes with any static queue-ordering policy (ablation
+	// knob).
 	UseSJF bool
-	// Backfill selects the backfilling discipline (default EASY, as in
-	// the paper; NoBackfill and ConservativeBackfill are ablations).
-	Backfill sched.BackfillMode
 	// ProbThreshold switches the RUSH gate to the probability rule: jobs
 	// are delayed when the model's variation-class probability mass
 	// exceeds this value (0 keeps the paper's hard label rule).
@@ -295,13 +293,12 @@ func newTrialEnv(name string, policy Policy, pred *core.Predictor, seed int64, c
 		env.ledger = &canaryGate.Ledger
 		gate = canaryGate
 	}
-	var r1, r2 sched.Policy = sched.FCFS{}, sched.FCFS{}
+	var order sched.Policy = sched.FCFS{}
 	if cfg.UseSJF {
-		r1, r2 = sched.SJF{}, sched.SJF{}
+		order = sched.SJF{}
 	}
 	s, err := sched.NewScheduler(sched.Config{
-		Machine: m, Primary: r1, Backfill: r2, Gate: gate,
-		Mode: cfg.Backfill, Observer: observer, Faults: inj,
+		Machine: m, Primary: order, Gate: gate, Observer: observer, Faults: inj,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)

@@ -349,20 +349,27 @@ func TestCanaryThresholdRejectedUnderEveryPolicy(t *testing.T) {
 	}
 }
 
+// TestBackfillAndSJFConfigs runs the SJF ablation: UseSJF orders the
+// queue, and with it the EASY backfill candidates, shortest first. The
+// trial must drain, still backfill, and schedule differently from FCFS.
 func TestBackfillAndSJFConfigs(t *testing.T) {
-	spec, _ := workload.SpecByName("ADPA")
-	for _, cfg := range []Config{
-		{UseSJF: true},
-		{Backfill: sched.NoBackfill},
-		{Backfill: sched.ConservativeBackfill},
-	} {
-		tr, err := RunTrial(spec, Baseline, nil, 3, cfg)
+	spec, _ := workload.SpecByName("WS") // mixed node counts: EASY has gaps to fill
+	var traces []string
+	for _, sjf := range []bool{false, true} {
+		tr, err := RunTrial(spec, Baseline, nil, 3, Config{UseSJF: sjf, Trace: true})
 		if err != nil {
-			t.Fatalf("%+v: %v", cfg, err)
+			t.Fatalf("sjf=%v: %v", sjf, err)
 		}
-		if len(tr.Jobs) != 150 {
-			t.Fatalf("%+v: completed %d jobs", cfg, len(tr.Jobs))
+		if len(tr.Jobs) != spec.NumJobs {
+			t.Fatalf("sjf=%v: completed %d of %d jobs", sjf, len(tr.Jobs), spec.NumJobs)
 		}
+		if !strings.Contains(string(tr.Trace), `"kind":"backfill"`) {
+			t.Fatalf("sjf=%v: no job was backfilled", sjf)
+		}
+		traces = append(traces, string(tr.Trace))
+	}
+	if traces[0] == traces[1] {
+		t.Fatal("UseSJF left the schedule unchanged")
 	}
 }
 

@@ -14,16 +14,12 @@ import (
 type Config struct {
 	// Machine is the simulated machine to schedule onto (required).
 	Machine *machine.Machine
-	// Primary orders the main queue (the paper's R1). Default FCFS.
+	// Primary orders the queue (the paper's R1); EASY backfilling scans
+	// its candidates in the same order. Default FCFS.
 	Primary Policy
-	// Backfill orders backfill candidates (the paper's R2). Default:
-	// same as Primary.
-	Backfill Policy
 	// Gate makes the Algorithm 2 start decision. Default AlwaysStart
 	// (the unconditional baseline).
 	Gate Gate
-	// Mode selects the backfilling discipline. Default EASYBackfill.
-	Mode BackfillMode
 	// Observer, when non-nil, receives structured trace events and
 	// metrics from the scheduler; it is also wired into the gate (if the
 	// gate implements ObservableGate) and into Faults. Nil disables all
@@ -45,19 +41,15 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 	if cfg.Primary == nil {
 		cfg.Primary = FCFS{}
 	}
-	if cfg.Backfill == nil {
-		cfg.Backfill = cfg.Primary
-	}
 	if cfg.Gate == nil {
 		cfg.Gate = AlwaysStart{}
 	}
 	s := &Scheduler{
-		m: cfg.Machine, r1: cfg.Primary, r2: cfg.Backfill, gt: cfg.Gate,
-		Backfill:          cfg.Mode,
-		RetryInterval:     30,
-		VetoCooldown:      30,
-		RequeueBackoff:    60,
-		MaxRequeueBackoff: 15 * 60,
+		m: cfg.Machine, r1: cfg.Primary, gt: cfg.Gate,
+		retryInterval:     30,
+		vetoCooldown:      30,
+		requeueBackoff:    60,
+		maxRequeueBackoff: 15 * 60,
 	}
 	s.onDone = s.jobDone
 	if cfg.Observer != nil {

@@ -16,14 +16,13 @@ import (
 //     pass never sorts. seq is the enqueue serial; breaking policy ties
 //     with it reproduces exactly the order a stable sort of the
 //     arrival-ordered queue yields, which is what the reference does.
+//     The queue is also the backfill-candidate list (R2 = R1).
 //   - The running set's release breakpoints live on the persistent
 //     timeline, updated once per job start/finish/kill instead of
 //     snapshot-sorted once per pass.
-//   - A parallel candidate array q2 holds the queue in (R2, R1, seq)
-//     order — the exact order the reference obtains by stable-sorting
-//     its R1-ordered candidate list by R2 — with per-block minima
-//     (blkNodes, blkEst) so the backfill scan skips blockSize jobs at a
-//     time when none of them could fit or clear the EASY condition.
+//   - Per-block minima over the queue (blkNodes, blkEst) let the
+//     backfill scan skip blockSize jobs at a time when none of them could
+//     fit or clear the EASY condition.
 //   - Scans resume after a start instead of restarting. This is
 //     trace-equivalent to the reference restart because within one pass
 //     simulated time is frozen and capacity only shrinks: a start
@@ -38,19 +37,18 @@ import (
 //
 // Steady state (nothing starts), a fast pass costs O(pivot walk +
 // queue/blockSize) with zero heap allocations; each change (start,
-// finish, kill, submit, requeue) costs O(log Q) comparisons plus a
+// finish, kill, submit, requeue) costs O(log Q) comparisons plus one
 // memmove, instead of the reference's O(Q) rescan multiplied by the
 // number of starts.
 
-// blockSize is the q2 skip-table granularity: the backfill scan consults
+// blockSize is the skip-table granularity: the backfill scan consults
 // one (min nodes, min estimate) pair per blockSize candidates and skips
 // the whole block when none can start. 64 keeps the table ~1.5% of the
 // queue and one block's minima inside a cache line.
 const blockSize = 64
 
-// beforeR1 is the canonical main-queue order: R1, ties broken by the
-// enqueue serial — exactly a stable R1-sort of the arrival-ordered
-// queue.
+// beforeR1 is the canonical queue order: R1, ties broken by the enqueue
+// serial — exactly a stable R1-sort of the arrival-ordered queue.
 func (s *Scheduler) beforeR1(a, b *Job) bool {
 	if s.r1.Less(a, b) {
 		return true
@@ -61,22 +59,9 @@ func (s *Scheduler) beforeR1(a, b *Job) bool {
 	return a.seq < b.seq
 }
 
-// beforeR2 is the canonical backfill-candidate order: R2, ties broken by
-// the R1 order — exactly the reference's stable R2-sort of its
-// R1-ordered candidate list.
-func (s *Scheduler) beforeR2(a, b *Job) bool {
-	if s.r2.Less(a, b) {
-		return true
-	}
-	if s.r2.Less(b, a) {
-		return false
-	}
-	return s.beforeR1(a, b)
-}
-
-// fastInsert places j into both maintained orders (queue by beforeR1, q2
-// by beforeR2) and carries the skip table across the q2 shift (see
-// shiftBlocks). Cost: O(log Q) comparisons plus the memmoves.
+// fastInsert places j into the queue by beforeR1 and carries the skip
+// table across the shift (see shiftBlocks). Cost: O(log Q) comparisons
+// plus one memmove.
 func (s *Scheduler) fastInsert(j *Job) {
 	lo, hi := 0, len(s.queue)
 	for lo < hi {
@@ -90,26 +75,13 @@ func (s *Scheduler) fastInsert(j *Job) {
 	s.queue = append(s.queue, nil)
 	copy(s.queue[lo+1:], s.queue[lo:])
 	s.queue[lo] = j
-
-	lo, hi = 0, len(s.q2)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.beforeR2(j, s.q2[mid]) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	s.q2 = append(s.q2, nil)
-	copy(s.q2[lo+1:], s.q2[lo:])
-	s.q2[lo] = j
 	s.shiftBlocks(lo, true)
 }
 
-// fastRemove deletes j from both maintained orders by binary search —
-// the (policy, seq) orders are strict and total, so j's position is
-// found without a linear scan — and carries the skip table across the
-// q2 shift (see shiftBlocks).
+// fastRemove deletes j from the queue by binary search — the (policy,
+// seq) order is strict and total, so j's position is found without a
+// linear scan — and carries the skip table across the shift (see
+// shiftBlocks).
 func (s *Scheduler) fastRemove(j *Job) {
 	lo, hi := 0, len(s.queue)
 	for lo < hi {
@@ -124,27 +96,13 @@ func (s *Scheduler) fastRemove(j *Job) {
 		panic(fmt.Sprintf("sched: job %d not at its queue order position (policy key mutated while queued?)", j.ID))
 	}
 	s.queue = append(s.queue[:lo], s.queue[lo+1:]...)
-
-	lo, hi = 0, len(s.q2)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.beforeR2(s.q2[mid], j) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo >= len(s.q2) || s.q2[lo] != j {
-		panic(fmt.Sprintf("sched: job %d not at its candidate order position (policy key mutated while queued?)", j.ID))
-	}
-	s.q2 = append(s.q2[:lo], s.q2[lo+1:]...)
 	s.shiftBlocks(lo, false)
 }
 
-// sizeBlocks gives the skip table one entry per q2 block, growing the
+// sizeBlocks gives the skip table one entry per queue block, growing the
 // backing arrays geometrically and keeping the entries already there.
 func (s *Scheduler) sizeBlocks() int {
-	nb := (len(s.q2) + blockSize - 1) / blockSize
+	nb := (len(s.queue) + blockSize - 1) / blockSize
 	if cap(s.blkNodes) < nb {
 		bn := make([]int, nb, 2*nb)
 		copy(bn, s.blkNodes)
@@ -162,11 +120,11 @@ func (s *Scheduler) sizeBlocks() int {
 // its members.
 func (s *Scheduler) refreshBlock(b int) {
 	end := (b + 1) * blockSize
-	if end > len(s.q2) {
-		end = len(s.q2)
+	if end > len(s.queue) {
+		end = len(s.queue)
 	}
 	minN, minE := int(math.MaxInt32), math.Inf(1)
-	for _, c := range s.q2[b*blockSize : end] {
+	for _, c := range s.queue[b*blockSize : end] {
 		if c.Nodes < minN {
 			minN = c.Nodes
 		}
@@ -178,7 +136,7 @@ func (s *Scheduler) refreshBlock(b int) {
 	s.blkEst[b] = minE
 }
 
-// shiftBlocks brings the skip table up to date after q2 gained
+// shiftBlocks brings the skip table up to date after the queue gained
 // (inserted) or lost one element at position pos. The block holding pos
 // is recomputed. Every later block kept all its members but one: the
 // shift carried one element out over one boundary and one in over the
@@ -207,12 +165,12 @@ func (s *Scheduler) shiftBlocks(pos int, inserted bool) {
 		if !inserted {
 			out, in = b*blockSize-1, (b+1)*blockSize-1
 		}
-		if b >= old || (out < len(s.q2) && (s.q2[out].Nodes <= s.blkNodes[b] || s.q2[out].Estimate <= s.blkEst[b])) {
+		if b >= old || (out < len(s.queue) && (s.queue[out].Nodes <= s.blkNodes[b] || s.queue[out].Estimate <= s.blkEst[b])) {
 			s.refreshBlock(b)
 			continue
 		}
-		if in < len(s.q2) {
-			c := s.q2[in]
+		if in < len(s.queue) {
+			c := s.queue[in]
 			if c.Nodes < s.blkNodes[b] {
 				s.blkNodes[b] = c.Nodes
 			}
@@ -237,7 +195,6 @@ func (s *Scheduler) passFast() {
 	// either started (gone), been vetoed this pass, or is cooling down —
 	// so resuming at the current index visits the identical sequence.
 	i := 0
-	var pivot *Job
 	for i < len(s.queue) {
 		j := s.queue[i]
 		if j.vetoGen == s.passGen || s.coolingDown(j) {
@@ -254,25 +211,14 @@ func (s *Scheduler) passFast() {
 			i++ // vetoed: j keeps its place
 			continue
 		}
-		pivot = j
-		break
-	}
-	if pivot == nil {
+		s.easyFast(j, now)
 		return
-	}
-	switch s.Backfill {
-	case NoBackfill:
-		// Strict in-order scheduling: the blocked head blocks all.
-	case ConservativeBackfill:
-		s.conservativeFast(now)
-	default:
-		s.easyFast(pivot, now)
 	}
 }
 
-// easyFast backfills around the pivot's EASY reservation by scanning q2
-// in candidate order, skipping whole blocks whose minima prove no member
-// can start. After each start the reservation is recomputed from the
+// easyFast backfills around the pivot's EASY reservation by scanning the
+// queue in order, skipping whole blocks whose minima prove no member can
+// start. After each start the reservation is recomputed from the
 // timeline: the shadow time is provably unchanged within a pass (the
 // EASY condition admits only jobs that release before the shadow or fit
 // the spare nodes, and both cases leave the accumulation walk's stopping
@@ -282,7 +228,7 @@ func (s *Scheduler) easyFast(pivot *Job, now float64) {
 	free := s.m.Alloc.FreeCount()
 	shadow, extra := s.tl.reservation(pivot.Nodes, free, now)
 	idx := 0
-	for idx < len(s.q2) {
+	for idx < len(s.queue) {
 		if idx%blockSize == 0 {
 			b := idx / blockSize
 			// No member can pass CanAlloc, or none can clear the EASY
@@ -295,7 +241,7 @@ func (s *Scheduler) easyFast(pivot *Job, now float64) {
 				continue
 			}
 		}
-		c := s.q2[idx]
+		c := s.queue[idx]
 		if c == pivot || c.vetoGen == s.passGen || s.coolingDown(c) || !s.m.Alloc.CanAlloc(c.Nodes) {
 			idx++
 			continue
@@ -307,40 +253,9 @@ func (s *Scheduler) easyFast(pivot *Job, now float64) {
 				}
 				free = s.m.Alloc.FreeCount()
 				shadow, extra = s.tl.reservation(pivot.Nodes, free, now)
-				continue // c left q2; index idx now holds its successor
+				continue // c left the queue; index idx now holds its successor
 			}
 		}
 		idx++
-	}
-}
-
-// conservativeFast places every queued job on the pooled availability
-// profile in R1 order and starts any whose reservation begins now,
-// continuing the placement sweep across starts. The reference instead
-// rebuilds the profile and replaces every job after each start; the
-// resulting profile state is identical (a started job's running release
-// subtracts exactly the capacity its reservation did, and conservative
-// placement guarantees earlier reservations stay feasible and cannot
-// move earlier), so one sweep reproduces the reference's repeated
-// sweeps decision for decision.
-func (s *Scheduler) conservativeFast(now float64) {
-	s.tl.fillProfile(&s.prof, now, s.m.Alloc.FreeCount())
-	p := &s.prof
-	for i := 0; i < len(s.queue); {
-		j := s.queue[i]
-		t := p.findSlot(j.Nodes, j.Estimate, now)
-		if t == now && j.vetoGen != s.passGen && !s.coolingDown(j) && s.m.Alloc.CanAlloc(j.Nodes) {
-			if s.tryStart(j, i > 0) {
-				if s.err != nil {
-					return
-				}
-				p.reserve(now, j.Estimate, j.Nodes)
-				continue // j left the queue; index i now holds its successor
-			}
-			// Vetoed just now: keep its reservation below so no later
-			// job can capture its slot.
-		}
-		p.reserve(t, j.Estimate, j.Nodes)
-		i++
 	}
 }

@@ -130,38 +130,6 @@ func TestTimelineReservationMatchesReferenceWalk(t *testing.T) {
 	}
 }
 
-// TestTimelineFillProfileMatchesReference checks that the pooled profile
-// built from the timeline is field-for-field the profile the reference
-// conservative path builds from its clamped snapshot.
-func TestTimelineFillProfileMatchesReference(t *testing.T) {
-	rng := sim.NewSource(31).Derive("prof")
-	var prof profile
-	for trial := 0; trial < 300; trial++ {
-		var tl timeline
-		now := rng.Uniform(0, 500)
-		var rels []release
-		for i, n := 0, rng.Intn(15); i < n; i++ {
-			j := &Job{ID: i, Nodes: 1 + rng.Intn(12)}
-			end := now + rng.Uniform(-80, 300)
-			tl.add(j, end)
-			clamped := end
-			if clamped < now {
-				clamped = now
-			}
-			rels = append(rels, release{t: clamped, n: j.Nodes})
-		}
-		tl.promote(now)
-		freeNow := rng.Intn(20)
-		tl.fillProfile(&prof, now, freeNow)
-		sortReleases(rels)
-		want := newProfileFromSorted(now, freeNow, rels)
-		if !reflect.DeepEqual(prof.times, want.times) || !reflect.DeepEqual(prof.free, want.free) {
-			t.Fatalf("trial %d: pooled profile %v/%v, reference %v/%v",
-				trial, prof.times, prof.free, want.times, want.free)
-		}
-	}
-}
-
 // ---------------------------------------------------------------------
 // Differential scheduler tests: twin schedulers — one running the
 // timeline pass, one the reference scanner of reference_test.go — run
@@ -184,9 +152,8 @@ type twinSpec struct {
 	seed    int64
 	nodes   int
 	jobs    int
-	mode    BackfillMode
 	gate    gateMaker
-	r1, r2  Policy
+	r1      Policy
 	faults  bool    // scripted node kill/restore cycles
 	honesty float64 // lowest estimate factor; < 1 makes jobs overrun
 	// inject attaches a fault injector (node churn, telemetry loss, model
@@ -233,9 +200,7 @@ func runTwinHalf(t *testing.T, spec twinSpec, reference bool) schedRun {
 	s, err := NewScheduler(Config{
 		Machine:  m,
 		Primary:  spec.r1,
-		Backfill: spec.r2,
 		Gate:     spec.gate(m, inj),
-		Mode:     spec.mode,
 		Observer: obs.New(obs.NewTracer(&buf), reg),
 		Faults:   inj,
 	})
@@ -245,9 +210,9 @@ func runTwinHalf(t *testing.T, spec twinSpec, reference bool) schedRun {
 	if reference {
 		useReference(s).perturb = spec.perturb
 	}
-	s.RetryInterval = 15
-	s.VetoCooldown = 15
-	s.RequeueBackoff = 20
+	s.retryInterval = 15
+	s.vetoCooldown = 15
+	s.requeueBackoff = 20
 
 	rng := sim.NewSource(spec.seed).Derive("twin-workload")
 	lo := spec.honesty
@@ -330,8 +295,8 @@ func vetoGate(n int) gateMaker {
 }
 
 // TestFastPassMatchesReferenceMatrix is the differential acceptance
-// test: for every combination of seed × backfill mode × gate × fault
-// scenario, the timeline pass and the reference scanner must produce
+// test: for every combination of seed × gate × fault scenario, the
+// timeline pass and the reference scanner must produce
 // byte-identical traces, identical completion records, and identical
 // metrics. Estimate factors below 1 force overruns so timeline promotion
 // is exercised.
@@ -345,7 +310,6 @@ func vetoGate(n int) gateMaker {
 // requeues all reach both pass bodies.
 func TestFastPassMatchesReferenceMatrix(t *testing.T) {
 	seeds := []int64{101, 202, 303, 404, 505}
-	modes := []BackfillMode{EASYBackfill, ConservativeBackfill, NoBackfill}
 	model := trainedToyModel(t, gateMachine())
 	gates := []struct {
 		name string
@@ -378,36 +342,32 @@ func TestFastPassMatchesReferenceMatrix(t *testing.T) {
 	}
 	var vetoes, degraded, requeued uint64
 	for _, seed := range seeds {
-		for _, mode := range modes {
-			for _, g := range gates {
-				for _, sc := range scenarios {
-					jobs := 80
-					if g.name == "rush" {
-						// A model decision costs a telemetry window, a
-						// thousand times a scheduling pass: the RUSH rows
-						// are the stack scenarios (the steady app never
-						// congests, so elsewhere there is nothing to veto),
-						// at half length, on every seed under EASY and on
-						// two under the ablation modes.
-						if !sc.stack || (mode != EASYBackfill && seed > 202) {
-							continue
-						}
-						jobs = 40
+		for _, g := range gates {
+			for _, sc := range scenarios {
+				jobs := 80
+				if g.name == "rush" {
+					// A model decision costs a telemetry window, a
+					// thousand times a scheduling pass: the RUSH rows are
+					// the stack scenarios (the steady app never congests,
+					// so elsewhere there is nothing to veto), at half
+					// length.
+					if !sc.stack {
+						continue
 					}
-					name := fmt.Sprintf("s%d-%s-%s-%s", seed, mode, g.name, sc.name)
-					fast := diffTwin(t, name, twinSpec{
-						seed: seed, nodes: 64, jobs: jobs,
-						mode: mode, gate: g.mk,
-						r1: FCFS{}, r2: SJF{},
-						faults: sc.scripted, honesty: 0.6,
-						stack: sc.stack, inject: sc.inject,
-					})
-					if g.name == "rush" {
-						vetoes += counter(fast.snap, "gate_vetoes_total")
-						degraded += counter(fast.snap, "gate_degraded_total")
-					}
-					requeued += counter(fast.snap, "sched_jobs_requeued_total")
+					jobs = 40
 				}
+				name := fmt.Sprintf("s%d-%s-%s", seed, g.name, sc.name)
+				fast := diffTwin(t, name, twinSpec{
+					seed: seed, nodes: 64, jobs: jobs,
+					gate: g.mk, r1: FCFS{},
+					faults: sc.scripted, honesty: 0.6,
+					stack: sc.stack, inject: sc.inject,
+				})
+				if g.name == "rush" {
+					vetoes += counter(fast.snap, "gate_vetoes_total")
+					degraded += counter(fast.snap, "gate_degraded_total")
+				}
+				requeued += counter(fast.snap, "sched_jobs_requeued_total")
 			}
 		}
 	}
@@ -426,15 +386,15 @@ func counter(s *obs.Snapshot, name string) uint64 {
 	return 0
 }
 
-// TestFastPassMatchesReferenceSJFPrimary covers the policy permutation
-// the matrix does not: an SJF main queue (so maintained-order inserts
-// land mid-queue, not at the tail) with FCFS backfill order.
+// TestFastPassMatchesReferenceSJFPrimary covers the policy the matrix
+// does not: an SJF queue, so maintained-order inserts land mid-queue,
+// not at the tail, and the backfill scan walks candidates shortest
+// first.
 func TestFastPassMatchesReferenceSJFPrimary(t *testing.T) {
 	for _, seed := range []int64{7, 77} {
 		diffTwin(t, fmt.Sprintf("sjf-primary-s%d", seed), twinSpec{
 			seed: seed, nodes: 48, jobs: 70,
-			mode: EASYBackfill, gate: alwaysGate,
-			r1: SJF{}, r2: FCFS{},
+			gate: alwaysGate, r1: SJF{},
 			faults: true, honesty: 0.5,
 		})
 	}
@@ -443,34 +403,30 @@ func TestFastPassMatchesReferenceSJFPrimary(t *testing.T) {
 // TestReferenceReadsMembershipOnly shows that the oracle cannot inherit
 // a fault of the order maintenance it checks: a reference scanner whose
 // copy of the queue has two entries swapped before every scan (the copy,
-// never the scheduler's own queue or q2, which tryStart still searches)
-// picks the same starts as one reading the untouched copy, under every
-// backfill mode and with an SJF main queue. What it reads is who is
-// queued, not where.
+// never the scheduler's own queue, which tryStart still searches) picks
+// the same starts as one reading the untouched copy, under an FCFS and
+// an SJF queue. What it reads is who is queued, not where.
 func TestReferenceReadsMembershipOnly(t *testing.T) {
 	swapped := 0
-	for _, mode := range []BackfillMode{EASYBackfill, ConservativeBackfill, NoBackfill} {
-		for _, r1 := range []Policy{FCFS{}, SJF{}} {
-			spec := twinSpec{
-				seed: 303, nodes: 64, jobs: 80,
-				mode: mode, gate: vetoGate(1),
-				r1: r1, r2: SJF{},
-				faults: true, honesty: 0.6,
+	for _, r1 := range []Policy{FCFS{}, SJF{}} {
+		spec := twinSpec{
+			seed: 303, nodes: 64, jobs: 80,
+			gate: vetoGate(1), r1: r1,
+			faults: true, honesty: 0.6,
+		}
+		plain := runTwinHalf(t, spec, true)
+		spec.perturb = func(q []*Job) {
+			if n := len(q); n > 1 {
+				q[0], q[n-1] = q[n-1], q[0]
+				swapped++
 			}
-			plain := runTwinHalf(t, spec, true)
-			spec.perturb = func(q []*Job) {
-				if n := len(q); n > 1 {
-					q[0], q[n-1] = q[n-1], q[0]
-					swapped++
-				}
-			}
-			perturbed := runTwinHalf(t, spec, true)
-			if plain.err != nil || perturbed.err != nil {
-				t.Fatalf("%s/%s: sticky errors %v, %v", mode, r1.Name(), plain.err, perturbed.err)
-			}
-			if plain.trace != perturbed.trace {
-				t.Fatalf("%s/%s: the reference scanner read the order of the queue it was handed", mode, r1.Name())
-			}
+		}
+		perturbed := runTwinHalf(t, spec, true)
+		if plain.err != nil || perturbed.err != nil {
+			t.Fatalf("%s: sticky errors %v, %v", r1.Name(), plain.err, perturbed.err)
+		}
+		if plain.trace != perturbed.trace {
+			t.Fatalf("%s: the reference scanner read the order of the queue it was handed", r1.Name())
 		}
 	}
 	if swapped == 0 {
@@ -485,13 +441,11 @@ func TestReferenceReadsMembershipOnly(t *testing.T) {
 // TestFastPassPropertyRandomStreams is the long-haul property test:
 // randomized workloads (job sizes, walltimes, dishonest estimates,
 // submission bursts, node kill/restore cycles driving requeues, veto
-// gates, random policies and backfill modes) run side-by-side through
-// the fast and reference schedulers until at least 10,000 scheduling
-// passes have been compared, diffing the full event traces — submits,
-// starts, backfills, finishes, requeues, failures — not just start
-// orders.
+// gates, random queue orders) run side-by-side through the fast and
+// reference schedulers until at least 10,000 scheduling passes have been
+// compared, diffing the full event traces — submits, starts, backfills,
+// finishes, requeues, failures — not just start orders.
 func TestFastPassPropertyRandomStreams(t *testing.T) {
-	modes := []BackfillMode{EASYBackfill, ConservativeBackfill, NoBackfill}
 	policies := []Policy{FCFS{}, SJF{}}
 	var passes uint64
 	const wantPasses = 10000
@@ -504,9 +458,7 @@ func TestFastPassPropertyRandomStreams(t *testing.T) {
 			seed:    seed,
 			nodes:   16 << meta.Intn(3), // 16, 32, or 64 nodes
 			jobs:    60 + meta.Intn(120),
-			mode:    modes[meta.Intn(len(modes))],
 			r1:      policies[meta.Intn(len(policies))],
-			r2:      policies[meta.Intn(len(policies))],
 			faults:  meta.Intn(2) == 0,
 			honesty: meta.Uniform(0.4, 1.2),
 		}
@@ -515,7 +467,7 @@ func TestFastPassPropertyRandomStreams(t *testing.T) {
 		if vetoes > 0 {
 			spec.gate = vetoGate(vetoes)
 		}
-		name := fmt.Sprintf("iter%d-s%d-%s", iter, seed, spec.mode)
+		name := fmt.Sprintf("iter%d-s%d-%s", iter, seed, spec.r1.Name())
 		passes += counter(diffTwin(t, name, spec).snap, "sched_passes_total")
 	}
 	if passes < wantPasses {
@@ -578,45 +530,22 @@ func TestDeepQueuePassZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestConservativePassZeroAllocs pins the pooled-profile contract: a
-// steady-state conservative-backfill pass with a nil observer allocates
-// nothing once the profile arrays have warmed up.
-func TestConservativePassZeroAllocs(t *testing.T) {
-	m := testMachine(16)
-	s, err := NewScheduler(Config{Machine: m, Mode: ConservativeBackfill})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Submit(job(0, 16, 1e6))
-	for i := 1; i <= 6; i++ {
-		s.Submit(job(i, 4*(1+i%3), 100))
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := s.Pass(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("conservative Pass allocated %.1f times per run with a nil observer; want 0", allocs)
-	}
-}
-
 // TestSkipTableShiftMatchesRecompute pins the incremental skip-table
 // maintenance: after every insert and every removal, at positions drawn
-// over the whole queue, the table equals the one recomputed from q2 from
-// scratch — through growth past several block boundaries, a drain to
-// empty and growth again. Node counts and estimates are drawn once from
-// many values, so that a block's minimum is held by one member and an
-// arriving element often sets a new one, and once from few, so that
-// minima are tied and the departing element often holds one.
+// over the whole queue, the table equals the one recomputed from the
+// queue from scratch — through growth past several block boundaries, a
+// drain to empty and growth again. Node counts and estimates are drawn
+// once from many values, so that a block's minimum is held by one member
+// and an arriving element often sets a new one, and once from few, so
+// that minima are tied and the departing element often holds one.
 func TestSkipTableShiftMatchesRecompute(t *testing.T) {
 	type shape struct {
-		backfill Policy
-		values   int
+		order  Policy
+		values int
 	}
 	for _, sh := range []shape{{FCFS{}, 400}, {SJF{}, 400}, {FCFS{}, 4}, {SJF{}, 4}} {
-		backfill := sh.backfill
-		s, err := NewScheduler(Config{Machine: testMachine(512), Backfill: backfill})
+		order := sh.order
+		s, err := NewScheduler(Config{Machine: testMachine(512), Primary: order})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -629,7 +558,7 @@ func TestSkipTableShiftMatchesRecompute(t *testing.T) {
 			s.refreshBlocks()
 			if !slices.Equal(gotN, s.blkNodes) || !slices.Equal(gotE, s.blkEst) {
 				t.Fatalf("%T/%d values, step %d after %s (queue %d): table\n nodes %v\n est   %v\nrecomputed\n nodes %v\n est   %v",
-					backfill, sh.values, step, op, len(s.q2), gotN, gotE, s.blkNodes, s.blkEst)
+					order, sh.values, step, op, len(s.queue), gotN, gotE, s.blkNodes, s.blkEst)
 			}
 		}
 		id := 0
@@ -657,8 +586,8 @@ func TestSkipTableShiftMatchesRecompute(t *testing.T) {
 		phase(2000, 0.5)
 		phase(1500, 0.1)
 		phase(400, 0.8)
-		if len(s.q2) != len(queued) {
-			t.Fatalf("q2 holds %d jobs, expected %d", len(s.q2), len(queued))
+		if len(s.queue) != len(queued) {
+			t.Fatalf("queue holds %d jobs, expected %d", len(s.queue), len(queued))
 		}
 	}
 }

@@ -131,12 +131,12 @@ func TestNewSchedulerDefaults(t *testing.T) {
 	if got := s.gt.Name(); got != (AlwaysStart{}).Name() {
 		t.Fatalf("default gate = %q", got)
 	}
-	if s.Backfill != EASYBackfill {
-		t.Fatalf("default backfill mode = %v", s.Backfill)
+	if got := s.r1.Name(); got != (FCFS{}).Name() {
+		t.Fatalf("default queue order = %q", got)
 	}
-	if s.RetryInterval != 30 || s.VetoCooldown != 30 || s.RequeueBackoff != 60 || s.MaxRequeueBackoff != 900 {
+	if s.retryInterval != 30 || s.vetoCooldown != 30 || s.requeueBackoff != 60 || s.maxRequeueBackoff != 900 {
 		t.Fatalf("default timers = %v %v %v %v",
-			s.RetryInterval, s.VetoCooldown, s.RequeueBackoff, s.MaxRequeueBackoff)
+			s.retryInterval, s.vetoCooldown, s.requeueBackoff, s.maxRequeueBackoff)
 	}
 	if s.Observer() != nil {
 		t.Fatal("observer should default to nil (disabled)")
@@ -164,8 +164,8 @@ func TestConfigConstructionDeterministic(t *testing.T) {
 		}
 		return starts
 	}
-	a := run(newSched(testMachine(32), FCFS{}, SJF{}, AlwaysStart{}))
-	sc, err := NewScheduler(Config{Machine: testMachine(32), Primary: FCFS{}, Backfill: SJF{}, Gate: AlwaysStart{}})
+	a := run(newSched(testMachine(32), SJF{}, AlwaysStart{}))
+	sc, err := NewScheduler(Config{Machine: testMachine(32), Primary: SJF{}, Gate: AlwaysStart{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,25 +9,24 @@ import (
 // This file holds the oracle the availability-timeline pass is
 // differenced against: the reference scanner, Algorithm 1 written the
 // slow obvious way. Every cycle it sorts the queue, scans for the pivot,
-// snapshots and sorts the running set for the reservation, collects and
-// sorts the backfill candidates, and starts the whole scan again after
-// every successful start: O(queue × nodes) per pass.
+// snapshots and sorts the running set for the reservation, walks the
+// backfill candidates in queue order, and starts the whole scan again
+// after every successful start: O(queue × nodes) per pass.
 //
-// It stays independent of what it checks. The scheduler keeps queue and
-// q2 in policy order and the releases on a timeline whichever pass body
+// It stays independent of what it checks. The scheduler keeps its queue
+// in policy order and the releases on a timeline whichever pass body
 // runs (tryStart and enqueue maintain them), and the scanner reads none
-// of that order: the R1 and R2 orders are derived from queue membership
-// (copy, order by enqueue serial, stable-sort by policy) and the
-// releases from s.running. A wrong comparison in fastInsert or a
-// misplaced breakpoint therefore moves the timeline pass and leaves the
-// scanner where it was (TestReferenceReadsMembershipOnly).
+// of that order: the R1 order is derived from queue membership (copy,
+// order by enqueue serial, stable-sort by policy) and the releases from
+// s.running. A wrong comparison in fastInsert or a misplaced breakpoint
+// therefore moves the timeline pass and leaves the scanner where it was
+// (TestReferenceReadsMembershipOnly).
 
 // refScanner is the reference pass body for one scheduler, with the
 // scratch it reuses between passes.
 type refScanner struct {
 	s     *Scheduler
 	queue []*Job
-	cands []*Job
 	rels  []release
 	// perturb, when set, rearranges the scanner's copy of the queue
 	// before it is ordered; only TestReferenceReadsMembershipOnly sets it.
@@ -54,8 +53,7 @@ type release struct {
 // to the same pass time, and the spare-node count of a reservation can
 // depend on which same-time release the walk consumes last, so the
 // tie-break has to be the timeline's. Releases that tie on both fields
-// are interchangeable: every consumer sums them or adds them at one
-// profile boundary.
+// are interchangeable: the reservation walk sums them.
 func sortReleases(rels []release) {
 	slices.SortFunc(rels, func(a, b release) int {
 		return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.n, b.n))
@@ -129,61 +127,22 @@ restart:
 		if pivot == nil {
 			break
 		}
-		switch s.Backfill {
-		case NoBackfill:
-			// Strict in-order scheduling: the blocked head blocks all.
-		case ConservativeBackfill:
-			if r.conservativeBackfill(queue) {
-				continue restart
+		// EASY backfilling around the pivot's reservation, candidates in
+		// queue order.
+		shadow, extra := r.reservation(pivot)
+		now := s.m.Eng.Now()
+		for _, c := range queue {
+			if c == pivot || c.vetoGen == s.passGen || s.coolingDown(c) || !s.m.Alloc.CanAlloc(c.Nodes) {
+				continue
 			}
-		default: // EASY backfilling around the pivot's reservation.
-			shadow, extra := r.reservation(pivot)
-			cands := r.cands[:0]
-			for _, j := range queue {
-				if j != pivot && j.vetoGen != s.passGen && !s.coolingDown(j) {
-					cands = append(cands, j)
-				}
-			}
-			sortJobs(cands, s.r2)
-			r.cands = cands
-			now := s.m.Eng.Now()
-			for _, c := range cands {
-				if !s.m.Alloc.CanAlloc(c.Nodes) {
-					continue
-				}
-				if now+c.Estimate <= shadow || c.Nodes <= extra {
-					if s.tryStart(c, true) {
-						continue restart
-					}
+			if now+c.Estimate <= shadow || c.Nodes <= extra {
+				if s.tryStart(c, true) {
+					continue restart
 				}
 			}
 		}
 		break
 	}
-}
-
-// conservativeBackfill places every queued job on a node-availability
-// profile in R1 order, giving each a tentative reservation, and starts
-// any job whose reservation begins now. No job's start can be delayed by
-// a later job because later jobs only take capacity the earlier
-// reservations left behind. Returns true when a job started (the caller
-// restarts its pass).
-func (r *refScanner) conservativeBackfill(queue []*Job) bool {
-	s := r.s
-	now := s.m.Eng.Now()
-	p := newProfileFromSorted(now, s.m.Alloc.FreeCount(), r.snapshot(now))
-	for i, j := range queue {
-		t := p.findSlot(j.Nodes, j.Estimate, now)
-		if t == now && j.vetoGen != s.passGen && !s.coolingDown(j) && s.m.Alloc.CanAlloc(j.Nodes) {
-			if s.tryStart(j, i > 0) {
-				return true
-			}
-			// Vetoed just now: keep its reservation below so no later
-			// job can capture its slot.
-		}
-		p.reserve(t, j.Estimate, j.Nodes)
-	}
-	return false
 }
 
 // reservation computes the pivot's EASY reservation using the standard
@@ -212,27 +171,7 @@ func (r *refScanner) reservation(pivot *Job) (shadow float64, extra int) {
 	return shadow, avail - pivot.Nodes
 }
 
-// newProfileFromSorted builds a profile starting at now with the given
-// current free count from future releases already in snapshot order.
-// Ascending insertion keeps every addAt appending at the tail.
-func newProfileFromSorted(now float64, freeNow int, sorted []release) *profile {
-	p := &profile{
-		times: make([]float64, 1, len(sorted)+1),
-		free:  make([]int, 1, len(sorted)+1),
-	}
-	p.times[0] = now
-	p.free[0] = freeNow
-	for _, r := range sorted {
-		t := r.t
-		if t < now {
-			t = now
-		}
-		p.addAt(t, r.n)
-	}
-	return p
-}
-
-// refreshBlocks recomputes the whole skip table from q2: what the
+// refreshBlocks recomputes the whole skip table from the queue: what the
 // incremental shiftBlocks must equal after every insert and removal.
 func (s *Scheduler) refreshBlocks() {
 	nb := s.sizeBlocks()

@@ -10,8 +10,8 @@ import (
 // stints, and charge the lost execution to LostWork.
 func TestKilledJobRequeuedAccumulatesWait(t *testing.T) {
 	m := testMachine(16)
-	s := newSched(m, FCFS{}, FCFS{}, AlwaysStart{})
-	s.RequeueBackoff = 5
+	s := newSched(m, FCFS{}, AlwaysStart{})
+	s.requeueBackoff = 5
 	j := job(0, 16, 100)
 	if err := s.Submit(j); err != nil {
 		t.Fatal(err)
@@ -57,8 +57,8 @@ func TestKilledJobRequeuedAccumulatesWait(t *testing.T) {
 // again for a measurable span.
 func TestRequeueWaitSpansBothStints(t *testing.T) {
 	m := testMachine(16)
-	s := newSched(m, FCFS{}, FCFS{}, AlwaysStart{})
-	s.RequeueBackoff = 5
+	s := newSched(m, FCFS{}, AlwaysStart{})
+	s.requeueBackoff = 5
 	victim := job(0, 16, 100)
 	if err := s.Submit(victim); err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestRequeueWaitSpansBothStints(t *testing.T) {
 // workload still drains.
 func TestRetryBudgetExhaustedFailsJob(t *testing.T) {
 	m := testMachine(16)
-	s := newSched(m, FCFS{}, FCFS{}, AlwaysStart{})
+	s := newSched(m, FCFS{}, AlwaysStart{})
 	j := job(0, 16, 100)
 	j.RetryBudget = -1 // fail on first kill
 	if err := s.Submit(j); err != nil {
@@ -134,9 +134,9 @@ func TestRetryBudgetExhaustedFailsJob(t *testing.T) {
 // Requeue backoff grows exponentially with the retry count and is capped.
 func TestRequeueBackoffGrowth(t *testing.T) {
 	m := testMachine(16)
-	s := newSched(m, FCFS{}, FCFS{}, AlwaysStart{})
-	s.RequeueBackoff = 10
-	s.MaxRequeueBackoff = 25
+	s := newSched(m, FCFS{}, AlwaysStart{})
+	s.requeueBackoff = 10
+	s.maxRequeueBackoff = 25
 	j := job(0, 16, 1000)
 	j.RetryBudget = 5
 	if err := s.Submit(j); err != nil {
@@ -174,8 +174,8 @@ func TestRequeueBackoffGrowth(t *testing.T) {
 func TestKillFindsItsJobThroughOwner(t *testing.T) {
 	m := testMachine(32)
 	m.PoolJobs = true
-	s := newSched(m, FCFS{}, FCFS{}, AlwaysStart{})
-	s.RequeueBackoff = 5
+	s := newSched(m, FCFS{}, AlwaysStart{})
+	s.requeueBackoff = 5
 	var done []int
 	s.OnComplete = func(j *Job) { done = append(done, j.ID) }
 	bystander, victim := job(0, 16, 100), job(1, 16, 100)

@@ -8,7 +8,7 @@
 // # Construction
 //
 // Schedulers are built from a Config (see NewScheduler): the machine,
-// the two queue-ordering policies, the gate, an optional observer for
+// the queue-ordering policy, the gate, an optional observer for
 // structured tracing and metrics, and an optional pre-attached fault
 // injector. NewScheduler is the only constructor.
 //
@@ -161,7 +161,9 @@ func (j *Job) RetryLimit() int {
 	}
 }
 
-// Policy orders the scheduler queue (the paper's R1 and R2).
+// Policy orders the scheduler queue (the paper's R1). Backfill
+// candidates are scanned in the same order, as in every experiment of
+// the paper (R2 = R1).
 //
 // Less must be a strict weak ordering over fields that do not change
 // while a job is queued (FCFS reads SubmitTime, SJF reads Estimate;
@@ -239,35 +241,6 @@ func (AlwaysStart) Allow(*Job, cluster.Allocation) bool { return true }
 // Name implements Gate.
 func (AlwaysStart) Name() string { return "FCFS+EASY" }
 
-// BackfillMode selects the backfilling discipline.
-type BackfillMode int
-
-const (
-	// EASYBackfill gives only the queue head a reservation; later jobs
-	// backfill if they cannot delay it (the paper's baseline).
-	EASYBackfill BackfillMode = iota
-	// NoBackfill runs strict in-order scheduling: the first job that
-	// does not fit blocks everything behind it.
-	NoBackfill
-	// ConservativeBackfill gives every queued job a tentative
-	// reservation; a job may start early only if it delays none of them.
-	ConservativeBackfill
-)
-
-// String returns the mode name for reports.
-func (m BackfillMode) String() string {
-	switch m {
-	case EASYBackfill:
-		return "EASY"
-	case NoBackfill:
-		return "none"
-	case ConservativeBackfill:
-		return "conservative"
-	default:
-		return fmt.Sprintf("BackfillMode(%d)", int(m))
-	}
-}
-
 // schedMetrics holds the scheduler's pre-resolved metric handles. With
 // no observer every handle is nil and every update is a no-op; resolving
 // them once at construction keeps name lookups off the hot path.
@@ -294,21 +267,16 @@ var (
 	runBuckets  = []float64{60, 120, 180, 240, 300, 450, 600, 900, 1800, 3600}
 )
 
-// Scheduler runs Algorithm 1 over a simulated machine: the main queue is
+// Scheduler runs Algorithm 1 over a simulated machine: the queue is
 // ordered by R1; when the head cannot start, it receives an EASY
-// reservation and R2-ordered candidates are backfilled around it without
-// delaying that reservation. Alternative backfill disciplines are
-// selected with the Backfill field.
+// reservation and the jobs behind it, scanned in the same queue order,
+// are backfilled around it without delaying that reservation.
 type Scheduler struct {
 	m   *machine.Machine
 	r1  Policy
-	r2  Policy
 	gt  Gate
 	obs *obs.Observer
 	met schedMetrics
-
-	// Backfill selects the backfilling discipline (default EASY).
-	Backfill BackfillMode
 
 	queue      []*Job
 	running    []*Job
@@ -323,41 +291,42 @@ type Scheduler struct {
 	// through OnComplete instead.
 	DiscardCompleted bool
 
-	// Maintained orders: queue is kept in (R1, seq) order and q2 holds the
-	// same jobs in backfill-candidate order, with blkNodes/blkEst holding
-	// per-block minima so the candidate scan can skip 64 jobs at a time
-	// (fastpass.go); tl mirrors the running set's release breakpoints
-	// (timeline.go). nextSeq stamps Job.seq at every (re-)enqueue.
+	// Maintained order: queue is kept in (R1, seq) order, with
+	// blkNodes/blkEst holding per-block minima so the backfill scan can
+	// skip 64 jobs at a time (fastpass.go); tl mirrors the running set's
+	// release breakpoints (timeline.go). nextSeq stamps Job.seq at every
+	// (re-)enqueue.
 	tl       timeline
-	q2       []*Job
 	blkNodes []int
 	blkEst   []float64
 	nextSeq  uint64
-	prof     profile // pooled conservative-backfill profile
 
 	// OnComplete, when set, observes each finished job.
 	OnComplete func(*Job)
-	// RetryInterval bounds how long vetoed jobs can idle the machine: if
+
+	// Timing, in simulated seconds; NewScheduler sets the production
+	// values and only tests change them.
+	//
+	// retryInterval bounds how long vetoed jobs can idle the machine: if
 	// a pass ends with vetoes while nodes are free, another pass runs
 	// after this many seconds (the system state may have changed, e.g. a
 	// noise phase ended). Zero disables the retry timer.
-	RetryInterval float64
-	// VetoCooldown is how long a gate-vetoed job rests before it is
+	retryInterval float64
+	// vetoCooldown is how long a gate-vetoed job rests before it is
 	// re-evaluated (and can be re-charged a skip). Without a cooldown a
 	// busy machine re-asks the model on every job completion — every few
 	// seconds — and a delayed job would burn through its whole skip
 	// threshold inside a single congestion phase. The paper's threshold
 	// of 10 "was never met"; a cooldown equal to the retry interval
 	// reproduces that behaviour. Zero disables the cooldown.
-	VetoCooldown float64
-	// RequeueBackoff is the base delay before a killed job re-enters the
-	// queue; retry i waits RequeueBackoff * 2^(i-1), capped at
-	// MaxRequeueBackoff. Backoff keeps a crashing node from thrashing
+	vetoCooldown float64
+	// requeueBackoff is the base delay before a killed job re-enters the
+	// queue; retry i waits requeueBackoff * 2^(i-1), capped at
+	// maxRequeueBackoff. Backoff keeps a crashing node from thrashing
 	// the queue with instant resubmissions. Zero requeues immediately.
-	RequeueBackoff float64
-	// MaxRequeueBackoff caps the exponential requeue delay (default 15
-	// minutes).
-	MaxRequeueBackoff float64
+	requeueBackoff float64
+	// maxRequeueBackoff caps the exponential requeue delay.
+	maxRequeueBackoff float64
 
 	// Veto bookkeeping. passGen identifies the current pass: a job with
 	// vetoGen == passGen was vetoed this pass and is not reconsidered
@@ -481,13 +450,13 @@ func (s *Scheduler) Pass() error {
 	}
 
 	blockedIdle := len(s.queue) > 0 && len(s.running) == 0
-	if (s.passVetoes > 0 || s.pendingVetoes > 0 || blockedIdle) && s.RetryInterval > 0 && !s.retryArmed {
+	if (s.passVetoes > 0 || s.pendingVetoes > 0 || blockedIdle) && s.retryInterval > 0 && !s.retryArmed {
 		// Without this timer, a fully vetoed queue on an idle machine
 		// would deadlock: no submit/finish event would ever re-run the
 		// pass even though the state keeps changing (noise phases,
 		// external allocations like the noise job releasing nodes).
 		s.retryArmed = true
-		s.m.Eng.ScheduleOnce(s.RetryInterval, func() {
+		s.m.Eng.ScheduleOnce(s.retryInterval, func() {
 			s.retryArmed = false
 			s.Pass()
 		})
@@ -503,10 +472,10 @@ func (s *Scheduler) Pass() error {
 // coolingDown reports whether j was gate-vetoed too recently to be
 // reconsidered.
 func (s *Scheduler) coolingDown(j *Job) bool {
-	if s.VetoCooldown <= 0 {
+	if s.vetoCooldown <= 0 {
 		return false
 	}
-	return j.vetoPending && s.m.Eng.Now()-j.lastVetoAt < s.VetoCooldown
+	return j.vetoPending && s.m.Eng.Now()-j.lastVetoAt < s.vetoCooldown
 }
 
 // tryStart allocates, consults the gate, and either launches the job or
@@ -630,13 +599,13 @@ func (s *Scheduler) requeue(j *Job) {
 	}
 	j.StartTime = math.NaN()
 	j.EndTime = math.NaN()
-	delay := s.RequeueBackoff
+	delay := s.requeueBackoff
 	if delay > 0 {
-		for i := 1; i < j.Retries && delay < s.MaxRequeueBackoff; i++ {
+		for i := 1; i < j.Retries && delay < s.maxRequeueBackoff; i++ {
 			delay *= 2
 		}
-		if s.MaxRequeueBackoff > 0 && delay > s.MaxRequeueBackoff {
-			delay = s.MaxRequeueBackoff
+		if s.maxRequeueBackoff > 0 && delay > s.maxRequeueBackoff {
+			delay = s.maxRequeueBackoff
 		}
 	}
 	s.met.requeued.Inc()

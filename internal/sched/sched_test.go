@@ -14,8 +14,8 @@ import (
 // (the deprecated sched.New shim is gone); it panics on the nil-machine
 // error so the many tests that build a scheduler mid-assertion stay
 // one-liners.
-func newSched(m *machine.Machine, r1, r2 Policy, gate Gate) *Scheduler {
-	s, err := NewScheduler(Config{Machine: m, Primary: r1, Backfill: r2, Gate: gate})
+func newSched(m *machine.Machine, r1 Policy, gate Gate) *Scheduler {
+	s, err := NewScheduler(Config{Machine: m, Primary: r1, Gate: gate})
 	if err != nil {
 		panic(err)
 	}
@@ -45,7 +45,7 @@ func job(id, nodes int, work float64) *Job {
 
 func TestFCFSRunsInOrderWhenSerial(t *testing.T) {
 	m := testMachine(16)
-	s := newSched(m, FCFS{}, FCFS{}, AlwaysStart{})
+	s := newSched(m, FCFS{}, AlwaysStart{})
 	var order []int
 	s.OnComplete = func(j *Job) { order = append(order, j.ID) }
 	// All jobs need the whole machine: strictly serial execution.
@@ -65,7 +65,7 @@ func TestFCFSRunsInOrderWhenSerial(t *testing.T) {
 
 func TestParallelJobsSharedMachine(t *testing.T) {
 	m := testMachine(64)
-	s := newSched(m, FCFS{}, FCFS{}, AlwaysStart{})
+	s := newSched(m, FCFS{}, AlwaysStart{})
 	for i := 0; i < 4; i++ {
 		s.Submit(job(i, 16, 100))
 	}
@@ -86,7 +86,7 @@ func TestParallelJobsSharedMachine(t *testing.T) {
 
 func TestEASYBackfillsShortJob(t *testing.T) {
 	m := testMachine(16)
-	s := newSched(m, FCFS{}, FCFS{}, AlwaysStart{})
+	s := newSched(m, FCFS{}, AlwaysStart{})
 	// Job 0 occupies 10 nodes for 100s. Job 1 wants 16 (must wait).
 	// Job 2 wants 4 nodes for 20s: backfills into the 6 free nodes since
 	// it finishes (est 24s) before job 0's estimated end (120s).
@@ -111,7 +111,7 @@ func TestEASYBackfillsShortJob(t *testing.T) {
 
 func TestEASYNeverDelaysReservation(t *testing.T) {
 	m := testMachine(16)
-	s := newSched(m, FCFS{}, FCFS{}, AlwaysStart{})
+	s := newSched(m, FCFS{}, AlwaysStart{})
 	// Job 0: 10 nodes, 100s (est 120). Job 1: 16 nodes reservation at
 	// ~120. Job 2: 6 nodes for 200s (est 240) would push job 1 past its
 	// reservation — EASY must NOT backfill it even though nodes are free.
@@ -135,7 +135,7 @@ func TestEASYNeverDelaysReservation(t *testing.T) {
 
 func TestEASYExtraNodesRouteAllowsLongBackfill(t *testing.T) {
 	m := testMachine(16)
-	s := newSched(m, FCFS{}, FCFS{}, AlwaysStart{})
+	s := newSched(m, FCFS{}, AlwaysStart{})
 	// Job 0: 10 nodes 100s. Job 1: wants 12 nodes -> shadow at job 0's
 	// end, extra = 6+10-12 = 4 nodes. Job 2: 4 nodes, very long — fits
 	// the extra-nodes route and may run indefinitely without delaying
@@ -159,7 +159,7 @@ func TestEASYExtraNodesRouteAllowsLongBackfill(t *testing.T) {
 
 func TestSJFOrdersByEstimate(t *testing.T) {
 	m := testMachine(16)
-	s := newSched(m, SJF{}, SJF{}, AlwaysStart{})
+	s := newSched(m, SJF{}, AlwaysStart{})
 	// Submit three whole-machine jobs at t=0 in descending length; SJF
 	// should run them shortest first. Fill the machine first so nothing
 	// starts during submission.
@@ -196,9 +196,9 @@ func (g *countGate) Name() string { return "count" }
 
 func TestGateVetoKeepsJobQueued(t *testing.T) {
 	m := testMachine(16)
-	s := newSched(m, FCFS{}, FCFS{}, &countGate{n: 2})
-	s.RetryInterval = 10
-	s.VetoCooldown = 10
+	s := newSched(m, FCFS{}, &countGate{n: 2})
+	s.retryInterval = 10
+	s.vetoCooldown = 10
 	j := job(0, 16, 50)
 	s.Submit(j)
 	if !math.IsNaN(j.StartTime) {
@@ -217,7 +217,7 @@ func TestGateVetoKeepsJobQueued(t *testing.T) {
 	if j.Skips != 2 {
 		t.Fatalf("skips = %d, want 2", j.Skips)
 	}
-	// Started via retry timer: at ~2 * RetryInterval.
+	// Started via retry timer: at ~2 * retryInterval.
 	if j.StartTime < 10 || j.StartTime > 40 {
 		t.Fatalf("vetoed job started at %v", j.StartTime)
 	}
@@ -226,9 +226,9 @@ func TestGateVetoKeepsJobQueued(t *testing.T) {
 func TestVetoedJobKeepsPriority(t *testing.T) {
 	m := testMachine(16)
 	g := &countGate{n: 1}
-	s := newSched(m, FCFS{}, FCFS{}, g)
-	s.RetryInterval = 5
-	s.VetoCooldown = 5
+	s := newSched(m, FCFS{}, g)
+	s.retryInterval = 5
+	s.vetoCooldown = 5
 	// Job 0 vetoed once; job 1 same size submitted right after. On the
 	// retry pass, job 0 must still be ahead of job 1 (it kept its
 	// position).
@@ -250,9 +250,9 @@ func (alwaysVeto) Name() string                            { return "alwaysVeto"
 
 func TestSkipThresholdForcesStart(t *testing.T) {
 	m := testMachine(16)
-	s := newSched(m, FCFS{}, FCFS{}, alwaysVeto{})
-	s.RetryInterval = 1
-	s.VetoCooldown = 1
+	s := newSched(m, FCFS{}, alwaysVeto{})
+	s.retryInterval = 1
+	s.vetoCooldown = 1
 	j := job(0, 16, 20)
 	j.SkipThreshold = 3
 	s.Submit(j)
@@ -278,7 +278,7 @@ func TestSkipsDefaultThreshold(t *testing.T) {
 
 func TestSubmitValidation(t *testing.T) {
 	m := testMachine(8)
-	s := newSched(m, FCFS{}, FCFS{}, AlwaysStart{})
+	s := newSched(m, FCFS{}, AlwaysStart{})
 	if err := s.Submit(job(0, 9, 10)); err == nil {
 		t.Fatal("oversized job should be rejected")
 	}
@@ -315,7 +315,7 @@ func TestSubmitValidation(t *testing.T) {
 
 func TestEstimateDefaultsToBaseWork(t *testing.T) {
 	m := testMachine(8)
-	s := newSched(m, FCFS{}, FCFS{}, AlwaysStart{})
+	s := newSched(m, FCFS{}, AlwaysStart{})
 	j := &Job{ID: 0, App: steadyApp(), Nodes: 4, BaseWork: 30}
 	s.Submit(j)
 	if j.Estimate != 30 {
@@ -333,7 +333,7 @@ func TestNoiseJobBlocksReservationGracefully(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newSched(m, FCFS{}, FCFS{}, AlwaysStart{})
+	s := newSched(m, FCFS{}, AlwaysStart{})
 	impossible := job(0, 16, 10)
 	s.Submit(impossible)
 	small := job(1, 4, 10)
@@ -351,7 +351,7 @@ func TestNoiseJobBlocksReservationGracefully(t *testing.T) {
 
 func TestWaitAndRunTimes(t *testing.T) {
 	m := testMachine(16)
-	s := newSched(m, FCFS{}, FCFS{}, AlwaysStart{})
+	s := newSched(m, FCFS{}, AlwaysStart{})
 	s.Submit(job(0, 16, 100))
 	s.Submit(job(1, 16, 50))
 	m.Eng.Run()
@@ -372,7 +372,7 @@ func TestWaitAndRunTimes(t *testing.T) {
 
 func TestManyJobsDrainCompletely(t *testing.T) {
 	m := testMachine(64)
-	s := newSched(m, FCFS{}, SJF{}, AlwaysStart{})
+	s := newSched(m, FCFS{}, AlwaysStart{})
 	rng := sim.NewSource(3).Derive("wl")
 	n := 60
 	for i := 0; i < n; i++ {
@@ -410,7 +410,7 @@ func TestPolicyAndGateNames(t *testing.T) {
 	if NewRUSH(m, nil).Name() != "RUSH" || NewCanary(m).Name() != "Canary" {
 		t.Fatal("gate names wrong")
 	}
-	s := newSched(m, FCFS{}, SJF{}, AlwaysStart{})
+	s := newSched(m, FCFS{}, AlwaysStart{})
 	if s.gt.Name() != "FCFS+EASY" {
 		t.Fatal("scheduler gate name wrong")
 	}
@@ -434,9 +434,9 @@ func TestFCFSTieBreaksOnID(t *testing.T) {
 
 func TestVetoCooldownDisabled(t *testing.T) {
 	m := testMachine(16)
-	s := newSched(m, FCFS{}, FCFS{}, &countGate{n: 1})
-	s.VetoCooldown = 0 // disabled: every pass may re-ask
-	s.RetryInterval = 5
+	s := newSched(m, FCFS{}, &countGate{n: 1})
+	s.vetoCooldown = 0 // disabled: every pass may re-ask
+	s.retryInterval = 5
 	j := job(0, 16, 20)
 	s.Submit(j)
 	m.Eng.Run()

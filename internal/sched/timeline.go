@@ -5,20 +5,18 @@ import "math"
 // This file implements the availability timeline: the persistent,
 // incrementally-maintained view of when running jobs release their
 // nodes. It stands in for a per-pass snapshot-sort-scan of the running
-// set (what reservation and conservativeBackfill of the reference
-// scanner in reference_test.go do) with a sorted breakpoint slice that
-// is updated once per job lifecycle event — start inserts a breakpoint,
-// finish/kill removes it — so a scheduling pass touches only what
-// changed.
+// set (what the reservation walk of the reference scanner in
+// reference_test.go does) with a sorted breakpoint slice that is updated
+// once per job lifecycle event — start inserts a breakpoint, finish/kill
+// removes it — so a scheduling pass touches only what changed.
 //
 // Equivalence contract: after promote(now), the entry sequence is
 // exactly the clamped release snapshot the reference scanner builds and
 // sorts on every pass (releases ordered by (t, n); entries that tie on
-// both fields are interchangeable because every consumer either sums
-// them or adds them at one profile boundary, both commutative). Every
-// timeline query is therefore bit-identical to its reference
-// counterpart; the differential tests in fastsched_test.go pin this job
-// for job.
+// both fields are interchangeable because the reservation walk sums
+// them). Every timeline query is therefore bit-identical to its
+// reference counterpart; the differential tests in fastsched_test.go pin
+// this job for job.
 
 // tlEntry is one breakpoint: running job `job` is expected to release n
 // nodes at time t. t starts as StartTime+Estimate and is clamped
@@ -143,20 +141,4 @@ func (tl *timeline) reservation(need, free int, now float64) (shadow float64, ex
 		return math.Inf(1), free
 	}
 	return shadow, avail - need
-}
-
-// fillProfile rebuilds the conservative-backfill step profile from the
-// promoted timeline into p, reusing p's backing arrays. The addAt
-// sequence is identical to the reference scanner's newProfileFromSorted
-// over its clamped, (t, n)-sorted snapshot, so the resulting profile is
-// field-for-field identical. Callers must promote first.
-func (tl *timeline) fillProfile(p *profile, now float64, freeNow int) {
-	p.reset(now, freeNow)
-	for i := range tl.ents {
-		t := tl.ents[i].t
-		if t < now {
-			t = now // unreachable after promote; kept as a safety clamp
-		}
-		p.addAt(t, tl.ents[i].n)
-	}
 }

@@ -112,7 +112,7 @@ func driveServedTrial(t *testing.T, name string, jobs []workload.SubmittedJob, c
 	gate := serve.NewGate(m, client)
 	gate.Down = inj.ModelDown()
 	s, err := sched.NewScheduler(sched.Config{
-		Machine: m, Primary: sched.FCFS{}, Backfill: sched.FCFS{},
+		Machine: m, Primary: sched.FCFS{},
 		Gate: gate, Observer: observer, Faults: inj,
 	})
 	if err != nil {
