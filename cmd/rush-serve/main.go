@@ -7,13 +7,15 @@
 // Usage:
 //
 //	rush-serve -predictor predictor.json -listen :7611
-//	rush-serve -predictor predictor.json -listen unix:/tmp/rush.sock -batch-window 200us
+//	rush-serve -predictor predictor.json -listen unix:/tmp/rush.sock -max-inflight 64
 //
-// The daemon degrades, never stalls: an injected or observed predictor
-// outage answers fail-open ALLOW decisions with a typed reason, and the
-// bounded decision queue answers BUSY under overload instead of queueing
-// without limit. SIGINT/SIGTERM close the listener, drain in-flight
-// work, and print the final counter values.
+// Each connection's decisions, model inference included, run on that
+// connection's goroutine. The daemon degrades, never stalls: an injected
+// or observed predictor outage answers fail-open ALLOW decisions with a
+// typed reason, and past -max-inflight decisions in flight it answers
+// BUSY instead of queueing without limit. SIGINT/SIGTERM close the
+// listener, let in-flight decisions finish, and print the final counter
+// values.
 package main
 
 import (
@@ -36,7 +38,6 @@ func main() {
 	predictorPath := flag.String("predictor", "predictor.json", "trained predictor JSON (from rush-train)")
 	listen := cliflags.Listen(":7611")
 	maxInflight := cliflags.MaxInflight(256)
-	batchWindow := cliflags.BatchWindow(0)
 	maxStaleness := flag.Float64("max-staleness", 90, "oldest acceptable telemetry age in seconds (negative disables the check)")
 	maxMissing := flag.Float64("max-missing", 0.5, "largest tolerable missing-feature fraction (negative disables the check)")
 	flag.Parse()
@@ -56,7 +57,6 @@ func main() {
 		MaxStaleness: *maxStaleness,
 		MaxMissing:   *maxMissing,
 		MaxInflight:  *maxInflight,
-		BatchWindow:  *batchWindow,
 	})
 	if err != nil {
 		log.Fatal(err)

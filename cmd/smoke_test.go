@@ -2,10 +2,11 @@
 // every binary builds, the three simulation drivers exit 0 on a tiny
 // configuration with output that does not depend on -workers, and bad
 // -topo values, non-finite fault and canary rates, the retired
-// path-selection, drift and lifecycle flags and the retired fifth model
-// are rejected.
+// path-selection, drift, lifecycle, backfill and batching flags and the
+// retired fifth model are rejected.
 // It also builds and runs examples/quickstart, the one Go-level driver
-// of the pipeline, so that cannot stop working unnoticed either.
+// of the pipeline, so that cannot stop working unnoticed either, and
+// asks a running rush-serve for one decision.
 package cmd_test
 
 import (
@@ -15,7 +16,13 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
+
+	"rush/internal/dataset"
+	"rush/internal/obs"
+	"rush/internal/serve"
 )
 
 var commands = []string{"rush-collect", "rush-experiments", "rush-replay", "rush-serve", "rush-sim", "rush-train"}
@@ -109,9 +116,11 @@ func TestCommandsSmoke(t *testing.T) {
 	}
 
 	// The flags that used to select between equivalent paths, inject
-	// telemetry drift, run the model lifecycle or pick a backfilling
-	// discipline other than EASY are gone.
+	// telemetry drift, run the model lifecycle, pick a backfilling
+	// discipline other than EASY or size the daemon's inference batches
+	// are gone.
 	retired := map[string][]string{
+		"rush-serve": {"-batch-window=200us"},
 		"rush-sim": {"-sched-reference", "-engine-reference", "-engine-workers=2",
 			"-drift-start=1", "-drift-ramp=1", "-drift-mean-shift=1", "-drift-noise-boost=1", "-drift-tables=x",
 			"-lifecycle", "-lifecycle-psi=1", "-lifecycle-canary-fraction=1", "-lifecycle-retrain-every=1",
@@ -188,6 +197,49 @@ func TestCommandsSmoke(t *testing.T) {
 		if err == nil || !bytes.Contains(out, []byte(r.want)) {
 			t.Errorf("%s %s: want a failure saying %q, got err=%v\n%.300s", r.name, strings.Join(r.args, " "), r.want, err, out)
 		}
+	}
+
+	serveSmoke(t, bin, csv)
+}
+
+// serveSmoke trains a predictor on csv, starts rush-serve on a unix
+// socket, asks it for one decision over the wire and stops it with
+// SIGTERM, on which it must print its counters and exit 0. The daemon
+// runs every inference on the asking connection's goroutine, so the
+// stats report that one inference as one batch of one.
+func serveSmoke(t *testing.T, bin, csv string) {
+	dir := t.TempDir()
+	pred := filepath.Join(dir, "predictor.json")
+	run(t, bin, "rush-train", "-data", csv, "-out", pred)
+	addr := "unix:" + filepath.Join(dir, "s.sock")
+	daemon := exec.Command(filepath.Join(bin, "rush-serve"), "-predictor", pred, "-listen", addr)
+	var logs bytes.Buffer
+	daemon.Stderr = &logs
+	if err := daemon.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer daemon.Process.Kill()
+	var client *serve.Client
+	var err error
+	for deadline := time.Now().Add(10 * time.Second); client == nil; time.Sleep(20 * time.Millisecond) {
+		if client, err = serve.Dial(addr); err != nil && time.Now().After(deadline) {
+			t.Fatalf("rush-serve never listened on %s: %v\n%s", addr, err, logs.Bytes())
+		}
+	}
+	feats := make(serve.FeatureVector, dataset.NumFeatures)
+	resp, err := client.Do(&serve.Request{Op: serve.OpDecide, Now: 1, App: "AMG", Feats: feats})
+	if err != nil || resp.Status != serve.StatusOK || (resp.Decision != obs.DecisionStart && resp.Decision != obs.DecisionVeto) {
+		t.Fatalf("rush-serve decide: %+v, %v", resp, err)
+	}
+	if resp, err = client.Do(&serve.Request{Op: serve.OpStats}); err != nil || resp.Stats["serve_batches_total"] != 1 || resp.Stats["serve_batch_max_size"] != 1 {
+		t.Fatalf("rush-serve stats after one inference: %+v, %v", resp, err)
+	}
+	client.Close()
+	if err := daemon.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := daemon.Wait(); err != nil || !bytes.Contains(logs.Bytes(), []byte("serve_decisions_total 1")) {
+		t.Fatalf("rush-serve after SIGTERM: %v\n%s", err, logs.Bytes())
 	}
 }
 

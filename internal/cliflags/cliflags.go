@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"os"
 	"runtime/pprof"
-	"time"
 )
 
 // Seed registers -seed with the given default. Every stochastic
@@ -61,17 +60,10 @@ func Listen(def string) *string {
 	return flag.String("listen", def, `listen address ("unix:/path" for a unix socket, host:port for TCP)`)
 }
 
-// MaxInflight registers -max-inflight: the bounded decision queue depth
+// MaxInflight registers -max-inflight: the number of decisions in flight
 // beyond which the serving daemon answers BUSY (backpressure).
 func MaxInflight(def int) *int {
 	return flag.Int("max-inflight", def, "max concurrently processed decision requests before replying BUSY")
-}
-
-// BatchWindow registers -batch-window: how long the serving daemon's
-// inference batcher waits after the first queued decision to collect
-// more. Zero batches greedily (take what is queued, never wait).
-func BatchWindow(def time.Duration) *time.Duration {
-	return flag.Duration("batch-window", def, "inference batching window (0 = greedy: batch whatever is already queued)")
 }
 
 // Pprof registers -pprof: the path for a CPU profile of the whole run.

@@ -4,10 +4,11 @@ import "sync/atomic"
 
 // AtomicCounter is the concurrency-safe sibling of Counter for
 // components that live outside the simulator's single-threaded event
-// loop — the serving daemon's decision, cache, batch, and backpressure
-// counters. Like Counter, the nil receiver is a valid no-op, so handles
-// can be resolved once and incremented unconditionally; unlike Counter
-// it may be incremented from any number of goroutines.
+// loop — the serving daemon's decision, cache, inference and
+// backpressure counters. Like Counter, the nil receiver is a valid
+// no-op, so handles can be resolved once and incremented
+// unconditionally; unlike Counter it may be incremented from any number
+// of goroutines.
 //
 // AtomicCounters deliberately do not live in a Registry (which is
 // single-threaded by contract); holders snapshot them into an ordinary
@@ -21,51 +22,10 @@ func (c *AtomicCounter) Inc() {
 	}
 }
 
-// Add adds n.
-func (c *AtomicCounter) Add(n uint64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
-
 // Value returns the current count (0 for nil).
 func (c *AtomicCounter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// AtomicGauge is a last-value metric safe for concurrent use; the
-// serving daemon tracks its peak batch size with Max. The nil receiver
-// is a no-op.
-type AtomicGauge struct{ v atomic.Uint64 }
-
-// Set records v.
-func (g *AtomicGauge) Set(v uint64) {
-	if g != nil {
-		g.v.Store(v)
-	}
-}
-
-// Max records v only if it exceeds the current value (peak tracking,
-// lock-free compare-and-swap loop).
-func (g *AtomicGauge) Max(v uint64) {
-	if g == nil {
-		return
-	}
-	for {
-		cur := g.v.Load()
-		if v <= cur || g.v.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// Value returns the current value (0 for nil or never-set).
-func (g *AtomicGauge) Value() uint64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }

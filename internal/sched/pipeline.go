@@ -26,7 +26,7 @@ import (
 // protocol calls check), split so that an override or an open breaker
 // never pays for an age measurement; Eval and Verdict.Decided are the
 // post-feature half (the wire's eval), split so that a host may run the
-// model elsewhere, as the daemon's batcher does. Each returns a Verdict by
+// model outside its own locks, as the daemon does. Each returns a Verdict by
 // value and allocates nothing. A Ledger then turns the final Verdict into
 // a gate's counters, metrics, trace line and Allow result.
 

@@ -109,7 +109,7 @@ func walkPipeline(t *testing.T, r pipelineRow, twoPhase bool) pipelineRun {
 		if v, err = p.Eval(pipelineNow, v.Age, feats, model.NumFeatures()); err != nil {
 			run.err = true
 		} else if !v.Final() {
-			v = v.Decided(snap.Decide(feats, nil))
+			v = v.Decided(snap.Decide(feats, new([]float64)))
 		}
 	}
 	run.v, run.asked = v, model.asked

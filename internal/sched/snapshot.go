@@ -48,30 +48,22 @@ type Snapshot struct {
 	Epoch uint64
 }
 
-// Classes returns the model's class count, or 0 when the model cannot
-// report probabilities. Callers size Decide's scratch buffer with it.
-func (s *Snapshot) Classes() int {
-	if pp, ok := s.Model.(mlkit.ProbaPredictor); ok {
-		return len(pp.Classes())
-	}
-	return 0
-}
-
 // Decide runs the gate's veto rule on feats and returns the verdict
-// together with the predicted class. probs is an optional scratch buffer
-// for the class distribution: with len(probs) >= Classes() the fast path
-// allocates nothing; a short or nil buffer is replaced by a fresh one.
-// Decide only reads snapshot state, so any number of goroutines may call
-// it concurrently. The verdict is bit-identical to RUSH.Allow's model
-// consultation for the same features (both delegate to decideWith).
-func (s *Snapshot) Decide(feats, probs []float64) (veto bool, class int) {
+// together with the predicted class. probs is the caller's scratch
+// buffer for the class distribution, grown in place when it is shorter
+// than the model's class count, so a caller that keeps one allocates
+// nothing after its first call. Decide only reads snapshot state, so any
+// number of goroutines may call it concurrently, each with its own probs.
+// The verdict is bit-identical to RUSH.Allow's model consultation for
+// the same features (both delegate to decideWith).
+func (s *Snapshot) Decide(feats []float64, probs *[]float64) (veto bool, class int) {
 	fp, _ := s.Model.(mlkit.FastProbaPredictor)
 	if fp != nil {
-		if n := len(fp.Classes()); len(probs) < n {
-			probs = make([]float64, n)
+		if n := len(fp.Classes()); len(*probs) < n {
+			*probs = make([]float64, n)
 		}
 	}
-	return decideWith(s.Model, fp, s.VariationLabels, s.ProbThreshold, feats, probs)
+	return decideWith(s.Model, fp, s.VariationLabels, s.ProbThreshold, feats, *probs)
 }
 
 // Features assembles the model's feature vector from the snapshot's

@@ -30,13 +30,16 @@
 // 3 failures, 300 s open window), after which decisions fail open
 // without consulting anything until a half-open probe succeeds.
 //
-// Inference requests are funneled through a single batcher goroutine
-// that drains its bounded queue greedily (or over a configured
-// BatchWindow, up to 64 at a time). Each item carries the snapshot its
-// request loaded and Snapshot.Decide is called once per item; what the
-// items of a batch share is the goroutine and its probability scratch
-// buffer. When the queue is full the server answers StatusBusy instead
-// of blocking — bounded-queue backpressure, never unbounded buffering.
+// A decision runs start to finish on the goroutine of the connection
+// that asked for it, model inference included: Snapshot.Decide on the
+// snapshot the request loaded, into buffers the connection keeps, so a
+// decision on the wire allocates nothing of its own. Connections decide
+// concurrently; past Config.MaxInflight decisions in flight the server
+// answers StatusBusy instead of blocking — backpressure, never unbounded
+// buffering. The stats keys serve_batches_total and
+// serve_batched_decisions_total both count inferences, and
+// serve_batch_max_size is 1 once there was one: every inference is a
+// batch of one.
 //
 // # Wire protocol (version 1)
 //
@@ -134,11 +137,11 @@
 // outage → fail-open ReasonModelDown; stale telemetry → fail-open
 // ReasonStaleTelemetry; too many missing features → fail-open
 // ReasonMissingFeatures; repeated failures → breaker open, fail-open
-// ReasonBreakerOpen without consulting anything; queue full →
-// StatusBusy (request not processed). On the client side, serve.Gate
-// degrades the same direction and says so: a transport error (sticky),
-// a StatusBusy or a StatusError answer admits the job and is booked in
-// the gate's sched.Ledger as a fail-open with obs.ReasonModelDown,
+// ReasonBreakerOpen without consulting anything; too many decisions in
+// flight → StatusBusy (request not processed). On the client side,
+// serve.Gate degrades the same direction and says so: a transport error
+// (sticky), a StatusBusy or a StatusError answer admits the job and is
+// booked in the gate's sched.Ledger as a fail-open with obs.ReasonModelDown,
 // counted in Degraded and gate_fail_open_model_down_total and traced
 // like any other decision. A dead daemon costs scheduling quality, never
 // scheduling liveness, and never passes for a clean baseline run.

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"rush/internal/apps"
 	"rush/internal/dataset"
@@ -39,12 +38,8 @@ type Config struct {
 	MaxMissing float64
 	// MaxInflight bounds concurrently processed decision requests
 	// (default 256). Beyond it the server answers StatusBusy without
-	// touching the decision pipeline — bounded-queue backpressure.
+	// touching the decision pipeline — backpressure, never a queue.
 	MaxInflight int
-	// BatchWindow is how long the inference batcher waits after the
-	// first queued decision to collect more (default 0: greedy — take
-	// whatever is already queued, never wait).
-	BatchWindow time.Duration
 	// Breaker is the predictor circuit breaker backing degraded mode
 	// (default sched.NewBreaker()). It runs on request-carried
 	// timestamps, so replayed simulated streams and wall-clock clients
@@ -69,9 +64,6 @@ type cacheEntry struct {
 	missing float64
 }
 
-// maxBatch bounds one inference batch.
-const maxBatch = 64
-
 // maxCacheEntries bounds the decision cache; on overflow the whole map
 // is dropped (entries are one epoch deep, so losing them only costs one
 // re-inference per live scope).
@@ -83,26 +75,21 @@ const maxCacheEntries = 4096
 // under MaxFrame, so every request frame is answered.
 const maxErrorBytes = 4096
 
-// batchItem is one inference handed to the batcher goroutine.
-type batchItem struct {
-	snap  *sched.Snapshot
-	feats []float64
-	veto  bool
-	class int
-	done  chan struct{}
-}
+// decideBufs are the buffers a decision reuses: the feature vector a
+// counters-only decide builds from the snapshot and the model's class
+// distribution. A connection keeps one for its life, so its decisions
+// allocate neither.
+type decideBufs struct{ feats, probs []float64 }
 
 // Server is the concurrent gate-prediction daemon: it holds the current
 // decision state as an immutable sched.Snapshot behind an atomic pointer
 // (decisions run lock-free against it while ingestion builds the next
-// one and publishes it with a swap — epoch/RCU style), batches ensemble
-// inference, caches counters-only decisions per scope, and degrades to
-// fail-open ALLOW behind the circuit breaker whenever the model path is
-// unavailable. The snapshot carries the model, so a hot-swap is one more
-// publish.
+// one and publishes it with a swap — epoch/RCU style), runs each
+// inference on the goroutine that asked for it, caches counters-only
+// decisions per scope, and degrades to fail-open ALLOW behind the circuit
+// breaker whenever the model path is unavailable. The snapshot carries
+// the model, so a hot-swap is one more publish.
 type Server struct {
-	batchWindow time.Duration
-
 	snap atomic.Pointer[sched.Snapshot]
 
 	pubMu sync.Mutex // serializes snapshot builds (ingest, swap)
@@ -116,10 +103,9 @@ type Server struct {
 	cmu   sync.RWMutex
 	cache map[cacheKey]cacheEntry
 
-	sem     chan struct{}
-	batchCh chan *batchItem
-	stopCh  chan struct{}
-	stop    sync.Once
+	sem    chan struct{}
+	stopCh chan struct{}
+	stop   sync.Once
 
 	lnMu  sync.Mutex
 	ln    net.Listener
@@ -139,14 +125,12 @@ type Server struct {
 	cBusy      obs.AtomicCounter
 	cIngests   obs.AtomicCounter
 	cSwaps     obs.AtomicCounter
-	cBatches   obs.AtomicCounter
-	cBatchJobs obs.AtomicCounter
-	gBatchMax  obs.AtomicGauge
+	cInfers    obs.AtomicCounter
 }
 
-// NewServer builds a server from cfg, applying defaults, installing the
-// initial snapshot (epoch 0, no telemetry), and starting the inference
-// batcher. Callers must Close it to stop the batcher.
+// NewServer builds a server from cfg, applying defaults and installing
+// the initial snapshot (epoch 0, no telemetry). Close stops what Serve
+// started.
 func NewServer(cfg Config) (*Server, error) {
 	if cfg.Model == nil {
 		return nil, fmt.Errorf("serve: Config.Model is required")
@@ -159,11 +143,10 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 	}
 	s := &Server{
-		pipe:        sched.Pipeline{MaxStaleness: 90, MaxMissing: 0.5, Breaker: cfg.Breaker},
-		batchWindow: cfg.BatchWindow,
-		cache:       map[cacheKey]cacheEntry{},
-		stopCh:      make(chan struct{}),
-		conns:       map[net.Conn]struct{}{},
+		pipe:   sched.Pipeline{MaxStaleness: 90, MaxMissing: 0.5, Breaker: cfg.Breaker},
+		cache:  map[cacheKey]cacheEntry{},
+		stopCh: make(chan struct{}),
+		conns:  map[net.Conn]struct{}{},
 	}
 	if cfg.MaxStaleness != 0 {
 		s.pipe.MaxStaleness = math.Max(cfg.MaxStaleness, 0)
@@ -179,14 +162,12 @@ func NewServer(cfg Config) (*Server, error) {
 		inflight = 256
 	}
 	s.sem = make(chan struct{}, inflight)
-	s.batchCh = make(chan *batchItem, inflight)
 	s.lastIngest.Store(math.Float64bits(math.NaN()))
 	s.snap.Store(&sched.Snapshot{
 		Model:           cfg.Model,
 		VariationLabels: labels,
 		ProbThreshold:   cfg.ProbThreshold,
 	})
-	go s.batcher()
 	return s, nil
 }
 
@@ -254,12 +235,12 @@ const (
 // byte-identical to in-process ones by construction (the differential
 // test checks it). The phase selects the halves: check stops after the
 // pre-feature half (Admit, Fresh), eval starts at the post-feature half
-// (Eval, then inference through the batcher), and the decision cache sits
-// between them. The breaker mutex is held around the pipeline calls only,
-// never across inference. The cached-decision path (counters-only request
-// with a warm scope) performs zero heap allocations (pinned by
-// TestCachedDecisionZeroAllocs).
-func (s *Server) decide(req *Request, resp *Response, phase int) {
+// (Eval, then inference), and the decision cache sits between them. The
+// breaker mutex is held around the pipeline calls only, never across
+// inference, which runs here, on the caller's goroutine, in bufs. The
+// cached-decision path (counters-only request with a warm scope) performs
+// zero heap allocations (pinned by TestCachedDecisionZeroAllocs).
+func (s *Server) decide(req *Request, resp *Response, phase int, bufs *decideBufs) {
 	snap := s.snap.Load()
 	resp.Epoch = snap.Epoch
 	now := req.Now
@@ -320,7 +301,10 @@ func (s *Server) decide(req *Request, resp *Response, phase int) {
 			s.answer(resp, v)
 			return
 		}
-		feats = snap.Features(simnet.ProbeResult{}, apps.Class(req.Class), make([]float64, 0, dataset.NumFeatures))
+		if bufs.feats == nil {
+			bufs.feats = make([]float64, 0, dataset.NumFeatures)
+		}
+		feats = snap.Features(simnet.ProbeResult{}, apps.Class(req.Class), bufs.feats[:0])
 	}
 	resp.Age = v.Age // an error answer below still reports the age
 	width := 0
@@ -331,15 +315,15 @@ func (s *Server) decide(req *Request, resp *Response, phase int) {
 	v, err := s.pipe.Eval(now, v.Age, feats, width)
 	s.bmu.Unlock()
 	if err != nil {
-		// A short vector would panic the batcher goroutine; it is the
-		// client's error.
+		// A short vector would panic the model; it is the client's error.
 		resp.Status = StatusError
 		resp.Error = err.Error()
 		s.cProtoErrs.Inc()
 		return
 	}
 	if !v.Final() {
-		v = v.Decided(s.infer(snap, feats))
+		s.cInfers.Inc()
+		v = v.Decided(snap.Decide(feats, &bufs.probs))
 		if cacheable {
 			s.cmu.Lock()
 			if len(s.cache) >= maxCacheEntries {
@@ -367,94 +351,19 @@ func (s *Server) answer(resp *Response, v sched.Verdict) {
 	}
 }
 
-// infer runs one model inference through the batcher so concurrent
-// decisions share ensemble batches. If the server is shutting down it
-// decides inline (Snapshot.Decide is pure, so deciding twice is safe).
-func (s *Server) infer(snap *sched.Snapshot, feats []float64) (veto bool, class int) {
-	it := &batchItem{snap: snap, feats: feats, done: make(chan struct{}, 1)}
-	select {
-	case s.batchCh <- it:
-	case <-s.stopCh:
-		return snap.Decide(feats, nil)
-	}
-	select {
-	case <-it.done:
-		return it.veto, it.class
-	case <-s.stopCh:
-		return snap.Decide(feats, nil)
-	}
-}
-
-// batcher is the single inference goroutine: it collects queued
-// decisions — greedily, or for BatchWindow after the first — and runs
-// them against their snapshots with one reused probability scratch
-// buffer. Batch sizes feed the serve_batch metrics.
-func (s *Server) batcher() {
-	var batch []*batchItem
-	var probs []float64
-	run := func() {
-		for _, it := range batch {
-			if n := it.snap.Classes(); n > len(probs) {
-				probs = make([]float64, n)
-			}
-			it.veto, it.class = it.snap.Decide(it.feats, probs)
-			it.done <- struct{}{}
-		}
-		s.cBatches.Inc()
-		s.cBatchJobs.Add(uint64(len(batch)))
-		s.gBatchMax.Max(uint64(len(batch)))
-	}
-	for {
-		select {
-		case it := <-s.batchCh:
-			batch = append(batch[:0], it)
-			if s.batchWindow > 0 {
-				timer := time.NewTimer(s.batchWindow)
-			window:
-				for len(batch) < maxBatch {
-					select {
-					case more := <-s.batchCh:
-						batch = append(batch, more)
-					case <-timer.C:
-						break window
-					case <-s.stopCh:
-						break window
-					}
-				}
-				timer.Stop()
-			} else {
-			greedy:
-				for len(batch) < maxBatch {
-					select {
-					case more := <-s.batchCh:
-						batch = append(batch, more)
-					default:
-						break greedy
-					}
-				}
-			}
-			run()
-		case <-s.stopCh:
-			// Drain anything already queued so no handler waits forever.
-			for {
-				select {
-				case it := <-s.batchCh:
-					batch = append(batch[:0], it)
-					run()
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
 // Handle processes one request into resp. It is the in-process API the
 // connection loop wraps: embedding callers (tests, benchmarks, future
 // in-process gates) get the identical pipeline without a socket. resp is
 // fully overwritten; on the cached-decision path Handle performs zero
-// heap allocations.
+// heap allocations. An inference allocates its buffers per call here,
+// where a connection reuses its own.
 func (s *Server) Handle(req *Request, resp *Response) {
+	var bufs decideBufs
+	s.handle(req, resp, &bufs)
+}
+
+// handle is Handle on the caller's decision buffers.
+func (s *Server) handle(req *Request, resp *Response, bufs *decideBufs) {
 	*resp = Response{V: ProtoVersion, ID: req.ID, Status: StatusOK, Class: -1, Age: -1, Missing: -1}
 	s.cRequests.Inc()
 	if req.V != ProtoVersion {
@@ -493,8 +402,8 @@ func (s *Server) Handle(req *Request, resp *Response) {
 		select {
 		case s.sem <- struct{}{}:
 		default:
-			// Bounded-queue backpressure: reply BUSY instead of queueing
-			// unboundedly (the 429 of this protocol).
+			// Backpressure: reply BUSY instead of queueing unboundedly
+			// (the 429 of this protocol).
 			resp.Status = StatusBusy
 			resp.Error = "too many in-flight decisions"
 			s.cBusy.Inc()
@@ -507,7 +416,7 @@ func (s *Server) Handle(req *Request, resp *Response) {
 		case OpEval:
 			phase = phaseEval
 		}
-		s.decide(req, resp, phase)
+		s.decide(req, resp, phase, bufs)
 		<-s.sem
 		if resp.Status == StatusOK && resp.Decision != DecisionEvaluate {
 			s.cDecisions.Inc()
@@ -521,8 +430,10 @@ func (s *Server) Handle(req *Request, resp *Response) {
 
 // Stats returns the current counter values. Key order is irrelevant on
 // the wire: JSON object keys marshal sorted, so OpStats responses are
-// deterministic.
+// deterministic. Every inference is a batch of one, which is what the
+// three serve_batch keys report.
 func (s *Server) Stats() map[string]uint64 {
+	infers := s.cInfers.Value()
 	return map[string]uint64{
 		"serve_requests_total":           s.cRequests.Value(),
 		"serve_protocol_errors_total":    s.cProtoErrs.Value(),
@@ -536,9 +447,9 @@ func (s *Server) Stats() map[string]uint64 {
 		"serve_backpressure_drops_total": s.cBusy.Value(),
 		"serve_ingests_total":            s.cIngests.Value(),
 		"serve_model_swaps_total":        s.cSwaps.Value(),
-		"serve_batches_total":            s.cBatches.Value(),
-		"serve_batched_decisions_total":  s.cBatchJobs.Value(),
-		"serve_batch_max_size":           s.gBatchMax.Value(),
+		"serve_batches_total":            infers,
+		"serve_batched_decisions_total":  infers,
+		"serve_batch_max_size":           min(infers, 1),
 	}
 }
 
@@ -552,9 +463,8 @@ func Listen(addr string) (net.Listener, error) {
 }
 
 // Serve accepts connections on ln until Close. Each connection is served
-// by its own goroutine; requests within one connection are handled in
-// order (responses match request order), while inference still batches
-// across connections.
+// by its own goroutine, which decides its requests in order, inference
+// included; connections decide concurrently.
 func (s *Server) Serve(ln net.Listener) error {
 	s.lnMu.Lock()
 	s.ln = ln
@@ -585,8 +495,8 @@ func (s *Server) Serve(ln net.Listener) error {
 // connection survives (frame boundaries are intact); an oversized length
 // prefix gets an error response and a close (the stream cannot be
 // resynchronized without reading the oversized body). The connection
-// reuses one buffer for the frames it reads and writes, and the storage
-// of the request it decodes.
+// reuses one buffer for the frames it reads and writes, the storage of
+// the request it decodes, and its decision buffers.
 func (s *Server) handleConn(c net.Conn) {
 	defer func() {
 		c.Close()
@@ -599,6 +509,7 @@ func (s *Server) handleConn(c net.Conn) {
 		req     Request
 		resp    Response
 		scratch reqScratch
+		bufs    decideBufs
 		buf     []byte
 		err     error
 	)
@@ -619,14 +530,7 @@ func (s *Server) handleConn(c net.Conn) {
 			resp = Response{V: ProtoVersion, Status: StatusError, Error: "malformed request: " + err.Error(), Class: -1, Age: -1, Missing: -1}
 			s.cProtoErrs.Inc()
 		} else {
-			s.Handle(&req, &resp)
-			select {
-			case <-s.stopCh:
-				// infer may have left a batch item reading the request's
-				// vectors: they must not be decoded into again.
-				scratch = reqScratch{}
-			default:
-			}
+			s.handle(&req, &resp, &bufs)
 		}
 		if len(resp.Error) > maxErrorBytes {
 			resp.Error = resp.Error[:maxErrorBytes]
@@ -640,7 +544,8 @@ func (s *Server) handleConn(c net.Conn) {
 	}
 }
 
-// Close stops the batcher, the listener, and every open connection.
+// Close stops the listener and every open connection, and waits for the
+// connection goroutines to return; a decision in flight finishes first.
 func (s *Server) Close() error {
 	s.stop.Do(func() { close(s.stopCh) })
 	s.lnMu.Lock()

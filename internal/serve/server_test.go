@@ -1,14 +1,11 @@
 package serve_test
 
 import (
-	"bufio"
-	"bytes"
 	"math"
 	"net"
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"rush/internal/dataset"
@@ -303,7 +300,7 @@ func stillServing(t *testing.T, srv *serve.Server) {
 // voting for class 9) or never terminate (a tree node that is its own
 // child) is refused at the swap, naming the field, and that the old
 // model keeps serving. Accepting either kills the process at the next
-// uncached decision, in the batcher goroutine.
+// uncached decision.
 func TestSwapRejectsMalformedModel(t *testing.T) {
 	srv, err := serve.NewServer(serve.Config{Model: conformanceModel(t, 1)})
 	if err != nil {
@@ -388,10 +385,10 @@ func counters() serve.FeatureVector {
 // wire path, client and server together: Client.Do, the codec both ways
 // and the connection loop over net.Pipe, for each kind a scheduler sends
 // in steady state. What remains is the Response that Do returns, the
-// strings decoded from the request (app, scope), the batch item and its
-// channel for an inference, and the snapshot an ingest publishes with
-// its three cloned aggregates: at most 5 per request, and each kind's own
-// count is pinned. The count is an exact runtime.MemStats delta over 100
+// strings decoded from the request (app, scope), and the snapshot an
+// ingest publishes with its three cloned aggregates: at most 5 per
+// request, and each kind's own count is pinned. An inference runs on the
+// connection's goroutine in the connection's buffers and adds nothing. The count is an exact runtime.MemStats delta over 100
 // requests of a kind. The runtime's channel bookkeeping allocates now and
 // then, so a tenth of an allocation per request is tolerated, but one
 // more per request fails.
@@ -415,8 +412,9 @@ func TestWireAllocationBudget(t *testing.T) {
 	}{
 		{"ingest", serve.Request{Op: serve.OpIngest, Now: 100, Tick: 1, Min: window, Mean: window, Max: window}, 5},
 		{"decide-cached", serve.Request{Op: serve.OpDecide, Now: 101, App: "AMG", Scope: "q1"}, 3},
+		{"decide-unscoped", serve.Request{Op: serve.OpDecide, Now: 101, App: "AMG"}, 2},
 		{"check", serve.Request{Op: serve.OpCheck, Now: 101, App: "Kripke", Class: 1, Age: &age}, 2},
-		{"eval", serve.Request{Op: serve.OpEval, Now: 101, App: "Kripke", Class: 1, Age: &age, Feats: feats}, 4},
+		{"eval", serve.Request{Op: serve.OpEval, Now: 101, App: "Kripke", Class: 1, Age: &age, Feats: feats}, 2},
 	} {
 		const n = 100
 		var bad *serve.Response
@@ -498,64 +496,5 @@ func TestClientEncodeErrorIsNotSticky(t *testing.T) {
 	}
 	if resp, err := client.Do(&serve.Request{Op: serve.OpPing}); err != nil || resp.Status != serve.StatusOK {
 		t.Fatalf("ping after the encode error: %+v, %v", resp, err)
-	}
-}
-
-// firstCallBlocks parks its first Predict until released and then reads
-// the sample; later calls answer at once.
-type firstCallBlocks struct {
-	called           atomic.Bool
-	started, release chan struct{}
-	sum              float64
-}
-
-func (m *firstCallBlocks) Fit(x [][]float64, y []int) error { return nil }
-func (m *firstCallBlocks) Name() string                     { return "first-call-blocks" }
-func (m *firstCallBlocks) Predict(sample []float64) int {
-	if m.called.CompareAndSwap(false, true) {
-		m.started <- struct{}{}
-		<-m.release
-		for _, v := range sample {
-			m.sum += v
-		}
-	}
-	return 0
-}
-
-// TestShutdownKeepsBatchedVectors covers the one way a decoded request's
-// vectors outlive it: on shutdown, infer returns while the batcher may
-// still be reading the batch item's features. The connection loop must
-// then not decode the next request into the same storage. Two evals are
-// pipelined; the first is parked in the batcher while the server closes,
-// and the batcher reads its vector only after the second has been
-// decoded. Under -race, a reused buffer is reported.
-func TestShutdownKeepsBatchedVectors(t *testing.T) {
-	model := &firstCallBlocks{started: make(chan struct{}), release: make(chan struct{})}
-	srv, err := serve.NewServer(serve.Config{Model: model})
-	if err != nil {
-		t.Fatal(err)
-	}
-	near, far := net.Pipe()
-	defer near.Close()
-	go srv.HandleConn(far)
-	var frames bytes.Buffer
-	for id := uint64(1); id <= 2; id++ {
-		req := serve.Request{V: serve.ProtoVersion, ID: id, Op: serve.OpEval, Now: 1, Feats: feats6()}
-		if err := serve.WriteFrame(&frames, &req); err != nil {
-			t.Fatal(err)
-		}
-	}
-	go near.Write(frames.Bytes())
-	<-model.started
-	srv.Close()
-	br := bufio.NewReader(near)
-	for id := uint64(1); id <= 2; id++ {
-		var resp serve.Response
-		if err := serve.ReadFrame(br, &resp); err != nil || resp.ID != id || resp.Status != serve.StatusOK {
-			t.Fatalf("eval %d: %+v, %v", id, resp, err)
-		}
-		if id == 1 {
-			close(model.release)
-		}
 	}
 }
