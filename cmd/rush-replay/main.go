@@ -2,23 +2,20 @@
 // e.g. a log from the Parallel Workloads Archive — through the simulated
 // machine under FCFS+EASY, RUSH, or the canary gate, streaming the trace
 // off disk so that year-scale, million-job logs replay in bounded
-// memory. Gzip-compressed traces (.gz) and http(s) URLs are read
-// directly.
+// memory. Gzip-compressed traces (.gz) are read directly.
 //
 // Usage:
 //
 //	rush-replay -swf trace.swf.gz -topo quartz
 //	rush-replay -swf trace.swf -policy rush -predictor predictor.json
-//	rush-replay -swf https://example.org/LLNL-Thunder.swf.gz -max-jobs 100000
+//	rush-replay -swf LLNL-Thunder.swf.gz -max-jobs 100000
 //	rush-replay -swf trace.swf -trials 3 -workers 3 -metrics -mem-sample 3600
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"net/http"
 	"os"
 	"strings"
 
@@ -35,7 +32,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("rush-replay: ")
 
-	swfPath := flag.String("swf", "", "SWF trace: a file path (.gz transparently decompressed) or an http(s) URL (required)")
+	swfPath := flag.String("swf", "", "SWF trace file path, .gz transparently decompressed (required)")
 	policy := flag.String("policy", "baseline", "policy: baseline, rush, or canary")
 	predPath := flag.String("predictor", "predictor.json", "trained predictor JSON (required for -policy rush)")
 	trials := cliflags.Trials(1)
@@ -57,7 +54,7 @@ func main() {
 	flag.Parse()
 
 	if *swfPath == "" {
-		log.Fatal("-swf is required (a file path or URL of an SWF trace)")
+		log.Fatal("-swf is required (the path of an SWF trace)")
 	}
 	if *trials <= 0 {
 		log.Fatalf("trials must be positive, got %d", *trials)
@@ -102,30 +99,22 @@ func main() {
 		log.Fatalf("unknown policy %q (want baseline, rush, or canary)", *policy)
 	}
 
-	// A URL is fetched once into a temp file so multi-trial fan-out can
-	// re-open it per trial without re-downloading.
-	path := *swfPath
-	if strings.HasPrefix(path, "http://") || strings.HasPrefix(path, "https://") {
-		if path, err = download(path); err != nil {
-			log.Fatal(err)
-		}
-		defer os.Remove(path)
-	}
-
 	// Each trial re-opens and re-streams the trace: streams are
 	// single-pass, and per-trial readers keep the fan-out embarrassingly
 	// parallel.
-	sums, err := parallel.Map(*workers, *trials, func(i int) (*experiments.ReplaySummary, error) {
+	sums := make([]*experiments.ReplaySummary, *trials)
+	err = parallel.Run(*workers, *trials, func(i int) error {
 		opts := workload.SWFOptions{
 			CoresPerNode: *coresPerNode, MaxNodes: *maxNodes,
 			MaxJobs: *maxJobs, Seed: *seed + int64(i),
 		}
-		r, err := workload.OpenSWF(path)
+		r, err := workload.OpenSWF(*swfPath)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		defer r.Close()
-		return experiments.ReplayStream(replayName(path), workload.NewSWFStream(r, opts), pol, pred, *seed+int64(i), cfg)
+		sums[i], err = experiments.ReplayStream(replayName(*swfPath), workload.NewSWFStream(r, opts), pol, pred, *seed+int64(i), cfg)
+		return err
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -190,36 +179,4 @@ func replayName(path string) string {
 		return "swf-replay"
 	}
 	return base
-}
-
-// download fetches an SWF trace URL into a temp file and returns its
-// path.
-func download(url string) (string, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("fetch %s: %s", url, resp.Status)
-	}
-	suffix := ".swf"
-	if strings.HasSuffix(url, ".gz") {
-		suffix = ".swf.gz"
-	}
-	f, err := os.CreateTemp("", "rush-replay-*"+suffix)
-	if err != nil {
-		return "", err
-	}
-	if _, err := io.Copy(f, resp.Body); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return "", err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return "", err
-	}
-	log.Printf("downloaded %s", url)
-	return f.Name(), nil
 }

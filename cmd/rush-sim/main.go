@@ -42,7 +42,6 @@ func main() {
 	tracePath := cliflags.Trace()
 	metrics := cliflags.Metrics()
 	pprofPath := cliflags.Pprof()
-	csvPrefix := flag.String("csv", "", "write per-job records to <prefix>-<policy>-<trial>.csv")
 	nodeMTBF := flag.Float64("node-mtbf", 0, "per-node mean time between failures in seconds (0 disables node faults)")
 	nodeMTTR := flag.Float64("node-mttr", 0, "per-node mean time to repair in seconds (default 1800 when -node-mtbf is set)")
 	telemetryLoss := flag.Float64("telemetry-loss", 0, "probability a telemetry table sample is dropped, in [0,1]")
@@ -108,12 +107,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if *csvPrefix != "" {
-			for i := range cmp.Baseline {
-				writeCSV(*csvPrefix, cmp.Baseline[i], i)
-				writeCSV(*csvPrefix, cmp.RUSH[i], i)
-			}
-		}
 		if *tracePath != "" {
 			// Paired order: baseline trial i, then its RUSH twin. Trials
 			// buffer their events privately, so this concatenation is
@@ -150,8 +143,10 @@ func main() {
 		}
 		// Trials fan out across the pool; results slot by trial index, so
 		// traces and report lines stay in trial order at any worker count.
-		trs, err := parallel.Map(*workers, *trials, func(i int) (*experiments.Trial, error) {
-			return experiments.RunTrial(spec, pol, pred, *seed+int64(i), cfg)
+		trs := make([]*experiments.Trial, *trials)
+		err := parallel.Run(*workers, *trials, func(i int) (err error) {
+			trs[i], err = experiments.RunTrial(spec, pol, pred, *seed+int64(i), cfg)
+			return err
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -160,9 +155,6 @@ func main() {
 			writeJSONLTrace(*tracePath, trs)
 		}
 		for i, tr := range trs {
-			if *csvPrefix != "" {
-				writeCSV(*csvPrefix, tr, i)
-			}
 			fmt.Printf("trial %d: policy=%s jobs=%d makespan=%.0fs evals=%d vetoes=%d\n",
 				i, tr.Policy, len(tr.Jobs), tr.Makespan, tr.GateEvaluations, tr.GateVetoes)
 			if cfg.Faults.Enabled() {
@@ -205,18 +197,4 @@ func writeJSONLTrace(path string, trs []*experiments.Trial) {
 		}
 	}
 	log.Printf("wrote event trace %s", path)
-}
-
-// writeCSV dumps one trial's per-job records as CSV.
-func writeCSV(prefix string, tr *experiments.Trial, trial int) {
-	path := fmt.Sprintf("%s-%s-%d.csv", prefix, tr.Policy, trial)
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	if err := tr.WriteTrace(f); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("wrote per-job CSV %s", path)
 }

@@ -35,7 +35,6 @@ func main() {
 	modelName := flag.String("model", "AdaBoost", "model to deploy: ExtraTrees, DecisionForest, KNN, or AdaBoost")
 	trainApps := flag.String("train-apps", "", "comma-separated apps to train on (empty = all; PDPA uses 4)")
 	rfe := flag.Bool("rfe", false, "run recursive feature elimination and report the trajectory")
-	temporal := flag.Bool("temporal", false, "run sliding train-on-past/test-on-future validation")
 	seed := cliflags.Seed(1)
 	metrics := cliflags.Metrics()
 	out := flag.String("out", "predictor.json", "output predictor JSON")
@@ -78,18 +77,6 @@ func main() {
 		fmt.Printf("RFE: best F1 %.3f with %d features\n", res.BestF1, len(res.Selected))
 		for _, step := range res.Trajectory {
 			fmt.Printf("  %3d features -> F1 %.3f\n", step.NumFeatures, step.F1)
-		}
-	}
-
-	if *temporal {
-		folds, err := core.TemporalValidation(ds, core.ModelName(*modelName), 20, 10, 10, *seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println("temporal validation (train on past, test on the next 10 days):")
-		for _, f := range folds {
-			fmt.Printf("  day %3.0f: train=%-4d test=%-3d F1=%.3f acc=%.3f\n",
-				f.TrainEndDay, f.TrainSamples, f.TestSamples, f.F1, f.Accuracy)
 		}
 	}
 

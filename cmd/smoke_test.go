@@ -1,9 +1,10 @@
 // Package cmd_test smoke-tests the six commands at their CLI surface:
 // every binary builds, the three simulation drivers exit 0 on a tiny
 // configuration with output that does not depend on -workers, and bad
-// -topo values, non-finite fault and canary rates, the retired
-// path-selection, drift, lifecycle, backfill and batching flags and the
-// retired fifth model are rejected.
+// -topo values, non-finite fault and canary rates and run limits, the
+// retired path-selection, drift, lifecycle, backfill, batching, CSV and
+// temporal-validation flags, an SWF URL and the retired fifth model are
+// rejected.
 // It also builds and runs examples/quickstart, the one Go-level driver
 // of the pipeline, so that cannot stop working unnoticed either, and
 // asks a running rush-serve for one decision.
@@ -117,14 +118,15 @@ func TestCommandsSmoke(t *testing.T) {
 
 	// The flags that used to select between equivalent paths, inject
 	// telemetry drift, run the model lifecycle, pick a backfilling
-	// discipline other than EASY or size the daemon's inference batches
-	// are gone.
+	// discipline other than EASY, size the daemon's inference batches,
+	// write per-job CSV or run temporal validation are gone.
 	retired := map[string][]string{
 		"rush-serve": {"-batch-window=200us"},
 		"rush-sim": {"-sched-reference", "-engine-reference", "-engine-workers=2",
 			"-drift-start=1", "-drift-ramp=1", "-drift-mean-shift=1", "-drift-noise-boost=1", "-drift-tables=x",
 			"-lifecycle", "-lifecycle-psi=1", "-lifecycle-canary-fraction=1", "-lifecycle-retrain-every=1",
-			"-backfill=conservative"},
+			"-backfill=conservative", "-csv=x"},
+		"rush-train":       {"-temporal"},
 		"rush-experiments": {"-sched-reference", "-engine-reference", "-engine-workers=2", "-drift"},
 		"rush-replay":      {"-sched-reference", "-engine-reference", "-engine-workers=2", "-in-memory", "-backfill=conservative"},
 	}
@@ -170,10 +172,18 @@ func TestCommandsSmoke(t *testing.T) {
 		{"rush-sim", []string{"-policy", "baseline", "-canary-threshold", "-1"}, "canary threshold -1 is not a finite non-negative number"},
 		{"rush-replay", []string{"-swf", swf, "-node-mttr", "NaN"}, "node MTTR NaN is not a finite number"},
 		{"rush-replay", []string{"-swf", swf, "-model-outage", "NaN"}, "model outage NaN is not a finite number"},
+		{"rush-replay", []string{"-swf", swf, "-max-sim-time", "NaN"}, "max sim time NaN is not a non-negative number"},
+		{"rush-replay", []string{"-swf", swf, "-max-sim-time", "-1"}, "max sim time -1 is not a non-negative number"},
+		{"rush-replay", []string{"-swf", swf, "-mem-sample", "NaN"}, "mem sample NaN is not a finite non-negative number"},
+		{"rush-replay", []string{"-swf", swf, "-mem-sample", "-1"}, "mem sample -1 is not a finite non-negative number"},
+		{"rush-replay", []string{"-swf", swf, "-mem-sample", "+Inf"}, "mem sample +Inf is not a finite non-negative number"},
 	}
 	for _, r := range badRates {
 		wantExit1(t, bin, r.name, append([]string{"-trials", "1"}, r.args...), r.want)
 	}
+
+	// -swf names a file: a URL is opened as a path, never fetched.
+	wantExit1(t, bin, "rush-replay", []string{"-swf", "http://127.0.0.1:9/t.swf"}, "open http://127.0.0.1:9/t.swf: no such file or directory")
 
 	// Gradient boosting is gone: its name trains nothing and a predictor
 	// file of its kind loads as any unknown kind does.

@@ -69,16 +69,17 @@ type Config struct {
 	// jobs too, not just the network- and I/O-intensive classes.
 	CanaryAllClasses bool
 	// MaxSimTime aborts a trial that fails to drain (safety net;
-	// default 6 hours of simulated time).
+	// default 6 hours of simulated time; +Inf is unbounded). A negative
+	// or NaN value is rejected.
 	MaxSimTime float64
 	// Faults injects node failures, telemetry dropouts, and predictor
 	// outages into the trial (robustness evaluation). The zero value
 	// injects nothing and leaves clean runs bit-identical.
 	Faults faults.Config
-	// Workers bounds how many trials (and fault scenarios) execute
-	// concurrently: 0 uses GOMAXPROCS, 1 forces the serial path. Each
-	// trial is seeded independently and results merge in trial order, so
-	// every worker count produces byte-identical output (pinned by
+	// Workers bounds how many trials execute concurrently: 0 uses
+	// GOMAXPROCS, 1 runs them one at a time. Each trial is seeded
+	// independently and results merge in trial order, so every worker
+	// count produces byte-identical output (pinned by
 	// TestRunExperimentParallelDeterminism).
 	Workers int
 
@@ -95,6 +96,7 @@ type Config struct {
 	// ReplaySummary.PeakHeapBytes. Sampling draws no randomness and
 	// mutates no simulation state, but it does occupy event-queue slots,
 	// so compare traces only across runs with the same MemSample setting.
+	// A negative or non-finite value is rejected.
 	MemSample float64
 
 	// Trace records each trial's structured event stream (JSONL) into
@@ -342,10 +344,16 @@ func newTrialEnv(name string, policy Policy, pred *core.Predictor, seed int64, c
 // SubmitAt; one that does ends the run with an error naming the job,
 // because submitting it late would silently under-report its wait.
 func drive(name string, stream workload.JobStream, policy Policy, pred *core.Predictor, seed int64, cfg Config, observe func(*sched.Job)) (*Trial, *trialEnv, error) {
-	cfg.fill()
 	if t := cfg.CanaryThreshold; t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
 		return nil, nil, fmt.Errorf("experiments: canary threshold %v is not a finite non-negative number", t)
 	}
+	if t := cfg.MaxSimTime; t < 0 || math.IsNaN(t) {
+		return nil, nil, fmt.Errorf("experiments: max sim time %v is not a non-negative number", t)
+	}
+	if t := cfg.MemSample; t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
+		return nil, nil, fmt.Errorf("experiments: mem sample %v is not a finite non-negative number", t)
+	}
+	cfg.fill()
 	env, err := newTrialEnv(name, policy, pred, seed, cfg)
 	if err != nil {
 		return nil, nil, err
@@ -497,65 +505,6 @@ type Comparison struct {
 
 // DefaultTrials is the paper's per-policy repetition count.
 const DefaultTrials = 5
-
-// FaultScenario names one fault configuration of a robustness sweep.
-type FaultScenario struct {
-	Name   string
-	Faults faults.Config
-}
-
-// DefaultFaultScenarios is the standard robustness sweep: a clean run,
-// then each fault class alone, then everything at once.
-func DefaultFaultScenarios() []FaultScenario {
-	return []FaultScenario{
-		{Name: "clean"},
-		{Name: "node-churn", Faults: faults.Config{NodeMTBF: 4 * 3600, NodeMTTR: 900}},
-		{Name: "telemetry-loss", Faults: faults.Config{TelemetryLoss: 0.2, FreezeProb: 0.05}},
-		{Name: "model-outage", Faults: faults.Config{ModelOutage: 0.3}},
-		{Name: "all-faults", Faults: faults.Config{
-			NodeMTBF: 4 * 3600, NodeMTTR: 900,
-			TelemetryLoss: 0.2, FreezeProb: 0.05,
-			ModelOutage: 0.3,
-		}},
-	}
-}
-
-// FaultRow is one scenario's paired baseline/RUSH comparison.
-type FaultRow struct {
-	Scenario FaultScenario
-	Cmp      *Comparison
-}
-
-// FaultMatrix runs spec under every fault scenario, paired baseline vs
-// RUSH with seeds baseSeed+i, and returns one row per scenario. It is
-// the robustness counterpart of RunExperiment: the same workload and
-// seeds across rows, so differences between rows are the faults' doing.
-// Scenarios execute concurrently under cfg.Workers; rows come back in
-// scenario order regardless of which finishes first.
-func FaultMatrix(spec workload.Spec, pred *core.Predictor, scenarios []FaultScenario, trials int, baseSeed int64, cfg Config) ([]FaultRow, error) {
-	if trials <= 0 {
-		return nil, fmt.Errorf("experiments: %s fault matrix: trials must be positive, got %d", spec.Name, trials)
-	}
-	if len(scenarios) == 0 {
-		scenarios = DefaultFaultScenarios()
-	}
-	rows, err := parallel.Map(cfg.Workers, len(scenarios), func(s int) (FaultRow, error) {
-		scCfg := cfg
-		scCfg.Faults = scenarios[s].Faults
-		// The inner experiment keeps cfg.Workers: the nested pools bound
-		// goroutines, not threads, so a matrix with fewer scenarios than
-		// cores still fills the machine with its scenarios' trials.
-		cmp, err := RunExperiment(spec, pred, trials, baseSeed, scCfg)
-		if err != nil {
-			return FaultRow{}, fmt.Errorf("experiments: fault scenario %q: %w", scenarios[s].Name, err)
-		}
-		return FaultRow{Scenario: scenarios[s], Cmp: cmp}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
 
 // RunExperiment runs spec trials times under each policy with paired
 // seeds (baseSeed+i) and returns the comparison. Trials execute

@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"reflect"
 	"testing"
 
@@ -107,60 +106,6 @@ func TestNodeChurnTrialDrains(t *testing.T) {
 	}
 	if tr.JobKills > 0 && tr.LostWork <= 0 {
 		t.Fatal("kills must account lost work")
-	}
-}
-
-func TestFaultMatrixSmoke(t *testing.T) {
-	pred := predictor(t)
-	spec, _ := workload.SpecByName("ADAA")
-	scenarios := []FaultScenario{
-		{Name: "clean"},
-		{Name: "outage", Faults: faults.Config{ModelOutage: 0.5}},
-	}
-	rows, err := FaultMatrix(spec, pred, scenarios, 1, 31, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for i, row := range rows {
-		if row.Scenario.Name != scenarios[i].Name {
-			t.Fatalf("row %d scenario %q", i, row.Scenario.Name)
-		}
-		if len(row.Cmp.Baseline) != 1 || len(row.Cmp.RUSH) != 1 {
-			t.Fatalf("row %d trial counts wrong", i)
-		}
-	}
-	clean := rows[0].Cmp.RUSH[0]
-	if clean.GateDegraded != 0 || clean.NodeFailures != 0 {
-		t.Fatalf("clean scenario injected faults: %+v", clean)
-	}
-	if rows[1].Cmp.RUSH[0].GateDegraded == 0 {
-		t.Fatal("outage scenario should degrade some gate decisions")
-	}
-	if out := renderText(t, func(w io.Writer) error { return ReportFaults(w, rows[1].Cmp) }); out == "" {
-		t.Fatal("fault report is empty")
-	}
-}
-
-func TestDefaultFaultScenarios(t *testing.T) {
-	scs := DefaultFaultScenarios()
-	if len(scs) < 4 {
-		t.Fatalf("only %d scenarios", len(scs))
-	}
-	if scs[0].Faults.Enabled() {
-		t.Fatal("first scenario should be the clean control")
-	}
-	seen := map[string]bool{}
-	for _, sc := range scs {
-		if sc.Name == "" || seen[sc.Name] {
-			t.Fatalf("scenario names must be unique and non-empty: %+v", scs)
-		}
-		seen[sc.Name] = true
-		if err := sc.Faults.Validate(); err != nil {
-			t.Fatalf("scenario %s invalid: %v", sc.Name, err)
-		}
 	}
 }
 

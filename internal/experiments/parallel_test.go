@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 
@@ -24,7 +25,7 @@ func marshal(t *testing.T, v any) []byte {
 // TestRunExperimentParallelDeterminism pins the tentpole guarantee: the
 // ADAA experiment — with every fault class injected, so the comparison
 // carries live fault and breaker counters — produces byte-identical
-// results at workers=1 and workers=8.
+// results at workers=1 and workers=8, and ReportFaults renders them.
 func TestRunExperimentParallelDeterminism(t *testing.T) {
 	spec, _ := workload.SpecByName("ADAA")
 	pred := predictor(t)
@@ -65,33 +66,8 @@ func TestRunExperimentParallelDeterminism(t *testing.T) {
 	if degraded == 0 {
 		t.Fatal("model outage never degraded the gate; the determinism check is vacuous")
 	}
-}
-
-// TestFaultMatrixParallelDeterminism checks the scenario fan-out merges
-// rows in scenario order with identical content at any worker count.
-func TestFaultMatrixParallelDeterminism(t *testing.T) {
-	spec, _ := workload.SpecByName("ADAA")
-	pred := predictor(t)
-	scenarios := []FaultScenario{
-		{Name: "clean"},
-		{Name: "churn", Faults: faults.Config{NodeMTBF: 4 * 3600, NodeMTTR: 900}},
-	}
-
-	serial, err := FaultMatrix(spec, pred, scenarios, 1, 31, Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := FaultMatrix(spec, pred, scenarios, 1, 31, Config{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(marshal(t, serial), marshal(t, par)) {
-		t.Fatal("fault matrix differs between workers=1 and workers=4")
-	}
-	for i, row := range par {
-		if row.Scenario.Name != scenarios[i].Name {
-			t.Fatalf("row %d is scenario %q, want %q", i, row.Scenario.Name, scenarios[i].Name)
-		}
+	if out := renderText(t, func(w io.Writer) error { return ReportFaults(w, serial) }); out == "" {
+		t.Fatal("fault report is empty")
 	}
 }
 
@@ -105,13 +81,5 @@ func TestRunExperimentRejectsNonPositiveTrials(t *testing.T) {
 		if cmp != nil {
 			t.Fatalf("trials=%d: got a comparison alongside the error", trials)
 		}
-	}
-}
-
-func TestFaultMatrixRejectsNonPositiveTrials(t *testing.T) {
-	spec, _ := workload.SpecByName("ADAA")
-	if _, err := FaultMatrix(spec, nil, nil, 0, 1, Config{}); err == nil ||
-		!strings.Contains(err.Error(), "trials must be positive") {
-		t.Fatalf("err = %v, want validation error", err)
 	}
 }

@@ -134,7 +134,7 @@ func (r *ReplaySummary) observe(j *sched.Job) {
 // Unlike RunTrialJobs, a zero MaxSimTime means unbounded: a year-scale
 // replay is the purpose of this entry point, not a runaway.
 func ReplayStream(name string, stream workload.JobStream, policy Policy, pred *core.Predictor, seed int64, cfg Config) (*ReplaySummary, error) {
-	if cfg.MaxSimTime <= 0 {
+	if cfg.MaxSimTime == 0 {
 		cfg.MaxSimTime = math.Inf(1)
 	}
 	sum := &ReplaySummary{Experiment: name, Policy: policy, Seed: seed}

@@ -133,32 +133,24 @@ type Event struct {
 
 // Tracer encodes events as deterministic JSONL: one object per line,
 // fixed key order, '%g'-style float formatting. Events are encoded into
-// a pooled append buffer; a plain tracer hands each line to the writer
-// as it is produced, while a batched tracer (NewBatchedTracer)
-// accumulates ~64 KiB between writes so a million-event replay costs
-// dozens of writes instead of millions — the bytes produced are
-// identical either way. Write errors are sticky — the first one stops
-// all further output and surfaces via Err.
+// an append buffer that reaches the writer in ~64 KiB batches, so a
+// million-event replay costs dozens of writes instead of millions.
+// Write errors are sticky — the first one stops all further output and
+// surfaces via Err and Flush.
 type Tracer struct {
-	w     io.Writer
-	buf   []byte
-	batch int // flush threshold in bytes; 0 flushes every event
-	err   error
+	w   io.Writer
+	buf []byte
+	err error
 }
 
-// tracerBatchBytes is the batched tracer's flush threshold.
+// tracerBatchBytes is the tracer's flush threshold.
 const tracerBatchBytes = 64 * 1024
-
-// NewTracer returns a tracer writing JSONL to w, one write per event.
-func NewTracer(w io.Writer) *Tracer {
-	return &Tracer{w: w, buf: make([]byte, 0, 256)}
-}
 
 // NewBatchedTracer returns a tracer that accumulates encoded events and
 // writes them to w in ~64 KiB batches. Callers must Flush when the run
 // ends (and check its error) or the tail of the trace is lost.
 func NewBatchedTracer(w io.Writer) *Tracer {
-	return &Tracer{w: w, buf: make([]byte, 0, tracerBatchBytes+512), batch: tracerBatchBytes}
+	return &Tracer{w: w, buf: make([]byte, 0, tracerBatchBytes+512)}
 }
 
 // Err returns the first write error, or nil.
@@ -170,7 +162,7 @@ func (t *Tracer) Err() error {
 }
 
 // Flush writes any batched events through to the writer and returns the
-// tracer's sticky error. Safe on nil and unbatched tracers.
+// tracer's sticky error. Safe on a nil tracer.
 func (t *Tracer) Flush() error {
 	if t == nil {
 		return nil
@@ -247,7 +239,7 @@ func (t *Tracer) Emit(ev *Event) {
 	}
 	b = append(b, '}', '\n')
 	t.buf = b
-	if len(t.buf) >= t.batch {
+	if len(t.buf) >= tracerBatchBytes {
 		t.flush()
 	}
 }

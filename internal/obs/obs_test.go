@@ -11,7 +11,7 @@ import (
 
 func TestTracerEncodesOneJSONObjectPerLine(t *testing.T) {
 	var buf bytes.Buffer
-	tr := NewTracer(&buf)
+	tr := NewBatchedTracer(&buf)
 	tr.Emit(&Event{Time: 0, Kind: KindTrial, Experiment: "ADAA", Policy: "RUSH", Seed: 7})
 	tr.Emit(&Event{Time: 1.5, Kind: KindSubmit, Job: 3, App: "AMG", Nodes: 16})
 	tr.Emit(&Event{Time: 2, Kind: KindGate, Job: 3, App: "AMG",
@@ -21,7 +21,7 @@ func TestTracerEncodesOneJSONObjectPerLine(t *testing.T) {
 	tr.Emit(&Event{Time: 4, Kind: KindBreaker, From: "closed", To: "open"})
 	tr.Emit(&Event{Time: 5, Kind: KindStart, Job: 3, App: "AMG", Nodes: 16, Wait: 3.5, Skips: 1})
 	tr.Emit(&Event{Time: 6, Kind: KindNodeDown, Node: 12, Kills: 1})
-	if err := tr.Err(); err != nil {
+	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -70,11 +70,14 @@ func TestTracerEncodesOneJSONObjectPerLine(t *testing.T) {
 func TestTracerDeterministicBytes(t *testing.T) {
 	run := func() []byte {
 		var buf bytes.Buffer
-		tr := NewTracer(&buf)
+		tr := NewBatchedTracer(&buf)
 		for i := 0; i < 50; i++ {
 			tr.Emit(&Event{Time: float64(i) * 1.25, Kind: KindSubmit, Job: i, App: "Kripke", Nodes: 16})
 			tr.Emit(&Event{Time: float64(i)*1.25 + 0.5, Kind: KindGate, Job: i, App: "Kripke",
 				Decision: DecisionStart, Class: 0, Age: 12.5, Missing: 0})
+		}
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
 		}
 		return buf.Bytes()
 	}
@@ -83,24 +86,31 @@ func TestTracerDeterministicBytes(t *testing.T) {
 	}
 }
 
-// TestBatchedTracerMatchesPlain pins the batching contract: a batched
-// tracer produces byte-identical output to a per-event tracer, in far
-// fewer writes, and only after Flush is the tail guaranteed on the
+// TestBatchedTracerMatchesPlain pins the batching contract: the tracer
+// produces byte-identical output to one flushed after every event, in
+// far fewer writes, and only after Flush is the tail guaranteed on the
 // writer.
 func TestBatchedTracerMatchesPlain(t *testing.T) {
-	emit := func(tr *Tracer) {
+	emit := func(tr *Tracer, each func()) {
 		for i := 0; i < 2000; i++ {
 			tr.Emit(&Event{Time: float64(i) * 0.5, Kind: KindSubmit, Job: i, App: "AMG", Nodes: 4})
+			each()
 			tr.Emit(&Event{Time: float64(i)*0.5 + 0.1, Kind: KindFinish, Job: i, App: "AMG", Nodes: 4, Runtime: 12.5})
+			each()
 		}
 	}
 	var plain bytes.Buffer
-	emit(NewTracer(&plain))
+	pw := &countWriter{w: &plain}
+	per := NewBatchedTracer(pw)
+	emit(per, func() { per.Flush() })
+	if pw.n != 4000 {
+		t.Fatalf("flushing after every event issued %d writes for 4000 events", pw.n)
+	}
 
 	var batched bytes.Buffer
 	cw := &countWriter{w: &batched}
 	tr := NewBatchedTracer(cw)
-	emit(tr)
+	emit(tr, func() {})
 	if len(batched.Bytes()) == len(plain.Bytes()) {
 		t.Fatal("batched tracer should still be holding a partial batch before Flush")
 	}
@@ -108,7 +118,7 @@ func TestBatchedTracerMatchesPlain(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(plain.Bytes(), batched.Bytes()) {
-		t.Fatal("batched and per-event tracers must produce identical bytes")
+		t.Fatal("batched and per-event writes must produce identical bytes")
 	}
 	if cw.n >= 4000 {
 		t.Fatalf("batched tracer issued %d writes for 4000 events", cw.n)
@@ -147,9 +157,11 @@ func (w *failWriter) Write(p []byte) (int, error) {
 
 func TestTracerStickyError(t *testing.T) {
 	w := &failWriter{}
-	tr := NewTracer(w)
+	tr := NewBatchedTracer(w)
 	tr.Emit(&Event{Kind: KindSubmit})
+	tr.Flush()
 	tr.Emit(&Event{Kind: KindSubmit})
+	tr.Flush()
 	if tr.Err() == nil {
 		t.Fatal("write error not surfaced")
 	}

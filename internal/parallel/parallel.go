@@ -1,17 +1,17 @@
 // Package parallel is the repository's bounded, deterministic worker
-// pool. Every fan-out in the codebase — paired experiment trials, fault
-// scenarios, bagged-ensemble tree fitting, per-feature stump scans —
-// goes through Run or Map, which guarantee:
+// pool. Every fan-out in the codebase — paired experiment trials,
+// replay trials, bagged-ensemble tree fitting, per-feature stump scans —
+// goes through Run, which guarantees:
 //
 //   - Bounded concurrency: at most workers goroutines execute tasks at
 //     once (Workers resolves 0 or negative to runtime.GOMAXPROCS(0)).
-//     workers == 1 runs tasks inline on the calling goroutine with no
-//     goroutines at all, so the serial path stays trivially serial.
-//   - Deterministic merge: every result and error is slotted by task
-//     index, never by completion order. A caller that derives task
-//     inputs deterministically (e.g. pre-drawn per-task seeds — see the
-//     determinism contract in ARCHITECTURE.md) gets byte-identical
-//     output at any worker count.
+//     workers == 1 runs every task, in index order, on one goroutine.
+//   - Deterministic merge: every error is slotted by task index, never
+//     by completion order, and a task writes its result only to its own
+//     index's slot of an output slice the caller owns. A caller that
+//     derives task inputs deterministically (e.g. pre-drawn per-task
+//     seeds — see the determinism contract in ARCHITECTURE.md) gets
+//     byte-identical output at any worker count.
 //   - Deterministic errors: a failing task does not cancel its
 //     siblings; all n tasks run, and Run returns the error of the
 //     lowest-numbered failed task — the same error a serial loop would
@@ -87,19 +87,6 @@ func Run(workers, n int, task func(i int) error) error {
 		return task(i)
 	}
 
-	if workers == 1 {
-		// Inline serial path: no goroutines, same merge semantics (all
-		// tasks run; the lowest-index error wins — with one worker the
-		// lowest is also the first).
-		var first error
-		for i := 0; i < n; i++ {
-			if err := call(i); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
-
 	errs := make([]error, n)
 	var next atomic.Int64
 	next.Store(-1)
@@ -125,20 +112,4 @@ func Run(workers, n int, task func(i int) error) error {
 		}
 	}
 	return nil
-}
-
-// Map runs fn(0) … fn(n-1) through Run and returns the results slotted
-// by index. On error the slice is still returned: slots whose tasks
-// succeeded are filled, the rest hold zero values.
-func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := Run(workers, n, func(i int) error {
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	return out, err
 }

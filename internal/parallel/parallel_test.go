@@ -43,25 +43,27 @@ func TestRunExecutesEveryTaskOnce(t *testing.T) {
 }
 
 func TestRunBoundsConcurrency(t *testing.T) {
-	const workers, n = 3, 50
-	var inFlight, peak atomic.Int64
-	err := Run(workers, n, func(int) error {
-		cur := inFlight.Add(1)
-		defer inFlight.Add(-1)
-		for {
-			p := peak.Load()
-			if cur <= p || peak.CompareAndSwap(p, cur) {
-				break
+	for _, workers := range []int64{1, 3} {
+		const n = 50
+		var inFlight, peak atomic.Int64
+		err := Run(int(workers), n, func(int) error {
+			cur := inFlight.Add(1)
+			defer inFlight.Add(-1)
+			for {
+				p := peak.Load()
+				if cur <= p || peak.CompareAndSwap(p, cur) {
+					break
+				}
 			}
+			time.Sleep(time.Millisecond)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := peak.Load(); p > workers {
-		t.Fatalf("observed %d concurrent tasks with %d workers", p, workers)
+		if p := peak.Load(); p > workers {
+			t.Fatalf("observed %d concurrent tasks with %d workers", p, workers)
+		}
 	}
 }
 
@@ -87,20 +89,22 @@ func TestRunReturnsLowestIndexError(t *testing.T) {
 }
 
 func TestRunErrorDoesNotCancelSiblings(t *testing.T) {
-	const n = 40
-	var ran atomic.Int64
-	err := Run(4, n, func(i int) error {
-		ran.Add(1)
-		if i == 0 {
-			return errors.New("boom")
+	for _, workers := range []int{1, 4} {
+		const n = 40
+		var ran atomic.Int64
+		err := Run(workers, n, func(i int) error {
+			ran.Add(1)
+			if i == 0 {
+				return errors.New("boom")
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "boom" {
+			t.Fatalf("workers=%d: err = %v, want boom", workers, err)
 		}
-		return nil
-	})
-	if err == nil {
-		t.Fatal("expected an error")
-	}
-	if got := ran.Load(); got != n {
-		t.Fatalf("%d/%d tasks ran after an early error", got, n)
+		if got := ran.Load(); got != n {
+			t.Fatalf("workers=%d: %d/%d tasks ran after an early error", workers, got, n)
+		}
 	}
 }
 
@@ -126,40 +130,9 @@ func TestRunCapturesPanic(t *testing.T) {
 }
 
 func TestRunEmptyInput(t *testing.T) {
-	if err := Run(4, 0, func(int) error { t.Fatal("no tasks to run"); return nil }); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMapSlotsResultsByIndex(t *testing.T) {
-	for _, workers := range []int{1, 3, 16} {
-		out, err := Map(workers, 64, func(i int) (int, error) {
-			// Stagger completion so a completion-order merge would scramble.
-			time.Sleep(time.Duration(64-i) * 10 * time.Microsecond)
-			return i * i, nil
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	for _, workers := range []int{1, 4} {
+		if err := Run(workers, 0, func(int) error { t.Fatal("no tasks to run"); return nil }); err != nil {
+			t.Fatal(err)
 		}
-		for i, v := range out {
-			if v != i*i {
-				t.Fatalf("workers=%d: out[%d] = %d", workers, i, v)
-			}
-		}
-	}
-}
-
-func TestMapKeepsPartialResultsOnError(t *testing.T) {
-	out, err := Map(4, 10, func(i int) (string, error) {
-		if i == 6 {
-			return "", errors.New("slot 6 failed")
-		}
-		return fmt.Sprintf("v%d", i), nil
-	})
-	if err == nil || err.Error() != "slot 6 failed" {
-		t.Fatalf("err = %v", err)
-	}
-	if len(out) != 10 || out[6] != "" || out[0] != "v0" || out[9] != "v9" {
-		t.Fatalf("partial results wrong: %q", out)
 	}
 }

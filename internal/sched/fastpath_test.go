@@ -168,7 +168,11 @@ func TestGateFastPathMatchesReference(t *testing.T) {
 // the row store, as a trial's first minutes do; after that neither may
 // allocate an object or a byte over two laps. The counts are
 // runtime.MemStats deltas, so a fraction of an allocation per decision,
-// which testing.AllocsPerRun rounds to zero, fails too.
+// which testing.AllocsPerRun rounds to zero, fails too. MemStats counts
+// the whole process, and in -race builds the runtime's background
+// scavenger sometimes grows a P's timer heap (one 32-byte object from
+// runtime.(*timers).addHeap) inside the window; so a race build runs the
+// decisions but does not hold them to the count.
 func TestGateDecisionZeroAllocs(t *testing.T) {
 	model := trainedToyModel(t, gateMachine())
 	if _, ok := model.(mlkit.FastProbaPredictor); !ok {
@@ -200,7 +204,7 @@ func TestGateDecisionZeroAllocs(t *testing.T) {
 			gate.Allow(j, alloc)
 		}
 		ask(0) // warm caches and reusable buffers
-		if objects, bytes := measure(ask); objects != 0 || bytes != 0 {
+		if objects, bytes := measure(ask); !raceBuild && (objects != 0 || bytes != 0) {
 			t.Fatalf("56 machine-wide gate decisions allocated %d objects, %d bytes; want 0", objects, bytes)
 		}
 	})
@@ -243,7 +247,7 @@ func TestGateDecisionZeroAllocs(t *testing.T) {
 			for i := range scopes {
 				ask(i)
 			}
-			if objects, bytes := measure(ask); objects != 0 || bytes != 0 {
+			if objects, bytes := measure(ask); !raceBuild && (objects != 0 || bytes != 0) {
 				t.Fatalf("two laps of %s gate decisions allocated %d objects, %d bytes; want 0", shape.name, objects, bytes)
 			}
 		})

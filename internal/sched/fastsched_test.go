@@ -196,12 +196,13 @@ func runTwinHalf(t *testing.T, spec twinSpec, reference bool) schedRun {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
+	tracer := obs.NewBatchedTracer(&buf)
 	reg := obs.NewRegistry()
 	s, err := NewScheduler(Config{
 		Machine:  m,
 		Primary:  spec.r1,
 		Gate:     spec.gate(m, inj),
-		Observer: obs.New(obs.NewTracer(&buf), reg),
+		Observer: obs.New(tracer, reg),
 		Faults:   inj,
 	})
 	if err != nil {
@@ -246,6 +247,9 @@ func runTwinHalf(t *testing.T, spec twinSpec, reference bool) schedRun {
 	for s.CompletedCount() < spec.jobs && eng.Now() < twinHorizon && eng.Step() {
 	}
 
+	if err := tracer.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	run := schedRun{trace: buf.String(), snap: reg.Snapshot(), err: s.Err()}
 	for _, j := range s.Completed() {
 		run.completed = append(run.completed,
@@ -301,9 +305,9 @@ func vetoGate(n int) gateMaker {
 // metrics. Estimate factors below 1 force overruns so timeline promotion
 // is exercised.
 //
-// The scenarios are a scripted kill/restore wave and the five rows of
-// the robustness sweep (experiments.DefaultFaultScenarios: clean, node
-// churn, telemetry loss, model outage, all at once), the latter on the
+// The scenarios are a scripted kill/restore wave and five fault
+// settings (clean, node churn, telemetry loss, model outage, all at
+// once), the latter on the
 // trial stack: the paper's application mix, the noise job, a fault
 // injector and, as the third gate, RUSH over a trained model with the
 // injector's outage hook, so vetoes, fail-open decisions, kills and

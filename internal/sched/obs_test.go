@@ -74,7 +74,8 @@ func TestGatedPassZeroAllocs(t *testing.T) {
 func TestBreakerTransitionsEmitOneEventEach(t *testing.T) {
 	var buf bytes.Buffer
 	br := NewBreaker()
-	br.Observe(obs.New(obs.NewTracer(&buf), nil))
+	tracer := obs.NewBatchedTracer(&buf)
+	br.Observe(obs.New(tracer, nil))
 
 	for i := 0; i < br.FailureThreshold; i++ {
 		br.Failure(float64(i)) // only the threshold-reaching failure transitions
@@ -88,6 +89,9 @@ func TestBreakerTransitionsEmitOneEventEach(t *testing.T) {
 	}
 	br.Success(probeAt + 1)
 	br.Success(probeAt + 2) // already closed: must not emit
+	if err := tracer.Flush(); err != nil {
+		t.Fatal(err)
+	}
 
 	want := [][2]string{
 		{"closed", "open"},

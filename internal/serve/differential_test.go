@@ -90,7 +90,7 @@ func driveServedTrial(t *testing.T, name string, jobs []workload.SubmittedJob, c
 	const seed = 11
 	eng := sim.New(seed)
 	traceBuf := &bytes.Buffer{}
-	tracer := obs.NewTracer(traceBuf)
+	tracer := obs.NewBatchedTracer(traceBuf)
 	reg := obs.NewRegistry()
 	observer := obs.New(tracer, reg)
 	observer.Emit(obs.Event{Time: 0, Kind: obs.KindTrial, Experiment: name, Policy: string(experiments.RUSH), Seed: seed})
@@ -137,7 +137,7 @@ func driveServedTrial(t *testing.T, name string, jobs []workload.SubmittedJob, c
 	if err := s.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tracer.Err(); err != nil {
+	if err := tracer.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	return traceBuf.Bytes(), gate, reg.Snapshot()
@@ -331,7 +331,8 @@ func TestGateBooksBusyDaemonAsFailOpen(t *testing.T) {
 	}
 	var trace bytes.Buffer
 	gate := serve.NewGate(m, client)
-	gate.Observe(obs.New(obs.NewTracer(&trace), nil))
+	tracer := obs.NewBatchedTracer(&trace)
+	gate.Observe(obs.New(tracer, nil))
 	alloc, err := m.Alloc.Alloc(4)
 	if err != nil {
 		t.Fatal(err)
@@ -343,7 +344,7 @@ func TestGateBooksBusyDaemonAsFailOpen(t *testing.T) {
 		t.Fatalf("Err = %v, Degraded = %d; want a live connection and one degraded decision", gate.Err, gate.Degraded)
 	}
 	want := `"decision":"fail-open","class":-1,"skips":0,"reason":"model-down"`
-	if !bytes.Contains(trace.Bytes(), []byte(want)) {
+	if err := tracer.Flush(); err != nil || !bytes.Contains(trace.Bytes(), []byte(want)) {
 		t.Fatalf("busy decision not traced as a model-down fail-open:\n%s", trace.Bytes())
 	}
 }
