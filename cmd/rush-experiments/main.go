@@ -63,11 +63,12 @@ func main() {
 
 	// Stage 1: longitudinal collection (Section III, Figure 1).
 	log.Printf("collecting %d-day campaign...", *days)
+	stage := time.Now()
 	res, err := core.Collect(core.CollectConfig{Days: *days, Seed: *seed, Incident: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("collected %d samples", res.JobScope.Len())
+	log.Printf("collected %d samples in %v", res.JobScope.Len(), since(&stage))
 	check(experiments.ReportFigure1(out, res.JobScope))
 	fmt.Println()
 
@@ -77,11 +78,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	log.Printf("cross-validated the job-node scope in %v", since(&stage))
 	log.Print("cross-validating candidate models (all-node scope)...")
 	allScores, err := core.CompareModels(res.AllScope, "all-nodes", *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
+	log.Printf("cross-validated the all-node scope in %v", since(&stage))
 	check(experiments.ReportFigure3(out, append(jobScores, allScores...)))
 	best, _ := core.SelectBest(jobScores)
 	fmt.Printf("selected model: %s (F1=%.3f)\n\n", best.Model, best.F1)
@@ -97,6 +100,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	log.Printf("trained the deployed predictors (full and PDPA) in %v", since(&stage))
 
 	check(experiments.ReportTableII(out))
 	fmt.Println()
@@ -116,6 +120,7 @@ func main() {
 		}
 		all = append(all, cmp)
 	}
+	log.Printf("ran %d experiments in %v", len(all), since(&stage))
 	byName := map[string]*experiments.Comparison{}
 	for _, cmp := range all {
 		byName[cmp.Experiment] = cmp
@@ -156,6 +161,15 @@ func main() {
 	}
 
 	log.Printf("full evaluation finished in %v", time.Since(start).Round(time.Second))
+}
+
+// since returns the wall time elapsed from *start, to the millisecond,
+// and restarts the clock for the next stage.
+func since(start *time.Time) time.Duration {
+	now := time.Now()
+	d := now.Sub(*start).Round(time.Millisecond)
+	*start = now
+	return d
 }
 
 func check(err error) {

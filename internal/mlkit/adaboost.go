@@ -138,8 +138,11 @@ func (a *AdaBoost) Fit(x [][]float64, y []int) error {
 	colv := columnMajor(x, nf)
 	cols := presortColumns(colv, nf, n, a.cfg.Workers)
 	var treeCtx *trainCtx
+	var scan *stumpScan
 	if a.cfg.Depth >= 2 {
 		treeCtx = &trainCtx{colv: colv, cols: cols}
+	} else {
+		scan = newStumpScan(cols, yi, k, a.cfg.Workers)
 	}
 	w := make([]float64, n)
 	for i := range w {
@@ -160,7 +163,7 @@ func (a *AdaBoost) Fit(x [][]float64, y []int) error {
 		var tree *Tree
 		var errRate float64
 		if a.cfg.Depth == 1 {
-			st, errRate = bestStump(colv, n, yi, w, k, cols, a.cfg.Workers)
+			st, errRate = scan.bestStump(w)
 			if st.Feature < 0 {
 				break
 			}
@@ -245,68 +248,72 @@ func (a *AdaBoost) Fit(x [][]float64, y []int) error {
 	return nil
 }
 
-// bestStump finds the weighted-error-minimizing stump across all
-// features using the presorted column structure (colv column-major
-// values, cols canonical per-feature order). Features scan concurrently
-// (bounded by workers) and their candidates reduce in feature order
-// with a strict less-than, so the winner — and therefore the fitted
-// model — is the one a serial ascending scan would pick, at any worker
-// count. It returns Feature == -1 when no feature has two distinct
-// values.
-func bestStump(colv []float64, n int, yi []int, w []float64, k int, cols *sortedCols, workers int) (stump, float64) {
-	var totalCounts []float64
-	totalCounts = make([]float64, k)
+// stumpScan is a stump Fit's search state, built once per Fit and
+// reused by every round: the presorted columns, each sorted position's
+// class laid out like cols.idx, and every feature's class-mass scratch
+// (k running left masses, k at the best cut, 8 of padding that keeps
+// concurrently scanned features off one cache line) and candidate slot.
+type stumpScan struct {
+	cols    *sortedCols
+	yi      []int
+	ys      []int32
+	workers int
+	totals  []float64
+	masses  []float64
+	cands   []stumpCand
+}
+
+type stumpCand struct {
+	st  stump
+	err float64
+}
+
+func newStumpScan(cols *sortedCols, yi []int, k, workers int) *stumpScan {
+	ys := make([]int32, len(cols.idx))
+	for p, s := range cols.idx {
+		ys[p] = int32(yi[s])
+	}
+	nf := len(cols.idx) / cols.n
+	return &stumpScan{cols: cols, yi: yi, ys: ys, workers: workers, totals: make([]float64, k),
+		masses: make([]float64, nf*(2*k+8)), cands: make([]stumpCand, nf)}
+}
+
+// bestStump finds the weighted-error-minimizing stump across all features
+// under weights w. Each feature's bestCut reads its sorted values,
+// classes and row indices in sequence; the feature's stump, argmax
+// classes included, is built once from the masses at its best cut.
+// Features scan concurrently (bounded by workers) and their candidates
+// reduce in feature order with a strict less-than, so the winner — and
+// therefore the fitted model — is the one a serial ascending scan would
+// pick, at any worker count. It returns Feature == -1 when no feature
+// has two distinct values.
+func (sc *stumpScan) bestStump(w []float64) (stump, float64) {
+	k, n, totals := len(sc.totals), sc.cols.n, sc.totals
+	clear(totals)
 	var totalW float64
 	for i, wi := range w {
-		totalCounts[yi[i]] += wi
+		totals[sc.yi[i]] += wi
 		totalW += wi
 	}
-
-	// Per-feature candidates, slotted by feature index.
-	type candidate struct {
-		st  stump
-		err float64
-	}
-	nf := len(colv) / n
-	cands := make([]candidate, nf)
-	err := parallel.Run(workers, nf, func(f int) error {
-		idx := cols.col(f)
-		vals := colv[f*n : (f+1)*n]
-		fBest := candidate{st: stump{Feature: -1}, err: math.Inf(1)}
-		leftCounts := make([]float64, k)
-		var leftW float64
-		for p := 0; p < len(idx)-1; p++ {
-			s := idx[p]
-			leftCounts[yi[s]] += w[s]
-			leftW += w[s]
-			v, next := vals[s], vals[idx[p+1]]
-			if v == next {
-				continue
+	err := parallel.Run(sc.workers, len(sc.cands), func(f int) error {
+		vals, m := sc.cols.val[f*n:(f+1)*n], sc.masses[f*(2*k+8):]
+		p, e, leftW := bestCut(vals, sc.cols.col(f), sc.ys[f*n:(f+1)*n], w, m[:k], m[k:2*k], totals, totalW)
+		sc.cands[f] = stumpCand{st: stump{Feature: -1}, err: e}
+		if p < 0 {
+			return nil
+		}
+		bl, br, blw, brw := 0, 0, -1.0, -1.0
+		for c, l := range m[k : 2*k] {
+			if l > blw {
+				blw, bl = l, c
 			}
-			// Error = total - (best left class mass) - (best right class mass).
-			bl, br := 0, 0
-			blw, brw := -1.0, -1.0
-			for c := 0; c < k; c++ {
-				if leftCounts[c] > blw {
-					blw = leftCounts[c]
-					bl = c
-				}
-				if r := totalCounts[c] - leftCounts[c]; r > brw {
-					brw = r
-					br = c
-				}
-			}
-			e := totalW - blw - brw
-			if e < fBest.err {
-				fBest.err = e
-				fBest.st = stump{
-					Feature: f, Threshold: v + (next-v)/2,
-					LeftClass: bl, RightClass: br,
-					DefaultLeft: leftW >= totalW-leftW,
-				}
+			if r := totals[c] - l; r > brw {
+				brw, br = r, c
 			}
 		}
-		cands[f] = fBest
+		v, next := vals[p], vals[p+1]
+		sc.cands[f].st = stump{Feature: f, Threshold: v + (next-v)/2, LeftClass: bl, RightClass: br,
+			DefaultLeft: leftW >= totalW-leftW}
 		return nil
 	})
 	if err != nil {
@@ -317,7 +324,7 @@ func bestStump(colv []float64, n int, yi []int, w []float64, k int, cols *sorted
 
 	best := stump{Feature: -1}
 	bestErr := math.Inf(1)
-	for _, c := range cands {
+	for _, c := range sc.cands {
 		if c.st.Feature >= 0 && c.err < bestErr {
 			bestErr = c.err
 			best = c.st
@@ -327,6 +334,66 @@ func bestStump(colv []float64, n int, yi []int, w []float64, k int, cols *sorted
 		return best, 1
 	}
 	return best, bestErr / totalW
+}
+
+// bestCut scans one feature's sorted column for the first cut, between
+// positions p and p+1 with distinct values, of least weighted error
+// totalW - (largest left class mass) - (largest right class mass). It
+// returns p (-1 for a constant column), the error and the weight left of
+// the cut, and leaves the left class masses there in atBest. Weights are
+// non-negative, so left masses only grow and right masses only shrink:
+// the left maximum is a running one, and the right maximum is re-read
+// from the class that held it and recomputed over all classes only when
+// that class falls below the runner-up. Both are the floats a full pass
+// over the classes finds. The class being accumulated stays in a
+// register until the class changes. A third of cuts improve on the
+// campaign, so rather than copy the masses at each, the scan snapshots
+// them at most once per 64 positions and afterwards re-adds, in scan
+// order, the positions from the snapshot to the best cut: the same sums.
+func bestCut(vals []float64, idx, ys []int32, w, left, atBest, tot []float64, totalW float64) (int, float64, float64) {
+	clear(left)
+	clear(atBest)
+	tot, atBest = tot[:len(left)], atBest[:len(left)]
+	bestP, bestErr, bestLeftW, mark := -1, math.Inf(1), 0.0, -1
+	var leftW, maxL, maxR, lc float64
+	cls, rArg, runnerUp := ys[0], ys[0], math.Inf(1)
+	idx, ys = idx[:len(vals)-1], ys[:len(vals)-1]
+	for p, s := range idx {
+		wi := w[s]
+		if c := ys[p]; c != cls {
+			left[cls], cls, lc = lc, c, left[c]
+		}
+		lc += wi
+		leftW += wi
+		if lc > maxL {
+			maxL = lc
+		}
+		if vals[p] == vals[p+1] {
+			continue
+		}
+		left[cls] = lc
+		if maxR = tot[rArg] - left[rArg]; maxR < runnerUp {
+			maxR, runnerUp = -1, -1
+			for c, l := range left {
+				if r := tot[c] - l; r > maxR {
+					runnerUp, maxR, rArg = maxR, r, int32(c)
+				} else if r > runnerUp {
+					runnerUp = r
+				}
+			}
+		}
+		if e := totalW - maxL - maxR; e < bestErr {
+			bestP, bestErr, bestLeftW = p, e, leftW
+			if p-mark > 64 {
+				copy(atBest, left)
+				mark = p
+			}
+		}
+	}
+	for q := mark + 1; q <= bestP; q++ {
+		atBest[ys[q]] += w[idx[q]]
+	}
+	return bestP, bestErr, bestLeftW
 }
 
 // Predict implements Classifier via the SAMME weighted vote.
