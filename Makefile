@@ -19,13 +19,14 @@ race:
 # answer differently from the linear slice it is checked against; no
 # -topo value may parse to a topology that fails Validate, exceeds the
 # node limit or does not survive String; no sequence of load changes,
-# prunes, fault installs and window queries may make the sampler's row
-# store answer differently from a from-scratch recompute; no client
-# bytes may panic rush-serve's connection loop or leave a complete frame
-# without exactly one response; no bytes may make rush-serve's frame
-# codec accept, reject, decode or encode differently from encoding/json;
-# and no problem decoded from bytes may make AdaBoost's stump scan choose
-# a different stump or error than its pre-rewrite reference.
+# prunes, fault installs, counter masks and window queries may make the
+# sampler's row store answer differently from a from-scratch recompute
+# under the same mask; no client bytes may panic rush-serve's connection
+# loop or leave a complete frame without exactly one response; no bytes
+# may make rush-serve's frame codec accept, reject, decode or encode
+# differently from encoding/json; and no problem decoded from bytes may
+# make AdaBoost's stump scan choose a different stump or error than its
+# pre-rewrite reference.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadModel$$' -fuzztime 10s ./internal/mlkit/
 	$(GO) test -run '^$$' -fuzz '^FuzzSWFStream$$' -fuzztime 10s ./internal/workload/
@@ -39,7 +40,7 @@ fuzz-smoke:
 # loc prints non-test Go lines outside bench/ per package and fails when
 # the total passes LOC_CEILING, the count at the change that last cut
 # code, so a change that grows the tree has to say so by raising it.
-LOC_CEILING = 15318
+LOC_CEILING = 15449
 loc:
 	@find . -path ./bench -prune -o -name '*.go' -not -name '*_test.go' -print | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \

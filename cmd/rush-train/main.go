@@ -24,6 +24,7 @@ import (
 	"rush/internal/experiments"
 	"rush/internal/mlkit"
 	"rush/internal/obs"
+	"rush/internal/telemetry"
 )
 
 func main() {
@@ -92,6 +93,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	read := make([]bool, dataset.NumFeatures)
+	mlkit.MarkRead(pred.Model, read)
+	counters := dataset.CounterMask(read)
+	log.Printf("deployed model reads %d of %d features (%d of %d counters)",
+		marked(read), dataset.NumFeatures, marked(counters[:]), telemetry.NumCounters)
 	if snap := reg.Snapshot(); snap != nil {
 		fmt.Println("training metrics:")
 		for _, c := range snap.Counters {
@@ -107,4 +113,15 @@ func main() {
 	}
 	fmt.Printf("deployed %s predictor (stratified 5-fold F1 on variation class: %.3f) -> %s\n",
 		pred.ModelName, pred.CVF1, *out)
+}
+
+// marked counts the true entries of marks.
+func marked(marks []bool) int {
+	n := 0
+	for _, m := range marks {
+		if m {
+			n++
+		}
+	}
+	return n
 }

@@ -70,6 +70,19 @@ func BuildFeatures(agg telemetry.Aggregates, probes simnet.ProbeResult, class ap
 	return BuildFeaturesInto(agg, probes, class, make([]float64, 0, NumFeatures))
 }
 
+// CounterMask returns the counters a reader of the features marked in
+// read needs: in BuildFeaturesInto's layout feature f < 3*NumCounters
+// is an aggregate of counter f/3, and the features after those come from
+// probes and the application type.
+func CounterMask(read []bool) (mask [telemetry.NumCounters]bool) {
+	for f, r := range read {
+		if r && f < 3*telemetry.NumCounters {
+			mask[f/3] = true
+		}
+	}
+	return mask
+}
+
 // BuildFeaturesInto is BuildFeatures appending into out (pass a reused
 // buffer sliced to [:0]); with capacity NumFeatures it allocates nothing.
 func BuildFeaturesInto(agg telemetry.Aggregates, probes simnet.ProbeResult, class apps.Class, out []float64) []float64 {

@@ -89,6 +89,30 @@ func mkSample(app string, class apps.Class, runtime float64) Sample {
 	}
 }
 
+// TestCounterMaskFollowsFeatureLayout checks CounterMask against the
+// column names: marking one feature selects exactly the counter its name
+// aggregates, and a probe or type feature selects none.
+func TestCounterMaskFollowsFeatureLayout(t *testing.T) {
+	names, schema := FeatureNames(), telemetry.Schema()
+	for f, name := range names {
+		read := make([]bool, NumFeatures)
+		read[f] = true
+		var got []int
+		for ci, r := range CounterMask(read) {
+			if r {
+				got = append(got, ci)
+			}
+		}
+		switch {
+		case f >= 3*telemetry.NumCounters && len(got) != 0:
+			t.Fatalf("feature %d (%s) selects counters %v", f, name, got)
+		case f >= 3*telemetry.NumCounters:
+		case len(got) != 1 || !strings.HasSuffix(name, "_"+schema[got[0]].Table+"_"+schema[got[0]].Name):
+			t.Fatalf("feature %d (%s) selects counters %v", f, name, got)
+		}
+	}
+}
+
 func TestAddValidates(t *testing.T) {
 	var d Dataset
 	if err := d.Add(Sample{App: "x", RunTime: 1, Features: []float64{1}}); err == nil {

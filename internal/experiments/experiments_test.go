@@ -6,13 +6,17 @@ import (
 	"testing"
 
 	"rush/internal/core"
+	"rush/internal/dataset"
 	"rush/internal/sched"
 	"rush/internal/workload"
 )
 
 // sharedPred trains one predictor for the whole test package (training is
-// the slow step).
-var sharedPred *core.Predictor
+// the slow step); sharedJobScope is the dataset it was trained on.
+var (
+	sharedPred     *core.Predictor
+	sharedJobScope *dataset.Dataset
+)
 
 func predictor(t *testing.T) *core.Predictor {
 	t.Helper()
@@ -25,7 +29,7 @@ func predictor(t *testing.T) *core.Predictor {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sharedPred = p
+		sharedPred, sharedJobScope = p, res.JobScope
 	}
 	return sharedPred
 }

@@ -103,6 +103,16 @@ func (a *AdaBoost) Rounds() int { return len(a.alphas) }
 // read.
 func (a *AdaBoost) NumFeatures() int { return len(a.imp) }
 
+// MarkRead implements FeatureReader: the union over the weak learners.
+func (a *AdaBoost) MarkRead(read []bool) {
+	for _, s := range a.stumps {
+		read[s.Feature] = true
+	}
+	for _, t := range a.trees {
+		t.MarkRead(read)
+	}
+}
+
 // NumNodes reports the total decision nodes across the weak learners
 // (each stump counts as one).
 func (a *AdaBoost) NumNodes() int {

@@ -227,6 +227,13 @@ func (f *Forest) NumFeatures() int {
 	return f.trees[0].nFeatures
 }
 
+// MarkRead implements FeatureReader: the union over the trees.
+func (f *Forest) MarkRead(read []bool) {
+	for _, t := range f.trees {
+		t.MarkRead(read)
+	}
+}
+
 // NumNodes reports the total stored nodes across all trees.
 func (f *Forest) NumNodes() int {
 	total := 0

@@ -54,6 +54,27 @@ type FastProbaPredictor interface {
 	PredictProbaInto(sample, out []float64) int
 }
 
+// FeatureReader is implemented by models that can say which features
+// prediction reads, so that a deployment collects only those: every
+// tree-family model. KNN, which does not, may read any of them.
+type FeatureReader interface {
+	// MarkRead sets read[f] for every feature f prediction can read;
+	// read has NumFeatures() entries or more. It only reads the model.
+	MarkRead(read []bool)
+}
+
+// MarkRead marks in read the features prediction with c can read, or
+// every entry when c is not a FeatureReader.
+func MarkRead(c Classifier, read []bool) {
+	if r, ok := c.(FeatureReader); ok {
+		r.MarkRead(read)
+		return
+	}
+	for f := range read {
+		read[f] = true
+	}
+}
+
 // ImportanceReporter is implemented by models that can rank features;
 // recursive feature elimination prefers it when available.
 type ImportanceReporter interface {

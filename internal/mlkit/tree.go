@@ -187,6 +187,15 @@ func (t *Tree) NumNodes() int { return len(t.nodes) }
 // read; a longer sample is legal, a shorter one is not.
 func (t *Tree) NumFeatures() int { return t.nFeatures }
 
+// MarkRead implements FeatureReader: the features of the split nodes.
+func (t *Tree) MarkRead(read []bool) {
+	for i := range t.nodes {
+		if n := &t.nodes[i]; n.Probs == nil {
+			read[n.Feature] = true
+		}
+	}
+}
+
 // Depth returns the trained tree's depth (a leaf-only tree has depth 1).
 func (t *Tree) Depth() int {
 	var walk func(i int) int

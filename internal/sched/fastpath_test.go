@@ -52,11 +52,24 @@ func twinGates(t *testing.T, seed int64, allScope bool, probThreshold float64) (
 // has no ring for and each row is computed afresh, from the machine's
 // history and with its sampler's noise stream. (Flushing the machine's
 // own store would leave the oracle reading the row store it checks.)
+// The oracle's sampler computes every counter; the machine's computes
+// only those g's model reads (no fault model is installed here), so the
+// oracle zeroes the aggregates of the others, which is what the
+// production vector holds for them.
 func refFeatures(g *RUSH, alloc cluster.Allocation, class apps.Class) []float64 {
 	m := g.m
 	s := telemetry.NewSampler(cluster.Topology{PodSize: m.Topo.PodSize}, m.Eng.Source().Derive("telemetry"))
 	agg := s.AggregateWindow(m.Net.History(), g.scopeNodes(alloc), m.Eng.Now())
-	return dataset.BuildFeatures(agg, m.RunProbes(alloc), class)
+	feats := dataset.BuildFeatures(agg, m.RunProbes(alloc), class)
+	read := make([]bool, dataset.NumFeatures)
+	mlkit.MarkRead(g.model, read)
+	mask := dataset.CounterMask(read)
+	for f := 0; f < 3*telemetry.NumCounters; f++ {
+		if !mask[f/3] {
+			feats[f] = 0
+		}
+	}
+	return feats
 }
 
 // refAllow is RUSH.Allow with both oracles in place of the production
@@ -144,6 +157,7 @@ func TestGateFastPathMatchesReference(t *testing.T) {
 					t.Fatalf("step %d: fast decision %v, reference %v", step, fd, rd)
 				}
 			}
+			maskInForce(t, fast)
 			if fast.Evaluations != ref.Evaluations || fast.Vetoes != ref.Vetoes {
 				t.Fatalf("counter drift: fast eval/veto %d/%d, ref %d/%d",
 					fast.Evaluations, fast.Vetoes, ref.Evaluations, ref.Vetoes)
@@ -204,6 +218,7 @@ func TestGateDecisionZeroAllocs(t *testing.T) {
 			gate.Allow(j, alloc)
 		}
 		ask(0) // warm caches and reusable buffers
+		maskInForce(t, gate)
 		if objects, bytes := measure(ask); !raceBuild && (objects != 0 || bytes != 0) {
 			t.Fatalf("56 machine-wide gate decisions allocated %d objects, %d bytes; want 0", objects, bytes)
 		}
@@ -247,10 +262,77 @@ func TestGateDecisionZeroAllocs(t *testing.T) {
 			for i := range scopes {
 				ask(i)
 			}
+			maskInForce(t, gate)
 			if objects, bytes := measure(ask); !raceBuild && (objects != 0 || bytes != 0) {
 				t.Fatalf("two laps of %s gate decisions allocated %d objects, %d bytes; want 0", shape.name, objects, bytes)
 			}
 		})
+	}
+}
+
+// maskInForce checks that g's sampler computes only the counters g's
+// model reads: the last vector g built holds 0 in every aggregate of the
+// others, and there are some.
+func maskInForce(t *testing.T, g *RUSH) {
+	t.Helper()
+	unread := 0
+	for ci, read := range dataset.CounterMask(g.reads[:]) {
+		if read {
+			continue
+		}
+		unread++
+		for f := 3 * ci; f < 3*ci+3; f++ {
+			if g.featsBuf[f] != 0 {
+				t.Fatalf("feature %d of unread counter %d = %v; the mask is not in force", f, ci, g.featsBuf[f])
+			}
+		}
+	}
+	if unread == 0 {
+		t.Fatal("the model reads every counter; the mask is not exercised")
+	}
+}
+
+// TestNewRUSHAllocatesConstant checks that installing the counter mask
+// costs NewRUSH the same number of allocations whatever the model: few
+// or many rounds, stumps or trees, a forest, a model that does not say
+// what it reads, and on a machine whose sampler has already served
+// decisions.
+func TestNewRUSHAllocatesConstant(t *testing.T) {
+	rng := sim.NewSource(5).Derive("rows")
+	x := make([][]float64, 120)
+	y := make([]int, len(x))
+	for i := range x {
+		x[i] = make([]float64, dataset.NumFeatures)
+		for f := range x[i] {
+			x[i][f] = rng.Uniform(0, 1)
+		}
+		y[i] = i % 3
+		x[i][7*i%dataset.NumFeatures] += float64(y[i])
+	}
+	models := []mlkit.FastProbaPredictor{
+		mlkit.NewAdaBoost(mlkit.AdaBoostConfig{Rounds: 5, Seed: 1, Workers: 1}),
+		mlkit.NewAdaBoost(mlkit.AdaBoostConfig{Rounds: 150, Seed: 1, Workers: 1}),
+		mlkit.NewAdaBoost(mlkit.AdaBoostConfig{Rounds: 30, Depth: 2, Seed: 1, Workers: 1}),
+		mlkit.NewRandomForest(mlkit.ForestConfig{Trees: 20, MaxDepth: 6, Seed: 1, Workers: 1}),
+	}
+	m := gateMachine()
+	m.Eng.RunUntil(900)
+	var first uint64
+	for i, model := range models {
+		if err := model.Fit(x, y); err != nil {
+			t.Fatal(err)
+		}
+		// The anonymous struct hides MarkRead: a model that does not say.
+		for j, c := range []mlkit.Classifier{model, struct{ mlkit.FastProbaPredictor }{model}} {
+			var g *RUSH
+			objects, _ := allocated(func() { g = NewRUSH(m, c) })
+			if i == 0 && j == 0 {
+				first = objects
+			} else if !raceBuild && objects != first {
+				t.Fatalf("NewRUSH over %s (%T) allocated %d objects, over the first model %d", model.Name(), c, objects, first)
+			}
+			g.Allow(&Job{ID: i, App: apps.Defaults()[1]}, cluster.Allocation{Nodes: []cluster.NodeID{0, 1, 2, 3}})
+		}
 	}
 }
 

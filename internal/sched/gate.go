@@ -96,6 +96,10 @@ type RUSH struct {
 	// model's capabilities a decision reads, asserted once by NewRUSH.
 	fast  mlkit.FastProbaPredictor
 	width int
+	// reads marks the features the model reads (mlkit.MarkRead), from
+	// which NewRUSH derives the sampler's counter mask. It is a field so
+	// that the gate's one allocation holds it.
+	reads [dataset.NumFeatures]bool
 
 	// VariationLabels is the set of predicted labels that delay a job.
 	// The default delays only dataset.LabelVariation; including
@@ -136,7 +140,9 @@ func (g *RUSH) Observe(o *obs.Observer) {
 // at most half the features missing) and a default Breaker. The model's
 // feature width and whether it implements mlkit.FastProbaPredictor are
 // read here, once, and the probability buffer is sized to its classes, so
-// a decision asserts nothing about the model.
+// a decision asserts nothing about the model. So are the features it
+// reads: m's sampler computes only their counters from here on (see
+// telemetry.Sampler), which changes no decision.
 func NewRUSH(m *machine.Machine, model mlkit.Classifier) *RUSH {
 	g := &RUSH{
 		Features: NewFeatures(m),
@@ -148,6 +154,10 @@ func NewRUSH(m *machine.Machine, model mlkit.Classifier) *RUSH {
 	}
 	if w, ok := model.(interface{ NumFeatures() int }); ok {
 		g.width = w.NumFeatures()
+	}
+	if g.width <= dataset.NumFeatures {
+		mlkit.MarkRead(model, g.reads[:])
+		m.Sampler.SetCounterMask(dataset.CounterMask(g.reads[:]))
 	}
 	g.fast, _ = model.(mlkit.FastProbaPredictor)
 	if g.fast != nil {

@@ -38,7 +38,9 @@ func (f testFaults) SampleTick(node cluster.NodeID, tick int64) int64 {
 // differenced against: every (node, tick) row of the window goes through
 // computeRow into a row of its own, with no store, and the rows fold the
 // way aggregateInto folds them. It uses none of the sampler's caches or
-// scratch buffers.
+// scratch buffers, and it computes every counter: the mask is applied to
+// the finished aggregates, as the Sampler doc says it acts (unread
+// counters 0, and no mask at all under a fault model).
 func aggregateRef(s *Sampler, hist *simnet.History, nodes []cluster.NodeID, t0, t1 float64) Aggregates {
 	var (
 		out    Aggregates
@@ -46,7 +48,10 @@ func aggregateRef(s *Sampler, hist *simnet.History, nodes []cluster.NodeID, t0, 
 		counts [NumCounters]int
 		row    sampleRow
 	)
-	startAggregates(&out, &counts)
+	full := *s // a copy that computes every counter; s itself is untouched
+	full.SetCounterMask(allCounters())
+	startAggregates(&out, full.cols)
+	defer applyMask(s, &out)
 	nodes = capNodes(nodes)
 	if len(nodes) == 0 {
 		return out
@@ -66,13 +71,34 @@ func aggregateRef(s *Sampler, hist *simnet.History, nodes []cluster.NodeID, t0, 
 		_, tickNet, tickFS := loadsAt(slices, 0, tickT)
 		fold.nextTick()
 		for _, node := range nodes {
-			s.computeRow(slices, node, tick, tickT, tickNet, tickFS, &row)
-			fold.add(&row.vals, true)
+			full.computeRow(slices, node, tick, tickT, tickNet, tickFS, &row)
+			fold.add(row.vals[:], true)
 		}
-		fold.mergeInto(&out, &counts)
+		fold.mergeInto(&out, &counts, full.cols)
 	}
-	finishAggregates(&out, &counts)
+	finishAggregates(&out, &counts, full.cols)
 	return out
+}
+
+// applyMask zeroes the aggregates of the counters s's mask does not
+// read, unless a fault model is installed, under which s ignores it.
+func applyMask(s *Sampler, out *Aggregates) {
+	if s.faults != nil {
+		return
+	}
+	for ci, read := range s.mask {
+		if !read {
+			out.Min[ci], out.Mean[ci], out.Max[ci] = 0, 0, 0
+		}
+	}
+}
+
+// allCounters is the mask that reads every counter, a new sampler's.
+func allCounters() (mask [NumCounters]bool) {
+	for ci := range mask {
+		mask[ci] = true
+	}
+	return mask
 }
 
 // sameAggregates compares two aggregate sets bit-for-bit (NaN == NaN).

@@ -11,6 +11,8 @@ import "math"
 // them, give bit-identical results. Min and max fold the same way; with
 // strict comparisons the first of several equal extremes wins at both
 // levels, so they too do not depend on which path ran.
+// Like a sample row, a fold's entry j is counter Sampler.cols[j]; only
+// mergeInto and finishAggregates map positions back to counters.
 type tickFold struct {
 	min, max, sum [NumCounters]float64
 	missing       [NumCounters]int32 // rows whose sample was dropped (NaN)
@@ -38,83 +40,86 @@ func (f *tickFold) nextTick() {
 	f.rows = 0
 }
 
-// add folds one row in. mayMiss says whether vals can hold NaN (see
+// add folds one row in: vals[j] is the row's value of the counter at
+// position j. mayMiss says whether vals can hold NaN (see
 // Sampler.mayMiss); a healthy stream skips the test. The loop is written
 // out twice because it is the sampler's hottest: with the flag tested
 // inside one loop it ran about a quarter slower.
-func (f *tickFold) add(vals *[NumCounters]float64, mayMiss bool) {
+func (f *tickFold) add(vals []float64, mayMiss bool) {
 	f.rows++
+	min, max, sum := f.min[:len(vals)], f.max[:len(vals)], f.sum[:len(vals)]
 	if !mayMiss {
-		for ci, v := range vals {
-			if v < f.min[ci] {
-				f.min[ci] = v
+		for j, v := range vals {
+			if v < min[j] {
+				min[j] = v
 			}
-			if v > f.max[ci] {
-				f.max[ci] = v
+			if v > max[j] {
+				max[j] = v
 			}
-			f.sum[ci] += v
+			sum[j] += v
 		}
 		return
 	}
-	for ci, v := range vals {
+	for j, v := range vals {
 		if math.IsNaN(v) {
-			f.missing[ci]++
+			f.missing[j]++
 			continue
 		}
-		if v < f.min[ci] {
-			f.min[ci] = v
+		if v < min[j] {
+			min[j] = v
 		}
-		if v > f.max[ci] {
-			f.max[ci] = v
+		if v > max[j] {
+			max[j] = v
 		}
-		f.sum[ci] += v
+		sum[j] += v
 	}
 }
 
-// startAggregates sizes out to the schema and sets it, and the sample
-// counts, to the empty window.
-func startAggregates(out *Aggregates, counts *[NumCounters]int) {
+// startAggregates sizes out to the schema and sets the counters in cols
+// to the empty window, the others to 0; the caller's sample counts start
+// at zero.
+func startAggregates(out *Aggregates, cols []uint8) {
 	out.Min = resizeFloats(out.Min, NumCounters)
 	out.Mean = resizeFloats(out.Mean, NumCounters)
 	out.Max = resizeFloats(out.Max, NumCounters)
-	for ci := range counts {
-		out.Min[ci] = math.Inf(1)
-		out.Mean[ci] = 0
-		out.Max[ci] = math.Inf(-1)
-		counts[ci] = 0
+	clear(out.Min)
+	clear(out.Mean)
+	clear(out.Max)
+	for _, ci := range cols {
+		out.Min[ci], out.Max[ci] = math.Inf(1), math.Inf(-1)
 	}
 }
 
-// mergeInto folds one tick into a window started by startAggregates;
-// ticks must be merged in ascending order. Mean holds the running sum
-// until finishAggregates divides it.
-func (f *tickFold) mergeInto(out *Aggregates, counts *[NumCounters]int) {
+// mergeInto folds one tick into a window started by startAggregates
+// with the same cols; ticks must be merged in ascending order. Mean holds
+// the running sum until finishAggregates divides it.
+func (f *tickFold) mergeInto(out *Aggregates, counts *[NumCounters]int, cols []uint8) {
 	min, mean, max := (*[NumCounters]float64)(out.Min), (*[NumCounters]float64)(out.Mean), (*[NumCounters]float64)(out.Max)
-	for ci := range counts {
-		n := f.rows - f.missing[ci]
+	for j, ci := range cols {
+		n := f.rows - f.missing[j]
 		if n == 0 {
 			continue
 		}
-		if f.min[ci] < min[ci] {
-			min[ci] = f.min[ci]
+		if f.min[j] < min[ci] {
+			min[ci] = f.min[j]
 		}
-		if f.max[ci] > max[ci] {
-			max[ci] = f.max[ci]
+		if f.max[j] > max[ci] {
+			max[ci] = f.max[j]
 		}
-		mean[ci] += f.sum[ci]
-		counts[ci] += int(n)
+		mean[ci] += f.sum[j]
+		counts[j] += int(n)
 	}
 }
 
 // finishAggregates turns the running sums into means. A counter with no
 // sample at all — every one was dropped, or the scope was empty of ticks
 // — is missing, not zero: NaN in all three aggregates.
-func finishAggregates(out *Aggregates, counts *[NumCounters]int) {
-	for ci, n := range counts {
-		if n == 0 {
+func finishAggregates(out *Aggregates, counts *[NumCounters]int, cols []uint8) {
+	for j, ci := range cols {
+		if n := counts[j]; n == 0 {
 			out.Min[ci], out.Mean[ci], out.Max[ci] = math.NaN(), math.NaN(), math.NaN()
-			continue
+		} else {
+			out.Mean[ci] /= float64(n)
 		}
-		out.Mean[ci] /= float64(n)
 	}
 }

@@ -277,15 +277,17 @@ func TestColdWindowZeroAllocs(t *testing.T) {
 
 // FuzzRowStoreOps lets the fuzzer write a sampler's life four bytes at a
 // time (op, a, b, c): load mutations and clock advances; paired
-// Sampler.Prune / History.Prune; fault models coming and going,
-// which flush the store; and window queries over job scopes, scopes over
-// maxScopeNodes, node IDs outside the topology, and windows from
-// sub-period to longer than the ring. Every answer of AggregateRangeInto
-// must equal aggregateRef bit for bit.
+// Sampler.Prune / History.Prune; fault models and counter masks coming
+// and going, which flush the store; and window queries over job scopes,
+// scopes over maxScopeNodes, node IDs outside the topology, and windows
+// from sub-period to longer than the ring. Every answer of
+// AggregateRangeInto must equal aggregateRef, which applies the same
+// mask, bit for bit.
 func FuzzRowStoreOps(f *testing.F) {
 	f.Add([]byte{0, 1, 90, 40, 1, 20, 0, 0, 5, 0, 3, 1, 1, 60, 0, 0, 6, 1, 7, 2, 5, 2, 0, 1})
 	f.Add([]byte{4, 1, 3, 120, 1, 30, 0, 0, 7, 3, 9, 0, 2, 200, 0, 0, 5, 0, 4, 2, 3, 100, 0, 0, 6, 4, 0, 1})
 	f.Add([]byte{4, 2, 5, 0, 1, 45, 0, 0, 7, 1, 33, 3, 0, 2, 250, 50, 5, 0, 2, 0, 4, 0, 0, 0, 5, 0, 2, 1})
+	f.Add([]byte{8, 3, 4, 100, 1, 40, 0, 0, 5, 0, 3, 1, 8, 0, 0, 0, 4, 4, 0, 1, 8, 1, 1, 255, 6, 1, 7, 2, 3, 1, 9, 80, 7, 0, 5, 1})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 1<<9 {
 			ops = ops[:1<<9]
@@ -301,7 +303,7 @@ func FuzzRowStoreOps(f *testing.F) {
 		for step := 0; len(ops) >= 4; step++ {
 			op, a, b, c := ops[0], ops[1], ops[2], ops[3]
 			ops = ops[4:]
-			switch op % 8 {
+			switch op % 9 {
 			case 0:
 				st.Remove(load)
 				load = simnet.Contribution{PodNet: map[int]float64{int(a) % topo.Pods(): float64(b) / 200}, FS: float64(c) / 230}
@@ -323,6 +325,8 @@ func FuzzRowStoreOps(f *testing.F) {
 				default:
 					s.SetFaults(nil)
 				}
+			case 8: // c/255 of the counters, from the empty mask to all of them
+				s.SetCounterMask(hashedMask(int64(a)<<8|int64(b), float64(c)/255))
 			default:
 				var nodes []cluster.NodeID
 				switch a % 5 {

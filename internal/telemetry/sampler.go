@@ -44,6 +44,13 @@ type FaultModel interface {
 
 // Sampler synthesizes counter samples from the simulator's load history.
 //
+// It computes only the counters SetCounterMask names (a RUSH gate names
+// those its model reads); the others are neither hashed nor folded and
+// aggregate to 0. A value depends on its own counter's hash and signal
+// alone, so the computed ones are bit-identical to an unmasked sampler's.
+// A fault model turns the mask off: the gate's missing-feature check
+// counts every counter.
+//
 // Aggregation queries are memoized in a dense row store (see rowStore):
 // each computed (node, tick) sample row is kept in the node's ring of
 // ringTicks rows, so overlapping and sliding windows recompute only the
@@ -67,6 +74,14 @@ type Sampler struct {
 	// node nor tick (see computeRow).
 	noiseHash [NumCounters]sim.HashState
 
+	// mask[ci] says whether the installed mask reads counter ci. cols
+	// (backed by colBuf) lists the counters a row carries, in schema
+	// order: the mask's, or all of them under a fault model. Row values
+	// and tick folds are laid out by position in cols.
+	mask   [NumCounters]bool
+	cols   []uint8
+	colBuf [NumCounters]uint8
+
 	store   rowStore
 	scratch sampleRow // rows that bypass the store: sub-period windows, nodes without a ring
 
@@ -87,12 +102,12 @@ const (
 	blockNodes = 16
 )
 
-// sampleRow is one (node, tick) sample row: every counter's value at that
-// tick, NaN where the table's sample was dropped. effT is the instant
-// whose latent loads the values reflect — the tick's own time normally,
-// an earlier one while the node's counters are frozen. gen is the store
-// generation the row was written under; a row of another generation
-// (zero: never written, or not cacheable) is empty.
+// sampleRow is one (node, tick) sample row: vals[j] is the value at that
+// tick of counter cols[j], NaN where the table's sample was dropped. effT
+// is the instant whose latent loads the values reflect — the tick's own
+// time normally, an earlier one while the node's counters are frozen. gen
+// is the store generation the row was written under; a row of another
+// generation (zero: never written, or not cacheable) is empty.
 type sampleRow struct {
 	gen  uint64
 	tick int64
@@ -130,7 +145,9 @@ func NewSampler(topo cluster.Topology, rng *sim.Source) *Sampler {
 			panic(fmt.Sprintf("telemetry: unknown source %d", c.Src))
 		}
 		s.noiseHash[i] = rng.HashPrefix(uint64(i) + 1)
+		s.mask[i] = true
 	}
+	s.setCols()
 	return s
 }
 
@@ -139,6 +156,26 @@ func NewSampler(topo cluster.Topology, rng *sim.Source) *Sampler {
 // that produced them.
 func (s *Sampler) SetFaults(f FaultModel) {
 	s.faults = f
+	s.setCols()
+}
+
+// SetCounterMask restricts the counters the sampler computes to those
+// read marks (a new sampler computes all of them); see Sampler. The row
+// store is flushed, as on SetFaults.
+func (s *Sampler) SetCounterMask(read [NumCounters]bool) {
+	s.mask = read
+	s.setCols()
+}
+
+// setCols works out cols from the mask and the fault model, and flushes
+// the rows computed under the previous list.
+func (s *Sampler) setCols() {
+	s.cols = s.colBuf[:0]
+	for ci, read := range s.mask {
+		if read || s.faults != nil {
+			s.cols = append(s.cols, uint8(ci))
+		}
+	}
 	s.store.flush()
 }
 
@@ -221,6 +258,7 @@ func (s *Sampler) Schema() []Counter { return s.schema }
 // (node, sample tick) pair in a window, in schema order. Under an active
 // fault model a counter whose every sample was dropped aggregates to NaN
 // in all three slices; downstream feature consumers must tolerate that.
+// A counter outside the sampler's mask aggregates to 0.
 type Aggregates struct {
 	Min  []float64
 	Mean []float64
@@ -244,11 +282,12 @@ func (a Aggregates) Clone() Aggregates {
 // samples.
 func (s *Sampler) mayMiss() bool { return s.faults != nil }
 
-// computeRow fills r with the full sample row of (node, tick): every
-// counter's value (NaN for dropped tables) plus the effective instant the
-// values reflect. tickT is the tick's (possibly window-clamped) sample
-// time and tickNet/tickFS the latent loads at it, hoisted by the caller
-// so a tick's loads are resolved once per tick rather than once per node.
+// computeRow fills r with the sample row of (node, tick): the value of
+// every counter in cols (NaN for dropped tables) plus the effective
+// instant the values reflect. tickT is the tick's (possibly
+// window-clamped) sample time and tickNet/tickFS the latent loads at it,
+// hoisted by the caller so a tick's loads are resolved once per tick
+// rather than once per node.
 //
 // A counter's value is an affine function of its latent signal times
 // uniform multiplicative noise of the configured sigma (uniform on
@@ -281,7 +320,7 @@ func (s *Sampler) computeRow(slices []simnet.Slice, node cluster.NodeID, tick in
 	}
 	nodeWord, tickWord := uint64(node)+0x9e37, uint64(effTick)+0x7f4a
 	lastTable, lastDropped := "", false
-	for ci := range s.noiseHash {
+	for j, ci := range s.cols {
 		c := &s.schema[ci]
 		if s.faults != nil {
 			// Whole tables drop together (one lost LDMS message per
@@ -291,7 +330,7 @@ func (s *Sampler) computeRow(slices []simnet.Slice, node cluster.NodeID, tick in
 				lastDropped = s.faults.Dropped(tb, node, tick)
 			}
 			if lastDropped {
-				r.vals[ci] = math.NaN()
+				r.vals[j] = math.NaN()
 				continue
 			}
 		}
@@ -300,7 +339,7 @@ func (s *Sampler) computeRow(slices []simnet.Slice, node cluster.NodeID, tick in
 		if v < 0 {
 			v = 0
 		}
-		r.vals[ci] = v
+		r.vals[j] = v
 	}
 }
 
@@ -376,7 +415,7 @@ func (s *Sampler) aggregateInto(hist *simnet.History, nodes []cluster.NodeID, t0
 		fold   tickFold
 		counts [NumCounters]int
 	)
-	startAggregates(out, &counts)
+	startAggregates(out, s.cols)
 	nodes = s.capNodesInto(nodes)
 	if len(nodes) == 0 {
 		return
@@ -415,11 +454,11 @@ func (s *Sampler) aggregateInto(hist *simnet.History, nodes []cluster.NodeID, t0
 			} else {
 				s.computeRow(s.sliceBuf, node, tick, tickT, tickNet, tickFS, row)
 			}
-			fold.add(&row.vals, mayMiss)
+			fold.add(row.vals[:len(s.cols)], mayMiss)
 		}
-		fold.mergeInto(out, &counts)
+		fold.mergeInto(out, &counts, s.cols)
 	}
-	finishAggregates(out, &counts)
+	finishAggregates(out, &counts, s.cols)
 }
 
 // FreshnessAge reports how stale the counter stream feeding a decision at

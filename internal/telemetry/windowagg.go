@@ -24,7 +24,7 @@ type WindowAgg struct {
 	s        *Sampler
 	hist     *simnet.History
 	nodes    []cluster.NodeID
-	faults   FaultModel // fault model the cached partials were computed under
+	gen      uint64 // row-store generation the cached partials were folded from
 	partials []tickPartial
 	sliceBuf []simnet.Slice
 }
@@ -49,7 +49,7 @@ func (s *Sampler) NewWindowAgg(hist *simnet.History, nodes []cluster.NodeID) *Wi
 		s:        s,
 		hist:     hist,
 		nodes:    append([]cluster.NodeID(nil), capNodes(nodes)...),
-		faults:   s.faults,
+		gen:      s.store.gen,
 		partials: make([]tickPartial, WindowTicks),
 	}
 }
@@ -68,17 +68,9 @@ func (w *WindowAgg) AggregateInto(t1 float64, out *Aggregates) {
 	s := w.s
 	t0 := t1 - WindowSeconds
 	var counts [NumCounters]int
-	startAggregates(out, &counts)
+	startAggregates(out, s.cols)
 	if len(w.nodes) == 0 {
 		return
-	}
-	if w.faults != s.faults {
-		// The sampler's fault model changed under us: every cached
-		// partial is stale.
-		for i := range w.partials {
-			w.partials[i].set = false
-		}
-		w.faults = s.faults
 	}
 	first, last := tickBounds(t0, t1)
 	if last < first {
@@ -94,6 +86,14 @@ func (w *WindowAgg) AggregateInto(t1 float64, out *Aggregates) {
 	}
 	ring := int64(len(w.partials))
 	s.store.bind(w.hist, s.topo)
+	if w.gen != s.store.gen {
+		// The store was flushed under us (a new fault model or counter
+		// mask): every cached partial is stale.
+		for i := range w.partials {
+			w.partials[i].set = false
+		}
+		w.gen = s.store.gen
+	}
 	w.sliceBuf = w.hist.WindowInto(t0, t1, w.sliceBuf[:0])
 	cursor := 0
 	for tick := first; tick <= last; tick++ {
@@ -101,9 +101,9 @@ func (w *WindowAgg) AggregateInto(t1 float64, out *Aggregates) {
 		if !p.set || p.tick != tick || p.minEffT < t0 {
 			cursor = w.computePartial(tick, t0, cursor, p)
 		}
-		p.mergeInto(out, &counts)
+		p.mergeInto(out, &counts, s.cols)
 	}
-	finishAggregates(out, &counts)
+	finishAggregates(out, &counts, s.cols)
 }
 
 // computePartial fills p with tick's node-major aggregate for a window
@@ -125,7 +125,7 @@ func (w *WindowAgg) computePartial(tick int64, t0 float64, cursor int, p *tickPa
 		if row.effT < minEffT {
 			minEffT = row.effT
 		}
-		p.add(&row.vals, mayMiss)
+		p.add(row.vals[:len(s.cols)], mayMiss)
 	}
 	p.minEffT = minEffT
 	return cursor
