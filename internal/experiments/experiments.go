@@ -90,13 +90,14 @@ type Config struct {
 
 	// MemSample, when positive, samples the Go runtime heap every
 	// MemSample simulated seconds into the metrics registry: the
-	// sim_heap_inuse gauge holds the latest live-heap sample and
-	// replay_peak_rss the high-water mark of the runtime's total memory
-	// footprint; the live-heap high-water mark also lands in
-	// ReplaySummary.PeakHeapBytes. Sampling draws no randomness and
-	// mutates no simulation state, but it does occupy event-queue slots,
-	// so compare traces only across runs with the same MemSample setting.
-	// A negative or non-finite value is rejected.
+	// sim_heap_inuse gauge holds the latest live-heap sample,
+	// telemetry_store_bytes the sampler's row store at that sample
+	// (Sampler.StoreBytes), and replay_peak_rss the high-water mark of
+	// the runtime's total memory footprint; the live-heap high-water
+	// mark lands in ReplaySummary.PeakHeapBytes. Sampling draws no
+	// randomness and mutates no simulation state, but it does occupy
+	// event-queue slots, so compare traces only across runs with the same
+	// MemSample setting. A negative or non-finite value is rejected.
 	MemSample float64
 
 	// Trace records each trial's structured event stream (JSONL) into
@@ -311,12 +312,14 @@ func newTrialEnv(name string, policy Policy, pred *core.Predictor, seed int64, c
 	// simulated time, and off unless asked for.
 	if cfg.MemSample > 0 {
 		heapGauge := reg.Gauge("sim_heap_inuse")
+		storeGauge := reg.Gauge("telemetry_store_bytes")
 		rssGauge := reg.Gauge("replay_peak_rss")
 		var sample func()
 		sample = func() {
 			var ms runtime.MemStats
 			runtime.ReadMemStats(&ms)
 			heapGauge.Set(float64(ms.HeapInuse))
+			storeGauge.Set(float64(m.Sampler.StoreBytes()))
 			rssGauge.Max(float64(ms.Sys))
 			if ms.HeapInuse > env.peakHeap {
 				env.peakHeap = ms.HeapInuse

@@ -280,7 +280,7 @@ func TestReplayHeapSampling(t *testing.T) {
 	for _, g := range sum.Metrics.Gauges {
 		found[g.Name] = true
 	}
-	if !found["sim_heap_inuse"] || !found["replay_peak_rss"] {
+	if !found["sim_heap_inuse"] || !found["telemetry_store_bytes"] || !found["replay_peak_rss"] {
 		t.Fatalf("memory gauges missing from snapshot: %+v", sum.Metrics.Gauges)
 	}
 }

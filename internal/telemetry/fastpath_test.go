@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -37,19 +38,19 @@ func (f testFaults) SampleTick(node cluster.NodeID, tick int64) int64 {
 // aggregateRef is the from-scratch oracle the row store and WindowAgg are
 // differenced against: every (node, tick) row of the window goes through
 // computeRow into a row of its own, with no store, and the rows fold the
-// way aggregateInto folds them. It uses none of the sampler's caches or
-// scratch buffers, and it computes every counter: the mask is applied to
-// the finished aggregates, as the Sampler doc says it acts (unread
-// counters 0, and no mask at all under a fault model).
+// way aggregateInto folds them. It runs on a sampler state of its own
+// (refSampler), so it shares none of s's store, caches or scratch
+// buffers, and it computes every counter: the mask is applied to the
+// finished aggregates, as the Sampler doc says it acts (unread counters
+// 0, and no mask at all under a fault model).
 func aggregateRef(s *Sampler, hist *simnet.History, nodes []cluster.NodeID, t0, t1 float64) Aggregates {
 	var (
 		out    Aggregates
 		fold   tickFold
 		counts [NumCounters]int
-		row    sampleRow
+		row    [NumCounters]float64
 	)
-	full := *s // a copy that computes every counter; s itself is untouched
-	full.SetCounterMask(allCounters())
+	full := refSampler(s)
 	startAggregates(&out, full.cols)
 	defer applyMask(s, &out)
 	nodes = capNodes(nodes)
@@ -71,13 +72,25 @@ func aggregateRef(s *Sampler, hist *simnet.History, nodes []cluster.NodeID, t0, 
 		_, tickNet, tickFS := loadsAt(slices, 0, tickT)
 		fold.nextTick()
 		for _, node := range nodes {
-			full.computeRow(slices, node, tick, tickT, tickNet, tickFS, &row)
-			fold.add(row.vals[:], true)
+			full.computeRow(slices, node, tick, tickT, tickNet, tickFS, row[:])
+			fold.add(row[:], true)
 		}
 		fold.mergeInto(&out, &counts, full.cols)
 	}
 	finishAggregates(&out, &counts, full.cols)
 	return out
+}
+
+// refSampler returns a sampler that synthesizes what s does — the same
+// topology, noise hashes and fault model — with every counter and an
+// empty store of its own that it never binds.
+func refSampler(s *Sampler) *Sampler {
+	full := &Sampler{
+		topo: s.topo, schema: s.schema, faults: s.faults, tables: s.tables,
+		noiseHash: s.noiseHash, mask: allCounters(),
+	}
+	full.setCols()
+	return full
 }
 
 // applyMask zeroes the aggregates of the counters s's mask does not
@@ -99,6 +112,35 @@ func allCounters() (mask [NumCounters]bool) {
 		mask[ci] = true
 	}
 	return mask
+}
+
+// TestReferenceLeavesSamplerAlone checks that the oracle shares no state
+// with the sampler it checks: asking it leaves the sampler's stored rows,
+// its store's size and its answers as they were.
+func TestReferenceLeavesSamplerAlone(t *testing.T) {
+	for _, faulted := range []bool{false, true} {
+		now := new(float64)
+		st, err := simnet.NewState(testTopo(), func() float64 { return *now })
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewSampler(testTopo(), sim.NewSource(11).Derive("telemetry"))
+		s.SetCounterMask(hashedMask(5, 0.4))
+		if faulted {
+			s.SetFaults(testFaults{src: sim.NewSource(2), dropP: 0.2, freezeP: 0.2, freezeSpan: 4})
+		}
+		nodes := []cluster.NodeID{0, 1, 17, 40}
+		st.Apply(simnet.Contribution{PodNet: map[int]float64{1: 0.8}, FS: 0.3})
+		*now = 900
+		before := s.AggregateWindow(st.History(), nodes, *now)
+		rows, bytes := s.CachedRows(), s.StoreBytes()
+		aggregateRef(s, st.History(), nodes, *now-WindowSeconds, *now)
+		aggregateRef(s, st.History(), AllNodes(testTopo()), *now-2*WindowSeconds, *now)
+		if r, b := s.CachedRows(), s.StoreBytes(); r != rows || b != bytes {
+			t.Fatalf("faulted %v: the oracle moved the store from %d rows, %d bytes to %d, %d", faulted, rows, bytes, r, b)
+		}
+		sameAggregates(t, fmt.Sprintf("faulted %v: after the oracle", faulted), s.AggregateWindow(st.History(), nodes, *now), before)
+	}
 }
 
 // sameAggregates compares two aggregate sets bit-for-bit (NaN == NaN).

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"rush/internal/cluster"
@@ -41,8 +42,8 @@ func TestSynthesisMatchesOneShotHash(t *testing.T) {
 	const fs = 0.93
 	for _, node := range []cluster.NodeID{0, 31, 32, 299} {
 		for _, tick := range []int64{-20, -1, 0, 1, 47, 1 << 40} {
-			var row sampleRow
-			s.computeRow(nil, node, tick, float64(tick)*SamplePeriod, podNet, fs, &row)
+			var row [NumCounters]float64
+			s.computeRow(nil, node, tick, float64(tick)*SamplePeriod, podNet, fs, row[:])
 			net := podNet[storeTopo().PodOf(node)]
 			for ci, c := range s.Schema() {
 				var signal float64
@@ -61,8 +62,8 @@ func TestSynthesisMatchesOneShotHash(t *testing.T) {
 				if want < 0 {
 					want = 0
 				}
-				if math.Float64bits(row.vals[ci]) != math.Float64bits(want) {
-					t.Fatalf("node %d tick %d counter %d: %v, want %v", node, tick, ci, row.vals[ci], want)
+				if math.Float64bits(row[ci]) != math.Float64bits(want) {
+					t.Fatalf("node %d tick %d counter %d: %v, want %v", node, tick, ci, row[ci], want)
 				}
 			}
 		}
@@ -105,13 +106,19 @@ func TestNegativeTicksLandInRing(t *testing.T) {
 		sameAggregates(t, "early", fast, aggregateRef(s, st.History(), nodes, t1-WindowSeconds, t1))
 	}
 	// Ticks -20 .. 19 were asked for, and 40 ticks do not fit a ring of
-	// 32: what is left is the newest 32 per node, negative ones included.
+	// ringTicks: what is left is the newest ringTicks per node, the
+	// oldest of them still negative.
 	if n, want := s.CachedRows(), len(nodes)*ringTicks; n != want {
 		t.Fatalf("%d rows stored, want %d", n, want)
 	}
-	r := s.store.slot(40, -3)
-	if !s.store.live(r, -3, -WindowSeconds) {
-		t.Fatal("tick -3 not stored in its slot")
+	oldest := int64(19 - ringTicks + 1)
+	if oldest >= 0 {
+		t.Fatalf("the ring keeps no negative tick: oldest kept is %d", oldest)
+	}
+	for _, node := range nodes {
+		if h, _ := s.store.slot(node, oldest); !s.store.live(h, oldest, -WindowSeconds) {
+			t.Fatalf("node %d: tick %d not stored in its slot", node, oldest)
+		}
 	}
 }
 
@@ -265,13 +272,110 @@ func TestColdWindowZeroAllocs(t *testing.T) {
 	s.AggregateWindowInto(st.History(), nodes, *now, &agg) // allocates the block and the buffers
 	allocs := testing.AllocsPerRun(20, func() {
 		*now += 2 * WindowSeconds // past every stored row
-		if tick := int64(*now/SamplePeriod) - 1; s.store.live(s.store.slot(nodes[0], tick), tick, *now-WindowSeconds) {
+		tick := int64(*now/SamplePeriod) - 1
+		if h, _ := s.store.slot(nodes[0], tick); s.store.live(h, tick, *now-WindowSeconds) {
 			t.Fatal("window was not cold")
 		}
 		s.AggregateWindowInto(st.History(), nodes, *now, &agg)
 	})
 	if allocs != 0 {
 		t.Fatalf("cold window allocated %.1f times per run; want 0", allocs)
+	}
+}
+
+// allocated runs f once and returns the heap objects and bytes it
+// allocated: a runtime.MemStats delta on one P, after a collection that
+// finishes any cycle in progress.
+func allocated(f func()) (objects, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestBlockIsWidthSized pins the store's memory to its row width: under
+// a mask of 37 counters, the first window on a block's nodes allocates
+// one object, the block's ringTicks × blockNodes rows of 37 values;
+// under a fault model, which computes every counter, the same block is
+// NumCounters values wide. StoreBytes grows by the block's size.
+func TestBlockIsWidthSized(t *testing.T) {
+	const pageSize = 8192 // the runtime rounds an object this large up to whole pages
+	st, s, now := newStoreEnv(t)
+	st.Apply(simnet.Contribution{PodNet: map[int]float64{0: 0.7}, FS: 0.2})
+	*now = 900
+	var mask [NumCounters]bool
+	for ci := 0; ci < 37; ci++ {
+		mask[2*ci] = true
+	}
+	var agg Aggregates
+	for _, c := range []struct {
+		label string
+		set   func()
+		width int
+	}{
+		{"mask of 37", func() { s.SetCounterMask(mask) }, 37},
+		{"fault model", func() { s.SetFaults(testFaults{src: sim.NewSource(3), dropP: 0.2, freezeSpan: 4}) }, NumCounters},
+	} {
+		c.set()
+		s.AggregateWindowInto(st.History(), []cluster.NodeID{0}, *now, &agg) // block 0, the buffers
+		before := s.StoreBytes()
+		objects, bytes := allocated(func() {
+			s.AggregateWindowInto(st.History(), []cluster.NodeID{blockNodes, blockNodes + 1}, *now, &agg)
+		})
+		want := ringTicks * blockNodes * c.width * 8
+		if got := 8 * len(s.store.blocks[1].vals); got != want {
+			t.Fatalf("%s: block of %d bytes, want %d", c.label, got, want)
+		}
+		if got := s.StoreBytes() - before; got != want {
+			t.Fatalf("%s: StoreBytes grew by %d, want %d", c.label, got, want)
+		}
+		if !raceBuild && (objects != 1 || bytes < uint64(want) || bytes >= uint64(want+pageSize)) {
+			t.Fatalf("%s: touching a block allocated %d objects, %d bytes; want one of %d bytes", c.label, objects, bytes, want)
+		}
+	}
+}
+
+// TestWidthChangesMatchReference drives one sampler through a mask, a
+// fault model and its removal, which change the row width twice, with
+// sliding windows in between, and checks the direct path and WindowAgg
+// against the reference bit for bit.
+func TestWidthChangesMatchReference(t *testing.T) {
+	st, s, now := newStoreEnv(t)
+	nodes := []cluster.NodeID{0, 1, 15, 16, 17, 100, 299}
+	wa := s.NewWindowAgg(st.History(), nodes)
+	rng := sim.NewSource(8).Derive("loads")
+	var load simnet.Contribution
+	var got Aggregates
+	for phase, set := range []func(){
+		func() { s.SetCounterMask(hashedMask(37, 0.4)) },
+		func() { s.SetFaults(testFaults{src: sim.NewSource(3), dropP: 0.2, freezeP: 0.3, freezeSpan: 6}) },
+		func() { s.SetFaults(nil) },
+	} {
+		set()
+		for step := 0; step < 8; step++ {
+			st.Remove(load)
+			load = scrambleLoad(st, rng, step)
+			*now += rng.Uniform(5, 60)
+			want := aggregateRef(s, st.History(), nodes, *now-WindowSeconds, *now)
+			direct := func() {
+				s.AggregateWindowInto(st.History(), nodes, *now, &got)
+				sameAggregates(t, fmt.Sprintf("phase %d step %d: direct", phase, step), got, want)
+			}
+			sliding := func() {
+				wa.AggregateInto(*now, &got)
+				sameAggregates(t, fmt.Sprintf("phase %d step %d: WindowAgg", phase, step), got, want)
+			}
+			if step%2 == 0 { // either path may be the one that fills the store
+				direct()
+				sliding()
+			} else {
+				sliding()
+				direct()
+			}
+		}
 	}
 }
 
@@ -288,6 +392,12 @@ func FuzzRowStoreOps(f *testing.F) {
 	f.Add([]byte{4, 1, 3, 120, 1, 30, 0, 0, 7, 3, 9, 0, 2, 200, 0, 0, 5, 0, 4, 2, 3, 100, 0, 0, 6, 4, 0, 1})
 	f.Add([]byte{4, 2, 5, 0, 1, 45, 0, 0, 7, 1, 33, 3, 0, 2, 250, 50, 5, 0, 2, 0, 4, 0, 0, 0, 5, 0, 2, 1})
 	f.Add([]byte{8, 3, 4, 100, 1, 40, 0, 0, 5, 0, 3, 1, 8, 0, 0, 0, 4, 4, 0, 1, 8, 1, 1, 255, 6, 1, 7, 2, 3, 1, 9, 80, 7, 0, 5, 1})
+	// Widths crossed with queries in between: a partial mask, a fault
+	// model (every counter), back to the mask, all counters, none, and
+	// the partial mask again.
+	f.Add([]byte{1, 60, 0, 0, 0, 1, 90, 40, 8, 0, 7, 95, 4, 0, 5, 1, 1, 30, 0, 0, 5, 4, 3, 1,
+		3, 1, 9, 60, 4, 0, 5, 1, 6, 2, 40, 5, 1, 20, 0, 0, 3, 0, 0, 0, 7, 1, 6, 9, 4, 0, 5, 1,
+		8, 1, 2, 255, 4, 0, 5, 2, 8, 3, 3, 0, 5, 4, 3, 1, 8, 0, 7, 95, 4, 0, 5, 1})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 1<<9 {
 			ops = ops[:1<<9]

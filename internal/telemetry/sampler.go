@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"rush/internal/cluster"
 	"rush/internal/sim"
@@ -52,9 +53,10 @@ type FaultModel interface {
 // counts every counter.
 //
 // Aggregation queries are memoized in a dense row store (see rowStore):
-// each computed (node, tick) sample row is kept in the node's ring of
-// ringTicks rows, so overlapping and sliding windows recompute only the
-// rows they have not seen (see rowFor for the exact reuse conditions).
+// each computed (node, tick) sample row — the values of the counters in
+// cols only — is kept in the node's ring of ringTicks rows, so
+// overlapping and sliding windows recompute only the rows they have not
+// seen (see rowFor for the exact reuse conditions).
 // The store relies on windows never extending beyond the current
 // simulated instant — load history only ever mutates at the present, so
 // every sample inside a past window is final. Callers must therefore
@@ -83,7 +85,7 @@ type Sampler struct {
 	colBuf [NumCounters]uint8
 
 	store   rowStore
-	scratch sampleRow // rows that bypass the store: sub-period windows, nodes without a ring
+	scratch [NumCounters]float64 // rows that bypass the store: sub-period windows, nodes without a ring
 
 	// Reusable scratch for the allocation-free aggregation path.
 	capBuf   []cluster.NodeID
@@ -91,43 +93,51 @@ type Sampler struct {
 }
 
 const (
-	// ringTicks is the width of a node's row ring: a power of two no
-	// smaller than WindowTicks, so every tick of a standard window has a
-	// slot of its own and tick & (ringTicks-1) addresses it.
-	ringTicks = 32
+	// ringTicks is the depth of a node's row ring: the most ticks a
+	// standard window can span, WindowTicks plus the one float rounding
+	// at its edges can add (see WindowAgg), so every tick of it has a slot
+	// of its own.
+	ringTicks = WindowSeconds/SamplePeriod + 1
 	// blockNodes is how many consecutive node IDs share one allocation.
 	// A decision scope is a handful of runs of adjacent nodes, so
 	// allocating per block costs fewer allocations than a slab per node
 	// and wastes little.
 	blockNodes = 16
+	// slotsPerBlock is the number of (node, tick) rows in one block.
+	slotsPerBlock = ringTicks * blockNodes
 )
 
-// sampleRow is one (node, tick) sample row: vals[j] is the value at that
-// tick of counter cols[j], NaN where the table's sample was dropped. effT
-// is the instant whose latent loads the values reflect — the tick's own
-// time normally, an earlier one while the node's counters are frozen. gen
-// is the store generation the row was written under; a row of another
-// generation (zero: never written, or not cacheable) is empty.
-type sampleRow struct {
+// rowHead tags one (node, tick) slot of the store. tick is the tick the
+// slot's row holds. effT is the instant whose latent loads its values
+// reflect — the tick's own time normally, an earlier one while the node's
+// counters are frozen. gen is the store generation the row was written
+// under; a row of another generation (zero: never written, or not
+// cacheable) is empty.
+type rowHead struct {
 	gen  uint64
 	tick int64
 	effT float64
-	vals [NumCounters]float64
 }
 
 // rowBlock holds the rings of blockNodes adjacent nodes, tick-major: the
-// rows of one tick lie side by side, which is the order a window reads
-// them in.
-type rowBlock [ringTicks * blockNodes]sampleRow
+// rows of one tick lie side by side, the order a window reads them in.
+// vals is one pointer-free slab of slotsPerBlock rows of the store's
+// width (see computeRow); heads[i] tags row i, vals[i*width:(i+1)*width].
+type rowBlock struct {
+	vals  []float64 // nil until a scope names one of the block's nodes
+	heads [slotsPerBlock]rowHead
+}
 
-// rowStore is the sampler's row cache: per node a ring of ringTicks rows
-// indexed by tick & (ringTicks-1), each tagged with the tick it holds.
-// Memory is bounded by ringTicks rows (about 23 KB) per node that has
-// ever been in a scope, rounded up to whole blocks, however long the run;
-// nothing is allocated before the first query.
+// rowStore is the sampler's row cache: per node a ring of ringTicks rows,
+// each tagged with the tick it holds. The blocks, heads included, are one
+// array made on the first query (8 KB per 16 nodes of the topology); a
+// block's values, 6.2 KB per node at 37 counters and 15 KB at 90, are
+// made when a scope first names one of its nodes. Nothing grows with the
+// length of the run.
 type rowStore struct {
 	hist   *simnet.History // history the stored rows were computed from
-	blocks []*rowBlock     // indexed by node / blockNodes; nil until touched
+	blocks []rowBlock      // indexed by node / blockNodes
+	width  int             // values per row: len(Sampler.cols)
 	gen    uint64          // rows of any other generation are empty
 	pruned float64         // rows that reflect an instant before this one are empty
 }
@@ -168,13 +178,19 @@ func (s *Sampler) SetCounterMask(read [NumCounters]bool) {
 }
 
 // setCols works out cols from the mask and the fault model, and flushes
-// the rows computed under the previous list.
+// the rows computed under the previous list. A list of another length
+// changes the row width: the values of the old width are dropped, and
+// come back at the new width when touched.
 func (s *Sampler) setCols() {
 	s.cols = s.colBuf[:0]
 	for ci, read := range s.mask {
 		if read || s.faults != nil {
 			s.cols = append(s.cols, uint8(ci))
 		}
+	}
+	if st := &s.store; st.width != len(s.cols) {
+		st.width = len(s.cols)
+		clear(st.blocks)
 	}
 	s.store.flush()
 }
@@ -188,37 +204,37 @@ func (st *rowStore) flush() {
 }
 
 // bind points the store at hist, flushing it if the rows in it came from
-// another history, and allocates the block index on first use.
+// another history, and allocates the blocks on first use.
 func (st *rowStore) bind(hist *simnet.History, topo cluster.Topology) {
 	if st.hist != hist {
 		st.flush()
 		st.hist = hist
 	}
 	if st.blocks == nil {
-		st.blocks = make([]*rowBlock, (topo.Nodes+blockNodes-1)/blockNodes)
+		st.blocks = make([]rowBlock, (topo.Nodes+blockNodes-1)/blockNodes)
 	}
 }
 
-// slot returns the ring slot of (node, tick), allocating the node's block
-// if this is the first time a scope names it. node must be one the
-// topology has. Negative ticks (windows that start before time zero)
-// land in a slot like any other: the mask of a two's-complement tick is
-// non-negative.
-func (st *rowStore) slot(node cluster.NodeID, tick int64) *sampleRow {
-	blk := st.blocks[node/blockNodes]
-	if blk == nil {
-		blk = new(rowBlock)
-		st.blocks[node/blockNodes] = blk
+// slot returns the head and the values of (node, tick)'s ring slot,
+// allocating the values of the node's block if this is the first time a
+// scope names it since the width was set. node must be one the topology
+// has. The ring is addressed by a floored modulo, so negative ticks
+// (windows that start before time zero) keep slots of their own.
+func (st *rowStore) slot(node cluster.NodeID, tick int64) (*rowHead, []float64) {
+	blk := &st.blocks[node/blockNodes]
+	if blk.vals == nil {
+		blk.vals = make([]float64, slotsPerBlock*st.width)
 	}
-	return &blk[int(tick&(ringTicks-1))*blockNodes+int(node%blockNodes)]
+	i := int((tick%ringTicks+ringTicks)%ringTicks)*blockNodes + int(node%blockNodes)
+	return &blk.heads[i], blk.vals[i*st.width : (i+1)*st.width]
 }
 
-// live reports whether r holds the row of tick and a window starting at
+// live reports whether h holds the row of tick and a window starting at
 // t0 may reuse it: it was written under this generation, and the instant
 // its values reflect is neither before the window (see rowFor) nor before
 // the prune watermark.
-func (st *rowStore) live(r *sampleRow, tick int64, t0 float64) bool {
-	return r.gen == st.gen && r.tick == tick && r.effT >= t0 && r.effT >= st.pruned
+func (st *rowStore) live(h *rowHead, tick int64, t0 float64) bool {
+	return h.gen == st.gen && h.tick == tick && h.effT >= t0 && h.effT >= st.pruned
 }
 
 // Prune evicts stored sample rows that reflect instants before t, in
@@ -238,15 +254,24 @@ func (s *Sampler) Prune(t float64) {
 func (s *Sampler) CachedRows() int {
 	st := &s.store
 	n := 0
-	for _, blk := range st.blocks {
-		if blk == nil {
-			continue
-		}
-		for i := range blk {
-			if r := &blk[i]; r.gen == st.gen && r.effT >= st.pruned {
+	for b := range st.blocks {
+		for _, h := range &st.blocks[b].heads {
+			if h.gen == st.gen && h.effT >= st.pruned {
 				n++
 			}
 		}
+	}
+	return n
+}
+
+// StoreBytes returns the bytes the row store holds: its blocks with
+// their heads, and the values allocated in them (observability hook; it
+// walks the blocks).
+func (s *Sampler) StoreBytes() int {
+	st := &s.store
+	n := len(st.blocks) * int(unsafe.Sizeof(rowBlock{}))
+	for b := range st.blocks {
+		n += 8 * len(st.blocks[b].vals)
 	}
 	return n
 }
@@ -282,9 +307,9 @@ func (a Aggregates) Clone() Aggregates {
 // samples.
 func (s *Sampler) mayMiss() bool { return s.faults != nil }
 
-// computeRow fills r with the sample row of (node, tick): the value of
-// every counter in cols (NaN for dropped tables) plus the effective
-// instant the values reflect. tickT is the tick's (possibly
+// computeRow fills vals with the sample row of (node, tick): vals[j] is
+// the value of counter cols[j] (NaN for dropped tables). It returns the
+// effective instant the values reflect. tickT is the tick's (possibly
 // window-clamped) sample time and tickNet/tickFS the latent loads at it,
 // hoisted by the caller so a tick's loads are resolved once per tick
 // rather than once per node.
@@ -296,7 +321,7 @@ func (s *Sampler) mayMiss() bool { return s.faults != nil }
 // is a deterministic hash of (counter, node, tick), so overlapping
 // windows agree on shared samples; the counter's round of it is taken
 // from s.noiseHash.
-func (s *Sampler) computeRow(slices []simnet.Slice, node cluster.NodeID, tick int64, tickT float64, tickNet []float64, tickFS float64, r *sampleRow) {
+func (s *Sampler) computeRow(slices []simnet.Slice, node cluster.NodeID, tick int64, tickT float64, tickNet []float64, tickFS float64, vals []float64) (effT float64) {
 	effTick, effNet, effFS, effT := tick, tickNet, tickFS, tickT
 	if s.faults != nil {
 		// Frozen counters repeat an earlier tick's sample: the value
@@ -312,7 +337,6 @@ func (s *Sampler) computeRow(slices []simnet.Slice, node cluster.NodeID, tick in
 	if pod := s.topo.PodOf(node); uint(pod) < uint(len(effNet)) {
 		net = effNet[pod]
 	}
-	r.tick, r.effT = tick, effT
 	// The five latent signals, indexed by Src (SrcNoise carries none).
 	signal := [SrcNoise + 1]float64{
 		SrcNet: net, SrcNetOverload: simnet.Overload(net),
@@ -330,7 +354,7 @@ func (s *Sampler) computeRow(slices []simnet.Slice, node cluster.NodeID, tick in
 				lastDropped = s.faults.Dropped(tb, node, tick)
 			}
 			if lastDropped {
-				r.vals[j] = math.NaN()
+				vals[j] = math.NaN()
 				continue
 			}
 		}
@@ -339,42 +363,43 @@ func (s *Sampler) computeRow(slices []simnet.Slice, node cluster.NodeID, tick in
 		if v < 0 {
 			v = 0
 		}
-		r.vals[j] = v
+		vals[j] = v
 	}
+	return effT
 }
 
-// rowFor returns the sample row of (node, tick) for a window starting at
-// t0, from the store when possible and computed in place in its ring
-// slot otherwise. The caller must have bound the store to the history
-// the slices came from, and must be done with the row before asking for
-// the next: a window longer than the ring reuses slots as it goes. A
-// stored row is reusable only when its effective instant lies inside the
-// querying window (effT >= t0): frozen rows whose source instant precedes
-// the window are computed from loads clamped to the window's first slice,
-// which makes their values window-dependent — those are left in the slot
-// marked empty, so every query recomputes them and none can poison
-// another. Without a fault model effT is the tick's own time and every
+// rowFor returns the values of (node, tick)'s sample row for a window
+// starting at t0, and the instant they reflect, from the store when
+// possible and computed in place in its ring slot otherwise. The caller
+// must have bound the store to the history the slices came from, and
+// must be done with the row before asking for the next: a window longer
+// than the ring reuses slots as it goes. A stored row is reusable only
+// when its effective instant lies inside the querying window
+// (effT >= t0): frozen rows whose source instant precedes the window are
+// computed from loads clamped to the window's first slice, which makes
+// their values window-dependent — those are left in the slot marked
+// empty, so every query recomputes them and none can poison another. Without a fault model effT is the tick's own time and every
 // row is kept. Rows are cacheable under the sampler-wide contract that
 // windows end at or before the current simulated instant, which makes
 // every in-window load epoch final.
-func (s *Sampler) rowFor(slices []simnet.Slice, t0, tickT float64, tickNet []float64, tickFS float64, node cluster.NodeID, tick int64) *sampleRow {
+func (s *Sampler) rowFor(slices []simnet.Slice, t0, tickT float64, tickNet []float64, tickFS float64, node cluster.NodeID, tick int64) ([]float64, float64) {
 	if uint(node) >= uint(s.topo.Nodes) {
 		// A node ID the topology does not have has no ring; it is
 		// tolerated (its pod carries no load) and served uncached.
-		s.computeRow(slices, node, tick, tickT, tickNet, tickFS, &s.scratch)
-		return &s.scratch
+		vals := s.scratch[:len(s.cols)]
+		return vals, s.computeRow(slices, node, tick, tickT, tickNet, tickFS, vals)
 	}
-	r := s.store.slot(node, tick)
-	if s.store.live(r, tick, t0) {
-		return r
+	h, vals := s.store.slot(node, tick)
+	if s.store.live(h, tick, t0) {
+		return vals, h.effT
 	}
-	s.computeRow(slices, node, tick, tickT, tickNet, tickFS, r)
-	if r.effT >= t0 {
-		r.gen = s.store.gen
+	h.tick, h.effT = tick, s.computeRow(slices, node, tick, tickT, tickNet, tickFS, vals)
+	if h.effT >= t0 {
+		h.gen = s.store.gen
 	} else {
-		r.gen = 0 // window-dependent: nobody may reuse it
+		h.gen = 0 // window-dependent: nobody may reuse it
 	}
-	return r
+	return vals, h.effT
 }
 
 // AggregateWindow computes min/mean/max of every counter over the window
@@ -448,13 +473,13 @@ func (s *Sampler) aggregateInto(hist *simnet.History, nodes []cluster.NodeID, t0
 		cursor, tickNet, tickFS = loadsAt(s.sliceBuf, cursor, tickT)
 		fold.nextTick()
 		for _, node := range nodes {
-			row := &s.scratch
+			vals := s.scratch[:len(s.cols)]
 			if useCache {
-				row = s.rowFor(s.sliceBuf, t0, tickT, tickNet, tickFS, node, tick)
+				vals, _ = s.rowFor(s.sliceBuf, t0, tickT, tickNet, tickFS, node, tick)
 			} else {
-				s.computeRow(s.sliceBuf, node, tick, tickT, tickNet, tickFS, row)
+				s.computeRow(s.sliceBuf, node, tick, tickT, tickNet, tickFS, vals)
 			}
-			fold.add(row.vals[:len(s.cols)], mayMiss)
+			fold.add(vals, mayMiss)
 		}
 		fold.mergeInto(out, &counts, s.cols)
 	}

@@ -121,11 +121,11 @@ func (w *WindowAgg) computePartial(tick int64, t0 float64, cursor int, p *tickPa
 	mayMiss := s.mayMiss()
 	minEffT := tickT
 	for _, node := range w.nodes {
-		row := s.rowFor(w.sliceBuf, t0, tickT, tickNet, tickFS, node, tick)
-		if row.effT < minEffT {
-			minEffT = row.effT
+		vals, effT := s.rowFor(w.sliceBuf, t0, tickT, tickNet, tickFS, node, tick)
+		if effT < minEffT {
+			minEffT = effT
 		}
-		p.add(row.vals[:len(s.cols)], mayMiss)
+		p.add(vals, mayMiss)
 	}
 	p.minEffT = minEffT
 	return cursor
