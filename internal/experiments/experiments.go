@@ -108,7 +108,11 @@ type Config struct {
 	Trace bool
 	// Metrics maintains a per-trial metrics registry (scheduler, gate,
 	// breaker, fault, and engine counters plus wait/run histograms),
-	// snapshotted into Trial.Metrics and rendered by ReportMetrics.
+	// snapshotted into Trial.Metrics and rendered by ReportMetrics. The
+	// telemetry sampler's work (telemetry.SamplerStats) lands there at the
+	// end of the trial: telemetry_windows_total windows aggregated,
+	// telemetry_window_reuses_total of them answered from the window memo,
+	// telemetry_rows_computed_total sample rows computed.
 	Metrics bool
 }
 
@@ -454,6 +458,10 @@ func drive(name string, stream workload.JobStream, policy Policy, pred *core.Pre
 		tr.Trace = env.traceBuf.Bytes()
 	}
 	if env.reg != nil {
+		st := env.m.Sampler.Stats()
+		env.reg.Counter("telemetry_windows_total").Add(st.Windows)
+		env.reg.Counter("telemetry_window_reuses_total").Add(st.Reuses)
+		env.reg.Counter("telemetry_rows_computed_total").Add(st.Rows)
 		tr.Metrics = env.reg.Snapshot()
 	}
 	return tr, env, nil

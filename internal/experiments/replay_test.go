@@ -264,7 +264,8 @@ func TestBackwardsStreamIsRejected(t *testing.T) {
 }
 
 // TestReplayHeapSampling checks the MemSample plumbing end to end: the
-// gauges exist in the snapshot and the summary carries a peak.
+// gauges exist in the snapshot and the summary carries a peak. The
+// sampler's counters are there too, under every policy.
 func TestReplayHeapSampling(t *testing.T) {
 	raw := replayFixture(t)
 	sum, err := ReplayStream("swf-mem",
@@ -282,6 +283,14 @@ func TestReplayHeapSampling(t *testing.T) {
 	}
 	if !found["sim_heap_inuse"] || !found["telemetry_store_bytes"] || !found["replay_peak_rss"] {
 		t.Fatalf("memory gauges missing from snapshot: %+v", sum.Metrics.Gauges)
+	}
+	for _, c := range sum.Metrics.Counters {
+		found[c.Name] = true
+	}
+	for _, name := range []string{"telemetry_windows_total", "telemetry_window_reuses_total", "telemetry_rows_computed_total"} {
+		if !found[name] {
+			t.Fatalf("counter %s missing from snapshot: %+v", name, sum.Metrics.Counters)
+		}
 	}
 }
 

@@ -3,10 +3,10 @@ package machine
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"testing"
 
+	"rush/internal/alloctest"
 	"rush/internal/apps"
 	"rush/internal/cluster"
 	"rush/internal/sim"
@@ -435,39 +435,48 @@ func TestLaneBookkeeping(t *testing.T) {
 // released. One change a simulated second fills the ring until the
 // first prune past the retention window (1,200 s), so the warm-up runs
 // that far plus 64 changes. The count is a runtime.MemStats delta over
-// 200 changes, so a single allocation in any of them fails it.
+// 200 changes, so a single allocation in any of them fails it; it is the
+// fewest of three, each on a machine built and warmed afresh (see
+// alloctest.Count).
 func TestContentionChangeZeroAllocs(t *testing.T) {
-	eng := sim.New(7)
-	m, err := New(eng, cluster.Quartz())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.PoolJobs = true
-	profiles := apps.Defaults()
-	sizes := []int{1, 2, 4, 8}
-	for i := 0; i < 760; i++ {
-		alloc, err := m.Alloc.Alloc(sizes[i%len(sizes)])
+	const interval, keep = telemetry.WindowSeconds, 3 * telemetry.WindowSeconds
+	var (
+		m      *Machine
+		change func(i int)
+	)
+	build := func() {
+		eng := sim.New(7)
+		var err error
+		m, err = New(eng, cluster.Quartz())
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.StartJob(profiles[i%len(profiles)], alloc, 1e12, nil)
-	}
-	m.NewBackground().Set(simnet.Contribution{FS: 1.0})
-	const interval, keep = telemetry.WindowSeconds, 3 * telemetry.WindowSeconds
-	m.StartPruning(interval, keep)
-	job := simnet.Contribution{PodNet: map[int]float64{3: 0.01}, FS: 0.004}
-	change := func(i int) {
-		if i&1 == 0 {
-			m.Net.Apply(job)
-		} else {
-			m.Net.Remove(job)
+		m.PoolJobs = true
+		profiles := apps.Defaults()
+		sizes := []int{1, 2, 4, 8}
+		for i := 0; i < 760; i++ {
+			alloc, err := m.Alloc.Alloc(sizes[i%len(sizes)])
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.StartJob(profiles[i%len(profiles)], alloc, 1e12, nil)
 		}
-		eng.RunUntil(eng.Now() + 1)
+		m.NewBackground().Set(simnet.Contribution{FS: 1.0})
+		m.StartPruning(interval, keep)
+		job := simnet.Contribution{PodNet: map[int]float64{3: 0.01}, FS: 0.004}
+		change = func(i int) {
+			if i&1 == 0 {
+				m.Net.Apply(job)
+			} else {
+				m.Net.Remove(job)
+			}
+			eng.RunUntil(eng.Now() + 1)
+		}
+		for i := 0; i < interval+keep+64; i++ {
+			change(i)
+		}
 	}
-	for i := 0; i < interval+keep+64; i++ {
-		change(i)
-	}
-	objects, _ := allocated(func() {
+	objects, _ := alloctest.Count(3, build, func() {
 		for i := 0; i < 200; i++ {
 			change(i)
 		}
@@ -478,20 +487,4 @@ func TestContentionChangeZeroAllocs(t *testing.T) {
 	if objects != 0 {
 		t.Fatalf("200 contention changes allocated %d times; want 0", objects)
 	}
-}
-
-// allocated runs f once and returns the heap objects and bytes it
-// allocated: a runtime.MemStats delta taken the way testing.AllocsPerRun
-// takes it, on one P so the runtime starts no thread inside the count,
-// but not divided by a run count that would round a fraction of an
-// allocation per call down to zero. A collection first finishes any
-// cycle in progress, whose mark phase would otherwise allocate inside.
-func allocated(f func()) (objects, bytes uint64) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }

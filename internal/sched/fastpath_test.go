@@ -2,9 +2,9 @@ package sched
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
+	"rush/internal/alloctest"
 	"rush/internal/apps"
 	"rush/internal/cluster"
 	"rush/internal/dataset"
@@ -178,32 +178,27 @@ func TestGateFastPathMatchesReference(t *testing.T) {
 // first-ask rotates through 28 disjoint scopes one sample period apart,
 // so each returns after 420 s and every row of its window is computed;
 // re-ask stays on one scope and asks two ticks later, the scheduler's
-// 30 s veto cooldown, when 32 rows are new. One lap over the scopes warms
-// the row store, as a trial's first minutes do; after that neither may
-// allocate an object or a byte over two laps. The counts are
-// runtime.MemStats deltas, so a fraction of an allocation per decision,
-// which testing.AllocsPerRun rounds to zero, fails too. MemStats counts
-// the whole process, and in -race builds the runtime's background
-// scavenger sometimes grows a P's timer heap (one 32-byte object from
-// runtime.(*timers).addHeap) inside the window; so a race build runs the
-// decisions but does not hold them to the count.
+// 30 s veto cooldown, when 32 rows are new. same-pass is first-ask with a
+// second queued job asking for the same nodes at the same instant, as
+// Algorithm 2's pass does, which the sampler answers from its window
+// memo. One lap over the scopes warms the row store, as a trial's first
+// minutes do; after that none may allocate an object or a byte over two
+// laps. The counts are runtime.MemStats deltas, so a fraction of an
+// allocation per decision, which testing.AllocsPerRun rounds to zero,
+// fails too. Each is the fewest of three, each on a machine built and
+// warmed afresh, so an allocation made once in the two laps is in every
+// count (see alloctest.Count).
 func TestGateDecisionZeroAllocs(t *testing.T) {
 	model := trainedToyModel(t, gateMachine())
 	if _, ok := model.(mlkit.FastProbaPredictor); !ok {
 		t.Fatal("toy model does not implement the fast path")
 	}
-	j := &Job{ID: 1, App: apps.Defaults()[1]}
-	eng := sim.New(41)
-	m, err := machine.New(eng, cluster.Topology{Nodes: 64, PodSize: 16, CoresPerNode: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gate := NewRUSH(m, model)
-	m.NewBackground().Set(simnet.Contribution{PodNet: map[int]float64{0: 0.8}, FS: 0.2})
-	eng.RunUntil(900)
-	// measure counts what 56 asks, two laps of the 28 job scopes, allocate.
-	measure := func(ask func(i int)) (objects, bytes uint64) {
-		return allocated(func() {
+	j, j2 := &Job{ID: 1, App: apps.Defaults()[1]}, &Job{ID: 2, App: apps.Defaults()[1]}
+	// measure counts what 56 asks, two laps of the 28 job scopes,
+	// allocate after build has made the gate and set ask.
+	var ask func(i int)
+	measure := func(build func()) (objects, bytes uint64) {
+		return alloctest.Count(3, build, func() {
 			for i := 0; i < 2*28; i++ {
 				ask(i)
 			}
@@ -211,60 +206,88 @@ func TestGateDecisionZeroAllocs(t *testing.T) {
 	}
 
 	t.Run("machine-wide", func(t *testing.T) {
-		gate.AllNodesScope = true
-		alloc := cluster.Allocation{Nodes: []cluster.NodeID{0, 1, 2, 3}}
-		ask := func(int) {
-			j.Skips = 0
-			gate.Allow(j, alloc)
+		var gate *RUSH
+		build := func() {
+			eng := sim.New(41)
+			m, err := machine.New(eng, cluster.Topology{Nodes: 64, PodSize: 16, CoresPerNode: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gate = NewRUSH(m, model)
+			gate.AllNodesScope = true
+			m.NewBackground().Set(simnet.Contribution{PodNet: map[int]float64{0: 0.8}, FS: 0.2})
+			eng.RunUntil(900)
+			alloc := cluster.Allocation{Nodes: []cluster.NodeID{0, 1, 2, 3}}
+			ask = func(int) {
+				j.Skips = 0
+				gate.Allow(j, alloc)
+			}
+			ask(0) // warm caches and reusable buffers
 		}
-		ask(0) // warm caches and reusable buffers
-		maskInForce(t, gate)
-		if objects, bytes := measure(ask); !raceBuild && (objects != 0 || bytes != 0) {
+		if objects, bytes := measure(build); objects != 0 || bytes != 0 {
 			t.Fatalf("56 machine-wide gate decisions allocated %d objects, %d bytes; want 0", objects, bytes)
 		}
+		maskInForce(t, gate)
 	})
 
 	for _, shape := range []struct {
 		name   string
 		ticks  int
 		rotate bool
-	}{{"job/first-ask", 1, true}, {"job/re-ask", 2, false}} {
+		pair   bool
+	}{{"job/first-ask", 1, true, false}, {"job/re-ask", 2, false, false}, {"job/same-pass", 1, true, true}} {
 		t.Run(shape.name, func(t *testing.T) {
-			eng := sim.New(4242)
-			m, err := machine.New(eng, cluster.Topology{Nodes: 512, PodSize: 64, CoresPerNode: 36})
-			if err != nil {
-				t.Fatal(err)
-			}
-			gate := NewRUSH(m, model)
-			m.NewBackground().Set(simnet.Contribution{
-				PodNet: map[int]float64{0: 0.8, 1: 0.6, 2: 0.9, 3: 0.4, 4: 0.7, 5: 0.5, 6: 0.3, 7: 0.6},
-				FS:     0.3,
-			})
-			eng.RunUntil(900)
-			m.StartPruning(telemetry.WindowSeconds, 3*telemetry.WindowSeconds)
-			var scopes []cluster.Allocation
-			for lo := 64; lo+16 <= 512; lo += 16 {
-				nodes := make([]cluster.NodeID, 16)
-				for i := range nodes {
-					nodes[i] = cluster.NodeID(lo + i)
+			var (
+				gate   *RUSH
+				m      *machine.Machine
+				reuses uint64
+			)
+			build := func() {
+				eng := sim.New(4242)
+				var err error
+				m, err = machine.New(eng, cluster.Topology{Nodes: 512, PodSize: 64, CoresPerNode: 36})
+				if err != nil {
+					t.Fatal(err)
 				}
-				scopes = append(scopes, cluster.Allocation{Nodes: nodes})
-			}
-			ask := func(i int) {
-				eng.RunUntil(eng.Now() + float64(shape.ticks)*telemetry.SamplePeriod)
-				scope := scopes[0]
-				if shape.rotate {
-					scope = scopes[i%len(scopes)]
+				gate = NewRUSH(m, model)
+				m.NewBackground().Set(simnet.Contribution{
+					PodNet: map[int]float64{0: 0.8, 1: 0.6, 2: 0.9, 3: 0.4, 4: 0.7, 5: 0.5, 6: 0.3, 7: 0.6},
+					FS:     0.3,
+				})
+				eng.RunUntil(900)
+				m.StartPruning(telemetry.WindowSeconds, 3*telemetry.WindowSeconds)
+				var scopes []cluster.Allocation
+				for lo := 64; lo+16 <= 512; lo += 16 {
+					nodes := make([]cluster.NodeID, 16)
+					for i := range nodes {
+						nodes[i] = cluster.NodeID(lo + i)
+					}
+					scopes = append(scopes, cluster.Allocation{Nodes: nodes})
 				}
-				j.Skips = 0
-				gate.Allow(j, scope)
+				ask = func(i int) {
+					eng.RunUntil(eng.Now() + float64(shape.ticks)*telemetry.SamplePeriod)
+					scope := scopes[0]
+					if shape.rotate {
+						scope = scopes[i%len(scopes)]
+					}
+					j.Skips = 0
+					gate.Allow(j, scope)
+					if shape.pair {
+						j2.Skips = 0
+						gate.Allow(j2, scope)
+					}
+				}
+				for i := range scopes {
+					ask(i)
+				}
+				reuses = m.Sampler.Stats().Reuses
 			}
-			for i := range scopes {
-				ask(i)
+			if objects, bytes := measure(build); objects != 0 || bytes != 0 {
+				t.Fatalf("two laps of %s gate decisions allocated %d objects, %d bytes; want 0", shape.name, objects, bytes)
 			}
 			maskInForce(t, gate)
-			if objects, bytes := measure(ask); !raceBuild && (objects != 0 || bytes != 0) {
-				t.Fatalf("two laps of %s gate decisions allocated %d objects, %d bytes; want 0", shape.name, objects, bytes)
+			if got := m.Sampler.Stats().Reuses - reuses; (got > 0) != shape.pair {
+				t.Fatalf("%s: %d windows answered from the memo", shape.name, got)
 			}
 		})
 	}
@@ -296,7 +319,14 @@ func maskInForce(t *testing.T, g *RUSH) {
 // costs NewRUSH the same number of allocations whatever the model: few
 // or many rounds, stumps or trees, a forest, a model that does not say
 // what it reads, and on a machine whose sampler has already served
-// decisions.
+// decisions. The first model's gate goes on a fresh machine; every later
+// one on a machine whose sampler serves the previous gate, whose mask
+// (the models alternate between reading some counters and all 90) has
+// another row width. Each count is the fewest of five, and before each
+// the machine is brought back to that state (see alloctest.Count): a
+// fresh machine, or the previous gate reinstalled and one decision
+// served, so that every counted call changes the row width of a sampler
+// that has served decisions.
 func TestNewRUSHAllocatesConstant(t *testing.T) {
 	rng := sim.NewSource(5).Derive("rows")
 	x := make([][]float64, 120)
@@ -315,39 +345,34 @@ func TestNewRUSHAllocatesConstant(t *testing.T) {
 		mlkit.NewAdaBoost(mlkit.AdaBoostConfig{Rounds: 30, Depth: 2, Seed: 1, Workers: 1}),
 		mlkit.NewRandomForest(mlkit.ForestConfig{Trees: 20, MaxDepth: 6, Seed: 1, Workers: 1}),
 	}
-	m := gateMachine()
-	m.Eng.RunUntil(900)
-	var first uint64
-	for i, model := range models {
+	var cs []mlkit.Classifier
+	for _, model := range models {
 		if err := model.Fit(x, y); err != nil {
 			t.Fatal(err)
 		}
 		// The anonymous struct hides MarkRead: a model that does not say.
-		for j, c := range []mlkit.Classifier{model, struct{ mlkit.FastProbaPredictor }{model}} {
-			var g *RUSH
-			objects, _ := allocated(func() { g = NewRUSH(m, c) })
-			if i == 0 && j == 0 {
-				first = objects
-			} else if !raceBuild && objects != first {
-				t.Fatalf("NewRUSH over %s (%T) allocated %d objects, over the first model %d", model.Name(), c, objects, first)
-			}
-			g.Allow(&Job{ID: i, App: apps.Defaults()[1]}, cluster.Allocation{Nodes: []cluster.NodeID{0, 1, 2, 3}})
-		}
+		cs = append(cs, model, struct{ mlkit.FastProbaPredictor }{model})
 	}
-}
-
-// allocated runs f once and returns the heap objects and bytes it
-// allocated: a runtime.MemStats delta taken the way testing.AllocsPerRun
-// takes it, on one P so the runtime starts no thread inside the count,
-// but not divided by a run count that would round a fraction of an
-// allocation per call down to zero. A collection first finishes any
-// cycle in progress, whose mark phase would otherwise allocate inside.
-func allocated(f func()) (objects, bytes uint64) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+	alloc := cluster.Allocation{Nodes: []cluster.NodeID{0, 1, 2, 3}}
+	var (
+		m     *machine.Machine
+		first uint64
+	)
+	for k, c := range cs {
+		setup := func() {
+			m = gateMachine()
+			m.Eng.RunUntil(900)
+		}
+		if k > 0 {
+			setup = func() { NewRUSH(m, cs[k-1]).Allow(&Job{ID: k - 1, App: apps.Defaults()[1]}, alloc) }
+		}
+		var g *RUSH
+		objects, _ := alloctest.Count(5, setup, func() { g = NewRUSH(m, c) })
+		if k == 0 {
+			first = objects
+		} else if objects != first {
+			t.Fatalf("NewRUSH over %s (%T) allocated %d objects, over the first model %d", c.Name(), c, objects, first)
+		}
+		g.Allow(&Job{ID: k, App: apps.Defaults()[1]}, alloc)
+	}
 }

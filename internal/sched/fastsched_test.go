@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"rush/internal/alloctest"
 	"rush/internal/apps"
 	"rush/internal/cluster"
 	"rush/internal/faults"
@@ -510,17 +511,20 @@ func deepBlockedScheduler(depth int) *Scheduler {
 }
 
 // TestDeepQueuePassZeroAllocs extends the zero-alloc contract to queue
-// depth: a steady-state pass over a 1k-, 10k- and 100k-deep blocked
-// queue with a nil observer allocates nothing, counted exactly over 20
-// passes at each depth.
+// depth: a pass over a 1k-, 10k- and 100k-deep blocked queue with a nil
+// observer allocates nothing, counted exactly over its first 20 passes at
+// each depth (the fewest of three counts, each on a queue built afresh;
+// see alloctest.Count).
 func TestDeepQueuePassZeroAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("deep queue setup is slow under -short")
 	}
 	for _, depth := range []int{1000, 10000, 100000} {
-		s := deepBlockedScheduler(depth)
-		var err error
-		objects, bytes := allocated(func() {
+		var (
+			s   *Scheduler
+			err error
+		)
+		objects, bytes := alloctest.Count(3, func() { s = deepBlockedScheduler(depth) }, func() {
 			for i := 0; i < 20 && err == nil; i++ {
 				err = s.Pass()
 			}

@@ -3,11 +3,11 @@ package serve_test
 import (
 	"math"
 	"net"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
+	"rush/internal/alloctest"
 	"rush/internal/dataset"
 	"rush/internal/mlkit"
 	"rush/internal/obs"
@@ -143,23 +143,33 @@ func TestServerDerivedStaleness(t *testing.T) {
 // counters-only decision answered from the per-scope cache against the
 // current snapshot epoch, the path a busy scheduler hits on every pass,
 // allocates nothing. The count is a runtime.MemStats delta over 1,000
-// calls, so a single allocation in any of them fails it.
+// calls, so a single allocation in any of them fails it; it is the fewest
+// of three, each on a server started and filled afresh (see
+// alloctest.Count).
 func TestCachedDecisionZeroAllocs(t *testing.T) {
-	srv, err := serve.NewServer(serve.Config{Model: conformanceModel(t, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	ingest(t, srv, 0)
-
+	model := conformanceModel(t, 1)
 	req := serve.Request{V: 1, Op: serve.OpDecide, Now: 10, Job: 1, App: "AMG", Scope: "q1"}
-	var resp serve.Response
-	srv.Handle(&req, &resp) // the miss builds the features and fills the cache
-	if resp.Status != serve.StatusOK || resp.Cached {
-		t.Fatalf("first decision: %+v", resp)
+	var (
+		srv  *serve.Server
+		resp serve.Response
+	)
+	defer func() { srv.Close() }()
+	setup := func() {
+		if srv != nil {
+			srv.Close()
+		}
+		var err error
+		if srv, err = serve.NewServer(serve.Config{Model: model}); err != nil {
+			t.Fatal(err)
+		}
+		ingest(t, srv, 0)
+		srv.Handle(&req, &resp) // the miss builds the features and fills the cache
+		if resp.Status != serve.StatusOK || resp.Cached {
+			t.Fatalf("first decision: %+v", resp)
+		}
 	}
 	uncached := 0
-	objects, _ := allocated(func() {
+	objects, _ := alloctest.Count(3, setup, func() {
 		for i := 0; i < 1000; i++ {
 			srv.Handle(&req, &resp)
 			if !resp.Cached || resp.Status != serve.StatusOK {
@@ -168,27 +178,11 @@ func TestCachedDecisionZeroAllocs(t *testing.T) {
 		}
 	})
 	if uncached != 0 {
-		t.Fatalf("%d of 1000 decisions left the cached path; last: %+v", uncached, resp)
+		t.Fatalf("%d of 3000 decisions left the cached path; last: %+v", uncached, resp)
 	}
 	if objects != 0 {
 		t.Fatalf("1000 cached decisions allocated %d times; want 0", objects)
 	}
-}
-
-// allocated runs f once and returns the heap objects and bytes it
-// allocated: a runtime.MemStats delta taken the way testing.AllocsPerRun
-// takes it, on one P so the runtime starts no thread inside the count,
-// but not divided by a run count that would round a fraction of an
-// allocation per call down to zero. A collection first finishes any
-// cycle in progress, whose mark phase would otherwise allocate inside.
-func allocated(f func()) (objects, bytes uint64) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
 func ingest(t *testing.T, srv *serve.Server, now float64) {
@@ -430,7 +424,7 @@ func TestWireAllocationBudget(t *testing.T) {
 		do() // a decide's first request fills the cache; buffers grow
 		do()
 		bad = nil
-		objects, bytes := allocated(func() {
+		objects, bytes := alloctest.Count(1, nil, func() {
 			for i := 0; i < n; i++ {
 				do()
 			}

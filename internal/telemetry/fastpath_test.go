@@ -35,10 +35,10 @@ func (f testFaults) SampleTick(node cluster.NodeID, tick int64) int64 {
 	return tick
 }
 
-// aggregateRef is the from-scratch oracle the row store and WindowAgg are
-// differenced against: every (node, tick) row of the window goes through
-// computeRow into a row of its own, with no store, and the rows fold the
-// way aggregateInto folds them. It runs on a sampler state of its own
+// aggregateRef is the from-scratch oracle the row store, the window memo
+// and WindowAgg are differenced against: every (node, tick) row of the
+// window goes through computeRowRef into a row of its own, with no store,
+// tick by tick, and the rows fold the way aggregateInto folds them. It runs on a sampler state of its own
 // (refSampler), so it shares none of s's store, caches or scratch
 // buffers, and it computes every counter: the mask is applied to the
 // finished aggregates, as the Sampler doc says it acts (unread counters
@@ -72,13 +72,59 @@ func aggregateRef(s *Sampler, hist *simnet.History, nodes []cluster.NodeID, t0, 
 		_, tickNet, tickFS := loadsAt(slices, 0, tickT)
 		fold.nextTick()
 		for _, node := range nodes {
-			full.computeRow(slices, node, tick, tickT, tickNet, tickFS, row[:])
+			computeRowRef(full, slices, node, tick, tickT, tickNet, tickFS, row[:len(full.cols)])
 			fold.add(row[:], true)
 		}
 		fold.mergeInto(&out, &counts, full.cols)
 	}
 	finishAggregates(&out, &counts, full.cols)
 	return out
+}
+
+// computeRowRef is the row kernel's oracle, the sample synthesis written
+// out value by value straight from the schema: vals[j] is the sample of
+// counter s.cols[j] on node at tick, whose loads at its sample time tickT
+// the caller resolved; NaN if its table was dropped. Each value hashes
+// (counter, node, tick) from the counter's noise hash, node and tick
+// rounds both taken here; a frozen tick hashes, and reads the loads of,
+// the tick it repeats. It returns the instant the values reflect.
+func computeRowRef(s *Sampler, slices []simnet.Slice, node cluster.NodeID, tick int64, tickT float64, tickNet []float64, tickFS float64, vals []float64) float64 {
+	effTick, effNet, effFS, effT := tick, tickNet, tickFS, tickT
+	if s.faults != nil {
+		if et := s.faults.SampleTick(node, tick); et < tick {
+			effTick, effT = et, float64(et)*SamplePeriod
+			_, effNet, effFS = loadsAt(slices, 0, effT)
+		}
+	}
+	var net float64
+	if pod := s.topo.PodOf(node); pod >= 0 && pod < len(effNet) {
+		net = effNet[pod]
+	}
+	for j, ci := range s.cols {
+		c := s.schema[ci]
+		if s.faults != nil && s.faults.Dropped(c.Table, node, tick) {
+			vals[j] = math.NaN()
+			continue
+		}
+		var signal float64
+		switch c.Src {
+		case SrcNet:
+			signal = net
+		case SrcNetOverload:
+			signal = simnet.Overload(net)
+		case SrcFS:
+			signal = effFS
+		case SrcFSOverload:
+			signal = simnet.Overload(effFS)
+		}
+		u := 2*s.noiseHash[ci].Mix(uint64(node)+0x9e37).Mix(uint64(effTick)+0x7f4a).Unit() - 1
+		v := (c.Base + c.Gain*signal) * (1 + c.Noise*u*math.Sqrt(3))
+		if v < 0 {
+			v = 0
+		}
+		vals[j] = v
+	}
+	return effT
 }
 
 // refSampler returns a sampler that synthesizes what s does — the same
@@ -265,6 +311,11 @@ func TestWindowAggMatchesReference(t *testing.T) {
 			want := aggregateRef(sampler, st.History(), nodes, *now-WindowSeconds, *now)
 			sameAggregates(t, "sliding", got, want)
 		}
+		// At 3e18 s float64 steps by 512 s, and the standard window
+		// spans 33 ticks: more than the partials ring holds.
+		*now = 3e18
+		sameAggregates(t, "far future", wa.Aggregate(*now),
+			aggregateRef(sampler, st.History(), nodes, *now-WindowSeconds, *now))
 	}
 }
 

@@ -3,9 +3,9 @@ package telemetry
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
 
+	"rush/internal/alloctest"
 	"rush/internal/cluster"
 	"rush/internal/sim"
 	"rush/internal/simnet"
@@ -27,11 +27,10 @@ func newStoreEnv(t *testing.T) (*simnet.State, *Sampler, *float64) {
 	return st, NewSampler(storeTopo(), sim.NewSource(11).Derive("telemetry")), now
 }
 
-// TestSynthesisMatchesOneShotHash pins sample synthesis to its
-// definition, written out here the slow way: the noise of a sample is the
-// one-shot hash of (counter, node, tick), the signal is picked by a
-// switch per counter. The prefix-hashed, signal-table form must give the
-// same bits.
+// TestSynthesisMatchesOneShotHash pins the kernel's oracle, computeRowRef,
+// to the definition of a sample, written out here the slow way: the noise
+// of a sample is the one-shot hash of (counter, node, tick), the signal is
+// picked by a switch per counter.
 func TestSynthesisMatchesOneShotHash(t *testing.T) {
 	rng := sim.NewSource(11).Derive("telemetry")
 	s := NewSampler(storeTopo(), rng)
@@ -43,7 +42,7 @@ func TestSynthesisMatchesOneShotHash(t *testing.T) {
 	for _, node := range []cluster.NodeID{0, 31, 32, 299} {
 		for _, tick := range []int64{-20, -1, 0, 1, 47, 1 << 40} {
 			var row [NumCounters]float64
-			s.computeRow(nil, node, tick, float64(tick)*SamplePeriod, podNet, fs, row[:])
+			computeRowRef(s, nil, node, tick, float64(tick)*SamplePeriod, podNet, fs, row[:])
 			net := podNet[storeTopo().PodOf(node)]
 			for ci, c := range s.Schema() {
 				var signal float64
@@ -66,6 +65,66 @@ func TestSynthesisMatchesOneShotHash(t *testing.T) {
 					t.Fatalf("node %d tick %d counter %d: %v, want %v", node, tick, ci, row[ci], want)
 				}
 			}
+		}
+	}
+}
+
+// TestRowKernelMatchesReference checks the row kernel — a node's hash
+// round taken once by nodeHashes, then computeRow per tick from the
+// column table — against computeRowRef, which hashes every value from
+// the schema, bit for bit, values and effective instant: with no mask,
+// under a mask, and under a fault model that freezes and drops; on
+// negative ticks and on node IDs the topology does not have.
+func TestRowKernelMatchesReference(t *testing.T) {
+	topo := storeTopo()
+	early, late := make([]float64, topo.Pods()), make([]float64, topo.Pods())
+	for p := range early {
+		early[p], late[p] = 0.1*float64(p), 1.3-0.1*float64(p)
+	}
+	// Two epochs, so a frozen row reads other loads than its tick's.
+	slices := []simnet.Slice{{T0: -1e6, T1: 200, PodNet: early, FS: 0.2}, {T0: 200, T1: 1e15, PodNet: late, FS: 1.1}}
+	for _, c := range []struct {
+		label string
+		set   func(*Sampler)
+	}{
+		{"no mask", func(*Sampler) {}},
+		{"mask", func(s *Sampler) { s.SetCounterMask(hashedMask(3, 0.4)) }},
+		{"faults", func(s *Sampler) {
+			s.SetCounterMask(hashedMask(3, 0.4))
+			s.SetFaults(testFaults{src: sim.NewSource(6), dropP: 0.3, freezeP: 0.5, freezeSpan: 5})
+		}},
+	} {
+		s := NewSampler(topo, sim.NewSource(11).Derive("telemetry"))
+		c.set(s)
+		frozen, dropped := 0, 0
+		for _, node := range []cluster.NodeID{0, 31, 32, 299, 300, 5000, -40} {
+			pre := make([]sim.HashState, len(s.cols))
+			s.nodeHashes(node, pre)
+			for _, tick := range []int64{-20, -1, 0, 1, 13, 14, 47, 1 << 40} {
+				tk := tickLoad{tick: tick, t: float64(tick) * SamplePeriod}
+				_, tk.net, tk.fs = loadsAt(slices, 0, tk.t)
+				got, want := make([]float64, len(s.cols)), make([]float64, len(s.cols))
+				effGot := s.computeRow(slices, node, pre, &tk, got)
+				effWant := computeRowRef(s, slices, node, tick, tk.t, tk.net, tk.fs, want)
+				label := fmt.Sprintf("%s: node %d tick %d", c.label, node, tick)
+				if math.Float64bits(effGot) != math.Float64bits(effWant) {
+					t.Fatalf("%s: reflects %v, want %v", label, effGot, effWant)
+				}
+				if effGot < tk.t {
+					frozen++
+				}
+				for j := range got {
+					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+						t.Fatalf("%s: counter %d = %v, want %v", label, s.cols[j], got[j], want[j])
+					}
+					if math.IsNaN(got[j]) {
+						dropped++
+					}
+				}
+			}
+		}
+		if c.label == "faults" && (frozen == 0 || dropped == 0) {
+			t.Fatalf("faults: %d frozen rows, %d dropped values; the fault paths were not exercised", frozen, dropped)
 		}
 	}
 }
@@ -116,7 +175,7 @@ func TestNegativeTicksLandInRing(t *testing.T) {
 		t.Fatalf("the ring keeps no negative tick: oldest kept is %d", oldest)
 	}
 	for _, node := range nodes {
-		if h, _ := s.store.slot(node, oldest); !s.store.live(h, oldest, -WindowSeconds) {
+		if h, _ := s.store.slot(node, ringPos(oldest)); !s.store.live(h, oldest, -WindowSeconds) {
 			t.Fatalf("node %d: tick %d not stored in its slot", node, oldest)
 		}
 	}
@@ -273,7 +332,7 @@ func TestColdWindowZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() {
 		*now += 2 * WindowSeconds // past every stored row
 		tick := int64(*now/SamplePeriod) - 1
-		if h, _ := s.store.slot(nodes[0], tick); s.store.live(h, tick, *now-WindowSeconds) {
+		if h, _ := s.store.slot(nodes[0], ringPos(tick)); s.store.live(h, tick, *now-WindowSeconds) {
 			t.Fatal("window was not cold")
 		}
 		s.AggregateWindowInto(st.History(), nodes, *now, &agg)
@@ -283,56 +342,54 @@ func TestColdWindowZeroAllocs(t *testing.T) {
 	}
 }
 
-// allocated runs f once and returns the heap objects and bytes it
-// allocated: a runtime.MemStats delta on one P, after a collection that
-// finishes any cycle in progress.
-func allocated(f func()) (objects, bytes uint64) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
-}
-
 // TestBlockIsWidthSized pins the store's memory to its row width: under
 // a mask of 37 counters, the first window on a block's nodes allocates
 // one object, the block's ringTicks × blockNodes rows of 37 values;
 // under a fault model, which computes every counter, the same block is
-// NumCounters values wide. StoreBytes grows by the block's size.
+// NumCounters values wide. StoreBytes grows by the block's size. Each
+// count is the fewest of three, each on a sampler made afresh that has
+// answered one window on another block (see alloctest.Count).
 func TestBlockIsWidthSized(t *testing.T) {
 	const pageSize = 8192 // the runtime rounds an object this large up to whole pages
-	st, s, now := newStoreEnv(t)
-	st.Apply(simnet.Contribution{PodNet: map[int]float64{0: 0.7}, FS: 0.2})
-	*now = 900
 	var mask [NumCounters]bool
 	for ci := 0; ci < 37; ci++ {
 		mask[2*ci] = true
 	}
-	var agg Aggregates
 	for _, c := range []struct {
 		label string
-		set   func()
+		set   func(s *Sampler)
 		width int
 	}{
-		{"mask of 37", func() { s.SetCounterMask(mask) }, 37},
-		{"fault model", func() { s.SetFaults(testFaults{src: sim.NewSource(3), dropP: 0.2, freezeSpan: 4}) }, NumCounters},
+		{"mask of 37", func(s *Sampler) { s.SetCounterMask(mask) }, 37},
+		{"fault model", func(s *Sampler) { s.SetFaults(testFaults{src: sim.NewSource(3), dropP: 0.2, freezeSpan: 4}) }, NumCounters},
 	} {
-		c.set()
-		s.AggregateWindowInto(st.History(), []cluster.NodeID{0}, *now, &agg) // block 0, the buffers
-		before := s.StoreBytes()
-		objects, bytes := allocated(func() {
+		var (
+			st     *simnet.State
+			s      *Sampler
+			now    *float64
+			agg    Aggregates
+			before int
+		)
+		setup := func() {
+			st, s, now = newStoreEnv(t)
+			st.Apply(simnet.Contribution{PodNet: map[int]float64{0: 0.7}, FS: 0.2})
+			*now = 900
+			c.set(s)
+			agg = Aggregates{}
+			s.AggregateWindowInto(st.History(), []cluster.NodeID{0}, *now, &agg) // block 0, the buffers
+			before = s.StoreBytes()
+		}
+		objects, bytes := alloctest.Count(3, setup, func() {
 			s.AggregateWindowInto(st.History(), []cluster.NodeID{blockNodes, blockNodes + 1}, *now, &agg)
 		})
 		want := ringTicks * blockNodes * c.width * 8
 		if got := 8 * len(s.store.blocks[1].vals); got != want {
-			t.Fatalf("%s: block of %d bytes, want %d", c.label, got, want)
+			t.Fatalf("%s: a block of %d bytes, want %d", c.label, got, want)
 		}
 		if got := s.StoreBytes() - before; got != want {
 			t.Fatalf("%s: StoreBytes grew by %d, want %d", c.label, got, want)
 		}
-		if !raceBuild && (objects != 1 || bytes < uint64(want) || bytes >= uint64(want+pageSize)) {
+		if objects != 1 || bytes < uint64(want) || bytes >= uint64(want+pageSize) {
 			t.Fatalf("%s: touching a block allocated %d objects, %d bytes; want one of %d bytes", c.label, objects, bytes, want)
 		}
 	}
@@ -382,11 +439,13 @@ func TestWidthChangesMatchReference(t *testing.T) {
 // FuzzRowStoreOps lets the fuzzer write a sampler's life four bytes at a
 // time (op, a, b, c): load mutations and clock advances; paired
 // Sampler.Prune / History.Prune; fault models and counter masks coming
-// and going, which flush the store; and window queries over job scopes,
+// and going, which flush the store; window queries over job scopes,
 // scopes over maxScopeNodes, node IDs outside the topology, and windows
-// from sub-period to longer than the ring. Every answer of
-// AggregateRangeInto must equal aggregateRef, which applies the same
-// mask, bit for bit.
+// from sub-period to longer than the ring; repeats of the last window on
+// its scope or on another one, which the window memo may answer; and
+// WindowAgg calls, which empty it. Every answer of AggregateRangeInto
+// and of WindowAgg must equal aggregateRef, which applies the same mask,
+// bit for bit.
 func FuzzRowStoreOps(f *testing.F) {
 	f.Add([]byte{0, 1, 90, 40, 1, 20, 0, 0, 5, 0, 3, 1, 1, 60, 0, 0, 6, 1, 7, 2, 5, 2, 0, 1})
 	f.Add([]byte{4, 1, 3, 120, 1, 30, 0, 0, 7, 3, 9, 0, 2, 200, 0, 0, 5, 0, 4, 2, 3, 100, 0, 0, 6, 4, 0, 1})
@@ -398,6 +457,18 @@ func FuzzRowStoreOps(f *testing.F) {
 	f.Add([]byte{1, 60, 0, 0, 0, 1, 90, 40, 8, 0, 7, 95, 4, 0, 5, 1, 1, 30, 0, 0, 5, 4, 3, 1,
 		3, 1, 9, 60, 4, 0, 5, 1, 6, 2, 40, 5, 1, 20, 0, 0, 3, 0, 0, 0, 7, 1, 6, 9, 4, 0, 5, 1,
 		8, 1, 2, 255, 4, 0, 5, 2, 8, 3, 3, 0, 5, 4, 3, 1, 8, 0, 7, 95, 4, 0, 5, 1})
+	// A standard window on a job scope, then repeats of it: a memo hit;
+	// on another scope, then the first again (two entries); and after
+	// each thing that empties the memo or moves what it answers: a load
+	// change at the same instant, a prune, a fault model, a counter mask,
+	// a WindowAgg on the same and on another scope.
+	f.Add([]byte{1, 200, 0, 0, 4, 0, 3, 5, 9, 0, 0, 0, 10, 1, 9, 30, 9, 0, 0, 0, 10, 0, 3, 5,
+		0, 1, 90, 40, 9, 0, 0, 0, 2, 200, 0, 0, 9, 0, 0, 0, 3, 2, 3, 20, 9, 0, 0, 0,
+		8, 0, 7, 95, 9, 0, 0, 0, 11, 0, 0, 0, 9, 0, 0, 0, 11, 1, 0, 0, 9, 0, 0, 0})
+	// The same under a freezing fault model, whose window-dependent rows
+	// keep a window out of the memo, and with a scope over the cap.
+	f.Add([]byte{1, 250, 0, 0, 3, 1, 5, 200, 4, 0, 0, 1, 9, 0, 0, 0, 1, 3, 0, 0, 4, 2, 2, 5,
+		9, 0, 0, 0, 10, 4, 0, 0, 9, 0, 0, 0, 3, 0, 0, 0, 4, 2, 2, 5, 9, 0, 0, 0, 10, 3, 0, 1})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 1<<9 {
 			ops = ops[:1<<9]
@@ -410,10 +481,41 @@ func FuzzRowStoreOps(f *testing.F) {
 		*now = SamplePeriod
 		var load simnet.Contribution
 		var buf Aggregates
+		// The last window asked for: its scope and bounds (none yet).
+		var lastNodes []cluster.NodeID
+		lastT0, lastT1 := math.NaN(), math.NaN()
+		query := func(step int, nodes []cluster.NodeID, t0, t1 float64) {
+			s.AggregateRangeInto(hist, nodes, t0, t1, &buf)
+			sameAggregates(t, fmt.Sprintf("step %d: %d nodes, window [%v, %v) at now %v", step, len(nodes), t0, t1, *now),
+				buf, aggregateRef(s, hist, nodes, t0, t1))
+			lastNodes, lastT0, lastT1 = nodes, t0, t1
+		}
+		scope := func(a, b, c byte) []cluster.NodeID {
+			var nodes []cluster.NodeID
+			switch a % 5 {
+			case 0: // a job scope of adjacent nodes
+				for i := 0; i < 1+int(b%16); i++ {
+					nodes = append(nodes, cluster.NodeID((int(c)+i)%topo.Nodes))
+				}
+			case 1: // a scattered job scope
+				for i := 0; i < 1+int(b%16); i++ {
+					nodes = append(nodes, cluster.NodeID((int(c)*7+i*37)%topo.Nodes))
+				}
+			case 2: // more nodes than maxScopeNodes, so the scope is capped
+				for i := 0; i < maxScopeNodes+1+int(b); i++ {
+					nodes = append(nodes, cluster.NodeID((int(c)+i)%topo.Nodes))
+				}
+			case 3: // IDs the topology does not have, among ones it does
+				nodes = []cluster.NodeID{cluster.NodeID(int(c) % topo.Nodes), cluster.NodeID(topo.Nodes + int(b)), cluster.NodeID(-1 - int(c))}
+			default:
+				nodes = AllNodes(topo)
+			}
+			return nodes
+		}
 		for step := 0; len(ops) >= 4; step++ {
 			op, a, b, c := ops[0], ops[1], ops[2], ops[3]
 			ops = ops[4:]
-			switch op % 9 {
+			switch op % 12 {
 			case 0:
 				st.Remove(load)
 				load = simnet.Contribution{PodNet: map[int]float64{int(a) % topo.Pods(): float64(b) / 200}, FS: float64(c) / 230}
@@ -437,26 +539,24 @@ func FuzzRowStoreOps(f *testing.F) {
 				}
 			case 8: // c/255 of the counters, from the empty mask to all of them
 				s.SetCounterMask(hashedMask(int64(a)<<8|int64(b), float64(c)/255))
-			default:
-				var nodes []cluster.NodeID
-				switch a % 5 {
-				case 0: // a job scope of adjacent nodes
-					for i := 0; i < 1+int(b%16); i++ {
-						nodes = append(nodes, cluster.NodeID((int(c)+i)%topo.Nodes))
-					}
-				case 1: // a scattered job scope
-					for i := 0; i < 1+int(b%16); i++ {
-						nodes = append(nodes, cluster.NodeID((int(c)*7+i*37)%topo.Nodes))
-					}
-				case 2: // more nodes than maxScopeNodes, so the scope is capped
-					for i := 0; i < maxScopeNodes+1+int(b); i++ {
-						nodes = append(nodes, cluster.NodeID((int(c)+i)%topo.Nodes))
-					}
-				case 3: // IDs the topology does not have, among ones it does
-					nodes = []cluster.NodeID{cluster.NodeID(int(c) % topo.Nodes), cluster.NodeID(topo.Nodes + int(b)), cluster.NodeID(-1 - int(c))}
-				default:
-					nodes = AllNodes(topo)
+			case 9: // the last window again
+				if lastNodes != nil {
+					query(step, lastNodes, lastT0, lastT1)
 				}
+			case 10: // the last window's bounds on another scope
+				if lastNodes != nil {
+					query(step, scope(a, b, c), lastT0, lastT1)
+				}
+			case 11: // a WindowAgg ending where the last window ends, or at now
+				nodes, t1 := lastNodes, lastT1
+				if nodes == nil || a%2 == 1 {
+					nodes, t1 = scope(b, c, a), *now
+				}
+				s.NewWindowAgg(hist, nodes).AggregateInto(t1, &buf)
+				sameAggregates(t, fmt.Sprintf("step %d: WindowAgg over %d nodes at %v, now %v", step, len(nodes), t1, *now),
+					buf, aggregateRef(s, hist, nodes, t1-WindowSeconds, t1))
+			default:
+				nodes := scope(a, b, c)
 				t1 := *now - float64(b%64)
 				if b&64 != 0 {
 					t1 = math.Floor(t1/SamplePeriod) * SamplePeriod
@@ -472,9 +572,7 @@ func FuzzRowStoreOps(f *testing.F) {
 				default:
 					t0 = t1 - float64(c)*2
 				}
-				s.AggregateRangeInto(hist, nodes, t0, t1, &buf)
-				sameAggregates(t, fmt.Sprintf("step %d: %d nodes, window [%v, %v) at now %v", step, len(nodes), t0, t1, *now),
-					buf, aggregateRef(s, hist, nodes, t0, t1))
+				query(step, nodes, t0, t1)
 			}
 		}
 	})

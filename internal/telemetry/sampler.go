@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 
 	"rush/internal/cluster"
@@ -52,11 +53,14 @@ type FaultModel interface {
 // A fault model turns the mask off: the gate's missing-feature check
 // counts every counter.
 //
-// Aggregation queries are memoized in a dense row store (see rowStore):
-// each computed (node, tick) sample row — the values of the counters in
-// cols only — is kept in the node's ring of ringTicks rows, so
-// overlapping and sliding windows recompute only the rows they have not
-// seen (see rowFor for the exact reuse conditions).
+// Aggregation queries are memoized twice. A dense row store (see
+// rowStore) keeps each computed (node, tick) sample row — the values of
+// the counters in cols only — in the node's ring of ringTicks rows, so
+// overlapping and sliding windows compute only the rows they have not
+// seen (see fill for the exact reuse conditions). A window memo (see
+// windowMemo) keeps the last few finished windows of the current bounds,
+// so the queued jobs of one scheduling pass that would land on the same
+// nodes fold their shared window once.
 // The store relies on windows never extending beyond the current
 // simulated instant — load history only ever mutates at the present, so
 // every sample inside a past window is final. Callers must therefore
@@ -64,7 +68,9 @@ type FaultModel interface {
 // exception is known: a tick before the history's first epoch reads that
 // epoch's loads, which a mutation at the same instant still changes, so
 // rows stored for such ticks while the clock stands at the first epoch
-// can go stale; the from-scratch recompute would read the new loads.
+// can go stale; the from-scratch recompute would read the new loads. A
+// memoized window is one all of whose rows are stored, so it answers as
+// the stored rows would.
 type Sampler struct {
 	topo   cluster.Topology
 	schema []Counter
@@ -79,17 +85,37 @@ type Sampler struct {
 	// mask[ci] says whether the installed mask reads counter ci. cols
 	// (backed by colBuf) lists the counters a row carries, in schema
 	// order: the mask's, or all of them under a fault model. Row values
-	// and tick folds are laid out by position in cols.
+	// and tick folds are laid out by position in cols, and so is colTab,
+	// which holds what the row kernel reads of each.
 	mask   [NumCounters]bool
 	cols   []uint8
 	colBuf [NumCounters]uint8
+	colTab [NumCounters]column
 
-	store   rowStore
+	store rowStore
+	memo  windowMemo
+	stats SamplerStats
+
 	scratch [NumCounters]float64 // rows that bypass the store: sub-period windows, nodes without a ring
 
 	// Reusable scratch for the allocation-free aggregation path.
 	capBuf   []cluster.NodeID
 	sliceBuf []simnet.Slice
+}
+
+// column is what the row kernel reads of one counter: its noise hash
+// after the seed and counter (noiseHash), and its synthesis constants.
+type column struct {
+	hash              sim.HashState
+	base, gain, noise float64
+	src               Src
+}
+
+// SamplerStats counts a sampler's work since it was made.
+type SamplerStats struct {
+	Windows uint64 // windows aggregated, directly or by a WindowAgg
+	Reuses  uint64 // of those, answered whole from the window memo
+	Rows    uint64 // (node, tick) sample rows computed
 }
 
 const (
@@ -142,6 +168,68 @@ type rowStore struct {
 	pruned float64         // rows that reflect an instant before this one are empty
 }
 
+// memoEntries is how many windows of one instant the memo keeps: on the
+// paper's trials a pass asks for a handful of distinct scopes, and four
+// catch every repeat.
+const memoEntries = 4
+
+// windowMemo keeps the last memoEntries finished windows of one pair of
+// bounds (t0, t1), keyed by capped scope. An entry is a window all of
+// whose rows were live in the store when it finished, so while nothing
+// moves the store a hit answers what folding those rows again would.
+// Anything that could move it empties the memo: new bounds, a flush (new
+// history, fault model or counter mask), a prune, and a WindowAgg, which
+// folds rows of its own. The buffers are made on first use, vals sized by
+// the row width.
+type windowMemo struct {
+	t0, t1 float64
+	puts   int              // windows put since the memo was emptied
+	lens   [memoEntries]int // entry e's scope is keys[e*maxScopeNodes:][:lens[e]]
+	keys   []cluster.NodeID // memoEntries × maxScopeNodes
+	vals   []float64        // entry e's min, mean, max of cols[j] at 3*(e*width+j)
+}
+
+// reset empties the memo.
+func (m *windowMemo) reset() { m.puts = 0 }
+
+// get writes the window of scope at bounds (t0, t1) into out, which
+// startAggregates has set up, and reports true if the memo holds it. New
+// bounds empty the memo and become its own.
+func (m *windowMemo) get(t0, t1 float64, scope []cluster.NodeID, cols []uint8, out *Aggregates) bool {
+	if t0 != m.t0 || t1 != m.t1 {
+		m.t0, m.t1, m.puts = t0, t1, 0
+		return false
+	}
+	for e := range min(m.puts, memoEntries) {
+		if slices.Equal(m.keys[e*maxScopeNodes:][:m.lens[e]], scope) {
+			v := m.vals[3*e*len(cols):]
+			for j, ci := range cols {
+				out.Min[ci], out.Mean[ci], out.Max[ci] = v[3*j], v[3*j+1], v[3*j+2]
+			}
+			return true
+		}
+	}
+	return false
+}
+
+// put stores the finished window of scope at the memo's bounds, over the
+// oldest entry once all are held.
+func (m *windowMemo) put(scope []cluster.NodeID, cols []uint8, agg *Aggregates) {
+	if m.keys == nil {
+		m.keys = make([]cluster.NodeID, memoEntries*maxScopeNodes)
+	}
+	if len(m.vals) != 3*memoEntries*len(cols) {
+		m.vals = make([]float64, 3*memoEntries*len(cols))
+	}
+	e := m.puts % memoEntries
+	m.puts++
+	m.lens[e] = copy(m.keys[e*maxScopeNodes:(e+1)*maxScopeNodes], scope)
+	v := m.vals[3*e*len(cols):]
+	for j, ci := range cols {
+		v[3*j], v[3*j+1], v[3*j+2] = agg.Min[ci], agg.Mean[ci], agg.Max[ci]
+	}
+}
+
 // NewSampler returns a sampler over topo whose noise derives from rng
 // (use a dedicated child stream, e.g. root.Derive("telemetry")).
 func NewSampler(topo cluster.Topology, rng *sim.Source) *Sampler {
@@ -177,14 +265,16 @@ func (s *Sampler) SetCounterMask(read [NumCounters]bool) {
 	s.setCols()
 }
 
-// setCols works out cols from the mask and the fault model, and flushes
-// the rows computed under the previous list. A list of another length
-// changes the row width: the values of the old width are dropped, and
-// come back at the new width when touched.
+// setCols works out cols and colTab from the mask and the fault model,
+// and flushes the rows computed under the previous list. A list of
+// another length changes the row width: the values of the old width are
+// dropped, and come back at the new width when touched.
 func (s *Sampler) setCols() {
 	s.cols = s.colBuf[:0]
 	for ci, read := range s.mask {
 		if read || s.faults != nil {
+			c := &s.schema[ci]
+			s.colTab[len(s.cols)] = column{hash: s.noiseHash[ci], base: c.Base, gain: c.Gain, noise: c.Noise, src: c.Src}
 			s.cols = append(s.cols, uint8(ci))
 		}
 	}
@@ -192,62 +282,77 @@ func (s *Sampler) setCols() {
 		st.width = len(s.cols)
 		clear(st.blocks)
 	}
-	s.store.flush()
+	s.flush()
 }
 
-// flush empties the store in O(1) by moving to a new generation. The
-// prune watermark goes with it: rows written from here on are computed
-// from the history as it is now.
-func (st *rowStore) flush() {
+// flush empties the store in O(1) by moving to a new generation, and the
+// memo with it. The prune watermark goes too: rows written from here on
+// are computed from the history as it is now.
+func (s *Sampler) flush() {
+	st := &s.store
 	st.gen++
 	st.pruned = math.Inf(-1)
+	s.memo.reset()
 }
 
 // bind points the store at hist, flushing it if the rows in it came from
 // another history, and allocates the blocks on first use.
-func (st *rowStore) bind(hist *simnet.History, topo cluster.Topology) {
+func (s *Sampler) bind(hist *simnet.History) {
+	st := &s.store
 	if st.hist != hist {
-		st.flush()
+		s.flush()
 		st.hist = hist
 	}
 	if st.blocks == nil {
-		st.blocks = make([]rowBlock, (topo.Nodes+blockNodes-1)/blockNodes)
+		st.blocks = make([]rowBlock, (s.topo.Nodes+blockNodes-1)/blockNodes)
+		// A window holds a slice per load epoch it covers: some tens on
+		// the paper's trials. Sized once here, the buffer need not grow
+		// there from empty, one allocation per doubling.
+		s.sliceBuf = make([]simnet.Slice, 0, 64)
 	}
 }
 
-// slot returns the head and the values of (node, tick)'s ring slot,
-// allocating the values of the node's block if this is the first time a
-// scope names it since the width was set. node must be one the topology
-// has. The ring is addressed by a floored modulo, so negative ticks
-// (windows that start before time zero) keep slots of their own.
-func (st *rowStore) slot(node cluster.NodeID, tick int64) (*rowHead, []float64) {
+// ringPos is the position of tick in a node's ring: a floored modulo, so
+// negative ticks (windows that start before time zero) keep slots of
+// their own.
+func ringPos(tick int64) int { return int((tick%ringTicks + ringTicks) % ringTicks) }
+
+// slot returns the head and the values of the slot at ring position pos
+// (see ringPos) of node's ring, allocating the values of the node's block
+// if this is the first time a scope names it since the width was set.
+// node must be one the topology has.
+func (st *rowStore) slot(node cluster.NodeID, pos int) (*rowHead, []float64) {
 	blk := &st.blocks[node/blockNodes]
 	if blk.vals == nil {
 		blk.vals = make([]float64, slotsPerBlock*st.width)
 	}
-	i := int((tick%ringTicks+ringTicks)%ringTicks)*blockNodes + int(node%blockNodes)
+	i := pos*blockNodes + int(node%blockNodes)
 	return &blk.heads[i], blk.vals[i*st.width : (i+1)*st.width]
 }
 
 // live reports whether h holds the row of tick and a window starting at
 // t0 may reuse it: it was written under this generation, and the instant
-// its values reflect is neither before the window (see rowFor) nor before
+// its values reflect is neither before the window (see fill) nor before
 // the prune watermark.
 func (st *rowStore) live(h *rowHead, tick int64, t0 float64) bool {
 	return h.gen == st.gen && h.tick == tick && h.effT >= t0 && h.effT >= st.pruned
 }
 
 // Prune evicts stored sample rows that reflect instants before t, in
-// O(1), by raising a watermark that lookups honour. Call it alongside
-// History.Prune with the same cutoff; as with the history, t must trail
-// the oldest window any future query will ask for (a query behind the
-// watermark is answered as the reference answers it, but recomputes its
-// rows every time).
+// O(1), by raising a watermark that lookups honour, and empties the
+// window memo. Call it alongside History.Prune with the same cutoff; as
+// with the history, t must trail the oldest window any future query will
+// ask for (a query behind the watermark is answered as the reference
+// answers it, but recomputes its rows every time).
 func (s *Sampler) Prune(t float64) {
 	if t > s.store.pruned {
 		s.store.pruned = t
 	}
+	s.memo.reset()
 }
+
+// Stats returns the work the sampler has done since it was made.
+func (s *Sampler) Stats() SamplerStats { return s.stats }
 
 // CachedRows returns the number of (node, tick) sample rows currently
 // memoized (observability and test hook; it walks the store).
@@ -307,27 +412,64 @@ func (a Aggregates) Clone() Aggregates {
 // samples.
 func (s *Sampler) mayMiss() bool { return s.faults != nil }
 
-// computeRow fills vals with the sample row of (node, tick): vals[j] is
-// the value of counter cols[j] (NaN for dropped tables). It returns the
-// effective instant the values reflect. tickT is the tick's (possibly
-// window-clamped) sample time and tickNet/tickFS the latent loads at it,
-// hoisted by the caller so a tick's loads are resolved once per tick
-// rather than once per node.
+// tickLoad is one tick of a window: its index and ring position, its
+// sample time (clamped to the window start for the fallback tick of a
+// sub-period window) and the latent loads at that time, resolved once per
+// tick rather than once per node.
+type tickLoad struct {
+	tick int64
+	pos  int
+	t    float64
+	net  []float64
+	fs   float64
+}
+
+// windowTicks resolves len(ticks) ticks from first on of a window
+// starting at t0 into ticks, walking the window's slices once.
+func windowTicks(slices []simnet.Slice, t0 float64, first int64, ticks []tickLoad) {
+	cursor := 0
+	for k := range ticks {
+		tk := &ticks[k]
+		tk.tick = first + int64(k)
+		tk.pos = ringPos(tk.tick)
+		tk.t = float64(tk.tick) * SamplePeriod
+		if tk.t < t0 {
+			tk.t = t0 // fallback tick of a sub-period window
+		}
+		cursor, tk.net, tk.fs = loadsAt(slices, cursor, tk.t)
+	}
+}
+
+// nodeHashes sets pre[j] to counter cols[j]'s noise hash after node: the
+// round of a sample's hash that depends on the node and not on the tick,
+// taken once per node for all the ticks of a window.
+func (s *Sampler) nodeHashes(node cluster.NodeID, pre []sim.HashState) {
+	w := uint64(node) + 0x9e37
+	for j := range pre {
+		pre[j] = s.colTab[j].hash.Mix(w)
+	}
+}
+
+// computeRow is the row kernel: it fills vals with the sample row of
+// (node, tk.tick), vals[j] the value of counter cols[j] (NaN for dropped
+// tables), from the node's hashes pre (see nodeHashes), and returns the
+// effective instant the values reflect.
 //
 // A counter's value is an affine function of its latent signal times
 // uniform multiplicative noise of the configured sigma (uniform on
 // [-sqrt(3)sigma, +sqrt(3)sigma] matches the variance of a normal at a
 // fraction of the cost, and counters aren't Gaussian anyway). The noise
 // is a deterministic hash of (counter, node, tick), so overlapping
-// windows agree on shared samples; the counter's round of it is taken
-// from s.noiseHash.
-func (s *Sampler) computeRow(slices []simnet.Slice, node cluster.NodeID, tick int64, tickT float64, tickNet []float64, tickFS float64, vals []float64) (effT float64) {
-	effTick, effNet, effFS, effT := tick, tickNet, tickFS, tickT
+// windows agree on shared samples; the rounds of it that do not depend
+// on the tick come from pre, so a value costs the tick's round and the
+// final one.
+func (s *Sampler) computeRow(slices []simnet.Slice, node cluster.NodeID, pre []sim.HashState, tk *tickLoad, vals []float64) (effT float64) {
+	effTick, effNet, effFS, effT := tk.tick, tk.net, tk.fs, tk.t
 	if s.faults != nil {
 		// Frozen counters repeat an earlier tick's sample: the value
 		// reflects the loads at the freeze instant (clamped to the
 		// history the window fetched) and its noise stays constant.
-		if et := s.faults.SampleTick(node, tick); et < tick {
+		if et := s.faults.SampleTick(node, tk.tick); et < tk.tick {
 			effTick = et
 			effT = float64(et) * SamplePeriod
 			_, effNet, effFS = loadsAt(slices, 0, effT)
@@ -342,24 +484,25 @@ func (s *Sampler) computeRow(slices []simnet.Slice, node cluster.NodeID, tick in
 		SrcNet: net, SrcNetOverload: simnet.Overload(net),
 		SrcFS: effFS, SrcFSOverload: simnet.Overload(effFS),
 	}
-	nodeWord, tickWord := uint64(node)+0x9e37, uint64(effTick)+0x7f4a
+	tickWord := uint64(effTick) + 0x7f4a
 	lastTable, lastDropped := "", false
-	for j, ci := range s.cols {
-		c := &s.schema[ci]
-		if s.faults != nil {
+	tab, pre, faulty := s.colTab[:len(vals)], pre[:len(vals)], s.faults != nil
+	for j := range vals {
+		c := &tab[j]
+		if faulty {
 			// Whole tables drop together (one lost LDMS message per
 			// table); memoize across the contiguous block.
-			if tb := c.Table; tb != lastTable {
+			if tb := s.schema[s.cols[j]].Table; tb != lastTable {
 				lastTable = tb
-				lastDropped = s.faults.Dropped(tb, node, tick)
+				lastDropped = s.faults.Dropped(tb, node, tk.tick)
 			}
 			if lastDropped {
 				vals[j] = math.NaN()
 				continue
 			}
 		}
-		u := 2*s.noiseHash[ci].Mix(nodeWord).Mix(tickWord).Unit() - 1
-		v := (c.Base + c.Gain*signal[c.Src]) * (1 + c.Noise*u*math.Sqrt(3))
+		u := 2*pre[j].Mix(tickWord).Unit() - 1
+		v := (c.base + c.gain*signal[c.src]) * (1 + c.noise*u*math.Sqrt(3))
 		if v < 0 {
 			v = 0
 		}
@@ -368,38 +511,70 @@ func (s *Sampler) computeRow(slices []simnet.Slice, node cluster.NodeID, tick in
 	return effT
 }
 
-// rowFor returns the values of (node, tick)'s sample row for a window
-// starting at t0, and the instant they reflect, from the store when
-// possible and computed in place in its ring slot otherwise. The caller
-// must have bound the store to the history the slices came from, and
-// must be done with the row before asking for the next: a window longer
-// than the ring reuses slots as it goes. A stored row is reusable only
-// when its effective instant lies inside the querying window
-// (effT >= t0): frozen rows whose source instant precedes the window are
-// computed from loads clamped to the window's first slice, which makes
-// their values window-dependent — those are left in the slot marked
-// empty, so every query recomputes them and none can poison another. Without a fault model effT is the tick's own time and every
-// row is kept. Rows are cacheable under the sampler-wide contract that
-// windows end at or before the current simulated instant, which makes
-// every in-window load epoch final.
-func (s *Sampler) rowFor(slices []simnet.Slice, t0, tickT float64, tickNet []float64, tickFS float64, node cluster.NodeID, tick int64) ([]float64, float64) {
-	if uint(node) >= uint(s.topo.Nodes) {
-		// A node ID the topology does not have has no ring; it is
-		// tolerated (its pod carries no load) and served uncached.
-		vals := s.scratch[:len(s.cols)]
-		return vals, s.computeRow(slices, node, tick, tickT, tickNet, tickFS, vals)
+// fill makes the store hold the row of every (node, tick) of nodes ×
+// ticks for a window starting at t0, node by node, so each node's hashes
+// are taken once. It reports whether every row is one the store keeps,
+// which makes the window one the memo may keep. The caller must have
+// bound the store to the history the slices came from, and ticks must be
+// distinct and span at most ringTicks, so no two share a slot. A node ID
+// the topology does not have has no ring: it is left to row.
+//
+// A stored row is reusable only when its effective instant lies inside
+// the querying window (effT >= t0): frozen rows whose source instant
+// precedes the window are computed from loads clamped to the window's
+// first slice, which makes their values window-dependent — those are
+// left in the slot marked empty, so every query recomputes them and none
+// can poison another. Without a fault model effT is the tick's own time
+// and every row is kept. Rows are cacheable under the sampler-wide
+// contract that windows end at or before the current simulated instant,
+// which makes every in-window load epoch final.
+func (s *Sampler) fill(slices []simnet.Slice, nodes []cluster.NodeID, t0 float64, ticks []tickLoad) (kept bool) {
+	var hashes [NumCounters]sim.HashState
+	st, pre := &s.store, hashes[:len(s.cols)]
+	kept = true
+	for _, node := range nodes {
+		if uint(node) >= uint(s.topo.Nodes) {
+			kept = false
+			continue
+		}
+		hashed := false
+		for k := range ticks {
+			tk := &ticks[k]
+			h, vals := st.slot(node, tk.pos)
+			if st.live(h, tk.tick, t0) {
+				continue
+			}
+			if !hashed {
+				s.nodeHashes(node, pre)
+				hashed = true
+			}
+			s.stats.Rows++
+			h.tick, h.effT = tk.tick, s.computeRow(slices, node, pre, tk, vals)
+			if h.effT >= t0 {
+				h.gen = st.gen
+			} else {
+				h.gen = 0 // window-dependent: nobody may reuse it
+				kept = false
+			}
+		}
 	}
-	h, vals := s.store.slot(node, tick)
-	if s.store.live(h, tick, t0) {
+	return kept
+}
+
+// row returns the values of (node, tk.tick)'s row and the instant they
+// reflect: as fill left it in the store, or, when stored is false (a
+// window the store does not keep) or the node has no ring, computed into
+// scratch. The row is valid until the next call.
+func (s *Sampler) row(slices []simnet.Slice, node cluster.NodeID, tk *tickLoad, stored bool) ([]float64, float64) {
+	if stored && uint(node) < uint(s.topo.Nodes) {
+		h, vals := s.store.slot(node, tk.pos)
 		return vals, h.effT
 	}
-	h.tick, h.effT = tick, s.computeRow(slices, node, tick, tickT, tickNet, tickFS, vals)
-	if h.effT >= t0 {
-		h.gen = s.store.gen
-	} else {
-		h.gen = 0 // window-dependent: nobody may reuse it
-	}
-	return vals, h.effT
+	var hashes [NumCounters]sim.HashState
+	vals, pre := s.scratch[:len(s.cols)], hashes[:len(s.cols)]
+	s.nodeHashes(node, pre)
+	s.stats.Rows++
+	return vals, s.computeRow(slices, node, pre, tk, vals)
 }
 
 // AggregateWindow computes min/mean/max of every counter over the window
@@ -427,18 +602,25 @@ func (s *Sampler) AggregateWindowInto(hist *simnet.History, nodes []cluster.Node
 }
 
 // AggregateRangeInto is AggregateRange writing into out, reusing its
-// slices: stored rows are reused, new ones computed in place.
+// slices: a memoized window is copied, stored rows are reused, new ones
+// computed in place.
 func (s *Sampler) AggregateRangeInto(hist *simnet.History, nodes []cluster.NodeID, t0, t1 float64, out *Aggregates) {
+	s.stats.Windows++
 	s.aggregateInto(hist, nodes, t0, t1, out)
 }
 
-// aggregateInto is the shared aggregation loop: each tick's rows go
-// through one tickFold, node-major, and the tick folds are merged in tick
-// order, which is what WindowAgg does with the tick folds it keeps.
+// aggregateInto is the one aggregation loop. A window the memo holds is
+// copied out of it. Otherwise the window goes in chunks of at most
+// ringTicks ticks: fill computes the chunk's missing rows node by node,
+// then each tick's rows go through one tickFold, node-major, and the tick
+// folds are merged in tick order, which is what WindowAgg does with the
+// tick folds it keeps. A window all of whose rows the store keeps goes
+// into the memo.
 func (s *Sampler) aggregateInto(hist *simnet.History, nodes []cluster.NodeID, t0, t1 float64, out *Aggregates) {
 	var (
 		fold   tickFold
 		counts [NumCounters]int
+		ticks  [ringTicks]tickLoad
 	)
 	startAggregates(out, s.cols)
 	nodes = s.capNodesInto(nodes)
@@ -446,7 +628,7 @@ func (s *Sampler) aggregateInto(hist *simnet.History, nodes []cluster.NodeID, t0
 		return
 	}
 
-	useCache := true
+	stored := true
 	first, last := tickBounds(t0, t1)
 	if last < first {
 		// A window shorter than one period still yields one sample (the
@@ -454,36 +636,39 @@ func (s *Sampler) aggregateInto(hist *simnet.History, nodes []cluster.NodeID, t0
 		// sample time is clamped to t0, so the row is the window's own.
 		first = int64(math.Floor(t0 / SamplePeriod))
 		last = first
-		useCache = false
+		stored = false
 	}
-	if useCache {
-		s.store.bind(hist, s.topo)
+	if stored {
+		s.bind(hist)
+		if s.memo.get(t0, t1, nodes, s.cols, out) {
+			s.stats.Reuses++
+			return
+		}
 	}
 	s.sliceBuf = hist.WindowInto(t0, t1, s.sliceBuf[:0])
-	mayMiss := s.mayMiss()
-	cursor := 0
+	// A window longer than a ring overwrites its first chunks' rows with
+	// its later ones, so it is not one whose rows the store keeps.
+	mayMiss, kept := s.mayMiss(), stored && last-first < ringTicks
 	fold.reset()
-	for tick := first; tick <= last; tick++ {
-		tickT := float64(tick) * SamplePeriod
-		if tickT < t0 {
-			tickT = t0 // fallback tick of a sub-period window
+	for c0 := first; c0 <= last; c0 += ringTicks {
+		chunk := ticks[:min(last-c0+1, ringTicks)]
+		windowTicks(s.sliceBuf, t0, c0, chunk)
+		if stored && !s.fill(s.sliceBuf, nodes, t0, chunk) {
+			kept = false
 		}
-		var tickNet []float64
-		var tickFS float64
-		cursor, tickNet, tickFS = loadsAt(s.sliceBuf, cursor, tickT)
-		fold.nextTick()
-		for _, node := range nodes {
-			vals := s.scratch[:len(s.cols)]
-			if useCache {
-				vals, _ = s.rowFor(s.sliceBuf, t0, tickT, tickNet, tickFS, node, tick)
-			} else {
-				s.computeRow(s.sliceBuf, node, tick, tickT, tickNet, tickFS, vals)
+		for k := range chunk {
+			fold.nextTick()
+			for _, node := range nodes {
+				vals, _ := s.row(s.sliceBuf, node, &chunk[k], stored)
+				fold.add(vals, mayMiss)
 			}
-			fold.add(vals, mayMiss)
+			fold.mergeInto(out, &counts, s.cols)
 		}
-		fold.mergeInto(out, &counts, s.cols)
 	}
 	finishAggregates(out, &counts, s.cols)
+	if kept {
+		s.memo.put(nodes, s.cols, out)
+	}
 }
 
 // FreshnessAge reports how stale the counter stream feeding a decision at

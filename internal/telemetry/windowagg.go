@@ -33,7 +33,7 @@ type WindowAgg struct {
 // minEffT is the earliest effective sample instant among the scope's
 // rows at this tick: the partial is only reusable for windows whose start
 // does not exceed it (frozen rows older than the window start are
-// window-clamped and must be recomputed, mirroring rowFor).
+// window-clamped and must be recomputed, mirroring Sampler.fill).
 type tickPartial struct {
 	tick    int64
 	minEffT float64
@@ -50,7 +50,7 @@ func (s *Sampler) NewWindowAgg(hist *simnet.History, nodes []cluster.NodeID) *Wi
 		hist:     hist,
 		nodes:    append([]cluster.NodeID(nil), capNodes(nodes)...),
 		gen:      s.store.gen,
-		partials: make([]tickPartial, WindowTicks),
+		partials: make([]tickPartial, ringTicks),
 	}
 }
 
@@ -64,28 +64,30 @@ func (w *WindowAgg) Aggregate(t1 float64) Aggregates {
 // AggregateInto computes min/mean/max of every counter over the window
 // [t1-WindowSeconds, t1) across the aggregator's scope, writing into out
 // (reusing its slices). Steady-state calls perform no heap allocations.
+// It empties the sampler's window memo, since it writes the store.
 func (w *WindowAgg) AggregateInto(t1 float64, out *Aggregates) {
 	s := w.s
+	s.stats.Windows++
+	s.memo.reset()
 	t0 := t1 - WindowSeconds
-	var counts [NumCounters]int
+	var (
+		counts [NumCounters]int
+		ticks  [ringTicks]tickLoad
+	)
 	startAggregates(out, s.cols)
 	if len(w.nodes) == 0 {
 		return
 	}
 	first, last := tickBounds(t0, t1)
-	if last < first {
-		// Sub-period window: delegate to the direct path's single-sample
-		// fallback (never the case for the standard window).
+	if last < first || last-first >= ringTicks {
+		// A window of no whole tick, or of more than the ring holds,
+		// which the standard window spans only at times too large for
+		// float64 to step by 15 s (3e18 s makes 33 ticks): the direct
+		// path takes any length.
 		s.aggregateInto(w.hist, w.nodes, t0, t1, out)
 		return
 	}
-	// The standard window spans exactly WindowTicks ticks, but guard
-	// against float rounding at the window edges producing one more.
-	if c := int(last - first + 1); c > len(w.partials) {
-		w.partials = append(w.partials, make([]tickPartial, c-len(w.partials))...)
-	}
-	ring := int64(len(w.partials))
-	s.store.bind(w.hist, s.topo)
+	s.bind(w.hist)
 	if w.gen != s.store.gen {
 		// The store was flushed under us (a new fault model or counter
 		// mask): every cached partial is stale.
@@ -94,39 +96,39 @@ func (w *WindowAgg) AggregateInto(t1 float64, out *Aggregates) {
 		}
 		w.gen = s.store.gen
 	}
+	// The window's ticks, and of them the ones whose partial is stale,
+	// which fill and fold anew: WindowTicks ticks, or one more by float
+	// rounding at its edges.
 	w.sliceBuf = w.hist.WindowInto(t0, t1, w.sliceBuf[:0])
-	cursor := 0
-	for tick := first; tick <= last; tick++ {
-		p := &w.partials[int(((tick%ring)+ring)%ring)]
-		if !p.set || p.tick != tick || p.minEffT < t0 {
-			cursor = w.computePartial(tick, t0, cursor, p)
+	all := ticks[:last-first+1]
+	windowTicks(w.sliceBuf, t0, first, all)
+	stale := 0 // the stale ticks move to the front of ticks, in place
+	for _, tk := range all {
+		if p := w.partial(tk.tick); !p.set || p.tick != tk.tick || p.minEffT < t0 {
+			ticks[stale] = tk
+			stale++
 		}
-		p.mergeInto(out, &counts, s.cols)
+	}
+	s.fill(w.sliceBuf, w.nodes, t0, ticks[:stale])
+	mayMiss := s.mayMiss()
+	for k := range ticks[:stale] {
+		tk := &ticks[k]
+		p := w.partial(tk.tick)
+		p.tick, p.set, p.minEffT = tk.tick, true, tk.t
+		p.reset()
+		for _, node := range w.nodes {
+			vals, effT := s.row(w.sliceBuf, node, tk, true)
+			p.minEffT = min(p.minEffT, effT)
+			p.add(vals, mayMiss)
+		}
+	}
+	for tick := first; tick <= last; tick++ {
+		w.partial(tick).mergeInto(out, &counts, s.cols)
 	}
 	finishAggregates(out, &counts, s.cols)
 }
 
-// computePartial fills p with tick's node-major aggregate for a window
-// starting at t0. Rows come from the sampler's shared row store, so a
-// WindowAgg and direct aggregation queries feed each other's caches.
-// cursor is the loadsAt index the previous (earlier) tick stopped at; the
-// one this tick stopped at is returned.
-func (w *WindowAgg) computePartial(tick int64, t0 float64, cursor int, p *tickPartial) int {
-	s := w.s
-	p.tick = tick
-	p.set = true
-	p.reset()
-	tickT := float64(tick) * SamplePeriod
-	cursor, tickNet, tickFS := loadsAt(w.sliceBuf, cursor, tickT)
-	mayMiss := s.mayMiss()
-	minEffT := tickT
-	for _, node := range w.nodes {
-		vals, effT := s.rowFor(w.sliceBuf, t0, tickT, tickNet, tickFS, node, tick)
-		if effT < minEffT {
-			minEffT = effT
-		}
-		p.add(vals, mayMiss)
-	}
-	p.minEffT = minEffT
-	return cursor
+// partial returns tick's slot of the partials ring.
+func (w *WindowAgg) partial(tick int64) *tickPartial {
+	return &w.partials[ringPos(tick)]
 }
