@@ -462,6 +462,9 @@ func drive(name string, stream workload.JobStream, policy Policy, pred *core.Pre
 		env.reg.Counter("telemetry_windows_total").Add(st.Windows)
 		env.reg.Counter("telemetry_window_reuses_total").Add(st.Reuses)
 		env.reg.Counter("telemetry_rows_computed_total").Add(st.Rows)
+		ms := env.m.Stats()
+		env.reg.Counter("machine_fs_changes_total").Add(ms.FSChanges)
+		env.reg.Counter("machine_fs_sweeps_total").Add(ms.FSSweeps)
 		tr.Metrics = env.reg.Snapshot()
 	}
 	return tr, env, nil

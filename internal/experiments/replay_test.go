@@ -265,7 +265,8 @@ func TestBackwardsStreamIsRejected(t *testing.T) {
 
 // TestReplayHeapSampling checks the MemSample plumbing end to end: the
 // gauges exist in the snapshot and the summary carries a peak. The
-// sampler's counters are there too, under every policy.
+// sampler's and the machine's counters are there too, under every
+// policy, and the machine sweeps at most once per filesystem change.
 func TestReplayHeapSampling(t *testing.T) {
 	raw := replayFixture(t)
 	sum, err := ReplayStream("swf-mem",
@@ -284,13 +285,19 @@ func TestReplayHeapSampling(t *testing.T) {
 	if !found["sim_heap_inuse"] || !found["telemetry_store_bytes"] || !found["replay_peak_rss"] {
 		t.Fatalf("memory gauges missing from snapshot: %+v", sum.Metrics.Gauges)
 	}
+	counts := map[string]float64{}
 	for _, c := range sum.Metrics.Counters {
 		found[c.Name] = true
+		counts[c.Name] = c.Value
 	}
-	for _, name := range []string{"telemetry_windows_total", "telemetry_window_reuses_total", "telemetry_rows_computed_total"} {
+	for _, name := range []string{"telemetry_windows_total", "telemetry_window_reuses_total", "telemetry_rows_computed_total",
+		"machine_fs_changes_total", "machine_fs_sweeps_total"} {
 		if !found[name] {
 			t.Fatalf("counter %s missing from snapshot: %+v", name, sum.Metrics.Counters)
 		}
+	}
+	if ch, sw := counts["machine_fs_changes_total"], counts["machine_fs_sweeps_total"]; sw > ch {
+		t.Fatalf("%v filesystem sweeps for %v changes", sw, ch)
 	}
 }
 

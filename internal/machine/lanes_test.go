@@ -40,8 +40,8 @@ type doneJob struct {
 
 // scenarioRun is one run of runScenario: every job's (EndTime, Killed)
 // in completion order as comparable strings, the jobs themselves, the
-// machine's unpruned load history, and how many (mutation, running job)
-// pairs the shadow check compared.
+// machine's unpruned load history, and how many (step boundary, running
+// job) pairs the oracle compared.
 type scenarioRun struct {
 	log     []string
 	jobs    []doneJob
@@ -68,36 +68,109 @@ func referenceSlowdown(m *Machine, rj *RunningJob) float64 {
 	return rj.Profile.SlowdownCore(netOv, coreOv, simnet.Overload(m.Net.FSLoad())) * rj.jitter
 }
 
-// shadowCheck is the machine's oracle. It asserts, for every running
-// job, that the cached slowdown equals the from-raw-loads value bit for
-// bit — so no lane a change should have named was skipped and no cached
-// factor or network term is stale — and that the job's completion event
-// sits at lastT + remaining*slowdown, so every change of pace was
-// followed by a re-timing. Subscribed to the contention state after the
-// machine, it runs once the machine has handled each mutation; it
-// returns the number of jobs compared.
-func shadowCheck(t *testing.T, m *Machine) int {
-	t.Helper()
-	n := 0
-	check := func(rj *RunningJob) {
-		n++
-		if want := referenceSlowdown(m, rj); math.Float64bits(rj.slowdown) != math.Float64bits(want) {
-			t.Fatalf("t=%v job %d (lane %d): cached slowdown %x, from raw loads %x", m.Eng.Now(), rj.ID, rj.lane, rj.slowdown, want)
-		}
-		if want := rj.lastT + rj.remaining*rj.slowdown; rj.done.Cancelled() || rj.done.Time != want {
-			t.Fatalf("t=%v job %d (lane %d): completion at %v (cancelled=%v), want lastT+remaining*slowdown = %v",
-				m.Eng.Now(), rj.ID, rj.lane, rj.done.Time, rj.done.Cancelled(), want)
-		}
-	}
-	for _, lane := range m.lanes {
+// eagerJob is the reference executor's state of one running job.
+type eagerJob struct{ slowdown, remaining, lastT float64 }
+
+// oracle is the machine's reference executor. It re-integrates every
+// running job at every contention change, with the slowdown computed
+// from the raw loads (referenceSlowdown) — the order of work the machine
+// coalesces into one sweep per engine step — and at every step boundary
+// it compares, bit for bit, each running job's cached slowdown with the
+// one from raw loads, so no lane a change should have reached was
+// skipped and no cached factor or network term is stale, and the job's
+// queued completion time with lastT + remaining*slowdown of its own
+// integration, so the sweep's replay integrated exactly where the eager
+// order would have. Subscribed to the contention state after the
+// machine, it sees each mutation once the machine has handled it.
+type oracle struct {
+	t       *testing.T
+	m       *Machine
+	jobs    map[int]*eagerJob // by RunningJob.ID
+	armed   bool              // shadowCheck is registered with the engine
+	steps   int               // step boundaries checked
+	checked int               // (step boundary, running job) pairs compared
+	fsSteps uint64            // engine steps with a filesystem change
+	fsStep  uint64            // Fired()+1 at the last filesystem change
+}
+
+func newOracle(t *testing.T, m *Machine) *oracle {
+	o := &oracle{t: t, m: m, jobs: map[int]*eagerJob{}}
+	m.Net.SubscribeChanges(o.change)
+	return o
+}
+
+// each calls f on every running job, each once.
+func (o *oracle) each(f func(rj *RunningJob)) {
+	for _, lane := range o.m.lanes {
 		for _, rj := range lane {
-			check(rj)
+			f(rj)
 		}
 	}
-	for _, rj := range m.cross {
-		check(rj)
+	for _, rj := range o.m.cross {
+		f(rj)
 	}
-	return n
+}
+
+// started takes over a job StartJob just returned.
+func (o *oracle) started(rj *RunningJob) {
+	o.jobs[rj.ID] = &eagerJob{slowdown: referenceSlowdown(o.m, rj), remaining: rj.BaseWork, lastT: rj.StartTime}
+	o.arm()
+}
+
+// ended drops a job its onDone callback reported.
+func (o *oracle) ended(rj *RunningJob) { delete(o.jobs, rj.ID) }
+
+// change re-integrates every running job whose slowdown moved.
+func (o *oracle) change(ch simnet.Change) {
+	if step := o.m.Eng.Fired() + 1; ch.FS && step != o.fsStep {
+		o.fsStep = step
+		o.fsSteps++
+	}
+	now := o.m.Eng.Now()
+	o.each(func(rj *RunningJob) {
+		ej := o.jobs[rj.ID]
+		if sd := referenceSlowdown(o.m, rj); sd != ej.slowdown {
+			if dt := now - ej.lastT; dt > 0 {
+				ej.remaining -= dt / ej.slowdown
+				if ej.remaining < 0 {
+					ej.remaining = 0
+				}
+				ej.lastT = now
+			}
+			ej.slowdown = sd
+		}
+	})
+	o.arm()
+}
+
+func (o *oracle) arm() {
+	if !o.armed {
+		o.armed = true
+		o.m.Eng.BeforeRead(o.shadowCheck)
+	}
+}
+
+// shadowCheck runs at a step boundary, after the machine's sweep: when
+// the machine registered its sweep later in the step than the oracle,
+// the check registers itself again, behind it.
+func (o *oracle) shadowCheck() {
+	if o.m.armed {
+		o.m.Eng.BeforeRead(o.shadowCheck)
+		return
+	}
+	o.armed = false
+	o.steps++
+	o.each(func(rj *RunningJob) {
+		o.checked++
+		if want := referenceSlowdown(o.m, rj); math.Float64bits(rj.slowdown) != math.Float64bits(want) {
+			o.t.Fatalf("t=%v job %d (lane %d): cached slowdown %x, from raw loads %x", o.m.Eng.Now(), rj.ID, rj.lane, rj.slowdown, want)
+		}
+		ej := o.jobs[rj.ID]
+		if want := ej.lastT + ej.remaining*ej.slowdown; rj.done.Cancelled() || rj.done.Time != want {
+			o.t.Fatalf("t=%v job %d (lane %d): completion at %x (cancelled=%v), the eager executor's at %x",
+				o.m.Eng.Now(), rj.ID, rj.lane, rj.done.Time, rj.done.Cancelled(), want)
+		}
+	})
 }
 
 // scenarioJobs is the successor chain's length: with the staggered
@@ -119,8 +192,8 @@ const scenarioJobs = 180
 // noise phase and each of them is an all-lanes change: the regime of a
 // full machine on a busy Lustre.
 //
-// Every run is watched by shadowCheck, after every mutation of the
-// contention state and after every StartJob.
+// Every run is watched by the oracle, at the boundary of every engine
+// step that mutated the contention state or started a job.
 func runScenario(t *testing.T, topo cluster.Topology, seed int64, saturated, pooled bool) scenarioRun {
 	t.Helper()
 	eng := sim.New(seed)
@@ -130,7 +203,7 @@ func runScenario(t *testing.T, topo cluster.Topology, seed int64, saturated, poo
 	}
 	m.PoolJobs = pooled
 	run := scenarioRun{hist: m.Net.History()}
-	m.Net.SubscribeChanges(func(simnet.Change) { run.checked += shadowCheck(t, m) })
+	o := newOracle(t, m)
 	// large is the node count of the scenario's big jobs: past one pod
 	// where there are several, a quarter of the machine otherwise.
 	large := topo.PodSize + 8
@@ -156,12 +229,12 @@ func runScenario(t *testing.T, topo cluster.Topology, seed int64, saturated, poo
 			return 0, false
 		}
 		p.FSPerNode *= float64(min(n, fsNodes)) / float64(n)
-		m.StartJob(p, alloc, work, record)
-		run.checked += shadowCheck(t, m)
+		o.started(m.StartJob(p, alloc, work, record))
 		return alloc.Nodes[0], true
 	}
 	successors := 0
 	record = func(rj *RunningJob) {
+		o.ended(rj)
 		run.log = append(run.log, fmt.Sprintf("%d killed=%v end=%x", rj.ID, rj.Killed, rj.EndTime))
 		run.jobs = append(run.jobs, doneJob{
 			id: rj.ID, profile: rj.Profile, nodes: append([]cluster.NodeID(nil), rj.Alloc.Nodes...),
@@ -241,6 +314,10 @@ func runScenario(t *testing.T, topo cluster.Topology, seed int64, saturated, poo
 	if m.nJobs != 0 {
 		t.Fatalf("%v seed %d saturated=%v: %d jobs still running at horizon", topo, seed, saturated, m.nJobs)
 	}
+	if m.stats.FSSweeps != o.fsSteps {
+		t.Fatalf("%v seed %d saturated=%v: %d filesystem sweeps, %d steps with a filesystem change", topo, seed, saturated, m.stats.FSSweeps, o.fsSteps)
+	}
+	run.checked = o.checked
 	return run
 }
 
@@ -264,13 +341,14 @@ var scenarioSeeds = []int64{1, 2, 3, 4, 5}
 
 // TestShardedMatchesReferenceExecutor is the machine-level oracle: on
 // the production path — dirty lanes, contention factors cached in
-// simnet, network terms cached on the jobs, completions re-timed in
-// batches — every running job's slowdown after every mutation must be,
-// bit for bit, the one a full recomputation from the raw loads gives,
-// and its completion event must sit where that slowdown puts it
-// (shadowCheck, wired into runScenario), across topologies and seeds,
-// below the filesystem threshold and held above it. Job pooling must
-// not show: the pooled run's completions carry the same bits.
+// simnet, network terms cached on the jobs, filesystem changes replayed
+// once per step, completions re-timed in batches — every running job's
+// slowdown after every engine step must be, bit for bit, the one a full
+// recomputation from the raw loads gives, and its completion event must
+// sit where an executor that re-integrates at every change puts it (the
+// oracle, wired into runScenario), across topologies and seeds, below
+// the filesystem threshold and held above it. Job pooling must not
+// show: the pooled run's completions carry the same bits.
 func TestShardedMatchesReferenceExecutor(t *testing.T) {
 	for _, topo := range scenarioTopos() {
 		for _, saturated := range []bool{false, true} {
@@ -278,7 +356,7 @@ func TestShardedMatchesReferenceExecutor(t *testing.T) {
 				plain := runScenario(t, topo, seed, saturated, false)
 				pooled := runScenario(t, topo, seed, saturated, true)
 				if plain.checked < 1000 || pooled.checked != plain.checked {
-					t.Fatalf("%v saturated=%v seed %d: shadow check compared %d jobs plain, %d pooled",
+					t.Fatalf("%v saturated=%v seed %d: oracle compared %d jobs plain, %d pooled",
 						topo, saturated, seed, plain.checked, pooled.checked)
 				}
 				if !slices.Equal(plain.log, pooled.log) {
@@ -291,7 +369,7 @@ func TestShardedMatchesReferenceExecutor(t *testing.T) {
 }
 
 // TestCompletionConservesWork checks the integration itself, which the
-// shadow check cannot: a slowdown can be right at every instant and the
+// oracle cannot: a slowdown can be right at every instant and the
 // progress integrated under it still be wrong. For every job of the
 // scenario, on the same topologies and seeds, the work done is
 // re-derived from outside the machine's bookkeeping — the load history's
@@ -329,6 +407,77 @@ func TestCompletionConservesWork(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestOneStepReplaysEveryFactor packs into one engine step everything
+// the sweep has to replay in order: a finish and a start of equal
+// filesystem load, which return the filesystem factor to the same bits,
+// a change naming a pod, which runs the pending sweep in mid-step, a
+// kill, and another start. Every job the finish moved has already had its
+// progress split in two by the eager order, although its slowdown is
+// back where it began, so a sweep that looked at the last factor only
+// would leave it alone and its completion off by a rounding. The oracle
+// compares every completion time, at this step's boundary and every
+// later one, with the eager executor's, bit for bit. The loads are
+// multiples of a quarter, so the sums are exact.
+func TestOneStepReplaysEveryFactor(t *testing.T) {
+	eng := sim.New(3)
+	m, err := New(eng, cluster.Synthetic(256, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := newOracle(t, m)
+	p := heavyProfile()
+	// No network load of their own: only the background names a pod.
+	p.NetPerNode, p.FSPerNode = 0, 1.0/32 // 8 nodes: a quarter of filesystem load
+	deaf := p
+	deaf.FSSens = 0
+	m.NewBackground().Set(simnet.Contribution{FS: 1.0})
+	start := func(p apps.Profile, nodes int, work float64, onDone func(*RunningJob)) *RunningJob {
+		alloc, err := m.Alloc.Alloc(nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rj := m.StartJob(p, alloc, work, func(rj *RunningJob) {
+			o.ended(rj)
+			if onDone != nil {
+				onDone(rj)
+			}
+		})
+		o.started(rj)
+		return rj
+	}
+	for i := 0; i < 12; i++ {
+		start(p, 8, 1000+61*float64(i), nil)
+	}
+	start(deaf, 8, 1200, nil)
+	start(p, 80, 1500, nil) // spans pods
+	victim := start(p, 8, 2000, nil)
+	hot := victim.pods[0]
+	node := victim.Alloc.Nodes[0]
+	podLoad := m.NewBackground()
+	finished := false
+	start(p, 8, 300, func(*RunningJob) {
+		finished = true
+		// The load before the finish was a quarter more, exactly.
+		f0, fa := simnet.Overload(m.Net.FSLoad()+0.25), m.Net.FSOverload()
+		start(p, 8, 900, nil)
+		if fs := m.Net.FSOverload(); fs != f0 || fa == f0 {
+			t.Fatalf("factor %x before the finish, %x after it, %x after an equal start: want a move and a return", f0, fa, fs)
+		}
+		podLoad.Set(simnet.Contribution{PodNet: map[int]float64{hot: 0.9}})
+		if n, err := m.FailNode(node); n != 1 || err != nil {
+			t.Fatalf("FailNode killed %d jobs, err %v", n, err)
+		}
+		start(p, 8, 700, nil)
+	})
+	eng.RunUntil(1e7)
+	if !finished || m.nJobs != 0 {
+		t.Fatalf("finisher done %v, %d jobs still running", finished, m.nJobs)
+	}
+	if m.stats.FSSweeps < 2 || o.steps < 10 {
+		t.Fatalf("%d sweeps, %d step boundaries checked", m.stats.FSSweeps, o.steps)
 	}
 }
 
@@ -425,11 +574,13 @@ func TestLaneBookkeeping(t *testing.T) {
 
 // TestContentionChangeZeroAllocs pins the unit of work a saturated
 // machine is made of: full Quartz with 760 pooled jobs running on 1 to 8
-// nodes, the filesystem held past its threshold by an ambient load, and
-// a job-sized load applied and withdrawn in turn, as a start and a
-// finish do. Every Apply and Remove moves the filesystem factor, so each
-// is an all-lanes change: 760 slowdowns recomputed, 760 completions
-// re-timed, the event heap rebuilt when the clock next moves. None of it
+// nodes, the filesystem and pod 3's network held past their thresholds
+// by an ambient load, and a job-sized load applied and withdrawn in
+// turn, as a start and a finish do, then a network-only load on pod 3.
+// The job's moves the filesystem factor, and the clock moves after each
+// change, so each is an all-lanes sweep: 760 slowdowns recomputed, 760
+// completions re-timed, the event heap rebuilt; the network-only one
+// re-integrates pod 3's lane as a batch of its own. None of it
 // allocates once the load history holds the epochs of its retention
 // window: the history copies the pod loads into a ring slot a prune
 // released. One change a simulated second fills the ring until the
@@ -461,14 +612,19 @@ func TestContentionChangeZeroAllocs(t *testing.T) {
 			}
 			m.StartJob(profiles[i%len(profiles)], alloc, 1e12, nil)
 		}
-		m.NewBackground().Set(simnet.Contribution{FS: 1.0})
+		m.NewBackground().Set(simnet.Contribution{FS: 1.0, PodNet: map[int]float64{3: 0.9}})
 		m.StartPruning(interval, keep)
 		job := simnet.Contribution{PodNet: map[int]float64{3: 0.01}, FS: 0.004}
+		net := simnet.Contribution{PodNet: map[int]float64{3: 0.01}}
 		change = func(i int) {
+			c := &job
+			if i&2 != 0 {
+				c = &net
+			}
 			if i&1 == 0 {
-				m.Net.Apply(job)
+				m.Net.Apply(*c)
 			} else {
-				m.Net.Remove(job)
+				m.Net.Remove(*c)
 			}
 			eng.RunUntil(eng.Now() + 1)
 		}

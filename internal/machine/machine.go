@@ -7,31 +7,31 @@
 //
 // # Sharded re-integration
 //
-// Running jobs are kept in per-pod lanes: a lane per pod for jobs whose
-// allocation stays inside that pod, plus a cross lane for jobs spanning
-// pods (which additionally feel core-link contention). A contention
-// change (simnet.Change) names exactly the pods and globals whose
-// contention factor moved, so re-integration touches only the lanes that
-// can possibly be affected — O(changed) instead of O(running jobs) —
-// always in (pod, lane-position) order.
+// Running jobs are kept in per-pod lanes, plus a cross lane for jobs
+// spanning pods (which also feel core-link contention). A contention
+// change (simnet.Change) names the pods and globals whose factor moved,
+// so re-integration touches only the lanes it can affect, always in
+// (pod, lane-position) order.
 //
 // # What a contention change costs
 //
 // A job's slowdown is (1 + NetSens*(net+core) + FSSens*fs) * jitter. The
-// network part, 1 + NetSens*(net+core), is cached on the job (netTerm):
-// StartJob sets it and a change that names one of the job's pods, or the
-// core links for a job that spans pods, refreshes it — nothing else can
-// move it. The filesystem factor is cached by simnet.State. A change of
-// the filesystem factor, which on a machine whose filesystem is past its
-// threshold is every start and every finish, therefore costs each
-// running job one multiply-add, one multiply and one compare, read from
-// the head of its RunningJob; a job whose slowdown did move integrates
-// its progress and re-times its completion event, and the machine tells
-// the engine beforehand (sim.Engine.BatchRearm) that it is about to
-// re-time every queued completion, so the engine rebuilds its heap once
-// instead of sifting once per job. The oracle all of this is held to is
-// the shadow check of lanes_test.go: after every mutation it recomputes
-// every running job's slowdown from the raw loads and compares the bits.
+// network part is cached on the job (netTerm) and refreshed only by a
+// change naming one of its pods, or the core links for a job that spans
+// pods. The filesystem factor, past its threshold, moves at every start
+// and finish, often several times in one engine step, so a filesystem
+// change only records the factor, and the step's first registers a
+// sweep the engine runs before it next reads its queue
+// (sim.Engine.BeforeRead). The sweep announces a batch
+// (sim.Engine.BatchRearm) and replays the step's factors on every job,
+// one multiply-add, multiply and compare each, from the head of its
+// RunningJob. A job that moved at any integrates once, under its
+// pre-step slowdown, and its completion, carried by value, is re-timed
+// once at the last factor's pace: exactly what re-timing at every change
+// leaves. Every factor counts: a finish and a start of equal load return
+// the factor to the same bits after the finish has split a job's
+// progress. lanes_test.go holds this, after every step, to slowdowns from
+// raw loads and completions re-integrated at every change.
 package machine
 
 import (
@@ -49,16 +49,17 @@ import (
 
 // RunningJob tracks one executing job's integration state.
 type RunningJob struct {
-	// The eight words a contention change reads and writes per job come
-	// first, so that one cache line serves the re-integration loop.
-	jitter    float64    // per-run lognormal noise multiplier (>= ~1)
-	slowdown  float64    // current wall-seconds per base-work second
-	remaining float64    // seconds of base work left
-	lastT     float64    // time of last integration step
-	netTerm   float64    // 1 + netSens*(pod-network + core factor); see refreshNetTerm
-	netSens   float64    // Profile.NetSens
-	fsSens    float64    // Profile.FSSens
-	done      *sim.Event // completion event, allocated once per object
+	// The words a sweep reads for every job come first and the event it
+	// re-times follows by value: one cache line for a job that did not
+	// move, two for one that did, no pointer chased.
+	jitter    float64   // per-run lognormal noise multiplier (>= ~1)
+	slowdown  float64   // current wall-seconds per base-work second
+	remaining float64   // seconds of base work left
+	lastT     float64   // time of last integration step
+	netTerm   float64   // 1 + netSens*(pod-network + core factor); see refreshNetTerm
+	fsSens    float64   // Profile.FSSens
+	done      sim.Event // completion event; Fn is set once per object
+	netSens   float64   // Profile.NetSens
 
 	// ID is the machine-assigned run identifier.
 	ID int
@@ -85,8 +86,7 @@ type RunningJob struct {
 	// the object.
 	Owner any
 
-	multiPod bool   // allocation spans pods: core contention applies
-	fire     func() // stable completion callback, set once per object
+	multiPod bool // allocation spans pods: core contention applies
 	contrib  simnet.Contribution
 	onDone   func(*RunningJob)
 
@@ -117,16 +117,20 @@ type Machine struct {
 	// reused for a later job, with Alloc, Owner and onDone cleared.
 	PoolJobs bool
 
-	rng     *sim.Source
-	jitter  *sim.Source // pure hash source for per-job placement jitter
-	probes  *sim.Source
-	nextID  int
-	updates bool // reentrancy guard for the state-change hook
+	rng    *sim.Source
+	jitter *sim.Source // pure hash source for per-job placement jitter
+	probes *sim.Source
+	nextID int
 
 	lanes      [][]*RunningJob // per-pod lanes: single-pod jobs, by pod
 	cross      []*RunningJob   // jobs spanning pods
 	crossByPod [][]*RunningJob // cross jobs indexed by each pod they touch
 	nJobs      int
+
+	fsLog  []float64 // filesystem factors of this step's changes, in order
+	onRead func()    // the engine's BeforeRead callback, bound once
+	armed  bool      // onRead is registered with the engine
+	stats  Stats
 
 	freeJobs   []*RunningJob // PoolJobs freelist
 	podScratch map[int]int   // scratch for per-pod node counts
@@ -156,9 +160,21 @@ func New(eng *sim.Engine, topo cluster.Topology) (*Machine, error) {
 		crossByPod: make([][]*RunningJob, topo.Pods()),
 		podScratch: make(map[int]int, 8),
 	}
+	m.onRead = func() {
+		m.armed = false
+		m.stats.FSSweeps++
+		m.sweep()
+	}
 	m.Net.SubscribeChanges(m.onNetChange)
 	return m, nil
 }
+
+// Stats counts the contention changes that moved the filesystem factor
+// and the engine steps that had one, each of which ends with a sweep.
+type Stats struct{ FSChanges, FSSweeps uint64 }
+
+// Stats returns the machine's counts so far.
+func (m *Machine) Stats() Stats { return m.stats }
 
 // StartJob begins executing profile on alloc with the given contention-
 // free base run time. onDone is invoked (with the allocation already
@@ -200,12 +216,12 @@ func (m *Machine) StartJob(profile apps.Profile, alloc cluster.Allocation, baseW
 	m.insert(rj)
 	m.refreshNetTerm(rj)
 	rj.slowdown = slowdownAt(rj, m.Net.FSOverload())
-	m.scheduleCompletion(rj)
+	m.Eng.Rearm(&rj.done, rj.lastT+rj.remaining*rj.slowdown)
 	return rj
 }
 
 // newJob returns a zeroed-enough RunningJob, recycled from the freelist
-// when pooling is on. The completion callback and event survive reuse.
+// when pooling is on. The completion event and callback survive reuse.
 func (m *Machine) newJob() *RunningJob {
 	if n := len(m.freeJobs); n > 0 {
 		rj := m.freeJobs[n-1]
@@ -214,7 +230,7 @@ func (m *Machine) newJob() *RunningJob {
 		return rj
 	}
 	rj := &RunningJob{}
-	rj.fire = func() { m.complete(rj) }
+	rj.done.Fn = func() { m.complete(rj) }
 	return rj
 }
 
@@ -321,7 +337,7 @@ func (m *Machine) refreshNetTerm(rj *RunningJob) {
 // slowdownAt evaluates a job's wall-per-work factor from its cached
 // network term and the given filesystem factor, including its per-run
 // jitter: the operations of apps.Profile.SlowdownCore times jitter in
-// the same order, so the same bits (the shadow check of lanes_test.go
+// the same order, so the same bits (the oracle of lanes_test.go
 // evaluates the uncached form).
 func slowdownAt(rj *RunningJob, fsOv float64) float64 {
 	s := (rj.netTerm + rj.fsSens*fsOv) * rj.jitter
@@ -332,7 +348,7 @@ func slowdownAt(rj *RunningJob, fsOv float64) float64 {
 }
 
 // degenerate is kept out of line so that slowdownAt inlines into the
-// re-integration loop.
+// sweep.
 //
 //go:noinline
 func degenerate(s float64) {
@@ -352,21 +368,9 @@ func (m *Machine) advance(rj *RunningJob) {
 	}
 }
 
-// scheduleCompletion (re)arms the job's completion event at the
-// projected finish instant. The event object is allocated once per
-// RunningJob and re-timed in place (sim.Engine.Rearm) on every
-// reschedule, so mid-flight contention changes cost no allocations;
-// whether the engine sifts the event now or rebuilds its heap later is
-// the engine's business (sim.Engine.BatchRearm).
-func (m *Machine) scheduleCompletion(rj *RunningJob) {
-	t := m.Eng.Now() + rj.remaining*rj.slowdown
-	if rj.done == nil {
-		rj.done = m.Eng.At(t, rj.fire)
-	} else {
-		m.Eng.Rearm(rj.done, t)
-	}
-}
-
+// complete ends a job that finished or, from kill, was killed. It
+// integrates under the job's pre-step slowdown, as a sweep would have at
+// the job's first move in the step.
 func (m *Machine) complete(rj *RunningJob) {
 	m.advance(rj)
 	rj.EndTime = m.Eng.Now()
@@ -439,92 +443,105 @@ func (m *Machine) RestoreNode(node cluster.NodeID) error {
 // allocation is freed (down nodes stay out of the pool), and the load is
 // withdrawn before onDone fires.
 func (m *Machine) kill(rj *RunningJob) {
-	m.advance(rj)
-	// A job in a lane always has its completion queued: StartJob queues
-	// it before the job can be found and complete leaves the lane.
-	m.Eng.Cancel(rj.done)
-	rj.EndTime = m.Eng.Now()
+	m.Eng.Cancel(&rj.done)
 	rj.Killed = true
-	m.removeJob(rj)
-	m.Alloc.Free(rj.Alloc)
-	m.Net.Remove(rj.contrib)
-	if rj.onDone != nil {
-		rj.onDone(rj)
-	}
-	m.recycle(rj)
+	m.complete(rj)
 }
 
 // onNetChange re-integrates the running jobs a contention change can
-// have affected. A job's slowdown reads only its own pods' contention
-// factors, the core factor (multi-pod jobs), the filesystem factor, and
-// per-job constants; the change names exactly the factors that moved, so
-// jobs outside the named lanes would recompute a bit-identical slowdown
-// and are skipped. Progress is integrated lazily, at slowdown changes
-// only (see setSlowdown).
-//
-// The lanes and cross jobs named under Pods and Core get their cached
-// network term refreshed; every other job's term is still exact. A
-// filesystem change then visits every lane in (pod, lane-position) order
-// and the cross lane after them; any other change re-integrates the
-// named jobs as it refreshes them. A cross job is listed under every pod
-// it touches and again in the cross lane, so a change may meet it more
-// than once: the later meetings recompute the slowdown it was just
-// given and leave it alone.
+// have affected: a job's slowdown reads only its own pods' factors, the
+// core factor (multi-pod jobs) and the filesystem factor. A change naming
+// pods or the core links runs the pending sweep, which reads the network
+// terms, refreshes the named jobs' terms and re-integrates them as a
+// batch unless a sweep will. A cross job met more than once is left alone
+// after the first. A filesystem change records its factor for the sweep.
 func (m *Machine) onNetChange(ch simnet.Change) {
-	if m.updates {
-		return // a re-integration never changes load; guard anyway
-	}
-	m.updates = true
-	defer func() { m.updates = false }()
-	if ch.Empty() {
-		return
-	}
-	fsOv := m.Net.FSOverload()
-	for _, p := range ch.Pods {
-		m.renew(m.lanes[p], fsOv, !ch.FS)
-		m.renew(m.crossByPod[p], fsOv, !ch.FS)
-	}
-	if ch.Core {
-		m.renew(m.cross, fsOv, !ch.FS)
+	if len(ch.Pods) > 0 || ch.Core {
+		m.sweep()
+		n := 0
+		for _, p := range ch.Pods {
+			n += len(m.lanes[p]) + len(m.crossByPod[p])
+		}
+		if ch.Core {
+			n += len(m.cross)
+		}
+		if !ch.FS {
+			m.Eng.BatchRearm(n)
+		}
+		for _, p := range ch.Pods {
+			m.renew(m.lanes[p], !ch.FS)
+			m.renew(m.crossByPod[p], !ch.FS)
+		}
+		if ch.Core {
+			m.renew(m.cross, !ch.FS)
+		}
 	}
 	if ch.FS {
-		// Every job feels filesystem contention, and nearly every one
-		// will be re-timed: let the engine rebuild its heap once.
-		m.Eng.BatchRearm(m.nJobs)
-		for _, lane := range m.lanes {
-			for _, rj := range lane {
-				m.setSlowdown(rj, slowdownAt(rj, fsOv))
-			}
-		}
-		for _, rj := range m.cross {
-			m.setSlowdown(rj, slowdownAt(rj, fsOv))
+		m.stats.FSChanges++
+		m.fsLog = append(m.fsLog, m.Net.FSOverload())
+		if !m.armed {
+			m.armed = true
+			m.Eng.BeforeRead(m.onRead)
 		}
 	}
 }
 
-// renew refreshes the cached network term of every job in lane, whose
-// pod or core factor has moved, and re-integrates each unless a sweep of
-// all lanes is about to.
-func (m *Machine) renew(lane []*RunningJob, fsOv float64, reintegrate bool) {
+// renew refreshes the network term of every job in lane, whose pod or
+// core factor moved, and re-integrates the lane under the present
+// filesystem factor unless a sweep will.
+func (m *Machine) renew(lane []*RunningJob, reintegrate bool) {
 	for _, rj := range lane {
 		m.refreshNetTerm(rj)
-		if reintegrate {
-			m.setSlowdown(rj, slowdownAt(rj, fsOv))
-		}
+	}
+	if reintegrate {
+		sweepLane(m.Eng, lane, []float64{m.Net.FSOverload()}, m.Eng.Now())
 	}
 }
 
-// setSlowdown is the one place a running job changes pace: if sd differs
-// from the job's slowdown it integrates the job's progress so far under
-// the old one and re-times its completion under the new. A job whose
-// slowdown is unchanged is left alone entirely: integrating it anyway
-// would split one subtraction from remaining into two and round
-// differently.
-func (m *Machine) setSlowdown(rj *RunningJob, sd float64) {
-	if sd != rj.slowdown {
-		m.advance(rj)
+// sweep replays the step's factors on every running job.
+func (m *Machine) sweep() {
+	log := m.fsLog
+	if len(log) == 0 {
+		return
+	}
+	m.fsLog = log[:0]
+	eng := m.Eng
+	eng.BatchRearm(m.nJobs)
+	now := eng.Now()
+	for _, lane := range m.lanes {
+		sweepLane(eng, lane, log, now)
+	}
+	sweepLane(eng, m.cross, log, now)
+}
+
+// sweepLane is the one place a running job changes pace: it replays the
+// filesystem factors of log on every job of lane. A job that moved at
+// any integrates under its old slowdown, unless it did at this instant
+// already, and is re-timed once at the last factor's. One that never
+// moved is left alone: integrating it would split one subtraction from
+// remaining into two and round differently.
+func sweepLane(eng *sim.Engine, lane []*RunningJob, log []float64, now float64) {
+	for _, rj := range lane {
+		sd, moved := rj.slowdown, false
+		for _, fsOv := range log {
+			if s := slowdownAt(rj, fsOv); s != sd {
+				sd, moved = s, true
+			}
+		}
+		if !moved {
+			continue
+		}
+		if dt := now - rj.lastT; dt > 0 {
+			rj.remaining -= dt / rj.slowdown
+			if rj.remaining < 0 {
+				rj.remaining = 0
+			}
+			rj.lastT = now
+		}
 		rj.slowdown = sd
-		m.scheduleCompletion(rj)
+		if t := now + rj.remaining*sd; !eng.Rekey(&rj.done, t) {
+			eng.Rearm(&rj.done, t)
+		}
 	}
 }
 

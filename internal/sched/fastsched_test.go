@@ -2,6 +2,7 @@ package sched
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math"
 	"reflect"
@@ -22,65 +23,122 @@ import (
 // clamped, sorted snapshot the reference path rebuilds every pass.
 // ---------------------------------------------------------------------
 
-// TestTimelineMatchesSnapshot drives a timeline through a random
-// add/remove/promote history and checks after every operation that its
-// entries equal a brute-force model: per-entry release times clamped by
-// every promote since insertion, sorted by (t, n).
+// timelineShape is one random history TestTimelineMatchesSnapshot
+// drives a timeline through.
+type timelineShape struct {
+	name       string
+	steps      int
+	add, rm    int     // out of 8: the share of adds and of removes; the rest promote
+	estimate   float64 // adds land up to this far after the pass time
+	advance    float64 // a promote moves the clock up to this far
+	minOverdue int     // the overdue group must reach this size
+}
+
+// TestTimelineMatchesSnapshot drives a timeline through random
+// add/remove/promote histories the way the scheduler does — tryStart
+// adds StartTime+Estimate within a pass, so never before the last
+// promote time, and some adds land exactly on it — and checks after
+// every operation that its entries, read through their effective
+// release time, equal a brute-force model: each entry's time clamped to
+// the last promote time, sorted by (t, n). One history keeps a few
+// dozen entries; in the other estimates are short and the clock fast,
+// so the overdue group passes a thousand entries while adds and removes
+// go on around it.
 func TestTimelineMatchesSnapshot(t *testing.T) {
-	rng := sim.NewSource(11).Derive("timeline")
-	var tl timeline
-	type model struct {
-		j *Job
-		t float64
-		n int
-	}
-	var ref []model
-	now := 0.0
-	nextID := 0
-	for step := 0; step < 2000; step++ {
-		switch op := rng.Intn(4); {
-		case op <= 1 || len(ref) == 0: // add (biased so the set grows)
-			j := &Job{ID: nextID, Nodes: 1 + rng.Intn(32)}
-			nextID++
-			// Some entries land in the past relative to the next promote
-			// so clamping is exercised.
-			end := now + rng.Uniform(-50, 200)
-			tl.add(j, end)
-			ref = append(ref, model{j: j, t: end, n: j.Nodes})
-		case op == 2: // remove
-			k := rng.Intn(len(ref))
-			tl.remove(ref[k].j)
-			ref = append(ref[:k], ref[k+1:]...)
-		default: // promote
-			now += rng.Uniform(0, 60)
-			tl.promote(now)
-			for i := range ref {
-				if ref[i].t < now {
-					ref[i].t = now
+	for _, sh := range []timelineShape{
+		{name: "shallow", steps: 2000, add: 4, rm: 2, estimate: 200, advance: 60},
+		{name: "deep-overdue", steps: 4000, add: 5, rm: 1, estimate: 30, advance: 60, minOverdue: 1000},
+	} {
+		t.Run(sh.name, func(t *testing.T) {
+			rng := sim.NewSource(11).Derive("timeline").Derive(sh.name)
+			var tl timeline
+			type model struct {
+				j *Job
+				t float64
+				n int
+			}
+			var ref, want []model
+			now := 0.0
+			nextID, atPass, maxDue := 0, 0, 0
+			for step := 0; step < sh.steps; step++ {
+				switch op := rng.Intn(8); {
+				case op < sh.add || len(ref) == 0:
+					j := &Job{ID: nextID, Nodes: 1 + rng.Intn(32)}
+					nextID++
+					end := now + rng.Uniform(0, sh.estimate)
+					if rng.Intn(8) == 0 {
+						end = now // StartTime+Estimate rounded to the pass time
+						atPass++
+					}
+					tl.add(j, end)
+					ref = append(ref, model{j: j, t: end, n: j.Nodes})
+				case op < sh.add+sh.rm:
+					k := rng.Intn(len(ref))
+					tl.remove(ref[k].j)
+					ref = append(ref[:k], ref[k+1:]...)
+				default:
+					now += rng.Uniform(0, sh.advance)
+					tl.promote(now)
+					for i := range ref {
+						ref[i].t = max(ref[i].t, now)
+					}
+				}
+				maxDue = max(maxDue, tl.due)
+				if tl.len() != len(ref) {
+					t.Fatalf("step %d: timeline has %d entries, model %d", step, tl.len(), len(ref))
+				}
+				// The model in (t, n) order must match the maintained
+				// slice; entries that tie on both are interchangeable.
+				want = append(want[:0], ref...)
+				slices.SortStableFunc(want, func(a, b model) int {
+					if c := cmp.Compare(a.t, b.t); c != 0 {
+						return c
+					}
+					return cmp.Compare(a.n, b.n)
+				})
+				for i := range want {
+					got, n := tl.ents[i].t, tl.ents[i].n
+					if i < tl.due {
+						got = tl.passT // the overdue group's release time
+					}
+					if got != want[i].t || n != want[i].n {
+						t.Fatalf("step %d entry %d: timeline (%v,%d), model (%v,%d)",
+							step, i, got, n, want[i].t, want[i].n)
+					}
 				}
 			}
-		}
-		if tl.len() != len(ref) {
-			t.Fatalf("step %d: timeline has %d entries, model %d", step, tl.len(), len(ref))
-		}
-		// The model in (t, n) order must match the maintained slice.
-		want := append([]model(nil), ref...)
-		for i := 1; i < len(want); i++ { // insertion sort by (t, n)
-			e := want[i]
-			m := i
-			for m > 0 && (want[m-1].t > e.t || (want[m-1].t == e.t && want[m-1].n > e.n)) {
-				want[m] = want[m-1]
-				m--
+			if maxDue < sh.minOverdue || atPass < 10 {
+				t.Fatalf("overdue group peaked at %d entries (want >= %d), %d adds at the pass time", maxDue, sh.minOverdue, atPass)
 			}
-			want[m] = e
+		})
+	}
+}
+
+// TestTimelinePromoteZeroAllocs pins that a pass's promote allocates
+// nothing, over a group of 2,000 overdue entries that new arrivals join.
+func TestTimelinePromoteZeroAllocs(t *testing.T) {
+	var tl timeline
+	now := 0.0
+	setup := func() {
+		tl = timeline{}
+		now = 0
+		for i := 0; i < 4000; i++ {
+			tl.add(&Job{ID: i, Nodes: 1 + i%32}, float64(i))
 		}
-		for i := range want {
-			got := tl.ents[i]
-			if got.t != want[i].t || got.n != want[i].n {
-				t.Fatalf("step %d entry %d: timeline (%v,%d), model (%v,%d)",
-					step, i, got.t, got.n, want[i].t, want[i].n)
-			}
+		tl.promote(2000)
+		now = 2000
+	}
+	objects, _ := alloctest.Count(3, setup, func() {
+		for i := 0; i < 100; i++ {
+			now += 10
+			tl.promote(now)
 		}
+	})
+	if tl.due != 3001 {
+		t.Fatalf("overdue group holds %d entries, want 3001", tl.due)
+	}
+	if objects != 0 {
+		t.Fatalf("100 promotes allocated %d times; want 0", objects)
 	}
 }
 

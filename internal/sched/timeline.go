@@ -10,18 +10,18 @@ import "math"
 // once per job lifecycle event — start inserts a breakpoint, finish/kill
 // removes it — so a scheduling pass touches only what changed.
 //
-// Equivalence contract: after promote(now), the entry sequence is
-// exactly the clamped release snapshot the reference scanner builds and
-// sorts on every pass (releases ordered by (t, n); entries that tie on
-// both fields are interchangeable because the reservation walk sums
-// them). Every timeline query is therefore bit-identical to its
-// reference counterpart; the differential tests in fastsched_test.go pin
-// this job for job.
+// Equivalence contract: after promote(now), the entry sequence, read
+// through time, is exactly the clamped release snapshot the reference
+// scanner builds and sorts on every pass (releases ordered by (t, n);
+// entries that tie on both fields are interchangeable because the
+// reservation walk sums them). Every timeline query is therefore
+// bit-identical to its reference counterpart; the differential tests in
+// fastsched_test.go pin this job for job.
 
 // tlEntry is one breakpoint: running job `job` is expected to release n
-// nodes at time t. t starts as StartTime+Estimate and is clamped
-// ("promoted") to the current pass time once the job overruns its
-// estimate, mirroring the reference snapshot's `if end < now` clamp.
+// nodes at time t (StartTime+Estimate), or at the pass time once it has
+// overrun and joined the overdue group, mirroring the reference
+// snapshot's `if end < now` clamp.
 type tlEntry struct {
 	t   float64
 	n   int
@@ -29,30 +29,40 @@ type tlEntry struct {
 }
 
 // timeline is a piecewise-constant capacity profile over future time,
-// stored as release breakpoints sorted by (t, n). It is owned by one
-// scheduler and reuses its backing array across the whole run, so
-// steady-state maintenance performs no allocations (growth happens only
-// on the job-start path, never inside a no-op Pass).
+// stored as release breakpoints sorted by (t, n); its first due entries,
+// whose time had come by the last pass, all release at that pass's time,
+// ordered by n. It is owned by one scheduler and reuses its backing
+// array across the whole run, so steady-state maintenance performs no
+// allocations (growth happens only on the job-start path, never inside
+// a no-op Pass).
 type timeline struct {
-	ents []tlEntry
-	peak int // high-water breakpoint count, exported as timeline_breakpoints
+	ents  []tlEntry
+	due   int     // ents[:due] is the overdue group
+	passT float64 // time of the last promote: the group's release time
+	peak  int     // high-water breakpoint count, exported as timeline_breakpoints
 }
 
 // len returns the current breakpoint count (== running job count).
 func (tl *timeline) len() int { return len(tl.ents) }
 
-// add inserts j's release breakpoint at time t (StartTime+Estimate).
-// The insert position is the (t, n) upper bound, found by hand-rolled
-// binary search so no sort.Search closure escapes to the heap. Cost:
-// O(log R) compare + O(R) memmove for R running jobs, paid once per
-// start instead of an O(R log R) sort on every pass.
+// add inserts j's release breakpoint at time t (StartTime+Estimate) at
+// the (t, n) upper bound after the overdue group, or, if t rounds to the
+// pass time, at the group's n upper bound, found by hand-rolled binary
+// search so no sort.Search closure escapes to the heap. Cost: O(log R)
+// compare + O(R) memmove for R running jobs, paid once per start instead
+// of an O(R log R) sort on every pass.
 func (tl *timeline) add(j *Job, t float64) {
 	n := j.Nodes
-	lo, hi := 0, len(tl.ents)
+	group := t <= tl.passT
+	lo, hi := tl.due, len(tl.ents)
+	if group {
+		lo, hi = 0, tl.due
+		tl.due++
+	}
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		e := &tl.ents[mid]
-		if e.t > t || (e.t == t && e.n > n) {
+		if (!group && e.t > t) || ((group || e.t == t) && e.n > n) {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -72,6 +82,9 @@ func (tl *timeline) add(j *Job, t float64) {
 func (tl *timeline) remove(j *Job) {
 	for i := range tl.ents {
 		if tl.ents[i].job == j {
+			if i < tl.due {
+				tl.due--
+			}
 			tl.ents = append(tl.ents[:i], tl.ents[i+1:]...)
 			return
 		}
@@ -81,32 +94,19 @@ func (tl *timeline) remove(j *Job) {
 	// differential tests would catch a divergence before it could matter.
 }
 
-// promote clamps every overdue breakpoint (t < now) to now — an overrun
+// promote moves the overdue group's release time to now — an overrun
 // job may finish at any moment, exactly like the reference snapshot's
-// clamp — and restores (t, n) order within the now-group. It runs once
-// at the start of each pass; between passes time only moves forward,
-// so promotion is monotone and the suffix of genuinely-future
-// entries is never touched.
+// clamp — and inserts the entries due since the last pass (t <= now)
+// into it, stably by n. It runs once at the start of each pass; time
+// only moves forward, so the group is never rewritten and the entries
+// after it are never touched.
 func (tl *timeline) promote(now float64) {
-	k := 0
+	tl.passT = now
+	k := tl.due
 	for k < len(tl.ents) && tl.ents[k].t <= now {
 		k++
 	}
-	changed := false
-	for i := 0; i < k; i++ {
-		if tl.ents[i].t < now {
-			tl.ents[i].t = now
-			changed = true
-		}
-	}
-	if !changed {
-		return
-	}
-	// The clamped prefix all sits at t == now; re-establish the n
-	// tie-break with a stable insertion sort (the prefix was (t, n)
-	// sorted, so it is nearly sorted by n already and this approaches
-	// linear time).
-	for i := 1; i < k; i++ {
+	for i := tl.due; i < k; i++ {
 		e := tl.ents[i]
 		m := i
 		for m > 0 && tl.ents[m-1].n > e.n {
@@ -115,6 +115,7 @@ func (tl *timeline) promote(now float64) {
 		}
 		tl.ents[m] = e
 	}
+	tl.due = k
 }
 
 // reservation computes the EASY shadow time and spare node count for a
@@ -133,6 +134,9 @@ func (tl *timeline) reservation(need, free int, now float64) (shadow float64, ex
 		}
 		avail += tl.ents[i].n
 		shadow = tl.ents[i].t
+		if i < tl.due {
+			shadow = tl.passT
+		}
 	}
 	if avail < need {
 		// The pivot can never fit (e.g. the noise job permanently holds

@@ -16,7 +16,8 @@
 // BatchRearm, and the engine then only writes the new keys and restores
 // heap order once, with a bottom-up O(n) pass, before the next event is
 // popped. The pop order is a function of the queued (Time, band, seq)
-// keys alone, so which of the two happened cannot be observed.
+// keys alone, so which of the two happened cannot be observed. A
+// BeforeRead callback re-times once what a step changed many times.
 // Fire-and-forget callbacks can additionally be pooled with
 // ScheduleOnce, which recycles the event allocation after the callback
 // runs.
@@ -30,15 +31,16 @@ import (
 )
 
 // Event is a scheduled callback. An Event is created by Engine.Schedule or
-// Engine.At and may be cancelled with Engine.Cancel before it fires.
+// Engine.At and may be cancelled with Engine.Cancel before it fires. The
+// zero Event is an unqueued one, which a caller may embed by value, give
+// an Fn and queue with Engine.Rearm.
 type Event struct {
 	// Time is the virtual time (in seconds) at which the event fires.
-	Time float64
+	Time  float64
+	seq   uint64 // tie-breaker: events at equal time fire in schedule order
+	index int    // position in the heap plus one, 0 when not queued
 	// Fn is the callback invoked when the event fires.
-	Fn func()
-
-	seq       uint64 // tie-breaker: events at equal time fire in schedule order
-	index     int    // position in the heap, -1 when not queued
+	Fn        func()
 	cancelled bool
 	front     bool // front band: fires before normal events at equal time
 	pooled    bool // recycled into the engine freelist after firing
@@ -61,6 +63,8 @@ type Engine struct {
 	// set the queue holds the right events with the right keys and index
 	// fields but is not in heap order, and every mutation is O(1).
 	unordered bool
+
+	before []func() // BeforeRead callbacks not yet run
 
 	cScheduled *obs.Counter
 	cFired     *obs.Counter
@@ -180,11 +184,15 @@ func (e *Engine) enqueue(ev *Event) {
 // been newly scheduled — but reuses ev's allocation; a queued event is
 // re-keyed in place (one O(log n) sift, no pop/push pair; inside a
 // batch announced with BatchRearm, no sift at all). Rearm works on
-// queued, cancelled, and already-fired events alike, which lets a
-// long-lived process (a job's completion event, a periodic sampler, a
-// streaming submission feeder) drive the whole simulation from a single
-// Event value. The event keeps its band (At vs AtFront).
+// queued, cancelled, already-fired and never-queued (zero) events
+// alike, which lets a long-lived process (a job's completion event, a
+// periodic sampler, a streaming submission feeder) drive the whole
+// simulation from a single Event value. The event keeps its band (At
+// vs AtFront).
 func (e *Engine) Rearm(ev *Event, t float64) {
+	if e.Rekey(ev, t) {
+		return
+	}
 	if math.IsNaN(t) || t < e.now {
 		panic(fmt.Sprintf("sim: rearm into the past: t=%v now=%v", t, e.now))
 	}
@@ -192,12 +200,25 @@ func (e *Engine) Rearm(ev *Event, t float64) {
 	ev.seq = e.seq
 	e.seq++
 	ev.cancelled = false
-	if ev.index < 0 {
+	if ev.index == 0 {
 		e.enqueue(ev)
 	} else if !e.unordered {
-		e.events.fix(ev.index)
+		e.events.fix(ev.index - 1)
 	}
 	e.cScheduled.Inc()
+}
+
+// Rekey is Rearm's in-batch case, inlined into loops that re-time every
+// running job: for a queued ev, a batch in progress and t not in the
+// past it does what Rearm would and reports true, else nothing.
+func (e *Engine) Rekey(ev *Event, t float64) bool {
+	if ev.index == 0 || !e.unordered || !(t >= e.now) {
+		return false
+	}
+	ev.Time, ev.seq = t, e.seq // queued, so not cancelled
+	e.seq++
+	e.cScheduled.Inc()
+	return true
 }
 
 // batchShare is the batch size, as a share of the queue, from which one
@@ -219,20 +240,34 @@ const batchShare = 4
 // heap order: Rearm, At, ScheduleOnce and Cancel only write keys and
 // move slots, each in O(1), until the next Step or RunUntil restores
 // the order of the whole queue with one bottom-up pass before it pops.
-// Several announcements before that Step — a job finishing and the
-// scheduling pass it triggers starting three more are four contention
-// changes — share the one rebuild. Below a quarter the call does
-// nothing and each Rearm sifts as usual, so a caller may announce an
-// upper bound it has already paid O(n) to walk: the rebuild is at most
-// four times that.
+// Several announcements before that Step — a Pods change re-timing its
+// lanes and the BeforeRead sweep that follows it — share the one
+// rebuild. Below a quarter the call does nothing and each Rearm sifts
+// as usual, so a caller may announce an upper bound it has already paid
+// O(n) to walk: the rebuild is at most four times that.
 func (e *Engine) BatchRearm(n int) {
 	if n*batchShare >= len(e.events) {
 		e.unordered = true
 	}
 }
 
+// BeforeRead registers fn to run once, at the current instant, before
+// the engine next reads its queue's minimum: atop the next Step or
+// RunUntil iteration, ahead of its emptiness check and heap rebuild, in
+// registration order. What fn re-times takes its sequence numbers then.
+func (e *Engine) BeforeRead(fn func()) { e.before = append(e.before, fn) }
+
+// drain runs the pending BeforeRead callbacks.
+func (e *Engine) drain() {
+	for i := 0; i < len(e.before); i++ {
+		e.before[i]()
+	}
+	clear(e.before)
+	e.before = e.before[:0]
+}
+
 // settle restores heap order if a batch suspended it. Every read of the
-// queue's minimum goes through it.
+// queue's minimum goes through it, after drain.
 func (e *Engine) settle() {
 	if e.unordered {
 		e.unordered = false
@@ -247,19 +282,20 @@ func (e *Engine) Cancel(ev *Event) {
 		return
 	}
 	ev.cancelled = true
-	if ev.index < 0 {
+	if ev.index == 0 {
 		return
 	}
 	if e.unordered {
-		e.events.take(ev.index)
+		e.events.take(ev.index - 1)
 	} else {
-		e.events.remove(ev.index)
+		e.events.remove(ev.index - 1)
 	}
 }
 
 // Step fires the next pending event and returns true, or returns false if
 // no events remain.
 func (e *Engine) Step() bool {
+	e.drain()
 	if len(e.events) == 0 {
 		return false
 	}
@@ -291,7 +327,7 @@ func (e *Engine) Run() {
 // RunUntil fires events with Time <= t and then advances the clock to t.
 // Events scheduled at exactly t do fire.
 func (e *Engine) RunUntil(t float64) {
-	for len(e.events) > 0 {
+	for e.drain(); len(e.events) > 0; e.drain() {
 		e.settle()
 		if e.events[0].Time > t {
 			break

@@ -33,22 +33,22 @@ func eventBefore(a, b *Event) bool {
 }
 
 // eventHeap is the inline 4-ary min-heap. Every queued event records
-// its slot in Event.index (-1 when not queued), so Rearm and Cancel
-// address the heap in O(1) and re-heapify in place. add and take keep
-// the index fields right without keeping heap order; push, remove and
-// fix keep both; heapify restores the order from any arrangement.
+// its slot plus one in Event.index (0, the zero value, when not queued),
+// so Rearm and Cancel address the heap in O(1) and re-heapify in place.
+// add and take keep the index fields right without keeping heap order;
+// push, remove and fix keep both; heapify restores it from any order.
 type eventHeap []*Event
 
 // add appends ev at the last slot without sifting.
 func (h *eventHeap) add(ev *Event) {
 	*h = append(*h, ev)
-	ev.index = len(*h) - 1
+	ev.index = len(*h)
 }
 
 // push appends ev and sifts it into place.
 func (h *eventHeap) push(ev *Event) {
 	h.add(ev)
-	h.siftUp(ev.index)
+	h.siftUp(ev.index - 1)
 }
 
 // popMin removes and returns the minimum event.
@@ -59,10 +59,10 @@ func (h *eventHeap) popMin() *Event {
 	last := old[n]
 	old[n] = nil
 	*h = old[:n]
-	ev.index = -1
+	ev.index = 0
 	if n > 0 {
 		old[0] = last
-		last.index = 0
+		last.index = 1
 		h.siftDown(0)
 	}
 	return ev
@@ -78,12 +78,12 @@ func (h *eventHeap) take(i int) bool {
 	last := old[n]
 	old[n] = nil
 	*h = old[:n]
-	ev.index = -1
+	ev.index = 0
 	if i == n {
 		return false
 	}
 	old[i] = last
-	last.index = i
+	last.index = i + 1
 	return true
 }
 
@@ -111,7 +111,7 @@ func (h *eventHeap) heapify() {
 func (h *eventHeap) fix(i int) {
 	ev := (*h)[i]
 	h.siftUp(i)
-	if ev.index == i {
+	if ev.index == i+1 {
 		h.siftDown(i)
 	}
 }
@@ -128,11 +128,11 @@ func (h *eventHeap) siftUp(i int) {
 			break
 		}
 		s[i] = s[p]
-		s[i].index = i
+		s[i].index = i + 1
 		i = p
 	}
 	s[i] = ev
-	ev.index = i
+	ev.index = i + 1
 }
 
 // siftDown moves the event at slot i toward the leaves, following the
@@ -160,9 +160,9 @@ func (h *eventHeap) siftDown(i int) {
 			break
 		}
 		s[i] = s[m]
-		s[i].index = i
+		s[i].index = i + 1
 		i = m
 	}
 	s[i] = ev
-	ev.index = i
+	ev.index = i + 1
 }

@@ -93,13 +93,13 @@ func TestHeapMatchesContainerHeapReference(t *testing.T) {
 	checkIndex := func(step int) {
 		t.Helper()
 		for j, ev := range fast {
-			if ev.index != j {
-				t.Fatalf("step %d: slot %d holds event with index %d", step, j, ev.index)
+			if ev.index-1 != j {
+				t.Fatalf("step %d: slot %d holds event with slot %d", step, j, ev.index-1)
 			}
 		}
 		for _, p := range dead {
-			if p.ev.index != -1 {
-				t.Fatalf("step %d: dequeued event has index %d", step, p.ev.index)
+			if p.ev.index != 0 {
+				t.Fatalf("step %d: dequeued event has slot %d", step, p.ev.index-1)
 			}
 		}
 	}
@@ -167,12 +167,12 @@ func TestHeapMatchesContainerHeapReference(t *testing.T) {
 			p.nd.time = tm
 			p.nd.seq = seq
 			seq++
-			fast.fix(p.ev.index)
+			fast.fix(p.ev.index - 1)
 			heap.Fix(&ref, p.nd.pos)
 		case op < 7: // remove, as Cancel does
 			k := rng.Intn(len(live))
 			p := live[k]
-			fast.remove(p.ev.index)
+			fast.remove(p.ev.index - 1)
 			heap.Remove(&ref, p.nd.pos)
 			dead = append(dead, p)
 			live[k] = live[len(live)-1]
@@ -230,8 +230,8 @@ func TestHeapIndexInvariant(t *testing.T) {
 			h.popMin()
 		}
 		for j, ev := range h {
-			if ev.index != j {
-				t.Fatalf("step %d: slot %d holds event with index %d", i, j, ev.index)
+			if ev.index-1 != j {
+				t.Fatalf("step %d: slot %d holds event with slot %d", i, j, ev.index-1)
 			}
 		}
 	}

@@ -159,14 +159,14 @@ func TestBatchRearmEquivalentToRearm(t *testing.T) {
 				len(batched.evs), len(plain.evs), batched.eng.Pending(), plain.eng.Pending())
 		}
 		for i, ev := range batched.evs {
-			if p := plain.evs[i]; ev.Time != p.Time || ev.seq != p.seq || ev.Cancelled() != p.Cancelled() || (ev.index < 0) != (p.index < 0) {
+			if p := plain.evs[i]; ev.Time != p.Time || ev.seq != p.seq || ev.Cancelled() != p.Cancelled() || (ev.index == 0) != (p.index == 0) {
 				t.Fatalf("step %d: event %d is (t=%v seq=%d cancelled=%v queued=%v) batched, (t=%v seq=%d cancelled=%v queued=%v) plain",
-					step, i, ev.Time, ev.seq, ev.Cancelled(), ev.index >= 0, p.Time, p.seq, p.Cancelled(), p.index >= 0)
+					step, i, ev.Time, ev.seq, ev.Cancelled(), ev.index != 0, p.Time, p.seq, p.Cancelled(), p.index != 0)
 			}
 		}
 		for slot, ev := range batched.eng.events {
-			if ev.index != slot {
-				t.Fatalf("step %d: slot %d holds an event with index %d", step, slot, ev.index)
+			if ev.index-1 != slot {
+				t.Fatalf("step %d: slot %d holds an event with slot %d", step, slot, ev.index-1)
 			}
 			if ev.cancelled {
 				t.Fatalf("step %d: a cancelled event is queued at slot %d", step, slot)
@@ -277,7 +277,7 @@ func TestBatchRearmBelowQuarterKeepsOrder(t *testing.T) {
 		e.Rearm(ev, float64(200-i))
 	}
 	e.RunUntil(101)
-	if e.unordered || e.Fired() != 1 || e.Pending() != 99 || evs[99].index != -1 {
+	if e.unordered || e.Fired() != 1 || e.Pending() != 99 || evs[99].index != 0 {
 		t.Fatalf("RunUntil(101) after a reversing batch: unordered=%v fired=%d pending=%d", e.unordered, e.Fired(), e.Pending())
 	}
 }
