@@ -16,7 +16,7 @@ package apps
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"rush/internal/cluster"
 	"rush/internal/simnet"
@@ -131,44 +131,63 @@ func (p Profile) BaseTime(n int, mode ScalingMode) float64 {
 // also loads the fat tree's core links: under uniform communication the
 // fraction of traffic that crosses pods is 1 - sum((nodes_in_pod/n)^2).
 func (p Profile) Contribution(topo cluster.Topology, alloc cluster.Allocation) simnet.Contribution {
+	pods, counts := CountPods(topo, alloc, make([]int, topo.Pods()), nil, nil)
 	var c simnet.Contribution
-	p.ContributionInto(topo, alloc, &c)
+	p.ContributionInto(topo, pods, counts, &c)
 	return c
 }
 
-// ContributionInto is Contribution writing into c, reusing c.PodNet's
-// backing map so hot-path callers (pooled running jobs) can rebuild a
-// contribution without allocating. The computed loads are bit-identical
-// to Contribution's: per-pod accumulation follows allocation node order,
-// and the cross-pod fraction is summed in ascending pod order, so the
-// result never depends on map iteration.
-func (p Profile) ContributionInto(topo cluster.Topology, alloc cluster.Allocation, c *simnet.Contribution) {
+// CountPods appends alloc's pods, ascending, to the empty pods and the
+// nodes in each to the empty counts. tally is topo.Pods() zeros of
+// scratch, reset through the pods touched, so a census is O(alloc).
+func CountPods(topo cluster.Topology, alloc cluster.Allocation, tally, pods, counts []int) ([]int, []int) {
+	for _, n := range alloc.Nodes {
+		pod := topo.PodOf(n)
+		if tally[pod] == 0 {
+			pods = append(pods, pod)
+		}
+		tally[pod]++
+	}
+	slices.Sort(pods)
+	for _, pod := range pods {
+		counts = append(counts, tally[pod])
+		tally[pod] = 0
+	}
+	return pods, counts
+}
+
+// ContributionInto writes into c this app's load on an allocation whose
+// census (CountPods) is pods and counts, with one c.PodNet write per pod,
+// reusing c.PodNet's map. A pod's load is its count's additions of one
+// node's share from zero, as a walk over the nodes would add them; every
+// addend is the same float, so how the pods' nodes interleave cannot
+// change the sum. The cross-pod fraction is summed in ascending pod
+// order, so nothing depends on map iteration.
+func (p Profile) ContributionInto(topo cluster.Topology, pods, counts []int, c *simnet.Contribution) {
 	if c.PodNet == nil {
-		c.PodNet = make(map[int]float64, 4)
+		c.PodNet = make(map[int]float64, min(len(pods), 8))
 	} else {
 		clear(c.PodNet)
 	}
-	podCount := make(map[int]int, 4)
-	pods := make([]int, 0, 8)
-	for _, n := range alloc.Nodes {
-		pod := topo.PodOf(n)
-		// Pod capacity is normalized to 1.0 regardless of pod size, so a
-		// node's share of its pod's fabric is 1/PodSize.
-		c.PodNet[pod] += p.NetPerNode / float64(topo.PodSize)
-		if podCount[pod] == 0 {
-			pods = append(pods, pod)
+	// Pod capacity is normalized to 1.0 regardless of pod size, so a
+	// node's share of its pod's fabric is 1/PodSize.
+	share := p.NetPerNode / float64(topo.PodSize)
+	nodes := 0
+	for i, pod := range pods {
+		var load float64
+		for k := 0; k < counts[i]; k++ {
+			load += share
 		}
-		podCount[pod]++
+		c.PodNet[pod] = load
+		nodes += counts[i]
 	}
-	sort.Ints(pods)
-	total := float64(len(alloc.Nodes))
+	total := float64(nodes)
 	// crossFrac is 1 - sum of squared per-pod node fractions: the
 	// probability two random job ranks sit in different pods, i.e. the
-	// share of the job's traffic that crosses the core links. Summed in
-	// ascending pod order so the float result is deterministic.
+	// share of the job's traffic that crosses the core links.
 	crossFrac := 1.0
-	for _, pod := range pods {
-		f := float64(podCount[pod]) / total
+	for _, n := range counts {
+		f := float64(n) / total
 		crossFrac -= f * f
 	}
 	c.Core = p.NetPerNode * total * crossFrac / float64(topo.Nodes)
@@ -240,11 +259,14 @@ func Defaults() []Profile {
 	}
 }
 
+// defaults is built once for ByName and Names; callers get copies.
+var defaults = Defaults()
+
 // ByName returns the default profile with the given name.
 func ByName(name string) (Profile, error) {
-	for _, p := range Defaults() {
-		if p.Name == name {
-			return p, nil
+	for i := range defaults {
+		if defaults[i].Name == name {
+			return defaults[i], nil
 		}
 	}
 	return Profile{}, fmt.Errorf("apps: unknown application %q", name)
@@ -252,9 +274,8 @@ func ByName(name string) (Profile, error) {
 
 // Names returns the default application names in their canonical order.
 func Names() []string {
-	defs := Defaults()
-	names := make([]string, len(defs))
-	for i, p := range defs {
+	names := make([]string, len(defaults))
+	for i, p := range defaults {
 		names[i] = p.Name
 	}
 	return names

@@ -2,10 +2,15 @@ package apps
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"rush/internal/alloctest"
 	"rush/internal/cluster"
+	"rush/internal/simnet"
 )
 
 func TestDefaultsHaveSevenApps(t *testing.T) {
@@ -43,6 +48,65 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("nope"); err == nil {
 		t.Fatal("unknown app should error")
+	}
+}
+
+// TestByNameAllocatesNothing pins that a lookup reads the table built
+// once (workload.Generate asks once per job) and that the table is not
+// the caller's: changing a slice Defaults returned changes no lookup.
+func TestByNameAllocatesNothing(t *testing.T) {
+	var p Profile
+	objects, _ := alloctest.Count(3, nil, func() { p, _ = ByName("LBANN") })
+	if objects != 0 || p.Name != "LBANN" {
+		t.Fatalf("ByName allocated %d objects and returned %q; want 0 and LBANN", objects, p.Name)
+	}
+	defs := Defaults()
+	want := defs[2]
+	defs[2].NetSens, defs[2].Name = 99, "changed"
+	if got, err := ByName("Laghos"); err != nil || got != want {
+		t.Fatalf("after changing a Defaults copy ByName returned %+v, %v; want %+v", got, err, want)
+	}
+}
+
+// TestContributionMatchesPerNodeWalk holds the census-built
+// contribution to the per-node walk it replaced, bit for bit: each node
+// adds its share to its pod's entry in allocation order, and the
+// cross-pod fraction is summed over the pods in ascending order.
+// Allocations interleave their pods' nodes at random, so the test would
+// see a sum that depended on the order the nodes come in.
+func TestContributionMatchesPerNodeWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, topo := range []cluster.Topology{cluster.Quartz(), cluster.Pod512(), cluster.Synthetic(100, 7)} {
+		for trial := 0; trial < 200; trial++ {
+			p := Defaults()[trial%7]
+			perm := rng.Perm(topo.Nodes)
+			alloc := cluster.Allocation{}
+			for _, n := range perm[:1+rng.Intn(min(topo.Nodes, 400))] {
+				alloc.Nodes = append(alloc.Nodes, cluster.NodeID(n))
+			}
+			want := simnet.Contribution{PodNet: map[int]float64{}}
+			counts := map[int]int{}
+			for _, n := range alloc.Nodes {
+				want.PodNet[topo.PodOf(n)] += p.NetPerNode / float64(topo.PodSize)
+				counts[topo.PodOf(n)]++
+			}
+			total := float64(len(alloc.Nodes))
+			crossFrac := 1.0
+			var pods []int
+			for pod := range counts {
+				pods = append(pods, pod)
+			}
+			slices.Sort(pods)
+			for _, pod := range pods {
+				f := float64(counts[pod]) / total
+				crossFrac -= f * f
+			}
+			want.Core = p.NetPerNode * total * crossFrac / float64(topo.Nodes)
+			want.FS = p.FSPerNode * total
+			if got := p.Contribution(topo, alloc); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v trial %d: census contribution %+v, per-node walk %+v", topo, trial, got, want)
+			}
+		}
 	}
 }
 

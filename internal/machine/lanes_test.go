@@ -55,7 +55,7 @@ type scenarioRun struct {
 func referenceSlowdown(m *Machine, rj *RunningJob) float64 {
 	var sum float64
 	for i, p := range rj.pods {
-		sum += rj.podCounts[i] * simnet.Overload(m.Net.NetLoad(p))
+		sum += float64(rj.podCounts[i]) * simnet.Overload(m.Net.NetLoad(p))
 	}
 	netOv := 0.0
 	if rj.nNodes > 0 {

@@ -32,12 +32,18 @@
 // the factor to the same bits after the finish has split a job's
 // progress. lanes_test.go holds this, after every step, to slowdowns from
 // raw loads and completions re-integrated at every change.
+//
+// # What a job costs
+//
+// A start takes its allocation's pod census once (apps.CountPods) for the
+// contribution, written once per pod, the network term and the lanes. A
+// pooled RunningJob makes a start and a finish allocate nothing
+// (TestJobLifeZeroAllocs); a fresh one costs TestFreshJobCost's count.
 package machine
 
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"rush/internal/apps"
@@ -47,7 +53,8 @@ import (
 	"rush/internal/telemetry"
 )
 
-// RunningJob tracks one executing job's integration state.
+// RunningJob tracks one executing job's integration state. Fresh ones
+// come from slabs of jobSlab, per-pod slices on inline arrays.
 type RunningJob struct {
 	// The words a sweep reads for every job come first and the event it
 	// re-times follows by value: one cache line for a job that did not
@@ -90,13 +97,21 @@ type RunningJob struct {
 	contrib  simnet.Contribution
 	onDone   func(*RunningJob)
 
-	pods      []int     // distinct pods touched, ascending
-	podCounts []float64 // nodes in each of pods, parallel slice
-	nNodes    float64   // len(Alloc.Nodes)
-	lane      int       // pod lane index, or -1 for the cross lane
-	laneIdx   int       // position in lanes[lane] (or cross)
-	crossIdx  []int     // positions in crossByPod[pods[i]], cross jobs only
+	pods      []int   // distinct pods touched, ascending
+	podCounts []int   // nodes in each of pods, parallel slice
+	nNodes    float64 // len(Alloc.Nodes)
+	lane      int     // pod lane index, or -1 for the cross lane
+	laneIdx   int     // position in lanes[lane] (or cross)
+	crossIdx  []int   // positions in crossByPod[pods[i]], cross jobs only
+
+	// pods, podCounts and crossIdx start on these; a job on more pods
+	// grows its object's slices once.
+	podsBuf, countsBuf, crossBuf [inlinePods]int
 }
+
+// inlinePods is how many pods a job's per-pod state holds without a heap
+// slice, and jobSlab how many fresh RunningJobs one allocation carves.
+const inlinePods, jobSlab = 8, 32
 
 // RunTime returns the job's realized wall-clock run time; it is only
 // meaningful after completion.
@@ -132,8 +147,9 @@ type Machine struct {
 	armed  bool      // onRead is registered with the engine
 	stats  Stats
 
-	freeJobs   []*RunningJob // PoolJobs freelist
-	podScratch map[int]int   // scratch for per-pod node counts
+	freeJobs []*RunningJob // PoolJobs freelist
+	slab     []RunningJob  // fresh objects not yet handed out
+	podTally []int         // per-pod node counts of one census, all zero between
 }
 
 // New constructs a machine over topo, with all randomness derived from
@@ -158,7 +174,7 @@ func New(eng *sim.Engine, topo cluster.Topology) (*Machine, error) {
 		probes:     eng.Source().Derive("probes"),
 		lanes:      make([][]*RunningJob, topo.Pods()),
 		crossByPod: make([][]*RunningJob, topo.Pods()),
-		podScratch: make(map[int]int, 8),
+		podTally:   make([]int, topo.Pods()),
 	}
 	m.onRead = func() {
 		m.armed = false
@@ -205,8 +221,8 @@ func (m *Machine) StartJob(profile apps.Profile, alloc cluster.Allocation, baseW
 	rj.remaining = baseWork
 	rj.lastT = m.Eng.Now()
 	rj.onDone = onDone
-	profile.ContributionInto(m.Topo, alloc, &rj.contrib)
 	m.indexPods(rj)
+	profile.ContributionInto(m.Topo, rj.pods, rj.podCounts, &rj.contrib)
 	// Apply the job's own load first so that its slowdown includes the
 	// contention it creates (self-contention is real on shared fabrics).
 	// The job is not in a lane yet, so the change notification cannot
@@ -221,7 +237,9 @@ func (m *Machine) StartJob(profile apps.Profile, alloc cluster.Allocation, baseW
 }
 
 // newJob returns a zeroed-enough RunningJob, recycled from the freelist
-// when pooling is on. The completion event and callback survive reuse.
+// when pooling is on, otherwise the next of the slab. The completion
+// callback, the slices and the map its first contribution makes survive
+// reuse.
 func (m *Machine) newJob() *RunningJob {
 	if n := len(m.freeJobs); n > 0 {
 		rj := m.freeJobs[n-1]
@@ -229,28 +247,20 @@ func (m *Machine) newJob() *RunningJob {
 		m.freeJobs = m.freeJobs[:n-1]
 		return rj
 	}
-	rj := &RunningJob{}
+	if len(m.slab) == 0 {
+		m.slab = make([]RunningJob, jobSlab)
+	}
+	rj := &m.slab[0]
+	m.slab = m.slab[1:]
+	rj.pods, rj.podCounts, rj.crossIdx = rj.podsBuf[:0], rj.countsBuf[:0], rj.crossBuf[:0]
 	rj.done.Fn = func() { m.complete(rj) }
 	return rj
 }
 
-// indexPods fills the job's sorted pod list and per-pod node counts,
-// which the weighted slowdown computation and lane bookkeeping consume.
+// indexPods takes the census of the job's allocation, which the
+// contribution, the weighted slowdown and the lane bookkeeping read.
 func (m *Machine) indexPods(rj *RunningJob) {
-	clear(m.podScratch)
-	rj.pods = rj.pods[:0]
-	rj.podCounts = rj.podCounts[:0]
-	for _, n := range rj.Alloc.Nodes {
-		p := m.Topo.PodOf(n)
-		if m.podScratch[p] == 0 {
-			rj.pods = append(rj.pods, p)
-		}
-		m.podScratch[p]++
-	}
-	sort.Ints(rj.pods)
-	for _, p := range rj.pods {
-		rj.podCounts = append(rj.podCounts, float64(m.podScratch[p]))
-	}
+	rj.pods, rj.podCounts = apps.CountPods(m.Topo, rj.Alloc, m.podTally, rj.pods[:0], rj.podCounts[:0])
 	rj.nNodes = float64(len(rj.Alloc.Nodes))
 	rj.multiPod = len(rj.pods) > 1
 }
@@ -321,7 +331,7 @@ func removeAt(s *[]*RunningJob, i int, fix func(*RunningJob, int)) {
 func (m *Machine) refreshNetTerm(rj *RunningJob) {
 	var sum float64
 	for i, p := range rj.pods {
-		sum += rj.podCounts[i] * m.Net.NetOverload(p)
+		sum += float64(rj.podCounts[i]) * m.Net.NetOverload(p)
 	}
 	netOv := 0.0
 	if rj.nNodes > 0 {
@@ -586,19 +596,15 @@ func (m *Machine) StartPruning(interval, keep float64) {
 // fixed set of nodes and cycles through phases of uniformly drawn network
 // load.
 type Noise struct {
-	m       *Machine
-	cfg     apps.Noise
-	alloc   cluster.Allocation
-	census  []podNodes // the allocation's node count per pod it touches
-	rng     *sim.Source
-	current simnet.Contribution
-	active  bool
-	phase   *sim.Event
+	m            *Machine
+	cfg          apps.Noise
+	alloc        cluster.Allocation
+	pods, counts []int // the allocation's census (apps.CountPods), taken once
+	rng          *sim.Source
+	current      simnet.Contribution
+	active       bool
+	phase        *sim.Event
 }
-
-// podNodes is one entry of a node census: how many nodes of an
-// allocation sit in pod.
-type podNodes struct{ pod, nodes int }
 
 // StartNoise allocates cfg.NodeFraction of the machine's nodes and begins
 // cycling load phases. It returns an error when the nodes cannot be
@@ -615,16 +621,8 @@ func (m *Machine) StartNoise(cfg apps.Noise) (*Noise, error) {
 	nz := &Noise{m: m, cfg: cfg, alloc: alloc, rng: m.rng.Derive("noise"), active: true}
 	// The allocation never changes, so its per-pod node census is taken
 	// once; every phase spreads its level over the same pods.
-	for _, node := range alloc.Nodes {
-		p := m.Topo.PodOf(node)
-		i := slices.IndexFunc(nz.census, func(c podNodes) bool { return c.pod == p })
-		if i < 0 {
-			i = len(nz.census)
-			nz.census = append(nz.census, podNodes{pod: p})
-		}
-		nz.census[i].nodes++
-	}
-	nz.current.PodNet = make(map[int]float64, len(nz.census))
+	nz.pods, nz.counts = apps.CountPods(m.Topo, alloc, m.podTally, nil, nil)
+	nz.current.PodNet = make(map[int]float64, len(nz.pods))
 	nz.nextPhase()
 	return nz, nil
 }
@@ -649,12 +647,12 @@ func (nz *Noise) nextPhase() {
 	// the additions a per-node walk over the map performs, in the same
 	// order, so the same float — and stored with one map write per pod.
 	share := level / float64(len(nz.alloc.Nodes))
-	for _, c := range nz.census {
+	for i, pod := range nz.pods {
 		var load float64
-		for k := 0; k < c.nodes; k++ {
+		for k := 0; k < nz.counts[i]; k++ {
 			load += share
 		}
-		nz.current.PodNet[c.pod] = load
+		nz.current.PodNet[pod] = load
 	}
 	nz.current.FS = level * nz.cfg.FSFraction
 	nz.m.Net.Apply(nz.current)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
-	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -16,6 +15,7 @@ import (
 	"rush/internal/machine"
 	"rush/internal/obs"
 	"rush/internal/sim"
+	"rush/internal/telemetry"
 )
 
 // ---------------------------------------------------------------------
@@ -31,7 +31,10 @@ type timelineShape struct {
 	add, rm    int     // out of 8: the share of adds and of removes; the rest promote
 	estimate   float64 // adds land up to this far after the pass time
 	advance    float64 // a promote moves the clock up to this far
+	grid       float64 // when > 0, estimates and advances are whole multiples of it
+	sizes      int     // node counts are drawn from 1..sizes
 	minOverdue int     // the overdue group must reach this size
+	minTie     int     // on each side of the group boundary, some tie run must reach this length
 }
 
 // TestTimelineMatchesSnapshot drives a timeline through random
@@ -40,44 +43,67 @@ type timelineShape struct {
 // promote time, and some adds land exactly on it — and checks after
 // every operation that its entries, read through their effective
 // release time, equal a brute-force model: each entry's time clamped to
-// the last promote time, sorted by (t, n). One history keeps a few
-// dozen entries; in the other estimates are short and the clock fast,
-// so the overdue group passes a thousand entries while adds and removes
-// go on around it.
+// the last promote time, sorted by (t, n). Every entry must also be the
+// one its job added, so a removal that takes a tied neighbour's entry
+// fails at once even though the times read the same. One history keeps
+// a few dozen entries; in another estimates are short and the clock
+// fast, so the overdue group passes a thousand entries while adds and
+// removes go on around it; in the third times sit on a coarse grid and
+// node counts are few, so tie runs of three and more form on both sides
+// of the group boundary. Every history removes from both the overdue
+// group and the entries after it.
 func TestTimelineMatchesSnapshot(t *testing.T) {
 	for _, sh := range []timelineShape{
-		{name: "shallow", steps: 2000, add: 4, rm: 2, estimate: 200, advance: 60},
-		{name: "deep-overdue", steps: 4000, add: 5, rm: 1, estimate: 30, advance: 60, minOverdue: 1000},
+		{name: "shallow", steps: 2000, add: 4, rm: 2, estimate: 200, advance: 60, sizes: 32},
+		{name: "deep-overdue", steps: 4000, add: 5, rm: 1, estimate: 30, advance: 60, sizes: 32, minOverdue: 1000},
+		{name: "ties", steps: 3000, add: 4, rm: 3, estimate: 40, advance: 20, grid: 10, sizes: 3, minTie: 4},
 	} {
 		t.Run(sh.name, func(t *testing.T) {
 			rng := sim.NewSource(11).Derive("timeline").Derive(sh.name)
+			draw := func(hi float64) float64 {
+				if sh.grid > 0 {
+					return sh.grid * float64(rng.Intn(int(hi/sh.grid)+1))
+				}
+				return rng.Uniform(0, hi)
+			}
 			var tl timeline
 			type model struct {
-				j *Job
-				t float64
-				n int
+				j  *Job
+				t0 float64 // the time the job was added at
+				t  float64 // t0 clamped to the last promote time
+				n  int
 			}
 			var ref, want []model
+			byJob := map[*Job]model{}
 			now := 0.0
 			nextID, atPass, maxDue := 0, 0, 0
+			var maxTie [2]int // longest tie run in the group, and after it
+			var rmGroup, rmRest int
 			for step := 0; step < sh.steps; step++ {
 				switch op := rng.Intn(8); {
 				case op < sh.add || len(ref) == 0:
-					j := &Job{ID: nextID, Nodes: 1 + rng.Intn(32)}
+					j := &Job{ID: nextID, Nodes: 1 + rng.Intn(sh.sizes)}
 					nextID++
-					end := now + rng.Uniform(0, sh.estimate)
+					end := now + draw(sh.estimate)
 					if rng.Intn(8) == 0 {
 						end = now // StartTime+Estimate rounded to the pass time
+					}
+					if end == now {
 						atPass++
 					}
 					tl.add(j, end)
-					ref = append(ref, model{j: j, t: end, n: j.Nodes})
+					ref = append(ref, model{j: j, t0: end, t: end, n: j.Nodes})
 				case op < sh.add+sh.rm:
 					k := rng.Intn(len(ref))
-					tl.remove(ref[k].j)
+					if ref[k].t0 <= tl.passT {
+						rmGroup++
+					} else {
+						rmRest++
+					}
+					tl.remove(ref[k].j, ref[k].t0)
 					ref = append(ref[:k], ref[k+1:]...)
 				default:
-					now += rng.Uniform(0, sh.advance)
+					now += draw(sh.advance)
 					tl.promote(now)
 					for i := range ref {
 						ref[i].t = max(ref[i].t, now)
@@ -96,20 +122,49 @@ func TestTimelineMatchesSnapshot(t *testing.T) {
 					}
 					return cmp.Compare(a.n, b.n)
 				})
+				clear(byJob)
+				for _, m := range ref {
+					byJob[m.j] = m
+				}
+				run := 0
 				for i := range want {
-					got, n := tl.ents[i].t, tl.ents[i].n
+					e := tl.ents[i]
+					got := e.t
 					if i < tl.due {
 						got = tl.passT // the overdue group's release time
 					}
-					if got != want[i].t || n != want[i].n {
+					if got != want[i].t || e.n != want[i].n {
 						t.Fatalf("step %d entry %d: timeline (%v,%d), model (%v,%d)",
-							step, i, got, n, want[i].t, want[i].n)
+							step, i, got, e.n, want[i].t, want[i].n)
 					}
+					m, ok := byJob[e.job]
+					if !ok || m.t0 != e.t || m.n != e.n {
+						t.Fatalf("step %d entry %d: (%v,%d) is not the entry its job added", step, i, e.t, e.n)
+					}
+					delete(byJob, e.job)
+					// A tie run is read within one segment: by n in the
+					// group, by (t, n) after it.
+					if prev := tl.ents[max(i-1, 0)]; i > 0 && i != tl.due && prev.n == e.n && (i < tl.due || prev.t == e.t) {
+						run++
+					} else {
+						run = 1
+					}
+					seg := 0
+					if i >= tl.due {
+						seg = 1
+					}
+					maxTie[seg] = max(maxTie[seg], run)
 				}
 			}
-			if maxDue < sh.minOverdue || atPass < 10 {
-				t.Fatalf("overdue group peaked at %d entries (want >= %d), %d adds at the pass time", maxDue, sh.minOverdue, atPass)
+			if maxDue < sh.minOverdue || atPass < 10 || min(maxTie[0], maxTie[1]) < sh.minTie {
+				t.Fatalf("overdue group peaked at %d entries (want >= %d), %d adds at the pass time, longest tie runs %v (want >= %d)",
+					maxDue, sh.minOverdue, atPass, maxTie, sh.minTie)
 			}
+			if rmGroup < 5 || rmRest < 5 {
+				t.Fatalf("%d removals from the overdue group and %d after it; want 5 or more of each", rmGroup, rmRest)
+			}
+			t.Logf("overdue peak %d, %d adds at the pass time, longest tie runs %v, removals %d in the group and %d after it",
+				maxDue, atPass, maxTie, rmGroup, rmRest)
 		})
 	}
 }
@@ -143,9 +198,9 @@ func TestTimelinePromoteZeroAllocs(t *testing.T) {
 }
 
 // TestTimelineReservationMatchesReferenceWalk cross-checks the
-// timeline's EASY reservation against an independent implementation of
-// the reference walk (clamp, sort, accumulate) over the same running
-// set, across random states.
+// timeline's EASY reservation against the reference scanner's walk
+// (clamp, sort, walkReleases) over the same running set, across random
+// states.
 func TestTimelineReservationMatchesReferenceWalk(t *testing.T) {
 	rng := sim.NewSource(23).Derive("resv")
 	for trial := 0; trial < 500; trial++ {
@@ -168,19 +223,7 @@ func TestTimelineReservationMatchesReferenceWalk(t *testing.T) {
 		free := rng.Intn(8)
 		need := 1 + rng.Intn(48)
 
-		wantShadow, wantAvail := now, free
-		for _, r := range rels {
-			if wantAvail >= need {
-				break
-			}
-			wantAvail += r.n
-			wantShadow = r.t
-		}
-		wantExtra := wantAvail - need
-		if wantAvail < need {
-			wantShadow, wantExtra = math.Inf(1), free
-		}
-
+		wantShadow, wantExtra := walkReleases(rels, need, free, now)
 		shadow, extra := tl.reservation(need, free, now)
 		if shadow != wantShadow || extra != wantExtra {
 			t.Fatalf("trial %d: reservation (%v,%d), reference walk (%v,%d)",
@@ -593,6 +636,57 @@ func TestDeepQueuePassZeroAllocs(t *testing.T) {
 		if objects != 0 || bytes != 0 {
 			t.Fatalf("20 passes over a %d-deep queue allocated %d objects, %d bytes with a nil observer; want 0", depth, objects, bytes)
 		}
+	}
+}
+
+// TestFinishZeroAllocs pins a scheduler finish: on a warm, pooled Quartz
+// with DiscardCompleted, a job's completion — the machine's withdrawal,
+// the running set's swap-remove, the timeline's removal and the pass it
+// triggers over an empty queue — allocates nothing. Long jobs run beside
+// it, one started after it, so the removal moves an entry into its slot.
+// The warm-up runs one short job a simulated second past the machine's
+// first history prune of its retention window, as the machine's own
+// allocation guards do.
+func TestFinishZeroAllocs(t *testing.T) {
+	const interval, keep = telemetry.WindowSeconds, 3 * telemetry.WindowSeconds
+	var (
+		s   *Scheduler
+		eng *sim.Engine
+	)
+	submit := func(j *Job) {
+		if err := s.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build := func() {
+		eng = sim.New(5)
+		m, err := machine.New(eng, cluster.Quartz())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.PoolJobs = true
+		m.StartPruning(interval, keep)
+		if s, err = NewScheduler(Config{Machine: m}); err != nil {
+			t.Fatal(err)
+		}
+		s.DiscardCompleted = true
+		for i := 0; i < 8; i++ {
+			submit(job(i, 4, 1e8))
+		}
+		for i := 0; i < interval+keep+64; i++ {
+			submit(job(100+i, 2, 0.5))
+			eng.RunUntil(eng.Now() + 1)
+		}
+		submit(job(99, 2, 0.5))
+		submit(job(8, 4, 1e8))
+	}
+	objects, _ := alloctest.Count(3, build, func() { eng.RunUntil(eng.Now() + 1) })
+	if s.CompletedCount() != interval+keep+65 || s.RunningLen() != 9 || s.running[8].ID != 8 || s.tl.len() != 9 {
+		t.Fatalf("%d jobs done, %d running, %d releases; want every short one done and the 9 long ones running",
+			s.CompletedCount(), s.RunningLen(), s.tl.len())
+	}
+	if objects != 0 {
+		t.Fatalf("a finish allocated %d times; want 0", objects)
 	}
 }
 

@@ -145,30 +145,35 @@ restart:
 	}
 }
 
-// reservation computes the pivot's EASY reservation using the standard
-// count-based method: walk running jobs by estimated completion until
-// enough nodes accumulate. It returns the shadow time and the number of
-// spare nodes at that time (backfill jobs at most that size cannot delay
-// the reservation regardless of their duration).
+// reservation computes the pivot's EASY reservation over the running
+// set's snapshot (see walkReleases).
 func (r *refScanner) reservation(pivot *Job) (shadow float64, extra int) {
-	s := r.s
-	now := s.m.Eng.Now()
-	avail := s.m.Alloc.FreeCount()
+	now := r.s.m.Eng.Now()
+	return walkReleases(r.snapshot(now), pivot.Nodes, r.s.m.Alloc.FreeCount(), now)
+}
+
+// walkReleases is the standard count-based reservation: walk the
+// releases, in snapshot order, by estimated completion until enough
+// nodes accumulate. It returns the shadow time and the number of spare
+// nodes at that time (backfill jobs at most that size cannot delay the
+// reservation regardless of their duration).
+func walkReleases(rels []release, need, free int, now float64) (shadow float64, extra int) {
+	avail := free
 	shadow = now
-	for _, rel := range r.snapshot(now) {
-		if avail >= pivot.Nodes {
+	for _, rel := range rels {
+		if avail >= need {
 			break
 		}
 		avail += rel.n
 		shadow = rel.t
 	}
-	if avail < pivot.Nodes {
+	if avail < need {
 		// The pivot can never fit (e.g. the noise job permanently holds
 		// nodes it would need): reserve at infinity so any fitting job
 		// backfills freely.
-		return math.Inf(1), s.m.Alloc.FreeCount()
+		return math.Inf(1), free
 	}
-	return shadow, avail - pivot.Nodes
+	return shadow, avail - need
 }
 
 // refreshBlocks recomputes the whole skip table from the queue: what the

@@ -127,6 +127,7 @@ type Job struct {
 	vetoGen     uint64  // pass generation of the most recent veto
 	lastVetoAt  float64 // when the job was last gate-vetoed
 	vetoPending bool    // vetoed since it last started
+	runIdx      int32   // position in Scheduler.running; fits vetoPending's padding
 }
 
 // WaitTime returns total time spent queued, accumulated across every
@@ -513,6 +514,7 @@ func (s *Scheduler) tryStart(j *Job, backfill bool) bool {
 		s.pendingVetoes--
 	}
 	s.fastRemove(j)
+	j.runIdx = int32(len(s.running))
 	s.running = append(s.running, j)
 	s.tl.add(j, j.StartTime+j.Estimate)
 	if backfill {
@@ -621,12 +623,15 @@ func (s *Scheduler) requeue(j *Job) {
 	s.Pass()
 }
 
+// removeRunning swaps the running set's last job into j's slot (only
+// reference_test.go reads the set, and it sorts what it reads) and takes
+// j's release off the timeline.
 func (s *Scheduler) removeRunning(j *Job) {
-	for i, r := range s.running {
-		if r == j {
-			s.running = append(s.running[:i], s.running[i+1:]...)
-			s.tl.remove(j)
-			break
-		}
-	}
+	last := len(s.running) - 1
+	moved := s.running[last]
+	s.running[j.runIdx] = moved
+	moved.runIdx = j.runIdx
+	s.running[last] = nil
+	s.running = s.running[:last]
+	s.tl.remove(j, j.StartTime+j.Estimate)
 }

@@ -46,52 +46,65 @@ type timeline struct {
 func (tl *timeline) len() int { return len(tl.ents) }
 
 // add inserts j's release breakpoint at time t (StartTime+Estimate) at
-// the (t, n) upper bound after the overdue group, or, if t rounds to the
-// pass time, at the group's n upper bound, found by hand-rolled binary
-// search so no sort.Search closure escapes to the heap. Cost: O(log R)
-// compare + O(R) memmove for R running jobs, paid once per start instead
-// of an O(R log R) sort on every pass.
+// the upper bound of its segment (see search). Cost: O(log R) compare +
+// O(R) memmove for R running jobs, paid once per start instead of an
+// O(R log R) sort on every pass.
 func (tl *timeline) add(j *Job, t float64) {
-	n := j.Nodes
-	group := t <= tl.passT
-	lo, hi := tl.due, len(tl.ents)
+	i, _, group := tl.search(t, j.Nodes, true)
 	if group {
-		lo, hi = 0, tl.due
 		tl.due++
 	}
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		e := &tl.ents[mid]
-		if (!group && e.t > t) || ((group || e.t == t) && e.n > n) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
 	tl.ents = append(tl.ents, tlEntry{})
-	copy(tl.ents[lo+1:], tl.ents[lo:])
-	tl.ents[lo] = tlEntry{t: t, n: n, job: j}
+	copy(tl.ents[i+1:], tl.ents[i:])
+	tl.ents[i] = tlEntry{t: t, n: j.Nodes, job: j}
 	if len(tl.ents) > tl.peak {
 		tl.peak = len(tl.ents)
 	}
 }
 
-// remove deletes j's breakpoint (job finished or was killed). The scan
-// is linear in the running-set size, which is bounded by the node count
-// — never by queue depth.
-func (tl *timeline) remove(j *Job) {
-	for i := range tl.ents {
-		if tl.ents[i].job == j {
-			if i < tl.due {
-				tl.due--
-			}
-			tl.ents = append(tl.ents[:i], tl.ents[i+1:]...)
-			return
+// remove deletes j's breakpoint, added at time t (job finished or was
+// killed): the search finds the first entry of its tie run, which is
+// scanned for j, and the tail moves down by one, the memmove add pays.
+func (tl *timeline) remove(j *Job, t float64) {
+	i, end, group := tl.search(t, j.Nodes, false)
+	for i < end && tl.ents[i].job != j {
+		i++
+	}
+	if i == end {
+		return // unreachable: tryStart and removeRunning are paired
+	}
+	if group {
+		tl.due--
+	}
+	tl.ents = append(tl.ents[:i], tl.ents[i+1:]...)
+}
+
+// search finds where an entry (t, n) goes. Its segment is the overdue
+// group, which holds exactly the entries with t <= passT (add puts them
+// there, promote moves them) ordered by n, or the entries after it,
+// ordered by (t, n); end is the segment's end, and i its first entry
+// ordered after (t, n) or, unless upper, tied with it. The binary search
+// is hand-rolled, so no sort.Search closure escapes to the heap.
+func (tl *timeline) search(t float64, n int, upper bool) (i, end int, group bool) {
+	group = t <= tl.passT
+	i, end = tl.due, len(tl.ents)
+	if group {
+		i, end = 0, tl.due
+	}
+	for hi := end; i < hi; {
+		mid := int(uint(i+hi) >> 1)
+		e := &tl.ents[mid]
+		after := e.n > n || (e.n == n && !upper)
+		if !group && e.t != t {
+			after = e.t > t
+		}
+		if after {
+			hi = mid
+		} else {
+			i = mid + 1
 		}
 	}
-	// Not finding the job would mean a start without an add; tryStart
-	// and removeRunning are paired, so that is unreachable, and the
-	// differential tests would catch a divergence before it could matter.
+	return i, end, group
 }
 
 // promote moves the overdue group's release time to now — an overrun

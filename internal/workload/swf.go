@@ -97,6 +97,8 @@ func replayableSWF(j SWFJob) bool {
 // record that requests none (or less than it ran).
 const swfEstimateFactor = 1.5
 
+const jobChunk = 136 // sched.Jobs per converter chunk; see TestJobChunkFitsSizeClass
+
 // SWFOptions controls how an SWF trace maps onto the simulator.
 type SWFOptions struct {
 	// CoresPerNode converts processor counts to node counts (default 36,
@@ -188,10 +190,10 @@ func (c *swfConverter) convert(sj SWFJob) (SubmittedJob, bool) {
 	}
 	c.lastAt = at
 	if len(c.jobs) == 0 {
-		// 136 jobs fill a 32 KiB allocation. A chunk is collected once
-		// every job carved from it is unreachable: a streaming replay
-		// holds about one chunk more than its live jobs.
-		c.jobs = make([]sched.Job, 136)
+		// jobChunk jobs fill a 32 KiB allocation. A chunk is collected
+		// once every job carved from it is unreachable: a streaming
+		// replay holds about one chunk more than its live jobs.
+		c.jobs = make([]sched.Job, jobChunk)
 	}
 	j := &c.jobs[0]
 	c.jobs = c.jobs[1:]

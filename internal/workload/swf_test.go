@@ -4,6 +4,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
+
+	"rush/internal/sched"
 )
 
 const sampleSWF = `; SWF format, version 2
@@ -103,5 +106,14 @@ func TestFromSWFStableAppAssignment(t *testing.T) {
 func TestFromSWFEmpty(t *testing.T) {
 	if _, err := FromSWF(nil, SWFOptions{}); err == nil {
 		t.Fatal("empty trace should error")
+	}
+}
+
+// TestJobChunkFitsSizeClass keeps the converter's job chunk within the
+// runtime's largest small-object size class: one more word on sched.Job
+// would push the chunk onto whole pages, a quarter more heap per chunk.
+func TestJobChunkFitsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(sched.Job{}) * jobChunk; size > 32<<10 {
+		t.Fatalf("%d jobs of %d bytes take %d bytes, past the 32 KiB size class", jobChunk, unsafe.Sizeof(sched.Job{}), size)
 	}
 }
