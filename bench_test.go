@@ -309,27 +309,6 @@ func BenchmarkAblationDelayOnLittle(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationAllNodesScope measures RUSH with machine-wide counter
-// aggregation at decision time (the paper's data-exclusivity comparison).
-func BenchmarkAblationAllNodesScope(b *testing.B) {
-	benchSetup(b)
-	spec, _ := workload.SpecByName("ADAA")
-	cfg := experiments.Config{AllNodesScope: true}
-	if _, loaded := printedOnce.LoadOrStore("ablation-scope", true); !loaded {
-		cmp, err := experiments.RunExperiment(spec, benchPred, benchTrials, 9200, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printReports("Ablation: all-nodes decision scope", variation(cmp))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunTrial(spec, experiments.RUSH, benchPred, int64(i), cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAblationSJF measures RUSH layered over shortest-job-first
 // queue ordering (the paper: the modification composes with any static
 // ordering policy).

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"sort"
 
 	"rush/internal/cliflags"
 	"rush/internal/core"
@@ -60,7 +61,14 @@ func main() {
 	fmt.Printf("campaign: %d days, %d samples, %.1f%% runs with variation (z >= %.1f)\n",
 		*days, res.JobScope.Len(),
 		100*float64(pos)/float64(res.JobScope.Len()), dataset.VariationSigma)
-	for app, st := range res.JobScope.Stats() {
+	stats := res.JobScope.Stats()
+	apps := make([]string, 0, len(stats))
+	for app := range stats {
+		apps = append(apps, app)
+	}
+	sort.Strings(apps)
+	for _, app := range apps {
+		st := stats[app]
 		fmt.Printf("  %-8s n=%-4d mean=%6.1fs std=%5.1fs min=%6.1fs\n",
 			app, st.N, st.Mean, st.Std, st.Min)
 	}

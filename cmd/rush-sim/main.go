@@ -37,7 +37,6 @@ func main() {
 	trials := cliflags.Trials(experiments.DefaultTrials)
 	seed := cliflags.Seed(100)
 	delayLittle := flag.Bool("delay-on-little", false, "also delay on the little-variation class")
-	allNodes := flag.Bool("all-nodes-scope", false, "aggregate counters machine-wide at decision time")
 	sjf := flag.Bool("sjf", false, "use shortest-job-first queue ordering instead of FCFS")
 	tracePath := cliflags.Trace()
 	metrics := cliflags.Metrics()
@@ -73,7 +72,7 @@ func main() {
 	}
 	cfg := experiments.Config{
 		Topo:          topo,
-		DelayOnLittle: *delayLittle, AllNodesScope: *allNodes, UseSJF: *sjf,
+		DelayOnLittle: *delayLittle, UseSJF: *sjf,
 		Workers: *workers, Trace: *tracePath != "", Metrics: *metrics,
 	}
 	cfg.Faults = faults.Config{

@@ -2,9 +2,10 @@
 // every binary builds, the three simulation drivers exit 0 on a tiny
 // configuration with output that does not depend on -workers, and bad
 // -topo values, non-finite fault and canary rates and run limits, the
-// retired path-selection, drift, lifecycle, backfill, batching, CSV and
-// temporal-validation flags, an SWF URL and the retired fifth model are
-// rejected.
+// retired path-selection, drift, lifecycle, backfill, batching, CSV,
+// temporal-validation and decision-scope flags, an SWF URL and the
+// retired fifth model are rejected, and rush-collect prints the same
+// summary, in name order, twice.
 // It also builds and runs examples/quickstart, the one Go-level driver
 // of the pipeline, so that cannot stop working unnoticed either, and
 // asks a running rush-serve for one decision.
@@ -16,6 +17,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 	"syscall"
 	"testing"
@@ -119,13 +121,14 @@ func TestCommandsSmoke(t *testing.T) {
 	// The flags that used to select between equivalent paths, inject
 	// telemetry drift, run the model lifecycle, pick a backfilling
 	// discipline other than EASY, size the daemon's inference batches,
-	// write per-job CSV or run temporal validation are gone.
+	// write per-job CSV, run temporal validation or aggregate a gate
+	// decision's counters machine-wide are gone.
 	retired := map[string][]string{
 		"rush-serve": {"-batch-window=200us"},
 		"rush-sim": {"-sched-reference", "-engine-reference", "-engine-workers=2",
 			"-drift-start=1", "-drift-ramp=1", "-drift-mean-shift=1", "-drift-noise-boost=1", "-drift-tables=x",
 			"-lifecycle", "-lifecycle-psi=1", "-lifecycle-canary-fraction=1", "-lifecycle-retrain-every=1",
-			"-backfill=conservative", "-csv=x"},
+			"-backfill=conservative", "-csv=x", "-all-nodes-scope"},
 		"rush-train":       {"-temporal"},
 		"rush-experiments": {"-sched-reference", "-engine-reference", "-engine-workers=2", "-drift"},
 		"rush-replay":      {"-sched-reference", "-engine-reference", "-engine-workers=2", "-in-memory", "-backfill=conservative"},
@@ -189,7 +192,20 @@ func TestCommandsSmoke(t *testing.T) {
 	// file of its kind loads as any unknown kind does.
 	dir := t.TempDir()
 	csv := filepath.Join(dir, "jobscope.csv")
-	run(t, bin, "rush-collect", "-days", "2", "-out", csv)
+	collected := run(t, bin, "rush-collect", "-days", "2", "-out", csv)
+	if again := run(t, bin, "rush-collect", "-days", "2", "-out", filepath.Join(dir, "again.csv")); !bytes.Equal(collected, again) {
+		t.Errorf("rush-collect output differs between two runs:\n%s\n---\n%s", collected, again)
+	}
+	// The per-application summary lines come in name order.
+	var apps []string
+	for _, line := range strings.Split(string(collected), "\n") {
+		if f := strings.Fields(line); len(f) > 1 && strings.HasPrefix(f[1], "n=") {
+			apps = append(apps, f[0])
+		}
+	}
+	if len(apps) < 2 || !sort.StringsAreSorted(apps) {
+		t.Errorf("rush-collect summary lines not in name order: %v\n%s", apps, collected)
+	}
 	gone := filepath.Join(dir, "gone.json")
 	if err := os.WriteFile(gone, []byte(`{"model_name":"GradientBoosting","model":{"kind":"gbm","gbm":{"classes":[0,1,2]}}}`), 0o644); err != nil {
 		t.Fatal(err)

@@ -49,9 +49,6 @@ type Config struct {
 	// DelayOnLittle also delays jobs when the model predicts the
 	// "little variation" class, not just "variation" (ablation knob).
 	DelayOnLittle bool
-	// AllNodesScope makes RUSH aggregate counters machine-wide instead
-	// of over the job's tentative nodes (ablation knob).
-	AllNodesScope bool
 	// UseSJF replaces the FCFS queue ordering, and with it the order EASY
 	// scans backfill candidates in, with shortest-job-first — the paper
 	// notes RUSH composes with any static queue-ordering policy (ablation
@@ -283,7 +280,6 @@ func newTrialEnv(name string, policy Policy, pred *core.Predictor, seed int64, c
 			return nil, fmt.Errorf("experiments: RUSH policy requires a trained predictor")
 		}
 		rushGate := sched.NewRUSH(m, pred.Model)
-		rushGate.AllNodesScope = cfg.AllNodesScope
 		rushGate.ProbThreshold = cfg.ProbThreshold
 		rushGate.ModelDown = inj.ModelDown()
 		if cfg.DelayOnLittle {

@@ -46,7 +46,6 @@ func TestCounterMaskChangesNoTrial(t *testing.T) {
 	}{
 		{"ADAA", adaa, pred, Config{}},
 		{"WS", ws, pred, Config{}},
-		{"AllNodesScope", adaa, pred, Config{AllNodesScope: true}},
 		{"ProbThreshold", adaa, pred, Config{ProbThreshold: 0.3}},
 		{"telemetry-faults", adaa, pred, Config{Faults: faults.Config{TelemetryLoss: 0.2, FreezeProb: 0.1}}},
 		{"depth-2", adaa, &pred2, Config{}},

@@ -19,12 +19,12 @@ import (
 // models, one gate on each, so that the production decision of one and
 // the oracle decision of the other (refAllow) can be compared step for
 // step.
-func twinGates(t *testing.T, seed int64, allScope bool, probThreshold float64) (fast, ref *RUSH, bgF, bgR *machine.Background) {
+func twinGates(t *testing.T, seed int64, probThreshold float64) (fast, ref *RUSH, bgF, bgR *machine.Background) {
 	t.Helper()
 	build := func() (*machine.Machine, *machine.Background) {
 		eng := sim.New(seed)
-		// Single pod, like the training machine, so the machine-wide
-		// scope sees the same congestion the model learned from.
+		// Single pod, like the training machine, so the job's nodes see
+		// the same congestion the model learned from.
 		m, err := machine.New(eng, cluster.Topology{Nodes: 64, PodSize: 64, CoresPerNode: 4})
 		if err != nil {
 			t.Fatal(err)
@@ -38,8 +38,6 @@ func twinGates(t *testing.T, seed int64, allScope bool, probThreshold float64) (
 	model := trainedToyModel(t, gateMachine())
 	fast = NewRUSH(mF, model)
 	ref = NewRUSH(mR, model)
-	fast.AllNodesScope = allScope
-	ref.AllNodesScope = allScope
 	fast.ProbThreshold = probThreshold
 	ref.ProbThreshold = probThreshold
 	return fast, ref, bgF, bgR
@@ -59,7 +57,7 @@ func twinGates(t *testing.T, seed int64, allScope bool, probThreshold float64) (
 func refFeatures(g *RUSH, alloc cluster.Allocation, class apps.Class) []float64 {
 	m := g.m
 	s := telemetry.NewSampler(cluster.Topology{PodSize: m.Topo.PodSize}, m.Eng.Source().Derive("telemetry"))
-	agg := s.AggregateWindow(m.Net.History(), g.scopeNodes(alloc), m.Eng.Now())
+	agg := s.AggregateWindow(m.Net.History(), alloc.Nodes, m.Eng.Now())
 	feats := dataset.BuildFeatures(agg, m.RunProbes(alloc), class)
 	read := make([]bool, dataset.NumFeatures)
 	mlkit.MarkRead(g.model, read)
@@ -112,20 +110,18 @@ func refAllow(t *testing.T, g *RUSH, j *Job, alloc cluster.Allocation) bool {
 // TestGateFastPathMatchesReference drives twin gates through identical
 // load histories and checks every decision, feature vector, and counter
 // agrees bit for bit between the production path and the oracles —
-// across both scopes and both decision rules.
+// under both decision rules.
 func TestGateFastPathMatchesReference(t *testing.T) {
 	cases := []struct {
-		name     string
-		allScope bool
-		thresh   float64
+		name   string
+		thresh float64
 	}{
-		{"job-scope-label", false, 0},
-		{"all-scope-label", true, 0},
-		{"all-scope-proba", true, 0.35},
+		{"job-scope-label", 0},
+		{"job-scope-proba", 0.35},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			fast, ref, bgF, bgR := twinGates(t, 99, tc.allScope, tc.thresh)
+			fast, ref, bgF, bgR := twinGates(t, 99, tc.thresh)
 			alloc := cluster.Allocation{Nodes: []cluster.NodeID{0, 1, 2, 3}}
 			rng := sim.NewSource(7).Derive("drive")
 			for step := 0; step < 25; step++ {
@@ -169,11 +165,11 @@ func TestGateFastPathMatchesReference(t *testing.T) {
 	}
 }
 
-// TestGateDecisionZeroAllocs pins the tentpole allocation contract on
-// both scopes. machine-wide is a steady-state decision — freshness
-// check, window aggregation over every node, probes, feature assembly,
-// ensemble inference. The job shapes are the two decisions a RUSH trial
-// is made of, on a 16-node scope of a 512-node machine under ambient
+// TestGateDecisionZeroAllocs pins the gate's allocation contract: a
+// decision — freshness check, window aggregation over the job's nodes,
+// probes, feature assembly, ensemble inference — allocates nothing in
+// steady state. The shapes are the two decisions a RUSH trial is made
+// of, on a 16-node scope of a 512-node machine under ambient
 // load, with history and sampler pruned as a trial prunes them.
 // first-ask rotates through 28 disjoint scopes one sample period apart,
 // so each returns after 420 s and every row of its window is computed;
@@ -204,31 +200,6 @@ func TestGateDecisionZeroAllocs(t *testing.T) {
 			}
 		})
 	}
-
-	t.Run("machine-wide", func(t *testing.T) {
-		var gate *RUSH
-		build := func() {
-			eng := sim.New(41)
-			m, err := machine.New(eng, cluster.Topology{Nodes: 64, PodSize: 16, CoresPerNode: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			gate = NewRUSH(m, model)
-			gate.AllNodesScope = true
-			m.NewBackground().Set(simnet.Contribution{PodNet: map[int]float64{0: 0.8}, FS: 0.2})
-			eng.RunUntil(900)
-			alloc := cluster.Allocation{Nodes: []cluster.NodeID{0, 1, 2, 3}}
-			ask = func(int) {
-				j.Skips = 0
-				gate.Allow(j, alloc)
-			}
-			ask(0) // warm caches and reusable buffers
-		}
-		if objects, bytes := measure(build); objects != 0 || bytes != 0 {
-			t.Fatalf("56 machine-wide gate decisions allocated %d objects, %d bytes; want 0", objects, bytes)
-		}
-		maskInForce(t, gate)
-	})
 
 	for _, shape := range []struct {
 		name   string

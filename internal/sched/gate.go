@@ -13,27 +13,19 @@ import (
 
 // Features assembles the live Table I feature vector of a tentative
 // allocation from one machine: the five-minute counter aggregation over
-// the decision scope plus freshly run MPI probes. It owns the reusable
-// buffers that keep a steady-state gate decision free of heap allocations.
+// the allocation's nodes plus freshly run MPI probes. It owns the
+// reusable buffers that keep a steady-state gate decision free of heap
+// allocations.
 // The RUSH gate embeds one; the served gate holds one too, since counters
 // and probes live with the simulated machine on either deployment.
 type Features struct {
-	m *machine.Machine
-
-	// AllNodesScope aggregates counters over the whole machine instead
-	// of the job's tentative nodes (the paper's data-exclusivity
-	// comparison; job-node scope is the deployed default).
-	AllNodesScope bool
-
-	allNodes []cluster.NodeID
-	winAgg   *telemetry.WindowAgg
+	m        *machine.Machine
 	aggBuf   telemetry.Aggregates
 	probeBuf simnet.ProbeResult
 	featsBuf []float64
 }
 
-// NewFeatures returns the feature assembly of machine m on the job-node
-// scope.
+// NewFeatures returns the feature assembly of machine m.
 func NewFeatures(m *machine.Machine) Features { return Features{m: m} }
 
 // LiveFeatures assembles the 282-feature vector the model expects from
@@ -42,17 +34,7 @@ func NewFeatures(m *machine.Machine) Features { return Features{m: m} }
 // The returned slice is a per-value buffer reused by the next call;
 // callers that retain features across decisions must copy them.
 func (f *Features) LiveFeatures(alloc cluster.Allocation, class apps.Class) []float64 {
-	now := f.m.Eng.Now()
-	if f.AllNodesScope {
-		// The machine-wide scope is fixed, so a sliding-window aggregator
-		// amortizes each tick's node sweep across decisions.
-		if f.winAgg == nil {
-			f.winAgg = f.m.Sampler.NewWindowAgg(f.m.Net.History(), f.scopeNodes(alloc))
-		}
-		f.winAgg.AggregateInto(now, &f.aggBuf)
-	} else {
-		f.m.Sampler.AggregateWindowInto(f.m.Net.History(), alloc.Nodes, now, &f.aggBuf)
-	}
+	f.m.Sampler.AggregateWindowInto(f.m.Net.History(), alloc.Nodes, f.m.Eng.Now(), &f.aggBuf)
 	f.m.RunProbesInto(alloc, &f.probeBuf)
 	if f.featsBuf == nil {
 		f.featsBuf = make([]float64, 0, dataset.NumFeatures)
@@ -61,22 +43,11 @@ func (f *Features) LiveFeatures(alloc cluster.Allocation, class apps.Class) []fl
 	return f.featsBuf
 }
 
-// FreshnessAge measures how old the newest telemetry of the decision
-// scope is: a sweep over the scope's nodes, which is why the gate takes it
+// FreshnessAge measures how old the newest telemetry of the allocation's
+// nodes is: a sweep over those nodes, which is why the gate takes it
 // only once the pipeline's earlier layers came back clear.
 func (f *Features) FreshnessAge(alloc cluster.Allocation) float64 {
-	return f.m.Sampler.FreshnessAge(f.scopeNodes(alloc), f.m.Eng.Now())
-}
-
-// scopeNodes returns the node set the telemetry readings cover.
-func (f *Features) scopeNodes(alloc cluster.Allocation) []cluster.NodeID {
-	if f.AllNodesScope {
-		if f.allNodes == nil {
-			f.allNodes = telemetry.AllNodes(f.m.Topo)
-		}
-		return f.allNodes
-	}
-	return alloc.Nodes
+	return f.m.Sampler.FreshnessAge(alloc.Nodes, f.m.Eng.Now())
 }
 
 // RUSH is the paper's model-based gate (Algorithm 2): before a job

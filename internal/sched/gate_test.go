@@ -151,24 +151,6 @@ func TestRUSHGateProbFallsBackToLabels(t *testing.T) {
 	}
 }
 
-func TestRUSHGateAllNodesScope(t *testing.T) {
-	m := gateMachine()
-	model := trainedToyModel(t, m)
-	gate := NewRUSH(m, model)
-	gate.AllNodesScope = true
-	alloc, _ := m.Alloc.Alloc(4)
-	// Smoke: machine-wide scope still produces a valid decision.
-	m.Eng.RunUntil(m.Eng.Now() + 400)
-	gate.Allow(job(0, 4, 100), alloc)
-	if gate.Evaluations != 1 {
-		t.Fatal("gate did not evaluate")
-	}
-	feats := gate.LiveFeatures(alloc, apps.ComputeIntensive)
-	if len(feats) != dataset.NumFeatures {
-		t.Fatalf("feature width %d", len(feats))
-	}
-}
-
 func TestCanaryGateVetoesUnderCongestion(t *testing.T) {
 	m := gateMachine()
 	gate := NewCanary(m)

@@ -76,21 +76,28 @@ type pipelineRun struct {
 	state           BreakerState
 }
 
-// walkPipeline drives the segments the way a host does. Single-shot runs
-// all of them on one breaker; twoPhase stops after the pre-feature half,
-// as the wire's check does, and resumes with the age it reported, as the
-// wire's eval does.
+// walkPipeline runs decision r on a pipeline of r's thresholds whose
+// breaker is in r's state at pipelineNow.
 func walkPipeline(t *testing.T, r pipelineRow, twoPhase bool) pipelineRun {
 	t.Helper()
 	p := &Pipeline{MaxStaleness: r.stale, MaxMissing: r.sparse, Breaker: breakerIn(t, r.breaker)}
+	return decide(p, pipelineNow, r, twoPhase)
+}
+
+// decide runs decision r on p at now, driving the segments the way a host
+// does; p's thresholds stand, r's are not read. Single-shot runs all of
+// them in one go; twoPhase stops after the pre-feature half, as the
+// wire's check does, and resumes with the age it reported, as the wire's
+// eval does.
+func decide(p *Pipeline, now float64, r pipelineRow, twoPhase bool) pipelineRun {
 	model := &widthModel{out: r.predict}
 	snap := &Snapshot{Model: model, VariationLabels: map[int]bool{dataset.LabelVariation: true}}
 	var run pipelineRun
 
-	v := p.Admit(pipelineNow, r.skips, r.threshold, r.outage)
+	v := p.Admit(now, r.skips, r.threshold, r.outage)
 	if !v.Final() && p.MaxStaleness > 0 {
 		run.measured = true
-		v = p.Fresh(pipelineNow, r.age)
+		v = p.Fresh(now, r.age)
 	}
 	if twoPhase && !v.Final() {
 		// The phase boundary: only the age crosses it.
@@ -106,7 +113,7 @@ func walkPipeline(t *testing.T, r pipelineRow, twoPhase bool) pipelineRun {
 			feats[i] = math.NaN()
 		}
 		var err error
-		if v, err = p.Eval(pipelineNow, v.Age, feats, model.NumFeatures()); err != nil {
+		if v, err = p.Eval(now, v.Age, feats, model.NumFeatures()); err != nil {
 			run.err = true
 		} else if !v.Final() {
 			v = v.Decided(snap.Decide(feats, new([]float64)))
@@ -117,11 +124,8 @@ func walkPipeline(t *testing.T, r pipelineRow, twoPhase bool) pipelineRun {
 	return run
 }
 
-// TestPipelineLayerOrder pins the order of Algorithm 2's layers and what
-// each charges to the breaker, over the values a host feeds the pipeline,
-// and that cutting a decision at the feature boundary (check, then eval)
-// changes nothing about it.
-func TestPipelineLayerOrder(t *testing.T) {
+// layerOrderRows are TestPipelineLayerOrder's decisions, layer by layer.
+func layerOrderRows() []pipelineRow {
 	const variation, none = dataset.LabelVariation, dataset.LabelNone
 	row := func(r pipelineRow) pipelineRow { // the healthy defaults every row starts from
 		if r.width == 0 {
@@ -135,7 +139,7 @@ func TestPipelineLayerOrder(t *testing.T) {
 		}
 		return r
 	}
-	rows := []pipelineRow{
+	return []pipelineRow{
 		row(pipelineRow{name: "healthy start", age: 30, predict: none,
 			decision: obs.DecisionStart, class: none, wantAge: 30, wantMiss: 0, measured: true, built: true, asked: true}),
 		row(pipelineRow{name: "healthy veto", age: 30, predict: variation,
@@ -198,7 +202,14 @@ func TestPipelineLayerOrder(t *testing.T) {
 		row(pipelineRow{name: "sparsity layer off", age: 30, missing: 6, sparse: -1, predict: none,
 			decision: obs.DecisionStart, class: none, wantAge: 30, wantMiss: -1, measured: true, built: true, asked: true}),
 	}
-	for _, r := range rows {
+}
+
+// TestPipelineLayerOrder pins the order of Algorithm 2's layers and what
+// each charges to the breaker, over the values a host feeds the pipeline,
+// and that cutting a decision at the feature boundary (check, then eval)
+// changes nothing about it.
+func TestPipelineLayerOrder(t *testing.T) {
+	for _, r := range layerOrderRows() {
 		t.Run(r.name, func(t *testing.T) {
 			got := walkPipeline(t, r, false)
 			if got.err != r.wantErr {
@@ -225,4 +236,84 @@ func TestPipelineLayerOrder(t *testing.T) {
 			}
 		})
 	}
+}
+
+// pipelineOp decodes one fuzzed decision from eight bytes: a clock
+// advance of 2·b[0] s, the job's skips, its raw skip threshold (signed),
+// the outage flag, the telemetry age (b[4]/2 s, 255 for never sampled),
+// the NaN entries, the vector width and the model's label.
+func pipelineOp(b []byte) (advance float64, r pipelineRow) {
+	age := float64(b[4]) / 2
+	if b[4] == 255 {
+		age = math.Inf(1)
+	}
+	width := int(b[6] % 16)
+	return 2 * float64(b[0]), pipelineRow{skips: int(b[1]), threshold: int(int8(b[2])), outage: b[3]&1 == 1,
+		age: age, missing: int(b[5]) % (width + 1), width: width, predict: int(b[7] % 3)}
+}
+
+// pipelineSeed encodes row r as FuzzPipelineOps input: r's thresholds,
+// then, when r starts from an open or half-open breaker, three outages
+// that trip it, and r itself as long after the trip as breakerIn puts it.
+func pipelineSeed(r pipelineRow) []byte {
+	seed := []byte{byte(max(r.stale, 0)), byte(max(r.sparse, 0) * 256)}
+	advance := byte(0)
+	if r.breaker != BreakerClosed {
+		for range 3 {
+			seed = append(seed, 0, 0, 0, 1, 0, 0, 0, 0)
+		}
+		advance = 5 // 10 s: still open
+		if r.breaker == BreakerHalfOpen {
+			advance = 150 // the 300 s cool-down
+		}
+	}
+	age := byte(255)
+	if r.age < 127.5 {
+		age = byte(2 * r.age)
+	}
+	outage := byte(0)
+	if r.outage {
+		outage = 1
+	}
+	return append(seed, advance, byte(r.skips), byte(int8(r.threshold)), outage, age, byte(r.missing), byte(r.width), byte(r.predict))
+}
+
+// FuzzPipelineOps runs a sequence of decisions decoded from bytes (two
+// bytes of thresholds, then eight per decision, see pipelineOp) on twin
+// pipelines: one takes each decision in a single shot, the other cut at
+// the feature boundary, as the wire's check then eval. After every
+// decision the two must hold the same verdict, have asked the host and
+// the model alike, and hold equal breakers. It is seeded with
+// TestPipelineLayerOrder's rows, one by one and all in a row.
+func FuzzPipelineOps(f *testing.F) {
+	all := []byte{90, 128}
+	for _, r := range layerOrderRows() {
+		seed := pipelineSeed(r)
+		f.Add(seed)
+		all = append(all, seed[2:]...)
+	}
+	f.Add(all)
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) < 2 {
+			return
+		}
+		if len(ops) > 1<<9 {
+			ops = ops[:1<<9] // 63 decisions, room for the all-rows seed
+		}
+		stale, sparse := float64(ops[0]), float64(ops[1])/256
+		single := &Pipeline{MaxStaleness: stale, MaxMissing: sparse, Breaker: NewBreaker()}
+		cut := &Pipeline{MaxStaleness: stale, MaxMissing: sparse, Breaker: NewBreaker()}
+		now := 0.0
+		for step, rest := 0, ops[2:]; len(rest) >= 8; step, rest = step+1, rest[8:] {
+			advance, r := pipelineOp(rest)
+			now += advance
+			want, got := decide(single, now, r, false), decide(cut, now, r, true)
+			if got != want {
+				t.Fatalf("step %d (%+v): check then eval diverges from the single shot:\n cut    %+v\n single %+v", step, r, got, want)
+			}
+			if *cut.Breaker != *single.Breaker {
+				t.Fatalf("step %d (%+v): breakers diverge:\n cut    %+v\n single %+v", step, r, *cut.Breaker, *single.Breaker)
+			}
+		}
+	})
 }

@@ -28,8 +28,6 @@ import (
 // prediction service must never stall the queue, nor pass for a clean
 // baseline run.
 type Gate struct {
-	// Features carries AllNodesScope, with the meaning it has on
-	// sched.RUSH, for both the freshness measurement and the vector.
 	sched.Features
 	sched.Ledger
 

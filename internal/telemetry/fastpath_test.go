@@ -35,14 +35,14 @@ func (f testFaults) SampleTick(node cluster.NodeID, tick int64) int64 {
 	return tick
 }
 
-// aggregateRef is the from-scratch oracle the row store, the window memo
-// and WindowAgg are differenced against: every (node, tick) row of the
-// window goes through computeRowRef into a row of its own, with no store,
-// tick by tick, and the rows fold the way aggregateInto folds them. It runs on a sampler state of its own
-// (refSampler), so it shares none of s's store, caches or scratch
-// buffers, and it computes every counter: the mask is applied to the
-// finished aggregates, as the Sampler doc says it acts (unread counters
-// 0, and no mask at all under a fault model).
+// aggregateRef is the from-scratch oracle the row store and the window
+// memo are differenced against: every (node, tick) row of the window
+// goes through computeRowRef into a row of its own, with no store, tick
+// by tick, and the rows fold the way aggregateInto folds them. It runs
+// on a sampler state of its own (refSampler), so it shares none of s's
+// store, caches or scratch buffers, and it computes every counter: the
+// mask is applied to the finished aggregates, as the Sampler doc says it
+// acts (unread counters 0, and no mask at all under a fault model).
 func aggregateRef(s *Sampler, hist *simnet.History, nodes []cluster.NodeID, t0, t1 float64) Aggregates {
 	var (
 		out    Aggregates
@@ -53,7 +53,7 @@ func aggregateRef(s *Sampler, hist *simnet.History, nodes []cluster.NodeID, t0, 
 	full := refSampler(s)
 	startAggregates(&out, full.cols)
 	defer applyMask(s, &out)
-	nodes = capNodes(nodes)
+	nodes = full.capNodesInto(nodes)
 	if len(nodes) == 0 {
 		return out
 	}
@@ -259,12 +259,13 @@ func TestFastAggregationMatchesReference(t *testing.T) {
 					t1 -= rng.Uniform(0, 60)
 					t0 = t1 - rng.Uniform(5, WindowSeconds)
 				}
-				fast := sampler.AggregateRange(st.History(), nodes, t0, t1)
+				var fast, again Aggregates
+				sampler.AggregateRangeInto(st.History(), nodes, t0, t1, &fast)
 				ref := aggregateRef(sampler, st.History(), nodes, t0, t1)
 				sameAggregates(t, "window", fast, ref)
 
 				// Re-query the same window: fully cached result.
-				again := sampler.AggregateRange(st.History(), nodes, t0, t1)
+				sampler.AggregateRangeInto(st.History(), nodes, t0, t1, &again)
 				sameAggregates(t, "requery", again, ref)
 			}
 			if sampler.CachedRows() == 0 {
@@ -272,79 +273,6 @@ func TestFastAggregationMatchesReference(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestWindowAggMatchesReference slides a WindowAgg forward through load
-// changes and fault injection and checks every result bit-identical to
-// the from-scratch reference over the same scope.
-func TestWindowAggMatchesReference(t *testing.T) {
-	for _, faulted := range []bool{false, true} {
-		now := new(float64)
-		st, err := simnet.NewState(testTopo(), func() float64 { return *now })
-		if err != nil {
-			t.Fatal(err)
-		}
-		sampler := NewSampler(testTopo(), sim.NewSource(11).Derive("telemetry"))
-		if faulted {
-			sampler.SetFaults(testFaults{
-				src:        sim.NewSource(5).Derive("faults"),
-				dropP:      0.25,
-				freezeP:    0.3,
-				freezeSpan: 9,
-			})
-		}
-		rng := sim.NewSource(21).Derive("loads")
-		nodes := AllNodes(testTopo()) // machine-wide scope, like the gate's AllNodesScope
-		wa := sampler.NewWindowAgg(st.History(), nodes)
-
-		var prev simnet.Contribution
-		for step := 0; step < 40; step++ {
-			st.Remove(prev)
-			prev = scrambleLoad(st, rng, step)
-			// Mostly small advances (partial reuse), sometimes a jump.
-			if step%7 == 6 {
-				*now += rng.Uniform(WindowSeconds, 2*WindowSeconds)
-			} else {
-				*now += rng.Uniform(5, 45)
-			}
-			got := wa.Aggregate(*now)
-			want := aggregateRef(sampler, st.History(), nodes, *now-WindowSeconds, *now)
-			sameAggregates(t, "sliding", got, want)
-		}
-		// At 3e18 s float64 steps by 512 s, and the standard window
-		// spans 33 ticks: more than the partials ring holds.
-		*now = 3e18
-		sameAggregates(t, "far future", wa.Aggregate(*now),
-			aggregateRef(sampler, st.History(), nodes, *now-WindowSeconds, *now))
-	}
-}
-
-// TestWindowAggSurvivesFaultSwap checks that swapping the fault model
-// invalidates a WindowAgg's cached partials (results keep matching the
-// reference after SetFaults).
-func TestWindowAggSurvivesFaultSwap(t *testing.T) {
-	now := new(float64)
-	st, err := simnet.NewState(testTopo(), func() float64 { return *now })
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampler := NewSampler(testTopo(), sim.NewSource(11).Derive("telemetry"))
-	nodes := []cluster.NodeID{0, 1, 2, 3}
-	wa := sampler.NewWindowAgg(st.History(), nodes)
-
-	*now = 50
-	st.Apply(simnet.Contribution{PodNet: map[int]float64{0: 0.9}})
-	*now = 600
-	sameAggregates(t, "clean", wa.Aggregate(*now),
-		aggregateRef(sampler, st.History(), nodes, *now-WindowSeconds, *now))
-
-	sampler.SetFaults(testFaults{src: sim.NewSource(9), dropP: 0.5, freezeP: 0.5, freezeSpan: 5})
-	sameAggregates(t, "faulted", wa.Aggregate(*now),
-		aggregateRef(sampler, st.History(), nodes, *now-WindowSeconds, *now))
-
-	sampler.SetFaults(nil)
-	sameAggregates(t, "healed", wa.Aggregate(*now),
-		aggregateRef(sampler, st.History(), nodes, *now-WindowSeconds, *now))
 }
 
 // TestSamplerPrune checks pruning evicts old rows, keeps recent ones, and
@@ -381,8 +309,8 @@ func TestSamplerPrune(t *testing.T) {
 }
 
 // TestAggregationSteadyStateZeroAllocs pins the fast path's allocation
-// contract: once warm, window aggregation (direct and sliding),
-// FreshnessAge, and probe-free feature assembly allocate nothing.
+// contract: once warm, window aggregation over a machine-wide scope and
+// FreshnessAge allocate nothing.
 func TestAggregationSteadyStateZeroAllocs(t *testing.T) {
 	now := new(float64)
 	st, err := simnet.NewState(testTopo(), func() float64 { return *now })
@@ -391,7 +319,6 @@ func TestAggregationSteadyStateZeroAllocs(t *testing.T) {
 	}
 	sampler := NewSampler(testTopo(), sim.NewSource(11).Derive("telemetry"))
 	nodes := AllNodes(testTopo())
-	wa := sampler.NewWindowAgg(st.History(), nodes)
 
 	*now = 100
 	st.Apply(simnet.Contribution{PodNet: map[int]float64{0: 0.7}, FS: 0.2})
@@ -399,17 +326,11 @@ func TestAggregationSteadyStateZeroAllocs(t *testing.T) {
 
 	var agg Aggregates
 	sampler.AggregateWindowInto(st.History(), nodes, *now, &agg) // warm caches and buffers
-	wa.AggregateInto(*now, &agg)
 
 	if allocs := testing.AllocsPerRun(100, func() {
 		sampler.AggregateWindowInto(st.History(), nodes, *now, &agg)
 	}); allocs != 0 {
 		t.Fatalf("AggregateWindowInto allocated %.1f times per run; want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		wa.AggregateInto(*now, &agg)
-	}); allocs != 0 {
-		t.Fatalf("WindowAgg.AggregateInto allocated %.1f times per run; want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		sampler.FreshnessAge(nodes, *now)

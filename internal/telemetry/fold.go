@@ -6,11 +6,9 @@ import "math"
 // and with startAggregates, mergeInto and finishAggregates the only
 // place a window's min/mean/max is computed. The mean is a two-level
 // fold — rows summed node-major within a tick, tick sums added in tick
-// order — so that direct aggregation (Sampler.aggregateInto) and the
-// sliding aggregator (WindowAgg), which keeps tick folds and re-merges
-// them, give bit-identical results. Min and max fold the same way; with
-// strict comparisons the first of several equal extremes wins at both
-// levels, so they too do not depend on which path ran.
+// order — and every feature vector's bits depend on that order. Min and
+// max fold the same way; with strict comparisons the first of several
+// equal extremes wins at both levels.
 // Like a sample row, a fold's entry j is counter Sampler.cols[j]; only
 // mergeInto and finishAggregates map positions back to counters.
 type tickFold struct {
@@ -29,11 +27,11 @@ func (f *tickFold) reset() {
 }
 
 // nextTick empties the fold of its sums and counts but carries min and
-// max over into the next tick. A caller that merges every tick as it goes
-// and keeps none (Sampler.aggregateInto) steps with it: merging a running
-// extreme gives what merging each tick's own would, and an extreme that
-// has seen the whole window so far is rarely beaten, which keeps the two
-// compares in add well predicted.
+// max over into the next tick. Sampler.aggregateInto, which merges every
+// tick as it goes, steps with it: merging a running extreme gives what
+// merging each tick's own would, and an extreme that has seen the whole
+// window so far is rarely beaten, which keeps the two compares in add
+// well predicted.
 func (f *tickFold) nextTick() {
 	f.sum = [NumCounters]float64{}
 	f.missing = [NumCounters]int32{}

@@ -40,9 +40,9 @@ func sameUnderMask(t *testing.T, label string, mask [NumCounters]bool, masked, f
 }
 
 // TestMaskedMatchesUnmasked drives a masked and an unmasked sampler over
-// one history through load changes and sliding windows, on the direct
-// path (a job scope) and on WindowAgg (the machine-wide scope): the
-// counters the mask reads aggregate bit-identically, the others to 0.
+// one history through load changes and sliding windows, on a job scope
+// and on the machine-wide scope: the counters the mask reads aggregate
+// bit-identically, the others to 0.
 func TestMaskedMatchesUnmasked(t *testing.T) {
 	for _, p := range []float64{0, 0.4, 0.9} {
 		now := new(float64)
@@ -56,7 +56,6 @@ func TestMaskedMatchesUnmasked(t *testing.T) {
 		masked.SetCounterMask(mask)
 		job := []cluster.NodeID{0, 1, 5, 9, 17, 33, 60}
 		all := AllNodes(testTopo())
-		waFull, waMasked := full.NewWindowAgg(st.History(), all), masked.NewWindowAgg(st.History(), all)
 		rng := sim.NewSource(3).Derive("loads")
 		var prev simnet.Contribution
 		var got, want Aggregates
@@ -70,10 +69,10 @@ func TestMaskedMatchesUnmasked(t *testing.T) {
 			}
 			masked.AggregateRangeInto(st.History(), job, t0, *now, &got)
 			full.AggregateRangeInto(st.History(), job, t0, *now, &want)
-			sameUnderMask(t, "direct", mask, got, want)
-			waMasked.AggregateInto(*now, &got)
-			waFull.AggregateInto(*now, &want)
-			sameUnderMask(t, "WindowAgg", mask, got, want)
+			sameUnderMask(t, "job scope", mask, got, want)
+			masked.AggregateWindowInto(st.History(), all, *now, &got)
+			full.AggregateWindowInto(st.History(), all, *now, &want)
+			sameUnderMask(t, "machine-wide", mask, got, want)
 		}
 	}
 }
@@ -95,7 +94,6 @@ func TestMaskIgnoredUnderFaults(t *testing.T) {
 	full.SetFaults(faults)
 	masked.SetFaults(faults)
 	nodes := []cluster.NodeID{2, 3, 4, 40}
-	wa := masked.NewWindowAgg(st.History(), nodes)
 	rng := sim.NewSource(4).Derive("loads")
 	var prev simnet.Contribution
 	for step := 0; step < 12; step++ {
@@ -104,18 +102,16 @@ func TestMaskIgnoredUnderFaults(t *testing.T) {
 		*now += rng.Uniform(10, 60)
 		want := full.AggregateWindow(st.History(), nodes, *now)
 		sameAggregates(t, "faulted direct", masked.AggregateWindow(st.History(), nodes, *now), want)
-		sameAggregates(t, "faulted WindowAgg", wa.Aggregate(*now), want)
 	}
 	full.SetFaults(nil)
 	masked.SetFaults(nil)
 	want := full.AggregateWindow(st.History(), nodes, *now)
 	sameUnderMask(t, "healed direct", mask, masked.AggregateWindow(st.History(), nodes, *now), want)
-	sameUnderMask(t, "healed WindowAgg", mask, wa.Aggregate(*now), want)
 }
 
-// TestMaskChangeInvalidates checks that a new mask empties the row store
-// and makes WindowAgg's partials stale: after each change, both paths
-// answer as a from-scratch recompute under the new mask does.
+// TestMaskChangeInvalidates checks that a new mask empties the row store:
+// after each change, a window answers as a from-scratch recompute under
+// the new mask does.
 func TestMaskChangeInvalidates(t *testing.T) {
 	now := new(float64)
 	st, err := simnet.NewState(testTopo(), func() float64 { return *now })
@@ -124,18 +120,15 @@ func TestMaskChangeInvalidates(t *testing.T) {
 	}
 	s := NewSampler(testTopo(), sim.NewSource(11).Derive("telemetry"))
 	nodes := []cluster.NodeID{0, 1, 2, 3, 20}
-	wa := s.NewWindowAgg(st.History(), nodes)
 	st.Apply(simnet.Contribution{PodNet: map[int]float64{0: 0.9}, FS: 0.4})
 	*now = 700
 	for i, mask := range [][NumCounters]bool{hashedMask(1, 0.5), hashedMask(2, 0.5), allCounters(), hashedMask(3, 0.1)} {
-		s.AggregateWindow(st.History(), nodes, *now) // fill the store and the partials under the old mask
-		wa.Aggregate(*now)
+		s.AggregateWindow(st.History(), nodes, *now) // fill the store under the old mask
 		s.SetCounterMask(mask)
 		if n := s.CachedRows(); n != 0 {
 			t.Fatalf("mask %d: %d rows survive the change", i, n)
 		}
 		want := aggregateRef(s, st.History(), nodes, *now-WindowSeconds, *now)
-		sameAggregates(t, "WindowAgg after change", wa.Aggregate(*now), want)
 		sameAggregates(t, "direct after change", s.AggregateWindow(st.History(), nodes, *now), want)
 	}
 }

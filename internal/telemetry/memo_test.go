@@ -13,10 +13,10 @@ import (
 // the sampler's counters, which asks it answered, and, against
 // aggregateRef, that every answer is right: a repeat of a window is a
 // hit that computes no row; a load change at the same instant leaves it
-// in place; new bounds, a prune, a fault model, a counter mask, a
-// WindowAgg and a new history each empty it; it holds memoEntries scopes
-// and drops the oldest; and neither a window with a node the topology
-// does not have nor one longer than a ring ever enters it.
+// in place; new bounds, a prune, a fault model, a counter mask and a new
+// history each empty it; it holds memoEntries scopes and drops the
+// oldest; and neither a window with a node the topology does not have
+// nor one longer than a ring ever enters it.
 func TestWindowMemo(t *testing.T) {
 	st, s, now := newStoreEnv(t)
 	st.Apply(simnet.Contribution{PodNet: map[int]float64{0: 0.6, 3: 0.9}, FS: 0.3})
@@ -68,7 +68,6 @@ func TestWindowMemo(t *testing.T) {
 		{"fault model", func() { s.SetFaults(testFaults{src: sim.NewSource(4), dropP: 0.2, freezeSpan: 3}) }},
 		{"no fault model", func() { s.SetFaults(nil) }},
 		{"counter mask", func() { s.SetCounterMask(hashedMask(9, 0.5)) }},
-		{"WindowAgg", func() { s.NewWindowAgg(hist, scopes[2]).AggregateInto(*now, &buf) }},
 	} {
 		t.Run(c.label, func(t *testing.T) {
 			s.AggregateWindowInto(hist, scopes[0], *now, &buf)

@@ -44,7 +44,7 @@ func TestSynthesisMatchesOneShotHash(t *testing.T) {
 			var row [NumCounters]float64
 			computeRowRef(s, nil, node, tick, float64(tick)*SamplePeriod, podNet, fs, row[:])
 			net := podNet[storeTopo().PodOf(node)]
-			for ci, c := range s.Schema() {
+			for ci, c := range Schema() {
 				var signal float64
 				switch c.Src {
 				case SrcNet:
@@ -181,7 +181,7 @@ func TestNegativeTicksLandInRing(t *testing.T) {
 	}
 }
 
-// TestWindowLongerThanRing: AggregateRange takes any interval. One of
+// TestWindowLongerThanRing: AggregateRangeInto takes any interval. One of
 // more than ringTicks ticks overwrites its own rows as it goes and must
 // still be right, every time.
 func TestWindowLongerThanRing(t *testing.T) {
@@ -193,7 +193,8 @@ func TestWindowLongerThanRing(t *testing.T) {
 	}
 	for _, span := range []float64{float64(ringTicks+1) * SamplePeriod, 1000, 4000} {
 		for i := 0; i < 2; i++ {
-			fast := s.AggregateRange(st.History(), nodes, *now-span, *now)
+			var fast Aggregates
+			s.AggregateRangeInto(st.History(), nodes, *now-span, *now, &fast)
 			sameAggregates(t, "long", fast, aggregateRef(s, st.History(), nodes, *now-span, *now))
 		}
 		// A standard window straight after finds a ring the long one
@@ -397,12 +398,11 @@ func TestBlockIsWidthSized(t *testing.T) {
 
 // TestWidthChangesMatchReference drives one sampler through a mask, a
 // fault model and its removal, which change the row width twice, with
-// sliding windows in between, and checks the direct path and WindowAgg
-// against the reference bit for bit.
+// sliding windows in between, and checks every window against the
+// reference bit for bit.
 func TestWidthChangesMatchReference(t *testing.T) {
 	st, s, now := newStoreEnv(t)
 	nodes := []cluster.NodeID{0, 1, 15, 16, 17, 100, 299}
-	wa := s.NewWindowAgg(st.History(), nodes)
 	rng := sim.NewSource(8).Derive("loads")
 	var load simnet.Contribution
 	var got Aggregates
@@ -416,22 +416,9 @@ func TestWidthChangesMatchReference(t *testing.T) {
 			st.Remove(load)
 			load = scrambleLoad(st, rng, step)
 			*now += rng.Uniform(5, 60)
-			want := aggregateRef(s, st.History(), nodes, *now-WindowSeconds, *now)
-			direct := func() {
-				s.AggregateWindowInto(st.History(), nodes, *now, &got)
-				sameAggregates(t, fmt.Sprintf("phase %d step %d: direct", phase, step), got, want)
-			}
-			sliding := func() {
-				wa.AggregateInto(*now, &got)
-				sameAggregates(t, fmt.Sprintf("phase %d step %d: WindowAgg", phase, step), got, want)
-			}
-			if step%2 == 0 { // either path may be the one that fills the store
-				direct()
-				sliding()
-			} else {
-				sliding()
-				direct()
-			}
+			s.AggregateWindowInto(st.History(), nodes, *now, &got)
+			sameAggregates(t, fmt.Sprintf("phase %d step %d", phase, step), got,
+				aggregateRef(s, st.History(), nodes, *now-WindowSeconds, *now))
 		}
 	}
 }
@@ -443,9 +430,9 @@ func TestWidthChangesMatchReference(t *testing.T) {
 // scopes over maxScopeNodes, node IDs outside the topology, and windows
 // from sub-period to longer than the ring; repeats of the last window on
 // its scope or on another one, which the window memo may answer; and
-// WindowAgg calls, which empty it. Every answer of AggregateRangeInto
-// and of WindowAgg must equal aggregateRef, which applies the same mask,
-// bit for bit.
+// standard windows over the capped machine-wide scope core.Collect
+// aggregates. Every answer of AggregateRangeInto must equal aggregateRef,
+// which applies the same mask, bit for bit.
 func FuzzRowStoreOps(f *testing.F) {
 	f.Add([]byte{0, 1, 90, 40, 1, 20, 0, 0, 5, 0, 3, 1, 1, 60, 0, 0, 6, 1, 7, 2, 5, 2, 0, 1})
 	f.Add([]byte{4, 1, 3, 120, 1, 30, 0, 0, 7, 3, 9, 0, 2, 200, 0, 0, 5, 0, 4, 2, 3, 100, 0, 0, 6, 4, 0, 1})
@@ -461,7 +448,7 @@ func FuzzRowStoreOps(f *testing.F) {
 	// on another scope, then the first again (two entries); and after
 	// each thing that empties the memo or moves what it answers: a load
 	// change at the same instant, a prune, a fault model, a counter mask,
-	// a WindowAgg on the same and on another scope.
+	// and a machine-wide window at the same and at the present bounds.
 	f.Add([]byte{1, 200, 0, 0, 4, 0, 3, 5, 9, 0, 0, 0, 10, 1, 9, 30, 9, 0, 0, 0, 10, 0, 3, 5,
 		0, 1, 90, 40, 9, 0, 0, 0, 2, 200, 0, 0, 9, 0, 0, 0, 3, 2, 3, 20, 9, 0, 0, 0,
 		8, 0, 7, 95, 9, 0, 0, 0, 11, 0, 0, 0, 9, 0, 0, 0, 11, 1, 0, 0, 9, 0, 0, 0})
@@ -547,13 +534,14 @@ func FuzzRowStoreOps(f *testing.F) {
 				if lastNodes != nil {
 					query(step, scope(a, b, c), lastT0, lastT1)
 				}
-			case 11: // a WindowAgg ending where the last window ends, or at now
-				nodes, t1 := lastNodes, lastT1
-				if nodes == nil || a%2 == 1 {
-					nodes, t1 = scope(b, c, a), *now
+			case 11: // a machine-wide standard window ending where the last window ends, or at now
+				t1 := lastT1
+				if lastNodes == nil || a%2 == 1 {
+					t1 = *now
 				}
-				s.NewWindowAgg(hist, nodes).AggregateInto(t1, &buf)
-				sameAggregates(t, fmt.Sprintf("step %d: WindowAgg over %d nodes at %v, now %v", step, len(nodes), t1, *now),
+				nodes := AllNodes(topo)
+				s.AggregateRangeInto(hist, nodes, t1-WindowSeconds, t1, &buf)
+				sameAggregates(t, fmt.Sprintf("step %d: machine-wide window at %v, now %v", step, t1, *now),
 					buf, aggregateRef(s, hist, nodes, t1-WindowSeconds, t1))
 			default:
 				nodes := scope(a, b, c)

@@ -20,6 +20,10 @@ const SamplePeriod = 15.0
 // five minutes of counter data preceding a job's start.
 const WindowSeconds = 300.0
 
+// WindowTicks is the number of aligned sample ticks in the standard
+// aggregation window.
+const WindowTicks = int(WindowSeconds / SamplePeriod)
+
 // maxScopeNodes caps how many nodes an aggregation walks. The paper's
 // "all nodes" scope covers the whole machine; statistically a fixed-size
 // deterministic stratified subset preserves the min/mean/max aggregates
@@ -113,7 +117,7 @@ type column struct {
 
 // SamplerStats counts a sampler's work since it was made.
 type SamplerStats struct {
-	Windows uint64 // windows aggregated, directly or by a WindowAgg
+	Windows uint64 // windows aggregated
 	Reuses  uint64 // of those, answered whole from the window memo
 	Rows    uint64 // (node, tick) sample rows computed
 }
@@ -121,8 +125,7 @@ type SamplerStats struct {
 const (
 	// ringTicks is the depth of a node's row ring: the most ticks a
 	// standard window can span, WindowTicks plus the one float rounding
-	// at its edges can add (see WindowAgg), so every tick of it has a slot
-	// of its own.
+	// at its edges can add, so every tick of it has a slot of its own.
 	ringTicks = WindowSeconds/SamplePeriod + 1
 	// blockNodes is how many consecutive node IDs share one allocation.
 	// A decision scope is a handful of runs of adjacent nodes, so
@@ -178,9 +181,8 @@ const memoEntries = 4
 // whose rows were live in the store when it finished, so while nothing
 // moves the store a hit answers what folding those rows again would.
 // Anything that could move it empties the memo: new bounds, a flush (new
-// history, fault model or counter mask), a prune, and a WindowAgg, which
-// folds rows of its own. The buffers are made on first use, vals sized by
-// the row width.
+// history, fault model or counter mask) and a prune. The buffers are made
+// on first use, vals sized by the row width.
 type windowMemo struct {
 	t0, t1 float64
 	puts   int              // windows put since the memo was emptied
@@ -381,9 +383,6 @@ func (s *Sampler) StoreBytes() int {
 	return n
 }
 
-// Schema returns the sampler's counter schema.
-func (s *Sampler) Schema() []Counter { return s.schema }
-
 // Aggregates holds min/mean/max per counter, aggregated over every
 // (node, sample tick) pair in a window, in schema order. Under an active
 // fault model a counter whose every sample was dropped aggregates to NaN
@@ -561,20 +560,21 @@ func (s *Sampler) fill(slices []simnet.Slice, nodes []cluster.NodeID, t0 float64
 	return kept
 }
 
-// row returns the values of (node, tk.tick)'s row and the instant they
-// reflect: as fill left it in the store, or, when stored is false (a
-// window the store does not keep) or the node has no ring, computed into
-// scratch. The row is valid until the next call.
-func (s *Sampler) row(slices []simnet.Slice, node cluster.NodeID, tk *tickLoad, stored bool) ([]float64, float64) {
+// row returns the values of (node, tk.tick)'s row: as fill left it in
+// the store, or, when stored is false (a window the store does not keep)
+// or the node has no ring, computed into scratch. The row is valid until
+// the next call.
+func (s *Sampler) row(slices []simnet.Slice, node cluster.NodeID, tk *tickLoad, stored bool) []float64 {
 	if stored && uint(node) < uint(s.topo.Nodes) {
-		h, vals := s.store.slot(node, tk.pos)
-		return vals, h.effT
+		_, vals := s.store.slot(node, tk.pos)
+		return vals
 	}
 	var hashes [NumCounters]sim.HashState
 	vals, pre := s.scratch[:len(s.cols)], hashes[:len(s.cols)]
 	s.nodeHashes(node, pre)
 	s.stats.Rows++
-	return vals, s.computeRow(slices, node, pre, tk, vals)
+	s.computeRow(slices, node, pre, tk, vals)
+	return vals
 }
 
 // AggregateWindow computes min/mean/max of every counter over the window
@@ -584,13 +584,8 @@ func (s *Sampler) row(slices []simnet.Slice, node cluster.NodeID, tk *tickLoad, 
 // complete feature vector. t1 must not exceed the current simulated
 // instant (see Sampler).
 func (s *Sampler) AggregateWindow(hist *simnet.History, nodes []cluster.NodeID, t1 float64) Aggregates {
-	return s.AggregateRange(hist, nodes, t1-WindowSeconds, t1)
-}
-
-// AggregateRange is AggregateWindow over an explicit [t0, t1) interval.
-func (s *Sampler) AggregateRange(hist *simnet.History, nodes []cluster.NodeID, t0, t1 float64) Aggregates {
 	var agg Aggregates
-	s.AggregateRangeInto(hist, nodes, t0, t1, &agg)
+	s.AggregateWindowInto(hist, nodes, t1, &agg)
 	return agg
 }
 
@@ -601,8 +596,8 @@ func (s *Sampler) AggregateWindowInto(hist *simnet.History, nodes []cluster.Node
 	s.AggregateRangeInto(hist, nodes, t1-WindowSeconds, t1, out)
 }
 
-// AggregateRangeInto is AggregateRange writing into out, reusing its
-// slices: a memoized window is copied, stored rows are reused, new ones
+// AggregateRangeInto is AggregateWindowInto over an explicit [t0, t1)
+// interval: a memoized window is copied, stored rows are reused, new ones
 // computed in place.
 func (s *Sampler) AggregateRangeInto(hist *simnet.History, nodes []cluster.NodeID, t0, t1 float64, out *Aggregates) {
 	s.stats.Windows++
@@ -613,9 +608,8 @@ func (s *Sampler) AggregateRangeInto(hist *simnet.History, nodes []cluster.NodeI
 // copied out of it. Otherwise the window goes in chunks of at most
 // ringTicks ticks: fill computes the chunk's missing rows node by node,
 // then each tick's rows go through one tickFold, node-major, and the tick
-// folds are merged in tick order, which is what WindowAgg does with the
-// tick folds it keeps. A window all of whose rows the store keeps goes
-// into the memo.
+// folds are merged in tick order. A window all of whose rows the store
+// keeps goes into the memo.
 func (s *Sampler) aggregateInto(hist *simnet.History, nodes []cluster.NodeID, t0, t1 float64, out *Aggregates) {
 	var (
 		fold   tickFold
@@ -659,8 +653,7 @@ func (s *Sampler) aggregateInto(hist *simnet.History, nodes []cluster.NodeID, t0
 		for k := range chunk {
 			fold.nextTick()
 			for _, node := range nodes {
-				vals, _ := s.row(s.sliceBuf, node, &chunk[k], stored)
-				fold.add(vals, mayMiss)
+				fold.add(s.row(s.sliceBuf, node, &chunk[k], stored), mayMiss)
 			}
 			fold.mergeInto(out, &counts, s.cols)
 		}
@@ -743,35 +736,22 @@ func loadsAt(slices []simnet.Slice, from int, t float64) (int, []float64, float6
 	return from, last.PodNet, last.FS
 }
 
-// capNodes deterministically subsamples large scopes (every k-th node) so
-// machine-wide aggregation stays cheap; see maxScopeNodes.
-func capNodes(nodes []cluster.NodeID) []cluster.NodeID {
-	if len(nodes) <= maxScopeNodes {
-		return nodes
-	}
-	out := make([]cluster.NodeID, 0, maxScopeNodes)
-	return appendCapped(out, nodes)
-}
-
-// capNodesInto is capNodes reusing the sampler's scratch buffer; the
-// result is valid until the next capNodesInto call.
+// capNodesInto deterministically subsamples large scopes (every k-th
+// node) so machine-wide aggregation stays cheap (see maxScopeNodes),
+// reusing the sampler's scratch buffer; the result is valid until the
+// next capNodesInto call.
 func (s *Sampler) capNodesInto(nodes []cluster.NodeID) []cluster.NodeID {
 	if len(nodes) <= maxScopeNodes {
 		return nodes
 	}
 	if s.capBuf == nil {
-		s.capBuf = make([]cluster.NodeID, 0, maxScopeNodes)
+		s.capBuf = make([]cluster.NodeID, maxScopeNodes)
 	}
-	s.capBuf = appendCapped(s.capBuf[:0], nodes)
-	return s.capBuf
-}
-
-func appendCapped(out, nodes []cluster.NodeID) []cluster.NodeID {
 	stride := float64(len(nodes)) / float64(maxScopeNodes)
-	for i := 0; i < maxScopeNodes; i++ {
-		out = append(out, nodes[int(float64(i)*stride)])
+	for i := range s.capBuf {
+		s.capBuf[i] = nodes[int(float64(i)*stride)]
 	}
-	return out
+	return s.capBuf
 }
 
 // resizeFloats returns a length-n slice, reusing buf's backing array when

@@ -106,7 +106,7 @@ func TestCountersReflectLoad(t *testing.T) {
 	*now = 1200
 	hot := sampler.AggregateWindow(st.History(), nodes, *now)
 
-	for ci, c := range sampler.Schema() {
+	for ci, c := range Schema() {
 		switch c.Src {
 		case SrcNet, SrcNetOverload, SrcFS, SrcFSOverload:
 			if hot.Mean[ci] <= calm.Mean[ci] {
@@ -125,7 +125,7 @@ func TestNoiseCountersCarryNoSignal(t *testing.T) {
 	st.Apply(simnet.Contribution{PodNet: map[int]float64{0: 1.2}, FS: 1.2})
 	*now = 1200
 	hot := sampler.AggregateWindow(st.History(), nodes, *now)
-	for ci, c := range sampler.Schema() {
+	for ci, c := range Schema() {
 		if c.Src != SrcNoise {
 			continue
 		}
@@ -173,8 +173,9 @@ func TestOverlappingWindowsShareSamples(t *testing.T) {
 	*now = 1000
 	nodes := []cluster.NodeID{5}
 	// Two windows that both contain tick t=600.
-	a := sampler.AggregateRange(st.History(), nodes, 595, 610)
-	b := sampler.AggregateRange(st.History(), nodes, 590, 615)
+	var a, b Aggregates
+	sampler.AggregateRangeInto(st.History(), nodes, 595, 610, &a)
+	sampler.AggregateRangeInto(st.History(), nodes, 590, 615, &b)
 	// Window a has exactly one tick (600); its mean must appear within
 	// window b's [min, max] envelope for every counter.
 	for i := range a.Mean {
@@ -187,7 +188,8 @@ func TestOverlappingWindowsShareSamples(t *testing.T) {
 func TestShortWindowStillSamples(t *testing.T) {
 	st, sampler, now := newEnv()
 	*now = 1000
-	agg := sampler.AggregateRange(st.History(), []cluster.NodeID{0}, 602, 603)
+	var agg Aggregates
+	sampler.AggregateRangeInto(st.History(), []cluster.NodeID{0}, 602, 603, &agg)
 	for i := range agg.Mean {
 		if math.IsNaN(agg.Mean[i]) || math.IsInf(agg.Min[i], 0) {
 			t.Fatal("sub-period window must still produce samples")
@@ -206,7 +208,7 @@ func TestEmptyNodeScope(t *testing.T) {
 
 func TestCapNodes(t *testing.T) {
 	nodes := AllNodes(cluster.Quartz())
-	capped := capNodes(nodes)
+	capped := new(Sampler).capNodesInto(nodes)
 	if len(capped) != maxScopeNodes {
 		t.Fatalf("capped to %d nodes, want %d", len(capped), maxScopeNodes)
 	}
@@ -222,7 +224,7 @@ func TestCapNodes(t *testing.T) {
 		t.Fatal("subsample should span the whole machine")
 	}
 	small := []cluster.NodeID{1, 2, 3}
-	if got := capNodes(small); len(got) != 3 {
+	if got := new(Sampler).capNodesInto(small); len(got) != 3 {
 		t.Fatal("small scopes must not be subsampled")
 	}
 }
