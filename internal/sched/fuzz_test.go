@@ -6,8 +6,9 @@ import (
 )
 
 // FuzzTimelineOps drives a timeline through operations decoded from
-// bytes, two bytes each: add a job's release at or after the pass time,
-// promote the clock, remove a running job's release, or ask for a
+// bytes, two bytes each and at most 64 of them (minimizing a longer
+// input stalls the fuzzer): add a job's release at or after the pass
+// time, promote the clock, remove a running job's release, or ask for a
 // reservation. After every operation the timeline must hold exactly the
 // entries its live jobs added, and read through their effective release
 // times they must equal the reference scanner's snapshot of the same
@@ -28,6 +29,9 @@ func FuzzTimelineOps(f *testing.F) {
 		type live struct {
 			j *Job
 			t float64 // the time the job's release was added at
+		}
+		if len(ops) > 1<<7 {
+			ops = ops[:1<<7]
 		}
 		var (
 			tl   timeline

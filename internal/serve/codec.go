@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,7 +18,7 @@ import (
 	"rush/internal/obs"
 )
 
-// This file is the v1 frame codec: the JSON bodies of Request and
+// This file is the frame codec: the JSON bodies of Request and
 // Response, without reflection and without leaving encoding/json's
 // format. The encoders write byte for byte what json.Marshal writes; the
 // decoders accept and reject what json.Unmarshal accepts and rejects,
@@ -61,7 +63,7 @@ func (resp *Response) fields() [12]field {
 }
 
 // appendRequest appends the JSON body of req. A non-finite Now or Age is
-// an error, as it is for json.Marshal; non-finite vector entries are null.
+// an error, as it is for json.Marshal; vector entries cross as their bits.
 func appendRequest(b []byte, req *Request) ([]byte, error) {
 	fields := req.fields()
 	return appendObject(b, fields[:])
@@ -90,6 +92,8 @@ func appendObject(b []byte, fields []field) ([]byte, error) {
 		}
 		if set || !f.omitEmpty {
 			b = out
+		} else {
+			b = out[:len(b)] // dropped, but the room it grew is kept
 		}
 	}
 	return append(b, '}'), nil
@@ -123,18 +127,7 @@ func appendValue(b []byte, p any) ([]byte, bool, error) {
 		b, _, err := appendValue(b, *p)
 		return b, true, err
 	case *FeatureVector:
-		b = append(b, '[')
-		for i, f := range *p {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			if math.IsNaN(f) || math.IsInf(f, 0) {
-				b = append(b, "null"...)
-			} else {
-				b = appendFloat(b, f)
-			}
-		}
-		return append(b, ']'), len(*p) != 0, nil
+		return appendVector(b, *p), len(*p) != 0, nil
 	case *json.RawMessage:
 		if len(*p) == 0 {
 			return b, false, nil
@@ -157,6 +150,22 @@ func appendValue(b []byte, p any) ([]byte, bool, error) {
 		return append(b, '}'), len(*p) != 0, nil
 	}
 	panic(fmt.Sprintf("serve: no JSON form for %T", p))
+}
+
+// appendVector writes v as FeatureVector.MarshalJSON does, a nil v as "":
+// base64 into b from 24 entries' bits at a time, so only the end is padded.
+func appendVector(b []byte, v FeatureVector) []byte {
+	var bits [24 * 8]byte
+	b = append(b, '"')
+	for len(v) > 0 {
+		n := min(len(v), 24)
+		for i, f := range v[:n] {
+			binary.LittleEndian.PutUint64(bits[8*i:], math.Float64bits(f))
+		}
+		b = base64.StdEncoding.AppendEncode(b, bits[:8*n])
+		v = v[n:]
+	}
+	return append(b, '"')
 }
 
 // appendFloat writes a finite f as encoding/json does: ES6 number
@@ -241,11 +250,13 @@ func appendCompact(b, raw []byte) ([]byte, error) {
 }
 
 // reqScratch is the storage a connection decodes its requests into: one
-// array for all the vectors of a request, one after another, and the age.
-// A request decoded into it is valid until the next decode.
+// array for all the vectors of a request, one after another, the age, and
+// the bytes of the vector being decoded. A request decoded into it is
+// valid until the next decode.
 type reqScratch struct {
 	floats []float64
 	age    float64
+	bits   []byte
 }
 
 // decodeRequest decodes one request body into req, which it first
@@ -667,29 +678,33 @@ func (d *decoder) field(p any, name string) error {
 	return d.scalar(p, name)
 }
 
-// vector decodes a FeatureVector, into the scratch when the decoder has
-// one: null is a nil vector, [] an empty one, and a null entry NaN.
+// vector decodes a FeatureVector as FeatureVector.UnmarshalJSON does, into
+// the scratch when the decoder has one: null is a nil vector, "" an empty
+// one, and any value but a base64 string of whole entries of the wrong type.
 func (d *decoder) vector(p *FeatureVector, name string) error {
-	if d.peekValue() != '[' {
+	kind, text, err := d.value()
+	if err != nil || kind == 'n' {
 		*p = nil
-		return d.null(name)
-	}
-	var floats []float64
-	if d.scratch != nil {
-		floats = d.scratch.floats
-	}
-	start := len(floats)
-	err := d.container(']', func() error {
-		f := math.NaN()
-		err := d.scalar(&f, name)
-		floats = append(floats, f)
 		return err
-	})
-	if *p = floats[start:len(floats):len(floats)]; *p == nil {
-		*p = FeatureVector{}
 	}
-	if d.scratch != nil {
-		d.scratch.floats = floats
+	s := d.scratch
+	if s == nil {
+		s = new(reqScratch)
 	}
-	return err
+	if kind == '"' {
+		s.bits = slices.Grow(s.bits[:0], base64.StdEncoding.DecodedLen(len(text)))
+		n, err := base64.StdEncoding.Decode(s.bits[:cap(s.bits)], text)
+		if s.bits = s.bits[:n]; err == nil && n%8 == 0 {
+			start := len(s.floats)
+			for i := 0; i < n; i += 8 {
+				s.floats = append(s.floats, math.Float64frombits(binary.LittleEndian.Uint64(s.bits[i:])))
+			}
+			if *p = s.floats[start:len(s.floats):len(s.floats)]; *p == nil {
+				*p = FeatureVector{}
+			}
+			return nil
+		}
+	}
+	d.mismatch(name)
+	return nil
 }

@@ -9,64 +9,21 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"rush/internal/alloctest"
 )
 
-// The wire form of FeatureVector as encoding/json methods. They exist only
-// in the test binary, where they make json.Marshal and json.Unmarshal of a
-// Request the oracle the codec is differenced against: non-finite
-// entries marshal as null, and null entries unmarshal as NaN.
-
-func (f FeatureVector) MarshalJSON() ([]byte, error) {
-	if f == nil {
-		return []byte("null"), nil
-	}
-	buf := []byte{'['}
-	for i, v := range f {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			buf = append(buf, "null"...)
-			continue
-		}
-		b, err := json.Marshal(v)
-		if err != nil {
-			return nil, err
-		}
-		buf = append(buf, b...)
-	}
-	return append(buf, ']'), nil
-}
-
-func (f *FeatureVector) UnmarshalJSON(data []byte) error {
-	var raw []*float64
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return err
-	}
-	if raw == nil {
-		*f = nil
-		return nil
-	}
-	*f = make(FeatureVector, len(raw))
-	for i, p := range raw {
-		(*f)[i] = math.NaN()
-		if p != nil {
-			(*f)[i] = *p
-		}
-	}
-	return nil
-}
-
-// FuzzFrameCodec differences the codec against encoding/json. Arbitrary
-// bytes decode as a Request and as a Response: decodeRequest and
-// decodeResponse must accept exactly what json.Unmarshal accepts and
-// produce the same value, floats compared bit for bit and Model byte for
-// byte, and a request decoded into a connection's used scratch must come
-// out the same as into a fresh one. Every accepted value re-encodes to
-// json.Marshal's bytes. The bytes also fill a Request and a Response
-// directly (strings that need not be UTF-8, floats from raw bits, the
-// bytes as Model), which the encoders must write as json.Marshal does,
-// failing where it fails.
+// FuzzFrameCodec differences the codec against encoding/json, with
+// FeatureVector's JSON methods, which build on encoding/json's own []byte
+// base64 and not on the codec, as the oracle for vectors. Arbitrary bytes
+// decode as a Request and as a Response: decodeRequest and decodeResponse
+// must accept exactly what json.Unmarshal accepts and produce the same
+// value, floats compared bit for bit and Model byte for byte, and a
+// request decoded into a connection's used scratch must come out the same
+// as into a fresh one. Every accepted value re-encodes to json.Marshal's
+// bytes. The bytes also fill a Request and a Response directly (strings
+// that need not be UTF-8, floats from raw bits, the bytes as Model), which
+// the encoders must write as json.Marshal does, failing where it fails.
 func FuzzFrameCodec(f *testing.F) {
 	golden, err := os.ReadFile("testdata/conformance.golden")
 	if err != nil {
@@ -82,14 +39,24 @@ func FuzzFrameCodec(f *testing.F) {
 		// long s (U+017F) for s and the Kelvin sign (U+212A) for k.
 		`{"V":1,"Id":2,"OP":"ping","sTaTuS":"ok","DECISION":"veto"}`,
 		`{"\u017fcope":"q","\u017fkips":1,"s\u212aip_limit":2,"jo\u0062":3,"mi\u017f\u017fing":0.5}`,
-		`{"v":1,"v":2,"feats":[1],"feats":[2,3],"age":1,"age":2,"model":[1],"model":{ "a" : 1 }}`,
+		`{"v":1,"v":2,"feats":"AAAAAAAA8D8=","feats":"AAAAAAAAAEAAAAAAAAAIQA==","age":1,"age":2,"model":[1],"model":{ "a" : 1 }}`,
 		`{"stats":{"a":1,"c":4},"stats":{"b":2,"a":3},"status":"x","status":"ok"}`,
 		`{"v":null,"op":null,"now":null,"feats":null,"age":null,"model":null,"stats":null,"down":null}`,
-		`{"v":1,"age":1,"age":null,"feats":[null,1,null],"min":[],"stats":{"a":null}}`,
+		`{"v":1,"age":1,"age":null,"feats":"AAAAAAAA+H8AAAAAAADwPwAAAAAAAPh/","min":"","stats":{"a":null}}`,
 		`{"op":"p\u0069ng","app":"\ud83d\ude00 \u00e9 \/ \b\f\n\r\t \"\\ \u0000","scope":"\ud800x\udc00\ud800\ud800\udc00"}`,
 		"{\"app\":\"\xff\xfe<&>\",\"scope\":\"\xed\xa0\x80\",\"error\":\"\xe2\x80\xa8\xe2\x80\xa9\"}",
-		`{"now":1e400}`, `{"age":-1e400}`, `{"feats":[1e400]}`, `{"missing":1e-400,"age":-0}`,
-		`{"now":-0,"age":-0,"feats":[-0,1e-7,1e-6,1e21,1e20,123456789e300,5e-324,0.1]}`,
+		`{"now":1e400}`, `{"age":-1e400}`, `{"missing":1e-400,"age":-0}`,
+		`{"now":-0,"age":-0,"feats":"AAAAAAAAAIBIr7ya8td6Po3ttaD3xrA+UO/i1uQaS0RAjLV4Ha8VRBOo0Z7d+eV/AQAAAAAAAACamZmZmZm5Pw=="}`,
+		// Vectors: empty; null; 3 and 7 bytes, not whole entries; unpadded;
+		// a character outside the alphabet; padding inside or wrongly
+		// placed; nonzero bits past the last byte, which encoding/base64
+		// ignores; escaped solidus, newlines (which it skips) and a \u
+		// escape; and the arrays of numbers that version 1 sent.
+		`{"feats":""}`, `{"feats":null,"min":"","mean":null}`, `{"feats":"AAAA"}`, `{"feats":"AAAAAAAAAA=="}`,
+		`{"feats":"AAAAAAAA8D8"}`, `{"feats":"AAAAAAAA*D8="}`, `{"feats":"AAAAAAAA-D8="}`, `{"feats":"AAAA=AAA8D8="}`,
+		`{"feats":"AAAAAAAA8D8=AAAA"}`, `{"feats":"AAAAAAAA8D9="}`, `{"feats":"\/\/\/\/\/\/\/\/\/\/8="}`,
+		`{"feats":"AAAA\nAAAA\r\n8D8=\n"}`, `{"feats":"AAAAAAAA8D8\u003d"}`, `{"max":"AAAAAAAA8H8=","min":"AAAAAAAA8P8="}`,
+		`{"feats":[1e400]}`, `{"feats":[null,1,null]}`, `{"feats":[1,2]}`, `{"feats":[]}`, `{"min":[0.5],"v":1,"id":7}`,
 		`{"v":9223372036854775807}`, `{"v":9223372036854775808}`, `{"v":-9223372036854775809}`,
 		`{"id":18446744073709551615}`, `{"id":18446744073709551616}`, `{"id":-1}`, `{"id":-0}`,
 		`{"v":1.0}`, `{"v":1e2}`, `{"tick":-0}`, `{"stats":{"a":-1}}`, `{"stats":{"a":1.5}}`,
@@ -180,7 +147,8 @@ func checkCodec(t *testing.T, in []byte) {
 
 // full is a request with every vector and an age: a request decoded into
 // the scratch it leaves must come out as into a fresh one.
-var full = []byte(`{"v":1,"age":7,"feats":[1,2,3],"min":[4],"mean":[5,6],"max":[7,8,9,10]}`)
+var full = []byte(`{"v":2,"age":7,"feats":"AAAAAAAA8D8AAAAAAAAAQAAAAAAAAAhA","min":"AAAAAAAAEEA=",` +
+	`"mean":"AAAAAAAAFEAAAAAAAAAYQA==","max":"AAAAAAAAHEAAAAAAAAAgQAAAAAAAACJAAAAAAAAAJEA="}`)
 
 // sameEncoding checks that the codec encodes got as json.Marshal encodes
 // want, failing exactly where it fails.
@@ -252,5 +220,26 @@ func TestFieldTables(t *testing.T) {
 					c.v.Type(), i, c.v.Type().Field(i).Name, tag, f.name, f.omitEmpty, f.ptr)
 			}
 		}
+	}
+}
+
+// TestTightBufferGrowsOnce pins that the trial write of an omitted field
+// keeps the room it grows. An eval encoded into a buffer with exactly the
+// room its body needs grows the buffer once, for the omitted fields after
+// feats, and a hundred encodes into that buffer allocate nothing more.
+func TestTightBufferGrowsOnce(t *testing.T) {
+	req := Request{V: ProtoVersion, ID: 1, Op: OpEval, Now: 1, App: "Kripke", Feats: make(FeatureVector, 282)}
+	body, err := appendRequest(nil, &req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	objects, _ := alloctest.Count(3, func() { buf = make([]byte, 0, len(body)) }, func() {
+		for range 100 {
+			buf, _ = appendRequest(buf[:0], &req)
+		}
+	})
+	if objects > 1 {
+		t.Fatalf("100 encodes into a %d-byte buffer allocated %d times, want 1", len(body), objects)
 	}
 }

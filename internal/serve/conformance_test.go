@@ -144,7 +144,7 @@ func TestWireProtocolConformance(t *testing.T) {
 	c := &conformanceConn{t: t, conn: raw, br: bufio.NewReader(raw), bw: bufio.NewWriter(raw), log: &bytes.Buffer{}}
 
 	c.comment("ping: liveness, epoch 0 before any ingest")
-	if resp := c.roundTrip(serve.Request{V: 1, ID: 1, Op: serve.OpPing}, ""); resp.Status != serve.StatusOK || resp.Epoch != 0 {
+	if resp := c.roundTrip(serve.Request{V: serve.ProtoVersion, ID: 1, Op: serve.OpPing}, ""); resp.Status != serve.StatusOK || resp.Epoch != 0 {
 		t.Fatalf("ping: %+v", resp)
 	}
 
@@ -154,7 +154,7 @@ func TestWireProtocolConformance(t *testing.T) {
 	}
 
 	c.comment("unknown op: rejected, connection survives")
-	if resp := c.roundTrip(serve.Request{V: 1, ID: 3, Op: "launch-missiles"}, ""); resp.Status != serve.StatusError {
+	if resp := c.roundTrip(serve.Request{V: serve.ProtoVersion, ID: 3, Op: "launch-missiles"}, ""); resp.Status != serve.StatusError {
 		t.Fatalf("unknown op accepted: %+v", resp)
 	}
 
@@ -164,13 +164,13 @@ func TestWireProtocolConformance(t *testing.T) {
 	}
 
 	c.comment("counters-only decide before any ingest: every feature missing, fail open")
-	resp := c.roundTrip(serve.Request{V: 1, ID: 4, Op: serve.OpDecide, Now: 10, Job: 1, App: "AMG", Scope: "q1"}, "")
+	resp := c.roundTrip(serve.Request{V: serve.ProtoVersion, ID: 4, Op: serve.OpDecide, Now: 10, Job: 1, App: "AMG", Scope: "q1"}, "")
 	if resp.Decision != "fail-open" || resp.Reason != "missing-features" || resp.Missing != 1 {
 		t.Fatalf("pre-ingest decide: %+v", resp)
 	}
 
 	c.comment("ingest one telemetry window: epoch 1, cache invalidated")
-	agg := serve.Request{V: 1, ID: 5, Op: serve.OpIngest, Now: 20, Tick: 4,
+	agg := serve.Request{V: serve.ProtoVersion, ID: 5, Op: serve.OpIngest, Now: 20, Tick: 4,
 		Min:  make(serve.FeatureVector, telemetry.NumCounters),
 		Mean: make(serve.FeatureVector, telemetry.NumCounters),
 		Max:  make(serve.FeatureVector, telemetry.NumCounters)}
@@ -182,47 +182,47 @@ func TestWireProtocolConformance(t *testing.T) {
 	}
 
 	c.comment("ingest with wrong counter count: rejected")
-	if resp := c.roundTrip(serve.Request{V: 1, ID: 6, Op: serve.OpIngest, Now: 21,
+	if resp := c.roundTrip(serve.Request{V: serve.ProtoVersion, ID: 6, Op: serve.OpIngest, Now: 21,
 		Min: serve.FeatureVector{1}, Mean: serve.FeatureVector{1}, Max: serve.FeatureVector{1}}, ""); resp.Status != serve.StatusError {
 		t.Fatalf("short ingest accepted: %+v", resp)
 	}
 
 	c.comment("counters-only decide: cache miss, features built from the snapshot (zero probes = NaN probe features, below the missing threshold)")
-	first := c.roundTrip(serve.Request{V: 1, ID: 7, Op: serve.OpDecide, Now: 25, Job: 2, App: "AMG", Scope: "q1"}, "")
+	first := c.roundTrip(serve.Request{V: serve.ProtoVersion, ID: 7, Op: serve.OpDecide, Now: 25, Job: 2, App: "AMG", Scope: "q1"}, "")
 	if first.Status != serve.StatusOK || first.Cached || first.Epoch != 1 {
 		t.Fatalf("first decide: %+v", first)
 	}
 
 	c.comment("same scope and class again: served from the decision cache")
-	second := c.roundTrip(serve.Request{V: 1, ID: 8, Op: serve.OpDecide, Now: 26, Job: 3, App: "AMG", Scope: "q1"}, "")
+	second := c.roundTrip(serve.Request{V: serve.ProtoVersion, ID: 8, Op: serve.OpDecide, Now: 26, Job: 3, App: "AMG", Scope: "q1"}, "")
 	if !second.Cached || second.Decision != first.Decision || second.Class != first.Class {
 		t.Fatalf("cached decide: %+v vs first %+v", second, first)
 	}
 
-	c.comment("two-phase: check answers evaluate, eval carries the client-built features (null = NaN on the wire)")
-	chk := c.roundTrip(serve.Request{V: 1, ID: 9, Op: serve.OpCheck, Now: 30, Job: 4, App: "Kripke", Class: 1, Age: f64(5)}, "")
+	c.comment("two-phase: check answers evaluate, eval carries the client-built features (base64 of their bits, NaN included)")
+	chk := c.roundTrip(serve.Request{V: serve.ProtoVersion, ID: 9, Op: serve.OpCheck, Now: 30, Job: 4, App: "Kripke", Class: 1, Age: f64(5)}, "")
 	if chk.Decision != serve.DecisionEvaluate {
 		t.Fatalf("check: %+v", chk)
 	}
-	ev := c.roundTrip(serve.Request{V: 1, ID: 10, Op: serve.OpEval, Now: 30, Job: 4, App: "Kripke", Class: 1, Age: f64(5),
+	ev := c.roundTrip(serve.Request{V: serve.ProtoVersion, ID: 10, Op: serve.OpEval, Now: 30, Job: 4, App: "Kripke", Class: 1, Age: f64(5),
 		Feats: serve.FeatureVector{2.1, 2.2, 2.0, math.NaN(), 2.3, 2.1}}, "")
 	if ev.Status != serve.StatusOK || ev.Decision == serve.DecisionEvaluate || ev.Class < 0 {
 		t.Fatalf("eval: %+v", ev)
 	}
 
 	c.comment("skip-threshold override: decided without consulting the model")
-	if resp := c.roundTrip(serve.Request{V: 1, ID: 11, Op: serve.OpDecide, Now: 31, Job: 5, App: "AMG", Skips: 10}, ""); resp.Decision != "override" {
+	if resp := c.roundTrip(serve.Request{V: serve.ProtoVersion, ID: 11, Op: serve.OpDecide, Now: 31, Job: 5, App: "AMG", Skips: 10}, ""); resp.Decision != "override" {
 		t.Fatalf("override: %+v", resp)
 	}
 
 	c.comment("injected outage: decisions fail open with a typed reason")
-	if resp := c.roundTrip(serve.Request{V: 1, ID: 12, Op: serve.OpOutage, Down: true}, ""); resp.Status != serve.StatusOK {
+	if resp := c.roundTrip(serve.Request{V: serve.ProtoVersion, ID: 12, Op: serve.OpOutage, Down: true}, ""); resp.Status != serve.StatusOK {
 		t.Fatalf("outage on: %+v", resp)
 	}
-	if resp := c.roundTrip(serve.Request{V: 1, ID: 13, Op: serve.OpDecide, Now: 32, Job: 6, App: "AMG", Scope: "q1"}, ""); resp.Decision != "fail-open" || resp.Reason != "model-down" {
+	if resp := c.roundTrip(serve.Request{V: serve.ProtoVersion, ID: 13, Op: serve.OpDecide, Now: 32, Job: 6, App: "AMG", Scope: "q1"}, ""); resp.Decision != "fail-open" || resp.Reason != "model-down" {
 		t.Fatalf("outage decide: %+v", resp)
 	}
-	if resp := c.roundTrip(serve.Request{V: 1, ID: 14, Op: serve.OpOutage, Down: false}, ""); resp.Status != serve.StatusOK {
+	if resp := c.roundTrip(serve.Request{V: serve.ProtoVersion, ID: 14, Op: serve.OpOutage, Down: false}, ""); resp.Status != serve.StatusOK {
 		t.Fatalf("outage off: %+v", resp)
 	}
 
@@ -231,18 +231,24 @@ func TestWireProtocolConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	swap := serve.Request{V: 1, ID: 15, Op: serve.OpSwap, Model: blob}
-	if resp := c.roundTrip(swap, fmt.Sprintf(`{"v":1,"id":15,"op":"swap","model":<%d-byte blob elided>}`, len(blob))); resp.Status != serve.StatusOK || resp.Epoch != 2 {
+	swap := serve.Request{V: serve.ProtoVersion, ID: 15, Op: serve.OpSwap, Model: blob}
+	if resp := c.roundTrip(swap, fmt.Sprintf(`{"v":%d,"id":15,"op":"swap","model":<%d-byte blob elided>}`, serve.ProtoVersion, len(blob))); resp.Status != serve.StatusOK || resp.Epoch != 2 {
 		t.Fatalf("swap: %+v", resp)
 	}
-	third := c.roundTrip(serve.Request{V: 1, ID: 16, Op: serve.OpDecide, Now: 35, Job: 7, App: "AMG", Scope: "q1"}, "")
+	third := c.roundTrip(serve.Request{V: serve.ProtoVersion, ID: 16, Op: serve.OpDecide, Now: 35, Job: 7, App: "AMG", Scope: "q1"}, "")
 	if third.Cached || third.Epoch != 2 {
 		t.Fatalf("post-swap decide must re-evaluate on the new epoch: %+v", third)
 	}
 
 	c.comment("stats: counter snapshot (sorted keys, deterministic)")
-	if resp := c.roundTrip(serve.Request{V: 1, ID: 17, Op: serve.OpStats}, ""); resp.Stats["serve_cache_hits_total"] != 1 {
+	if resp := c.roundTrip(serve.Request{V: serve.ProtoVersion, ID: 17, Op: serve.OpStats}, ""); resp.Stats["serve_cache_hits_total"] != 1 {
 		t.Fatalf("stats: %+v", resp.Stats)
+	}
+
+	c.comment("a version-1 eval, feats a number array: valid JSON, so the version error under its id, and the connection survives")
+	v1 := `{"v":1,"id":18,"op":"eval","now":36,"job":8,"app":"Kripke","class":1,"age":5,"feats":[2.1,2.2,2,null,2.3,2.1]}`
+	if resp := c.sendRaw([]byte(v1)); resp.ID != 18 || resp.Error != "unsupported protocol version 1 (server speaks 2)" {
+		t.Fatalf("v1 eval: %+v", resp)
 	}
 
 	c.comment("oversized frame: error response, then the connection is closed")

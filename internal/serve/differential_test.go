@@ -182,10 +182,10 @@ func diffTraces(t *testing.T, scenario string, want, got []byte) {
 // TestServedDecisionsMatchInProcess is the parity pin for the serving
 // redesign: a full workload scheduled through the daemon — two-phase
 // check/eval over the wire protocol, feature vectors (NaN entries
-// included) crossing as JSON, the breaker and fail-open pipeline running
-// server-side — produces a trace byte-identical to the in-process RUSH
-// gate, under clean conditions and under injected predictor outages and
-// telemetry loss (the fail-open and NaN-encoding paths).
+// included) crossing as base64 of their bits, the breaker and fail-open
+// pipeline running server-side — produces a trace byte-identical to the
+// in-process RUSH gate, under clean conditions and under injected
+// predictor outages and telemetry loss (the fail-open and NaN paths).
 func TestServedDecisionsMatchInProcess(t *testing.T) {
 	pred := servePredictor(t)
 	spec, err := workload.SpecByName("ADAA")

@@ -41,7 +41,7 @@
 // serve_batch_max_size is 1 once there was one: every inference is a
 // batch of one.
 //
-// # Wire protocol (version 1)
+// # Wire protocol (version 2)
 //
 // Transport is any stream connection (TCP or unix domain socket).
 // Each direction carries length-prefixed JSON frames:
@@ -63,12 +63,15 @@
 // and closes the connection, because the oversized body was never
 // consumed and the stream cannot be resynchronized. A body that fails to
 // parse as JSON is recoverable: the server replies with a StatusError
-// frame describing the parse error and keeps the connection open.
+// frame describing the parse error and keeps the connection open; to a
+// body that parses but has a field of the wrong type it names the field,
+// under the body's id.
 //
 // Every request carries three envelope fields: "v" (must equal
 // ProtoVersion; anything else gets a StatusError response naming the
-// supported version, and the connection survives), "id" (echoed verbatim
-// into the response for matching), and "op". The operations:
+// supported version, even for a body this version cannot type-check, and
+// the connection survives), "id" (echoed verbatim into the response for
+// matching), and "op". The operations:
 //
 //	ping    liveness; response carries the current snapshot epoch
 //	decide  single-shot gate decision (both halves of the pipeline,
@@ -110,20 +113,22 @@
 // single-shot OpDecide, which builds features from the server's own
 // snapshot and is eligible for the per-scope cache.
 //
-// Non-finite numbers: JSON cannot encode NaN or infinities. The codec
-// writes non-finite FeatureVector entries as null and reads null entries
-// as NaN, preserving the missing-feature accounting for counters fully
-// dropped by fault injection; a non-finite Now, Age or Missing is an
-// encoding error, as it is for json.Marshal. Freshness ages are clamped
-// with WireAge, the client's and the one the server derives from its
-// ingest clock alike (+Inf, "no sample ever", becomes math.MaxFloat64 —
-// still stale under any threshold), so that every request is answered.
+// Vectors and non-finite numbers: a FeatureVector (feats, min, mean, max)
+// crosses as one string, the base64 of its entries' little-endian IEEE-754
+// bits, so every entry arrives bit for bit, with no null: NaN (counters
+// fully dropped by fault injection), the infinities, -0 and subnormals
+// reach the served gate as they reach the in-process one. A non-finite
+// Now, Age or Missing is an encoding error, as it is for json.Marshal.
+// Freshness ages are clamped with WireAge, the client's and the one the
+// server derives from its ingest clock alike (+Inf, "no sample ever",
+// becomes math.MaxFloat64 — still stale under any threshold), so that
+// every request is answered.
 //
 // # Compatibility rule
 //
 // Within a protocol version, evolution is additive only: new optional
 // request fields, new response fields, new operations. Both sides
-// ignore unknown JSON fields, so a v1 client always understands a v1
+// ignore unknown JSON fields, so a v2 client always understands a v2
 // server and vice versa, regardless of patch level. Any change that
 // alters the meaning of an existing field, removes a field, or changes
 // framing MUST bump ProtoVersion; a server speaks exactly one version

@@ -58,6 +58,8 @@ func FuzzServeFrames(f *testing.F) {
 	// is +Inf, which JSON cannot carry.
 	f.Add(append(frame(f, Request{V: ProtoVersion, ID: 9, Op: OpIngest, Now: -1.7e308, Tick: 1, Min: counters, Mean: counters, Max: counters}),
 		frame(f, Request{V: ProtoVersion, ID: 10, Op: OpDecide, Now: 1.7e308})...))
+	// Version 1's vector form, a number array: valid JSON of another version.
+	f.Add(rawFrame([]byte(`{"v":1,"id":11,"op":"eval","feats":[1,null]}`)))
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		srv, err := NewServer(Config{Model: model})

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -16,8 +18,8 @@ const (
 	// request must carry it in the "v" field; the server rejects any
 	// other value with a StatusError response. Within one version,
 	// changes are additive only (new optional request fields, new
-	// response fields), so a v1 client always understands a v1 server.
-	ProtoVersion = 1
+	// response fields), so a v2 client always understands a v2 server.
+	ProtoVersion = 2
 	// MaxFrame is the largest accepted frame body in bytes. A length
 	// prefix above it is a protocol error: the server replies with a
 	// StatusError frame and closes the connection (the oversized body is
@@ -91,11 +93,46 @@ func WireAge(age float64) float64 {
 }
 
 // FeatureVector is a feature vector or a telemetry aggregate on the wire.
-// Its JSON form is an array in which non-finite entries are null, and a
-// null entry decodes as NaN: telemetry counters fully dropped by the
-// fault model aggregate to NaN, and feature vectors must survive the wire
-// without altering the missing-feature accounting.
+// Its JSON form is a string, the standard padded base64 of its entries'
+// IEEE-754 bits, little-endian, 8 bytes an entry: the string encoding/json
+// writes for those bytes as a []byte. null is a nil vector and "" an empty
+// one. Every entry crosses bit for bit, NaN, infinities and -0 included,
+// so telemetry counters fully dropped by the fault model (NaN aggregates)
+// keep their missing-feature accounting.
 type FeatureVector []float64
+
+// MarshalJSON writes f's wire form through encoding/json's []byte
+// encoding. The frame codec writes the same bytes without it.
+func (f FeatureVector) MarshalJSON() ([]byte, error) {
+	var b []byte
+	if f != nil {
+		b = make([]byte, 0, 8*len(f))
+	}
+	for _, v := range f {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return json.Marshal(b)
+}
+
+// UnmarshalJSON reads f's wire form through encoding/json's []byte
+// decoding: null, or a string that decodes to a multiple of 8 bytes.
+// Any other value, a number array included, is an error.
+func (f *FeatureVector) UnmarshalJSON(data []byte) error {
+	var b []byte
+	if err := json.Unmarshal(data, &b); err != nil {
+		return err
+	}
+	if bytes.TrimSpace(data)[0] == '[' || len(b)%8 != 0 { // a []byte also takes an array of bytes
+		return errors.New("serve: a feature vector is null or a base64 string of 8-byte entries")
+	}
+	if *f = nil; b != nil {
+		*f = make(FeatureVector, len(b)/8)
+	}
+	for i := range *f {
+		(*f)[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return nil
+}
 
 // Request is one client frame. V, ID, and Op are required on every
 // request; the remaining fields depend on Op (see the Op* docs). Unknown

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"math"
 	"net"
@@ -492,7 +493,8 @@ func (s *Server) Serve(ln net.Listener) error {
 
 // handleConn reads frames off one connection until EOF or a fatal
 // protocol error. Malformed JSON gets an error response and the
-// connection survives (frame boundaries are intact); an oversized length
+// connection survives (frame boundaries are intact), valid JSON with a
+// field of the wrong type answered under its id; an oversized length
 // prefix gets an error response and a close (the stream cannot be
 // resynchronized without reading the oversized body). The connection
 // reuses one buffer for the frames it reads and writes, the storage of
@@ -526,11 +528,16 @@ func (s *Server) handleConn(c net.Conn) {
 		if err != nil {
 			return
 		}
-		if err := decodeRequest(buf, &req, &scratch); err != nil {
-			resp = Response{V: ProtoVersion, Status: StatusError, Error: "malformed request: " + err.Error(), Class: -1, Age: -1, Missing: -1}
-			s.cProtoErrs.Inc()
-		} else {
+		if err := decodeRequest(buf, &req, &scratch); err == nil {
 			s.handle(&req, &resp, &bufs)
+		} else if mistyped := json.Valid(buf); mistyped && req.V != ProtoVersion {
+			s.handle(&req, &resp, &bufs) // another version's body: the version error
+		} else {
+			resp = Response{V: ProtoVersion, Status: StatusError, Error: "malformed request: " + err.Error(), Class: -1, Age: -1, Missing: -1}
+			if mistyped {
+				resp.ID = req.ID // a field of the wrong type: the others are decoded
+			}
+			s.cProtoErrs.Inc()
 		}
 		if len(resp.Error) > maxErrorBytes {
 			resp.Error = resp.Error[:maxErrorBytes]

@@ -1,6 +1,8 @@
 package serve_test
 
 import (
+	"bufio"
+	"encoding/binary"
 	"math"
 	"net"
 	"strings"
@@ -49,13 +51,13 @@ func TestBackpressureBusy(t *testing.T) {
 	firstDone := make(chan serve.Response, 1)
 	go func() {
 		var resp serve.Response
-		srv.Handle(&serve.Request{V: 1, ID: 1, Op: serve.OpDecide, Now: 10, Feats: feats6()}, &resp)
+		srv.Handle(&serve.Request{V: serve.ProtoVersion, ID: 1, Op: serve.OpDecide, Now: 10, Feats: feats6()}, &resp)
 		firstDone <- resp
 	}()
 	<-model.started // the first decision is now parked inside inference
 
 	var busy serve.Response
-	srv.Handle(&serve.Request{V: 1, ID: 2, Op: serve.OpDecide, Now: 11, Feats: feats6()}, &busy)
+	srv.Handle(&serve.Request{V: serve.ProtoVersion, ID: 2, Op: serve.OpDecide, Now: 11, Feats: feats6()}, &busy)
 	if busy.Status != serve.StatusBusy {
 		t.Fatalf("expected BUSY while the only slot is occupied, got %+v", busy)
 	}
@@ -70,7 +72,7 @@ func TestBackpressureBusy(t *testing.T) {
 	}
 
 	var after serve.Response
-	srv.Handle(&serve.Request{V: 1, ID: 3, Op: serve.OpDecide, Now: 12, Feats: feats6()}, &after)
+	srv.Handle(&serve.Request{V: serve.ProtoVersion, ID: 3, Op: serve.OpDecide, Now: 12, Feats: feats6()}, &after)
 	if after.Status != serve.StatusOK {
 		t.Fatalf("slot did not free after completion: %+v", after)
 	}
@@ -90,28 +92,28 @@ func TestDegradedModeBreakerCycle(t *testing.T) {
 
 	var resp serve.Response
 	for i := 0; i < 3; i++ { // sched.NewBreaker trips after 3 failures
-		srv.Handle(&serve.Request{V: 1, Op: serve.OpDecide, Now: float64(10 + i), Feats: feats6()}, &resp)
+		srv.Handle(&serve.Request{V: serve.ProtoVersion, Op: serve.OpDecide, Now: float64(10 + i), Feats: feats6()}, &resp)
 		if resp.Decision != obs.DecisionFailOpen || resp.Reason != obs.ReasonModelDown {
 			t.Fatalf("outage decision %d: %+v", i, resp)
 		}
 	}
-	srv.Handle(&serve.Request{V: 1, Op: serve.OpDecide, Now: 14, Feats: feats6()}, &resp)
+	srv.Handle(&serve.Request{V: serve.ProtoVersion, Op: serve.OpDecide, Now: 14, Feats: feats6()}, &resp)
 	if resp.Decision != obs.DecisionFailOpen || resp.Reason != obs.ReasonBreakerOpen {
 		t.Fatalf("breaker should be open: %+v", resp)
 	}
 
 	srv.SetOutage(false)
 	// Still inside the open window: the breaker answers without the model.
-	srv.Handle(&serve.Request{V: 1, Op: serve.OpDecide, Now: 100, Feats: feats6()}, &resp)
+	srv.Handle(&serve.Request{V: serve.ProtoVersion, Op: serve.OpDecide, Now: 100, Feats: feats6()}, &resp)
 	if resp.Reason != obs.ReasonBreakerOpen {
 		t.Fatalf("open window decision: %+v", resp)
 	}
 	// Past the open window: half-open probe succeeds and closes it.
-	srv.Handle(&serve.Request{V: 1, Op: serve.OpDecide, Now: 1000, Feats: feats6()}, &resp)
+	srv.Handle(&serve.Request{V: serve.ProtoVersion, Op: serve.OpDecide, Now: 1000, Feats: feats6()}, &resp)
 	if resp.Status != serve.StatusOK || resp.Decision != obs.DecisionStart {
 		t.Fatalf("recovery decision: %+v", resp)
 	}
-	srv.Handle(&serve.Request{V: 1, Op: serve.OpDecide, Now: 1001, Feats: feats6()}, &resp)
+	srv.Handle(&serve.Request{V: serve.ProtoVersion, Op: serve.OpDecide, Now: 1001, Feats: feats6()}, &resp)
 	if resp.Decision != obs.DecisionStart {
 		t.Fatalf("post-recovery decision: %+v", resp)
 	}
@@ -129,11 +131,11 @@ func TestServerDerivedStaleness(t *testing.T) {
 	ingest(t, srv, 100)
 
 	var resp serve.Response
-	srv.Handle(&serve.Request{V: 1, Op: serve.OpDecide, Now: 150, Feats: feats6()}, &resp)
+	srv.Handle(&serve.Request{V: serve.ProtoVersion, Op: serve.OpDecide, Now: 150, Feats: feats6()}, &resp)
 	if resp.Decision != obs.DecisionStart || resp.Age != 50 {
 		t.Fatalf("fresh decision: %+v", resp)
 	}
-	srv.Handle(&serve.Request{V: 1, Op: serve.OpDecide, Now: 300, Feats: feats6()}, &resp)
+	srv.Handle(&serve.Request{V: serve.ProtoVersion, Op: serve.OpDecide, Now: 300, Feats: feats6()}, &resp)
 	if resp.Decision != obs.DecisionFailOpen || resp.Reason != obs.ReasonStaleTelemetry || resp.Age != 200 {
 		t.Fatalf("stale decision: %+v", resp)
 	}
@@ -148,7 +150,7 @@ func TestServerDerivedStaleness(t *testing.T) {
 // alloctest.Count).
 func TestCachedDecisionZeroAllocs(t *testing.T) {
 	model := conformanceModel(t, 1)
-	req := serve.Request{V: 1, Op: serve.OpDecide, Now: 10, Job: 1, App: "AMG", Scope: "q1"}
+	req := serve.Request{V: serve.ProtoVersion, Op: serve.OpDecide, Now: 10, Job: 1, App: "AMG", Scope: "q1"}
 	var (
 		srv  *serve.Server
 		resp serve.Response
@@ -223,7 +225,7 @@ func TestConcurrentSwapIngestDecide(t *testing.T) {
 			defer wg.Done()
 			var resp serve.Response
 			for i := 0; i < perDecider; i++ {
-				req := serve.Request{V: 1, Op: serve.OpDecide, Now: float64(i)}
+				req := serve.Request{V: serve.ProtoVersion, Op: serve.OpDecide, Now: float64(i)}
 				if i%2 == 0 {
 					req.Scope = "part-a" // exercise the cache under invalidation
 				} else {
@@ -279,11 +281,11 @@ func TestConcurrentSwapIngestDecide(t *testing.T) {
 func stillServing(t *testing.T, srv *serve.Server) {
 	t.Helper()
 	var resp serve.Response
-	srv.Handle(&serve.Request{V: 1, Op: serve.OpPing}, &resp)
+	srv.Handle(&serve.Request{V: serve.ProtoVersion, Op: serve.OpPing}, &resp)
 	if resp.Status != serve.StatusOK {
 		t.Fatalf("ping after the bad request: %+v", resp)
 	}
-	srv.Handle(&serve.Request{V: 1, Op: serve.OpDecide, Now: 20, Feats: feats6()}, &resp)
+	srv.Handle(&serve.Request{V: serve.ProtoVersion, Op: serve.OpDecide, Now: 20, Feats: feats6()}, &resp)
 	if resp.Status != serve.StatusOK || (resp.Decision != obs.DecisionStart && resp.Decision != obs.DecisionVeto) {
 		t.Fatalf("decide after the bad request: %+v", resp)
 	}
@@ -307,7 +309,7 @@ func TestSwapRejectsMalformedModel(t *testing.T) {
 	}
 	for _, b := range blobs {
 		var resp serve.Response
-		srv.Handle(&serve.Request{V: 1, Op: serve.OpSwap, Model: []byte(b.blob)}, &resp)
+		srv.Handle(&serve.Request{V: serve.ProtoVersion, Op: serve.OpSwap, Model: []byte(b.blob)}, &resp)
 		if resp.Status != serve.StatusError || !strings.Contains(resp.Error, b.field) {
 			t.Fatalf("swap of a model with a bad %s: %+v", b.field, resp)
 		}
@@ -331,7 +333,7 @@ func TestShortFeatureVectorIsAnError(t *testing.T) {
 	defer srv.Close()
 	var resp serve.Response
 	for _, op := range []string{serve.OpDecide, serve.OpEval} {
-		srv.Handle(&serve.Request{V: 1, Op: op, Now: 10, Feats: serve.FeatureVector{1}}, &resp)
+		srv.Handle(&serve.Request{V: serve.ProtoVersion, Op: op, Now: 10, Feats: serve.FeatureVector{1}}, &resp)
 		if resp.Status != serve.StatusError || !strings.Contains(resp.Error, "1 entries") {
 			t.Fatalf("%s with a 1-entry vector against a 6-feature model: %+v", op, resp)
 		}
@@ -340,7 +342,7 @@ func TestShortFeatureVectorIsAnError(t *testing.T) {
 		t.Fatalf("short vectors miscounted: %v", st)
 	}
 	wide := append(feats6(), 0.5, 0.5)
-	srv.Handle(&serve.Request{V: 1, Op: serve.OpDecide, Now: 11, Feats: wide}, &resp)
+	srv.Handle(&serve.Request{V: serve.ProtoVersion, Op: serve.OpDecide, Now: 11, Feats: wide}, &resp)
 	if resp.Status != serve.StatusOK {
 		t.Fatalf("a wider vector must stay legal: %+v", resp)
 	}
@@ -490,5 +492,87 @@ func TestClientEncodeErrorIsNotSticky(t *testing.T) {
 	}
 	if resp, err := client.Do(&serve.Request{Op: serve.OpPing}); err != nil || resp.Status != serve.StatusOK {
 		t.Fatalf("ping after the encode error: %+v, %v", resp, err)
+	}
+}
+
+// recordingModel keeps a copy of the last sample it was asked about.
+type recordingModel struct{ seen []float64 }
+
+func (m *recordingModel) Fit(x [][]float64, y []int) error { return nil }
+func (m *recordingModel) Name() string                     { return "recording" }
+func (m *recordingModel) Predict(sample []float64) int {
+	m.seen = append(m.seen[:0], sample...)
+	return 0
+}
+
+// TestVectorEntriesCrossBitForBit sends an eval through Client and the
+// connection loop and compares the vector the model is asked about with
+// the one sent, bit for bit: NaN, both infinities, -0, the smallest
+// subnormal and the largest float arrive as they left, as they reach the
+// in-process gate.
+func TestVectorEntriesCrossBitForBit(t *testing.T) {
+	model := &recordingModel{}
+	srv, err := serve.NewServer(serve.Config{Model: model})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client := pipeClient(t, srv)
+	sent := serve.FeatureVector{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 5e-324, math.MaxFloat64, 0.1}
+	resp, err := client.Do(&serve.Request{Op: serve.OpEval, Now: 1, App: "AMG", Feats: sent})
+	if err != nil || resp.Status != serve.StatusOK || resp.Class != 0 {
+		t.Fatalf("eval: %+v, %v", resp, err)
+	}
+	if len(model.seen) != len(sent) {
+		t.Fatalf("the model saw %d entries, %d were sent", len(model.seen), len(sent))
+	}
+	for i, v := range sent {
+		if got := model.seen[i]; math.Float64bits(got) != math.Float64bits(v) {
+			t.Errorf("entry %d: sent %v (%#x), the model saw %v (%#x)", i, v, math.Float64bits(v), got, math.Float64bits(got))
+		}
+	}
+}
+
+// TestMistypedBodyIsAnsweredUnderItsID pins the answer to a body that is
+// valid JSON but has a field of the wrong type: the error names the
+// field, under the id the body carries, so a client matching ids keeps
+// its connection. (A body of another version gets the version error
+// instead; the conformance transcript pins that.)
+func TestMistypedBodyIsAnsweredUnderItsID(t *testing.T) {
+	srv, err := serve.NewServer(serve.Config{Model: conformanceModel(t, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	near, far := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.HandleConn(far)
+	}()
+	defer func() {
+		near.Close()
+		<-done
+	}()
+	br := bufio.NewReader(near)
+	for _, c := range []struct {
+		body  string
+		id    uint64
+		field string
+	}{
+		{`{"v":2,"id":7,"op":"eval","feats":[2.1,2.2]}`, 7, "feats"},
+		{`{"v":2,"id":8,"op":"ingest","min":"AAAA","mean":"","max":""}`, 8, "min"},
+	} {
+		frame := binary.BigEndian.AppendUint32(nil, uint32(len(c.body)))
+		if _, err := near.Write(append(frame, c.body...)); err != nil {
+			t.Fatal(err)
+		}
+		var resp serve.Response
+		if err := serve.ReadFrame(br, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.ID != c.id || resp.Status != serve.StatusError || resp.Error != "malformed request: cannot decode "+c.field+": wrong type or out of range" {
+			t.Errorf("%s: %+v", c.body, resp)
+		}
 	}
 }
