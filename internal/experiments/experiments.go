@@ -463,6 +463,8 @@ func drive(name string, stream workload.JobStream, policy Policy, pred *core.Pre
 		env.reg.Counter("machine_fs_sweeps_total").Add(ms.FSSweeps)
 		tr.Metrics = env.reg.Snapshot()
 	}
+	// The trial is over: its row store goes to the next trial's sampler.
+	env.m.Sampler.Release()
 	return tr, env, nil
 }
 

@@ -523,6 +523,18 @@ func (d *decoder) str() ([]byte, error) {
 	data, start := d.data, d.off+1
 	var b []byte // nil while the text is the body's bytes as they are
 	for i := start; i < len(data); {
+		// The run of bytes that stand for themselves, skipped while the
+		// text is the body's bytes and copied whole once it is not.
+		j := i
+		for j < len(data) && plain[data[j]] {
+			j++
+		}
+		if b != nil {
+			b = append(b, data[i:j]...)
+		}
+		if i = j; i == len(data) {
+			break
+		}
 		switch c := data[i]; {
 		case c == '"':
 			if d.off = i + 1; b == nil {
@@ -532,12 +544,6 @@ func (d *decoder) str() ([]byte, error) {
 			return b, nil
 		case c < 0x20:
 			return nil, d.syntaxErr(i, "in string literal")
-		case c < utf8.RuneSelf && c != '\\':
-			if b != nil {
-				b = append(b, c)
-			}
-			i++
-			continue
 		}
 		if b == nil {
 			b = append(d.buf[:0], data[start:i]...)
@@ -576,6 +582,15 @@ func (d *decoder) str() ([]byte, error) {
 	}
 	return nil, errUnexpectedEnd
 }
+
+// plain[c] says whether byte c stands for itself in a JSON string:
+// printable ASCII other than the quote and the backslash.
+var plain = func() (t [256]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
 
 // hex4 reads the four hex digits of a \u escape at data[i:], -1 and an
 // error when they are not there.

@@ -24,14 +24,51 @@ import (
 // bytes. The bytes also fill a Request and a Response directly (strings
 // that need not be UTF-8, floats from raw bits, the bytes as Model), which
 // the encoders must write as json.Marshal does, failing where it fails.
+//
+// Inputs, seeds included, are cut to maxCodecInput bytes, so the fuzzer
+// does not spend its time minimizing long ones; TestLongCodecSeeds
+// checks the whole of the seeds longer than that.
 func FuzzFrameCodec(f *testing.F) {
+	for _, in := range codecSeeds(f) {
+		f.Add(in[:min(len(in), maxCodecInput)])
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		checkCodec(t, in[:min(len(in), maxCodecInput)])
+	})
+}
+
+// maxCodecInput is the longest input FuzzFrameCodec decodes: room for a
+// request of several fields and a vector of a few entries. At 512 bytes
+// the fuzzer spent most of a minute minimizing.
+const maxCodecInput = 256
+
+// TestLongCodecSeeds checks the FuzzFrameCodec seeds too long for its
+// input cap: the conformance transcript's ingest.
+func TestLongCodecSeeds(t *testing.T) {
+	long := 0
+	for _, in := range codecSeeds(t) {
+		if len(in) > maxCodecInput {
+			checkCodec(t, in)
+			long++
+		}
+	}
+	if long == 0 {
+		t.Fatal("no seed is longer than the fuzz input cap")
+	}
+}
+
+// codecSeeds returns FuzzFrameCodec's seed inputs: every request body of
+// the conformance transcript, and bodies that probe the corners of
+// encoding/json's grammar and folding.
+func codecSeeds(tb testing.TB) [][]byte {
 	golden, err := os.ReadFile("testdata/conformance.golden")
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
+	var seeds [][]byte
 	for _, line := range bytes.Split(golden, []byte("\n")) {
 		if body, ok := bytes.CutPrefix(line, []byte("> ")); ok {
-			f.Add(bytes.TrimPrefix(body, []byte("(raw) ")))
+			seeds = append(seeds, bytes.TrimPrefix(body, []byte("(raw) ")))
 		}
 	}
 	for _, s := range []string{
@@ -71,10 +108,9 @@ func FuzzFrameCodec(f *testing.F) {
 		// Raw control bytes and a raw U+2028, for the encoders.
 		"\x00\x01\x1f\x7f\b\f\n\r\t<\xe2\x80\xa8>",
 	} {
-		f.Add([]byte(s))
+		seeds = append(seeds, []byte(s))
 	}
-
-	f.Fuzz(checkCodec)
+	return seeds
 }
 
 // TestCodecNestingLimit checks the codec at encoding/json's nesting
@@ -241,5 +277,32 @@ func TestTightBufferGrowsOnce(t *testing.T) {
 	})
 	if objects > 1 {
 		t.Fatalf("100 encodes into a %d-byte buffer allocated %d times, want 1", len(body), objects)
+	}
+}
+
+// BenchmarkEvalCodec encodes and decodes an eval carrying a 282-entry
+// feature vector, the request a served gate sends before every start:
+// most of the body is the vector's base64 string.
+func BenchmarkEvalCodec(b *testing.B) {
+	feats := make(FeatureVector, 282)
+	for i := range feats {
+		feats[i] = 0.1 * float64(i)
+	}
+	age := 5.0
+	req := Request{V: ProtoVersion, ID: 1, Op: OpEval, Now: 1e5, Job: 42, App: "Kripke", Class: 1, Age: &age, Feats: feats}
+	var (
+		buf     []byte
+		got     Request
+		scratch reqScratch
+		err     error
+	)
+	b.ReportAllocs()
+	for b.Loop() {
+		if buf, err = appendRequest(buf[:0], &req); err != nil {
+			b.Fatal(err)
+		}
+		if err = decodeRequest(buf, &got, &scratch); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -101,7 +101,7 @@ func computeRowRef(s *Sampler, slices []simnet.Slice, node cluster.NodeID, tick 
 		net = effNet[pod]
 	}
 	for j, ci := range s.cols {
-		c := s.schema[ci]
+		c := schema[ci]
 		if s.faults != nil && s.faults.Dropped(c.Table, node, tick) {
 			vals[j] = math.NaN()
 			continue
@@ -132,8 +132,7 @@ func computeRowRef(s *Sampler, slices []simnet.Slice, node cluster.NodeID, tick 
 // empty store of its own that it never binds.
 func refSampler(s *Sampler) *Sampler {
 	full := &Sampler{
-		topo: s.topo, schema: s.schema, faults: s.faults, tables: s.tables,
-		noiseHash: s.noiseHash, mask: allCounters(),
+		topo: s.topo, faults: s.faults, noiseHash: s.noiseHash, mask: allCounters(),
 	}
 	full.setCols()
 	return full

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"rush/internal/alloctest"
@@ -25,6 +26,47 @@ func newStoreEnv(t *testing.T) (*simnet.State, *Sampler, *float64) {
 		t.Fatal(err)
 	}
 	return st, NewSampler(storeTopo(), sim.NewSource(11).Derive("telemetry")), now
+}
+
+// drainFreeStore empties the process-wide free list, so what a sampler
+// allocates next does not depend on what earlier tests released.
+func drainFreeStore() {
+	freeStore.Lock()
+	freeStore.blocks, freeStore.vals, freeStore.bytes = nil, nil, 0
+	freeStore.Unlock()
+}
+
+// borrow is another sampler's trial between two queries of s: s releases
+// its store; a second sampler over the same topology and history, with
+// noise of its own and the row width set gives it, takes memory from the
+// free list, writes its rows over it on each scope's standard window
+// ending at t1, and releases it again. Its answers are checked against
+// the reference too.
+func borrow(t *testing.T, label string, s *Sampler, hist *simnet.History, set func(*Sampler), t1 float64, scopes ...[]cluster.NodeID) {
+	t.Helper()
+	s.Release()
+	other := NewSampler(s.topo, sim.NewSource(12).Derive("telemetry"))
+	set(other)
+	var got Aggregates
+	for _, nodes := range scopes {
+		other.AggregateWindowInto(hist, nodes, t1, &got)
+		sameAggregates(t, label+": the borrowing sampler", got, aggregateRef(other, hist, nodes, t1-WindowSeconds, t1))
+	}
+	other.Release()
+}
+
+// borrowWidth returns a row width setting for borrow from a draw k: all
+// counters, a mask of about p of them, or a fault model (all counters,
+// some dropped).
+func borrowWidth(k int, seed int64, p float64) func(*Sampler) {
+	switch k % 3 {
+	case 0:
+		return func(*Sampler) {}
+	case 1:
+		return func(o *Sampler) { o.SetCounterMask(hashedMask(seed, p)) }
+	default:
+		return func(o *Sampler) { o.SetFaults(testFaults{src: sim.NewSource(seed), dropP: p / 2, freezeSpan: 3}) }
+	}
 }
 
 // TestSynthesisMatchesOneShotHash pins the kernel's oracle, computeRowRef,
@@ -211,6 +253,9 @@ func TestWindowLongerThanRing(t *testing.T) {
 // that start before time zero — interleaved with load changes, prunes of
 // sampler and history, and fault models coming and going, and
 // checks every answer of the fast path against the reference bit for bit.
+// Now and then the sampler releases its store and another sampler, of
+// the same or another row width, writes its own rows over that memory
+// before the sampler takes memory back (see borrow).
 func TestRowStoreMatchesReferenceProperty(t *testing.T) {
 	const seeds, queries = 3, 3500 // 10,500 in all
 	topo := storeTopo()
@@ -253,6 +298,11 @@ func TestRowStoreMatchesReferenceProperty(t *testing.T) {
 				s.Prune(cut)
 			case 6:
 				s.Prune(*now - rng.Uniform(0, 2*WindowSeconds))
+			case 7:
+				lo := rng.Intn(topo.Nodes)
+				borrow(t, fmt.Sprintf("seed %d query %d", seed, q), s, hist,
+					borrowWidth(rng.Intn(3), seed+int64(q), rng.Uniform(0, 1)), *now,
+					[]cluster.NodeID{cluster.NodeID(lo), cluster.NodeID((lo + 40) % topo.Nodes)}, AllNodes(topo))
 			}
 
 			// Scope.
@@ -372,6 +422,7 @@ func TestBlockIsWidthSized(t *testing.T) {
 			before int
 		)
 		setup := func() {
+			drainFreeStore()
 			st, s, now = newStoreEnv(t)
 			st.Apply(simnet.Contribution{PodNet: map[int]float64{0: 0.7}, FS: 0.2})
 			*now = 900
@@ -431,8 +482,12 @@ func TestWidthChangesMatchReference(t *testing.T) {
 // from sub-period to longer than the ring; repeats of the last window on
 // its scope or on another one, which the window memo may answer; and
 // standard windows over the capped machine-wide scope core.Collect
-// aggregates. Every answer of AggregateRangeInto must equal aggregateRef,
-// which applies the same mask, bit for bit.
+// aggregates; and the sampler's release of its store to another
+// sampler, of a row width of its own, that writes rows over it before the
+// sampler takes memory back (see borrow). Every answer of
+// AggregateRangeInto must equal aggregateRef, which applies the same
+// mask, bit for bit. Operations 0 to 11 read as they did before the
+// release step (12) was added, so the seeds below keep their meaning.
 func FuzzRowStoreOps(f *testing.F) {
 	f.Add([]byte{0, 1, 90, 40, 1, 20, 0, 0, 5, 0, 3, 1, 1, 60, 0, 0, 6, 1, 7, 2, 5, 2, 0, 1})
 	f.Add([]byte{4, 1, 3, 120, 1, 30, 0, 0, 7, 3, 9, 0, 2, 200, 0, 0, 5, 0, 4, 2, 3, 100, 0, 0, 6, 4, 0, 1})
@@ -456,6 +511,11 @@ func FuzzRowStoreOps(f *testing.F) {
 	// keep a window out of the memo, and with a scope over the cap.
 	f.Add([]byte{1, 250, 0, 0, 3, 1, 5, 200, 4, 0, 0, 1, 9, 0, 0, 0, 1, 3, 0, 0, 4, 2, 2, 5,
 		9, 0, 0, 0, 10, 4, 0, 0, 9, 0, 0, 0, 3, 0, 0, 0, 4, 2, 2, 5, 9, 0, 0, 0, 10, 3, 0, 1})
+	// A masked window, a release to a sampler of every counter, one to a
+	// narrower mask and one to a fault model, each followed by the same
+	// window, which the sampler answers from memory the other wrote.
+	f.Add([]byte{8, 0, 7, 95, 1, 200, 0, 0, 4, 0, 3, 5, 12, 0, 3, 5, 9, 0, 0, 0,
+		12, 1, 9, 40, 9, 0, 0, 0, 1, 30, 0, 0, 4, 0, 3, 5, 12, 2, 4, 120, 9, 0, 0, 0, 10, 1, 9, 30})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 1<<9 {
 			ops = ops[:1<<9]
@@ -502,7 +562,7 @@ func FuzzRowStoreOps(f *testing.F) {
 		for step := 0; len(ops) >= 4; step++ {
 			op, a, b, c := ops[0], ops[1], ops[2], ops[3]
 			ops = ops[4:]
-			switch op % 12 {
+			switch op % 13 {
 			case 0:
 				st.Remove(load)
 				load = simnet.Contribution{PodNet: map[int]float64{int(a) % topo.Pods(): float64(b) / 200}, FS: float64(c) / 230}
@@ -543,6 +603,8 @@ func FuzzRowStoreOps(f *testing.F) {
 				s.AggregateRangeInto(hist, nodes, t1-WindowSeconds, t1, &buf)
 				sameAggregates(t, fmt.Sprintf("step %d: machine-wide window at %v, now %v", step, t1, *now),
 					buf, aggregateRef(s, hist, nodes, t1-WindowSeconds, t1))
+			case 12: // another sampler's trial on the memory the sampler releases
+				borrow(t, fmt.Sprintf("step %d", step), s, hist, borrowWidth(int(a), int64(b), float64(c)/255), *now, scope(a, b, c))
 			default:
 				nodes := scope(a, b, c)
 				t1 := *now - float64(b%64)
@@ -564,4 +626,104 @@ func FuzzRowStoreOps(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestReleasedStoreIsReused is the allocation guard of the free list: a
+// sampler made after an equal-topology sampler released its store takes
+// that memory, so its first standard window allocates no row-store bytes
+// (the block array and one value slab per block touched). Only the
+// sampler's own small buffers remain, fewer bytes than one slab. Without
+// a release the same window allocates the store, which makes the guard
+// one that can fail. Each count is the fewest of three, from a drained
+// free list (see alloctest.Count).
+func TestReleasedStoreIsReused(t *testing.T) {
+	const touched = 3 // blocks the window's scope covers
+	mask := hashedMask(37, 0.4)
+	nodes := make([]cluster.NodeID, touched*blockNodes)
+	for i := range nodes {
+		nodes[i] = cluster.NodeID(blockNodes + i)
+	}
+	var (
+		st   *simnet.State
+		s    *Sampler
+		now  *float64
+		agg  Aggregates
+		objs [2]uint64
+		size [2]uint64
+	)
+	for i, released := range []bool{false, true} {
+		setup := func() {
+			drainFreeStore()
+			var prev *Sampler
+			st, prev, now = newStoreEnv(t)
+			st.Apply(simnet.Contribution{PodNet: map[int]float64{0: 0.7}, FS: 0.2})
+			*now = 900
+			prev.SetCounterMask(mask)
+			prev.AggregateWindowInto(st.History(), nodes, *now, &agg)
+			if released {
+				prev.Release()
+			}
+			s = NewSampler(storeTopo(), sim.NewSource(11).Derive("telemetry"))
+			s.SetCounterMask(mask)
+		}
+		objs[i], size[i] = alloctest.Count(3, setup, func() {
+			s.AggregateWindowInto(st.History(), nodes, *now, &agg)
+		})
+		sameAggregates(t, fmt.Sprintf("released %v", released), agg, aggregateRef(s, st.History(), nodes, *now-WindowSeconds, *now))
+	}
+	slab := uint64(8 * slotsPerBlock * len(s.cols))
+	if objs[0]-objs[1] != 1+touched {
+		t.Fatalf("a release saved %d of %d objects, want the store's %d: its array and a slab per block", objs[0]-objs[1], objs[0], 1+touched)
+	}
+	if size[1] >= slab {
+		t.Fatalf("after a release the first window allocated %d bytes, as much as a slab of %d", size[1], slab)
+	}
+	if saved := size[0] - size[1]; saved < uint64(s.StoreBytes()) {
+		t.Fatalf("a release saved %d bytes, less than the store's %d", saved, s.StoreBytes())
+	}
+}
+
+// TestFreeStoreSharedAcrossGoroutines: the trials of a multi-worker run
+// release and take row-store memory from several goroutines at once.
+// Each goroutine here runs samplers of a row width of its own one after
+// another, each releasing its store to whichever sampler takes it next,
+// and every window must equal the reference. Run it with -race.
+func TestFreeStoreSharedAcrossGoroutines(t *testing.T) {
+	const workers, trials, windows = 4, 5, 6
+	var (
+		wg        sync.WaitGroup
+		got, want [workers][trials * windows]Aggregates
+	)
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			now := new(float64)
+			st, err := simnet.NewState(storeTopo(), func() float64 { return *now })
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			rng := sim.NewSource(int64(w)).Derive("loads")
+			for trial := range trials {
+				s := NewSampler(storeTopo(), sim.NewSource(int64(w)).Derive("telemetry"))
+				borrowWidth(w, int64(trial), 0.4)(s)
+				for q := range windows {
+					scrambleLoad(st, rng, q)
+					*now += 40
+					nodes := []cluster.NodeID{cluster.NodeID(37 * q), cluster.NodeID(37*q + 1), cluster.NodeID(299 - 11*q)}
+					i := trial*windows + q
+					s.AggregateWindowInto(st.History(), nodes, *now, &got[w][i])
+					want[w][i] = aggregateRef(s, st.History(), nodes, *now-WindowSeconds, *now)
+				}
+				s.Release()
+			}
+		}()
+	}
+	wg.Wait()
+	for w := range workers {
+		for i := range got[w] {
+			sameAggregates(t, fmt.Sprintf("worker %d window %d", w, i), got[w][i], want[w][i])
+		}
+	}
 }

@@ -1,9 +1,10 @@
 package telemetry
 
 import (
-	"fmt"
 	"math"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"rush/internal/cluster"
@@ -75,11 +76,15 @@ type FaultModel interface {
 // can go stale; the from-scratch recompute would read the new loads. A
 // memoized window is one all of whose rows are stored, so it answers as
 // the stored rows would.
+//
+// The store's memory is taken on the first query and kept for the
+// sampler's life, unless the sampler is done with it: Release hands it to
+// a process-wide free list that the next sampler's store takes from, so
+// consecutive trials in one process share one store's memory. A released
+// sampler stays usable; its next query takes memory again.
 type Sampler struct {
 	topo   cluster.Topology
-	schema []Counter
 	faults FaultModel
-	tables []string
 
 	// noiseHash[ci] is the sample-noise hash after the seed and counter
 	// ci: the one of a sample's four hash rounds that depends on neither
@@ -140,8 +145,8 @@ const (
 // slot's row holds. effT is the instant whose latent loads its values
 // reflect — the tick's own time normally, an earlier one while the node's
 // counters are frozen. gen is the store generation the row was written
-// under; a row of another generation (zero: never written, or not
-// cacheable) is empty.
+// under; a row of another generation (zero: not cacheable; or written by
+// an earlier owner of the memory, see storeGens) is empty.
 type rowHead struct {
 	gen  uint64
 	tick int64
@@ -159,16 +164,71 @@ type rowBlock struct {
 
 // rowStore is the sampler's row cache: per node a ring of ringTicks rows,
 // each tagged with the tick it holds. The blocks, heads included, are one
-// array made on the first query (8 KB per 16 nodes of the topology); a
+// array taken on the first query (8 KB per 16 nodes of the topology); a
 // block's values, 6.2 KB per node at 37 counters and 15 KB at 90, are
-// made when a scope first names one of its nodes. Nothing grows with the
-// length of the run.
+// taken when a scope first names one of its nodes. Nothing grows with the
+// length of the run. Both are taken from the free list (see freeStore)
+// when it holds one large enough, and made otherwise; a row width change
+// and Sampler.Release put the values back, and Release the array too.
+// Recycled memory is not cleared: its heads carry generations no live
+// store has, and a row's values are written before they are read.
 type rowStore struct {
 	hist   *simnet.History // history the stored rows were computed from
 	blocks []rowBlock      // indexed by node / blockNodes
 	width  int             // values per row: len(Sampler.cols)
 	gen    uint64          // rows of any other generation are empty
 	pruned float64         // rows that reflect an instant before this one are empty
+}
+
+// storeGens hands out store generations, process-wide and from 1 up, so
+// a head written under one store's generation never reads as live in
+// another store that later takes over its memory.
+var storeGens atomic.Uint64
+
+// freeStoreBytes bounds the memory the free list keeps: the stores of
+// several concurrent gated trials on Pod512 (3.4 MB each at 37
+// counters), or one on all of Quartz (20 MB). What a release finds no
+// room for is left to the collector.
+const freeStoreBytes = 32 << 20
+
+// freeStore is the process-wide free list of row-store memory: the block
+// arrays and value slabs released stores hand back, every block's vals
+// nil in the arrays. It is a plain list, not a sync.Pool, so what a
+// sampler allocates does not depend on when the collector last ran.
+var freeStore struct {
+	sync.Mutex
+	blocks [][]rowBlock
+	vals   [][]float64
+	bytes  int // kept by blocks and vals together
+}
+
+// takeFree returns a slice of n elements: the last entry of list with
+// the capacity for them, removed from the free list, or a new slice.
+func takeFree[T any](list *[][]T, n int) []T {
+	freeStore.Lock()
+	defer freeStore.Unlock()
+	l := *list
+	for i := len(l) - 1; i >= 0; i-- {
+		if b := l[i]; cap(b) >= n {
+			l[i] = l[len(l)-1]
+			l[len(l)-1] = nil
+			*list = l[:len(l)-1]
+			freeStore.bytes -= cap(b) * int(unsafe.Sizeof(b[0]))
+			return b[:n]
+		}
+	}
+	return make([]T, n)
+}
+
+// putFree adds b to list if the free list has room for it.
+func putFree[T any](list *[][]T, b []T) {
+	freeStore.Lock()
+	defer freeStore.Unlock()
+	size := cap(b) * int(unsafe.Sizeof(b[0]))
+	if freeStore.bytes+size <= freeStoreBytes {
+		*list = append(*list, b[:0])
+		freeStore.bytes += size
+	}
 }
 
 // memoEntries is how many windows of one instant the memo keeps: on the
@@ -235,15 +295,8 @@ func (m *windowMemo) put(scope []cluster.NodeID, cols []uint8, agg *Aggregates) 
 // NewSampler returns a sampler over topo whose noise derives from rng
 // (use a dedicated child stream, e.g. root.Derive("telemetry")).
 func NewSampler(topo cluster.Topology, rng *sim.Source) *Sampler {
-	s := &Sampler{topo: topo, schema: Schema(), store: rowStore{gen: 1, pruned: math.Inf(-1)}}
-	for i := range s.schema {
-		c := &s.schema[i]
-		if len(s.tables) == 0 || s.tables[len(s.tables)-1] != c.Table {
-			s.tables = append(s.tables, c.Table)
-		}
-		if c.Src < SrcNet || c.Src > SrcNoise {
-			panic(fmt.Sprintf("telemetry: unknown source %d", c.Src))
-		}
+	s := &Sampler{topo: topo}
+	for i := range schema {
 		s.noiseHash[i] = rng.HashPrefix(uint64(i) + 1)
 		s.mask[i] = true
 	}
@@ -269,20 +322,20 @@ func (s *Sampler) SetCounterMask(read [NumCounters]bool) {
 
 // setCols works out cols and colTab from the mask and the fault model,
 // and flushes the rows computed under the previous list. A list of
-// another length changes the row width: the values of the old width are
-// dropped, and come back at the new width when touched.
+// another length changes the row width: the values of the old width go
+// to the free list, and come back at the new width when touched.
 func (s *Sampler) setCols() {
 	s.cols = s.colBuf[:0]
 	for ci, read := range s.mask {
 		if read || s.faults != nil {
-			c := &s.schema[ci]
+			c := &schema[ci]
 			s.colTab[len(s.cols)] = column{hash: s.noiseHash[ci], base: c.Base, gain: c.Gain, noise: c.Noise, src: c.Src}
 			s.cols = append(s.cols, uint8(ci))
 		}
 	}
 	if st := &s.store; st.width != len(s.cols) {
 		st.width = len(s.cols)
-		clear(st.blocks)
+		st.freeVals()
 	}
 	s.flush()
 }
@@ -292,13 +345,39 @@ func (s *Sampler) setCols() {
 // are computed from the history as it is now.
 func (s *Sampler) flush() {
 	st := &s.store
-	st.gen++
+	st.gen = storeGens.Add(1)
 	st.pruned = math.Inf(-1)
 	s.memo.reset()
 }
 
+// Release flushes the store and hands its memory, the block array and
+// every block's values, to the process-wide free list, for the next store
+// made in the process to take. Call it when the sampler's trial is done;
+// the sampler stays usable, and its next query takes memory again.
+func (s *Sampler) Release() {
+	s.flush()
+	st := &s.store
+	if st.blocks == nil {
+		return
+	}
+	st.freeVals() // before the array is listed, whose next owner reads its vals
+	putFree(&freeStore.blocks, st.blocks)
+	st.blocks = nil
+}
+
+// freeVals puts every block's values on the free list and leaves the
+// blocks without.
+func (st *rowStore) freeVals() {
+	for b := range st.blocks {
+		if v := st.blocks[b].vals; v != nil {
+			putFree(&freeStore.vals, v)
+			st.blocks[b].vals = nil
+		}
+	}
+}
+
 // bind points the store at hist, flushing it if the rows in it came from
-// another history, and allocates the blocks on first use.
+// another history, and takes the blocks on first use.
 func (s *Sampler) bind(hist *simnet.History) {
 	st := &s.store
 	if st.hist != hist {
@@ -306,7 +385,9 @@ func (s *Sampler) bind(hist *simnet.History) {
 		st.hist = hist
 	}
 	if st.blocks == nil {
-		st.blocks = make([]rowBlock, (s.topo.Nodes+blockNodes-1)/blockNodes)
+		st.blocks = takeFree(&freeStore.blocks, (s.topo.Nodes+blockNodes-1)/blockNodes)
+	}
+	if s.sliceBuf == nil {
 		// A window holds a slice per load epoch it covers: some tens on
 		// the paper's trials. Sized once here, the buffer need not grow
 		// there from empty, one allocation per doubling.
@@ -320,13 +401,13 @@ func (s *Sampler) bind(hist *simnet.History) {
 func ringPos(tick int64) int { return int((tick%ringTicks + ringTicks) % ringTicks) }
 
 // slot returns the head and the values of the slot at ring position pos
-// (see ringPos) of node's ring, allocating the values of the node's block
-// if this is the first time a scope names it since the width was set.
-// node must be one the topology has.
+// (see ringPos) of node's ring, taking the values of the node's block if
+// this is the first time a scope names it since the width was set or the
+// store released. node must be one the topology has.
 func (st *rowStore) slot(node cluster.NodeID, pos int) (*rowHead, []float64) {
 	blk := &st.blocks[node/blockNodes]
 	if blk.vals == nil {
-		blk.vals = make([]float64, slotsPerBlock*st.width)
+		blk.vals = takeFree(&freeStore.vals, slotsPerBlock*st.width)
 	}
 	i := pos*blockNodes + int(node%blockNodes)
 	return &blk.heads[i], blk.vals[i*st.width : (i+1)*st.width]
@@ -372,13 +453,14 @@ func (s *Sampler) CachedRows() int {
 }
 
 // StoreBytes returns the bytes the row store holds: its blocks with
-// their heads, and the values allocated in them (observability hook; it
-// walks the blocks).
+// their heads, and the values allocated in them, at the capacity of
+// memory taken from the free list (observability hook; it walks the
+// blocks).
 func (s *Sampler) StoreBytes() int {
 	st := &s.store
-	n := len(st.blocks) * int(unsafe.Sizeof(rowBlock{}))
+	n := cap(st.blocks) * int(unsafe.Sizeof(rowBlock{}))
 	for b := range st.blocks {
-		n += 8 * len(st.blocks[b].vals)
+		n += 8 * cap(st.blocks[b].vals)
 	}
 	return n
 }
@@ -491,7 +573,7 @@ func (s *Sampler) computeRow(slices []simnet.Slice, node cluster.NodeID, pre []s
 		if faulty {
 			// Whole tables drop together (one lost LDMS message per
 			// table); memoize across the contiguous block.
-			if tb := s.schema[s.cols[j]].Table; tb != lastTable {
+			if tb := schema[s.cols[j]].Table; tb != lastTable {
 				lastTable = tb
 				lastDropped = s.faults.Dropped(tb, node, tk.tick)
 			}
@@ -688,7 +770,7 @@ func (s *Sampler) FreshnessAge(nodes []cluster.NodeID, t1 float64) float64 {
 	for tick := first; tick <= last; tick++ {
 		for _, node := range nodes {
 			eff := s.faults.SampleTick(node, tick)
-			for _, tb := range s.tables {
+			for _, tb := range tables {
 				if s.faults.Dropped(tb, node, tick) {
 					continue
 				}

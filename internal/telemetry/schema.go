@@ -12,6 +12,11 @@
 // something real to eliminate.
 package telemetry
 
+import (
+	"fmt"
+	"slices"
+)
+
 // Src identifies which latent simulator signal drives a counter.
 type Src int
 
@@ -56,10 +61,19 @@ const (
 	NumCounters = NumSysclassib + NumOpaInfo + NumLustreClient
 )
 
+// schema is the counter table, built once; samplers read it and Schema
+// hands out copies of it. tables lists its LDMS tables in schema order.
+var (
+	schema = buildSchema()
+	tables = []string{"sysclassib", "opa_info", "lustre_client"}
+)
+
 // Schema returns the full counter schema: 22 sysclassib + 34 opa_info +
 // 34 lustre_client counters, in a fixed order that defines the dataset's
-// column layout.
-func Schema() []Counter {
+// column layout. The slice is the caller's own.
+func Schema() []Counter { return slices.Clone(schema) }
+
+func buildSchema() []Counter {
 	var cs []Counter
 	add := func(table, name string, src Src, base, gain, noise float64) {
 		cs = append(cs, Counter{Table: table, Name: name, Src: src, Base: base, Gain: gain, Noise: noise})
@@ -166,6 +180,11 @@ func Schema() []Counter {
 
 	if len(cs) != NumCounters {
 		panic("telemetry: schema size drifted from Table I")
+	}
+	for _, c := range cs {
+		if c.Src < SrcNet || c.Src > SrcNoise {
+			panic(fmt.Sprintf("telemetry: unknown source %d", c.Src))
+		}
 	}
 	return cs
 }

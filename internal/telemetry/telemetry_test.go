@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -46,6 +47,22 @@ func TestSchemaMatchesTableI(t *testing.T) {
 	}
 	if counts["lustre_client"] != NumLustreClient {
 		t.Fatalf("lustre_client has %d counters, want %d", counts["lustre_client"], NumLustreClient)
+	}
+	// tables lists the schema's tables in order, each one run of counters.
+	var runs []string
+	for _, c := range cs {
+		if len(runs) == 0 || runs[len(runs)-1] != c.Table {
+			runs = append(runs, c.Table)
+		}
+	}
+	if !slices.Equal(runs, tables) {
+		t.Fatalf("the schema's table runs are %q, tables says %q", runs, tables)
+	}
+	// Schema hands out copies: a caller's change reaches neither the
+	// samplers' table nor the next caller.
+	cs[0].Name = "changed"
+	if schema[0].Name == "changed" || Schema()[0].Name == "changed" {
+		t.Fatal("a change to Schema's result reached the package's table")
 	}
 }
 
