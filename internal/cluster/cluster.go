@@ -10,7 +10,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -131,29 +130,15 @@ func (t Topology) podSpan(p int) int {
 	return span
 }
 
-// Allocation is a set of nodes granted to one job. A list an Allocator
-// grants is carved from one of the allocator's chunks with its capacity
-// equal to its length, so appending to it copies and cannot reach the
-// next grant's nodes; the allocator never takes a list back, so it stays
-// readable after Free.
+// Allocation is a set of nodes granted to one job. A list is written
+// either into a buffer its caller passed to AllocInto, or into a chunk of
+// the allocator's own with its capacity equal to its length, so that
+// appending to it copies and cannot reach the next grant's nodes. The
+// allocator never takes a list back: Free leaves it readable, and it is
+// written again only when a holder passes it to a later AllocInto, once
+// nothing reads it (a pooling machine.Machine: SpareNodes).
 type Allocation struct {
 	Nodes []NodeID
-}
-
-// Pods returns the distinct pods the allocation touches, in ascending
-// order.
-func (a Allocation) Pods(t Topology) []int {
-	seen := map[int]bool{}
-	var pods []int
-	for _, n := range a.Nodes {
-		p := t.PodOf(n)
-		if !seen[p] {
-			seen[p] = true
-			pods = append(pods, p)
-		}
-	}
-	sort.Ints(pods)
-	return pods
 }
 
 // Allocator hands out nodes to jobs. It is not safe for concurrent use;
@@ -171,9 +156,8 @@ type Allocator struct {
 	downAll  int    // all down nodes
 
 	// freeByPod[p] counts nodes in pod p that are free and in service.
-	// Maintained incrementally so Alloc is O(pods + n), not O(nodes).
+	// Maintained incrementally so Alloc scans pods, not nodes.
 	freeByPod []int
-	podOrder  []int    // scratch for Alloc's emptiest-pods-first ordering
 	chunk     []NodeID // unused tail of the block Alloc carves node lists from
 }
 
@@ -193,12 +177,9 @@ func NewAllocator(topo Topology) (*Allocator, error) {
 	}
 	return &Allocator{
 		topo: topo, free: free, down: make([]bool, topo.Nodes),
-		freeByPod: freeByPod, podOrder: make([]int, topo.Pods()),
+		freeByPod: freeByPod,
 	}, nil
 }
-
-// Topology returns the allocator's topology.
-func (a *Allocator) Topology() Topology { return a.topo }
 
 // FreeCount returns the number of nodes currently available to allocate
 // (free and in service).
@@ -260,44 +241,41 @@ func (a *Allocator) CanAlloc(n int) bool {
 // Alloc grants n nodes, preferring to pack an allocation into as few pods
 // as possible (pods with the most free nodes first), matching the
 // locality-seeking behaviour of real fat-tree schedulers. It returns an
-// error when not enough nodes are free.
-func (a *Allocator) Alloc(n int) (Allocation, error) {
+// error when not enough nodes are free. It is AllocInto without a buffer.
+func (a *Allocator) Alloc(n int) (Allocation, error) { return a.AllocInto(n, nil) }
+
+// AllocInto is Alloc writing the node list into buf when buf has the
+// capacity for n nodes (the list then keeps buf's capacity), and into
+// the allocator's current chunk otherwise. The caller must not pass a
+// buffer anything still reads, such as a running job's allocation.
+func (a *Allocator) AllocInto(n int, buf []NodeID) (Allocation, error) {
 	if n <= 0 {
 		return Allocation{}, fmt.Errorf("cluster: invalid allocation size %d", n)
 	}
 	if !a.CanAlloc(n) {
 		return Allocation{}, fmt.Errorf("cluster: want %d nodes, only %d free", n, a.FreeCount())
 	}
-	// Fill from the emptiest pods first, using the incrementally
-	// maintained per-pod free counts. Insertion sort keeps ties in pod
-	// order (the stable order SliceStable produced) without reflection
-	// or allocation; pod counts are small.
+	nodes := buf[:0]
+	if cap(buf) < n {
+		if len(a.chunk) < n {
+			a.chunk = make([]NodeID, max(1024, n))
+		}
+		nodes = a.chunk[:0:n]
+		a.chunk = a.chunk[n:]
+	}
+	// Fill from the emptiest pods first: each pod chosen is the one with
+	// the most free nodes, the lowest index on ties. A pod is used up
+	// before the next is chosen, and its count then reads 0, so the
+	// choices are those of a stable sort by free count, descending.
 	freeByPod := a.freeByPod
-	order := a.podOrder
-	for i := range order {
-		order[i] = i
-	}
-	for i := 1; i < len(order); i++ {
-		p := order[i]
-		j := i
-		for ; j > 0 && freeByPod[order[j-1]] < freeByPod[p]; j-- {
-			order[j] = order[j-1]
+	for len(nodes) < n {
+		p := 0
+		for q, f := range freeByPod {
+			if f > freeByPod[p] {
+				p = q
+			}
 		}
-		order[j] = p
-	}
-
-	if len(a.chunk) < n {
-		a.chunk = make([]NodeID, max(1024, n))
-	}
-	nodes := a.chunk[:0:n]
-	a.chunk = a.chunk[n:]
-	for _, p := range order {
-		if len(nodes) == n {
-			break
-		}
-		if freeByPod[p] == 0 {
-			continue
-		}
+		had := len(nodes)
 		lo := p * a.topo.PodSize
 		hi := lo + a.topo.podSpan(p)
 		for i := lo; i < hi && len(nodes) < n; i++ {
@@ -308,11 +286,11 @@ func (a *Allocator) Alloc(n int) (Allocation, error) {
 				nodes = append(nodes, NodeID(i))
 			}
 		}
-	}
-	if len(nodes) != n {
-		// Unreachable given the CanAlloc guard, but fail loudly if the
-		// bookkeeping ever drifts.
-		panic(fmt.Sprintf("cluster: allocator bookkeeping drift: wanted %d, got %d", n, len(nodes)))
+		if len(nodes) == had {
+			// Unreachable given the CanAlloc guard, but fail loudly if
+			// the bookkeeping ever drifts.
+			panic(fmt.Sprintf("cluster: allocator bookkeeping drift: wanted %d, got %d", n, len(nodes)))
+		}
 	}
 	return Allocation{Nodes: nodes}, nil
 }

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -13,6 +15,21 @@ func newAlloc(topo Topology) *Allocator {
 		panic(err)
 	}
 	return a
+}
+
+// podsOf returns the distinct pods an allocation touches, in ascending
+// order.
+func podsOf(t Topology, a Allocation) []int {
+	seen := map[int]bool{}
+	var pods []int
+	for _, n := range a.Nodes {
+		if p := t.PodOf(n); !seen[p] {
+			seen[p] = true
+			pods = append(pods, p)
+		}
+	}
+	sort.Ints(pods)
+	return pods
 }
 
 func TestTopologyValidate(t *testing.T) {
@@ -77,7 +94,7 @@ func TestAllocPacksIntoOnePod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pods := alloc.Pods(topo); len(pods) != 1 {
+	if pods := podsOf(topo, alloc); len(pods) != 1 {
 		t.Fatalf("16-node alloc should fit one 16-node pod, got pods %v", pods)
 	}
 }
@@ -274,7 +291,7 @@ func TestAllocationsNeverShareMemory(t *testing.T) {
 func TestAllocationPods(t *testing.T) {
 	topo := Topology{Nodes: 64, PodSize: 16, CoresPerNode: 4}
 	alloc := Allocation{Nodes: []NodeID{0, 15, 16, 63}}
-	pods := alloc.Pods(topo)
+	pods := podsOf(topo, alloc)
 	want := []int{0, 1, 3}
 	if len(pods) != len(want) {
 		t.Fatalf("pods = %v", pods)
@@ -283,6 +300,104 @@ func TestAllocationPods(t *testing.T) {
 		if pods[i] != want[i] {
 			t.Fatalf("pods = %v, want %v", pods, want)
 		}
+	}
+}
+
+// sortedPodOrderAlloc is the node list Alloc granted when it ordered the
+// pods by insertion sort on every call: all pods by free count,
+// descending, ties in index order, filled in that order. It reads a's
+// state and changes nothing.
+func sortedPodOrderAlloc(a *Allocator, n int) []NodeID {
+	freeByPod := a.freeByPod
+	order := make([]int, len(freeByPod))
+	for i := range order {
+		order[i] = i
+	}
+	for i := 1; i < len(order); i++ {
+		p := order[i]
+		j := i
+		for ; j > 0 && freeByPod[order[j-1]] < freeByPod[p]; j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = p
+	}
+	nodes := []NodeID{}
+	for _, p := range order {
+		if len(nodes) == n {
+			break
+		}
+		if freeByPod[p] == 0 {
+			continue
+		}
+		lo := p * a.topo.PodSize
+		for i := lo; i < lo+a.topo.podSpan(p) && len(nodes) < n; i++ {
+			if a.free[i] && !a.down[i] {
+				nodes = append(nodes, NodeID(i))
+			}
+		}
+	}
+	return nodes
+}
+
+// TestAllocMatchesSortedPodOrder differences Alloc's scan for the
+// fullest pod against the sort it replaced, over random interleavings
+// of grants, frees and node failures on random topologies with a
+// partial last pod. Small pods and small requests make equal free counts
+// and empty pods common.
+func TestAllocMatchesSortedPodOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		podSize := 1 + rng.Intn(8)
+		topo := Topology{Nodes: podSize*(2+rng.Intn(15)) - rng.Intn(podSize), PodSize: podSize, CoresPerNode: 1}
+		a := newAlloc(topo)
+		var live []Allocation
+		for op := 0; op < 300; op++ {
+			switch k := rng.Intn(10); {
+			case k < 5 && a.FreeCount() > 0:
+				n := 1 + rng.Intn(min(a.FreeCount(), 2*podSize+1))
+				want := sortedPodOrderAlloc(a, n)
+				got, err := a.Alloc(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.Nodes, want) {
+					t.Fatalf("trial %d op %d: Alloc(%d) = %v, the sorted pod order grants %v", trial, op, n, got.Nodes, want)
+				}
+				live = append(live, got)
+			case k < 8 && len(live) > 0:
+				i := rng.Intn(len(live))
+				a.Free(live[i])
+				live[i] = live[len(live)-1]
+				live = live[:len(live)-1]
+			case k == 8:
+				a.MarkDown(NodeID(rng.Intn(topo.Nodes)))
+			default:
+				a.MarkUp(NodeID(rng.Intn(topo.Nodes)))
+			}
+		}
+	}
+}
+
+// TestAllocIntoFillsTheCallersBuffer pins where AllocInto writes: into
+// the buffer when it holds n nodes, keeping its capacity and leaving the
+// allocator's chunk alone, and into the chunk when it is too small.
+func TestAllocIntoFillsTheCallersBuffer(t *testing.T) {
+	a := newAlloc(Topology{Nodes: 64, PodSize: 16, CoresPerNode: 1})
+	buf := make([]NodeID, 8)
+	got, err := a.AllocInto(5, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &got.Nodes[0] != &buf[0] || len(got.Nodes) != 5 || cap(got.Nodes) != 8 || a.chunk != nil {
+		t.Fatalf("AllocInto(5) into an 8-node buffer: len %d cap %d, in the buffer %v, chunk %d",
+			len(got.Nodes), cap(got.Nodes), &got.Nodes[0] == &buf[0], len(a.chunk))
+	}
+	again, err := a.AllocInto(9, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &again.Nodes[0] == &buf[0] || cap(again.Nodes) != 9 {
+		t.Fatalf("AllocInto(9) into an 8-node buffer wrote into the buffer or kept a wrong capacity %d", cap(again.Nodes))
 	}
 }
 

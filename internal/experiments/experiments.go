@@ -335,9 +335,9 @@ func newTrialEnv(name string, policy Policy, pred *core.Predictor, seed int64, c
 // stream to the scheduler, runs the engine until every submitted job has
 // completed, and returns a Trial carrying everything that is not
 // per-job: identity, gate and fault counters, the trace and the metrics
-// snapshot. Each completed job is handed to observe and then dropped, so
-// what a run retains per job is the caller's choice: RunTrialJobs keeps a
-// JobRecord, ReplayStream folds into running aggregates.
+// snapshot. Each completed job is handed to observe and then dropped or
+// handed back to its stream, so what a run retains per job is the
+// caller's choice: RunTrialJobs keeps a JobRecord, ReplayStream aggregates.
 //
 // The feeder is a single front-band event (sim.Engine.AtFront) re-armed
 // to each next submit time, so the pending-event heap never holds more
@@ -365,6 +365,11 @@ func drive(name string, stream workload.JobStream, policy Policy, pred *core.Pre
 
 	s.DiscardCompleted = true
 	s.OnComplete = observe
+	// A stream that takes finished records back (workload.SWFStream)
+	// gets each one once observe has read it.
+	if r, ok := stream.(interface{ Recycle(*sched.Job) }); ok {
+		s.OnComplete = func(j *sched.Job) { observe(j); r.Recycle(j) }
+	}
 
 	// pull advances next to the stream's next job and reports whether
 	// there is one; a stream error or a backwards submit time sets feedErr.

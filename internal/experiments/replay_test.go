@@ -12,13 +12,16 @@ import (
 	"strings"
 	"testing"
 
+	"rush/internal/alloctest"
 	"rush/internal/cluster"
+	"rush/internal/faults"
+	"rush/internal/sched"
 	"rush/internal/workload"
 )
 
 // replayFixture loads the archive-style SWF excerpt the workload package
 // uses for its loader differentials.
-func replayFixture(t *testing.T) []byte {
+func replayFixture(t testing.TB) []byte {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join("..", "workload", "testdata", "excerpt.swf"))
 	if err != nil {
@@ -32,15 +35,29 @@ func replayFixture(t *testing.T) []byte {
 // workload (TestStreamMatchesInMemoryLoader, FuzzSWFStream).
 func fixtureJobs(t *testing.T, opts workload.SWFOptions) []workload.SubmittedJob {
 	t.Helper()
-	st := workload.NewSWFStream(bytes.NewReader(replayFixture(t)), opts)
+	return drainSWF(t, replayFixture(t), opts)
+}
+
+// drainSWF materializes an SWF stream: every job in a record of its own,
+// none handed back.
+func drainSWF(t *testing.T, raw []byte, opts workload.SWFOptions) []workload.SubmittedJob {
+	t.Helper()
+	jobs, err := materialize(raw, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return jobs
+}
+
+// materialize drains raw's SWF stream into a slice, up to its first
+// error.
+func materialize(raw []byte, opts workload.SWFOptions) ([]workload.SubmittedJob, error) {
+	st := workload.NewSWFStream(bytes.NewReader(raw), opts)
 	var jobs []workload.SubmittedJob
 	for {
 		j, ok, err := st.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
 		if !ok {
-			return jobs
+			return jobs, err
 		}
 		jobs = append(jobs, j)
 	}
@@ -201,17 +218,13 @@ func openQuartzSWF(days float64) (raw []byte, jobs int) {
 	}
 }
 
-// TestReplayAllocationBudget is the allocation guard of the replay
-// pipeline end to end: three simulated days on Quartz under Baseline,
-// completed jobs discarded as ReplayStream always does. What a job still
-// costs is its share of a sched.Job chunk and of a node-list chunk; the
-// machine, the rings and the queues are paid once. A history epoch, a
-// completion closure, a job or a node list allocated per job each put
-// this near 1.
-func TestReplayAllocationBudget(t *testing.T) {
+// replayCost replays days of openQuartzSWF on Quartz under Baseline
+// through a recycling SWFStream and returns the job count and the
+// fewest heap objects and bytes one replay allocated.
+func replayCost(t *testing.T, days float64) (jobs int, objects, size uint64) {
 	topo := cluster.Quartz()
-	raw, jobs := openQuartzSWF(3)
-	allocs := testing.AllocsPerRun(1, func() {
+	raw, jobs := openQuartzSWF(days)
+	objects, size = alloctest.Count(2, nil, func() {
 		sum, err := ReplayStream("swf-allocs",
 			workload.NewSWFStream(bytes.NewReader(raw), workload.SWFOptions{
 				CoresPerNode: topo.CoresPerNode, MaxNodes: topo.Nodes, Seed: 1}),
@@ -220,8 +233,106 @@ func TestReplayAllocationBudget(t *testing.T) {
 			t.Fatalf("replayed %v of %d jobs, err %v", sum, jobs, err)
 		}
 	})
-	if perJob := allocs / float64(jobs); perJob > 0.25 {
-		t.Fatalf("%.0f allocations for %d jobs = %.3f per job, budget 0.25", allocs, jobs, perJob)
+	return jobs, objects, size
+}
+
+// TestReplayAllocationBudget is the allocation guard of the replay
+// pipeline end to end: three simulated days on Quartz under Baseline,
+// completed jobs discarded as ReplayStream always does. The machine, the
+// rings, the queues and the records and node lists of the jobs live at
+// once are paid once; a finished job's record and node list carry a
+// later job. A history epoch, a completion closure, a job or a node list
+// allocated per job each put the count near 1 and the bytes past 100
+// per job.
+func TestReplayAllocationBudget(t *testing.T) {
+	jobs, objects, size := replayCost(t, 3)
+	if perJob := float64(objects) / float64(jobs); perJob > 0.1 {
+		t.Errorf("%d allocations for %d jobs = %.3f per job, budget 0.1", objects, jobs, perJob)
+	}
+	if perJob := float64(size) / float64(jobs); perJob > 64 {
+		t.Errorf("%d bytes for %d jobs = %.1f per job, budget 64", size, jobs, perJob)
+	}
+}
+
+// TestReplayAllocationsFlatInJobs pins that a warm replay allocates
+// nothing per job: doubling the simulated days, and with them the jobs,
+// may add at most a few allocations (a longer trace can reach a higher
+// peak of live jobs) and no more bytes than a few records.
+func TestReplayAllocationsFlatInJobs(t *testing.T) {
+	jobs, objects, size := replayCost(t, 3)
+	jobs2, objects2, size2 := replayCost(t, 6)
+	if objects2 > objects+16 || size2 > size+16<<10 {
+		t.Fatalf("%d jobs allocate %d objects and %d bytes, %d jobs %d and %d: more than 16 objects or 16 KiB more",
+			jobs, objects, size, jobs2, objects2, size2)
+	}
+}
+
+// churnSWF renders 600 jobs of 1 to 16 nodes for 10 to 50 minutes at
+// 23 s mean interarrival: more work than Pod512 runs, so jobs queue, the
+// canary gate vetoes, and under node failures every ten node-hours jobs
+// are killed, requeued, and some exhaust their retries.
+func churnSWF() []byte {
+	rng := rand.New(rand.NewSource(5))
+	var buf bytes.Buffer
+	at := 0.0
+	for i := range 600 {
+		at += rng.ExpFloat64() * 23
+		procs := 36 * (1 + rng.Intn(16))
+		run := 600 + rng.Intn(2400)
+		fmt.Fprintf(&buf, "%d %d -1 %d %d -1 -1 %d %d -1 1 1 1 %d 1 -1 -1 -1\n",
+			i+1, int64(at), run, procs, procs, run*3/2, i%7+1)
+	}
+	return buf.Bytes()
+}
+
+// recordCounter forwards a recycling SWFStream and counts the distinct
+// records it yields.
+type recordCounter struct {
+	*workload.SWFStream
+	seen map[*sched.Job]bool
+}
+
+func (r *recordCounter) Next() (workload.SubmittedJob, bool, error) {
+	j, ok, err := r.SWFStream.Next()
+	if ok {
+		r.seen[j.Job] = true
+	}
+	return j, ok, err
+}
+
+// TestRecycledRecordsMatchFreshOnes is the record-hygiene differential:
+// a replay whose stream hands finished records back for later jobs must
+// be bit-identical, trace and summary, to one over the same jobs each in
+// a record of its own. The stream has canary vetoes and overrides, node
+// failures, requeues and retry-exhausted failures, so a record is
+// reused after every kind of job end with every field a job can dirty.
+func TestRecycledRecordsMatchFreshOnes(t *testing.T) {
+	raw := churnSWF()
+	opts := workload.SWFOptions{Seed: 3}
+	cfg := Config{Trace: true, Faults: faults.Config{NodeMTBF: 10 * 3600, NodeMTTR: 600}}
+	st := &recordCounter{workload.NewSWFStream(bytes.NewReader(raw), opts), map[*sched.Job]bool{}}
+	recycled, err := ReplayStream("churn", st, Canary, nil, 3, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := ReplayStream("churn", workload.NewSliceStream(drainSWF(t, raw, opts)), Canary, nil, 3, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(recycled.Trace, fresh.Trace) {
+		t.Fatalf("recycled and fresh records trace differently:\n%s", firstTraceDiff(recycled.Trace, fresh.Trace))
+	}
+	rs, fs := *recycled, *fresh
+	rs.Trace, fs.Trace = nil, nil
+	if !reflect.DeepEqual(rs, fs) {
+		t.Fatalf("summaries differ:\n recycled %+v\n fresh    %+v", rs, fs)
+	}
+	if rs.GateVetoes == 0 || rs.ThresholdOverrides == 0 || rs.FailedJobs == 0 || rs.JobKills <= rs.FailedJobs {
+		t.Fatalf("%d vetoes, %d overrides, %d kills, %d failed jobs: the stream must exercise every job end",
+			rs.GateVetoes, rs.ThresholdOverrides, rs.JobKills, rs.FailedJobs)
+	}
+	if len(st.seen) > rs.Jobs/2 {
+		t.Fatalf("%d records carried %d jobs: the stream did not reuse them", len(st.seen), rs.Jobs)
 	}
 }
 

@@ -96,6 +96,7 @@ type RunningJob struct {
 	multiPod bool // allocation spans pods: core contention applies
 	contrib  simnet.Contribution
 	onDone   func(*RunningJob)
+	spare    []cluster.NodeID // a pooled object's last node list (SpareNodes)
 
 	pods      []int   // distinct pods touched, ascending
 	podCounts []int   // nodes in each of pods, parallel slice
@@ -125,11 +126,10 @@ type Machine struct {
 	Net     *simnet.State
 	Sampler *telemetry.Sampler
 
-	// PoolJobs recycles RunningJob state (including the completion
-	// event and contribution map) across jobs, so steady-state job churn
-	// allocates nothing. Opt-in: a caller that retains a *RunningJob
-	// after its onDone callback returns would observe the object being
-	// reused for a later job, with Alloc, Owner and onDone cleared.
+	// PoolJobs recycles RunningJob state (the completion event, the
+	// contribution map and the node list, see SpareNodes) across jobs, so
+	// job churn allocates nothing. Opt-in: a caller that keeps a
+	// *RunningJob or its allocation past onDone sees them reused.
 	PoolJobs bool
 
 	rng    *sim.Source
@@ -394,15 +394,28 @@ func (m *Machine) complete(rj *RunningJob) {
 }
 
 // recycle returns a finished job to the freelist when pooling is on.
-// Must run after onDone: callbacks read the job's final state.
+// Must run after onDone: callbacks read the job's final state, and
+// complete frees the nodes before onDone runs, whose scheduling pass
+// allocates again while rj.Alloc is still read.
 func (m *Machine) recycle(rj *RunningJob) {
 	if !m.PoolJobs {
 		return
 	}
 	rj.onDone = nil
 	rj.Owner = nil
-	rj.Alloc = cluster.Allocation{}
+	rj.spare, rj.Alloc = rj.Alloc.Nodes, cluster.Allocation{}
 	m.freeJobs = append(m.freeJobs, rj)
+}
+
+// SpareNodes returns the node list of the pooled run the next StartJob
+// reuses, for the allocation that job starts on to be written into
+// (cluster.Allocator.AllocInto), or nil when nothing is pooled. Its job
+// is over and its onDone has returned, so nothing reads it.
+func (m *Machine) SpareNodes() []cluster.NodeID {
+	if n := len(m.freeJobs); n > 0 {
+		return m.freeJobs[n-1].spare
+	}
+	return nil
 }
 
 // FailNode takes node out of service: the allocator stops handing it out

@@ -487,7 +487,7 @@ func (s *Scheduler) coolingDown(j *Job) bool {
 // runs inside event callbacks, so there is no caller to return it to
 // mid-cycle) and stops the pass.
 func (s *Scheduler) tryStart(j *Job, backfill bool) bool {
-	alloc, err := s.m.Alloc.Alloc(j.Nodes)
+	alloc, err := s.m.Alloc.AllocInto(j.Nodes, s.m.SpareNodes())
 	if err != nil {
 		if s.err == nil {
 			s.err = fmt.Errorf("sched: allocation failed after CanAlloc for job %d: %w", j.ID, err)

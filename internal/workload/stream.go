@@ -1,12 +1,15 @@
 package workload
 
 import (
+	"bytes"
 	"compress/gzip"
 	"fmt"
 	"io"
 	"os"
 	"strconv"
 	"strings"
+
+	"rush/internal/sched"
 )
 
 // Streaming SWF ingest: a zero-allocation line scanner over an io.Reader
@@ -90,7 +93,7 @@ func (s *SWFScanner) Skipped() int { return s.skipped }
 // internal buffer and is only valid until the next call.
 func (s *SWFScanner) nextLine() ([]byte, bool) {
 	for {
-		if i := indexByte(s.buf[s.pos:s.end], '\n'); i >= 0 {
+		if i := bytes.IndexByte(s.buf[s.pos:s.end], '\n'); i >= 0 {
 			ln := s.buf[s.pos : s.pos+i]
 			s.pos += i + 1
 			return ln, true
@@ -230,17 +233,6 @@ func parseSWFValueSlow(tok []byte) (float64, error) {
 	return v, nil
 }
 
-// indexByte is bytes.IndexByte without the import cycle concern; the
-// compiler lowers it to the same vectorized intrinsic.
-func indexByte(b []byte, c byte) int {
-	for i, x := range b {
-		if x == c {
-			return i
-		}
-	}
-	return -1
-}
-
 // trimSpaceBytes trims ASCII whitespace from both ends without
 // allocating.
 func trimSpaceBytes(b []byte) []byte {
@@ -262,6 +254,9 @@ type JobStream interface {
 
 // SWFStream adapts a scanner into a JobStream through swfConverter, the
 // per-record conversion every SWF loader shares.
+// A record it yields is the caller's until handed back with Recycle,
+// after which a later Next overwrites it whole for another job instead
+// of allocating one.
 type SWFStream struct {
 	sc   *SWFScanner
 	conv *swfConverter
@@ -289,6 +284,10 @@ func (st *SWFStream) Next() (SubmittedJob, bool, error) {
 	}
 	return SubmittedJob{}, false, nil
 }
+
+// Recycle hands back a yielded record, at most once, once its job has
+// finished and nothing reads it or its run any more.
+func (st *SWFStream) Recycle(j *sched.Job) { st.conv.free = append(st.conv.free, j) }
 
 // Skipped returns how many records the underlying scanner dropped as
 // unreplayable so far.

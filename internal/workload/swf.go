@@ -136,7 +136,8 @@ type swfConverter struct {
 	t0       float64
 	lastAt   float64
 	n        int
-	jobs     []sched.Job // unused tail of the chunk jobs are carved from
+	jobs     []sched.Job  // unused tail of the chunk jobs are carved from
+	free     []*sched.Job // records handed back (SWFStream.Recycle), reused first
 }
 
 func newSWFConverter(opts SWFOptions) *swfConverter {
@@ -189,14 +190,17 @@ func (c *swfConverter) convert(sj SWFJob) (SubmittedJob, bool) {
 		at = c.lastAt
 	}
 	c.lastAt = at
-	if len(c.jobs) == 0 {
-		// jobChunk jobs fill a 32 KiB allocation. A chunk is collected
-		// once every job carved from it is unreachable: a streaming
-		// replay holds about one chunk more than its live jobs.
-		c.jobs = make([]sched.Job, jobChunk)
+	var j *sched.Job
+	if n := len(c.free); n > 0 {
+		j, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		if len(c.jobs) == 0 {
+			// jobChunk jobs fill a 32 KiB allocation. A replay that hands
+			// records back carves about as many as it has jobs live.
+			c.jobs = make([]sched.Job, jobChunk)
+		}
+		j, c.jobs = &c.jobs[0], c.jobs[1:]
 	}
-	j := &c.jobs[0]
-	c.jobs = c.jobs[1:]
 	*j = sched.Job{
 		ID:       c.n,
 		App:      profile,
