@@ -17,7 +17,7 @@ package rush
 //	Figure 9  -> BenchmarkFigure9StrongScaling
 //	Figure 10 -> BenchmarkFigure10Makespan
 //	Figure 11 -> BenchmarkFigure11WaitTimes
-//	Ablations -> BenchmarkAblation*
+//	Ablations -> BenchmarkAblationSJF, BenchmarkAblationCanary
 
 import (
 	"fmt"
@@ -287,28 +287,6 @@ func BenchmarkFigure11WaitTimes(b *testing.B) {
 	benchTrialExperiment(b, "ADAA", experiments.ReportWaitTimes)
 }
 
-// BenchmarkAblationDelayOnLittle measures RUSH when the gate also delays
-// on the "little variation" class — the more conservative policy the
-// three-class labelling enables.
-func BenchmarkAblationDelayOnLittle(b *testing.B) {
-	benchSetup(b)
-	spec, _ := workload.SpecByName("ADAA")
-	cfg := experiments.Config{DelayOnLittle: true}
-	if _, loaded := printedOnce.LoadOrStore("ablation-little", true); !loaded {
-		cmp, err := experiments.RunExperiment(spec, benchPred, benchTrials, 9100, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printReports("Ablation: delay on little variation", variation(cmp), makespan(cmp))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunTrial(spec, experiments.RUSH, benchPred, int64(i), cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAblationSJF measures RUSH layered over shortest-job-first
 // queue ordering (the paper: the modification composes with any static
 // ordering policy).
@@ -355,35 +333,6 @@ func BenchmarkAblationCanary(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.RunTrial(spec, experiments.Canary, nil, int64(i), experiments.Config{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationProbThreshold sweeps the probability-rule gate.
-func BenchmarkAblationProbThreshold(b *testing.B) {
-	benchSetup(b)
-	spec, _ := workload.SpecByName("ADAA")
-	if _, loaded := printedOnce.LoadOrStore("ablation-prob", true); !loaded {
-		fmt.Printf("\n===== Ablation: probability-threshold gate =====\n")
-		// Each threshold's trials are judged against their own paired
-		// baseline trials (variation counts are only meaningful relative
-		// to the same noise trace). SAMME vote shares dilute across the
-		// three classes, so low thresholds veto aggressively and
-		// thresholds past the top vote share never veto at all.
-		for _, tau := range []float64{0.2, 0.3, 0.4} {
-			cmp, err := experiments.RunExperiment(spec, benchPred, 2, 9400, experiments.Config{ProbThreshold: tau})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ref := experiments.BaselineStats(cmp.Baseline)
-			fmt.Printf("  tau=%.1f  baseline=%.1f  rush=%.1f  makespan=%.0f\n",
-				tau, experiments.TotalVariation(cmp.Baseline, ref), experiments.TotalVariation(cmp.RUSH, ref), experiments.MeanMakespan(cmp.RUSH))
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunTrial(spec, experiments.RUSH, benchPred, int64(i), experiments.Config{ProbThreshold: 0.5}); err != nil {
 			b.Fatal(err)
 		}
 	}

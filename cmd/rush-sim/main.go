@@ -36,7 +36,6 @@ func main() {
 	predPath := flag.String("predictor", "predictor.json", "trained predictor JSON (from rush-train)")
 	trials := cliflags.Trials(experiments.DefaultTrials)
 	seed := cliflags.Seed(100)
-	delayLittle := flag.Bool("delay-on-little", false, "also delay on the little-variation class")
 	sjf := flag.Bool("sjf", false, "use shortest-job-first queue ordering instead of FCFS")
 	tracePath := cliflags.Trace()
 	metrics := cliflags.Metrics()
@@ -46,8 +45,6 @@ func main() {
 	telemetryLoss := flag.Float64("telemetry-loss", 0, "probability a telemetry table sample is dropped, in [0,1]")
 	telemetryFreeze := flag.Float64("telemetry-freeze", 0, "probability a node's counters freeze per window, in [0,1]")
 	modelOutage := flag.Float64("model-outage", 0, "fraction of time the predictor service is unreachable, in [0,1]")
-	canaryThreshold := flag.Float64("canary-threshold", 0, "canary policy probe-slowdown veto threshold (0 = default 1.6)")
-	canaryAllClasses := flag.Bool("canary-all-classes", false, "canary policy also gates compute-intensive jobs")
 	workers := cliflags.Workers()
 	topoFlag := cliflags.Topo()
 	flag.Parse()
@@ -71,8 +68,7 @@ func main() {
 		log.Fatalf("trials must be positive, got %d", *trials)
 	}
 	cfg := experiments.Config{
-		Topo:          topo,
-		DelayOnLittle: *delayLittle, UseSJF: *sjf,
+		Topo: topo, UseSJF: *sjf,
 		Workers: *workers, Trace: *tracePath != "", Metrics: *metrics,
 	}
 	cfg.Faults = faults.Config{
@@ -85,8 +81,6 @@ func main() {
 	if err := cfg.Faults.Validate(); err != nil {
 		log.Fatal(err)
 	}
-	cfg.CanaryThreshold = *canaryThreshold
-	cfg.CanaryAllClasses = *canaryAllClasses
 
 	var pred *core.Predictor
 	if *policy == "rush" || *policy == "both" {

@@ -121,14 +121,16 @@ func TestCommandsSmoke(t *testing.T) {
 	// The flags that used to select between equivalent paths, inject
 	// telemetry drift, run the model lifecycle, pick a backfilling
 	// discipline other than EASY, size the daemon's inference batches,
-	// write per-job CSV, run temporal validation or aggregate a gate
-	// decision's counters machine-wide are gone.
+	// write per-job CSV, run temporal validation, aggregate a gate
+	// decision's counters machine-wide, widen the gate's veto labels or
+	// retune the canary are gone.
 	retired := map[string][]string{
 		"rush-serve": {"-batch-window=200us"},
 		"rush-sim": {"-sched-reference", "-engine-reference", "-engine-workers=2",
 			"-drift-start=1", "-drift-ramp=1", "-drift-mean-shift=1", "-drift-noise-boost=1", "-drift-tables=x",
 			"-lifecycle", "-lifecycle-psi=1", "-lifecycle-canary-fraction=1", "-lifecycle-retrain-every=1",
-			"-backfill=conservative", "-csv=x", "-all-nodes-scope"},
+			"-backfill=conservative", "-csv=x", "-all-nodes-scope",
+			"-delay-on-little", "-canary-threshold=2", "-canary-all-classes"},
 		"rush-train":       {"-temporal"},
 		"rush-experiments": {"-sched-reference", "-engine-reference", "-engine-workers=2", "-drift"},
 		"rush-replay":      {"-sched-reference", "-engine-reference", "-engine-workers=2", "-in-memory", "-backfill=conservative"},
@@ -171,8 +173,6 @@ func TestCommandsSmoke(t *testing.T) {
 		{"rush-sim", []string{"-policy", "baseline", "-node-mttr", "NaN"}, "node MTTR NaN is not a finite number"},
 		{"rush-sim", []string{"-policy", "baseline", "-model-outage", "NaN"}, "model outage NaN is not a finite number"},
 		{"rush-sim", []string{"-policy", "baseline", "-telemetry-loss", "NaN"}, "telemetry loss NaN is not a finite number"},
-		{"rush-sim", []string{"-policy", "canary", "-canary-threshold", "NaN"}, "canary threshold NaN is not a finite non-negative number"},
-		{"rush-sim", []string{"-policy", "baseline", "-canary-threshold", "-1"}, "canary threshold -1 is not a finite non-negative number"},
 		{"rush-replay", []string{"-swf", swf, "-node-mttr", "NaN"}, "node MTTR NaN is not a finite number"},
 		{"rush-replay", []string{"-swf", swf, "-model-outage", "NaN"}, "model outage NaN is not a finite number"},
 		{"rush-replay", []string{"-swf", swf, "-max-sim-time", "NaN"}, "max sim time NaN is not a non-negative number"},

@@ -39,7 +39,7 @@ type pkgDecls struct {
 // architectureCeiling is ARCHITECTURE.md's length in lines at the change
 // that last shortened it. Like the Makefile's LOC_CEILING for code, it
 // makes a change that grows the document say so by raising it.
-const architectureCeiling = 955
+const architectureCeiling = 953
 
 // TestArchitectureWithinCeiling fails when ARCHITECTURE.md grows past
 // architectureCeiling lines.

@@ -46,25 +46,11 @@ type Config struct {
 	// Noise configures the all-to-all noise job (default
 	// apps.DefaultNoise).
 	Noise apps.Noise
-	// DelayOnLittle also delays jobs when the model predicts the
-	// "little variation" class, not just "variation" (ablation knob).
-	DelayOnLittle bool
 	// UseSJF replaces the FCFS queue ordering, and with it the order EASY
 	// scans backfill candidates in, with shortest-job-first — the paper
 	// notes RUSH composes with any static queue-ordering policy (ablation
 	// knob).
 	UseSJF bool
-	// ProbThreshold switches the RUSH gate to the probability rule: jobs
-	// are delayed when the model's variation-class probability mass
-	// exceeds this value (0 keeps the paper's hard label rule).
-	ProbThreshold float64
-	// CanaryThreshold overrides the Canary policy's probe-slowdown
-	// threshold (0 keeps its default). Every run rejects a negative or
-	// non-finite value, whatever its policy.
-	CanaryThreshold float64
-	// CanaryAllClasses makes the Canary policy gate compute-intensive
-	// jobs too, not just the network- and I/O-intensive classes.
-	CanaryAllClasses bool
 	// MaxSimTime aborts a trial that fails to drain (safety net;
 	// default 6 hours of simulated time; +Inf is unbounded). A negative
 	// or NaN value is rejected.
@@ -280,19 +266,11 @@ func newTrialEnv(name string, policy Policy, pred *core.Predictor, seed int64, c
 			return nil, fmt.Errorf("experiments: RUSH policy requires a trained predictor")
 		}
 		rushGate := sched.NewRUSH(m, pred.Model)
-		rushGate.ProbThreshold = cfg.ProbThreshold
 		rushGate.ModelDown = inj.ModelDown()
-		if cfg.DelayOnLittle {
-			rushGate.VariationLabels[1] = true // dataset.LabelLittle
-		}
 		env.rushGate, env.ledger = rushGate, &rushGate.Ledger
 		gate = rushGate
 	case Canary:
 		canaryGate := sched.NewCanary(m)
-		if cfg.CanaryThreshold != 0 {
-			canaryGate.SlowdownThreshold = cfg.CanaryThreshold
-		}
-		canaryGate.AllClasses = cfg.CanaryAllClasses
 		env.ledger = &canaryGate.Ledger
 		gate = canaryGate
 	}
@@ -347,9 +325,6 @@ func newTrialEnv(name string, policy Policy, pred *core.Predictor, seed int64, c
 // SubmitAt; one that does ends the run with an error naming the job,
 // because submitting it late would silently under-report its wait.
 func drive(name string, stream workload.JobStream, policy Policy, pred *core.Predictor, seed int64, cfg Config, observe func(*sched.Job)) (*Trial, *trialEnv, error) {
-	if t := cfg.CanaryThreshold; t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
-		return nil, nil, fmt.Errorf("experiments: canary threshold %v is not a finite non-negative number", t)
-	}
 	if t := cfg.MaxSimTime; t < 0 || math.IsNaN(t) {
 		return nil, nil, fmt.Errorf("experiments: max sim time %v is not a non-negative number", t)
 	}

@@ -338,21 +338,6 @@ func TestCanaryPolicyRuns(t *testing.T) {
 	}
 }
 
-// TestCanaryThresholdRejectedUnderEveryPolicy pins the one check of
-// Config.CanaryThreshold: a negative or non-finite value fails the run
-// before it starts, whichever policy it runs.
-func TestCanaryThresholdRejectedUnderEveryPolicy(t *testing.T) {
-	spec, _ := workload.SpecByName("ADAA")
-	for _, th := range []float64{-1, math.NaN(), math.Inf(1)} {
-		for _, pol := range []Policy{Baseline, Canary} {
-			if _, err := RunTrial(spec, pol, nil, 7, Config{CanaryThreshold: th}); err == nil ||
-				!strings.Contains(err.Error(), "canary threshold") {
-				t.Errorf("%s with canary threshold %v: error %v, want one naming the threshold", pol, th, err)
-			}
-		}
-	}
-}
-
 // TestBackfillAndSJFConfigs runs the SJF ablation: UseSJF orders the
 // queue, and with it the EASY backfill candidates, shortest first. The
 // trial must drain, still backfill, and schedule differently from FCFS.

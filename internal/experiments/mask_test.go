@@ -16,18 +16,18 @@ import (
 // hiddenReads forwards a model's inference and width but not its read
 // set (mlkit.FeatureReader), so a RUSH gate over it has the sampler
 // compute all 90 counters.
-type hiddenReads struct{ mlkit.FastProbaPredictor }
+type hiddenReads struct{ mlkit.Classifier }
 
 func (h hiddenReads) NumFeatures() int {
-	return h.FastProbaPredictor.(interface{ NumFeatures() int }).NumFeatures()
+	return h.Classifier.(interface{ NumFeatures() int }).NumFeatures()
 }
 
 // TestCounterMaskChangesNoTrial runs RUSH trials twice, once with the
 // gate's sampler computing only the counters the model reads and once
 // with the model's read set hidden, so that it computes all of them. The
-// JSONL trace and the Trial must be byte-identical, over the label rule
-// and the probability rule, both decision scopes, a telemetry fault
-// config (under which the mask is off) and a depth-2 AdaBoost model.
+// JSONL trace and the Trial must be byte-identical, over two experiments,
+// a telemetry fault config (under which the mask is off) and a depth-2
+// AdaBoost model.
 func TestCounterMaskChangesNoTrial(t *testing.T) {
 	pred := predictor(t)
 	depth2 := mlkit.NewAdaBoost(mlkit.AdaBoostConfig{Rounds: 40, Depth: 2, Seed: 1})
@@ -46,7 +46,6 @@ func TestCounterMaskChangesNoTrial(t *testing.T) {
 	}{
 		{"ADAA", adaa, pred, Config{}},
 		{"WS", ws, pred, Config{}},
-		{"ProbThreshold", adaa, pred, Config{ProbThreshold: 0.3}},
 		{"telemetry-faults", adaa, pred, Config{Faults: faults.Config{TelemetryLoss: 0.2, FreezeProb: 0.1}}},
 		{"depth-2", adaa, &pred2, Config{}},
 	}
@@ -64,7 +63,7 @@ func TestCounterMaskChangesNoTrial(t *testing.T) {
 				t.Fatalf("the model reads %d counters; the test needs a proper subset", n)
 			}
 			hidden := *tc.pred
-			hidden.Model = hiddenReads{tc.pred.Model.(mlkit.FastProbaPredictor)}
+			hidden.Model = hiddenReads{tc.pred.Model}
 			cfg := tc.cfg
 			cfg.Trace = true
 			masked, err := RunTrial(tc.spec, RUSH, tc.pred, 11, cfg)

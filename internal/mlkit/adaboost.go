@@ -406,9 +406,11 @@ func bestCut(vals []float64, idx, ys []int32, w, left, atBest, tot []float64, to
 	return bestP, bestErr, bestLeftW
 }
 
-// Predict implements Classifier via the SAMME weighted vote.
+// Predict implements Classifier via the SAMME weighted vote. It
+// allocates nothing for a model of up to three classes.
 func (a *AdaBoost) Predict(sample []float64) int {
-	return a.PredictProbaInto(sample, make([]float64, len(a.classes)))
+	var buf [voteBufLen]float64
+	return a.PredictProbaInto(sample, voteBuf(&buf, len(a.classes)))
 }
 
 // PredictProba returns the normalized SAMME vote shares per class, in

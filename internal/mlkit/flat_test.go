@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"rush/internal/alloctest"
 	"rush/internal/sim"
 )
 
@@ -89,20 +90,27 @@ func TestFlatPredictMatchesPointerWalk(t *testing.T) {
 	}
 }
 
-// TestFlatPredictZeroAllocs pins the allocation contract of
-// PredictProbaInto for every model.
+// TestFlatPredictZeroAllocs pins the allocation contract of inference
+// for every model: PredictProbaInto into the caller's buffer, and
+// Predict called the way the gate calls it, through the Classifier
+// interface, which on a three-class ensemble votes on its stack.
 func TestFlatPredictZeroAllocs(t *testing.T) {
 	x, y := synthData(17, 160, 12, 3, 0.05)
 	probe, _ := synthData(18, 8, 12, 3, 0.1)
-	for _, m := range fastModels(t, x, y) {
-		m := m
+	for i, m := range fastModels(t, x, y) {
 		out := make([]float64, len(m.Classes()))
-		if allocs := testing.AllocsPerRun(100, func() {
-			for _, s := range probe {
-				m.PredictProbaInto(s, out)
+		var c Classifier = m
+		for name, infer := range map[string]func(s []float64){
+			"PredictProbaInto": func(s []float64) { m.PredictProbaInto(s, out) },
+			"Predict":          func(s []float64) { c.Predict(s) },
+		} {
+			if objects, _ := alloctest.Count(5, nil, func() {
+				for _, s := range probe {
+					infer(s)
+				}
+			}); objects != 0 {
+				t.Errorf("model %d (%s): %s allocated %d objects over %d samples; want 0", i, m.Name(), name, objects, len(probe))
 			}
-		}); allocs != 0 {
-			t.Fatalf("%s: PredictProbaInto allocated %.1f times per run; want 0", m.Name(), allocs)
 		}
 	}
 }

@@ -181,9 +181,11 @@ func (f *Forest) compile() {
 	}
 }
 
-// Predict implements Classifier by soft-voting tree probabilities.
+// Predict implements Classifier by soft-voting tree probabilities. It
+// allocates nothing for a model of up to three classes.
 func (f *Forest) Predict(sample []float64) int {
-	return f.PredictProbaInto(sample, make([]float64, len(f.classes)))
+	var buf [voteBufLen]float64
+	return f.PredictProbaInto(sample, voteBuf(&buf, len(f.classes)))
 }
 
 // PredictProba returns the ensemble-average class distribution for

@@ -29,9 +29,8 @@ type Classifier interface {
 }
 
 // ProbaPredictor is implemented by models that can report per-class
-// probabilities (or vote shares). Threshold-based decision rules — like
-// the RUSH gate's probability mode — require it. All four candidate
-// models implement it.
+// probabilities (or vote shares). All four candidate models implement
+// it.
 type ProbaPredictor interface {
 	Classifier
 	// PredictProba returns one probability per class, aligned with
@@ -42,9 +41,9 @@ type ProbaPredictor interface {
 }
 
 // FastProbaPredictor is implemented by models whose probability inference
-// runs without heap allocation — every tree-family model. The RUSH gate
-// uses it when available. The ensembles define Predict and PredictProba
-// through it, so each has one vote loop and the three cannot disagree.
+// runs without heap allocation — every tree-family model. The ensembles
+// define Predict and PredictProba through it, so each has one vote loop
+// and the three cannot disagree.
 type FastProbaPredictor interface {
 	ProbaPredictor
 	// PredictProbaInto writes the class distribution for sample into out
@@ -147,6 +146,19 @@ func classSet(y []int) []int {
 	}
 	sort.Ints(out)
 	return out
+}
+
+// voteBufLen is how many classes an ensemble's Predict can vote in on
+// its stack: the deployed model's no/little/variation labels.
+const voteBufLen = 3
+
+// voteBuf returns the first n entries of buf, or a fresh slice for a
+// model with more classes than buf holds.
+func voteBuf(buf *[voteBufLen]float64, n int) []float64 {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]float64, n)
 }
 
 // argmax returns the index of the largest value, breaking ties toward the

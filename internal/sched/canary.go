@@ -14,26 +14,23 @@ import (
 // slower than a multiple of their idle-network time. It serves as the
 // heuristic baseline against which RUSH's learned gate is compared — it
 // reacts to the same live signal but cannot weigh it per application or
-// combine it with counter history.
+// combine it with counter history. Like the canary literature, it gates
+// only network- and I/O-intensive jobs; compute-intensive ones start.
 type Canary struct {
 	// Ledger books the canary's decisions like any other gate's; having
 	// no model, its gate events carry class -1 and it never fails open.
 	Ledger
 
 	m *machine.Machine
-
-	// SlowdownThreshold delays a job when the probes run this many times
-	// slower than on an idle network (default 1.6).
-	SlowdownThreshold float64
-	// AllClasses also gates compute-intensive jobs; by default only
-	// network- and I/O-intensive jobs (the canary literature's targets)
-	// are delayed.
-	AllClasses bool
 }
+
+// canarySlowdown is the canary's veto threshold: it delays a job when the
+// probes run this many times slower than on an idle network.
+const canarySlowdown = 1.6
 
 // NewCanary returns a canary gate over machine m.
 func NewCanary(m *machine.Machine) *Canary {
-	return &Canary{m: m, SlowdownThreshold: 1.6}
+	return &Canary{m: m}
 }
 
 // Name implements Gate.
@@ -46,7 +43,7 @@ func (g *Canary) Allow(j *Job, alloc cluster.Allocation) bool {
 	if j.Skips >= j.SkipLimit() {
 		return g.Record(now, j, NewVerdict(obs.DecisionOverride, ""))
 	}
-	if !g.AllClasses && j.App.Class == apps.ComputeIntensive {
+	if j.App.Class == apps.ComputeIntensive {
 		return true
 	}
 	probes := g.m.RunProbes(alloc)
@@ -56,6 +53,6 @@ func (g *Canary) Allow(j *Job, alloc cluster.Allocation) bool {
 		sum += probes.SendWait[i] + probes.RecvWait[i] + probes.AllReduceWait[i]
 	}
 	mean := sum / float64(len(probes.SendWait))
-	veto := mean > g.SlowdownThreshold*simnet.ProbeIdleDuration()
+	veto := mean > canarySlowdown*simnet.ProbeIdleDuration()
 	return g.Record(now, j, NewVerdict("", "").Decided(veto, -1))
 }

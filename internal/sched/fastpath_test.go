@@ -19,7 +19,7 @@ import (
 // models, one gate on each, so that the production decision of one and
 // the oracle decision of the other (refAllow) can be compared step for
 // step.
-func twinGates(t *testing.T, seed int64, probThreshold float64) (fast, ref *RUSH, bgF, bgR *machine.Background) {
+func twinGates(t *testing.T, seed int64) (fast, ref *RUSH, bgF, bgR *machine.Background) {
 	t.Helper()
 	build := func() (*machine.Machine, *machine.Background) {
 		eng := sim.New(seed)
@@ -38,8 +38,6 @@ func twinGates(t *testing.T, seed int64, probThreshold float64) (fast, ref *RUSH
 	model := trainedToyModel(t, gateMachine())
 	fast = NewRUSH(mF, model)
 	ref = NewRUSH(mR, model)
-	fast.ProbThreshold = probThreshold
-	ref.ProbThreshold = probThreshold
 	return fast, ref, bgF, bgR
 }
 
@@ -70,10 +68,10 @@ func refFeatures(g *RUSH, alloc cluster.Allocation, class apps.Class) []float64 
 	return feats
 }
 
-// refAllow is RUSH.Allow with both oracles in place of the production
-// paths: refFeatures for the vector, and the model's allocating Predict
-// and PredictProba for the verdict. The pipeline layers and the ledger
-// are g's own, so the counters can be compared too.
+// refAllow is RUSH.Allow with the feature oracle, refFeatures, in place
+// of the production vector, and Algorithm 2's rule spelled out for the
+// verdict. The pipeline layers and the ledger are g's own, so the
+// counters can be compared too.
 func refAllow(t *testing.T, g *RUSH, j *Job, alloc cluster.Allocation) bool {
 	t.Helper()
 	now := g.m.Eng.Now()
@@ -90,18 +88,7 @@ func refAllow(t *testing.T, g *RUSH, j *Job, alloc cluster.Allocation) bool {
 		}
 		if !v.Final() {
 			class := g.model.Predict(feats)
-			veto := g.VariationLabels[class]
-			if g.ProbThreshold > 0 {
-				pp := g.model.(mlkit.ProbaPredictor)
-				var mass float64
-				for i, p := range pp.PredictProba(feats) {
-					if g.VariationLabels[pp.Classes()[i]] {
-						mass += p
-					}
-				}
-				veto = mass > g.ProbThreshold
-			}
-			v = v.Decided(veto, class)
+			v = v.Decided(class == dataset.LabelVariation, class)
 		}
 	}
 	return g.Record(now, j, v)
@@ -109,65 +96,53 @@ func refAllow(t *testing.T, g *RUSH, j *Job, alloc cluster.Allocation) bool {
 
 // TestGateFastPathMatchesReference drives twin gates through identical
 // load histories and checks every decision, feature vector, and counter
-// agrees bit for bit between the production path and the oracles —
-// under both decision rules.
+// agrees bit for bit between the production path and the oracle.
 func TestGateFastPathMatchesReference(t *testing.T) {
-	cases := []struct {
-		name   string
-		thresh float64
-	}{
-		{"job-scope-label", 0},
-		{"job-scope-proba", 0.35},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			fast, ref, bgF, bgR := twinGates(t, 99, tc.thresh)
-			alloc := cluster.Allocation{Nodes: []cluster.NodeID{0, 1, 2, 3}}
-			rng := sim.NewSource(7).Derive("drive")
-			for step := 0; step < 25; step++ {
-				load := rng.Uniform(0, 1.2)
-				c := simnet.Contribution{PodNet: map[int]float64{0: load}, FS: rng.Uniform(0, 0.4)}
-				bgF.Set(c)
-				bgR.Set(c)
-				dt := rng.Uniform(20, 300)
-				fast.m.Eng.RunUntil(fast.m.Eng.Now() + dt)
-				ref.m.Eng.RunUntil(ref.m.Eng.Now() + dt)
+	fast, ref, bgF, bgR := twinGates(t, 99)
+	alloc := cluster.Allocation{Nodes: []cluster.NodeID{0, 1, 2, 3}}
+	rng := sim.NewSource(7).Derive("drive")
+	for step := 0; step < 25; step++ {
+		load := rng.Uniform(0, 1.2)
+		c := simnet.Contribution{PodNet: map[int]float64{0: load}, FS: rng.Uniform(0, 0.4)}
+		bgF.Set(c)
+		bgR.Set(c)
+		dt := rng.Uniform(20, 300)
+		fast.m.Eng.RunUntil(fast.m.Eng.Now() + dt)
+		ref.m.Eng.RunUntil(ref.m.Eng.Now() + dt)
 
-				ff := fast.LiveFeatures(alloc, apps.NetworkIntensive)
-				rf := refFeatures(ref, alloc, apps.NetworkIntensive)
-				if len(ff) != len(rf) {
-					t.Fatalf("step %d: feature lengths %d vs %d", step, len(ff), len(rf))
-				}
-				for i := range ff {
-					if math.Float64bits(ff[i]) != math.Float64bits(rf[i]) {
-						t.Fatalf("step %d: feature %d = %v vs %v", step, i, ff[i], rf[i])
-					}
-				}
-				j := &Job{ID: step, App: apps.Defaults()[1]}
-				// The feature builds above consumed probe draws on both
-				// sides equally; a decision consumes another identical set.
-				fd := fast.Allow(j, alloc)
-				j2 := &Job{ID: step, App: apps.Defaults()[1]}
-				rd := refAllow(t, ref, j2, alloc)
-				if fd != rd {
-					t.Fatalf("step %d: fast decision %v, reference %v", step, fd, rd)
-				}
+		ff := fast.LiveFeatures(alloc, apps.NetworkIntensive)
+		rf := refFeatures(ref, alloc, apps.NetworkIntensive)
+		if len(ff) != len(rf) {
+			t.Fatalf("step %d: feature lengths %d vs %d", step, len(ff), len(rf))
+		}
+		for i := range ff {
+			if math.Float64bits(ff[i]) != math.Float64bits(rf[i]) {
+				t.Fatalf("step %d: feature %d = %v vs %v", step, i, ff[i], rf[i])
 			}
-			maskInForce(t, fast)
-			if fast.Evaluations != ref.Evaluations || fast.Vetoes != ref.Vetoes {
-				t.Fatalf("counter drift: fast eval/veto %d/%d, ref %d/%d",
-					fast.Evaluations, fast.Vetoes, ref.Evaluations, ref.Vetoes)
-			}
-			if fast.Vetoes == 0 || fast.Vetoes == fast.Evaluations {
-				t.Fatalf("degenerate drive: %d vetoes of %d evaluations", fast.Vetoes, fast.Evaluations)
-			}
-		})
+		}
+		j := &Job{ID: step, App: apps.Defaults()[1]}
+		// The feature builds above consumed probe draws on both
+		// sides equally; a decision consumes another identical set.
+		fd := fast.Allow(j, alloc)
+		j2 := &Job{ID: step, App: apps.Defaults()[1]}
+		rd := refAllow(t, ref, j2, alloc)
+		if fd != rd {
+			t.Fatalf("step %d: fast decision %v, reference %v", step, fd, rd)
+		}
+	}
+	maskInForce(t, fast)
+	if fast.Evaluations != ref.Evaluations || fast.Vetoes != ref.Vetoes {
+		t.Fatalf("counter drift: fast eval/veto %d/%d, ref %d/%d",
+			fast.Evaluations, fast.Vetoes, ref.Evaluations, ref.Vetoes)
+	}
+	if fast.Vetoes == 0 || fast.Vetoes == fast.Evaluations {
+		t.Fatalf("degenerate drive: %d vetoes of %d evaluations", fast.Vetoes, fast.Evaluations)
 	}
 }
 
 // TestGateDecisionZeroAllocs pins the gate's allocation contract: a
 // decision — freshness check, window aggregation over the job's nodes,
-// probes, feature assembly, ensemble inference — allocates nothing in
+// probes, feature assembly, the model's Predict — allocates nothing in
 // steady state. The shapes are the two decisions a RUSH trial is made
 // of, on a 16-node scope of a 512-node machine under ambient
 // load, with history and sampler pruned as a trial prunes them.
@@ -186,9 +161,6 @@ func TestGateFastPathMatchesReference(t *testing.T) {
 // count (see alloctest.Count).
 func TestGateDecisionZeroAllocs(t *testing.T) {
 	model := trainedToyModel(t, gateMachine())
-	if _, ok := model.(mlkit.FastProbaPredictor); !ok {
-		t.Fatal("toy model does not implement the fast path")
-	}
 	j, j2 := &Job{ID: 1, App: apps.Defaults()[1]}, &Job{ID: 2, App: apps.Defaults()[1]}
 	// measure counts what 56 asks, two laps of the 28 job scopes,
 	// allocate after build has made the gate and set ask.

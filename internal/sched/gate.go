@@ -53,47 +53,28 @@ func (f *Features) FreshnessAge(alloc cluster.Allocation) float64 {
 // RUSH is the paper's model-based gate (Algorithm 2): before a job
 // launches, build the live Table I feature vector from the current system
 // counters on the job's tentative nodes plus fresh MPI probe timings, run
-// the trained classifier, and veto the start when a variation label is
-// predicted, unless the job has exhausted its skip threshold. It is three
-// embedded parts and a model: Features builds the vector, Pipeline is the
-// decision with its fail-open layers, Ledger keeps the books.
+// the trained classifier, and veto the start when it predicts the
+// variation class, unless the job has exhausted its skip threshold. It is
+// three embedded parts and a model: Features builds the vector, Pipeline
+// is the decision with its fail-open layers, Ledger keeps the books.
 type RUSH struct {
 	Features
 	Pipeline
 	Ledger
 
 	model mlkit.Classifier
-	// fast (nil when the model lacks the interface) and width are the
-	// model's capabilities a decision reads, asserted once by NewRUSH.
-	fast  mlkit.FastProbaPredictor
+	// width is the model's feature width, read once by NewRUSH.
 	width int
 	// reads marks the features the model reads (mlkit.MarkRead), from
 	// which NewRUSH derives the sampler's counter mask. It is a field so
 	// that the gate's one allocation holds it.
 	reads [dataset.NumFeatures]bool
 
-	// VariationLabels is the set of predicted labels that delay a job.
-	// The default delays only dataset.LabelVariation; including
-	// dataset.LabelLittle makes the gate more conservative (see the
-	// ablation benchmarks).
-	VariationLabels map[int]bool
-	// ProbThreshold, when positive, switches the gate from the paper's
-	// hard label rule to a probability rule: the job is delayed when the
-	// model's total probability mass on the VariationLabels exceeds the
-	// threshold. Requires a model implementing mlkit.ProbaPredictor
-	// (all four candidates do). This implements the paper's future-work
-	// direction of richer use of the model's output: low thresholds
-	// delay more aggressively, high thresholds only on confident
-	// predictions.
-	ProbThreshold float64
-
 	// ModelDown, when set, reports whether the predictor service is
 	// currently unreachable (fault injection hooks in here). It must be
 	// pure: the gate reads it on every decision. A down model is a
 	// breaker failure and the decision fails open.
 	ModelDown func() bool
-
-	probsBuf []float64
 }
 
 // Observe implements ObservableGate: the ledger's gate events and
@@ -106,22 +87,17 @@ func (g *RUSH) Observe(o *obs.Observer) {
 }
 
 // NewRUSH returns the RUSH gate over machine m with the given trained
-// model, delaying on dataset.LabelVariation only, with the deployed
-// fail-open thresholds (telemetry at most 90 s old, 1.5 sample periods;
-// at most half the features missing) and a default Breaker. The model's
-// feature width and whether it implements mlkit.FastProbaPredictor are
-// read here, once, and the probability buffer is sized to its classes, so
-// a decision asserts nothing about the model. So are the features it
+// model, with the deployed fail-open thresholds (telemetry at most 90 s
+// old, 1.5 sample periods; at most half the features missing) and a
+// default Breaker. The model's feature width is read here, once, so a
+// decision asserts nothing about the model. So are the features it
 // reads: m's sampler computes only their counters from here on (see
 // telemetry.Sampler), which changes no decision.
 func NewRUSH(m *machine.Machine, model mlkit.Classifier) *RUSH {
 	g := &RUSH{
 		Features: NewFeatures(m),
 		Pipeline: Pipeline{MaxStaleness: 90, MaxMissing: 0.5, Breaker: NewBreaker()},
-		VariationLabels: map[int]bool{
-			dataset.LabelVariation: true,
-		},
-		model: model,
+		model:    model,
 	}
 	if w, ok := model.(interface{ NumFeatures() int }); ok {
 		g.width = w.NumFeatures()
@@ -129,10 +105,6 @@ func NewRUSH(m *machine.Machine, model mlkit.Classifier) *RUSH {
 	if g.width <= dataset.NumFeatures {
 		mlkit.MarkRead(model, g.reads[:])
 		m.Sampler.SetCounterMask(dataset.CounterMask(g.reads[:]))
-	}
-	g.fast, _ = model.(mlkit.FastProbaPredictor)
-	if g.fast != nil {
-		g.probsBuf = make([]float64, len(g.fast.Classes()))
 	}
 	return g
 }
@@ -163,7 +135,7 @@ func (g *RUSH) Allow(j *Job, alloc cluster.Allocation) bool {
 			panic("sched: " + err.Error())
 		}
 		if !v.Final() {
-			v = v.Decided(g.decide(feats))
+			v = v.Decided(vetoes(g.model, feats))
 		}
 	}
 	return g.Record(now, j, v)
@@ -176,15 +148,4 @@ func (g *RUSH) DegradedTime() float64 {
 		return 0
 	}
 	return g.Breaker.DegradedTime(g.m.Eng.Now())
-}
-
-// decide applies either the hard label rule (Algorithm 2) or, when
-// ProbThreshold is set, the probability rule, by delegating to the
-// decideWith core shared with Snapshot.Decide. It returns the veto
-// decision together with the model's predicted label so trace events can
-// report the class under both rules. Predict is pure and is always
-// invoked — never only when tracing — so enabling a trace cannot perturb
-// a single decision.
-func (g *RUSH) decide(feats []float64) (veto bool, class int) {
-	return decideWith(g.model, g.fast, g.VariationLabels, g.ProbThreshold, feats, g.probsBuf)
 }

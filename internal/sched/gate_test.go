@@ -101,56 +101,6 @@ func TestRUSHGateSkipThresholdShortCircuits(t *testing.T) {
 	}
 }
 
-func TestRUSHGateProbabilityRule(t *testing.T) {
-	m := gateMachine()
-	model := trainedToyModel(t, m)
-	bg := m.NewBackground()
-	alloc, _ := m.Alloc.Alloc(4)
-	j := job(0, 4, 100)
-
-	// Calm machine: the variation-probability mass is ~0, so even a
-	// strict (low) threshold allows the start.
-	m.Eng.RunUntil(m.Eng.Now() + 400)
-	strict := NewRUSH(m, model)
-	strict.ProbThreshold = 0.05
-	if !strict.Allow(j, alloc) {
-		t.Fatal("strict threshold should still allow on a calm machine")
-	}
-
-	// Congested machine: the mass approaches 1. The strict threshold
-	// vetoes; a threshold of 1.0 (exclusive) can never be exceeded and
-	// therefore always allows.
-	bg.Set(simnet.Contribution{PodNet: map[int]float64{0: 1.15}})
-	m.Eng.RunUntil(m.Eng.Now() + 400)
-	j2 := job(1, 4, 100)
-	if strict.Allow(j2, alloc) {
-		t.Fatal("strict threshold should veto under congestion")
-	}
-	j3 := job(2, 4, 100)
-	lax := NewRUSH(m, model)
-	lax.ProbThreshold = 1.0
-	if !lax.Allow(j3, alloc) {
-		t.Fatal("threshold 1.0 must never veto")
-	}
-}
-
-// labelOnlyModel cannot report probabilities.
-type labelOnlyModel struct{ out int }
-
-func (m labelOnlyModel) Fit([][]float64, []int) error { return nil }
-func (m labelOnlyModel) Predict([]float64) int        { return m.out }
-func (m labelOnlyModel) Name() string                 { return "labelOnly" }
-
-func TestRUSHGateProbFallsBackToLabels(t *testing.T) {
-	m := gateMachine()
-	gate := NewRUSH(m, labelOnlyModel{out: dataset.LabelVariation})
-	gate.ProbThreshold = 0.5
-	alloc, _ := m.Alloc.Alloc(4)
-	if gate.Allow(job(0, 4, 100), alloc) {
-		t.Fatal("fallback label rule should veto when the model predicts variation")
-	}
-}
-
 func TestCanaryGateVetoesUnderCongestion(t *testing.T) {
 	m := gateMachine()
 	gate := NewCanary(m)
@@ -182,14 +132,10 @@ func TestCanaryGateSkipsComputeJobs(t *testing.T) {
 	p, _ := apps.ByName("Kripke")
 	computeJob.App = p
 	if !gate.Allow(computeJob, alloc) {
-		t.Fatal("canary should not gate compute-intensive jobs by default")
+		t.Fatal("canary should not gate compute-intensive jobs")
 	}
 	if gate.Evaluations != 0 {
 		t.Fatal("compute jobs should skip the probe entirely")
-	}
-	gate.AllClasses = true
-	if gate.Allow(computeJob, alloc) {
-		t.Fatal("AllClasses should gate compute jobs too")
 	}
 }
 

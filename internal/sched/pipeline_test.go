@@ -91,7 +91,7 @@ func walkPipeline(t *testing.T, r pipelineRow, twoPhase bool) pipelineRun {
 // eval does.
 func decide(p *Pipeline, now float64, r pipelineRow, twoPhase bool) pipelineRun {
 	model := &widthModel{out: r.predict}
-	snap := &Snapshot{Model: model, VariationLabels: map[int]bool{dataset.LabelVariation: true}}
+	snap := &Snapshot{Model: model}
 	var run pipelineRun
 
 	v := p.Admit(now, r.skips, r.threshold, r.outage)
@@ -116,7 +116,7 @@ func decide(p *Pipeline, now float64, r pipelineRow, twoPhase bool) pipelineRun 
 		if v, err = p.Eval(now, v.Age, feats, model.NumFeatures()); err != nil {
 			run.err = true
 		} else if !v.Final() {
-			v = v.Decided(snap.Decide(feats, new([]float64)))
+			v = v.Decided(snap.Decide(feats))
 		}
 	}
 	run.v, run.asked = v, model.asked

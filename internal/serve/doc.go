@@ -10,7 +10,7 @@
 // # Architecture
 //
 // Decisions never take a lock. The server keeps an immutable
-// sched.Snapshot (model + telemetry aggregates + reference statistics)
+// sched.Snapshot (model + telemetry aggregates)
 // behind an atomic pointer; every ingest and every model swap builds
 // the next snapshot and publishes it with an incremented Epoch
 // (RCU-style: readers in flight keep the snapshot they loaded). The
@@ -31,8 +31,9 @@
 // without consulting anything until a half-open probe succeeds.
 //
 // A decision runs start to finish on the goroutine of the connection
-// that asked for it, model inference included: Snapshot.Decide on the
-// snapshot the request loaded, into buffers the connection keeps, so a
+// that asked for it, model inference included: Snapshot.Decide, the
+// model's Predict, on the snapshot the request loaded. A counters-only
+// decide builds its features into a buffer the connection keeps, so a
 // decision on the wire allocates nothing of its own. Connections decide
 // concurrently; past Config.MaxInflight decisions in flight the server
 // answers StatusBusy instead of blocking — backpressure, never unbounded

@@ -25,12 +25,6 @@ type Config struct {
 	// Model is the initial incumbent classifier (required). Load one
 	// from a serialized predictor with core.LoadPredictor.
 	Model mlkit.Classifier
-	// VariationLabels is the veto-label set (default: delay only
-	// dataset.LabelVariation, the paper's rule).
-	VariationLabels map[int]bool
-	// ProbThreshold switches to the probability rule when positive,
-	// exactly as sched.RUSH.ProbThreshold does.
-	ProbThreshold float64
 	// MaxStaleness is the oldest acceptable telemetry age in seconds
 	// (default 90, the gate's default); negative disables the check.
 	MaxStaleness float64
@@ -76,11 +70,10 @@ const maxCacheEntries = 4096
 // under MaxFrame, so every request frame is answered.
 const maxErrorBytes = 4096
 
-// decideBufs are the buffers a decision reuses: the feature vector a
-// counters-only decide builds from the snapshot and the model's class
-// distribution. A connection keeps one for its life, so its decisions
-// allocate neither.
-type decideBufs struct{ feats, probs []float64 }
+// decideBufs is the buffer a decision reuses: the feature vector a
+// counters-only decide builds from the snapshot. A connection keeps one
+// for its life, so its decisions allocate none.
+type decideBufs struct{ feats []float64 }
 
 // Server is the concurrent gate-prediction daemon: it holds the current
 // decision state as an immutable sched.Snapshot behind an atomic pointer
@@ -136,13 +129,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Model == nil {
 		return nil, fmt.Errorf("serve: Config.Model is required")
 	}
-	labels := map[int]bool{dataset.LabelVariation: true}
-	if cfg.VariationLabels != nil {
-		labels = make(map[int]bool, len(cfg.VariationLabels))
-		for k, v := range cfg.VariationLabels {
-			labels[k] = v
-		}
-	}
 	s := &Server{
 		pipe:   sched.Pipeline{MaxStaleness: 90, MaxMissing: 0.5, Breaker: cfg.Breaker},
 		cache:  map[cacheKey]cacheEntry{},
@@ -164,11 +150,7 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s.sem = make(chan struct{}, inflight)
 	s.lastIngest.Store(math.Float64bits(math.NaN()))
-	s.snap.Store(&sched.Snapshot{
-		Model:           cfg.Model,
-		VariationLabels: labels,
-		ProbThreshold:   cfg.ProbThreshold,
-	})
+	s.snap.Store(&sched.Snapshot{Model: cfg.Model})
 	return s, nil
 }
 
@@ -324,7 +306,7 @@ func (s *Server) decide(req *Request, resp *Response, phase int, bufs *decideBuf
 	}
 	if !v.Final() {
 		s.cInfers.Inc()
-		v = v.Decided(snap.Decide(feats, &bufs.probs))
+		v = v.Decided(snap.Decide(feats))
 		if cacheable {
 			s.cmu.Lock()
 			if len(s.cache) >= maxCacheEntries {

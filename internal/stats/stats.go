@@ -1,6 +1,6 @@
 // Package stats provides the small set of descriptive statistics the RUSH
-// pipeline needs: means, sample standard deviations, quantiles, z-scores,
-// histograms, and streaming (Welford) accumulators.
+// pipeline needs: means, sample standard deviations, quantiles, z-scores
+// and per-sample summaries.
 package stats
 
 import (
@@ -62,15 +62,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
 }
 
 // Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
@@ -148,68 +139,4 @@ func Summarize(xs []float64) Summary {
 	s.P25 = quantileSorted(sorted, 0.25)
 	s.P75 = quantileSorted(sorted, 0.75)
 	return s
-}
-
-// Online is a streaming mean/variance accumulator (Welford's algorithm).
-// The zero value is ready to use.
-type Online struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add folds x into the accumulator.
-func (o *Online) Add(x float64) {
-	o.n++
-	if o.n == 1 {
-		o.min, o.max = x, x
-	} else {
-		if x < o.min {
-			o.min = x
-		}
-		if x > o.max {
-			o.max = x
-		}
-	}
-	d := x - o.mean
-	o.mean += d / float64(o.n)
-	o.m2 += d * (x - o.mean)
-}
-
-// N returns the number of values added.
-func (o *Online) N() int { return o.n }
-
-// Mean returns the running mean, or NaN if no values were added.
-func (o *Online) Mean() float64 {
-	if o.n == 0 {
-		return math.NaN()
-	}
-	return o.mean
-}
-
-// Std returns the running sample standard deviation, or NaN when fewer
-// than two values were added.
-func (o *Online) Std() float64 {
-	if o.n < 2 {
-		return math.NaN()
-	}
-	return math.Sqrt(o.m2 / float64(o.n-1))
-}
-
-// Min returns the smallest value added, or NaN if none were.
-func (o *Online) Min() float64 {
-	if o.n == 0 {
-		return math.NaN()
-	}
-	return o.min
-}
-
-// Max returns the largest value added, or NaN if none were.
-func (o *Online) Max() float64 {
-	if o.n == 0 {
-		return math.NaN()
-	}
-	return o.max
 }

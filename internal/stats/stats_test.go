@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -80,53 +79,5 @@ func TestSummarize(t *testing.T) {
 	empty := Summarize(nil)
 	if empty.N != 0 || !math.IsNaN(empty.Mean) {
 		t.Fatalf("empty summary wrong: %+v", empty)
-	}
-}
-
-func TestOnlineMatchesBatch(t *testing.T) {
-	xs := []float64{3.4, 1.1, 9.9, -2, 5, 5, 0.5}
-	var o Online
-	for _, x := range xs {
-		o.Add(x)
-	}
-	if !almostEq(o.Mean(), Mean(xs), 1e-10) {
-		t.Fatalf("online mean %v vs batch %v", o.Mean(), Mean(xs))
-	}
-	if !almostEq(o.Std(), Std(xs), 1e-10) {
-		t.Fatalf("online std %v vs batch %v", o.Std(), Std(xs))
-	}
-	if o.Min() != -2 || o.Max() != 9.9 || o.N() != len(xs) {
-		t.Fatalf("online min/max/n wrong: %v %v %v", o.Min(), o.Max(), o.N())
-	}
-}
-
-func TestOnlineEmpty(t *testing.T) {
-	var o Online
-	if !math.IsNaN(o.Mean()) || !math.IsNaN(o.Std()) || !math.IsNaN(o.Min()) || !math.IsNaN(o.Max()) {
-		t.Fatal("empty accumulator should return NaN")
-	}
-}
-
-// Property: for any non-empty input, Min <= Mean <= Max, and the online
-// accumulator agrees with the batch computation.
-func TestOnlineProperty(t *testing.T) {
-	f := func(raw []int16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		var o Online
-		for i, r := range raw {
-			xs[i] = float64(r) / 7.0
-			o.Add(xs[i])
-		}
-		mean := Mean(xs)
-		if !(Min(xs) <= mean+1e-9 && mean <= Max(xs)+1e-9) {
-			return false
-		}
-		return almostEq(o.Mean(), mean, 1e-6)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
