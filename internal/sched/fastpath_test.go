@@ -98,46 +98,49 @@ func refAllow(t *testing.T, g *RUSH, j *Job, alloc cluster.Allocation) bool {
 // load histories and checks every decision, feature vector, and counter
 // agrees bit for bit between the production path and the oracle.
 func TestGateFastPathMatchesReference(t *testing.T) {
-	fast, ref, bgF, bgR := twinGates(t, 99)
-	alloc := cluster.Allocation{Nodes: []cluster.NodeID{0, 1, 2, 3}}
-	rng := sim.NewSource(7).Derive("drive")
-	for step := 0; step < 25; step++ {
-		load := rng.Uniform(0, 1.2)
-		c := simnet.Contribution{PodNet: map[int]float64{0: load}, FS: rng.Uniform(0, 0.4)}
-		bgF.Set(c)
-		bgR.Set(c)
-		dt := rng.Uniform(20, 300)
-		fast.m.Eng.RunUntil(fast.m.Eng.Now() + dt)
-		ref.m.Eng.RunUntil(ref.m.Eng.Now() + dt)
+	// The gate applies its label rule on the job's own node scope.
+	t.Run("job-scope-label", func(t *testing.T) {
+		fast, ref, bgF, bgR := twinGates(t, 99)
+		alloc := cluster.Allocation{Nodes: []cluster.NodeID{0, 1, 2, 3}}
+		rng := sim.NewSource(7).Derive("drive")
+		for step := 0; step < 25; step++ {
+			load := rng.Uniform(0, 1.2)
+			c := simnet.Contribution{PodNet: map[int]float64{0: load}, FS: rng.Uniform(0, 0.4)}
+			bgF.Set(c)
+			bgR.Set(c)
+			dt := rng.Uniform(20, 300)
+			fast.m.Eng.RunUntil(fast.m.Eng.Now() + dt)
+			ref.m.Eng.RunUntil(ref.m.Eng.Now() + dt)
 
-		ff := fast.LiveFeatures(alloc, apps.NetworkIntensive)
-		rf := refFeatures(ref, alloc, apps.NetworkIntensive)
-		if len(ff) != len(rf) {
-			t.Fatalf("step %d: feature lengths %d vs %d", step, len(ff), len(rf))
-		}
-		for i := range ff {
-			if math.Float64bits(ff[i]) != math.Float64bits(rf[i]) {
-				t.Fatalf("step %d: feature %d = %v vs %v", step, i, ff[i], rf[i])
+			ff := fast.LiveFeatures(alloc, apps.NetworkIntensive)
+			rf := refFeatures(ref, alloc, apps.NetworkIntensive)
+			if len(ff) != len(rf) {
+				t.Fatalf("step %d: feature lengths %d vs %d", step, len(ff), len(rf))
+			}
+			for i := range ff {
+				if math.Float64bits(ff[i]) != math.Float64bits(rf[i]) {
+					t.Fatalf("step %d: feature %d = %v vs %v", step, i, ff[i], rf[i])
+				}
+			}
+			j := &Job{ID: step, App: apps.Defaults()[1]}
+			// The feature builds above consumed probe draws on both
+			// sides equally; a decision consumes another identical set.
+			fd := fast.Allow(j, alloc)
+			j2 := &Job{ID: step, App: apps.Defaults()[1]}
+			rd := refAllow(t, ref, j2, alloc)
+			if fd != rd {
+				t.Fatalf("step %d: fast decision %v, reference %v", step, fd, rd)
 			}
 		}
-		j := &Job{ID: step, App: apps.Defaults()[1]}
-		// The feature builds above consumed probe draws on both
-		// sides equally; a decision consumes another identical set.
-		fd := fast.Allow(j, alloc)
-		j2 := &Job{ID: step, App: apps.Defaults()[1]}
-		rd := refAllow(t, ref, j2, alloc)
-		if fd != rd {
-			t.Fatalf("step %d: fast decision %v, reference %v", step, fd, rd)
+		maskInForce(t, fast)
+		if fast.Evaluations != ref.Evaluations || fast.Vetoes != ref.Vetoes {
+			t.Fatalf("counter drift: fast eval/veto %d/%d, ref %d/%d",
+				fast.Evaluations, fast.Vetoes, ref.Evaluations, ref.Vetoes)
 		}
-	}
-	maskInForce(t, fast)
-	if fast.Evaluations != ref.Evaluations || fast.Vetoes != ref.Vetoes {
-		t.Fatalf("counter drift: fast eval/veto %d/%d, ref %d/%d",
-			fast.Evaluations, fast.Vetoes, ref.Evaluations, ref.Vetoes)
-	}
-	if fast.Vetoes == 0 || fast.Vetoes == fast.Evaluations {
-		t.Fatalf("degenerate drive: %d vetoes of %d evaluations", fast.Vetoes, fast.Evaluations)
-	}
+		if fast.Vetoes == 0 || fast.Vetoes == fast.Evaluations {
+			t.Fatalf("degenerate drive: %d vetoes of %d evaluations", fast.Vetoes, fast.Evaluations)
+		}
+	})
 }
 
 // TestGateDecisionZeroAllocs pins the gate's allocation contract: a
