@@ -53,7 +53,7 @@ fuzz-smoke:
 # loc prints non-test Go lines outside bench/ per package and fails when
 # the total passes LOC_CEILING, the count at the change that last cut
 # code, so a change that grows the tree has to say so by raising it.
-LOC_CEILING = 15618
+LOC_CEILING = 15667
 loc:
 	@find . -path ./bench -prune -o -name '*.go' -not -name '*_test.go' -print | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \

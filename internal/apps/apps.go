@@ -19,7 +19,6 @@ import (
 	"slices"
 
 	"rush/internal/cluster"
-	"rush/internal/simnet"
 )
 
 // Class is the paper's one-hot workload-type label: compute, network, or
@@ -126,17 +125,6 @@ func (p Profile) BaseTime(n int, mode ScalingMode) float64 {
 	}
 }
 
-// Contribution returns the load this app injects into the shared
-// resources when running on alloc. An allocation spanning several pods
-// also loads the fat tree's core links: under uniform communication the
-// fraction of traffic that crosses pods is 1 - sum((nodes_in_pod/n)^2).
-func (p Profile) Contribution(topo cluster.Topology, alloc cluster.Allocation) simnet.Contribution {
-	pods, counts := CountPods(topo, alloc, make([]int, topo.Pods()), nil, nil)
-	var c simnet.Contribution
-	p.ContributionInto(topo, pods, counts, &c)
-	return c
-}
-
 // CountPods appends alloc's pods, ascending, to the empty pods and the
 // nodes in each to the empty counts. tally is topo.Pods() zeros of
 // scratch, reset through the pods touched, so a census is O(alloc).
@@ -156,29 +144,24 @@ func CountPods(topo cluster.Topology, alloc cluster.Allocation, tally, pods, cou
 	return pods, counts
 }
 
-// ContributionInto writes into c this app's load on an allocation whose
-// census (CountPods) is pods and counts, with one c.PodNet write per pod,
-// reusing c.PodNet's map. A pod's load is its count's additions of one
-// node's share from zero, as a walk over the nodes would add them; every
-// addend is the same float, so how the pods' nodes interleave cannot
-// change the sum. The cross-pod fraction is summed in ascending pod
-// order, so nothing depends on map iteration.
-func (p Profile) ContributionInto(topo cluster.Topology, pods, counts []int, c *simnet.Contribution) {
-	if c.PodNet == nil {
-		c.PodNet = make(map[int]float64, min(len(pods), 8))
-	} else {
-		clear(c.PodNet)
-	}
+// LoadsInto writes into loads[i] this app's network load on pods[i] of an
+// allocation whose census (CountPods) is pods and counts, and returns its
+// core-link and filesystem loads. A pod's load is its count's additions of
+// one node's share from zero, as a per-node walk adds them, so the same
+// float. Traffic between pods also loads the core links: under uniform
+// communication a share 1 - sum((nodes_in_pod/n)^2) of it, summed in
+// ascending pod order.
+func (p Profile) LoadsInto(topo cluster.Topology, pods, counts []int, loads []float64) (core, fs float64) {
 	// Pod capacity is normalized to 1.0 regardless of pod size, so a
 	// node's share of its pod's fabric is 1/PodSize.
 	share := p.NetPerNode / float64(topo.PodSize)
 	nodes := 0
-	for i, pod := range pods {
+	for i := range pods {
 		var load float64
 		for k := 0; k < counts[i]; k++ {
 			load += share
 		}
-		c.PodNet[pod] = load
+		loads[i] = load
 		nodes += counts[i]
 	}
 	total := float64(nodes)
@@ -190,8 +173,7 @@ func (p Profile) ContributionInto(topo cluster.Topology, pods, counts []int, c *
 		f := float64(n) / total
 		crossFrac -= f * f
 	}
-	c.Core = p.NetPerNode * total * crossFrac / float64(topo.Nodes)
-	c.FS = p.FSPerNode * total
+	return p.NetPerNode * total * crossFrac / float64(topo.Nodes), p.FSPerNode * total
 }
 
 // Slowdown returns the multiplicative run-time inflation for the given

@@ -68,6 +68,19 @@ func TestByNameAllocatesNothing(t *testing.T) {
 	}
 }
 
+// contribution is p's load on alloc in simnet's map form, taken through
+// CountPods and LoadsInto as a machine takes it.
+func contribution(p Profile, topo cluster.Topology, alloc cluster.Allocation) simnet.Contribution {
+	pods, counts := CountPods(topo, alloc, make([]int, topo.Pods()), nil, nil)
+	loads := make([]float64, len(pods))
+	c := simnet.Contribution{PodNet: map[int]float64{}}
+	c.Core, c.FS = p.LoadsInto(topo, pods, counts, loads)
+	for i, pod := range pods {
+		c.PodNet[pod] = loads[i]
+	}
+	return c
+}
+
 // TestContributionMatchesPerNodeWalk holds the census-built
 // contribution to the per-node walk it replaced, bit for bit: each node
 // adds its share to its pod's entry in allocation order, and the
@@ -103,7 +116,7 @@ func TestContributionMatchesPerNodeWalk(t *testing.T) {
 			}
 			want.Core = p.NetPerNode * total * crossFrac / float64(topo.Nodes)
 			want.FS = p.FSPerNode * total
-			if got := p.Contribution(topo, alloc); !reflect.DeepEqual(got, want) {
+			if got := contribution(p, topo, alloc); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%v trial %d: census contribution %+v, per-node walk %+v", topo, trial, got, want)
 			}
 		}
@@ -175,7 +188,7 @@ func TestContribution(t *testing.T) {
 	topo := cluster.Topology{Nodes: 64, PodSize: 16, CoresPerNode: 4}
 	p, _ := ByName("Laghos")
 	alloc := cluster.Allocation{Nodes: []cluster.NodeID{0, 1, 16}}
-	c := p.Contribution(topo, alloc)
+	c := contribution(p, topo, alloc)
 	wantPod0 := 2 * p.NetPerNode / 16
 	if math.Abs(c.PodNet[0]-wantPod0) > 1e-12 {
 		t.Fatalf("pod 0 contribution = %v, want %v", c.PodNet[0], wantPod0)
@@ -261,19 +274,19 @@ func TestContributionCoreCrossPod(t *testing.T) {
 	p, _ := ByName("Laghos")
 	// Single-pod allocation: no core traffic.
 	single := cluster.Allocation{Nodes: []cluster.NodeID{0, 1, 2, 3}}
-	if c := p.Contribution(topo, single); c.Core != 0 {
+	if c := contribution(p, topo, single); c.Core != 0 {
 		t.Fatalf("single-pod core contribution = %v", c.Core)
 	}
 	// Two pods, split evenly: half of the traffic crosses pods.
 	split := cluster.Allocation{Nodes: []cluster.NodeID{0, 1, 16, 17}}
-	c := p.Contribution(topo, split)
+	c := contribution(p, topo, split)
 	want := p.NetPerNode * 4 * 0.5 / 64
 	if math.Abs(c.Core-want) > 1e-12 {
 		t.Fatalf("split core contribution = %v, want %v", c.Core, want)
 	}
 	// More pods -> more crossing traffic.
 	quad := cluster.Allocation{Nodes: []cluster.NodeID{0, 16, 32, 48}}
-	if q := p.Contribution(topo, quad); q.Core <= c.Core {
+	if q := contribution(p, topo, quad); q.Core <= c.Core {
 		t.Fatalf("4-pod core contribution %v should exceed 2-pod %v", q.Core, c.Core)
 	}
 }

@@ -72,22 +72,19 @@ func TestJobLifeZeroAllocs(t *testing.T) {
 }
 
 // TestFreshJobCost pins what a job costs when no pooled object is free:
-// its share of a slab of jobSlab objects, its completion closure, and
-// its contribution map, which is two objects (the map and, at its first
-// write, its one group of eight slots). Every other structure a start
-// touches is warm: the machine has run 2*jobSlab jobs at once before,
-// its pool is then emptied, and its slab is used up. So the first job
-// costs the slab and its own three objects, the second its own three,
-// and a slab's worth of jobs 1 + 3*jobSlab.
+// its share of a slab of jobSlab objects and nothing else. Every other
+// structure a start touches is warm: the machine has run 2*jobSlab jobs
+// at once before, its pool is then emptied, and its slab is used up. So
+// the first job costs the slab, the second nothing, and a slab's worth of
+// jobs the one slab.
 func TestFreshJobCost(t *testing.T) {
-	const perJob = 3 // closure, map, map group
 	for _, c := range []struct {
 		before, start int
 		want          uint64
 	}{
-		{0, 1, 1 + perJob},
-		{1, 1, perJob},
-		{0, jobSlab, 1 + perJob*jobSlab},
+		{0, 1, 1},
+		{1, 1, 0},
+		{0, jobSlab, 1},
 	} {
 		var (
 			m      *Machine

@@ -35,15 +35,16 @@
 //
 // # What a job costs
 //
-// A start takes its allocation's pod census once (apps.CountPods) for the
-// contribution, written once per pod, the network term and the lanes. A
-// pooled RunningJob makes a start and a finish allocate nothing
-// (TestJobLifeZeroAllocs); a fresh one costs TestFreshJobCost's count.
+// A start takes its allocation's pod census once (apps.CountPods) for its
+// pod-load list (apps.Profile.LoadsInto), the network term and the lanes.
+// A pooled RunningJob makes a start and a finish allocate nothing
+// (TestJobLifeZeroAllocs); a fresh one only its share of a slab.
 package machine
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"rush/internal/apps"
@@ -65,7 +66,7 @@ type RunningJob struct {
 	lastT     float64   // time of last integration step
 	netTerm   float64   // 1 + netSens*(pod-network + core factor); see refreshNetTerm
 	fsSens    float64   // Profile.FSSens
-	done      sim.Event // completion event; Fn is set once per object
+	done      sim.Event // completion event; Fn is the job (completion)
 	netSens   float64   // Profile.NetSens
 
 	// ID is the machine-assigned run identifier.
@@ -94,20 +95,32 @@ type RunningJob struct {
 	Owner any
 
 	multiPod bool // allocation spans pods: core contention applies
-	contrib  simnet.Contribution
+	m        *Machine
 	onDone   func(*RunningJob)
 	spare    []cluster.NodeID // a pooled object's last node list (SpareNodes)
 
-	pods      []int   // distinct pods touched, ascending
-	podCounts []int   // nodes in each of pods, parallel slice
-	nNodes    float64 // len(Alloc.Nodes)
-	lane      int     // pod lane index, or -1 for the cross lane
-	laneIdx   int     // position in lanes[lane] (or cross)
-	crossIdx  []int   // positions in crossByPod[pods[i]], cross jobs only
+	pods      []int     // distinct pods touched, ascending
+	podCounts []int     // nodes in each of pods, parallel slice
+	loads     []float64 // network load on each of pods, parallel slice
+	core, fs  float64   // core-link and filesystem load
+	nNodes    float64   // len(Alloc.Nodes)
+	lane      int       // pod lane index, or -1 for the cross lane
+	laneIdx   int       // position in lanes[lane] (or cross)
+	crossIdx  []int     // positions in crossByPod[pods[i]], cross jobs only
 
-	// pods, podCounts and crossIdx start on these; a job on more pods
-	// grows its object's slices once.
+	// pods, podCounts, loads and crossIdx start on these; a job on more
+	// pods grows its object's slices once.
 	podsBuf, countsBuf, crossBuf [inlinePods]int
+	loadsBuf                     [inlinePods]float64
+}
+
+// completion is a RunningJob as the Handler of its completion event, so
+// that arming it makes no closure and RunningJob exports no Fire.
+type completion RunningJob
+
+func (c *completion) Fire() {
+	rj := (*RunningJob)(c)
+	rj.m.complete(rj)
 }
 
 // inlinePods is how many pods a job's per-pod state holds without a heap
@@ -127,7 +140,7 @@ type Machine struct {
 	Sampler *telemetry.Sampler
 
 	// PoolJobs recycles RunningJob state (the completion event, the
-	// contribution map and the node list, see SpareNodes) across jobs, so
+	// per-pod lists and the node list, see SpareNodes) across jobs, so
 	// job churn allocates nothing. Opt-in: a caller that keeps a
 	// *RunningJob or its allocation past onDone sees them reused.
 	PoolJobs bool
@@ -222,13 +235,14 @@ func (m *Machine) StartJob(profile apps.Profile, alloc cluster.Allocation, baseW
 	rj.lastT = m.Eng.Now()
 	rj.onDone = onDone
 	m.indexPods(rj)
-	profile.ContributionInto(m.Topo, rj.pods, rj.podCounts, &rj.contrib)
+	rj.loads = slices.Grow(rj.loads[:0], len(rj.pods))[:len(rj.pods)]
+	rj.core, rj.fs = profile.LoadsInto(m.Topo, rj.pods, rj.podCounts, rj.loads)
 	// Apply the job's own load first so that its slowdown includes the
 	// contention it creates (self-contention is real on shared fabrics).
 	// The job is not in a lane yet, so the change notification cannot
 	// re-integrate it before it has a slowdown. A pooled object carries
 	// its previous job's network term: it is set here, never inherited.
-	m.Net.Apply(rj.contrib)
+	m.Net.ApplyLoads(rj.pods, rj.loads, rj.core, rj.fs)
 	m.insert(rj)
 	m.refreshNetTerm(rj)
 	rj.slowdown = slowdownAt(rj, m.Net.FSOverload())
@@ -237,9 +251,8 @@ func (m *Machine) StartJob(profile apps.Profile, alloc cluster.Allocation, baseW
 }
 
 // newJob returns a zeroed-enough RunningJob, recycled from the freelist
-// when pooling is on, otherwise the next of the slab. The completion
-// callback, the slices and the map its first contribution makes survive
-// reuse.
+// when pooling is on, otherwise the next of the slab, whose completion
+// event is set up once. Its slices survive reuse.
 func (m *Machine) newJob() *RunningJob {
 	if n := len(m.freeJobs); n > 0 {
 		rj := m.freeJobs[n-1]
@@ -253,12 +266,13 @@ func (m *Machine) newJob() *RunningJob {
 	rj := &m.slab[0]
 	m.slab = m.slab[1:]
 	rj.pods, rj.podCounts, rj.crossIdx = rj.podsBuf[:0], rj.countsBuf[:0], rj.crossBuf[:0]
-	rj.done.Fn = func() { m.complete(rj) }
+	rj.loads = rj.loadsBuf[:0]
+	rj.m, rj.done.Fn = m, (*completion)(rj)
 	return rj
 }
 
-// indexPods takes the census of the job's allocation, which the
-// contribution, the weighted slowdown and the lane bookkeeping read.
+// indexPods takes the census of the job's allocation, which the loads,
+// the weighted slowdown and the lane bookkeeping read.
 func (m *Machine) indexPods(rj *RunningJob) {
 	rj.pods, rj.podCounts = apps.CountPods(m.Topo, rj.Alloc, m.podTally, rj.pods[:0], rj.podCounts[:0])
 	rj.nNodes = float64(len(rj.Alloc.Nodes))
@@ -386,7 +400,7 @@ func (m *Machine) complete(rj *RunningJob) {
 	rj.EndTime = m.Eng.Now()
 	m.removeJob(rj)
 	m.Alloc.Free(rj.Alloc)
-	m.Net.Remove(rj.contrib)
+	m.Net.RemoveLoads(rj.pods, rj.loads, rj.core, rj.fs)
 	if rj.onDone != nil {
 		rj.onDone(rj)
 	}
@@ -612,9 +626,10 @@ type Noise struct {
 	m            *Machine
 	cfg          apps.Noise
 	alloc        cluster.Allocation
-	pods, counts []int // the allocation's census (apps.CountPods), taken once
+	pods, counts []int     // the allocation's census (apps.CountPods), taken once
+	loads        []float64 // this phase's load on each of pods
+	fs           float64   // and on the filesystem
 	rng          *sim.Source
-	current      simnet.Contribution
 	active       bool
 	phase        *sim.Event
 }
@@ -635,7 +650,7 @@ func (m *Machine) StartNoise(cfg apps.Noise) (*Noise, error) {
 	// The allocation never changes, so its per-pod node census is taken
 	// once; every phase spreads its level over the same pods.
 	nz.pods, nz.counts = apps.CountPods(m.Topo, alloc, m.podTally, nil, nil)
-	nz.current.PodNet = make(map[int]float64, len(nz.pods))
+	nz.loads = make([]float64, len(nz.pods))
 	nz.nextPhase()
 	return nz, nil
 }
@@ -650,25 +665,23 @@ func (nz *Noise) nextPhase() {
 	// Withdraw the previous phase's load, draw a new level, apply it:
 	// two mutations, not one merged delta — a job whose factor goes
 	// s -> s' -> s is re-timed twice, from an advanced remaining, and
-	// merging would skip it. The contribution map and the phase event
-	// are reused across phases, so a month of noise cycling stays
-	// allocation-bounded.
-	nz.m.Net.Remove(nz.current)
+	// merging would skip it. The loads and the phase event are reused
+	// across phases, so a month of noise cycling allocates nothing.
+	nz.m.Net.RemoveLoads(nz.pods, nz.loads, 0, nz.fs)
 	level := nz.rng.Uniform(0, nz.cfg.MaxLoad)
 	// Each node adds level/nodes to its pod's load. A pod's load is that
-	// share added once per node it holds, accumulated here in a local —
-	// the additions a per-node walk over the map performs, in the same
-	// order, so the same float — and stored with one map write per pod.
+	// share added once per node it holds: the additions a per-node walk
+	// performs, in the same order, so the same float.
 	share := level / float64(len(nz.alloc.Nodes))
-	for i, pod := range nz.pods {
+	for i := range nz.pods {
 		var load float64
 		for k := 0; k < nz.counts[i]; k++ {
 			load += share
 		}
-		nz.current.PodNet[pod] = load
+		nz.loads[i] = load
 	}
-	nz.current.FS = level * nz.cfg.FSFraction
-	nz.m.Net.Apply(nz.current)
+	nz.fs = level * nz.cfg.FSFraction
+	nz.m.Net.ApplyLoads(nz.pods, nz.loads, 0, nz.fs)
 	delay := nz.rng.Uniform(nz.cfg.MinPhase, nz.cfg.MaxPhase)
 	if nz.phase == nil {
 		nz.phase = nz.m.Eng.Schedule(delay, nz.nextPhase)
@@ -686,8 +699,7 @@ func (nz *Noise) Stop() {
 	if nz.phase != nil {
 		nz.m.Eng.Cancel(nz.phase)
 	}
-	nz.m.Net.Remove(nz.current)
-	nz.current = simnet.Contribution{}
+	nz.m.Net.RemoveLoads(nz.pods, nz.loads, 0, nz.fs)
 	nz.m.Alloc.Free(nz.alloc)
 }
 

@@ -250,13 +250,34 @@ func appendCompact(b, raw []byte) ([]byte, error) {
 }
 
 // reqScratch is the storage a connection decodes its requests into: one
-// array for all the vectors of a request, one after another, the age, and
-// the bytes of the vector being decoded. A request decoded into it is
-// valid until the next decode.
+// array for all the vectors of a request, one after another, the age, the
+// bytes of the vector being decoded, and a table of the names its
+// requests carried. A request decoded into it is valid until the next
+// decode.
 type reqScratch struct {
 	floats []float64
 	age    float64
 	bits   []byte
+	names  map[string]string
+}
+
+const maxNames, maxNameLen = 256, 64
+
+// name returns b as a string: the table's when it holds b, else word's,
+// which the table keeps while it has room, so that a client sending ever
+// new names cannot grow it past maxNames of maxNameLen bytes.
+func (s *reqScratch) name(b []byte) string {
+	if n, ok := s.names[string(b)]; ok {
+		return n
+	}
+	n := word(b)
+	if len(s.names) < maxNames && len(b) <= maxNameLen {
+		if s.names == nil {
+			s.names = make(map[string]string)
+		}
+		s.names[n] = n
+	}
+	return n
 }
 
 // decodeRequest decodes one request body into req, which it first
@@ -633,7 +654,9 @@ func (d *decoder) scalar(dst any, field string) error {
 	case *bool:
 		ok, *p = kind == 't' || kind == 'f', kind == 't'
 	case *string:
-		if ok = kind == '"'; ok {
+		if ok = kind == '"'; ok && d.scratch != nil {
+			*p = d.scratch.name(text)
+		} else if ok {
 			*p = word(text)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -277,6 +278,57 @@ func TestTightBufferGrowsOnce(t *testing.T) {
 	})
 	if objects > 1 {
 		t.Fatalf("100 encodes into a %d-byte buffer allocated %d times, want 1", len(body), objects)
+	}
+}
+
+// TestWarmDecodeAllocatesNothing pins that a decide decoded into a warm
+// scratch allocates nothing: its app and scope come from the
+// connection's name table.
+func TestWarmDecodeAllocatesNothing(t *testing.T) {
+	body, err := appendRequest(nil, &Request{V: ProtoVersion, ID: 7, Op: OpDecide, Now: 101, App: "AMG", Scope: "q1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		req     Request
+		scratch reqScratch
+	)
+	decode := func() {
+		if err := decodeRequest(body, &req, &scratch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode()
+	objects, _ := alloctest.Count(3, nil, decode)
+	if objects != 0 || req.Op != OpDecide || req.App != "AMG" || req.Scope != "q1" {
+		t.Fatalf("a warm decode of %s allocated %d objects and gave %+v; want 0", body, objects, req)
+	}
+}
+
+// TestNameTableIsBounded pins that a client sending ever new names, or a
+// name past maxNameLen, cannot grow a connection's name table past its
+// bound, and that every name still decodes as sent.
+func TestNameTableIsBounded(t *testing.T) {
+	var (
+		req     Request
+		scratch reqScratch
+	)
+	long := strings.Repeat("x", maxNameLen+1)
+	for i := range 10000 {
+		app := strconv.Itoa(i)
+		if i == 0 {
+			app = long
+		}
+		body, err := appendRequest(nil, &Request{V: ProtoVersion, Op: OpDecide, App: app})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := decodeRequest(body, &req, &scratch); err != nil || req.App != app {
+			t.Fatalf("name %d decoded as %q, %v", i, req.App, err)
+		}
+	}
+	if _, kept := scratch.names[long]; kept || len(scratch.names) != maxNames {
+		t.Fatalf("10,000 names left %d in the table (the long one kept: %v); want the bound, %d", len(scratch.names), kept, maxNames)
 	}
 }
 

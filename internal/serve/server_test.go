@@ -380,10 +380,10 @@ func counters() serve.FeatureVector {
 // TestWireAllocationBudget pins what one request costs the heap on the
 // wire path, client and server together: Client.Do, the codec both ways
 // and the connection loop over net.Pipe, for each kind a scheduler sends
-// in steady state. What remains is the Response that Do returns, the
-// strings decoded from the request (app, scope), and the snapshot an
-// ingest publishes with its three cloned aggregates: at most 5 per
-// request, and each kind's own count is pinned. An inference runs on the
+// in steady state. What remains is the Response that Do returns and the
+// snapshot an ingest publishes with its three cloned aggregates: at most
+// 5 per request, and each kind's own count is pinned; the app and scope
+// strings come from the connection's name table. An inference runs on the
 // connection's goroutine in the connection's buffers and adds nothing. The count is an exact runtime.MemStats delta over 100
 // requests of a kind. The runtime's channel bookkeeping allocates now and
 // then, so a tenth of an allocation per request is tolerated, but one
@@ -407,10 +407,10 @@ func TestWireAllocationBudget(t *testing.T) {
 		budget uint64 // allocations per request
 	}{
 		{"ingest", serve.Request{Op: serve.OpIngest, Now: 100, Tick: 1, Min: window, Mean: window, Max: window}, 5},
-		{"decide-cached", serve.Request{Op: serve.OpDecide, Now: 101, App: "AMG", Scope: "q1"}, 3},
-		{"decide-unscoped", serve.Request{Op: serve.OpDecide, Now: 101, App: "AMG"}, 2},
-		{"check", serve.Request{Op: serve.OpCheck, Now: 101, App: "Kripke", Class: 1, Age: &age}, 2},
-		{"eval", serve.Request{Op: serve.OpEval, Now: 101, App: "Kripke", Class: 1, Age: &age, Feats: feats}, 2},
+		{"decide-cached", serve.Request{Op: serve.OpDecide, Now: 101, App: "AMG", Scope: "q1"}, 1},
+		{"decide-unscoped", serve.Request{Op: serve.OpDecide, Now: 101, App: "AMG"}, 1},
+		{"check", serve.Request{Op: serve.OpCheck, Now: 101, App: "Kripke", Class: 1, Age: &age}, 1},
+		{"eval", serve.Request{Op: serve.OpEval, Now: 101, App: "Kripke", Class: 1, Age: &age, Feats: feats}, 1},
 	} {
 		const n = 100
 		var bad *serve.Response

@@ -30,17 +30,27 @@ import (
 	"rush/internal/obs"
 )
 
+// Handler is what an event runs when it fires.
+type Handler interface{ Fire() }
+
+// Func adapts a plain function to a Handler.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
 // Event is a scheduled callback. An Event is created by Engine.Schedule or
 // Engine.At and may be cancelled with Engine.Cancel before it fires. The
 // zero Event is an unqueued one, which a caller may embed by value, give
-// an Fn and queue with Engine.Rearm.
+// an Fn and queue with Engine.Rearm; a long-lived owner can be its own
+// Handler, so that arming it makes no closure.
 type Event struct {
 	// Time is the virtual time (in seconds) at which the event fires.
 	Time  float64
 	seq   uint64 // tie-breaker: events at equal time fire in schedule order
 	index int    // position in the heap plus one, 0 when not queued
-	// Fn is the callback invoked when the event fires.
-	Fn        func()
+	// Fn is what the event runs when it fires.
+	Fn        Handler
 	cancelled bool
 	front     bool // front band: fires before normal events at equal time
 	pooled    bool // recycled into the engine freelist after firing
@@ -117,7 +127,7 @@ func (e *Engine) ScheduleOnce(delay float64, fn func()) {
 	}
 	ev := e.newEvent()
 	ev.Time = e.now + delay
-	ev.Fn = fn
+	ev.Fn = Func(fn)
 	ev.seq = e.seq
 	e.seq++
 	ev.pooled = true
@@ -160,7 +170,7 @@ func (e *Engine) at(t float64, fn func(), front bool) *Event {
 	if math.IsNaN(t) || t < e.now {
 		panic(fmt.Sprintf("sim: schedule into the past: t=%v now=%v", t, e.now))
 	}
-	ev := &Event{Time: t, Fn: fn, seq: e.seq, front: front}
+	ev := &Event{Time: t, Fn: Func(fn), seq: e.seq, front: front}
 	e.seq++
 	e.enqueue(ev)
 	e.cScheduled.Inc()
@@ -178,8 +188,8 @@ func (e *Engine) enqueue(ev *Event) {
 }
 
 // Rearm re-times ev to fire at absolute virtual time t, which must not
-// be in the past. It is equivalent to Cancel(ev) followed by
-// At(t, ev.Fn) — the event receives a fresh sequence number, so its
+// be in the past. It is equivalent to Cancel(ev) followed by queueing
+// ev.Fn at t — the event receives a fresh sequence number, so its
 // tie-break position among same-time events is exactly as if it had
 // been newly scheduled — but reuses ev's allocation; a queued event is
 // re-keyed in place (one O(log n) sift, no pop/push pair; inside a
@@ -306,15 +316,15 @@ func (e *Engine) Step() bool {
 	e.now = ev.Time
 	e.fired++
 	e.cFired.Inc()
-	fn := ev.Fn
+	h := ev.Fn
 	if ev.pooled {
-		// Recycle before the callback runs so fn can immediately
+		// Recycle before the callback runs so it can immediately
 		// reuse the slot for its own ScheduleOnce; the event carries
 		// no state the callback could observe.
 		*ev = Event{}
 		e.free = append(e.free, ev)
 	}
-	fn()
+	h.Fire()
 	return true
 }
 

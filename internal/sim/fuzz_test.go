@@ -21,9 +21,23 @@ type opsHarness struct {
 	evs   []*Event   // by id
 	nodes []*refNode // by id, parallel to evs
 
-	pending int      // callbacks registered and not yet run
-	inFire  []func() // what the next firing event does
-	inBatch int      // re-timings of queued events made while a batch suspended heap order
+	pending  int      // callbacks registered and not yet run
+	inFire   []func() // what the next firing event does
+	inBatch  int      // re-timings of queued events made while a batch suspended heap order
+	handlers int      // firings of events whose Handler is not a Func
+}
+
+// handler is a Handler that is not a Func, as a long-lived owner of an
+// event is: every third normal-band event the harness adds is a zero
+// Event carrying one, queued with Rearm.
+type handler struct {
+	h  *opsHarness
+	id int
+}
+
+func (x *handler) Fire() {
+	x.h.handlers++
+	x.h.fired(x.id)
 }
 
 // next returns the next input byte, or 0 once the input is spent.
@@ -54,9 +68,13 @@ func (h *opsHarness) add(t float64, front bool) {
 	id := len(h.evs)
 	fn := func() { h.fired(id) }
 	var ev *Event
-	if front {
+	switch {
+	case front:
 		ev = h.eng.AtFront(t, fn)
-	} else {
+	case id%3 == 2:
+		ev = &Event{Fn: &handler{h, id}}
+		h.eng.Rearm(ev, t)
+	default:
 		ev = h.eng.At(t, fn)
 	}
 	h.track(ev, t, front)
@@ -260,13 +278,16 @@ func FuzzEngineOps(f *testing.F) {
 
 // TestEngineOpsSeedsRetimeInBatch pins what the seed corpus covers
 // under plain go test: a BeforeRead callback re-timing queued events
-// while a batch holds heap order suspended.
+// while a batch holds heap order suspended, and events whose Handler is
+// not a Func firing in the model's order.
 func TestEngineOpsSeedsRetimeInBatch(t *testing.T) {
-	inBatch := 0
+	inBatch, handlers := 0, 0
 	for _, s := range engineOpsSeeds {
-		inBatch += runEngineOps(t, s).inBatch
+		h := runEngineOps(t, s)
+		inBatch += h.inBatch
+		handlers += h.handlers
 	}
-	if inBatch == 0 {
-		t.Fatal("no seed re-times a queued event inside a batch")
+	if inBatch == 0 || handlers == 0 {
+		t.Fatalf("the seeds re-time %d queued events inside a batch and fire %d non-Func handlers; want both", inBatch, handlers)
 	}
 }

@@ -3,6 +3,7 @@ package simnet
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"rush/internal/cluster"
@@ -147,13 +148,44 @@ func TestChangeDirtinessIsOverloadLevel(t *testing.T) {
 	}
 }
 
+// loadList is c's network load in the list form ApplyLoads takes.
+func loadList(c Contribution) ([]int, []float64) {
+	var pods []int
+	for p := range c.PodNet {
+		pods = append(pods, p)
+	}
+	slices.Sort(pods)
+	loads := make([]float64, len(pods))
+	for i, p := range pods {
+		loads[i] = c.PodNet[p]
+	}
+	return pods, loads
+}
+
+// recordChanges returns the changes s notifies, pods copied, in order.
+func recordChanges(s *State) *[]Change {
+	var log []Change
+	s.SubscribeChanges(func(ch Change) {
+		log = append(log, Change{Pods: slices.Clone(ch.Pods), Core: ch.Core, FS: ch.FS})
+	})
+	return &log
+}
+
 // TestIncrementalMatchesFullRecomputation is the property test for the
 // dirty-pod protocol: over a long random mutation sequence on a
 // multi-pod machine, maintaining per-pod contention factors only from
 // Change notifications must track a full recomputation from raw state
-// exactly — same values, bit for bit, and no missed transitions.
+// exactly — same values, bit for bit, and no missed transitions. A
+// second state fed the same sequence in the list form (ApplyLoads,
+// RemoveLoads) must match the map form, its oracle, bit for bit after
+// every step: loads, factors, notifications and history windows.
 func TestIncrementalMatchesFullRecomputation(t *testing.T) {
 	s, now := multiPodState(t)
+	l, err := NewState(s.Topology(), func() float64 { return *now })
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapChanges, listChanges := recordChanges(s), recordChanges(l)
 	pods := s.Topology().Pods()
 	rng := sim.NewSource(7)
 
@@ -178,6 +210,8 @@ func TestIncrementalMatchesFullRecomputation(t *testing.T) {
 		if len(applied) > 0 && rng.Bool(0.4) {
 			i := rng.Intn(len(applied))
 			s.Remove(applied[i])
+			ps, ls := loadList(applied[i])
+			l.RemoveLoads(ps, ls, applied[i].Core, applied[i].FS)
 			applied[i] = applied[len(applied)-1]
 			applied = applied[:len(applied)-1]
 		} else {
@@ -192,8 +226,15 @@ func TestIncrementalMatchesFullRecomputation(t *testing.T) {
 				c.FS = rng.Uniform(0, 0.4)
 			}
 			s.Apply(c)
+			ps, ls := loadList(c)
+			l.ApplyLoads(ps, ls, c.Core, c.FS)
 			applied = append(applied, c)
 		}
+		sameState(t, step, s, l, *now-8) // earlier epochs are final
+		if !reflect.DeepEqual(*mapChanges, *listChanges) {
+			t.Fatalf("step %d: map form notified %v, list form %v", step, *mapChanges, *listChanges)
+		}
+		*mapChanges, *listChanges = (*mapChanges)[:0], (*listChanges)[:0]
 		// Full recomputation from raw loads.
 		for p := 0; p < pods; p++ {
 			if full := Overload(s.NetLoad(p)); full != inc[p] {
@@ -207,8 +248,29 @@ func TestIncrementalMatchesFullRecomputation(t *testing.T) {
 			t.Fatalf("step %d fs: incremental %v != full %v", step, incFS, full)
 		}
 	}
+	sameState(t, -1, s, l, 0)
 	if math.IsNaN(incCore) || math.IsNaN(incFS) {
 		t.Fatal("factors went NaN")
+	}
+}
+
+// sameState fails unless the list-form state l holds what the map-form
+// state s does, bit for bit: loads, factors and the history since from.
+func sameState(t *testing.T, step int, s, l *State, from float64) {
+	t.Helper()
+	for p := 0; p < s.Topology().Pods(); p++ {
+		if s.NetLoad(p) != l.NetLoad(p) || s.NetOverload(p) != l.NetOverload(p) {
+			t.Fatalf("step %d pod %d: map form %v (factor %v), list form %v (factor %v)",
+				step, p, s.NetLoad(p), s.NetOverload(p), l.NetLoad(p), l.NetOverload(p))
+		}
+	}
+	if s.CoreLoad() != l.CoreLoad() || s.CoreOverload() != l.CoreOverload() ||
+		s.FSLoad() != l.FSLoad() || s.FSOverload() != l.FSOverload() {
+		t.Fatalf("step %d: map form core %v fs %v, list form core %v fs %v", step, s.CoreLoad(), s.FSLoad(), l.CoreLoad(), l.FSLoad())
+	}
+	want := s.History().WindowInto(from, math.Inf(1), nil)
+	if got := l.History().WindowInto(from, math.Inf(1), nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("step %d: list-form history %v, map form %v", step, got, want)
 	}
 }
 

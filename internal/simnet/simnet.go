@@ -27,7 +27,7 @@
 // globals crossed to a different contention factor, so a machine with
 // hundreds of running jobs re-integrates only the jobs whose inputs
 // moved. Mutations apply pod loads in ascending pod order
-// regardless of how the Contribution map iterates, keeping every
+// regardless of how a Contribution map iterates, keeping every
 // notification — and everything downstream of it — deterministic.
 //
 // # Cached contention factors
@@ -49,8 +49,9 @@ import (
 	"rush/internal/cluster"
 )
 
-// Contribution is one source's additive load. Network load is per pod;
-// core-link and filesystem load are global.
+// Contribution is one source's additive load in the ambient-load form
+// (State.Apply); running jobs use the list form, ApplyLoads. Network load
+// is per pod; core-link and filesystem load are global.
 type Contribution struct {
 	// PodNet maps pod index -> network load injected into that pod.
 	PodNet map[int]float64
@@ -96,8 +97,9 @@ type State struct {
 	hist   *History
 	chSubs []func(Change)
 
-	keyBuf   []int // sorted Contribution pods, reused across mutations
-	dirtyBuf []int // pods whose Overload changed, reused across mutations
+	keyBuf   []int     // sorted Contribution pods, reused across mutations
+	loadBuf  []float64 // their loads, parallel to keyBuf
+	dirtyBuf []int     // pods whose Overload changed, reused across mutations
 	inMutate bool
 }
 
@@ -129,40 +131,60 @@ func (s *State) Topology() cluster.Topology { return s.topo }
 // call.
 func (s *State) SubscribeChanges(fn func(Change)) { s.chSubs = append(s.chSubs, fn) }
 
-// Apply adds a contribution to the current load.
-func (s *State) Apply(c Contribution) {
-	s.mutate(c, +1)
-}
+// Apply adds an ambient-load contribution to the current load: its pods
+// are sorted and handed to the same mutation as ApplyLoads.
+func (s *State) Apply(c Contribution) { s.mutateMap(c, +1) }
 
 // Remove subtracts a previously applied contribution. Small negative
 // residues from float round-off are clamped to zero.
-func (s *State) Remove(c Contribution) {
-	s.mutate(c, -1)
+func (s *State) Remove(c Contribution) { s.mutateMap(c, -1) }
+
+// ApplyLoads adds loads[i] to the network load of pods[i], core to the
+// core links and fs to the filesystem. pods must be ascending, distinct
+// and in range, loads as long.
+func (s *State) ApplyLoads(pods []int, loads []float64, core, fs float64) {
+	s.mutate(pods, loads, core, fs, +1)
 }
 
-func (s *State) mutate(c Contribution, sign float64) {
+// RemoveLoads subtracts what ApplyLoads added, clamping as Remove does.
+func (s *State) RemoveLoads(pods []int, loads []float64, core, fs float64) {
+	s.mutate(pods, loads, core, fs, -1)
+}
+
+// mutateMap lists c's pods in ascending order, so that the dirty set and
+// every notification built from it do not depend on map iteration.
+func (s *State) mutateMap(c Contribution, sign float64) {
+	keys := s.keyBuf[:0]
+	for pod := range c.PodNet {
+		keys = append(keys, pod)
+	}
+	sort.Ints(keys)
+	loads := s.loadBuf[:0]
+	for _, pod := range keys {
+		loads = append(loads, c.PodNet[pod])
+	}
+	s.keyBuf, s.loadBuf = keys, loads
+	s.mutate(keys, loads, c.Core, c.FS, sign)
+}
+
+// mutate is the one mutation core, which both forms call. A pod list that
+// is not ascending, distinct and in range panics before any load moves.
+func (s *State) mutate(pods []int, loads []float64, core, fs, sign float64) {
 	if s.inMutate {
 		panic("simnet: re-entrant mutation from a subscriber callback")
+	}
+	for i, pod := range pods {
+		if pod < 0 || pod >= len(s.podNet) || i > 0 && pod <= pods[i-1] {
+			panic(fmt.Sprintf("simnet: pods %v are not ascending, distinct and in range (%d pods)", pods, len(s.podNet)))
+		}
 	}
 	s.inMutate = true
 	defer func() { s.inMutate = false }()
 
-	// Pod loads are applied in ascending pod order. Each pod's update is
-	// independent, so the final loads are bit-identical to any other
-	// order — sorting exists so the dirty set, and every notification
-	// built from it, is deterministic regardless of map iteration.
-	keys := s.keyBuf[:0]
-	for pod := range c.PodNet {
-		if pod < 0 || pod >= len(s.podNet) {
-			panic(fmt.Sprintf("simnet: pod %d out of range (%d pods)", pod, len(s.podNet)))
-		}
-		keys = append(keys, pod)
-	}
-	sort.Ints(keys)
 	dirty := s.dirtyBuf[:0]
-	for _, pod := range keys {
+	for i, pod := range pods {
 		old := s.podNet[pod]
-		nv := old + sign*c.PodNet[pod]
+		nv := old + sign*loads[i]
 		if nv < 0 {
 			if nv < -1e-9 {
 				panic(fmt.Sprintf("simnet: pod %d load went negative: %v", pod, nv))
@@ -180,7 +202,7 @@ func (s *State) mutate(c Contribution, sign float64) {
 	}
 	var coreDirty, fsDirty bool
 	oldCore := s.core
-	nv := oldCore + sign*c.Core
+	nv := oldCore + sign*core
 	if nv < 0 {
 		if nv < -1e-9 {
 			panic(fmt.Sprintf("simnet: core load went negative: %v", nv))
@@ -195,7 +217,7 @@ func (s *State) mutate(c Contribution, sign float64) {
 		}
 	}
 	oldFS := s.fs
-	nv = oldFS + sign*c.FS
+	nv = oldFS + sign*fs
 	if nv < 0 {
 		if nv < -1e-9 {
 			panic(fmt.Sprintf("simnet: fs load went negative: %v", nv))
@@ -212,7 +234,7 @@ func (s *State) mutate(c Contribution, sign float64) {
 	// History records every raw-load epoch even when no contention
 	// factor moved: telemetry samples raw loads, not just overloads.
 	s.hist.append(s.now(), s.podNet, s.core, s.fs)
-	s.keyBuf, s.dirtyBuf = keys, dirty
+	s.dirtyBuf = dirty
 	if len(s.chSubs) > 0 {
 		ch := Change{Pods: dirty, Core: coreDirty, FS: fsDirty}
 		for _, fn := range s.chSubs {

@@ -264,6 +264,24 @@ func TestMutatePanicsOnBadPodAndNegativeCore(t *testing.T) {
 		}()
 		s.Remove(Contribution{Core: 0.5})
 	}()
+	for name, pods := range map[string][]int{
+		"descending pods":     {2, 1},
+		"a duplicate pod":     {1, 1},
+		"a pod past the last": {0, 4},
+		"a negative pod":      {-1, 0},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a list with %s should panic", name)
+				}
+			}()
+			s.ApplyLoads(pods, []float64{0.1, 0.1}, 0, 0)
+		}()
+		if s.NetLoad(0) != 0 || s.NetLoad(1) != 0 || s.NetLoad(2) != 0 {
+			t.Fatalf("a list with %s moved a load before panicking", name)
+		}
+	}
 }
 
 func TestProbeIdleDuration(t *testing.T) {
