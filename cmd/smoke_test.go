@@ -196,6 +196,10 @@ func TestCommandsSmoke(t *testing.T) {
 	if again := run(t, bin, "rush-collect", "-days", "2", "-out", filepath.Join(dir, "again.csv")); !bytes.Equal(collected, again) {
 		t.Errorf("rush-collect output differs between two runs:\n%s\n---\n%s", collected, again)
 	}
+	// More nodes per run than the machine has is an error, not a campaign
+	// of zero samples.
+	wantExit1(t, bin, "rush-collect", []string{"-days", "2", "-nodes", "5000", "-out", filepath.Join(dir, "big.csv")},
+		"5000 nodes per run exceed the 768-node machine")
 	// The per-application summary lines come in name order.
 	var apps []string
 	for _, line := range strings.Split(string(collected), "\n") {

@@ -34,6 +34,10 @@ var (
 type pkgDecls struct {
 	top     map[string]bool
 	members map[string]map[string]bool
+	// funcs and fields are the exported functions ("Name"), methods and
+	// struct fields ("Type.Name") of exported types that the package's
+	// non-test files declare.
+	funcs, fields map[string]bool
 }
 
 // architectureCeiling is ARCHITECTURE.md's length in lines at the change
@@ -327,7 +331,7 @@ func commandFlags(t *testing.T) map[string]map[string]bool {
 }
 
 func newDecls() *pkgDecls {
-	return &pkgDecls{top: map[string]bool{}, members: map[string]map[string]bool{}}
+	return &pkgDecls{top: map[string]bool{}, members: map[string]map[string]bool{}, funcs: map[string]bool{}, fields: map[string]bool{}}
 }
 
 // parseDecls lists what the Go files of dir declare, tests included.
@@ -364,10 +368,19 @@ func (d *pkgDecls) addFile(t *testing.T, path string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	prod := !strings.HasSuffix(path, "_test.go")
+	exported := func(typ, name string) {
+		if prod && token.IsExported(typ) && token.IsExported(name) {
+			d.funcs[typ+"."+name] = true
+		}
+	}
 	fields := func(typ string, list *ast.FieldList) {
 		for _, field := range list.List {
 			for _, name := range field.Names {
 				d.member(typ, name.Name)
+				if prod && token.IsExported(typ) && name.IsExported() {
+					d.fields[typ+"."+name.Name] = true
+				}
 			}
 		}
 	}
@@ -376,16 +389,14 @@ func (d *pkgDecls) addFile(t *testing.T, path string) {
 		case *ast.FuncDecl:
 			if decl.Recv == nil {
 				d.top[decl.Name.Name] = true
+				if prod && decl.Name.IsExported() {
+					d.funcs[decl.Name.Name] = true
+				}
 				continue
 			}
-			recv := decl.Recv.List[0].Type
-			if star, ok := recv.(*ast.StarExpr); ok {
-				recv = star.X
-			}
-			if idx, ok := recv.(*ast.IndexExpr); ok {
-				recv = idx.X
-			}
-			d.member(fmt.Sprint(recv), decl.Name.Name)
+			recv := receiverName(decl)
+			d.member(recv, decl.Name.Name)
+			exported(recv, decl.Name.Name)
 		case *ast.GenDecl:
 			for _, spec := range decl.Specs {
 				switch spec := spec.(type) {
@@ -395,7 +406,11 @@ func (d *pkgDecls) addFile(t *testing.T, path string) {
 					case *ast.StructType:
 						fields(spec.Name.Name, typ.Fields)
 					case *ast.InterfaceType:
-						fields(spec.Name.Name, typ.Methods)
+						for _, m := range typ.Methods.List {
+							for _, name := range m.Names {
+								d.member(spec.Name.Name, name.Name)
+							}
+						}
 					}
 				case *ast.ValueSpec:
 					for _, name := range spec.Names {
@@ -405,4 +420,17 @@ func (d *pkgDecls) addFile(t *testing.T, path string) {
 			}
 		}
 	}
+}
+
+// receiverName is the type name a method is declared on, without its
+// pointer or type parameters.
+func receiverName(fn *ast.FuncDecl) string {
+	recv := fn.Recv.List[0].Type
+	if star, ok := recv.(*ast.StarExpr); ok {
+		recv = star.X
+	}
+	if idx, ok := recv.(*ast.IndexExpr); ok {
+		recv = idx.X
+	}
+	return fmt.Sprint(recv)
 }

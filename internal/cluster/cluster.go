@@ -153,7 +153,6 @@ type Allocator struct {
 	down     []bool // down[i] == true when node i is out of service
 	used     int    // allocated nodes
 	downFree int    // nodes both free and down (unallocatable)
-	downAll  int    // all down nodes
 
 	// freeByPod[p] counts nodes in pod p that are free and in service.
 	// Maintained incrementally so Alloc scans pods, not nodes.
@@ -188,9 +187,6 @@ func (a *Allocator) FreeCount() int { return a.topo.Nodes - a.used - a.downFree 
 // UsedCount returns the number of currently allocated nodes.
 func (a *Allocator) UsedCount() int { return a.used }
 
-// DownCount returns the number of out-of-service nodes.
-func (a *Allocator) DownCount() int { return a.downAll }
-
 // Down reports whether node n is out of service.
 func (a *Allocator) Down(n NodeID) bool {
 	return int(n) >= 0 && int(n) < a.topo.Nodes && a.down[n]
@@ -208,7 +204,6 @@ func (a *Allocator) MarkDown(n NodeID) error {
 		return nil
 	}
 	a.down[n] = true
-	a.downAll++
 	if a.free[n] {
 		a.downFree++
 		a.freeByPod[a.topo.PodOf(n)]--
@@ -225,7 +220,6 @@ func (a *Allocator) MarkUp(n NodeID) error {
 		return nil
 	}
 	a.down[n] = false
-	a.downAll--
 	if a.free[n] {
 		a.downFree--
 		a.freeByPod[a.topo.PodOf(n)]++

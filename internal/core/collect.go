@@ -24,23 +24,22 @@ const Day = 86400.0
 // CollectConfig controls a collection campaign. The defaults reproduce
 // the paper's campaign shape: months of runs, two to three per app per
 // day, on a multi-pod slice of the machine, including a high-contention
-// incident mid-campaign (the paper's mid-December spike).
+// incident mid-campaign (the paper's mid-December spike). The control
+// jobs are always the seven proxy applications of apps.Defaults, and the
+// ambient contention is the fixed process described at ambient.
 type CollectConfig struct {
 	// Days is the campaign length (default 120).
 	Days int
 	// Topo is the machine the campaign runs on (default QuartzSlice).
 	Topo cluster.Topology
-	// Apps are the control-job profiles (default apps.Defaults()).
-	Apps []apps.Profile
-	// Nodes is the per-run node count (default 16, as in the paper).
+	// Nodes is the per-run node count (default 16, as in the paper). It
+	// may not exceed Topo.Nodes.
 	Nodes int
 	// Seed drives every stochastic component of the campaign.
 	Seed int64
 	// Incident enables a two-week high-contention window in the middle
 	// of the campaign.
 	Incident bool
-	// Ambient shapes the background contention; zero value = defaults.
-	Ambient AmbientConfig
 }
 
 // QuartzSlice is the collection topology: four 192-node pods, a slice of
@@ -57,85 +56,36 @@ func (c *CollectConfig) fill() {
 	if c.Topo.Nodes == 0 {
 		c.Topo = QuartzSlice()
 	}
-	if len(c.Apps) == 0 {
-		c.Apps = apps.Defaults()
-	}
 	if c.Nodes <= 0 {
 		c.Nodes = 16
 	}
-	c.Ambient.fill()
 }
 
-// AmbientConfig shapes the background contention the rest of the machine
-// generates: a diurnal swing and a small wandering burst component, plus
-// an episodic congestion process — on a real machine contention arrives
-// as discrete episodes (a checkpoint storm, a misbehaving job) that last
-// on the order of hours, and those episodes are what the variability
-// predictor learns to recognize. Everything is shared across pods with
-// small per-pod deviations because congestion correlates cluster-wide.
-type AmbientConfig struct {
-	// Base is the mean network load.
-	Base float64
-	// DiurnalAmp is the amplitude of the day/night swing.
-	DiurnalAmp float64
-	// BurstSigma is the innovation scale of the shared burst process.
-	BurstSigma float64
-	// PodSigma is the per-pod deviation scale.
-	PodSigma float64
-	// FSBase is the mean filesystem load.
-	FSBase float64
-	// IncidentBoost is added during the incident window.
-	IncidentBoost float64
-	// UpdateEvery is the ambient refresh period in seconds.
-	UpdateEvery float64
-	// Persistence is the AR(1) coefficient of the burst processes per
-	// update step.
-	Persistence float64
-	// EpisodeEvery is the mean time between congestion episodes in
-	// seconds.
-	EpisodeEvery float64
-	// EpisodeDuration is the mean length of one episode in seconds.
-	EpisodeDuration float64
-	// EpisodeLoad bounds the extra load an episode injects; each
-	// episode's amplitude is drawn uniformly from this range.
-	EpisodeLoad [2]float64
-}
-
-func (a *AmbientConfig) fill() {
-	if a.Base == 0 {
-		a.Base = 0.42
-	}
-	if a.DiurnalAmp == 0 {
-		a.DiurnalAmp = 0.10
-	}
-	if a.BurstSigma == 0 {
-		a.BurstSigma = 0.020
-	}
-	if a.PodSigma == 0 {
-		a.PodSigma = 0.012
-	}
-	if a.FSBase == 0 {
-		a.FSBase = 0.38
-	}
-	if a.IncidentBoost == 0 {
-		a.IncidentBoost = 0.26
-	}
-	if a.UpdateEvery == 0 {
-		a.UpdateEvery = 300
-	}
-	if a.Persistence == 0 {
-		a.Persistence = 0.95
-	}
-	if a.EpisodeEvery == 0 {
-		a.EpisodeEvery = 10 * 3600
-	}
-	if a.EpisodeDuration == 0 {
-		a.EpisodeDuration = 1.5 * 3600
-	}
-	if a.EpisodeLoad == [2]float64{} {
-		a.EpisodeLoad = [2]float64{0.30, 0.60}
-	}
-}
+// The ambient contention the rest of the machine generates: a diurnal
+// swing and a small wandering burst component, plus an episodic
+// congestion process — on a real machine contention arrives as discrete
+// episodes (a checkpoint storm, a misbehaving job) that last on the
+// order of hours, and those episodes are what the variability predictor
+// learns to recognize. Everything is shared across pods with small
+// per-pod deviations because congestion correlates cluster-wide.
+const (
+	ambientBase        float64 = 0.42  // mean network load
+	ambientDiurnalAmp  float64 = 0.10  // amplitude of the day/night swing
+	ambientBurstSigma  float64 = 0.020 // innovation scale of the shared burst process
+	ambientPodSigma    float64 = 0.012 // per-pod deviation scale
+	ambientFSBase      float64 = 0.38  // mean filesystem load
+	incidentBoost      float64 = 0.26  // load added during the incident window
+	ambientUpdateEvery float64 = 300   // refresh period, seconds
+	// ambientPersistence is the AR(1) coefficient of the burst
+	// processes per update step.
+	ambientPersistence float64 = 0.95
+	episodeEvery       float64 = 10 * 3600  // mean time between episodes, seconds
+	episodeDuration    float64 = 1.5 * 3600 // mean length of one episode, seconds
+	// Each episode's extra load is drawn uniformly from
+	// [episodeLoadMin, episodeLoadMax).
+	episodeLoadMin float64 = 0.30
+	episodeLoadMax float64 = 0.60
+)
 
 // CollectResult carries the two datasets the paper compares: features
 // aggregated over the job's own nodes versus over the whole machine.
@@ -150,6 +100,9 @@ type CollectResult struct {
 // datasets. It is deterministic for a given configuration.
 func Collect(cfg CollectConfig) (*CollectResult, error) {
 	cfg.fill()
+	if cfg.Nodes > cfg.Topo.Nodes {
+		return nil, fmt.Errorf("core: %d nodes per run exceed the %d-node machine", cfg.Nodes, cfg.Topo.Nodes)
+	}
 	eng := sim.New(cfg.Seed)
 	m, err := machine.New(eng, cfg.Topo)
 	if err != nil {
@@ -166,7 +119,7 @@ func Collect(cfg CollectConfig) (*CollectResult, error) {
 	horizon := float64(cfg.Days) * Day
 	var errs []error
 	allNodes := telemetry.AllNodes(m.Topo)
-	for ai, profile := range cfg.Apps {
+	for ai, profile := range apps.Defaults() {
 		profile := profile
 		rng := runRng.DeriveN("app", ai)
 		for d := 0; d < cfg.Days; d++ {
@@ -181,17 +134,8 @@ func Collect(cfg CollectConfig) (*CollectResult, error) {
 			}
 		}
 	}
-	// Prune telemetry history hourly to bound memory over long campaigns,
-	// and tell the sampler, whose stored rows from before the cut no
-	// longer match what the pruned history would give.
-	for h := 1; float64(h)*3600 <= horizon; h++ {
-		t := float64(h) * 3600
-		eng.At(t, func() {
-			cut := eng.Now() - 2*telemetry.WindowSeconds
-			m.Net.History().Prune(cut)
-			m.Sampler.Prune(cut)
-		})
-	}
+	// Prune telemetry history hourly to bound memory over long campaigns.
+	m.StartPruning(3600, 2*telemetry.WindowSeconds)
 
 	eng.RunUntil(horizon + 2*3600) // let the final runs drain
 	amb.stop()
@@ -235,7 +179,8 @@ func collectOneRun(m *machine.Machine, profile apps.Profile, nodes int, allNodes
 	return nil
 }
 
-// ambient drives the background contention process.
+// ambient drives the background contention process (see ambientBase
+// and the constants beside it).
 type ambient struct {
 	m        *machine.Machine
 	cfg      CollectConfig
@@ -273,36 +218,35 @@ func (a *ambient) step() {
 	if a.stopped {
 		return
 	}
-	ac := a.cfg.Ambient
 	t := a.m.Eng.Now()
 	// Shared burst: an AR(1) walk that decays toward zero.
-	a.burst = ac.Persistence*a.burst + a.rng.Normal(0, ac.BurstSigma)
-	a.fsDev = ac.Persistence*a.fsDev + a.rng.Normal(0, ac.BurstSigma)
+	a.burst = ambientPersistence*a.burst + a.rng.Normal(0, ambientBurstSigma)
+	a.fsDev = ambientPersistence*a.fsDev + a.rng.Normal(0, ambientBurstSigma)
 	// Episodic congestion: a two-state process. Episodes begin at rate
-	// 1/EpisodeEvery, end at rate 1/EpisodeDuration, and carry a
+	// 1/episodeEvery, end at rate 1/episodeDuration, and carry a
 	// uniformly drawn amplitude for their whole lifetime.
 	if a.episode == 0 {
-		if a.rng.Bool(ac.UpdateEvery / ac.EpisodeEvery) {
-			a.episode = a.rng.Uniform(ac.EpisodeLoad[0], ac.EpisodeLoad[1])
+		if a.rng.Bool(ambientUpdateEvery / episodeEvery) {
+			a.episode = a.rng.Uniform(episodeLoadMin, episodeLoadMax)
 		}
-	} else if a.rng.Bool(ac.UpdateEvery / ac.EpisodeDuration) {
+	} else if a.rng.Bool(ambientUpdateEvery / episodeDuration) {
 		a.episode = 0
 	}
-	diurnal := ac.DiurnalAmp * math.Sin(2*math.Pi*t/Day)
+	diurnal := ambientDiurnalAmp * math.Sin(2*math.Pi*t/Day)
 	boost := a.episode
 	if a.cfg.Incident && t >= a.incident[0] && t < a.incident[1] {
-		boost += ac.IncidentBoost
+		boost += incidentBoost
 	}
-	shared := ac.Base + diurnal + a.burst + boost
+	shared := ambientBase + diurnal + a.burst + boost
 
 	podNet := map[int]float64{}
 	for p := range a.podDev {
-		a.podDev[p] = ac.Persistence*a.podDev[p] + a.rng.Normal(0, ac.PodSigma)
+		a.podDev[p] = ambientPersistence*a.podDev[p] + a.rng.Normal(0, ambientPodSigma)
 		podNet[p] = clamp(shared+a.podDev[p], 0, 1.45)
 	}
-	fs := clamp(ac.FSBase+0.7*(a.burst+boost)+a.fsDev, 0, 1.35)
+	fs := clamp(ambientFSBase+0.7*(a.burst+boost)+a.fsDev, 0, 1.35)
 	a.bg.Set(simnet.Contribution{PodNet: podNet, FS: fs})
-	a.m.Eng.Schedule(ac.UpdateEvery, a.step)
+	a.m.Eng.Schedule(ambientUpdateEvery, a.step)
 }
 
 func clamp(v, lo, hi float64) float64 {

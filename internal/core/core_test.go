@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -115,6 +117,62 @@ func TestCollectDeterministic(t *testing.T) {
 				t.Fatalf("sample %d feature %d differs", i, j)
 			}
 		}
+	}
+}
+
+// campaignDigest is FNV-64a over every sample of both scopes: the app
+// name, node count, and the bits of the start time, run time and each
+// feature, in dataset order.
+func campaignDigest(res *CollectResult) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	word := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for _, d := range []*dataset.Dataset{res.JobScope, res.AllScope} {
+		word(uint64(d.Len()))
+		for _, s := range d.Samples {
+			h.Write([]byte(s.App))
+			word(uint64(s.Nodes))
+			word(math.Float64bits(s.StartTime))
+			word(math.Float64bits(s.RunTime))
+			for _, f := range s.Features {
+				word(math.Float64bits(f))
+			}
+		}
+	}
+	return h.Sum64()
+}
+
+// TestCollectBytesPinned pins a short incident campaign's bytes, so a
+// change to the ambient process, the run schedule, the pruning or the
+// sampler that moves any collected value shows here and not only in a
+// trained model downstream.
+func TestCollectBytesPinned(t *testing.T) {
+	const want = 0xeeda386cbd63eb99
+	res, err := Collect(CollectConfig{Days: 3, Seed: 9, Incident: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := campaignDigest(res); got != want {
+		t.Fatalf("campaign digest %#016x over %d samples, want %#016x", got, res.JobScope.Len(), uint64(want))
+	}
+}
+
+// TestCollectRejectsOversizedRuns pins that a per-run node count past the
+// machine fails the campaign rather than skipping every run as if the
+// machine were briefly full.
+func TestCollectRejectsOversizedRuns(t *testing.T) {
+	if _, err := Collect(CollectConfig{Days: 1, Nodes: QuartzSlice().Nodes + 1}); err == nil {
+		t.Fatal("a run larger than the machine collected without error")
+	}
+	res, err := Collect(CollectConfig{Days: 1, Nodes: QuartzSlice().Nodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.JobScope.Len() == 0 {
+		t.Fatal("runs as large as the machine collected nothing")
 	}
 }
 

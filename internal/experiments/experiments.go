@@ -43,9 +43,6 @@ const (
 type Config struct {
 	// Topo is the reservation (default cluster.Pod512, as in the paper).
 	Topo cluster.Topology
-	// Noise configures the all-to-all noise job (default
-	// apps.DefaultNoise).
-	Noise apps.Noise
 	// UseSJF replaces the FCFS queue ordering, and with it the order EASY
 	// scans backfill candidates in, with shortest-job-first — the paper
 	// notes RUSH composes with any static queue-ordering policy (ablation
@@ -102,9 +99,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.Topo.Nodes == 0 {
 		c.Topo = cluster.Pod512()
-	}
-	if c.Noise == (apps.Noise{}) {
-		c.Noise = apps.DefaultNoise()
 	}
 	if c.MaxSimTime <= 0 {
 		c.MaxSimTime = 6 * 3600
@@ -244,7 +238,7 @@ func newTrialEnv(name string, policy Policy, pred *core.Predictor, seed int64, c
 	// Trials never hand *RunningJob to callers, so job-state pooling is
 	// always safe here and keeps machine-scale churn allocation-bounded.
 	m.PoolJobs = true
-	noise, err := m.StartNoise(cfg.Noise)
+	noise, err := m.StartNoise(apps.DefaultNoise())
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}

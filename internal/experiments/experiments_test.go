@@ -145,12 +145,13 @@ func TestRUSHImprovesMaxRunTimes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	imp := MaxRunTimeImprovement(cmp.Baseline, cmp.RUSH)
+	imp := MaxRunTimeImprovementByNodes(cmp.Baseline, cmp.RUSH)
 	if len(imp) != 7 {
 		t.Fatalf("improvement covers %d apps", len(imp))
 	}
 	better := 0
-	for app, v := range imp {
+	for app, byNodes := range imp {
+		v := byNodes[16]
 		if v > 0 {
 			better++
 		}
@@ -279,9 +280,9 @@ func TestMaxRunTimeImprovementMath(t *testing.T) {
 		{App: "A", Nodes: 16, RunTime: 100},
 		{App: "A", Nodes: 16, RunTime: 180},
 	}}}
-	imp := MaxRunTimeImprovement(base, rush)
-	if math.Abs(imp["A"]-10) > 1e-9 {
-		t.Fatalf("improvement = %v, want 10%%", imp["A"])
+	imp := MaxRunTimeImprovementByNodes(base, rush)
+	if math.Abs(imp["A"][16]-10) > 1e-9 {
+		t.Fatalf("improvement = %v, want 10%%", imp["A"][16])
 	}
 }
 

@@ -116,26 +116,10 @@ func SummaryByApp(trials []*Trial) map[string]stats.Summary {
 	return out
 }
 
-// MaxRunTimeImprovement returns, per application, the percent reduction
-// of the maximum run time under RUSH relative to the baseline (positive =
-// RUSH better) — Figure 9's metric and the paper's headline "up to 5.8%".
-func MaxRunTimeImprovement(baseline, rush []*Trial) map[string]float64 {
-	b := RunTimesByApp(baseline)
-	r := RunTimesByApp(rush)
-	out := map[string]float64{}
-	for app, bts := range b {
-		rts, ok := r[app]
-		if !ok || len(bts) == 0 || len(rts) == 0 {
-			continue
-		}
-		bm, rm := stats.Max(bts), stats.Max(rts)
-		out[app] = 100 * (bm - rm) / bm
-	}
-	return out
-}
-
-// MaxRunTimeImprovementByNodes is MaxRunTimeImprovement split by node
-// count (for the WS/SS figures).
+// MaxRunTimeImprovementByNodes returns, per application and node count,
+// the percent reduction of the maximum run time under RUSH relative to
+// the baseline (positive = RUSH better) — Figure 9's metric and the
+// paper's headline "up to 5.8%".
 func MaxRunTimeImprovementByNodes(baseline, rush []*Trial) map[string]map[int]float64 {
 	b := RunTimesByAppNodes(baseline)
 	r := RunTimesByAppNodes(rush)

@@ -110,9 +110,9 @@ func eagerTrace(t *testing.T, name string, jobs []workload.SubmittedJob, seed in
 		sj := sj
 		env.eng.At(sj.SubmitAt, func() { env.s.Submit(sj.Job) })
 	}
-	for len(env.s.Completed()) < len(jobs) {
+	for env.s.CompletedCount() < len(jobs) {
 		if !env.eng.Step() {
-			t.Fatalf("event queue drained with %d/%d jobs incomplete", len(env.s.Completed()), len(jobs))
+			t.Fatalf("event queue drained with %d/%d jobs incomplete", env.s.CompletedCount(), len(jobs))
 		}
 	}
 	env.noise.Stop()

@@ -33,31 +33,28 @@ type Config struct {
 	// node at one tick is dropped, in [0, 1].
 	TelemetryLoss float64
 	// FreezeProb is the probability that a node's counters freeze for a
-	// whole freeze window (the sampler then repeats the window's first
-	// tick — the classic stuck-collector failure), in [0, 1].
+	// whole freeze window of 10 ticks (the sampler then repeats the
+	// window's first tick — the classic stuck-collector failure), in
+	// [0, 1].
 	FreezeProb float64
-	// FreezeWindow is the freeze-window length in ticks (default 10).
-	FreezeWindow int64
 
 	// ModelOutage is the long-run fraction of time the predictor service
-	// is unreachable, in [0, 1]. Outages come and go in whole periods:
-	// each ModelOutagePeriod-second interval is down with this
-	// probability. 1 means the model is never reachable.
+	// is unreachable, in [0, 1]. Outages come and go in whole 600 s
+	// periods: each is down with this probability. 1 means the model is
+	// never reachable.
 	ModelOutage float64
-	// ModelOutagePeriod is the outage granularity in seconds (default
-	// 600).
-	ModelOutagePeriod float64
 }
+
+const (
+	// freezeWindow is the length of a telemetry freeze in sampler ticks.
+	freezeWindow int64 = 10
+	// modelOutagePeriod is the outage granularity in seconds.
+	modelOutagePeriod float64 = 600
+)
 
 func (c *Config) fill() {
 	if c.NodeMTBF > 0 && c.NodeMTTR <= 0 {
 		c.NodeMTTR = 1800
-	}
-	if c.FreezeWindow <= 0 {
-		c.FreezeWindow = 10
-	}
-	if c.ModelOutagePeriod <= 0 {
-		c.ModelOutagePeriod = 600
 	}
 }
 
@@ -70,7 +67,7 @@ func (c Config) Validate() error {
 	}{
 		{"node MTBF", c.NodeMTBF}, {"node MTTR", c.NodeMTTR},
 		{"telemetry loss", c.TelemetryLoss}, {"freeze probability", c.FreezeProb},
-		{"model outage", c.ModelOutage}, {"model outage period", c.ModelOutagePeriod},
+		{"model outage", c.ModelOutage},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("faults: %s %v is not a finite number", f.name, f.v)
@@ -163,9 +160,9 @@ func (inj *Injector) ModelDown() func() bool {
 	if inj.cfg.ModelOutage <= 0 {
 		return nil
 	}
-	p, period := inj.cfg.ModelOutage, inj.cfg.ModelOutagePeriod
+	p := inj.cfg.ModelOutage
 	return func() bool {
-		k := uint64(inj.m.Eng.Now() / period)
+		k := uint64(inj.m.Eng.Now() / modelOutagePeriod)
 		return inj.src.HashUnit(hashTag("model-outage"), k) < p
 	}
 }
@@ -220,9 +217,9 @@ func (f *telemetryFaults) SampleTick(node cluster.NodeID, tick int64) int64 {
 	if f.cfg.FreezeProb <= 0 || tick < 0 {
 		return tick
 	}
-	window := tick / f.cfg.FreezeWindow
+	window := tick / freezeWindow
 	if f.src.HashUnit(hashTag("freeze"), uint64(node), uint64(window)) < f.cfg.FreezeProb {
-		return window * f.cfg.FreezeWindow
+		return window * freezeWindow
 	}
 	return tick
 }

@@ -720,6 +720,3 @@ func (b *Background) Set(c simnet.Contribution) {
 	b.current = c
 	b.m.Net.Apply(c)
 }
-
-// Clear withdraws the ambient load.
-func (b *Background) Clear() { b.Set(simnet.Contribution{}) }

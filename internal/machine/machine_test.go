@@ -78,7 +78,7 @@ func TestMidRunLoadChangeIntegrates(t *testing.T) {
 	bg.Set(simnet.Contribution{PodNet: map[int]float64{0: 1.0}})
 	var done *RunningJob
 	m.StartJob(sensitiveProfile(), alloc, 100, func(rj *RunningJob) { done = rj })
-	m.Eng.Schedule(50, bg.Clear)
+	m.Eng.Schedule(50, func() { bg.Set(simnet.Contribution{}) })
 	m.Eng.Run()
 	if done == nil {
 		t.Fatal("job never completed")
@@ -206,7 +206,7 @@ func TestBackgroundSetReplaces(t *testing.T) {
 	if math.Abs(m.Net.FSLoad()-0.2) > 1e-12 {
 		t.Fatalf("background should replace, not add: %v", m.Net.FSLoad())
 	}
-	bg.Clear()
+	bg.Set(simnet.Contribution{})
 	if m.Net.FSLoad() != 0 {
 		t.Fatal("background not cleared")
 	}
@@ -305,8 +305,8 @@ func TestFailNodeKillsVictimAndRestores(t *testing.T) {
 		t.Fatal("killed job must release its allocation")
 	}
 	// The failed node stays out of the pool until restored.
-	if m.Alloc.FreeCount() != 63 || m.Alloc.DownCount() != 1 {
-		t.Fatalf("free=%d down=%d", m.Alloc.FreeCount(), m.Alloc.DownCount())
+	if m.Alloc.FreeCount() != 63 || !m.Alloc.Down(alloc.Nodes[0]) {
+		t.Fatalf("free=%d, failed node down: %v", m.Alloc.FreeCount(), m.Alloc.Down(alloc.Nodes[0]))
 	}
 	if m.Net.NetLoad(0) != 0 {
 		t.Fatal("killed job's load must be withdrawn")

@@ -213,8 +213,8 @@ func (b *bootBufs) grabItems(sz int) []int32 {
 // evaluates cut points at value boundaries, and a bagged fit's uniform
 // unit weights make every prefix statistic there an exact integer
 // count, identical for any permutation of an equal-value run.
-// Non-uniform weights never take this path (FitWeighted presorts its
-// own matrix directly). The one exception is the NaN tail: NaN != NaN,
+// Non-uniform weights never take this path (a weighted fit without a
+// context presorts its own matrix directly). The one exception is the NaN tail: NaN != NaN,
 // so the scan does look inside it, and its order is restored to the
 // canonical ascending-row form with a cheap integer sort below.
 func bootstrapCtx(master *trainCtx, nf, n int, picks []int) *trainCtx {

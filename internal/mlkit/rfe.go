@@ -18,10 +18,11 @@ type RFEConfig struct {
 	Folds int
 	// Seed drives the CV splits.
 	Seed int64
-	// Positive is the class whose F1 is maximized (default 1, the
-	// paper's "variation" label).
-	Positive int
 }
+
+// rfePositive is the class whose F1 RFE maximizes: 1, the paper's binary
+// "variation" label.
+const rfePositive = 1
 
 func (c *RFEConfig) fill() {
 	if c.Step <= 0 || c.Step >= 1 {
@@ -32,9 +33,6 @@ func (c *RFEConfig) fill() {
 	}
 	if c.Folds < 2 {
 		c.Folds = 3
-	}
-	if c.Positive == 0 {
-		c.Positive = 1
 	}
 }
 
@@ -82,7 +80,7 @@ func RFE(factory func() Classifier, x [][]float64, y []int, cfg RFEConfig) (RFER
 		if err != nil {
 			return res, err
 		}
-		cv, err := CrossValidate(factory, sub, y, folds, cfg.Positive)
+		cv, err := CrossValidate(factory, sub, y, folds, rfePositive)
 		if err != nil {
 			return res, fmt.Errorf("mlkit: rfe at %d features: %w", len(active), err)
 		}

@@ -160,22 +160,28 @@ func TestLoadModelRejectsMalformed(t *testing.T) {
 // predict a sample of its own NumFeatures() width, all defined and all
 // missing, without panicking and without hanging (a tree walk is bounded
 // by its node count once child indices are known to increase).
+//
+// Inputs are cut to maxModelInput bytes and the seed models are small
+// (two features, eight samples, every blob under the cap): the fuzzer
+// minimizes each new input by trying to remove every run of its bytes,
+// which on the several-kilobyte blobs of larger models kept it
+// minimizing, not fuzzing, for most of a ten-second run.
 func FuzzLoadModel(f *testing.F) {
-	x, y := synthData(29, 60, 5, 3, 0) // KNN stores x, and JSON has no NaN
+	x, y := synthData(29, 8, 2, 3, 0) // KNN stores x, and JSON has no NaN
 	for _, m := range []Classifier{
-		NewTree(TreeConfig{MaxDepth: 4, Seed: 3}),
-		NewRandomForest(ForestConfig{Trees: 3, MaxDepth: 3, Seed: 4, Workers: 1}),
-		NewExtraTrees(ForestConfig{Trees: 3, MaxDepth: 3, Seed: 5, Workers: 1}),
-		NewAdaBoost(AdaBoostConfig{Rounds: 5, Seed: 6, Workers: 1}),
-		NewAdaBoost(AdaBoostConfig{Rounds: 3, Depth: 2, Seed: 7, Workers: 1}),
+		NewTree(TreeConfig{MaxDepth: 3, Seed: 3}),
+		NewRandomForest(ForestConfig{Trees: 2, MaxDepth: 1, Seed: 4, Workers: 1}),
+		NewExtraTrees(ForestConfig{Trees: 2, MaxDepth: 1, Seed: 5, Workers: 1}),
+		NewAdaBoost(AdaBoostConfig{Rounds: 3, Seed: 6, Workers: 1}),
+		NewAdaBoost(AdaBoostConfig{Rounds: 1, Depth: 2, Seed: 7, Workers: 1}),
 		NewKNN(KNNConfig{K: 3, Workers: 1}),
 	} {
 		if err := m.Fit(x, y); err != nil {
 			f.Fatal(err)
 		}
 		data, err := SaveModel(m)
-		if err != nil {
-			f.Fatal(err)
+		if err != nil || len(data) > maxModelInput {
+			f.Fatalf("seed %T: %d bytes, %v", m, len(data), err)
 		}
 		f.Add(data)
 	}
@@ -183,7 +189,7 @@ func FuzzLoadModel(f *testing.F) {
 		f.Add([]byte(m.blob))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := LoadModel(data)
+		c, err := LoadModel(data[:min(len(data), maxModelInput)])
 		if err != nil {
 			return
 		}
@@ -217,3 +223,6 @@ func FuzzLoadModel(f *testing.F) {
 		}
 	})
 }
+
+// maxModelInput is the longest input FuzzLoadModel loads.
+const maxModelInput = 1 << 10

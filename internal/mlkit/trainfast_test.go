@@ -111,11 +111,11 @@ func TestFastPathWeightedBitIdentical(t *testing.T) {
 			ref := NewTree(TreeConfig{MaxDepth: 8, MaxFeatures: maxFeat, Seed: seed})
 			fast := NewTree(TreeConfig{MaxDepth: 8, MaxFeatures: maxFeat, Seed: seed})
 			var err error
-			viaReference(func() { err = ref.FitWeighted(x, y, w) })
+			viaReference(func() { err = ref.fitWeightedCtx(x, y, w, nil) })
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := fast.FitWeighted(x, y, w); err != nil {
+			if err := fast.fitWeightedCtx(x, y, w, nil); err != nil {
 				t.Fatal(err)
 			}
 			want, err := SaveModel(ref)
@@ -180,14 +180,14 @@ func TestFitAllocBudget(t *testing.T) {
 }
 
 // TestPermIntoMatchesPerm pins the RNG contract the fast path relies on:
-// PermInto must draw exactly the sequence Perm draws and leave the
+// PermInto must draw exactly the sequence math/rand's Perm draws and leave the
 // stream in the same state.
 func TestPermIntoMatchesPerm(t *testing.T) {
 	a := sim.NewSource(42)
 	b := sim.NewSource(42)
 	buf := make([]int, 17)
 	for round := 0; round < 5; round++ {
-		want := a.Perm(len(buf))
+		want := a.Rand().Perm(len(buf))
 		b.PermInto(buf)
 		if !reflect.DeepEqual(want, buf) {
 			t.Fatalf("round %d: PermInto %v != Perm %v", round, buf, want)

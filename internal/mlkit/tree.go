@@ -87,11 +87,8 @@ func (t *Tree) fitCtx(x [][]float64, y []int, tc *trainCtx) error {
 	return t.fitWeightedCtx(x, y, w, tc)
 }
 
-// FitWeighted trains on weighted samples.
-func (t *Tree) FitWeighted(x [][]float64, y []int, w []float64) error {
-	return t.fitWeightedCtx(x, y, w, nil)
-}
-
+// fitWeightedCtx trains on weighted samples (AdaBoost's depth >= 2 weak
+// learners), presorting its own columns when tc is nil.
 func (t *Tree) fitWeightedCtx(x [][]float64, y []int, w []float64, tc *trainCtx) error {
 	nf, err := validateXY(x, y)
 	if err != nil {

@@ -106,7 +106,7 @@ func TestTreeWeightedFitShiftsBoundary(t *testing.T) {
 	y := []int{0, 1, 0, 1}
 	w := []float64{1, 1, 10, 0.1}
 	tree := NewTree(TreeConfig{MaxDepth: 2, MinLeaf: 1})
-	if err := tree.FitWeighted(x, y, w); err != nil {
+	if err := tree.fitWeightedCtx(x, y, w, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := tree.Predict([]float64{0.5}); got != 0 {
@@ -140,7 +140,7 @@ func TestTreeErrorsOnBadInput(t *testing.T) {
 	if err := tree.Fit([][]float64{{1}}, []int{-1}); err == nil {
 		t.Fatal("negative label should error")
 	}
-	if err := tree.FitWeighted([][]float64{{1}, {2}}, []int{0, 1}, []float64{1}); err == nil {
+	if err := tree.fitWeightedCtx([][]float64{{1}, {2}}, []int{0, 1}, []float64{1}, nil); err == nil {
 		t.Fatal("weight length mismatch should error")
 	}
 }

@@ -119,7 +119,7 @@ func (b *treeBuilder) bestSplit(samples []int, counts []float64, total, parentGi
 			candidates[i] = i
 		}
 	} else {
-		candidates = b.rng.Perm(nf)[:nCand]
+		candidates = b.rng.Rand().Perm(nf)[:nCand]
 	}
 
 	bestFeat, bestThr, bestGain := -1, 0.0, 0.0

@@ -9,7 +9,7 @@ const (
 	// BreakerClosed: the predictor is healthy; calls flow normally.
 	BreakerClosed BreakerState = iota
 	// BreakerOpen: consecutive failures tripped the breaker; the gate
-	// fails open to plain EASY backfilling until OpenDuration elapses.
+	// fails open to plain EASY backfilling for breakerOpenDuration.
 	BreakerOpen
 	// BreakerHalfOpen: the cool-down elapsed; the next decision probes
 	// the predictor once — success closes the breaker, failure re-opens.
@@ -34,16 +34,10 @@ func (s BreakerState) String() string {
 // when the model path fails repeatedly (outage, stale telemetry, too
 // many missing features), the breaker opens and the gate stops asking —
 // failing open so scheduling degrades to the FCFS+EASY baseline instead
-// of stalling the queue. After OpenDuration it half-opens and lets a
-// single decision probe the model again.
+// of stalling the queue. Three consecutive failures open it; after 300
+// simulated seconds it half-opens and lets a single decision probe the
+// model again. The zero value is a closed breaker.
 type Breaker struct {
-	// FailureThreshold is how many consecutive failures trip the breaker
-	// (default 3).
-	FailureThreshold int
-	// OpenDuration is how long the breaker stays open before probing
-	// again, in simulated seconds (default 300).
-	OpenDuration float64
-
 	// Trips counts closed->open transitions.
 	Trips int
 
@@ -60,10 +54,14 @@ type Breaker struct {
 	gState *obs.Gauge
 }
 
-// NewBreaker returns a closed breaker with the default thresholds.
-func NewBreaker() *Breaker {
-	return &Breaker{FailureThreshold: 3, OpenDuration: 300}
-}
+const (
+	// breakerFailureThreshold is how many consecutive failures trip the
+	// breaker.
+	breakerFailureThreshold = 3
+	// breakerOpenDuration is how long the breaker stays open before
+	// probing again, in simulated seconds.
+	breakerOpenDuration float64 = 300
+)
 
 // Observe attaches an observer: every state transition (including the
 // implicit open -> half-open advance inside State) emits exactly one
@@ -98,7 +96,7 @@ func (b *Breaker) transition(now float64, to BreakerState) {
 // State returns the breaker phase at time now, advancing open ->
 // half-open when the cool-down has elapsed.
 func (b *Breaker) State(now float64) BreakerState {
-	if b.state == BreakerOpen && now-b.openedAt >= b.OpenDuration {
+	if b.state == BreakerOpen && now-b.openedAt >= breakerOpenDuration {
 		b.transition(now, BreakerHalfOpen)
 	}
 	return b.state
@@ -121,11 +119,11 @@ func (b *Breaker) Success(now float64) {
 	}
 }
 
-// Failure records a failed model decision. Consecutive failures reaching
-// FailureThreshold — or any failure while half-open — trip the breaker.
+// Failure records a failed model decision. breakerFailureThreshold
+// consecutive failures, or any failure while half-open, trip the breaker.
 func (b *Breaker) Failure(now float64) {
 	b.failures++
-	if b.state == BreakerHalfOpen || b.failures >= b.FailureThreshold {
+	if b.state == BreakerHalfOpen || b.failures >= breakerFailureThreshold {
 		if b.state != BreakerOpen {
 			b.Trips++
 			b.cTrips.Inc()

@@ -8,8 +8,8 @@ import (
 )
 
 func TestBreakerTripsAfterThreshold(t *testing.T) {
-	b := NewBreaker()
-	for i := 0; i < b.FailureThreshold-1; i++ {
+	b := &Breaker{}
+	for i := 0; i < breakerFailureThreshold-1; i++ {
 		b.Failure(float64(i))
 		if !b.Ready(float64(i)) {
 			t.Fatalf("breaker open after %d failures", i+1)
@@ -25,7 +25,7 @@ func TestBreakerTripsAfterThreshold(t *testing.T) {
 }
 
 func TestBreakerSuccessResetsFailureCount(t *testing.T) {
-	b := NewBreaker()
+	b := &Breaker{}
 	b.Failure(0)
 	b.Failure(1)
 	b.Success(2)
@@ -37,30 +37,30 @@ func TestBreakerSuccessResetsFailureCount(t *testing.T) {
 }
 
 func TestBreakerHalfOpenProbing(t *testing.T) {
-	b := NewBreaker()
-	for i := 0; i < b.FailureThreshold; i++ {
+	b := &Breaker{}
+	for i := 0; i < breakerFailureThreshold; i++ {
 		b.Failure(0)
 	}
-	if b.Ready(b.OpenDuration / 2) {
+	if b.Ready(breakerOpenDuration / 2) {
 		t.Fatal("breaker should stay open during the cool-down")
 	}
 	// Cool-down elapsed: half-open lets one probe through.
-	if !b.Ready(b.OpenDuration + 1) {
+	if !b.Ready(breakerOpenDuration + 1) {
 		t.Fatal("breaker should half-open after the cool-down")
 	}
-	if b.State(b.OpenDuration+1) != BreakerHalfOpen {
-		t.Fatalf("state = %v", b.State(b.OpenDuration+1))
+	if b.State(breakerOpenDuration+1) != BreakerHalfOpen {
+		t.Fatalf("state = %v", b.State(breakerOpenDuration+1))
 	}
 	// A failed probe re-opens immediately (no threshold in half-open).
-	b.Failure(b.OpenDuration + 2)
-	if b.Ready(b.OpenDuration + 3) {
+	b.Failure(breakerOpenDuration + 2)
+	if b.Ready(breakerOpenDuration + 3) {
 		t.Fatal("failed probe must re-open the breaker")
 	}
 	if b.Trips != 2 {
 		t.Fatalf("trips = %d, want 2", b.Trips)
 	}
 	// Next probe succeeds: breaker closes.
-	probeAt := 2*b.OpenDuration + 10
+	probeAt := 2*breakerOpenDuration + 10
 	if !b.Ready(probeAt) {
 		t.Fatal("second cool-down should half-open again")
 	}
@@ -71,8 +71,8 @@ func TestBreakerHalfOpenProbing(t *testing.T) {
 }
 
 func TestBreakerDegradedTimeAccounting(t *testing.T) {
-	b := NewBreaker()
-	for i := 0; i < b.FailureThreshold; i++ {
+	b := &Breaker{}
+	for i := 0; i < breakerFailureThreshold; i++ {
 		b.Failure(100)
 	}
 	// Open from t=100; still open at 250.
@@ -114,7 +114,7 @@ func TestBreakerStateGaugeTracksRecovery(t *testing.T) {
 		t.Fatalf("initial gauge = %v, want closed", gauge())
 	}
 	// Predictor outage: consecutive failures trip the breaker.
-	for i := 0; i < gate.Breaker.FailureThreshold; i++ {
+	for i := 0; i < breakerFailureThreshold; i++ {
 		gate.Allow(job(i, 4, 100), alloc)
 	}
 	if gauge() != float64(BreakerOpen) {
@@ -123,7 +123,7 @@ func TestBreakerStateGaugeTracksRecovery(t *testing.T) {
 	// Outage ends; after the cool-down the state query itself advances
 	// the breaker to half-open, and the next decision probes the model.
 	down = false
-	m.Eng.RunUntil(m.Eng.Now() + gate.Breaker.OpenDuration + 1)
+	m.Eng.RunUntil(m.Eng.Now() + breakerOpenDuration + 1)
 	if st := gate.Breaker.State(m.Eng.Now()); st != BreakerHalfOpen {
 		t.Fatalf("state after cool-down = %v, want half-open", st)
 	}

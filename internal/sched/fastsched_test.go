@@ -353,7 +353,7 @@ func runTwinHalf(t *testing.T, spec twinSpec, reference bool) schedRun {
 		t.Fatal(err)
 	}
 	run := schedRun{trace: buf.String(), snap: reg.Snapshot(), err: s.Err()}
-	for _, j := range s.Completed() {
+	for _, j := range s.completed {
 		run.completed = append(run.completed,
 			fmt.Sprintf("%d@%v-%v w%v f%v", j.ID, j.StartTime, j.EndTime, j.WaitTime(), j.Failed))
 	}
@@ -681,9 +681,9 @@ func TestFinishZeroAllocs(t *testing.T) {
 		submit(job(8, 4, 1e8))
 	}
 	objects, _ := alloctest.Count(3, build, func() { eng.RunUntil(eng.Now() + 1) })
-	if s.CompletedCount() != interval+keep+65 || s.RunningLen() != 9 || s.running[8].ID != 8 || s.tl.len() != 9 {
+	if s.CompletedCount() != interval+keep+65 || len(s.running) != 9 || s.running[8].ID != 8 || s.tl.len() != 9 {
 		t.Fatalf("%d jobs done, %d running, %d releases; want every short one done and the 9 long ones running",
-			s.CompletedCount(), s.RunningLen(), s.tl.len())
+			s.CompletedCount(), len(s.running), s.tl.len())
 	}
 	if objects != 0 {
 		t.Fatalf("a finish allocated %d times; want 0", objects)

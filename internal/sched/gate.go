@@ -96,7 +96,7 @@ func (g *RUSH) Observe(o *obs.Observer) {
 func NewRUSH(m *machine.Machine, model mlkit.Classifier) *RUSH {
 	g := &RUSH{
 		Features: NewFeatures(m),
-		Pipeline: Pipeline{MaxStaleness: 90, MaxMissing: 0.5, Breaker: NewBreaker()},
+		Pipeline: Pipeline{MaxStaleness: 90, MaxMissing: 0.5, Breaker: &Breaker{}},
 		model:    model,
 	}
 	if w, ok := model.(interface{ NumFeatures() int }); ok {

@@ -38,7 +38,7 @@ func trainedToyModel(t *testing.T, m *machine.Machine) mlkit.Classifier {
 		x = append(x, feats)
 		y = append(y, label)
 	}
-	bg.Clear()
+	bg.Set(simnet.Contribution{})
 	model := mlkit.NewRandomForest(mlkit.ForestConfig{Trees: 15, MaxDepth: 4, Seed: 1})
 	if err := model.Fit(x, y); err != nil {
 		t.Fatal(err)
@@ -186,7 +186,7 @@ func TestRUSHGateFailsOpenOnModelOutage(t *testing.T) {
 		t.Fatalf("degraded = %d, want 5", gate.Degraded)
 	}
 	if gate.Breaker.Trips != 1 {
-		t.Fatalf("trips = %d, want 1 (threshold %d)", gate.Breaker.Trips, gate.Breaker.FailureThreshold)
+		t.Fatalf("trips = %d, want 1 (threshold %d)", gate.Breaker.Trips, breakerFailureThreshold)
 	}
 	m.Eng.RunUntil(m.Eng.Now() + 50)
 	if gate.DegradedTime() <= 0 {
@@ -203,7 +203,7 @@ func TestRUSHGateRecoversWhenModelReturns(t *testing.T) {
 	alloc, _ := m.Alloc.Alloc(4)
 
 	// Trip the breaker while the model is down.
-	for i := 0; i < gate.Breaker.FailureThreshold; i++ {
+	for i := 0; i < breakerFailureThreshold; i++ {
 		gate.Allow(job(i, 4, 100), alloc)
 	}
 	if gate.Breaker.State(m.Eng.Now()) != BreakerOpen {
@@ -212,7 +212,7 @@ func TestRUSHGateRecoversWhenModelReturns(t *testing.T) {
 	// Service restored; after the cool-down the half-open probe succeeds
 	// and normal model-gated scheduling resumes.
 	down = false
-	m.Eng.RunUntil(m.Eng.Now() + gate.Breaker.OpenDuration + 1)
+	m.Eng.RunUntil(m.Eng.Now() + breakerOpenDuration + 1)
 	gate.Allow(job(10, 4, 100), alloc)
 	if gate.Evaluations != 1 {
 		t.Fatalf("half-open probe should evaluate the model, evals=%d", gate.Evaluations)

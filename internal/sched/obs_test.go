@@ -73,17 +73,17 @@ func TestGatedPassZeroAllocs(t *testing.T) {
 // transition emits exactly one trace event, and non-transitions none.
 func TestBreakerTransitionsEmitOneEventEach(t *testing.T) {
 	var buf bytes.Buffer
-	br := NewBreaker()
+	br := &Breaker{}
 	tracer := obs.NewBatchedTracer(&buf)
 	br.Observe(obs.New(tracer, nil))
 
-	for i := 0; i < br.FailureThreshold; i++ {
+	for i := 0; i < breakerFailureThreshold; i++ {
 		br.Failure(float64(i)) // only the threshold-reaching failure transitions
 	}
 	if br.State(1) != BreakerOpen {
 		t.Fatal("breaker did not open")
 	}
-	probeAt := 2 + br.OpenDuration
+	probeAt := 2 + breakerOpenDuration
 	if br.State(probeAt) != BreakerHalfOpen {
 		t.Fatal("breaker did not half-open after the cool-down")
 	}
@@ -163,7 +163,7 @@ func TestConfigConstructionDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var starts []float64
-		for _, j := range s.Completed() {
+		for _, j := range s.completed {
 			starts = append(starts, j.StartTime)
 		}
 		return starts

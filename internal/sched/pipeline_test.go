@@ -25,10 +25,10 @@ const pipelineNow = 400.0
 
 func breakerIn(t *testing.T, state BreakerState) *Breaker {
 	t.Helper()
-	b := NewBreaker()
-	openedAt := map[BreakerState]float64{BreakerOpen: pipelineNow - 10, BreakerHalfOpen: pipelineNow - b.OpenDuration}
+	b := &Breaker{}
+	openedAt := map[BreakerState]float64{BreakerOpen: pipelineNow - 10, BreakerHalfOpen: pipelineNow - breakerOpenDuration}
 	if at, ok := openedAt[state]; ok {
-		for i := 0; i < b.FailureThreshold; i++ {
+		for i := 0; i < breakerFailureThreshold; i++ {
 			b.Failure(at)
 		}
 	}
@@ -301,8 +301,8 @@ func FuzzPipelineOps(f *testing.F) {
 			ops = ops[:1<<9] // 63 decisions, room for the all-rows seed
 		}
 		stale, sparse := float64(ops[0]), float64(ops[1])/256
-		single := &Pipeline{MaxStaleness: stale, MaxMissing: sparse, Breaker: NewBreaker()}
-		cut := &Pipeline{MaxStaleness: stale, MaxMissing: sparse, Breaker: NewBreaker()}
+		single := &Pipeline{MaxStaleness: stale, MaxMissing: sparse, Breaker: &Breaker{}}
+		cut := &Pipeline{MaxStaleness: stale, MaxMissing: sparse, Breaker: &Breaker{}}
 		now := 0.0
 		for step, rest := 0, ops[2:]; len(rest) >= 8; step, rest = step+1, rest[8:] {
 			advance, r := pipelineOp(rest)

@@ -126,7 +126,7 @@ func TestRetryBudgetExhaustedFailsJob(t *testing.T) {
 	if math.Abs(j.LostWork-30) > 1e-9 {
 		t.Fatalf("lost work = %v, want 30", j.LostWork)
 	}
-	if s.RunningLen() != 0 || s.QueueLen() != 0 {
+	if len(s.running) != 0 || s.QueueLen() != 0 {
 		t.Fatal("failed job must leave the scheduler entirely")
 	}
 }

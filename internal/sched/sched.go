@@ -48,7 +48,7 @@
 // circuit: Closed passes calls through and counts consecutive
 // failures; reaching the failure threshold trips it Open, where every
 // decision skips the model entirely (cheap, deterministic fail-open)
-// until OpenDuration of simulated time elapses; the first decision
+// for 300 s of simulated time (breakerOpenDuration); the first decision
 // after that runs HalfOpen as a single probe — success closes the
 // breaker, failure re-opens it for another cool-down. Trip and
 // degraded-decision counts surface on the trial metrics so faulted
@@ -110,8 +110,8 @@ type Job struct {
 	// (time from each killed stint's start to its kill).
 	LostWork float64
 	// Failed marks a job abandoned after exhausting its retry budget;
-	// it still appears in Completed (EndTime is the final kill instant)
-	// so workloads drain, but it never finished its work.
+	// it still completes (EndTime is the final kill instant) so
+	// workloads drain, but it never finished its work.
 	Failed bool
 	// StartTime and EndTime are filled in as the job executes; NaN until
 	// then. For a requeued job they describe the final stint only.
@@ -286,7 +286,7 @@ type Scheduler struct {
 
 	// DiscardCompleted drops finished jobs instead of retaining them in
 	// the completion list: they are still counted (CompletedCount),
-	// metered, traced, and handed to OnComplete, but Completed stays
+	// metered, traced, and handed to OnComplete, but the list stays
 	// empty. Long-horizon replays set this — a million-job year must not
 	// accumulate a million *Job records — and consume per-job results
 	// through OnComplete instead.
@@ -355,13 +355,6 @@ func (s *Scheduler) Machine() *machine.Machine { return s.m }
 
 // QueueLen returns the number of queued jobs.
 func (s *Scheduler) QueueLen() int { return len(s.queue) }
-
-// RunningLen returns the number of executing jobs.
-func (s *Scheduler) RunningLen() int { return len(s.running) }
-
-// Completed returns the finished jobs in completion order (empty when
-// DiscardCompleted is set).
-func (s *Scheduler) Completed() []*Job { return s.completed }
 
 // CompletedCount returns how many jobs have finished (including failed
 // ones), whether or not they were retained.

@@ -69,15 +69,15 @@ func TestParallelJobsSharedMachine(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		s.Submit(job(i, 16, 100))
 	}
-	if s.RunningLen() != 4 {
-		t.Fatalf("all 4 jobs fit, running = %d", s.RunningLen())
+	if len(s.running) != 4 {
+		t.Fatalf("all 4 jobs fit, running = %d", len(s.running))
 	}
 	m.Eng.Run()
-	if len(s.Completed()) != 4 {
+	if len(s.completed) != 4 {
 		t.Fatal("jobs lost")
 	}
 	// All ran concurrently: every wait time is 0.
-	for _, j := range s.Completed() {
+	for _, j := range s.completed {
 		if j.WaitTime() != 0 {
 			t.Fatalf("job %d waited %v", j.ID, j.WaitTime())
 		}
@@ -93,12 +93,12 @@ func TestEASYBackfillsShortJob(t *testing.T) {
 	s.Submit(job(0, 10, 100))
 	s.Submit(job(1, 16, 50))
 	s.Submit(job(2, 4, 20))
-	if s.RunningLen() != 2 {
-		t.Fatalf("backfill failed: running = %d", s.RunningLen())
+	if len(s.running) != 2 {
+		t.Fatalf("backfill failed: running = %d", len(s.running))
 	}
 	m.Eng.Run()
 	byID := map[int]*Job{}
-	for _, j := range s.Completed() {
+	for _, j := range s.completed {
 		byID[j.ID] = j
 	}
 	if byID[2].StartTime != 0 {
@@ -124,7 +124,7 @@ func TestEASYNeverDelaysReservation(t *testing.T) {
 	}
 	m.Eng.Run()
 	byID := map[int]*Job{}
-	for _, j := range s.Completed() {
+	for _, j := range s.completed {
 		byID[j.ID] = j
 	}
 	// Job 1 starts when job 0 finishes (~100), not after the long job.
@@ -149,7 +149,7 @@ func TestEASYExtraNodesRouteAllowsLongBackfill(t *testing.T) {
 	}
 	m.Eng.Run()
 	byID := map[int]*Job{}
-	for _, j := range s.Completed() {
+	for _, j := range s.completed {
 		byID[j.ID] = j
 	}
 	if byID[1].StartTime > 110 {
@@ -211,7 +211,7 @@ func TestGateVetoKeepsJobQueued(t *testing.T) {
 		t.Fatal("vetoed job must remain queued")
 	}
 	m.Eng.Run()
-	if len(s.Completed()) != 1 {
+	if len(s.completed) != 1 {
 		t.Fatal("vetoed job never ran")
 	}
 	if j.Skips != 2 {
@@ -257,7 +257,7 @@ func TestSkipThresholdForcesStart(t *testing.T) {
 	j.SkipThreshold = 3
 	s.Submit(j)
 	m.Eng.Run()
-	if len(s.Completed()) != 1 {
+	if len(s.completed) != 1 {
 		t.Fatal("job starved despite skip threshold")
 	}
 	if j.Skips != 3 {
@@ -356,7 +356,7 @@ func TestWaitAndRunTimes(t *testing.T) {
 	s.Submit(job(1, 16, 50))
 	m.Eng.Run()
 	byID := map[int]*Job{}
-	for _, j := range s.Completed() {
+	for _, j := range s.completed {
 		byID[j.ID] = j
 	}
 	if w := byID[0].WaitTime(); w != 0 {
@@ -383,16 +383,16 @@ func TestManyJobsDrainCompletely(t *testing.T) {
 		m.Eng.At(delay, func() { s.Submit(jb) })
 	}
 	m.Eng.Run()
-	if len(s.Completed()) != n {
-		t.Fatalf("completed %d of %d jobs", len(s.Completed()), n)
+	if len(s.completed) != n {
+		t.Fatalf("completed %d of %d jobs", len(s.completed), n)
 	}
-	if s.QueueLen() != 0 || s.RunningLen() != 0 {
+	if s.QueueLen() != 0 || len(s.running) != 0 {
 		t.Fatal("scheduler not drained")
 	}
 	if m.Alloc.UsedCount() != 0 {
 		t.Fatal("nodes leaked")
 	}
-	for _, j := range s.Completed() {
+	for _, j := range s.completed {
 		if math.IsNaN(j.StartTime) || j.StartTime < j.SubmitTime || j.EndTime <= j.StartTime {
 			t.Fatalf("job %d has inconsistent times: %+v", j.ID, j)
 		}
@@ -440,7 +440,7 @@ func TestVetoCooldownDisabled(t *testing.T) {
 	j := job(0, 16, 20)
 	s.Submit(j)
 	m.Eng.Run()
-	if len(s.Completed()) != 1 {
+	if len(s.completed) != 1 {
 		t.Fatal("job never ran")
 	}
 }

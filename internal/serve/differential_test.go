@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net"
 	"path/filepath"
 	"testing"
@@ -67,17 +68,121 @@ func startServer(t *testing.T, cfg serve.Config) (*serve.Server, *serve.Client) 
 	return srv, client
 }
 
+// servedGate is a sched.Gate whose decisions come from a serve daemon
+// instead of an in-process model. What stays on this side is what lives
+// with the simulated machine: sched.Features measures telemetry
+// freshness and assembles the live feature vector (counters and probes),
+// and sched.Ledger books the daemon's verdicts exactly as it books the
+// in-process gate's. The sched.Pipeline itself runs in the daemon,
+// reached by the wire protocol's two-phase check/eval exchange. The
+// split keeps probe randomness at parity with the in-process RUSH gate:
+// probes run only when the server answers DecisionEvaluate, exactly the
+// cases in which RUSH.Allow would have reached LiveFeatures.
+//
+// A daemon that cannot be asked is handled fail-open and in the open: a
+// transport failure sticks (err is set), and that decision and every
+// later one, like any BUSY or error answer, is booked as fail-open with
+// obs.ReasonModelDown, so the job launches as under the FCFS+EASY
+// baseline and the trace and the Degraded count say why.
+type servedGate struct {
+	sched.Features
+	sched.Ledger
+
+	m      *machine.Machine
+	client *serve.Client
+	// down reports a client-observed predictor outage (the fault
+	// injector's ModelDown, as on sched.RUSH).
+	down func() bool
+	// err is the sticky transport error; once set, the daemon is no
+	// longer asked.
+	err error
+}
+
+func newServedGate(m *machine.Machine, client *serve.Client) *servedGate {
+	return &servedGate{Features: sched.NewFeatures(m), m: m, client: client}
+}
+
+// Name implements sched.Gate. It reports the decision algorithm ("RUSH"),
+// not the transport: a served gate is the same gate.
+func (g *servedGate) Name() string { return "RUSH" }
+
+// Allow implements sched.Gate: the daemon's verdict, booked.
+func (g *servedGate) Allow(j *sched.Job, alloc cluster.Allocation) bool {
+	now := g.m.Eng.Now()
+	return g.Record(now, j, g.ask(now, j, alloc))
+}
+
+// ask runs the two-phase exchange: OpCheck carries the decision context
+// (skip state, outage flag, and the telemetry age measured here, which
+// the server's staleness check reads); only a DecisionEvaluate answer
+// makes the gate gather features, running the MPI probes, which draw
+// simulation randomness, and send OpEval. Without a usable answer the
+// verdict is fail-open.
+func (g *servedGate) ask(now float64, j *sched.Job, alloc cluster.Allocation) sched.Verdict {
+	unreachable := sched.NewVerdict(obs.DecisionFailOpen, obs.ReasonModelDown)
+	if g.err != nil {
+		return unreachable
+	}
+	localAge := g.FreshnessAge(alloc)
+	wireAge := serve.WireAge(localAge)
+	req := serve.Request{
+		Op:        serve.OpCheck,
+		Now:       now,
+		Job:       j.ID,
+		App:       j.App.Name,
+		Class:     int(j.App.Class),
+		Skips:     j.Skips,
+		SkipLimit: j.SkipThreshold,
+		Down:      g.down != nil && g.down(),
+		Age:       &wireAge,
+	}
+	resp, err := g.client.Do(&req)
+	if err == nil && resp.Status == serve.StatusOK && resp.Decision == serve.DecisionEvaluate {
+		resp, err = g.client.Do(&serve.Request{
+			Op:    serve.OpEval,
+			Now:   now,
+			Job:   j.ID,
+			App:   j.App.Name,
+			Class: int(j.App.Class),
+			Skips: j.Skips,
+			Feats: serve.FeatureVector(g.LiveFeatures(alloc, j.App.Class)),
+			Age:   req.Age,
+		})
+	}
+	if err != nil {
+		g.err = err
+		return unreachable
+	}
+	if resp.Status != serve.StatusOK {
+		// BUSY and server-side errors degrade open without poisoning the
+		// connection; the next decision tries again.
+		return unreachable
+	}
+	switch resp.Decision {
+	case obs.DecisionOverride, obs.DecisionFailOpen, obs.DecisionVeto, obs.DecisionStart:
+	default:
+		g.err = fmt.Errorf("unexpected decision %q", resp.Decision)
+		return unreachable
+	}
+	// The wire clamps +Inf ages; trace the true local measurement.
+	age := resp.Age
+	if age >= 0 {
+		age = localAge
+	}
+	return sched.Verdict{Decision: resp.Decision, Reason: resp.Reason, Class: resp.Class, Age: age, Missing: resp.Missing}
+}
+
 // runServedTrial replicates experiments.RunTrialJobs' environment —
 // same engine seeding, noise job, fault injector derivation, telemetry
 // pruning, scheduler defaults, and trace header — with the remote
-// serve.Gate in place of the in-process RUSH gate. Any environmental
+// servedGate in place of the in-process RUSH gate. Any environmental
 // drift between this runner and RunTrialJobs shows up as a trace diff in
 // the differential test, which is the point.
-func runServedTrial(t *testing.T, name string, jobs []workload.SubmittedJob, client *serve.Client, fcfg faults.Config) ([]byte, *serve.Gate) {
+func runServedTrial(t *testing.T, name string, jobs []workload.SubmittedJob, client *serve.Client, fcfg faults.Config) ([]byte, *servedGate) {
 	t.Helper()
 	trace, gate, _ := driveServedTrial(t, name, jobs, client, fcfg, nil)
-	if gate.Err != nil {
-		t.Fatalf("gate transport error: %v", gate.Err)
+	if gate.err != nil {
+		t.Fatalf("gate transport error: %v", gate.err)
 	}
 	return trace, gate
 }
@@ -85,7 +190,7 @@ func runServedTrial(t *testing.T, name string, jobs []workload.SubmittedJob, cli
 // driveServedTrial is runServedTrial without the demand that the daemon
 // outlives the trial: arm, when non-nil, schedules the test's own events
 // on the trial's engine before the first job is submitted.
-func driveServedTrial(t *testing.T, name string, jobs []workload.SubmittedJob, client *serve.Client, fcfg faults.Config, arm func(*sim.Engine)) ([]byte, *serve.Gate, *obs.Snapshot) {
+func driveServedTrial(t *testing.T, name string, jobs []workload.SubmittedJob, client *serve.Client, fcfg faults.Config, arm func(*sim.Engine)) ([]byte, *servedGate, *obs.Snapshot) {
 	t.Helper()
 	const seed = 11
 	eng := sim.New(seed)
@@ -109,8 +214,8 @@ func driveServedTrial(t *testing.T, name string, jobs []workload.SubmittedJob, c
 	}
 	m.StartPruning(telemetry.WindowSeconds, 3*telemetry.WindowSeconds)
 
-	gate := serve.NewGate(m, client)
-	gate.Down = inj.ModelDown()
+	gate := newServedGate(m, client)
+	gate.down = inj.ModelDown()
 	s, err := sched.NewScheduler(sched.Config{
 		Machine: m, Primary: sched.FCFS{},
 		Gate: gate, Observer: observer, Faults: inj,
@@ -125,12 +230,12 @@ func driveServedTrial(t *testing.T, name string, jobs []workload.SubmittedJob, c
 		sj := sj
 		eng.At(sj.SubmitAt, func() { s.Submit(sj.Job) })
 	}
-	for len(s.Completed()) < len(jobs) {
+	for s.CompletedCount() < len(jobs) {
 		if eng.Now() > 6*3600 {
-			t.Fatalf("served trial exceeded 6 simulated hours (%d/%d jobs)", len(s.Completed()), len(jobs))
+			t.Fatalf("served trial exceeded 6 simulated hours (%d/%d jobs)", s.CompletedCount(), len(jobs))
 		}
 		if !eng.Step() {
-			t.Fatalf("event queue drained with %d/%d jobs incomplete", len(s.Completed()), len(jobs))
+			t.Fatalf("event queue drained with %d/%d jobs incomplete", s.CompletedCount(), len(jobs))
 		}
 	}
 	noise.Stop()
@@ -198,8 +303,8 @@ func TestServedDecisionsMatchInProcess(t *testing.T) {
 		faults faults.Config
 	}{
 		{"clean", faults.Config{}},
-		{"model-outage", faults.Config{ModelOutage: 0.3, ModelOutagePeriod: 300}},
-		{"outage-and-telemetry-loss", faults.Config{ModelOutage: 0.3, ModelOutagePeriod: 300, TelemetryLoss: 0.2}},
+		{"model-outage", faults.Config{ModelOutage: 0.3}},
+		{"outage-and-telemetry-loss", faults.Config{ModelOutage: 0.3, TelemetryLoss: 0.2}},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
@@ -260,7 +365,7 @@ func TestGateFailsOpenWhenDaemonDies(t *testing.T) {
 	trace, gate, metrics := driveServedTrial(t, spec.Name, jobs, client, faults.Config{}, func(eng *sim.Engine) {
 		eng.At(diesAt, func() { srv.Close() })
 	})
-	if gate.Err == nil {
+	if gate.err == nil {
 		t.Fatal("the daemon died mid-trial and the gate recorded no transport error")
 	}
 
@@ -330,7 +435,7 @@ func TestGateBooksBusyDaemonAsFailOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	var trace bytes.Buffer
-	gate := serve.NewGate(m, client)
+	gate := newServedGate(m, client)
 	tracer := obs.NewBatchedTracer(&trace)
 	gate.Observe(obs.New(tracer, nil))
 	alloc, err := m.Alloc.Alloc(4)
@@ -340,8 +445,8 @@ func TestGateBooksBusyDaemonAsFailOpen(t *testing.T) {
 	if !gate.Allow(&sched.Job{ID: 1, App: apps.Defaults()[1]}, alloc) {
 		t.Fatal("a busy daemon must fail open")
 	}
-	if gate.Err != nil || gate.Degraded != 1 {
-		t.Fatalf("Err = %v, Degraded = %d; want a live connection and one degraded decision", gate.Err, gate.Degraded)
+	if gate.err != nil || gate.Degraded != 1 {
+		t.Fatalf("Err = %v, Degraded = %d; want a live connection and one degraded decision", gate.err, gate.Degraded)
 	}
 	want := `"decision":"fail-open","class":-1,"skips":0,"reason":"model-down"`
 	if err := tracer.Flush(); err != nil || !bytes.Contains(trace.Bytes(), []byte(want)) {

@@ -26,8 +26,8 @@
 // of its own. Any failure in those layers fails OPEN — the job is
 // admitted with a typed reason (obs.ReasonModelDown,
 // obs.ReasonStaleTelemetry, ...) rather than blocked on a dead model.
-// Repeated failures trip the breaker (sched.NewBreaker defaults:
-// 3 failures, 300 s open window), after which decisions fail open
+// Repeated failures trip the breaker (sched.Breaker: 3 failures,
+// 300 s open window), after which decisions fail open
 // without consulting anything until a half-open probe succeeds.
 //
 // A decision runs start to finish on the goroutine of the connection
@@ -144,11 +144,12 @@
 // ReasonStaleTelemetry; too many missing features → fail-open
 // ReasonMissingFeatures; repeated failures → breaker open, fail-open
 // ReasonBreakerOpen without consulting anything; too many decisions in
-// flight → StatusBusy (request not processed). On the client side,
-// serve.Gate degrades the same direction and says so: a transport error
-// (sticky), a StatusBusy or a StatusError answer admits the job and is
-// booked in the gate's sched.Ledger as a fail-open with obs.ReasonModelDown,
-// counted in Degraded and gate_fail_open_model_down_total and traced
-// like any other decision. A dead daemon costs scheduling quality, never
-// scheduling liveness, and never passes for a clean baseline run.
+// flight → StatusBusy (request not processed). A client gate should
+// degrade the same direction and say so, as the served-trial test's gate
+// does: a transport error (sticky), a StatusBusy or a StatusError answer
+// admits the job and is booked in the gate's sched.Ledger as a fail-open
+// with obs.ReasonModelDown, counted in Degraded and
+// gate_fail_open_model_down_total and traced like any other decision. A
+// dead daemon costs scheduling quality, never scheduling liveness, and
+// never passes for a clean baseline run.
 package serve

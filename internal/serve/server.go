@@ -35,11 +35,6 @@ type Config struct {
 	// (default 256). Beyond it the server answers StatusBusy without
 	// touching the decision pipeline — backpressure, never a queue.
 	MaxInflight int
-	// Breaker is the predictor circuit breaker backing degraded mode
-	// (default sched.NewBreaker()). It runs on request-carried
-	// timestamps, so replayed simulated streams and wall-clock clients
-	// both work.
-	Breaker *sched.Breaker
 }
 
 // cacheKey identifies one counters-only decision: a caller-chosen scope
@@ -81,8 +76,10 @@ type decideBufs struct{ feats []float64 }
 // one and publishes it with a swap — epoch/RCU style), runs each
 // inference on the goroutine that asked for it, caches counters-only
 // decisions per scope, and degrades to fail-open ALLOW behind the circuit
-// breaker whenever the model path is unavailable. The snapshot carries
-// the model, so a hot-swap is one more publish.
+// breaker (a sched.Breaker, run on request-carried timestamps, so
+// replayed simulated streams and wall-clock clients both work) whenever
+// the model path is unavailable. The snapshot carries the model, so a
+// hot-swap is one more publish.
 type Server struct {
 	snap atomic.Pointer[sched.Snapshot]
 
@@ -130,7 +127,7 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: Config.Model is required")
 	}
 	s := &Server{
-		pipe:   sched.Pipeline{MaxStaleness: 90, MaxMissing: 0.5, Breaker: cfg.Breaker},
+		pipe:   sched.Pipeline{MaxStaleness: 90, MaxMissing: 0.5, Breaker: &sched.Breaker{}},
 		cache:  map[cacheKey]cacheEntry{},
 		stopCh: make(chan struct{}),
 		conns:  map[net.Conn]struct{}{},
@@ -140,9 +137,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxMissing != 0 {
 		s.pipe.MaxMissing = math.Max(cfg.MaxMissing, 0)
-	}
-	if s.pipe.Breaker == nil {
-		s.pipe.Breaker = sched.NewBreaker()
 	}
 	inflight := cfg.MaxInflight
 	if inflight <= 0 {

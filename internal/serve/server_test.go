@@ -91,7 +91,7 @@ func TestDegradedModeBreakerCycle(t *testing.T) {
 	srv.SetOutage(true)
 
 	var resp serve.Response
-	for i := 0; i < 3; i++ { // sched.NewBreaker trips after 3 failures
+	for i := 0; i < 3; i++ { // a sched.Breaker trips after 3 failures
 		srv.Handle(&serve.Request{V: serve.ProtoVersion, Op: serve.OpDecide, Now: float64(10 + i), Feats: feats6()}, &resp)
 		if resp.Decision != obs.DecisionFailOpen || resp.Reason != obs.ReasonModelDown {
 			t.Fatalf("outage decision %d: %+v", i, resp)

@@ -92,10 +92,6 @@ func (e *Engine) Now() float64 { return e.now }
 // Fired returns the number of events processed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of events still queued. Cancel takes an
-// event out of the queue at once, so cancelled events are never counted.
-func (e *Engine) Pending() int { return len(e.events) }
-
 // Source returns the engine's root random source.
 func (e *Engine) Source() *Source { return e.rng }
 

@@ -230,17 +230,17 @@ func TestEngineDeterminism(t *testing.T) {
 
 func TestEngineIntrospection(t *testing.T) {
 	e := New(1)
-	if e.Pending() != 0 || e.Fired() != 0 {
+	if len(e.events) != 0 || e.Fired() != 0 {
 		t.Fatal("fresh engine should be empty")
 	}
 	e.Schedule(1, func() {})
 	e.Schedule(2, func() {})
-	if e.Pending() != 2 {
-		t.Fatalf("pending = %d", e.Pending())
+	if len(e.events) != 2 {
+		t.Fatalf("pending = %d", len(e.events))
 	}
 	e.Run()
-	if e.Fired() != 2 || e.Pending() != 0 {
-		t.Fatalf("fired=%d pending=%d", e.Fired(), e.Pending())
+	if e.Fired() != 2 || len(e.events) != 0 {
+		t.Fatalf("fired=%d pending=%d", e.Fired(), len(e.events))
 	}
 }
 
@@ -267,7 +267,7 @@ func TestSourceHelpers(t *testing.T) {
 	if s.Int63() < 0 {
 		t.Fatal("Int63 negative")
 	}
-	p := s.Perm(5)
+	p := s.Rand().Perm(5)
 	seen := map[int]bool{}
 	for _, v := range p {
 		seen[v] = true

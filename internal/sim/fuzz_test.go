@@ -229,8 +229,8 @@ func (h *opsHarness) op() bool {
 			h.register(cb)
 		})
 	}
-	if h.eng.Pending() != h.ref.Len() {
-		h.t.Fatalf("engine holds %d events, the model %d", h.eng.Pending(), h.ref.Len())
+	if len(h.eng.events) != h.ref.Len() {
+		h.t.Fatalf("engine holds %d events, the model %d", len(h.eng.events), h.ref.Len())
 	}
 	return true
 }

@@ -134,15 +134,12 @@ func (s *Source) Intn(n int) int { return s.rng.Intn(n) }
 // Int63 returns a non-negative 63-bit integer.
 func (s *Source) Int63() int64 { return s.rng.Int63() }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (s *Source) Perm(n int) []int { return s.rng.Perm(n) }
-
 // PermInto fills buf with a pseudo-random permutation of [0, len(buf)),
-// drawing exactly the sequence Perm(len(buf)) draws (the Fisher–Yates
-// inside-out construction math/rand uses). Hot paths call it with a
-// reusable buffer to stay allocation-free without perturbing the stream:
-// after PermInto(buf) the source is in the same state as after
-// Perm(len(buf)).
+// drawing exactly the sequence Rand().Perm(len(buf)) draws (the
+// Fisher–Yates inside-out construction math/rand uses). Hot paths call it
+// with a reusable buffer to stay allocation-free without perturbing the
+// stream: after PermInto(buf) the source is in the same state as after
+// Rand().Perm(len(buf)).
 func (s *Source) PermInto(buf []int) {
 	for i := range buf {
 		j := s.rng.Intn(i + 1)

@@ -154,9 +154,9 @@ func TestBatchRearmEquivalentToRearm(t *testing.T) {
 	both := func(f func(tw *batchTwin)) { f(batched); f(plain) }
 	check := func(step int) {
 		t.Helper()
-		if len(batched.evs) != len(plain.evs) || batched.eng.Pending() != plain.eng.Pending() {
+		if len(batched.evs) != len(plain.evs) || len(batched.eng.events) != len(plain.eng.events) {
 			t.Fatalf("step %d: %d/%d events, %d/%d pending", step,
-				len(batched.evs), len(plain.evs), batched.eng.Pending(), plain.eng.Pending())
+				len(batched.evs), len(plain.evs), len(batched.eng.events), len(plain.eng.events))
 		}
 		for i, ev := range batched.evs {
 			if p := plain.evs[i]; ev.Time != p.Time || ev.seq != p.seq || ev.Cancelled() != p.Cancelled() || (ev.index == 0) != (p.index == 0) {
@@ -277,8 +277,8 @@ func TestBatchRearmBelowQuarterKeepsOrder(t *testing.T) {
 		e.Rearm(ev, float64(200-i))
 	}
 	e.RunUntil(101)
-	if e.unordered || e.Fired() != 1 || e.Pending() != 99 || evs[99].index != 0 {
-		t.Fatalf("RunUntil(101) after a reversing batch: unordered=%v fired=%d pending=%d", e.unordered, e.Fired(), e.Pending())
+	if e.unordered || e.Fired() != 1 || len(e.events) != 99 || evs[99].index != 0 {
+		t.Fatalf("RunUntil(101) after a reversing batch: unordered=%v fired=%d pending=%d", e.unordered, e.Fired(), len(e.events))
 	}
 }
 

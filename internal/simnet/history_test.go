@@ -210,8 +210,8 @@ func FuzzHistoryOps(f *testing.F) {
 	}
 	f.Add(wrapped)
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		if len(ops) > 1<<13 {
-			ops = ops[:1<<13]
+		if len(ops) > 1<<9 {
+			ops = ops[:1<<9]
 		}
 		runHistoryOps(t, 3, ops)
 	})

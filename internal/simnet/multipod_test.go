@@ -110,7 +110,7 @@ func TestChangeDirtinessIsOverloadLevel(t *testing.T) {
 	// Below threshold: raw load moves, no contention factor does.
 	*now = 1
 	s.Apply(Contribution{PodNet: map[int]float64{2: 0.5}, Core: 0.1, FS: 0.2})
-	if last == nil || !last.Empty() {
+	if last == nil || !last.empty() {
 		t.Fatalf("below-threshold change = %+v, want empty", last)
 	}
 	if s.NetLoad(2) != 0.5 || s.CoreLoad() != 0.1 || s.FSLoad() != 0.2 {
@@ -137,7 +137,7 @@ func TestChangeDirtinessIsOverloadLevel(t *testing.T) {
 	// A no-op contribution is an empty change, not a missing one.
 	last = nil
 	s.Apply(Contribution{})
-	if last == nil || !last.Empty() {
+	if last == nil || !last.empty() {
 		t.Fatalf("no-op change = %+v, want delivered and empty", last)
 	}
 
@@ -389,7 +389,7 @@ func TestCachedFactorsTrackLoads(t *testing.T) {
 		if want := s.FSOverload() != beforeFS; got.FS != want {
 			t.Fatalf("step %d: change.FS = %v, fs factor moved = %v", step, got.FS, want)
 		}
-		if got.Empty() {
+		if got.empty() {
 			still++
 		} else {
 			moved++

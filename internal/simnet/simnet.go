@@ -79,9 +79,6 @@ type Change struct {
 	FS bool
 }
 
-// Empty reports whether the change moved no contention factor at all.
-func (c Change) Empty() bool { return len(c.Pods) == 0 && !c.Core && !c.FS }
-
 // State tracks the current load on every shared resource.
 type State struct {
 	topo   cluster.Topology

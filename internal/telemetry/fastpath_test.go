@@ -178,10 +178,10 @@ func TestReferenceLeavesSamplerAlone(t *testing.T) {
 		st.Apply(simnet.Contribution{PodNet: map[int]float64{1: 0.8}, FS: 0.3})
 		*now = 900
 		before := s.AggregateWindow(st.History(), nodes, *now)
-		rows, bytes := s.CachedRows(), s.StoreBytes()
+		rows, bytes := s.cachedRows(), s.StoreBytes()
 		aggregateRef(s, st.History(), nodes, *now-WindowSeconds, *now)
 		aggregateRef(s, st.History(), AllNodes(testTopo()), *now-2*WindowSeconds, *now)
-		if r, b := s.CachedRows(), s.StoreBytes(); r != rows || b != bytes {
+		if r, b := s.cachedRows(), s.StoreBytes(); r != rows || b != bytes {
 			t.Fatalf("faulted %v: the oracle moved the store from %d rows, %d bytes to %d, %d", faulted, rows, bytes, r, b)
 		}
 		sameAggregates(t, fmt.Sprintf("faulted %v: after the oracle", faulted), s.AggregateWindow(st.History(), nodes, *now), before)
@@ -267,7 +267,7 @@ func TestFastAggregationMatchesReference(t *testing.T) {
 				sampler.AggregateRangeInto(st.History(), nodes, t0, t1, &again)
 				sameAggregates(t, "requery", again, ref)
 			}
-			if sampler.CachedRows() == 0 {
+			if sampler.cachedRows() == 0 {
 				t.Fatal("row cache never populated")
 			}
 		}
@@ -291,14 +291,14 @@ func TestSamplerPrune(t *testing.T) {
 		*now = t1
 		sampler.AggregateWindow(st.History(), nodes, t1)
 	}
-	before := sampler.CachedRows()
+	before := sampler.cachedRows()
 	if before == 0 {
 		t.Fatal("no rows cached")
 	}
 	cut := 1300 - WindowSeconds
 	st.History().Prune(cut)
 	sampler.Prune(cut)
-	after := sampler.CachedRows()
+	after := sampler.cachedRows()
 	if after >= before {
 		t.Fatalf("prune kept %d of %d rows", after, before)
 	}

@@ -125,7 +125,7 @@ func TestMaskChangeInvalidates(t *testing.T) {
 	for i, mask := range [][NumCounters]bool{hashedMask(1, 0.5), hashedMask(2, 0.5), allCounters(), hashedMask(3, 0.1)} {
 		s.AggregateWindow(st.History(), nodes, *now) // fill the store under the old mask
 		s.SetCounterMask(mask)
-		if n := s.CachedRows(); n != 0 {
+		if n := s.cachedRows(); n != 0 {
 			t.Fatalf("mask %d: %d rows survive the change", i, n)
 		}
 		want := aggregateRef(s, st.History(), nodes, *now-WindowSeconds, *now)

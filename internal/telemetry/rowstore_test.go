@@ -12,6 +12,21 @@ import (
 	"rush/internal/simnet"
 )
 
+// cachedRows returns the number of (node, tick) sample rows currently
+// memoized; it walks the store.
+func (s *Sampler) cachedRows() int {
+	st := &s.store
+	n := 0
+	for b := range st.blocks {
+		for _, h := range &st.blocks[b].heads {
+			if h.gen == st.gen && h.effT >= st.pruned {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // storeTopo is wider than maxScopeNodes, so scopes can exceed the cap,
 // and not a multiple of blockNodes, so the last block is partial.
 func storeTopo() cluster.Topology {
@@ -184,13 +199,13 @@ func TestOutOfRangeNodesAreServedUncached(t *testing.T) {
 		fast := s.AggregateWindow(st.History(), outside, *now)
 		sameAggregates(t, "outside", fast, aggregateRef(s, st.History(), outside, *now-WindowSeconds, *now))
 	}
-	if n := s.CachedRows(); n != 0 {
+	if n := s.cachedRows(); n != 0 {
 		t.Fatalf("%d rows stored for nodes that have no ring", n)
 	}
 	mixed := append([]cluster.NodeID{3, 4}, outside...)
 	fast := s.AggregateWindow(st.History(), mixed, *now)
 	sameAggregates(t, "mixed", fast, aggregateRef(s, st.History(), mixed, *now-WindowSeconds, *now))
-	if n := s.CachedRows(); n != 2*WindowTicks {
+	if n := s.cachedRows(); n != 2*WindowTicks {
 		t.Fatalf("%d rows stored, want the %d of the two real nodes", n, 2*WindowTicks)
 	}
 }
@@ -209,7 +224,7 @@ func TestNegativeTicksLandInRing(t *testing.T) {
 	// Ticks -20 .. 19 were asked for, and 40 ticks do not fit a ring of
 	// ringTicks: what is left is the newest ringTicks per node, the
 	// oldest of them still negative.
-	if n, want := s.CachedRows(), len(nodes)*ringTicks; n != want {
+	if n, want := s.cachedRows(), len(nodes)*ringTicks; n != want {
 		t.Fatalf("%d rows stored, want %d", n, want)
 	}
 	oldest := int64(19 - ringTicks + 1)
@@ -356,7 +371,7 @@ func TestRowStoreMatchesReferenceProperty(t *testing.T) {
 			s.AggregateRangeInto(hist, nodes, t0, t1, &buf)
 			label := fmt.Sprintf("seed %d query %d: %d nodes, window [%v, %v) at now %v", seed, q, size, t0, t1, *now)
 			sameAggregates(t, label, buf, aggregateRef(s, hist, nodes, t0, t1))
-			if q%100 == 0 && s.CachedRows() > 0 {
+			if q%100 == 0 && s.cachedRows() > 0 {
 				populated = true
 			}
 		}

@@ -437,21 +437,6 @@ func (s *Sampler) Prune(t float64) {
 // Stats returns the work the sampler has done since it was made.
 func (s *Sampler) Stats() SamplerStats { return s.stats }
 
-// CachedRows returns the number of (node, tick) sample rows currently
-// memoized (observability and test hook; it walks the store).
-func (s *Sampler) CachedRows() int {
-	st := &s.store
-	n := 0
-	for b := range st.blocks {
-		for _, h := range &st.blocks[b].heads {
-			if h.gen == st.gen && h.effT >= st.pruned {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // StoreBytes returns the bytes the row store holds: its blocks with
 // their heads, and the values allocated in them, at the capacity of
 // memory taken from the free list (observability hook; it walks the

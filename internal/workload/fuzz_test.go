@@ -19,8 +19,8 @@ const nonFiniteTrace = "1 0 0 100 36 -1 -1 36 200\n2 10 0 inf 36 -1 -1 36 200\n3
 func TestNonFiniteRecordsAreSkipped(t *testing.T) {
 	st := NewSWFStream(bytes.NewReader([]byte(nonFiniteTrace)), SWFOptions{})
 	jobs := drainStream(t, st)
-	if len(jobs) != 2 || st.Skipped() != 1 {
-		t.Fatalf("stream yielded %d jobs and skipped %d, want 2 and 1", len(jobs), st.Skipped())
+	if len(jobs) != 2 || st.sc.skipped != 1 {
+		t.Fatalf("stream yielded %d jobs and skipped %d, want 2 and 1", len(jobs), st.sc.skipped)
 	}
 	if jobs[1].Job.BaseWork != 50 || jobs[1].Job.Estimate != 75 {
 		t.Fatalf("job after the skipped record: work %v estimate %v, want 50 and 75", jobs[1].Job.BaseWork, jobs[1].Job.Estimate)
@@ -39,8 +39,8 @@ func TestNonFiniteRecordsAreSkipped(t *testing.T) {
 	// a run time whose fallback estimate would overflow.
 	for _, line := range []string{"1 nan 0 100 36", "1 inf 0 100 36", "1 0 0 nan 36", "1 0 0 1.7e308 36"} {
 		sc := NewSWFScanner(bytes.NewReader([]byte(line + "\n")))
-		if sc.Scan() || sc.Err() != nil || sc.Skipped() != 1 {
-			t.Errorf("%q: scanned a record or failed (err %v, skipped %d), want it skipped", line, sc.Err(), sc.Skipped())
+		if sc.Scan() || sc.Err() != nil || sc.skipped != 1 {
+			t.Errorf("%q: scanned a record or failed (err %v, skipped %d), want it skipped", line, sc.Err(), sc.skipped)
 		}
 	}
 }

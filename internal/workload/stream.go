@@ -25,7 +25,7 @@ import (
 // blank lines are skipped; short data lines are padded with -1 (unknown)
 // provided at least the first four fields are present; malformed lines
 // surface as line-numbered errors via Err. Records that cannot be
-// replayed are skipped and counted (Skipped).
+// replayed are skipped and counted.
 type SWFScanner struct {
 	r       io.Reader
 	buf     []byte
@@ -35,7 +35,7 @@ type SWFScanner struct {
 	line    int
 	job     SWFJob
 	err     error
-	skipped int
+	skipped int // well-formed records dropped as unreplayable
 }
 
 // swfScanBuf is the scanner's initial buffer size; it grows only when a
@@ -83,10 +83,6 @@ func (s *SWFScanner) Job() SWFJob { return s.job }
 // Err returns the first parse or read error, or nil at a clean end of
 // trace.
 func (s *SWFScanner) Err() error { return s.err }
-
-// Skipped returns how many well-formed records were dropped as
-// unreplayable (cancelled jobs, unknown run times or processor counts).
-func (s *SWFScanner) Skipped() int { return s.skipped }
 
 // nextLine returns the next raw line (without the terminator), refilling
 // and compacting the buffer as needed. The returned slice aliases the
@@ -288,13 +284,6 @@ func (st *SWFStream) Next() (SubmittedJob, bool, error) {
 // Recycle hands back a yielded record, at most once, once its job has
 // finished and nothing reads it or its run any more.
 func (st *SWFStream) Recycle(j *sched.Job) { st.conv.free = append(st.conv.free, j) }
-
-// Skipped returns how many records the underlying scanner dropped as
-// unreplayable so far.
-func (st *SWFStream) Skipped() int { return st.sc.Skipped() }
-
-// Emitted returns how many jobs the stream has yielded so far.
-func (st *SWFStream) Emitted() int { return st.conv.n }
 
 // SliceStream wraps an in-memory job slice as a JobStream, yielding the
 // jobs in slice order. A JobStream's submit times must be

@@ -78,8 +78,8 @@ func TestStreamMatchesInMemoryLoader(t *testing.T) {
 		st := NewSWFStream(strings.NewReader(string(raw)), o)
 		got := drainStream(t, st)
 		sameJobs(t, got, want)
-		if st.Emitted() != len(want) {
-			t.Fatalf("opts %+v: Emitted %d, want %d", o, st.Emitted(), len(want))
+		if st.conv.n != len(want) {
+			t.Fatalf("opts %+v: Emitted %d, want %d", o, st.conv.n, len(want))
 		}
 	}
 }
@@ -227,8 +227,8 @@ func TestScannerSkipsUnreplayable(t *testing.T) {
 		t.Fatal(sc.Err())
 	}
 	// Jobs 4 (run time -1), 14 (run time 0), and 21 (no size) drop.
-	if sc.Skipped() != 3 {
-		t.Fatalf("skipped %d records, want 3", sc.Skipped())
+	if sc.skipped != 3 {
+		t.Fatalf("skipped %d records, want 3", sc.skipped)
 	}
 	if n != 21 {
 		t.Fatalf("scanned %d replayable records, want 21", n)

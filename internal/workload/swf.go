@@ -86,8 +86,7 @@ func interpretSWF(fv *[swfFields]float64) SWFJob {
 // fallback estimate is — "inf" parses as a number, and a job of infinite
 // work never completes — and the submit time must be a finite number,
 // or the job has no place in a stream ordered by it. Unreplayable
-// records are skipped — the scanner counts them so callers can report
-// how much of a trace was usable.
+// records are skipped and counted.
 func replayableSWF(j SWFJob) bool {
 	return j.RunTime > 0 && j.RunTime <= math.MaxFloat64/swfEstimateFactor && j.Procs > 0 &&
 		!math.IsNaN(j.Submit) && !math.IsInf(j.Submit, 1)
